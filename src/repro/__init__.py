@@ -15,7 +15,7 @@ New code should use the unified façade in :mod:`repro.api`
 (``Problem`` / ``solve`` / ``solve_batch`` / JSON round-trip); the
 per-algorithm entry points re-exported below remain as thin deprecated
 shims for existing callers.  See ``README.md`` for a quickstart and
-``DESIGN.md`` for the full system inventory.
+``docs/architecture.md`` for the layer-by-layer system inventory.
 """
 
 import warnings as _warnings

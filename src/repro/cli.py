@@ -19,7 +19,8 @@ Sub-commands
 ``throughput``
     Multi-interval instance plus ``--max-gaps``; runs the Theorem 11 greedy.
 ``experiment``
-    Regenerate one experiment table (or all of them) from DESIGN.md.
+    Regenerate one experiment table (E1–E12, or all of them) from
+    :mod:`repro.analysis.experiments`.
 ``verify``
     Run the differential verification harness on one JSON instance/problem:
     every capable registered solver, independent certificates, consistency
@@ -146,15 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir",
         help="enable the persistent on-disk solve-cache tier rooted here "
         "(default: REPRO_CACHE_DIR, else disabled)",
-    )
-    from .core.interval_dp import ENGINE_CHOICES
-
-    parser.add_argument(
-        "--engine",
-        choices=ENGINE_CHOICES,
-        help="DP evaluator for the sub-command: v3 vectorized (numpy), "
-        "v2 scalar, v1 trampoline (default: auto — v3 when numpy is "
-        "installed, else v2)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -317,12 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-v1",
         action="store_true",
         help="skip the v1 trampoline-engine comparison",
-    )
-    bench.add_argument(
-        "--no-v3",
-        action="store_true",
-        help="skip the v3 vectorized-engine comparison (it is also skipped "
-        "automatically, with null columns, when numpy is unavailable)",
     )
     bench.add_argument(
         "--check",
@@ -657,14 +643,6 @@ def _dispatch(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.backend is not None:
         configure_backend(args.backend)
-    if args.engine is not None:
-        from .core.exceptions import EngineConfigurationError
-        from .core.interval_dp import set_default_engine
-
-        try:
-            set_default_engine(args.engine)
-        except EngineConfigurationError as exc:
-            parser.error(str(exc))
     if args.cache_dir is not None:
         try:
             configure_disk_cache(args.cache_dir)
@@ -951,7 +929,7 @@ def _dispatch(argv: Optional[Sequence[str]] = None) -> int:
                 ]
                 if value is not None
             ]
-            if args.quick or args.no_baseline or args.no_v1 or args.no_v3:
+            if args.quick or args.no_baseline or args.no_v1:
                 conflicting.append("--quick/--no-*")
             if args.portfolio:
                 conflicting.append("--portfolio")
@@ -1032,7 +1010,6 @@ def _dispatch(argv: Optional[Sequence[str]] = None) -> int:
                 args.quick
                 or args.no_baseline
                 or args.no_v1
-                or args.no_v3
                 or args.portfolio
                 or args.seed != 0
                 or conflicting
@@ -1075,9 +1052,6 @@ def _dispatch(argv: Optional[Sequence[str]] = None) -> int:
                 )
                 return
             line = f"{record['name']:<28} v2 {engine_ms:>9.2f} ms"
-            if record["engine_v3"] is not None:
-                v3_ms = record["engine_v3"]["median"] * 1000.0
-                line += f"   v3 {v3_ms:>9.2f} ms ({record['speedup_vs_v2']:.2f}x)"
             if record["engine_v1"] is not None:
                 v1_ms = record["engine_v1"]["median"] * 1000.0
                 line += f"   v1 {v1_ms:>9.2f} ms ({record['speedup_vs_v1']:.2f}x)"
@@ -1139,7 +1113,6 @@ def _dispatch(argv: Optional[Sequence[str]] = None) -> int:
                 seed=args.seed,
                 baseline=not args.no_baseline,
                 compare_v1=not args.no_v1,
-                compare_v3=not args.no_v3,
                 progress=_print_case,
                 # Deliberately only the explicit flag: a REPRO_BACKEND default
                 # must not silently parallelize (and distort) timed runs.

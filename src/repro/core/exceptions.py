@@ -48,18 +48,6 @@ class SolverError(ReproError, RuntimeError):
     """
 
 
-class EngineConfigurationError(ReproError, RuntimeError):
-    """Raised when a requested DP evaluator cannot run in this environment.
-
-    Currently: forcing ``engine="v3"`` (via ``build_engine``,
-    ``set_default_engine``, or the CLI ``--engine v3`` flag) when numpy is
-    not importable.  The vectorized evaluator is an optional fast path —
-    install it with ``pip install 'repro-sched[speed]'`` — and the
-    ``"auto"`` selector degrades to the scalar v2 evaluator instead of
-    raising.
-    """
-
-
 class CacheConfigurationError(ReproError, OSError):
     """Raised when a requested cache directory cannot be used.
 

@@ -24,20 +24,24 @@ What differs between the two theorems is only the *value algebra*:
 
 Two evaluators share the objectives:
 
-* :class:`IntervalDPEngine` (**v2**, the default) evaluates **bottom-up**:
-  a discovery pass walks the ``(t1, t2, k)`` node graph from the root,
-  propagating the set of reachable ``q`` values per node, and the
-  evaluation pass then processes nodes in increasing interval-length /
-  job-count order.  Every node's ``(q, b1, b2)`` boundary variants live in
-  one flat list indexed by the packed variant offset, so the hot combine
-  loop reads child tables by direct list indexing — no generators, no
-  suspension objects, and no dict hashing.  Node job sets are built
-  incrementally (released-job lists extend their length-minus-one
-  predecessor; split counts come from a two-pointer merge instead of
-  per-column bisects).
-* :class:`TrampolineDPEngine` (**v1**, kept for differential benchmarks)
-  evaluates lazily top-down through an explicit stack of suspended
-  generators with a dict memo over packed integer state keys.
+* :class:`IntervalDPEngine` (**v2**) is the one production evaluator: every
+  solver, the façade, the runtime and the service run it, with no optional
+  dependency.  It evaluates **bottom-up**: a discovery pass walks the
+  ``(t1, t2, k)`` node graph from the root, propagating the set of
+  reachable ``q`` values per node, and the evaluation pass then processes
+  nodes in increasing interval-length / job-count order.  Every node's
+  ``(q, b1, b2)`` boundary variants live in one flat list indexed by the
+  packed variant offset, so the hot combine loop reads child tables by
+  direct list indexing — no generators, no suspension objects, and no
+  dict hashing.  Node job sets are built incrementally (released-job
+  lists extend their length-minus-one predecessor; split counts come
+  from a two-pointer merge instead of per-column bisects).
+* :class:`TrampolineDPEngine` (**v1**, frozen) evaluates lazily top-down
+  through an explicit stack of suspended generators with a dict memo over
+  packed integer state keys.  It is selected only by passing
+  ``engine="v1"`` explicitly: ``repro-sched bench`` times v2 against it
+  for its machine-independent regression ratio, and the differential
+  tests pin v2 to it.
 
 Both engines share Hall-condition pre-pruning (a violated prefix/suffix
 count proves every boundary variant of a node empty), dominance pruning of
@@ -57,54 +61,41 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from . import vector_kernels
 from .dp_profile import IntervalDecomposition
-from .exceptions import EngineConfigurationError, InvalidInstanceError
+from .exceptions import InvalidInstanceError
 from .jobs import MultiprocessorInstance
 from .schedule import MultiprocessorSchedule
 
 __all__ = [
     "ENGINE_NAME",
     "ENGINE_VERSION",
-    "VECTOR_ENGINE_VERSION",
     "BOTTOM_UP_ENGINE_VERSION",
     "TRAMPOLINE_ENGINE_VERSION",
     "ENGINE_CHOICES",
-    "DEFAULT_ENGINE",
-    "DEFAULT_VECTOR_MIN_WORK",
     "EngineStats",
-    "VectorEngineStats",
     "EngineOutcome",
     "GapObjective",
     "PowerObjective",
     "IntervalDPEngine",
-    "VectorizedDPEngine",
     "TrampolineDPEngine",
     "build_engine",
-    "resolve_engine",
-    "set_default_engine",
-    "get_default_engine",
     "staircase_schedule",
 ]
 
 ENGINE_NAME = "interval-dp"
 #: Version of the current engine generation.  This is what namespaces the
 #: canonicalization and disk caches — bumping it silently invalidates every
-#: previously cached entry (the v3 kernels are byte-identical to v2, but a
-#: fresh namespace keeps upgrade semantics unambiguous and lets replayed
-#: engine metadata always match the code that would recompute it).
-ENGINE_VERSION = "3.0"
-#: Version of the vectorized (numpy min-plus kernel) evaluator.
-VECTOR_ENGINE_VERSION = "3.0"
+#: previously cached entry, so replayed engine metadata always matches the
+#: code that would recompute it (4.0 retired the numpy-kernel evaluator,
+#: whose entries carried metadata no remaining code produces).
+ENGINE_VERSION = "4.0"
 #: Version of the bottom-up, array-packed scalar evaluator.
 BOTTOM_UP_ENGINE_VERSION = "2.0"
 #: Version of the legacy generator-trampoline evaluator.
 TRAMPOLINE_ENGINE_VERSION = "1.0"
-#: Engine selectors accepted by :func:`build_engine` and the solvers.
-#: ``"auto"`` resolves to ``"v3"`` when numpy is importable, else ``"v2"``.
-ENGINE_CHOICES = ("auto", "v3", "v2", "v1")
-#: The process-wide default selector (see :func:`set_default_engine`).
-DEFAULT_ENGINE = "auto"
+#: Engine selectors accepted by :func:`build_engine` and the solvers
+#: (``None`` means ``"v2"``).
+ENGINE_CHOICES = ("v2", "v1")
 
 _MISSING = object()
 _INF = float("inf")
@@ -145,30 +136,6 @@ class EngineStats:
             "plans_built": self.plans_built,
             "peak_stack_depth": self.peak_stack_depth,
         }
-
-
-@dataclass
-class VectorEngineStats(EngineStats):
-    """v2 counters plus the v3 kernel-dispatch decisions.
-
-    The base counters are *identical* to what the scalar evaluator would
-    report on the same instance (the kernels account lookups analytically);
-    the extra ones record how the per-node size heuristic resolved:
-    ``vector_nodes`` branch nodes combined by the numpy kernels (covering
-    ``vector_splits`` splits), ``vector_fallback_nodes`` branch nodes that
-    stayed on the scalar loop (too little work, or numpy unavailable).
-    """
-
-    vector_nodes: int = 0
-    vector_fallback_nodes: int = 0
-    vector_splits: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        data = super().as_dict()
-        data["vector_nodes"] = self.vector_nodes
-        data["vector_fallback_nodes"] = self.vector_fallback_nodes
-        data["vector_splits"] = self.vector_splits
-        return data
 
 
 @dataclass
@@ -235,15 +202,6 @@ class GapObjective:
     """
 
     name = "gaps"
-    #: Costs are small non-negative ints: the v3 kernels may round-trip them
-    #: through float64 exactly and cast winners back with ``int()``.
-    integral_costs = True
-    #: v3 policy: dominance pruning keeps gap tables label-sparse, and the
-    #: dense kernels carry the full ``(b1, b2, label)`` product the scalar
-    #: loop skips — measured 0.67-0.74x on the n>=60 bench cases — so the
-    #: profit heuristic keeps gap nodes on the scalar combine unless an
-    #: explicit ``vector_min_work`` forces the kernels (tests do).
-    vector_min_work_default: Optional[int] = None
 
     def __init__(self, num_processors: int) -> None:
         self.p = num_processors
@@ -378,13 +336,6 @@ class PowerObjective:
     name = "power"
     #: Scalar value algebra: a single table label (0).
     num_labels = 1
-    #: Float costs: the v3 kernels must (and do) preserve summation order.
-    integral_costs = False
-    #: v3 policy: power tables are dense single-label float planes — the
-    #: regime the kernels are built for — so every branch node with at
-    #: least a couple of active splits goes through them (measured optimum
-    #: across the n>=60 bench cases; single-split nodes stay scalar).
-    vector_min_work_default: Optional[int] = 16
 
     def __init__(self, num_processors: int, alpha: float) -> None:
         if alpha < 0:
@@ -850,9 +801,7 @@ class IntervalDPEngine:
         """Reachable ``q`` values and the valid variants grouped by ``(q, b2)``.
 
         Grids only depend on the node through ``(objective.grid_key(k),
-        qmask)``, so they are cached per run and shared across nodes — the
-        v3 kernels additionally key derived blanking masks on the cached
-        groups object's identity.
+        qmask)``, so they are cached per run and shared across nodes.
         """
         obj = self.objective
         k = self._node_k[nid]
@@ -1107,13 +1056,7 @@ class IntervalDPEngine:
             entry = tables[nid][vi]
             if entry is None:
                 raise AssertionError("reconstruction reached a pruned table entry")
-            ch = entry[1]
-            if type(ch) is int:
-                # Kernel-sealed entry: (staged node, variant index, entries) —
-                # the choice decodes lazily from the staged winner slabs.
-                choice = vector_kernels.decode_choice(entry[0], ch, lab)
-            else:
-                choice = ch[lab]
+            choice = entry[1][lab]
             if choice is None:
                 raise AssertionError("reconstruction reached a pruned table entry")
             tag = choice[0]
@@ -1141,175 +1084,6 @@ class IntervalDPEngine:
 # ---------------------------------------------------------------------------
 # v1: lazy top-down evaluation through a generator trampoline
 # ---------------------------------------------------------------------------
-#: Default work floor (``len(splits) * P^2 * L^2``) below which a branch
-#: node stays on the scalar combine, used for objectives that don't
-#: declare their own ``vector_min_work_default``.  Tiny nodes lose more to
-#: ndarray dispatch overhead than the kernels save; the shipped objectives
-#: carry tuned per-objective defaults (see docs/performance.md).
-DEFAULT_VECTOR_MIN_WORK = 192
-
-
-class VectorizedDPEngine(IntervalDPEngine):
-    """v3: the bottom-up evaluator with numpy min-plus combine kernels.
-
-    Discovery, split planning, sealing, pruning, and reconstruction are all
-    inherited unchanged from :class:`IntervalDPEngine`; what changes is the
-    evaluation pass: nodes are processed in the same ``(interval length,
-    job count)`` order, but grouped into *length layers*.  Split children
-    always live on strictly shorter intervals, so the variant-combination
-    step of every qualifying branch node in a layer is data-ready at once
-    and is staged by one batched numpy kernel invocation
-    (:meth:`repro.core.vector_kernels.MinPlusKernel.layer_split_tables`);
-    the remaining per-node work — the ``t' == t2`` right-end merge (whose
-    child shares the layer), memo accounting, and sealing — then runs
-    scalar in the v2 order.  Nodes below a per-node work heuristic fall
-    back to the scalar combine loop entirely.  The kernels carry a
-    byte-identity contract (same costs, bit-for-bit; same choice tuples;
-    same stats counters), so v3 results — including float power values —
-    are interchangeable with v2's everywhere: solve caches, differential
-    suites, and the service layer observe no difference beyond speed and
-    the extra :class:`VectorEngineStats` counters.
-
-    Parameters
-    ----------
-    decomp, objective:
-        As for :class:`IntervalDPEngine`.
-    vector_min_work:
-        Work floor for the per-node heuristic (``len(splits) * P^2 * L^2``
-        must reach it for the kernels to run).  ``None`` picks the
-        objective's tuned default for ``p >= 2`` — power vectorizes nearly
-        every branch node, gap stays on the scalar combine because its
-        dominance-pruned tables are label-sparse (dense kernels measured
-        slower) — and disables the kernels entirely at ``p <= 1``, where
-        tables are so small the scalar loop always wins; pass ``0`` to
-        force vectorization everywhere (used by tests and the bench's
-        forced-kernel column).
-    """
-
-    version = VECTOR_ENGINE_VERSION
-
-    def __init__(
-        self,
-        decomp: IntervalDecomposition,
-        objective,
-        vector_min_work: Optional[int] = None,
-    ) -> None:
-        super().__init__(decomp, objective)
-        self.stats = VectorEngineStats()
-        if vector_min_work is None and self.p >= 2:
-            # Objective-tuned default; at p <= 1 tables are so small the
-            # scalar loop always wins and the kernels stay off entirely
-            # (an explicit vector_min_work — tests — still forces them).
-            vector_min_work = getattr(
-                objective, "vector_min_work_default", DEFAULT_VECTOR_MIN_WORK
-            )
-        self.vector_min_work = vector_min_work
-        self._kernel = (
-            vector_kernels.MinPlusKernel(objective, self.p)
-            if vector_min_work is not None and vector_kernels.numpy_available()
-            else None
-        )
-        self._combo_size = self._P * self._P * self._labels * self._labels
-
-    def solve(self) -> EngineOutcome:
-        outcome = super().solve()
-        if self._kernel is not None:
-            # Reconstruction reads only the sealed sparse tables; the dense
-            # float mirrors are dead weight once the answer is out.
-            self._kernel.release_dense()
-        return outcome
-
-    def metadata(self) -> Dict:
-        meta = super().metadata()
-        meta["numpy"] = vector_kernels.numpy_version()
-        return meta
-
-    def _evaluate_all(self) -> None:
-        """Layer-batched evaluation: kernel pass per length, scalar finish."""
-        kernel = self._kernel
-        if kernel is None:
-            return super()._evaluate_all()
-        num = len(self._node_i1)
-        i1s, i2s, ks = self._node_i1, self._node_i2, self._node_k
-        order = sorted(range(num), key=lambda nid: (i2s[nid] - i1s[nid], ks[nid]))
-        tables: List[Optional[List]] = [None] * num
-        depths = [0] * num
-        kinds = self._node_kind
-        plans = self._node_plan
-        qmasks = self._node_qmask
-        stats = self.stats
-        peak = stats.peak_stack_depth
-        min_work = self.vector_min_work
-        combo = self._combo_size
-        total = len(order)
-        lo = 0
-        while lo < total:
-            length = i2s[order[lo]] - i1s[order[lo]]
-            hi = lo
-            while hi < total and i2s[order[hi]] - i1s[order[hi]] == length:
-                hi += 1
-            batch = [
-                nid
-                for nid in order[lo:hi]
-                if qmasks[nid] != 0
-                and kinds[nid] == _BRANCH
-                and len(plans[nid][1]) * combo >= min_work
-            ]
-            staged = kernel.layer_split_tables(self, batch, tables) if batch else {}
-            for idx in range(lo, hi):
-                nid = order[idx]
-                if qmasks[nid] == 0:
-                    continue
-                kind = kinds[nid]
-                if kind == _PRUNED:
-                    q_count = bin(qmasks[nid]).count("1")
-                    stats.states_computed += q_count * self._P * self._P
-                    depth = 1
-                elif kind == _BRANCH:
-                    pre = staged.get(nid)
-                    if pre is not None:
-                        stats.vector_nodes += 1
-                        stats.vector_splits += len(plans[nid][1])
-                        tables[nid] = self._finish_branch(nid, tables, pre)
-                    else:
-                        tables[nid] = self._branch_tables(nid, tables)
-                    _jmax, splits, right_end_id = plans[nid]
-                    depth = 0
-                    for _t, left_id, right_id, _adj, _stretch, _rt2 in splits:
-                        if depths[left_id] > depth:
-                            depth = depths[left_id]
-                        if depths[right_id] > depth:
-                            depth = depths[right_id]
-                    if right_end_id is not None and depths[right_end_id] > depth:
-                        depth = depths[right_end_id]
-                    depth += 1
-                else:
-                    tables[nid] = self._leaf_tables(nid, kind)
-                    depth = 1
-                depths[nid] = depth
-                if depth > peak:
-                    peak = depth
-            lo = hi
-        stats.peak_stack_depth = peak
-        self._tables = tables
-
-    def _branch_tables(self, nid: int, tables: List) -> Optional[List]:
-        self.stats.vector_fallback_nodes += 1
-        return super()._branch_tables(nid, tables)
-
-    def _finish_branch(self, nid: int, tables: List, pre) -> Optional[List]:
-        """Finish one kernel-staged node: right-end merge, accounting, sealing.
-
-        ``pre`` is the kernel's :class:`~repro.core.vector_kernels._Staged`
-        record; :meth:`~repro.core.vector_kernels.MinPlusKernel.finish_node`
-        applies the scalar loop's ``t' == t2`` merge (same strict ``<`` tie
-        breaks), folds dominance pruning into sealing with the scalar rule
-        and counters, and registers the node's cost slab as its dense
-        mirror for the next layer's kernels.
-        """
-        return self._kernel.finish_node(self, nid, tables, pre)
-
-
 class TrampolineDPEngine:
     """Lazy top-down evaluator of the interval DP (v1, generator trampoline).
 
@@ -1701,84 +1475,20 @@ class TrampolineDPEngine:
         return assignment
 
 
-#: Process-wide default selector consumed by the solvers (and hence the
-#: façade, runtime, and service layers) when no explicit engine is passed.
-_default_engine = DEFAULT_ENGINE
-
-
-def set_default_engine(engine: str) -> str:
-    """Set the process-wide default engine selector; returns the new value.
-
-    Raises :class:`ValueError` for unknown selectors and
-    :class:`~repro.core.exceptions.EngineConfigurationError` when ``"v3"``
-    is forced without numpy importable.  This is what the CLI's top-level
-    ``--engine`` flag calls.
-    """
-    global _default_engine
-    if engine not in ENGINE_CHOICES:
-        raise ValueError(
-            f"unknown engine {engine!r}; expected one of {ENGINE_CHOICES}"
-        )
-    _require_v3_support(engine)
-    _default_engine = engine
-    return engine
-
-
-def get_default_engine() -> str:
-    """The process-wide default engine selector (``"auto"`` unless set)."""
-    return _default_engine
-
-
-def resolve_engine(engine: Optional[str] = None) -> str:
-    """Concrete evaluator name for a selector.
-
-    ``None`` reads the process-wide default; ``"auto"`` resolves to
-    ``"v3"`` when numpy is importable and ``"v2"`` otherwise — the
-    graceful-degradation path for installs without the ``[speed]`` extra.
-    """
-    if engine is None:
-        engine = _default_engine
-    if engine == "auto":
-        return "v3" if vector_kernels.numpy_available() else "v2"
-    if engine not in ENGINE_CHOICES:
-        raise ValueError(
-            f"unknown engine {engine!r}; expected one of {ENGINE_CHOICES}"
-        )
-    return engine
-
-
-def _require_v3_support(engine: Optional[str]) -> None:
-    if engine == "v3" and not vector_kernels.numpy_available():
-        raise EngineConfigurationError(
-            "engine 'v3' requires numpy, which is not installed; "
-            "install the extra (pip install 'repro-sched[speed]') or use "
-            "engine 'auto' to fall back to the scalar v2 evaluator"
-        )
-
-
 def build_engine(
-    decomp: IntervalDecomposition,
-    objective,
-    engine: Optional[str] = None,
-    *,
-    vector_min_work: Optional[int] = None,
+    decomp: IntervalDecomposition, objective, engine: Optional[str] = None
 ):
     """Construct an evaluator by selector.
 
-    ``"v3"`` is the vectorized evaluator (requires numpy — raises
-    :class:`~repro.core.exceptions.EngineConfigurationError` otherwise),
-    ``"v2"`` the bottom-up scalar evaluator, ``"v1"`` the legacy
-    trampoline, and ``"auto"``/``None`` resolve via :func:`resolve_engine`.
-    ``vector_min_work`` tunes the v3 per-node size heuristic and is ignored
-    by the scalar evaluators.
+    ``"v2"`` (and ``None``) is the bottom-up evaluator every solver runs;
+    ``"v1"`` is the frozen trampoline, selected only explicitly (the bench
+    and the differential tests).  Anything else raises :class:`ValueError`.
     """
-    _require_v3_support(engine)
-    resolved = resolve_engine(engine)
-    if resolved == "v3":
-        return VectorizedDPEngine(decomp, objective, vector_min_work=vector_min_work)
-    if resolved == "v2":
+    if engine is None or engine == "v2":
         return IntervalDPEngine(decomp, objective)
-    return TrampolineDPEngine(decomp, objective)
+    if engine == "v1":
+        return TrampolineDPEngine(decomp, objective)
+    raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINE_CHOICES}")
 
 
 def staircase_schedule(

@@ -67,12 +67,9 @@ class MultiprocessorGapSolver:
         of the Baptiste candidate set; only sensible for small horizons
         (used by the tests to match the brute-force search space exactly).
     engine:
-        Evaluator selector: ``"v3"`` (vectorized, requires numpy), ``"v2"``
-        (bottom-up array-packed scalar), ``"v1"`` (legacy generator
-        trampoline, kept for benchmarks), or ``"auto"``.  ``None`` (the
-        default) resolves through the process-wide default — ``"auto"``
-        unless overridden with
-        :func:`~repro.core.interval_dp.set_default_engine`.
+        Evaluator selector: ``"v2"`` (bottom-up array-packed scalar, what
+        ``None`` — the default — runs) or ``"v1"`` (legacy generator
+        trampoline, kept for benchmarks and differential tests).
     """
 
     def __init__(

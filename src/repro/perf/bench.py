@@ -1,11 +1,10 @@
 """Timed runners for the interval-DP engines over the generator families.
 
 Each :class:`BenchCase` pins one instance (family + parameters + seed) and
-is solved by up to four implementations — the v2 bottom-up engine, the v3
-vectorized engine (when numpy is importable), the v1 trampoline engine,
-and the frozen pre-engine seed solver — with warmup and repeat control;
-solvers are constructed fresh for every timed run so memo tables never
-leak between repetitions.  The runner differentially asserts
+is solved by up to three implementations — the v2 bottom-up engine, the v1
+trampoline engine, and the frozen pre-engine seed solver — with warmup and
+repeat control; solvers are constructed fresh for every timed run so memo
+tables never leak between repetitions.  The runner differentially asserts
 that every measured implementation agrees on feasibility and value for
 every case — a benchmark that silently timed a wrong answer would be worse
 than no benchmark.
@@ -26,7 +25,6 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..core import vector_kernels
 from ..core.jobs import MultiprocessorInstance
 from ..core.multiproc_gap_dp import MultiprocessorGapSolver
 from ..core.multiproc_power_dp import MultiprocessorPowerSolver
@@ -203,10 +201,10 @@ def default_cases(quick: bool = False) -> List[BenchCase]:
             alpha=2.0,
             seed_baseline=False,
         ),
-        # Vectorization headline cases: power at p = 4 is where the v3
-        # min-plus kernels have the most arithmetic per staged node, so
-        # these two anchor the ``speedup_vs_v2`` column.  They skip the
-        # seed baseline for the same reason the n = 80 cases do.
+        # Power at p = 4: the most combine arithmetic per branch node in
+        # the matrix (the traffic the retired numpy kernels served best),
+        # so these two track the scalar combine's heaviest regime.  They
+        # skip the seed baseline for the same reason the n = 80 cases do.
         BenchCase(
             "power/uniform-n60-p4-a2",
             "power",
@@ -514,11 +512,9 @@ def _run_portfolio_case(
         "value": float(representative.value),
         "engine": timing,
         "engine_v1": None,
-        "engine_v3": None,
         "baseline": None,
         "speedup": None,
         "speedup_vs_v1": None,
-        "speedup_vs_v2": None,
         "decomposed": None,
         "speedup_vs_mono": None,
         "portfolio": {
@@ -542,7 +538,6 @@ def _run_portfolio_case(
             ],
         },
         "engine_stats": {},
-        "engine_v3_stats": None,
     }
 
 
@@ -552,7 +547,7 @@ def _run_case(payload: Tuple) -> Dict:
     Module-level (with a picklable payload) so :func:`run_bench` can fan
     cases out through any :mod:`repro.runtime` backend.
     """
-    case, case_seed, repeats, warmup, baseline, compare_v1, compare_v3 = payload
+    case, case_seed, repeats, warmup, baseline, compare_v1 = payload
     instance = case.make_instance(case_seed)
     if case.portfolio:
         return _run_portfolio_case(case, instance, repeats, warmup)
@@ -560,16 +555,6 @@ def _run_case(payload: Tuple) -> Dict:
     engine_timing = time_callable(
         lambda: _engine_solve(case, instance), repeats, warmup
     )
-    v3_timing = None
-    speedup_vs_v2 = None
-    v3_stats = None
-    if compare_v3 and vector_kernels.numpy_available():
-        v3_feasible, v3_value, v3_stats = _engine_solve(case, instance, engine="v3")
-        _assert_agreement(case, "engine v3", feasible, value, (v3_feasible, v3_value))
-        v3_timing = time_callable(
-            lambda: _engine_solve(case, instance, engine="v3"), repeats, warmup
-        )
-        speedup_vs_v2 = engine_timing["median"] / max(v3_timing["median"], 1e-12)
     v1_timing = None
     speedup_vs_v1 = None
     if compare_v1 and case.v1_baseline:
@@ -609,16 +594,13 @@ def _run_case(payload: Tuple) -> Dict:
         "value": None if value is None else float(value),
         "engine": engine_timing,
         "engine_v1": v1_timing,
-        "engine_v3": v3_timing,
         "baseline": baseline_timing,
         "speedup": speedup,
         "speedup_vs_v1": speedup_vs_v1,
-        "speedup_vs_v2": speedup_vs_v2,
         "decomposed": decomposed_timing,
         "speedup_vs_mono": speedup_vs_mono,
         "portfolio": None,
         "engine_stats": stats,
-        "engine_v3_stats": v3_stats,
     }
 
 
@@ -629,7 +611,6 @@ def run_bench(
     seed: int = 0,
     baseline: bool = True,
     compare_v1: bool = True,
-    compare_v3: bool = True,
     cases: Optional[List[BenchCase]] = None,
     progress: Optional[Callable[[Dict], None]] = None,
     backend: Optional[object] = None,
@@ -653,11 +634,6 @@ def run_bench(
     compare_v1:
         Also time the v1 trampoline engine and report ``speedup_vs_v1``;
         disabling this leaves engine_v1/speedup_vs_v1 null.
-    compare_v3:
-        Also time the v3 vectorized engine and report ``speedup_vs_v2``
-        (engine median / engine_v3 median).  Silently skipped — columns
-        left null — when numpy is unavailable, so the same invocation
-        works on both sides of the with/without-numpy CI matrix.
     cases:
         Explicit case list overriding :func:`default_cases`.
     progress:
@@ -703,7 +679,7 @@ def run_bench(
             raise ValueError(f"--filter {name_filter!r} matches no bench case")
 
     payloads = [
-        (case, seed + index, repeats, warmup, baseline, compare_v1, compare_v3)
+        (case, seed + index, repeats, warmup, baseline, compare_v1)
         for index, case in enumerate(case_list)
     ]
     records: List[Dict] = []

@@ -165,7 +165,7 @@ def rolling_median_reference(path: str, window: int) -> Tuple[Dict, int]:
             c for report in tail for c in report["cases"] if c["name"] == case["name"]
         ]
         new_case = dict(case)
-        for key in ("engine", "engine_v1", "engine_v3", "baseline", "decomposed"):
+        for key in ("engine", "engine_v1", "baseline", "decomposed"):
             if case[key] is None:
                 continue  # the newest run dropped this column; keep it null
             blocks = [c[key] for c in siblings if c[key] is not None]
@@ -175,10 +175,6 @@ def rolling_median_reference(path: str, window: int) -> Tuple[Dict, int]:
             new_case["speedup"] = new_case["baseline"]["median"] / engine_median
         if new_case["engine_v1"] is not None:
             new_case["speedup_vs_v1"] = new_case["engine_v1"]["median"] / engine_median
-        if new_case["engine_v3"] is not None:
-            new_case["speedup_vs_v2"] = new_case["engine"]["median"] / max(
-                new_case["engine_v3"]["median"], 1e-12
-            )
         if new_case["decomposed"] is not None:
             new_case["speedup_vs_mono"] = engine_median / max(
                 new_case["decomposed"]["median"], 1e-12

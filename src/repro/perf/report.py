@@ -15,9 +15,7 @@ Top-level keys::
     seed          master instance-generator seed
     repeats       timed repetitions per solver per case
     warmup        untimed warmup runs per solver per case
-    environment   {"python", "implementation", "platform", "numpy"} —
-                  ``numpy`` is the imported numpy version, or null when the
-                  run had no numpy (v3 columns will be null too)
+    environment   {"python", "implementation", "platform"}
     cases         list of per-case records
 
 Per-case keys::
@@ -31,14 +29,9 @@ Per-case keys::
     value           optimal objective value (null when infeasible)
     engine          timing block for the v2 (bottom-up scalar) engine
     engine_v1       timing block for the v1 (trampoline) engine (null if skipped)
-    engine_v3       timing block for the v3 (vectorized) engine (null when
-                    skipped or numpy is unavailable)
     baseline        timing block for the frozen seed solver (null if skipped)
     speedup         baseline median / engine median (null if baseline skipped)
     speedup_vs_v1   engine_v1 median / engine median (null if v1 skipped)
-    speedup_vs_v2   engine median / engine_v3 median — the v3-over-v2
-                    within-run speedup (null without engine_v3; ~1.0 on
-                    cases where the kernels fall back to the scalar path)
     decomposed      timing block for the decomposed façade solve, caches off
                     (null on cases without the decompose column)
     speedup_vs_mono engine median / decomposed median (null if not measured)
@@ -53,11 +46,6 @@ Per-case keys::
                     ``engine`` block times the end-to-end raced solve and
                     every other comparison column is null
     engine_stats    pruning/memo counters of one v2 engine run
-    engine_v3_stats counters of one v3 engine run (null without engine_v3);
-                    includes the kernel-engagement counters
-                    ``vector_nodes`` / ``vector_fallback_nodes`` — a case
-                    with ``vector_nodes == 0`` ran entirely on the scalar
-                    fallback, so its ``speedup_vs_v2`` is parity by design
 
 Timing blocks::
 
@@ -71,16 +59,16 @@ carries the full seed -> v1 -> v2 trajectory; ``bench-dp/v3`` adds the
 ``decomposed`` / ``speedup_vs_mono`` columns for the splittable families
 solved through :mod:`repro.core.decompose` (the regression gate still keys
 on the engine columns — decomposition speedups depend on core count and
-are reported, not gated); ``bench-dp/v4`` adds the ``engine_v3`` /
-``speedup_vs_v2`` / ``engine_v3_stats`` columns for the vectorized engine
-and records the numpy version in the environment block, so
-:func:`compare_reports` can warn (without failing) when two reports were
-produced on different numeric stacks; ``bench-dp/v5`` adds the nullable
-``portfolio`` case block for the budget-raced large-n family (per-member
-times and the realized certified gap); ``bench-dp/v6`` extends the
-portfolio block for preemptive racing — per-member ``kill_reason``
-(``beaten`` / ``deadline`` / ``admission`` / ``error``), the ``killed``
-member state, and the block-level ``backend`` / ``preemptive`` flags.
+are reported, not gated); ``bench-dp/v4`` added the ``engine_v3`` /
+``speedup_vs_v2`` / ``engine_v3_stats`` columns for the numpy-vectorized
+engine and the environment's numpy version; ``bench-dp/v5`` adds the
+nullable ``portfolio`` case block for the budget-raced large-n family
+(per-member times and the realized certified gap); ``bench-dp/v6``
+extends the portfolio block for preemptive racing — per-member
+``kill_reason`` (``beaten`` / ``deadline`` / ``admission`` / ``error``),
+the ``killed`` member state, and the block-level ``backend`` /
+``preemptive`` flags; ``bench-dp/v7`` drops the v4 columns and the numpy
+version again, along with the vectorized engine they measured.
 Portfolio cases carry no v1 column and their wall time is pinned by the
 budget, not the machine, so :func:`compare_reports` records them as
 skipped instead of gating them.
@@ -105,7 +93,7 @@ __all__ = [
     "DEFAULT_REGRESSION_MIN_MEDIAN",
 ]
 
-BENCH_SCHEMA = "repro.perf/bench-dp/v6"
+BENCH_SCHEMA = "repro.perf/bench-dp/v7"
 
 #: A case regresses when its fresh engine median exceeds the committed
 #: median by more than this factor.
@@ -136,16 +124,13 @@ _CASE_KEYS = {
     "value",
     "engine",
     "engine_v1",
-    "engine_v3",
     "baseline",
     "speedup",
     "speedup_vs_v1",
-    "speedup_vs_v2",
     "decomposed",
     "speedup_vs_mono",
     "portfolio",
     "engine_stats",
-    "engine_v3_stats",
 }
 _TIMING_KEYS = {"best", "median", "mean", "runs"}
 _PORTFOLIO_KEYS = {
@@ -169,19 +154,11 @@ class BenchSchemaError(ValueError):
 
 
 def environment_fingerprint() -> Dict[str, Any]:
-    """The environment block stamped into every report.
-
-    ``numpy`` records the imported numpy version (null when absent) so
-    report consumers — and :func:`compare_reports` — can tell whether two
-    reports were produced on the same numeric stack.
-    """
-    from ..core.vector_kernels import numpy_version
-
+    """The environment block stamped into every report."""
     return {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "platform": platform.platform(),
-        "numpy": numpy_version(),
     }
 
 
@@ -303,12 +280,8 @@ def validate_report(data: Any) -> None:
     if not isinstance(environment, dict):
         raise BenchSchemaError("report.environment must be an object")
     _require_keys(
-        "report.environment",
-        environment,
-        {"python", "implementation", "platform", "numpy"},
+        "report.environment", environment, {"python", "implementation", "platform"}
     )
-    if environment["numpy"] is not None and not isinstance(environment["numpy"], str):
-        raise BenchSchemaError("report.environment.numpy must be a string or null")
     cases = data["cases"]
     if not isinstance(cases, list) or not cases:
         raise BenchSchemaError("report.cases must be a non-empty list")
@@ -335,7 +308,6 @@ def validate_report(data: Any) -> None:
         _check_timing(f"{label}.engine", case["engine"])
         _check_optional_comparison(label, case, "baseline", "speedup")
         _check_optional_comparison(label, case, "engine_v1", "speedup_vs_v1")
-        _check_optional_comparison(label, case, "engine_v3", "speedup_vs_v2")
         _check_optional_comparison(label, case, "decomposed", "speedup_vs_mono")
         if case["portfolio"] is not None:
             _check_portfolio(f"{label}.portfolio", case["portfolio"])
@@ -346,22 +318,6 @@ def validate_report(data: Any) -> None:
                 raise BenchSchemaError(
                     f"{label}.engine_stats[{key!r}]: counters must be integers"
                 )
-        v3_stats = case["engine_v3_stats"]
-        if case["engine_v3"] is not None:
-            if not isinstance(v3_stats, dict):
-                raise BenchSchemaError(
-                    f"{label}.engine_v3_stats: must be an object when "
-                    "engine_v3 is present"
-                )
-            for key, value in v3_stats.items():
-                if not isinstance(value, int):
-                    raise BenchSchemaError(
-                        f"{label}.engine_v3_stats[{key!r}]: counters must be integers"
-                    )
-        elif v3_stats is not None:
-            raise BenchSchemaError(
-                f"{label}.engine_v3_stats: must be null without engine_v3"
-            )
 
 
 def write_report(data: Dict, path: str) -> None:
@@ -410,12 +366,9 @@ def compare_reports(
     are reported as ``skipped`` (too noisy to gate), and names present in
     only one report as ``unmatched``.
 
-    Cross-stack awareness: when the two reports were produced on different
-    numeric stacks (different or missing numpy, or a different interpreter
-    version), absolute v3 timings are not comparable, so a note is added
-    to ``warnings`` — reported, never gated.  Schema-v3 reports have no
-    environment ``numpy`` key; they compare cleanly with no warning about
-    it beyond the generic mismatch note.
+    When the two reports were produced by different Python versions,
+    absolute timings are not comparable, so a note is added to
+    ``warnings`` — reported, never gated.
 
     Returns ``{"regressions": [...], "compared": [...], "skipped": [...],
     "unmatched": [...], "warnings": [...]}`` where each regression entry
@@ -431,18 +384,15 @@ def compare_reports(
     skipped: List[str] = []
     unmatched: List[str] = []
     warnings: List[str] = []
-    fresh_env = fresh.get("environment") or {}
-    committed_env = committed.get("environment") or {}
-    for key, label in (("numpy", "numpy"), ("python", "Python")):
-        mine = fresh_env.get(key)
-        theirs = committed_env.get(key)
-        if mine != theirs:
-            warnings.append(
-                f"{label} version differs between reports "
-                f"(fresh: {mine or 'absent'}, committed: {theirs or 'absent'}); "
-                "v3 timings are not directly comparable across numeric stacks "
-                "— the gate keys on within-run ratios and is unaffected"
-            )
+    mine = (fresh.get("environment") or {}).get("python")
+    theirs = (committed.get("environment") or {}).get("python")
+    if mine != theirs:
+        warnings.append(
+            f"Python version differs between reports "
+            f"(fresh: {mine or 'absent'}, committed: {theirs or 'absent'}); "
+            "absolute timings are not directly comparable across interpreters "
+            "— the gate keys on within-run ratios where it can"
+        )
     fresh_names = set()
     for case in fresh["cases"]:
         name = case["name"]

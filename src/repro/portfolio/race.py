@@ -69,21 +69,17 @@ _HEURISTIC_MEMBERS = {
 _EXACT_MEMBERS = {"gaps": "gap-dp", "power": "power-dp"}
 
 
-def default_members(
-    problem: Problem, exact_job_limit: int = DEFAULT_EXACT_JOB_LIMIT
-) -> List[str]:
+def default_members(problem: Problem) -> List[str]:
     """The racing roster for ``problem``, cheapest member first.
 
     Single-processor one-interval instances get the scalable heuristics
     plus the exact DP — at *every* size: whether the DP actually runs is
     a dispatch-time decision (preemptive sessions race it under hard
-    kill; cooperative ones apply the ``exact_job_limit`` admission rule).
-    Every other instance/objective combination degrades to the
-    automatic-dispatch solver alone (still budget-accounted, still
-    enveloped).  ``exact_job_limit`` is accepted for signature
-    compatibility; it no longer filters the roster.
+    kill; cooperative ones apply :func:`run_portfolio`'s
+    ``exact_job_limit`` admission rule).  Every other instance/objective
+    combination degrades to the automatic-dispatch solver alone (still
+    budget-accounted, still enveloped).
     """
-    del exact_job_limit  # admission moved to dispatch time
     instance = problem.instance
     capable = {spec.name for spec in capable_solvers(problem)}
     members: List[str] = []
@@ -375,11 +371,7 @@ def run_portfolio(
         raise ValueError(f"budget must be positive, got {budget}")
     start = time.perf_counter()
     deadline = start + budget
-    roster = list(
-        members
-        if members is not None
-        else default_members(problem, exact_job_limit)
-    )
+    roster = list(members if members is not None else default_members(problem))
     bound = lower_bound_for(problem)
 
     # One worker per member: the roster races concurrently even when the

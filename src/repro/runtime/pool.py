@@ -19,11 +19,10 @@ replaces the per-call executor with one process-wide :class:`WorkerPool`:
   winner certifies, and to enforce budget expiry on the exact DP.
 * **Config-generation re-sync.**  Each dispatched task carries a
   generation-stamped snapshot of the parent's relevant process-wide
-  configuration (disk-cache directory, default engine selector, solve
-  cache capacity).  Workers re-apply the snapshot only when the
-  generation moves, so long-lived workers never drift from a caller that
-  reconfigured after the fork, and the per-task cost is one integer
-  comparison.
+  configuration (the disk-cache directory).  Workers re-apply the
+  snapshot only when the generation moves, so long-lived workers never
+  drift from a caller that reconfigured after the fork, and the per-task
+  cost is one integer comparison.
 * **Any-time incumbent channel.**  Worker-side task code can call
   :func:`publish_incumbent` to stream improving feasible solutions back
   to the parent while the task is still running.  The parent reads them
@@ -108,30 +107,16 @@ def publish_incumbent(make_payload: Callable[[], Any]) -> bool:
 
 def _current_config() -> Dict[str, Any]:
     """Snapshot of the parent config workers must mirror."""
-    from ..core.interval_dp import get_default_engine
     from .diskcache import disk_cache_dir
 
-    return {
-        "cache_dir": disk_cache_dir(),
-        "engine": get_default_engine(),
-    }
+    return {"cache_dir": disk_cache_dir()}
 
 
 def _apply_config(config: Dict[str, Any]) -> None:
-    from ..core.exceptions import ReproError
-    from ..core.interval_dp import get_default_engine, set_default_engine
     from .diskcache import configure_disk_cache, disk_cache_dir
 
     if disk_cache_dir() != config["cache_dir"]:
         configure_disk_cache(config["cache_dir"])
-    if get_default_engine() != config["engine"]:
-        try:
-            set_default_engine(config["engine"])
-        except (ReproError, ValueError):
-            # An engine the worker cannot honor (e.g. forced v3 in a
-            # worker whose numpy import failed) falls back to the
-            # worker's own default rather than killing the task.
-            pass
 
 
 def _worker_main(conn, parent_conn) -> None:

@@ -83,7 +83,15 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_body(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
+        declared = (self.headers.get("Content-Length") or "0").strip()
+        if not (declared.isascii() and declared.isdigit()):
+            # The body's extent is unknown, so the rest of the stream cannot
+            # be parsed as a next request: answer, then close.
+            self.close_connection = True
+            raise _BadRequest(
+                f"Content-Length must be a non-negative integer, got {declared!r}"
+            )
+        length = int(declared)
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise _BadRequest("request body must be a JSON object")
@@ -138,7 +146,8 @@ class _Handler(BaseHTTPRequestHandler):
             try:
                 self._submit()
             except _BadRequest as exc:
-                self._send(400, {"error": str(exc)})
+                closing = {"Connection": "close"} if self.close_connection else None
+                self._send(400, {"error": str(exc)}, closing)
             return
         job_id, verb = self._job_path()
         if job_id is not None and verb == "cancel":

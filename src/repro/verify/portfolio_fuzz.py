@@ -14,7 +14,7 @@ portfolio makes is checked against the known optimum:
   bound through :func:`~repro.verify.certificates.certify_bound`.
 
 Exposed on the command line as ``repro-sched fuzz --portfolio``; CI runs
-it on both sides of the with/without-numpy matrix.
+it in the portfolio smoke job.
 """
 
 from __future__ import annotations

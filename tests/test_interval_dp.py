@@ -1,12 +1,14 @@
 """Tests for the unified interval-DP engine (objectives, pruning, iteration)."""
 
 import inspect
+import json
 import random
 import sys
 
 import pytest
 
 from repro import MultiprocessorInstance
+from repro.api import Problem, solve, to_json
 from repro.core.brute_force import (
     brute_force_gap_multiproc,
     brute_force_power_multiproc,
@@ -22,7 +24,6 @@ from repro.core.interval_dp import (
     IntervalDPEngine,
     PowerObjective,
     TrampolineDPEngine,
-    VectorizedDPEngine,
     build_engine,
     staircase_schedule,
 )
@@ -30,6 +31,10 @@ from repro.core.multiproc_gap_dp import MultiprocessorGapSolver, solve_multiproc
 from repro.core.multiproc_power_dp import (
     MultiprocessorPowerSolver,
     solve_multiprocessor_power,
+)
+from repro.generators import (
+    random_multiprocessor_instance,
+    random_one_interval_instance,
 )
 from repro.perf.seed_baseline import SeedGapSolver, SeedPowerSolver
 from tests.conftest import random_window_pairs
@@ -90,17 +95,24 @@ class TestEngineOutcome:
         assert isinstance(
             build_engine(decomp, GapObjective(1), "v1"), TrampolineDPEngine
         )
-        from repro.core import vector_kernels
-        from repro.core.exceptions import EngineConfigurationError
+        # No selector means v2: there is no process-wide default to consult.
+        assert isinstance(build_engine(decomp, GapObjective(1)), IntervalDPEngine)
+        for retired in ("v3", "auto", "v9"):
+            with pytest.raises(ValueError):
+                build_engine(decomp, GapObjective(1), retired)
 
-        if vector_kernels.numpy_available():
-            engine_v3 = build_engine(decomp, GapObjective(1), "v3")
-            assert isinstance(engine_v3, VectorizedDPEngine)
-        else:
-            with pytest.raises(EngineConfigurationError):
-                build_engine(decomp, GapObjective(1), "v3")
-        with pytest.raises(ValueError):
-            build_engine(decomp, GapObjective(1), "v9")
+    def test_facade_engine_meta_names_v2(self):
+        instance = random_one_interval_instance(
+            num_jobs=6, horizon=16, max_window=5, seed=0
+        )
+        for problem in (
+            Problem(objective="gaps", instance=instance),
+            Problem(objective="power", instance=instance, alpha=2.0),
+        ):
+            meta = json.loads(to_json(solve(problem)))["extra"]["engine"]
+            assert meta["name"] == ENGINE_NAME
+            assert meta["version"] == BOTTOM_UP_ENGINE_VERSION == "2.0"
+            assert set(meta) == {"name", "version", "objective", "stats"}
 
     def test_power_objective_rejects_negative_alpha(self):
         with pytest.raises(InvalidInstanceError):
@@ -305,6 +317,34 @@ class TestEngineV1VsV2:
             assert v2.power == pytest.approx(v1.power)
             v2.require_schedule().validate()
             assert v2.require_schedule().power_cost(alpha) == pytest.approx(v2.power)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_engines_pick_identical_schedules(self, seed):
+        # Not just the same optimum: the same value bits and the same
+        # witnessing schedule, on one-interval and multiprocessor inputs.
+        if seed % 2 == 0:
+            instance = random_one_interval_instance(
+                num_jobs=6, horizon=16, max_window=5, seed=seed
+            )
+        else:
+            instance = random_multiprocessor_instance(
+                num_jobs=8, num_processors=2, horizon=12, max_window=5, seed=seed
+            )
+        answers = []
+        for engine in ("v1", "v2"):
+            if seed % 3 == 0:
+                solution = MultiprocessorPowerSolver(
+                    instance, alpha=1.0 + seed % 4, engine=engine
+                ).solve()
+                value = solution.power
+            else:
+                solution = MultiprocessorGapSolver(instance, engine=engine).solve()
+                value = solution.num_gaps
+            schedule = solution.schedule
+            answers.append(
+                (solution.feasible, repr(value), schedule and schedule.assignment)
+            )
+        assert answers[0] == answers[1]
 
 
 class TestPeakDepthReporting:

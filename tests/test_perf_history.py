@@ -32,7 +32,6 @@ def make_report(median=0.01, name="gap/test-n10-p1"):
             "python": "3.11",
             "implementation": "CPython",
             "platform": "test",
-            "numpy": None,
         },
         "cases": [
             {
@@ -45,15 +44,12 @@ def make_report(median=0.01, name="gap/test-n10-p1"):
                 "value": 2,
                 "engine": dict(timing),
                 "engine_v1": None,
-                "engine_v3": None,
                 "baseline": None,
                 "speedup": None,
                 "speedup_vs_v1": None,
-                "speedup_vs_v2": None,
                 "decomposed": None,
                 "speedup_vs_mono": None,
                 "engine_stats": {"states_computed": 5},
-                "engine_v3_stats": None,
                 "portfolio": None,
             }
         ],

@@ -411,6 +411,41 @@ class TestDiskSolveCache:
         stats = bumped.stats()
         assert stats["entries"] == 0 and stats["stale_entries"] == 1
 
+    def test_previous_engine_version_entries_are_cold_misses(
+        self, tmp_path, monkeypatch
+    ):
+        key = (("gaps",), (2, (0, 5), ((0, 3), (1, 4))))
+        old_meta = {
+            "name": "interval-dp",
+            "version": "3.0",
+            "objective": "gaps",
+            "numpy": "2.0.0",
+            "stats": {"states_computed": 9, "vector_nodes": 1},
+        }
+        # Written as a process of the previous engine generation would
+        # have: under the old namespace, stamped with the old version.
+        monkeypatch.setattr("repro.runtime.diskcache.ENGINE_VERSION", "3.0")
+        old = DiskSolveCache(str(tmp_path))
+        old.put(key, (True, 1, ((0, 1), (1, 3)), old_meta))
+        assert old.get(key) is not None
+        monkeypatch.undo()
+        upgraded = DiskSolveCache(str(tmp_path))
+        assert upgraded.get(key) is None  # cold miss, never a stale replay
+        stats = upgraded.stats()
+        assert stats["entries"] == 0 and stats["stale_entries"] == 1
+        # The current namespace round-trips as usual.
+        entry = (True, 1, ((0, 1), (1, 3)), {"name": "interval-dp", "version": "2.0"})
+        upgraded.put(key, entry)
+        assert upgraded.get(key) == entry
+
+    def test_cache_key_digest_is_stable(self):
+        key = (("power", 2.0), (1, (0, 3), ((0, 2),)))
+        rebuilt = (("power", float("2.0")), (1, tuple([0, 3]), ((0, 2),)))
+        digest = cache_key_digest(key)
+        assert digest == cache_key_digest(key) == cache_key_digest(rebuilt)
+        assert len(digest) == 64 and set(digest) <= set("0123456789abcdef")
+        assert cache_key_digest((("power", 3.0),) + key[1:]) != digest
+
     def test_clear_removes_all_versions(self, tmp_path):
         cache = DiskSolveCache(str(tmp_path))
         cache.put((("gaps",), (1,)), (True, 0, (), None))

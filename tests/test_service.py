@@ -13,6 +13,7 @@ cannot: SIGKILL + restart recovery and SIGTERM graceful drain of
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -349,6 +350,33 @@ class TestHttpSurface:
         )
         assert status == 400
 
+    def test_bad_content_length_is_400(self, make_server):
+        # Raw sockets: urllib never sends a malformed Content-Length.
+        server = make_server()
+        address = (server.host, server.port)
+        for declared in ("abc", "-5", "-1"):
+            with socket.create_connection(address, timeout=5.0) as sock:
+                sock.sendall(
+                    b"POST /v1/jobs HTTP/1.1\r\nHost: test\r\n"
+                    b"Content-Type: application/json\r\n"
+                    b"Content-Length: " + declared.encode() + b"\r\n\r\n"
+                    b'{"problem": {}}'
+                )
+                reply = b""
+                while True:  # the server closes after answering
+                    chunk = sock.recv(4096)
+                    if not chunk:
+                        break
+                    reply += chunk
+            head, _, body = reply.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 400"), (declared, reply)
+            assert "Content-Length" in json.loads(body)["error"]
+        # The server keeps serving.
+        client = ServiceClient(server.url, client_id="after-bad-length")
+        assert client.health()["status"] == "ok"
+        job_id = client.submit(gap_problem(0))
+        assert client.result(job_id, timeout=30.0).status == "optimal"
+
     def test_result_not_ready_is_202(self, make_server):
         server = make_server(window=1)
         client = ServiceClient(server.url, client_id="poll")
@@ -445,9 +473,8 @@ class TestServiceCLIVerbs:
 def _start_serve_subprocess(db_path, *extra_args):
     env = dict(os.environ)
     # Prepend src rather than replace: the daemon must see the same
-    # python-path environment as the test process (e.g. the numpy-masking
-    # shim of the without-numpy leg), or remote and direct solves would
-    # run on different engines and envelope parity would not hold.
+    # python-path environment as the test process, or remote and direct
+    # solves could run different code and envelope parity would not hold.
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(REPO_ROOT, "src")]
         + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
