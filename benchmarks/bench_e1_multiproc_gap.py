@@ -1,6 +1,6 @@
 """E1 — Theorem 1: exact multiprocessor gap DP (optimality + runtime).
 
-Regenerates the E1 table of DESIGN.md through the ``repro.api`` façade: the
+Regenerates the E1 table through the ``repro.api`` façade: the
 DP matches the brute-force optimum on small instances, and its runtime on
 medium instances is measured by pytest-benchmark.
 """

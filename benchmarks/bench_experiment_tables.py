@@ -1,9 +1,9 @@
 """Regenerate every experiment table (E1-E12) at smoke scale under timing.
 
 This is the single entry point that corresponds to "regenerate every table
-of the evaluation": it runs the same harness functions that produce
-EXPERIMENTS.md and asserts that every correspondence / bound column reports
-success.
+of the evaluation": it runs the same harness functions as
+``repro-sched experiment`` and asserts that every correspondence / bound
+column reports success.
 """
 
 import pytest

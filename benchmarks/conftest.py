@@ -1,6 +1,7 @@
 """Shared fixtures for the benchmark harness.
 
-Every benchmark module corresponds to one experiment of DESIGN.md (E1-E12).
+Every benchmark module corresponds to one experiment E1-E12 of
+:mod:`repro.analysis.experiments`.
 Benchmarks are run with ``pytest benchmarks/ --benchmark-only``; each module
 both times its solver (via the ``benchmark`` fixture) and re-asserts the
 correctness facts of the corresponding experiment so that a benchmark run is

@@ -16,8 +16,8 @@ the analytical numbers against the discrete-time simulator.
 Run with ``python examples/datacenter_multicore.py``.
 """
 
-from repro import solve_multiprocessor_gap, solve_multiprocessor_power
 from repro.analysis import ExperimentTable, format_table
+from repro.api import Problem, solve
 from repro.core.feasibility import feasible_schedule_multiproc
 from repro.generators import bursty_server_instance
 from repro.power import PowerModel, SleepStatePolicy, simulate_schedule
@@ -37,8 +37,8 @@ def main() -> None:
         f"{instance.num_processors} cores, slack 4\n"
     )
 
-    gap_solution = solve_multiprocessor_gap(instance)
-    gap_schedule = gap_solution.require_schedule()
+    gap_result = solve(Problem(objective="gaps", instance=instance))
+    gap_schedule = gap_result.require_schedule()
     naive_schedule = feasible_schedule_multiproc(instance).staircase()
 
     table = ExperimentTable(
@@ -47,8 +47,7 @@ def main() -> None:
         columns=["alpha", "power_optimal", "gap_optimal_energy", "naive_energy", "saving_vs_naive"],
     )
     for alpha in (0.5, 1.0, 2.0, 4.0, 8.0):
-        power_solution = solve_multiprocessor_power(instance, alpha=alpha)
-        optimal = power_solution.power
+        optimal = solve(Problem(objective="power", instance=instance, alpha=alpha)).value
         gap_energy = gap_schedule.power_cost(alpha)
         naive_energy = naive_schedule.power_cost(alpha)
         saving = 100.0 * (naive_energy - optimal) / naive_energy
@@ -58,15 +57,15 @@ def main() -> None:
 
     # Cross-check one configuration against the explicit simulator.
     alpha = 4.0
-    power_solution = solve_multiprocessor_power(instance, alpha=alpha)
-    schedule = power_solution.require_schedule()
+    power_result = solve(Problem(objective="power", instance=instance, alpha=alpha))
+    schedule = power_result.require_schedule()
     sim = simulate_schedule(schedule, PowerModel(alpha=alpha), SleepStatePolicy.OPTIMAL_OFFLINE)
     print(
-        f"simulator check (alpha={alpha}): analytic={power_solution.power:.2f}, "
+        f"simulator check (alpha={alpha}): analytic={power_result.value:.2f}, "
         f"simulated={sim.total_energy:.2f}, wakeups={sim.total_wakeups}"
     )
     print(f"total gaps of the power-optimal schedule: {schedule.num_gaps()}")
-    print(f"total gaps of the gap-optimal schedule:   {gap_solution.num_gaps}")
+    print(f"total gaps of the gap-optimal schedule:   {gap_result.value}")
 
 
 if __name__ == "__main__":

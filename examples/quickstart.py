@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Quickstart: minimize gaps and power for a handful of unit jobs.
 
-This example walks through the three core entry points of the library on a
-tiny hand-written instance:
+This example sends three tiny hand-written problems through the library's
+one entry point, :func:`repro.api.solve`:
 
 1. exact single-processor gap minimization (Baptiste's problem, the p = 1
    case of Theorem 1),
@@ -13,14 +13,8 @@ tiny hand-written instance:
 Run with ``python examples/quickstart.py``.
 """
 
-from repro import (
-    MultiprocessorInstance,
-    OneIntervalInstance,
-    minimize_gaps_single_processor,
-    solve_multiprocessor_gap,
-    solve_multiprocessor_power,
-)
 from repro.analysis import schedule_summary
+from repro.api import MultiprocessorInstance, OneIntervalInstance, Problem, solve
 
 
 def single_processor_demo() -> None:
@@ -29,9 +23,9 @@ def single_processor_demo() -> None:
     instance = OneIntervalInstance.from_pairs(
         [(0, 3), (1, 5), (2, 6), (10, 13), (11, 14)]
     )
-    result = minimize_gaps_single_processor(instance)
-    print(f"optimal number of gaps: {result.num_gaps}")
-    for job_idx, name, time in result.schedule.as_table():
+    result = solve(Problem(objective="gaps", instance=instance))
+    print(f"optimal number of gaps: {result.value}")
+    for job_idx, name, time in result.require_schedule().as_table():
         print(f"  t={time:>3}  {name} (#{job_idx})")
     print()
 
@@ -42,9 +36,9 @@ def multiprocessor_demo() -> None:
     instance = MultiprocessorInstance.from_pairs(
         [(0, 1), (0, 1), (1, 2), (5, 6), (5, 6), (6, 7)], num_processors=2
     )
-    solution = solve_multiprocessor_gap(instance)
-    print(f"optimal total gaps: {solution.num_gaps}")
-    for job_idx, name, proc, time in solution.require_schedule().as_table():
+    result = solve(Problem(objective="gaps", instance=instance))
+    print(f"optimal total gaps: {result.value}")
+    for job_idx, name, proc, time in result.require_schedule().as_table():
         print(f"  t={time:>3}  P{proc}  {name} (#{job_idx})")
     print()
 
@@ -56,12 +50,12 @@ def power_demo() -> None:
         [(0, 8), (0, 8), (9, 10), (15, 17)], num_processors=1
     )
     for alpha in (0.5, 6.0):
-        solution = solve_multiprocessor_power(instance, alpha=alpha)
-        schedule = solution.require_schedule()
+        result = solve(Problem(objective="power", instance=instance, alpha=alpha))
+        schedule = result.require_schedule()
         summary = schedule_summary(schedule, alpha=alpha)
         times = sorted(t for _p, t in schedule.assignment.values())
         print(
-            f"alpha={alpha:>4}: power={solution.power:6.2f}  "
+            f"alpha={alpha:>4}: power={result.value:6.2f}  "
             f"gaps={int(summary['num_gaps'])}  execution times={times}"
         )
     print()

@@ -11,14 +11,14 @@ Hajiaghayi, Sayedi-Roshkhar and Zadimoghaddam (SPAA 2007):
 * the substrates they rely on (bipartite matching, set cover, set packing),
 * instance generators, a power simulator, baselines, and a benchmark harness.
 
-New code should use the unified façade in :mod:`repro.api`
-(``Problem`` / ``solve`` / ``solve_batch`` / JSON round-trip); the
-per-algorithm entry points re-exported below remain as thin deprecated
-shims for existing callers.  See ``README.md`` for a quickstart and
-``docs/architecture.md`` for the layer-by-layer system inventory.
+Every algorithm is called through one façade, :mod:`repro.api`
+(``Problem`` / ``solve`` / ``solve_batch`` / JSON round-trip), or
+``repro-sched solve`` on the command line.  This top level re-exports only
+the data model, schedules, feasibility helpers, exceptions and the core
+solver classes; the per-algorithm functions live in :mod:`repro.core`.
+See ``README.md`` for a quickstart and ``docs/architecture.md`` for the
+layer-by-layer system inventory.
 """
-
-import warnings as _warnings
 
 from .core import (
     BaptisteGapResult,
@@ -52,81 +52,7 @@ from .core import (
     spans_of_busy_times,
 )
 
-__version__ = "1.1.0"
-
-
-def _deprecated(old: str, new: str) -> None:
-    _warnings.warn(
-        f"repro.{old} is deprecated; use repro.api: {new}",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def solve_multiprocessor_gap(instance, use_full_horizon=False):
-    """Deprecated shim; use ``repro.api.solve(Problem(objective="gaps", ...))``."""
-    _deprecated(
-        "solve_multiprocessor_gap", 'solve(Problem(objective="gaps", instance=...))'
-    )
-    from .core.multiproc_gap_dp import solve_multiprocessor_gap as _impl
-
-    return _impl(instance, use_full_horizon=use_full_horizon)
-
-
-def solve_multiprocessor_power(instance, alpha, use_full_horizon=False):
-    """Deprecated shim; use ``repro.api.solve(Problem(objective="power", ...))``."""
-    _deprecated(
-        "solve_multiprocessor_power",
-        'solve(Problem(objective="power", instance=..., alpha=...))',
-    )
-    from .core.multiproc_power_dp import solve_multiprocessor_power as _impl
-
-    return _impl(instance, alpha, use_full_horizon=use_full_horizon)
-
-
-def minimize_gaps_single_processor(instance, use_full_horizon=False):
-    """Deprecated shim; use ``repro.api.solve(Problem(objective="gaps", ...))``."""
-    _deprecated(
-        "minimize_gaps_single_processor",
-        'solve(Problem(objective="gaps", instance=...))',
-    )
-    from .core.baptiste import minimize_gaps_single_processor as _impl
-
-    return _impl(instance, use_full_horizon=use_full_horizon)
-
-
-def minimize_power_single_processor(instance, alpha, use_full_horizon=False):
-    """Deprecated shim; use ``repro.api.solve(Problem(objective="power", ...))``."""
-    _deprecated(
-        "minimize_power_single_processor",
-        'solve(Problem(objective="power", instance=..., alpha=...))',
-    )
-    from .core.baptiste import minimize_power_single_processor as _impl
-
-    return _impl(instance, alpha, use_full_horizon=use_full_horizon)
-
-
-def approximate_power_schedule(instance, alpha, k=2, swap_size=2):
-    """Deprecated shim; use ``repro.api.solve(..., solver="power-approx")``."""
-    _deprecated(
-        "approximate_power_schedule",
-        'solve(Problem(objective="power", instance=..., alpha=...), '
-        'solver="power-approx")',
-    )
-    from .core.power_approx import approximate_power_schedule as _impl
-
-    return _impl(instance, alpha, k=k, swap_size=swap_size)
-
-
-def greedy_throughput_schedule(instance, max_gaps):
-    """Deprecated shim; use ``repro.api.solve(Problem(objective="throughput", ...))``."""
-    _deprecated(
-        "greedy_throughput_schedule",
-        'solve(Problem(objective="throughput", instance=..., max_gaps=...))',
-    )
-    from .core.throughput import greedy_throughput_schedule as _impl
-
-    return _impl(instance, max_gaps)
+__version__ = "2.0.0"
 
 __all__ = [
     "__version__",
@@ -153,16 +79,10 @@ __all__ = [
     "feasible_schedule_multiproc",
     "edf_schedule",
     "complete_partial_schedule",
-    "minimize_gaps_single_processor",
-    "minimize_power_single_processor",
     "BaptisteGapResult",
     "BaptistePowerResult",
     "MultiprocessorGapSolver",
     "GapSolution",
-    "solve_multiprocessor_gap",
     "MultiprocessorPowerSolver",
     "PowerSolution",
-    "solve_multiprocessor_power",
-    "approximate_power_schedule",
-    "greedy_throughput_schedule",
 ]

@@ -3,10 +3,11 @@
 * :mod:`repro.analysis.metrics` — derived quantities (approximation ratios,
   gap statistics, energy breakdowns) shared by tests, examples and benches.
 * :mod:`repro.analysis.reporting` — plain-text table rendering used by the
-  CLI, the examples and EXPERIMENTS.md.
-* :mod:`repro.analysis.experiments` — one function per experiment E1-E12 of
-  DESIGN.md; each returns an :class:`~repro.analysis.reporting.ExperimentTable`
-  and is callable both from the benchmark suite and from the command line.
+  CLI, the examples and the benchmark suite.
+* :mod:`repro.analysis.experiments` — one validation experiment E1-E12 per
+  theorem or gadget of the paper; each returns an
+  :class:`~repro.analysis.reporting.ExperimentTable` and is callable both
+  from the benchmark suite and from ``repro-sched experiment``.
 """
 
 from .metrics import (

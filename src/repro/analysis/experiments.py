@@ -1,18 +1,19 @@
-"""The experiment harness: one function per experiment of DESIGN.md.
+"""The experiment harness: one function per validation experiment E1-E12.
 
 The source paper is a theory paper without an empirical evaluation, so the
-"tables" regenerated here are the validation tables defined in DESIGN.md
-(E1-E12): each one exercises a theorem's algorithm or gadget on synthetic
-workloads and reports the quantities the theorem speaks about (optimal
-values, approximation ratios, correspondence checks, runtimes).
+"tables" regenerated here are this reproduction's own validation tables
+(E1-E12, listed in :data:`ALL_EXPERIMENTS`): each one exercises a theorem's
+algorithm or gadget on synthetic workloads and reports the quantities the
+theorem speaks about (optimal values, approximation ratios, correspondence
+checks, runtimes).
 
 Every experiment accepts a ``scale`` argument:
 
 * ``"smoke"`` — a few seconds, used by the test-suite and CI;
-* ``"paper"`` — the sizes recorded in EXPERIMENTS.md (still laptop-scale).
+* ``"paper"`` — the full sizes (still laptop-scale).
 
-All experiments are deterministic (fixed seeds) so EXPERIMENTS.md can be
-regenerated byte-for-byte.
+All experiments are deterministic (fixed seeds), so every table except its
+measured runtime columns regenerates byte-for-byte.
 """
 
 from __future__ import annotations

@@ -2,9 +2,9 @@
 
 The paper contains no tables or figures (it is a theory paper), so each
 experiment of this reproduction produces its own validation table.  Tables
-are rendered as fixed-width text so they can be pasted directly into
-EXPERIMENTS.md and printed from the CLI and the benchmark harness without
-any plotting dependency.
+are rendered as fixed-width text so they can be pasted into documents and
+printed from the CLI and the benchmark harness without any plotting
+dependency.
 """
 
 from __future__ import annotations

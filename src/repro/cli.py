@@ -3,21 +3,14 @@
 Sub-commands
 ------------
 ``solve``
-    The unified façade entry point: read an instance (or a full problem)
-    from a JSON file, pick a solver from the registry, print the result as
-    text or JSON.
+    The one entry point for every algorithm of the paper: read an instance
+    (or a full problem) from a JSON file or stdin (``-i -``), pick a solver
+    from the registry, print the result as text or JSON.  With
+    ``--objective gaps|power|throughput`` the best capable solver runs
+    (Theorems 1, 2, 3 or 11, by instance type); ``--solver NAME`` picks
+    one by name, e.g. ``power-approx``.
 ``list-solvers``
     Show every registered solver with its capabilities.
-``solve-gap``
-    Solve a one-interval multiprocessor instance given as ``release,deadline``
-    pairs and print the optimal schedule and gap count (Theorem 1).
-``solve-power``
-    Same input plus ``--alpha``; prints the optimal power schedule (Theorem 2).
-``approx-power``
-    Multi-interval instance given as semicolon-separated time lists; runs the
-    Theorem 3 approximation.
-``throughput``
-    Multi-interval instance plus ``--max-gaps``; runs the Theorem 11 greedy.
 ``experiment``
     Regenerate one experiment table (E1–E12, or all of them) from
     :mod:`repro.analysis.experiments`.
@@ -76,14 +69,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from . import __version__
-from .analysis.experiments import run_all_experiments, run_experiment
-from .analysis.reporting import format_table, render_tables
 from .api import (
-    MultiIntervalInstance,
-    MultiprocessorInstance,
     Problem,
     ReproError,
     SolveResult,
@@ -94,36 +83,6 @@ from .api import (
 )
 
 __all__ = ["main", "build_parser"]
-
-
-def _parse_pair(spec: str) -> Tuple[int, int]:
-    """``type=`` callback turning ``release,deadline`` into an int pair.
-
-    Raising :class:`argparse.ArgumentTypeError` from inside a ``type=``
-    callback makes argparse print a usage error and exit with code 2
-    instead of letting a traceback escape.
-    """
-    parts = spec.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(
-            f"job {spec!r} is not of the form release,deadline"
-        )
-    try:
-        return (int(parts[0]), int(parts[1]))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"job {spec!r} must contain two integers, as in '0,5'"
-        ) from None
-
-
-def _parse_time_lists(spec: str) -> List[List[int]]:
-    jobs = []
-    for chunk in spec.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        jobs.append([int(token) for token in chunk.replace(",", " ").split()])
-    return jobs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -186,29 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sub.add_parser("list-solvers", help="list the registered façade solvers")
-
-    gap = sub.add_parser("solve-gap", help="exact multiprocessor gap scheduling")
-    gap.add_argument(
-        "jobs", nargs="+", type=_parse_pair, help="jobs as release,deadline pairs"
-    )
-    gap.add_argument("--processors", "-p", type=int, default=1)
-
-    power = sub.add_parser("solve-power", help="exact multiprocessor power minimization")
-    power.add_argument(
-        "jobs", nargs="+", type=_parse_pair, help="jobs as release,deadline pairs"
-    )
-    power.add_argument("--processors", "-p", type=int, default=1)
-    power.add_argument("--alpha", type=float, required=True)
-
-    approx = sub.add_parser("approx-power", help="Theorem 3 approximation")
-    approx.add_argument(
-        "jobs", help="semicolon-separated allowed-time lists, e.g. '0 1;4 5;0 4'"
-    )
-    approx.add_argument("--alpha", type=float, required=True)
-
-    throughput = sub.add_parser("throughput", help="Theorem 11 greedy throughput")
-    throughput.add_argument("jobs", help="semicolon-separated allowed-time lists")
-    throughput.add_argument("--max-gaps", type=int, required=True)
 
     experiment = sub.add_parser("experiment", help="regenerate experiment tables")
     experiment.add_argument(
@@ -354,14 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also run the budget-raced large-n portfolio cases (reported, "
         "never gated by --compare)",
     )
-    bench.add_argument(
-        "--stream",
-        action="store_true",
-        help="run the solve_stream throughput microbenchmark instead of the "
-        "interval-DP matrix (own schema, default output BENCH_stream.json; "
-        "--append grows a BENCH_stream.jsonl history and --compare gates "
-        "jobs/sec against its rolling median)",
-    )
 
     serve = sub.add_parser(
         "serve",
@@ -494,7 +422,12 @@ def _load_problem(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
                 text = handle.read()
         except OSError as exc:
             parser.error(f"cannot read --input file: {exc}")
-    loaded = from_json(text)
+    try:
+        loaded = from_json(text)
+    except (KeyError, TypeError) as exc:
+        # A tagged object with a missing or mistyped field, e.g. a job
+        # without a deadline or given as a bare [release, deadline] pair.
+        parser.error(f"malformed --input JSON: {exc!r}")
     if isinstance(loaded, Problem):
         conflicting = [
             flag
@@ -524,17 +457,6 @@ def _load_problem(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     )
 
 
-def _print_schedule_rows(schedule) -> None:
-    """Print a schedule's as_table rows (single- or multiprocessor shape)."""
-    for row in schedule.as_table():
-        if len(row) == 4:
-            job_idx, name, proc, t = row
-            print(f"  t={t:>4}  processor {proc}  job {name} (#{job_idx})")
-        else:
-            job_idx, name, t = row
-            print(f"  t={t:>4}  job {name} (#{job_idx})")
-
-
 def _print_result(result: SolveResult) -> None:
     """Human-readable rendering of a SolveResult."""
     print(
@@ -556,8 +478,15 @@ def _print_result(result: SolveResult) -> None:
             f"certified gap: lower {gap['lower']:g}  upper {gap['upper']:g}  "
             f"ratio {ratio_text}"
         )
-    if result.schedule is not None:
-        _print_schedule_rows(result.schedule)
+    if result.schedule is None:
+        return
+    for row in result.schedule.as_table():
+        if len(row) == 4:
+            job_idx, name, proc, t = row
+            print(f"  t={t:>4}  processor {proc}  job {name} (#{job_idx})")
+        else:
+            job_idx, name, t = row
+            print(f"  t={t:>4}  job {name} (#{job_idx})")
 
 
 def _client_command(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -721,63 +650,6 @@ def _dispatch(argv: Optional[Sequence[str]] = None) -> int:
                 print(f"{'':<24} {spec.description}")
         return 0
 
-    if args.command == "solve-gap":
-        instance = MultiprocessorInstance.from_pairs(
-            args.jobs, num_processors=args.processors
-        )
-        result = solve(Problem(objective="gaps", instance=instance))
-        if not result.feasible:
-            print("infeasible")
-            return 1
-        print(f"optimal gaps: {result.value}")
-        _print_schedule_rows(result.require_schedule())
-        return 0
-
-    if args.command == "solve-power":
-        instance = MultiprocessorInstance.from_pairs(
-            args.jobs, num_processors=args.processors
-        )
-        result = solve(Problem(objective="power", instance=instance, alpha=args.alpha))
-        if not result.feasible:
-            print("infeasible")
-            return 1
-        print(f"optimal power: {result.value:g} (alpha={args.alpha:g})")
-        _print_schedule_rows(result.require_schedule())
-        return 0
-
-    if args.command == "approx-power":
-        instance = MultiIntervalInstance.from_time_lists(_parse_time_lists(args.jobs))
-        result = solve(
-            Problem(objective="power", instance=instance, alpha=args.alpha),
-            solver="power-approx",
-        )
-        if not result.feasible:
-            print("infeasible")
-            return 1
-        print(
-            f"power: {result.value:g}  gaps: {result.extra['num_gaps']}  "
-            f"guarantee factor: {result.guarantee_factor:g}"
-        )
-        _print_schedule_rows(result.require_schedule())
-        return 0
-
-    if args.command == "throughput":
-        instance = MultiIntervalInstance.from_time_lists(_parse_time_lists(args.jobs))
-        result = solve(
-            Problem(objective="throughput", instance=instance, max_gaps=args.max_gaps)
-        )
-        intervals = result.extra["working_intervals"]
-        print(
-            f"scheduled {result.value}/{instance.num_jobs} jobs "
-            f"in {len(intervals)} working intervals"
-        )
-        for interval in intervals:
-            print(
-                f"  interval [{interval['start']}, {interval['end']}] "
-                f"jobs {interval['jobs']}"
-            )
-        return 0
-
     if args.command == "verify":
         from .verify import metamorphic_issues, run_differential
 
@@ -814,6 +686,8 @@ def _dispatch(argv: Optional[Sequence[str]] = None) -> int:
         from .verify import fuzz as run_fuzz
         from .verify import replay as run_replay
 
+        if args.n is not None and args.n < 1:
+            parser.error("--n must be >= 1")
         if args.portfolio:
             conflicting = [
                 flag
@@ -910,86 +784,6 @@ def _dispatch(argv: Optional[Sequence[str]] = None) -> int:
             validate_report_file,
             write_report,
         )
-
-        if args.stream:
-            from .perf import (
-                append_stream_history,
-                compare_stream_history,
-                run_stream_bench,
-                write_stream_report,
-            )
-            from .perf.streambench import DEFAULT_STREAM_THRESHOLD
-
-            conflicting = [
-                flag
-                for flag, value in [
-                    ("--warmup", args.warmup),
-                    ("--check", args.check),
-                    ("--filter", args.filter),
-                ]
-                if value is not None
-            ]
-            if args.quick or args.no_baseline or args.no_v1:
-                conflicting.append("--quick/--no-*")
-            if args.portfolio:
-                conflicting.append("--portfolio")
-            if conflicting:
-                parser.error(
-                    f"--stream honors --out/--repeats/--seed/--append/"
-                    f"--compare/--median-window/--threshold only; drop "
-                    f"{', '.join(conflicting)}"
-                )
-            if args.threshold is not None and args.compare is None:
-                parser.error("--threshold is only meaningful with --compare")
-            if args.threshold is not None and args.threshold <= 1.0:
-                parser.error("--threshold must be > 1.0 for --stream")
-            if args.median_window is not None and args.compare is None:
-                parser.error("--median-window is only meaningful with --compare")
-            if args.median_window is not None and args.median_window < 1:
-                parser.error("--median-window must be >= 1")
-            stream_report = run_stream_bench(seed=args.seed, repeats=args.repeats)
-            for entry in stream_report["backends"]:
-                print(
-                    f"{entry['backend']:<12} "
-                    f"{entry['problems_per_second']:>10.0f} problems/s  "
-                    f"{entry['jobs_per_second']:>10.0f} jobs/s"
-                )
-            out = args.out or "BENCH_stream.json"
-            write_stream_report(stream_report, out)
-            print(f"stream report written to {out}")
-            if args.compare is not None:
-                window = args.median_window or 5
-                threshold = (
-                    args.threshold
-                    if args.threshold is not None
-                    else DEFAULT_STREAM_THRESHOLD
-                )
-                try:
-                    regressions, samples = compare_stream_history(
-                        stream_report, args.compare, window, threshold
-                    )
-                except OSError as exc:
-                    parser.error(f"cannot read history {args.compare!r}: {exc}")
-                except BenchSchemaError as exc:
-                    print(f"stream history error: {exc}")
-                    return 1
-                if regressions:
-                    print(
-                        f"stream throughput regression vs {args.compare} "
-                        f"(rolling median, window {window}):"
-                    )
-                    for line in regressions:
-                        print(f"  - {line}")
-                    return 1
-                print(
-                    f"stream throughput gate passed vs {args.compare} "
-                    f"({samples} historical sample(s), window {window}, "
-                    f"threshold {threshold:g}x)"
-                )
-            if args.append is not None:
-                append_stream_history(stream_report, args.append)
-                print(f"stream history appended to {args.append}")
-            return 0
 
         if args.check is not None:
             conflicting = [
@@ -1168,11 +962,24 @@ def _dispatch(argv: Optional[Sequence[str]] = None) -> int:
         return 0
 
     if args.command == "experiment":
+        from .analysis.experiments import (
+            ALL_EXPERIMENTS,
+            run_all_experiments,
+            run_experiment,
+        )
+        from .analysis.reporting import format_table, render_tables
+
         if args.which.lower() == "all":
             tables = run_all_experiments(scale=args.scale)
             print(render_tables(tables))
-        else:
-            print(format_table(run_experiment(args.which, scale=args.scale)))
+            return 0
+        if args.which.upper() not in ALL_EXPERIMENTS:
+            ids = sorted(ALL_EXPERIMENTS, key=lambda key: int(key[1:]))
+            parser.error(
+                f"unknown experiment {args.which!r}; choose one of "
+                f"{', '.join(ids)} or 'all'"
+            )
+        print(format_table(run_experiment(args.which, scale=args.scale)))
         return 0
 
     parser.error(f"unknown command {args.command!r}")  # pragma: no cover

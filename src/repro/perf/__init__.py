@@ -8,6 +8,10 @@ families, with warmup/repeat control, and writes machine-readable JSON
 reports (``BENCH_dp.json``) with a stable, validated schema
 (:mod:`repro.perf.report`).  The ``repro-sched bench`` CLI subcommand is a
 thin wrapper around :func:`repro.perf.bench.run_bench`.
+
+This package times the engine only.  End-to-end costs of the layers above
+it (the service, the warm worker pool, the solve cache) are measured with
+fresh solves by the repository's ``perfbench/`` harness.
 """
 
 from .bench import (
@@ -16,16 +20,6 @@ from .bench import (
     portfolio_cases,
     run_bench,
     time_callable,
-)
-from .streambench import (
-    STREAM_HISTORY_SCHEMA,
-    STREAM_SCHEMA,
-    append_stream_history,
-    compare_stream_history,
-    read_stream_history,
-    run_stream_bench,
-    validate_stream_report,
-    write_stream_report,
 )
 from .history import (
     HISTORY_SCHEMA,
@@ -53,14 +47,6 @@ __all__ = [
     "portfolio_cases",
     "run_bench",
     "time_callable",
-    "STREAM_SCHEMA",
-    "STREAM_HISTORY_SCHEMA",
-    "run_stream_bench",
-    "validate_stream_report",
-    "write_stream_report",
-    "append_stream_history",
-    "read_stream_history",
-    "compare_stream_history",
     "BENCH_SCHEMA",
     "HISTORY_SCHEMA",
     "BenchSchemaError",

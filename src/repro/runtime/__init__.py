@@ -39,7 +39,6 @@ Quickstart::
 from .backends import (
     BACKEND_ENV_VAR,
     Backend,
-    ColdProcessBackend,
     ExecutionSession,
     ProcessBackend,
     SerialBackend,
@@ -83,7 +82,6 @@ __all__ = [
     "SerialBackend",
     "ThreadBackend",
     "ProcessBackend",
-    "ColdProcessBackend",
     "available_backends",
     "register_backend",
     "configure_backend",

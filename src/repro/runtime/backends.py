@@ -17,11 +17,12 @@ three interchangeable :class:`Backend` implementations:
     streams.  The canonical solve cache is lock-protected for exactly this
     backend.
 ``process``
-    A ``concurrent.futures.ProcessPoolExecutor``.  True parallelism for
-    CPU-bound DP evaluation; task functions and payloads must be picklable
-    (every façade value object is).  Worker processes inherit the parent's
-    configuration on fork and are re-synchronized explicitly by the stream
-    layer where it matters (the on-disk cache tier).
+    Sessions on the process-wide warm :class:`~repro.runtime.pool.WorkerPool`.
+    True parallelism for CPU-bound DP evaluation plus hard preemption;
+    task functions and payloads must be picklable (every façade value
+    object is).  Workers inherit the parent's configuration on fork and
+    are re-synchronized by config generation where it matters (the
+    on-disk cache tier).
 
 Selection is layered, most explicit wins:
 
@@ -52,7 +53,6 @@ __all__ = [
     "SerialBackend",
     "ThreadBackend",
     "ProcessBackend",
-    "ColdProcessBackend",
     "BACKEND_ENV_VAR",
     "available_backends",
     "register_backend",
@@ -67,8 +67,7 @@ BACKEND_ENV_VAR = "REPRO_BACKEND"
 
 
 def _run_chunk(fn: Callable, chunk: List[Tuple[int, object]]) -> List[Tuple[int, object]]:
-    # Module-level so the process backend can pickle it; one IPC round-trip
-    # carries ``chunksize`` tasks.
+    # One executor task carries ``chunksize`` stream tasks.
     return [(tag, fn(item)) for tag, item in chunk]
 
 
@@ -158,12 +157,12 @@ class _SerialSession(ExecutionSession):
 
 
 class _ExecutorSession(ExecutionSession):
-    """Shared thread/process session over a ``concurrent.futures`` executor.
+    """Thread-backend session over a ``concurrent.futures`` executor.
 
-    Submissions are grouped into chunks of ``chunksize`` to amortize IPC
-    for big batches of tiny tasks; a partial chunk is flushed whenever
-    :meth:`pop` would otherwise block on it, so chunking can never
-    deadlock the stream.
+    Submissions are grouped into chunks of ``chunksize`` to amortize
+    per-future overhead for big batches of tiny tasks; a partial chunk is
+    flushed whenever :meth:`pop` would otherwise block on it, so chunking
+    can never deadlock the stream.
     """
 
     def __init__(self, fn: Callable, executor: Executor, chunksize: int) -> None:
@@ -281,52 +280,21 @@ class ProcessBackend(Backend):
     Sessions draw warm workers from the process-wide
     :class:`~repro.runtime.pool.WorkerPool` — interpreters spawned once
     and reused across sessions — and support hard preemption
-    (``can_kill``) plus the any-time incumbent channel.  Pass
-    ``warm=False`` (or use the registered ``process-cold`` backend) to
-    get the historical fresh-``ProcessPoolExecutor``-per-session
-    behavior; the stream bench races the two to keep the warm-pool win
-    measured.
+    (``can_kill``) plus the any-time incumbent channel.
     """
 
     name = "process"
 
-    def __init__(self, workers: Optional[int] = None, warm: bool = True) -> None:
-        super().__init__(workers)
-        self.warm = bool(warm)
-
     def session(self, fn: Callable, chunksize: int = 1) -> ExecutionSession:
-        if self.warm:
-            from .pool import get_worker_pool
+        from .pool import get_worker_pool
 
-            return get_worker_pool().session(
-                fn, self.effective_workers, chunksize
-            )
-        from concurrent.futures import ProcessPoolExecutor
-
-        return _ExecutorSession(
-            fn, ProcessPoolExecutor(max_workers=self.workers), chunksize
-        )
-
-
-class ColdProcessBackend(ProcessBackend):
-    """The pre-pool process backend: a fresh executor per session.
-
-    Exists as the measured baseline for the warm pool (``bench
-    --stream`` reports both) and as an escape hatch when a caller wants
-    process isolation without leaving warm workers behind.
-    """
-
-    name = "process-cold"
-
-    def __init__(self, workers: Optional[int] = None) -> None:
-        super().__init__(workers, warm=False)
+        return get_worker_pool().session(fn, self.effective_workers, chunksize)
 
 
 _BACKENDS: Dict[str, Type[Backend]] = {
     SerialBackend.name: SerialBackend,
     ThreadBackend.name: ThreadBackend,
     ProcessBackend.name: ProcessBackend,
-    ColdProcessBackend.name: ColdProcessBackend,
 }
 
 #: Process-wide default backend name installed by :func:`configure_backend`.

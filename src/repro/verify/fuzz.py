@@ -384,7 +384,7 @@ def fuzz(
     seed:
         Master seed; the whole run is a pure function of (seed, n, objectives).
     n:
-        Number of generated problems.
+        Number of generated problems (at least 1).
     objectives:
         Subset of :data:`~repro.api.problem.OBJECTIVES` to cycle through.
     metamorphic:
@@ -403,6 +403,8 @@ def fuzz(
     """
     from ..runtime.stream import run_tasks
 
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     for objective in objectives:
         if objective not in OBJECTIVES:
             raise ValueError(

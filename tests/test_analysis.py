@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import MultiprocessorInstance, OneIntervalInstance, Schedule, solve_multiprocessor_gap
+from repro.core import MultiprocessorInstance, OneIntervalInstance, Schedule, solve_multiprocessor_gap
 from repro.analysis import (
     ALL_EXPERIMENTS,
     ExperimentTable,

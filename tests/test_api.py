@@ -17,9 +17,15 @@ from repro.api import (
     select_solver,
     solve,
 )
+from repro.core.baptiste import (
+    minimize_gaps_single_processor,
+    minimize_power_single_processor,
+)
 from repro.core.brute_force import brute_force_gap_multiproc
 from repro.core.multiproc_gap_dp import solve_multiprocessor_gap
 from repro.core.multiproc_power_dp import solve_multiprocessor_power
+from repro.core.power_approx import approximate_power_schedule
+from repro.core.throughput import greedy_throughput_schedule
 
 
 @pytest.fixture
@@ -263,3 +269,52 @@ class TestInfeasibleUniformity:
             assert result.solver == name
         finally:
             _REGISTRY.pop(name, None)
+
+
+class TestCoreMatchesFacade:
+    """Each per-theorem core function agrees with its façade envelope."""
+
+    def test_solve_multiprocessor_gap(self, multiproc):
+        core = solve_multiprocessor_gap(multiproc)
+        facade = solve(Problem(objective="gaps", instance=multiproc))
+        assert core.feasible == facade.feasible
+        assert core.num_gaps == facade.value
+
+    def test_solve_multiprocessor_power(self, multiproc):
+        core = solve_multiprocessor_power(multiproc, 2.0)
+        facade = solve(Problem(objective="power", instance=multiproc, alpha=2.0))
+        assert core.power == pytest.approx(facade.value)
+
+    def test_minimize_gaps_single_processor(self, one_interval):
+        core = minimize_gaps_single_processor(one_interval)
+        facade = solve(Problem(objective="gaps", instance=one_interval))
+        assert core.num_gaps == facade.value
+
+    def test_minimize_power_single_processor(self, one_interval):
+        core = minimize_power_single_processor(one_interval, 2.0)
+        facade = solve(Problem(objective="power", instance=one_interval, alpha=2.0))
+        assert core.power == pytest.approx(facade.value)
+
+    def test_approximate_power_schedule(self, multi_interval):
+        core = approximate_power_schedule(multi_interval, 1.0)
+        facade = solve(
+            Problem(objective="power", instance=multi_interval, alpha=1.0),
+            solver="power-approx",
+        )
+        assert core.power == pytest.approx(facade.value)
+        assert core.guarantee_factor == pytest.approx(facade.guarantee_factor)
+
+    def test_greedy_throughput_schedule(self, multi_interval):
+        core = greedy_throughput_schedule(multi_interval, 2)
+        facade = solve(
+            Problem(objective="throughput", instance=multi_interval, max_gaps=2)
+        )
+        assert core.num_scheduled == facade.value
+
+    def test_infeasible_core_result_matches_facade_envelope(self):
+        clash = OneIntervalInstance.from_pairs([(0, 0), (0, 0)])
+        core = minimize_gaps_single_processor(clash)
+        facade = solve(Problem(objective="gaps", instance=clash))
+        assert not core.feasible
+        assert facade.status == "infeasible"
+        assert facade.value is None and facade.schedule is None

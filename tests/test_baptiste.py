@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import (
+from repro.core import (
     MultiprocessorInstance,
     OneIntervalInstance,
     minimize_gaps_single_processor,

@@ -1,12 +1,23 @@
 """Unit tests for the command-line interface."""
 
+import io
 import json
 
 import pytest
 
 from repro import __version__
-from repro.api import MultiprocessorInstance, Problem, to_json
+from repro.api import MultiIntervalInstance, MultiprocessorInstance, Problem, to_json
 from repro.cli import build_parser, main
+
+
+def feed_stdin(monkeypatch, payload):
+    """Serve ``payload`` (a façade value or raw JSON text) as stdin for ``-i -``."""
+    text = payload if isinstance(payload, str) else to_json(payload)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+
+
+def one_cpu(*pairs):
+    return MultiprocessorInstance.from_pairs(list(pairs), num_processors=1)
 
 
 class TestParser:
@@ -15,40 +26,65 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_parses_solve_gap(self):
-        args = build_parser().parse_args(["solve-gap", "0,2", "3,5", "-p", "2"])
-        assert args.command == "solve-gap"
-        assert args.processors == 2
+        args = build_parser().parse_args(["solve", "-i", "-", "--objective", "gaps"])
+        assert args.command == "solve"
+        assert args.input == "-"
+        assert args.objective == "gaps"
 
 
 class TestCommands:
-    def test_solve_gap_prints_optimum(self, capsys):
-        code = main(["solve-gap", "0,0", "2,2"])
+    """Each job of the paper through ``solve``, reading the instance from stdin."""
+
+    def test_solve_gap_prints_optimum(self, monkeypatch, capsys):
+        feed_stdin(monkeypatch, one_cpu((0, 0), (2, 2)))
+        code = main(["solve", "-i", "-", "--objective", "gaps"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "optimal gaps: 1" in out
+        assert "value: 1" in out
+        assert "solver: gap-dp" in out
 
-    def test_solve_gap_infeasible_exit_code(self, capsys):
-        code = main(["solve-gap", "0,0", "0,0"])
+    def test_solve_gap_infeasible_exit_code(self, monkeypatch, capsys):
+        feed_stdin(monkeypatch, one_cpu((0, 0), (0, 0)))
+        code = main(["solve", "-i", "-", "--objective", "gaps"])
         assert code == 1
         assert "infeasible" in capsys.readouterr().out
 
-    def test_solve_power(self, capsys):
-        code = main(["solve-power", "0,0", "2,2", "--alpha", "5"])
+    def test_solve_power(self, monkeypatch, capsys):
+        feed_stdin(monkeypatch, one_cpu((0, 0), (2, 2)))
+        code = main(["solve", "-i", "-", "--objective", "power", "--alpha", "5"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "optimal power: 8" in out
+        assert "value: 8" in out
+        assert "solver: power-dp" in out
 
-    def test_approx_power(self, capsys):
-        code = main(["approx-power", "0 1;1 2;5 6", "--alpha", "2"])
+    def test_approx_power(self, monkeypatch, capsys):
+        feed_stdin(
+            monkeypatch,
+            MultiIntervalInstance.from_time_lists([[0, 1], [1, 2], [5, 6]]),
+        )
+        code = main(
+            ["solve", "-i", "-", "--objective", "power", "--alpha", "2",
+             "--solver", "power-approx"]
+        )
         out = capsys.readouterr().out
         assert code == 0
-        assert "power:" in out
+        assert "solver: power-approx" in out
+        assert "guarantee factor:" in out
 
-    def test_throughput(self, capsys):
-        code = main(["throughput", "0;1;9", "--max-gaps", "1"])
+    def test_throughput(self, monkeypatch, capsys):
+        # Compact JSON: job names are optional.
+        feed_stdin(
+            monkeypatch,
+            '{"type": "multi_interval_instance", "jobs": ['
+            '{"type": "multi_interval_job", "times": [0]}, '
+            '{"type": "multi_interval_job", "times": [1]}, '
+            '{"type": "multi_interval_job", "times": [9]}]}',
+        )
+        code = main(["solve", "-i", "-", "--objective", "throughput", "--max-gaps", "1"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "scheduled 2/3" in out
+        assert "value: 2" in out
+        assert "solver: throughput-greedy" in out
 
     def test_experiment_single(self, capsys):
         code = main(["experiment", "E12", "--scale", "smoke"])
@@ -56,17 +92,35 @@ class TestCommands:
         assert code == 0
         assert "[E12]" in out
 
-    def test_malformed_job_spec_is_clean_usage_error(self, capsys):
+    def test_unknown_experiment_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["solve-gap", "nonsense"])
+            main(["experiment", "E99"])
         assert excinfo.value.code == 2
-        assert "release,deadline" in capsys.readouterr().err
+        assert "unknown experiment 'E99'" in capsys.readouterr().err
 
-    def test_non_integer_job_spec_is_clean_usage_error(self, capsys):
+    def test_malformed_job_spec_is_clean_usage_error(self, monkeypatch, capsys):
+        # A job given as a bare [release, deadline] pair, and one without
+        # a deadline, instead of tagged job objects.
+        for job in ("[0, 5]", '{"type": "job", "release": 0}'):
+            feed_stdin(
+                monkeypatch,
+                '{"type": "one_interval_instance", "jobs": [' + job + "]}",
+            )
+            with pytest.raises(SystemExit) as excinfo:
+                main(["solve", "-i", "-", "--objective", "gaps"])
+            assert excinfo.value.code == 2
+            assert "malformed --input JSON" in capsys.readouterr().err
+
+    def test_non_integer_job_spec_is_clean_usage_error(self, monkeypatch, capsys):
+        feed_stdin(
+            monkeypatch,
+            '{"type": "one_interval_instance", "jobs": '
+            '[{"type": "job", "release": 0, "deadline": "x"}]}',
+        )
         with pytest.raises(SystemExit) as excinfo:
-            main(["solve-gap", "0,x"])
+            main(["solve", "-i", "-", "--objective", "gaps"])
         assert excinfo.value.code == 2
-        assert "two integers" in capsys.readouterr().err
+        assert "'x'" in capsys.readouterr().err
 
 
 class TestSolveSubcommand:
@@ -234,6 +288,18 @@ class TestFuzzCommand:
         assert code == 0  # the solvers agree, so the replayed case is green
         assert "1 problems" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--n", "0"], ["--n", "-1"], ["--portfolio", "--n", "0"]],
+        ids=" ".join,
+    )
+    def test_fuzz_rejects_n_below_one(self, argv, capsys):
+        # A run that checks nothing must not report success.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fuzz", *argv])
+        assert excinfo.value.code == 2
+        assert "--n must be >= 1" in capsys.readouterr().err
+
     def test_fuzz_replay_missing_corpus_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["fuzz", "--replay", str(tmp_path / "missing.json")])
@@ -330,10 +396,11 @@ class TestRuntimeFlags:
         configure_backend(None)
         configure_disk_cache(None)
 
-    def test_backend_flag_configures_the_default(self):
+    def test_backend_flag_configures_the_default(self, monkeypatch):
         from repro.runtime import configured_backend
 
-        code = main(["--backend", "thread", "solve-gap", "0,0", "2,2"])
+        feed_stdin(monkeypatch, one_cpu((0, 0), (2, 2)))
+        code = main(["--backend", "thread", "solve", "-i", "-", "--objective", "gaps"])
         assert code == 0
         assert configured_backend() == "thread"
 
@@ -347,14 +414,17 @@ class TestRuntimeFlags:
             main(["cache", "stats"])
         assert excinfo.value.code == 2
 
-    def test_cache_stats_and_clear_round_trip(self, tmp_path, capsys):
+    def test_cache_stats_and_clear_round_trip(self, tmp_path, monkeypatch, capsys):
         from repro.api import clear_solve_cache
 
         # Start the memory tier cold: a memory hit never reaches the disk
         # tier, and earlier tests may have solved this same tiny instance.
         clear_solve_cache()
         cache_dir = str(tmp_path / "cache")
-        code = main(["--cache-dir", cache_dir, "solve-gap", "0,0", "2,2"])
+        feed_stdin(monkeypatch, one_cpu((0, 0), (2, 2)))
+        code = main(
+            ["--cache-dir", cache_dir, "solve", "-i", "-", "--objective", "gaps"]
+        )
         assert code == 0
         capsys.readouterr()
         code = main(["--cache-dir", cache_dir, "cache", "stats"])
@@ -369,17 +439,22 @@ class TestRuntimeFlags:
         out = capsys.readouterr().out
         assert "entries:       0" in out
 
-    def test_cache_dir_solves_hit_across_invocations(self, tmp_path, capsys):
+    def test_cache_dir_solves_hit_across_invocations(
+        self, tmp_path, monkeypatch, capsys
+    ):
         from repro.api import clear_solve_cache
         from repro.api.solvers import _SOLVE_CACHE
 
         clear_solve_cache()
         cache_dir = str(tmp_path / "cache")
-        code = main(["--cache-dir", cache_dir, "solve-gap", "0,0", "2,2", "3,3"])
+        argv = ["--cache-dir", cache_dir, "solve", "-i", "-", "--objective", "gaps"]
+        feed_stdin(monkeypatch, one_cpu((0, 0), (2, 2), (3, 3)))
+        code = main(argv)
         first = capsys.readouterr().out
         assert code == 0
         _SOLVE_CACHE.clear()  # a new CLI process would start cold in memory
-        code = main(["--cache-dir", cache_dir, "solve-gap", "0,0", "2,2", "3,3"])
+        feed_stdin(monkeypatch, one_cpu((0, 0), (2, 2), (3, 3)))
+        code = main(argv)
         second = capsys.readouterr().out
         assert code == 0
         assert first == second  # the disk tier replayed the warm answer

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro import OneIntervalInstance, minimize_gaps_single_processor
+from repro.core import OneIntervalInstance, minimize_gaps_single_processor
 from repro.core.greedy_gap import greedy_gap_schedule
 from tests.conftest import random_window_pairs
 

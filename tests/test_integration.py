@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import (
+from repro.core import (
     MultiIntervalInstance,
     minimize_gaps_single_processor,
     minimize_power_single_processor,

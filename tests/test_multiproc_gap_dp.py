@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro import (
+from repro.core import (
     InfeasibleInstanceError,
     MultiprocessorInstance,
     OneIntervalInstance,

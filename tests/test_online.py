@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import InvalidInstanceError, is_feasible, minimize_gaps_single_processor
+from repro.core import InvalidInstanceError, is_feasible, minimize_gaps_single_processor
 from repro.core.online import (
     compare_online_offline,
     multi_interval_online_dilemma,

@@ -1,4 +1,4 @@
-"""Tests for the portfolio bench family, --filter, and the stream microbench."""
+"""Tests for the portfolio bench family and --filter."""
 
 import copy
 import json
@@ -8,19 +8,11 @@ import pytest
 from repro.cli import main
 from repro.perf import (
     BENCH_SCHEMA,
-    STREAM_HISTORY_SCHEMA,
-    STREAM_SCHEMA,
     BenchSchemaError,
-    append_stream_history,
     compare_reports,
-    compare_stream_history,
     portfolio_cases,
-    read_stream_history,
     run_bench,
-    run_stream_bench,
     validate_report,
-    validate_stream_report,
-    write_stream_report,
 )
 
 
@@ -71,9 +63,7 @@ class TestPortfolioBenchRun:
             assert block["upper"] is not None
             if block["lower"] is not None:
                 assert block["lower"] <= block["upper"] + 1e-9
-            assert block["backend"] in (
-                "serial", "thread", "process", "process-cold"
-            )
+            assert block["backend"] in ("serial", "thread", "process")
             assert isinstance(block["preemptive"], bool)
             for member in block["members"]:
                 assert member["state"] in ("ran", "killed", "cancelled")
@@ -140,123 +130,6 @@ class TestNameFilter:
             run_bench(quick=True, repeats=1, warmup=0, name_filter="zebra")
 
 
-class TestStreamBench:
-    @pytest.fixture(scope="class")
-    def stream_report(self):
-        return run_stream_bench(
-            seed=0, num_problems=20, num_jobs=4, repeats=1, backends=["serial"]
-        )
-
-    def test_report_is_schema_valid(self, stream_report):
-        validate_stream_report(stream_report)
-        assert stream_report["schema"] == STREAM_SCHEMA
-
-    def test_throughput_is_positive(self, stream_report):
-        backends = stream_report["backends"]
-        assert [entry["backend"] for entry in backends] == ["serial"]
-        for entry in backends:
-            assert entry["problems_per_second"] > 0
-            assert entry["jobs_per_second"] == pytest.approx(
-                entry["problems_per_second"] * stream_report["num_jobs"]
-            )
-
-    def test_write_and_validate_roundtrip(self, stream_report, tmp_path):
-        path = tmp_path / "BENCH_stream.json"
-        write_stream_report(stream_report, str(path))
-        with open(path, "r", encoding="utf-8") as handle:
-            validate_stream_report(json.load(handle))
-
-    def test_validation_rejects_drift(self, stream_report):
-        bad = copy.deepcopy(stream_report)
-        bad["surprise"] = True
-        with pytest.raises(BenchSchemaError):
-            validate_stream_report(bad)
-        bad = copy.deepcopy(stream_report)
-        bad["backends"].append(dict(bad["backends"][0]))
-        with pytest.raises(BenchSchemaError):
-            validate_stream_report(bad)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            run_stream_bench(
-                seed=0, num_problems=5, num_jobs=4, repeats=1, backends=["gpu"]
-            )
-
-    def test_session_churn_is_recorded(self, stream_report):
-        # v2 reports carry the session count; the default workload splits
-        # the problems across several solve_stream calls so that per-session
-        # spawn overhead (what the warm pool removes) is actually measured.
-        assert stream_report["num_sessions"] >= 1
-
-
-class TestStreamHistory:
-    @pytest.fixture(scope="class")
-    def stream_report(self):
-        return run_stream_bench(
-            seed=0, num_problems=20, num_jobs=4, repeats=1, backends=["serial"]
-        )
-
-    def test_append_and_read_roundtrip(self, stream_report, tmp_path):
-        path = tmp_path / "BENCH_stream.jsonl"
-        entry = append_stream_history(
-            stream_report, str(path), timestamp="2026-08-08T00:00:00+00:00"
-        )
-        assert entry["schema"] == STREAM_HISTORY_SCHEMA
-        entries = read_stream_history(str(path))
-        assert len(entries) == 1
-        assert entries[0]["report"] == stream_report
-
-    def test_gate_passes_on_parity(self, stream_report, tmp_path):
-        path = tmp_path / "h.jsonl"
-        append_stream_history(stream_report, str(path))
-        regressions, samples = compare_stream_history(
-            stream_report, str(path), window=5, threshold=1.5
-        )
-        assert regressions == []
-        assert samples == 1
-
-    def test_gate_flags_a_throughput_collapse(self, stream_report, tmp_path):
-        path = tmp_path / "h.jsonl"
-        for _ in range(3):
-            append_stream_history(stream_report, str(path))
-        slow = copy.deepcopy(stream_report)
-        for record in slow["backends"]:
-            record["jobs_per_second"] /= 10.0
-            record["problems_per_second"] /= 10.0
-        regressions, _samples = compare_stream_history(
-            slow, str(path), window=5, threshold=1.5
-        )
-        assert regressions and "serial" in regressions[0]
-
-    def test_gate_skips_backends_without_history(self, stream_report, tmp_path):
-        path = tmp_path / "h.jsonl"
-        append_stream_history(stream_report, str(path))
-        renamed = copy.deepcopy(stream_report)
-        renamed["backends"][0]["backend"] = "process-cold"
-        for record in renamed["backends"]:
-            record["jobs_per_second"] /= 100.0
-            record["problems_per_second"] /= 100.0
-        regressions, samples = compare_stream_history(
-            renamed, str(path), window=5, threshold=1.5
-        )
-        assert regressions == []
-        assert samples == 0
-
-    def test_corrupt_history_line_rejected(self, stream_report, tmp_path):
-        path = tmp_path / "h.jsonl"
-        path.write_text('{"schema": "something-else"}\n', encoding="utf-8")
-        with pytest.raises(BenchSchemaError):
-            compare_stream_history(stream_report, str(path))
-
-    def test_window_and_threshold_validation(self, stream_report, tmp_path):
-        path = tmp_path / "h.jsonl"
-        append_stream_history(stream_report, str(path))
-        with pytest.raises(ValueError):
-            compare_stream_history(stream_report, str(path), window=0)
-        with pytest.raises(ValueError):
-            compare_stream_history(stream_report, str(path), threshold=1.0)
-
-
 class TestPortfolioBenchCLI:
     def test_bench_filter_flag(self, tmp_path, capsys):
         out = tmp_path / "bench.json"
@@ -308,28 +181,6 @@ class TestPortfolioBenchCLI:
             report = json.load(handle)
         validate_report(report)
         assert all(case["portfolio"] is not None for case in report["cases"])
-
-    def test_bench_stream_flag(self, tmp_path, capsys):
-        out = tmp_path / "stream.json"
-        code = main(
-            [
-                "bench",
-                "--stream",
-                "--repeats",
-                "1",
-                "--out",
-                str(out),
-            ]
-        )
-        assert code == 0
-        assert "problems/s" in capsys.readouterr().out
-        with open(out, "r", encoding="utf-8") as handle:
-            validate_stream_report(json.load(handle))
-
-    def test_bench_stream_rejects_check(self, tmp_path):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["bench", "--stream", "--check", str(tmp_path / "x.json")])
-        assert excinfo.value.code == 2
 
     def test_bench_check_rejects_portfolio_flags(self, tmp_path):
         for extra in (["--portfolio"], ["--filter", "dense"]):

@@ -110,7 +110,7 @@ class TestRunPortfolio:
         assert any(member["state"] == "ran" for member in race["members"])
         assert race["winner"] in names
         assert race["budget"] == 5.0
-        assert race["backend"] in ("serial", "thread", "process", "process-cold")
+        assert race["backend"] in ("serial", "thread", "process")
 
     def test_serial_backend_runs_every_member(self):
         # The cooperative path keeps the historical guarantee: with budget

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import MultiprocessorInstance, OneIntervalInstance, Schedule, solve_multiprocessor_power
+from repro.core import MultiprocessorInstance, OneIntervalInstance, Schedule, solve_multiprocessor_power
 from repro.core.exceptions import InvalidInstanceError
 from repro.power import PowerModel, SleepStatePolicy, simulate_schedule
 

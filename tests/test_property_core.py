@@ -119,7 +119,7 @@ class TestSolverProperties:
     @FAST
     @given(windows_strategy, st.integers(min_value=1, max_value=3))
     def test_gap_dp_schedule_is_valid_and_matches_value(self, raw_windows, p):
-        from repro import solve_multiprocessor_gap
+        from repro.core import solve_multiprocessor_gap
 
         pairs = [(r, r + length) for r, length in raw_windows]
         instance = MultiprocessorInstance.from_pairs(pairs, num_processors=p)
@@ -133,7 +133,7 @@ class TestSolverProperties:
     @FAST
     @given(windows_strategy, st.floats(min_value=0, max_value=6))
     def test_power_dp_never_beats_trivial_lower_bound(self, raw_windows, alpha):
-        from repro import solve_multiprocessor_power
+        from repro.core import solve_multiprocessor_power
 
         pairs = [(r, r + length) for r, length in raw_windows]
         instance = MultiprocessorInstance.from_pairs(pairs, num_processors=2)
@@ -148,7 +148,7 @@ class TestSolverProperties:
     @FAST
     @given(windows_strategy)
     def test_more_processors_never_hurt(self, raw_windows):
-        from repro import solve_multiprocessor_gap
+        from repro.core import solve_multiprocessor_gap
 
         pairs = [(r, r + length) for r, length in raw_windows]
         one = solve_multiprocessor_gap(

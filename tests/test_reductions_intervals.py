@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import MultiIntervalInstance, MultiprocessorInstance, solve_multiprocessor_gap
+from repro.core import MultiIntervalInstance, MultiprocessorInstance, solve_multiprocessor_gap
 from repro.core.brute_force import brute_force_gap_multi_interval
 from repro.core.exceptions import InvalidInstanceError
 from repro.core.feasibility import is_feasible

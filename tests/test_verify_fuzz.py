@@ -65,6 +65,11 @@ class TestAcceptance:
         with pytest.raises(ValueError):
             fuzz(seed=0, n=1, objectives=("makespan",))
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_n_below_one(self, n):
+        with pytest.raises(ValueError):
+            fuzz(seed=0, n=n)
+
 
 class TestCorpus:
     def _failure(self):
