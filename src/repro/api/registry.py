@@ -23,6 +23,7 @@ from .result import SolveResult
 __all__ = [
     "SolverSpec",
     "register_solver",
+    "registry_generation",
     "get_solver",
     "list_solvers",
     "capable_solvers",
@@ -56,6 +57,9 @@ class SolverSpec:
 
 
 _REGISTRY: Dict[str, SolverSpec] = {}
+#: Bumped by every registration: a worker process forked under an older
+#: generation lacks the newer solvers (see :mod:`repro.runtime.pool`).
+_GENERATION = 0
 
 
 def register_solver(
@@ -76,6 +80,7 @@ def register_solver(
         raise ValueError(f"unknown solver kind {kind!r}; expected one of {KINDS}")
 
     def decorator(func: SolverFunc) -> SolverFunc:
+        global _GENERATION
         if name in _REGISTRY:
             raise ValueError(f"solver {name!r} is already registered")
         _REGISTRY[name] = SolverSpec(
@@ -87,9 +92,15 @@ def register_solver(
             description=description,
             order=len(_REGISTRY),
         )
+        _GENERATION += 1
         return func
 
     return decorator
+
+
+def registry_generation() -> int:
+    """The number of registrations made in this process so far."""
+    return _GENERATION
 
 
 def get_solver(name: str) -> SolverSpec:

@@ -25,14 +25,14 @@ Sub-commands
     ``--profile`` to print the interval-DP engine's aggregated pruning and
     memoization statistics.
 ``bench``
-    Benchmark the interval-DP engines (v2 bottom-up vs v1 trampoline) and
-    the frozen pre-engine seed solvers over the generator families and
-    write a schema-validated JSON report (``BENCH_dp.json``); ``--quick``
-    is the CI smoke matrix, ``--check`` validates an existing report's
-    schema without re-running anything, ``--compare PATH`` gates the
-    fresh run against a committed report — or, when PATH is a
-    ``HISTORY.jsonl`` file, against its latest entry — (exit 1 on a
-    >1.25x regression of any shared case above the noise floor),
+    Time the interval-DP engine over the generator families, each repeat
+    paired with a frozen host-speed kernel, and write a schema-validated
+    JSON report (``BENCH_dp.json``); ``--quick`` is the CI smoke matrix,
+    ``--check`` validates an existing report's schema without re-running
+    anything, ``--compare PATH`` gates the fresh run against a committed
+    report — or, when PATH is a ``HISTORY.jsonl`` file, against its
+    latest entry — (exit 1 when a shared case's optimum changes, or its
+    engine/host ratio regresses >1.25x above the noise floor),
     ``--median-window K`` steadies the history gate with per-case rolling
     medians over the last K entries, and ``--append HISTORY.jsonl``
     records the run as one timestamped history line for trend tracking.
@@ -223,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="benchmark the interval-DP engines against each other and the seed solvers",
+        help="benchmark the interval-DP engine against a frozen host-speed kernel",
     )
     bench.add_argument(
         "--quick", action="store_true", help="reduced CI smoke matrix"
@@ -237,16 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--warmup", type=int, help="untimed warmup runs (default 1)")
     bench.add_argument("--seed", type=int, default=0, help="instance generator seed")
     bench.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="skip the frozen seed-solver comparison",
-    )
-    bench.add_argument(
-        "--no-v1",
-        action="store_true",
-        help="skip the v1 trampoline-engine comparison",
-    )
-    bench.add_argument(
         "--check",
         metavar="PATH",
         help="validate an existing report's schema and exit (runs nothing)",
@@ -255,8 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--compare",
         metavar="PATH",
         help="after running, gate the fresh report against a committed report "
-        "and exit 1 when any shared case's engine median regresses beyond "
-        "the threshold",
+        "and exit 1 when any shared case's optimum changes or its engine/host "
+        "time ratio regresses beyond the threshold",
     )
     bench.add_argument(
         "--threshold",
@@ -800,14 +790,7 @@ def _dispatch(argv: Optional[Sequence[str]] = None) -> int:
                 ]
                 if value is not None
             ]
-            if (
-                args.quick
-                or args.no_baseline
-                or args.no_v1
-                or args.portfolio
-                or args.seed != 0
-                or conflicting
-            ):
+            if args.quick or args.portfolio or args.seed != 0 or conflicting:
                 parser.error(
                     "--check only validates an existing report; drop the other flags"
                 )
@@ -845,13 +828,12 @@ def _dispatch(argv: Optional[Sequence[str]] = None) -> int:
                     f"gap ratio {ratio_text}"
                 )
                 return
-            line = f"{record['name']:<28} v2 {engine_ms:>9.2f} ms"
-            if record["engine_v1"] is not None:
-                v1_ms = record["engine_v1"]["median"] * 1000.0
-                line += f"   v1 {v1_ms:>9.2f} ms ({record['speedup_vs_v1']:.2f}x)"
-            if record["baseline"] is not None:
-                base_ms = record["baseline"]["median"] * 1000.0
-                line += f"   seed {base_ms:>9.2f} ms (speedup {record['speedup']:.2f}x)"
+            host_ms = record["host"]["median"] * 1000.0
+            line = (
+                f"{record['name']:<28} engine {engine_ms:>9.2f} ms   "
+                f"host {host_ms:>6.2f} ms   "
+                f"engine/host {record['engine_per_host']:>8.3f}"
+            )
             if record["decomposed"] is not None:
                 dec_ms = record["decomposed"]["median"] * 1000.0
                 line += (
@@ -877,6 +859,11 @@ def _dispatch(argv: Optional[Sequence[str]] = None) -> int:
                 parser.error(f"cannot read report {args.compare!r}: {exc}")
             except (BenchSchemaError, ValueError, KeyError) as exc:
                 parser.error(f"--compare report {args.compare!r}: {exc}")
+            if committed["seed"] != args.seed:
+                parser.error(
+                    f"--compare reference {args.compare!r} was run with --seed "
+                    f"{committed['seed']}; its optima belong to those instances"
+                )
             if args.median_window is not None and compare_source != "history":
                 parser.error(
                     "--median-window needs --compare to name a history file, "
@@ -905,8 +892,6 @@ def _dispatch(argv: Optional[Sequence[str]] = None) -> int:
                 repeats=args.repeats,
                 warmup=args.warmup,
                 seed=args.seed,
-                baseline=not args.no_baseline,
-                compare_v1=not args.no_v1,
                 progress=_print_case,
                 # Deliberately only the explicit flag: a REPRO_BACKEND default
                 # must not silently parallelize (and distort) timed runs.
@@ -939,26 +924,28 @@ def _dispatch(argv: Optional[Sequence[str]] = None) -> int:
                 f"regression gate vs {compare_label}: "
                 f"{len(outcome['compared'])} cases compared, "
                 f"{len(outcome['skipped'])} skipped (sub-noise-floor), "
+                f"{len(outcome['portfolio'])} portfolio (not gated), "
                 f"{len(outcome['unmatched'])} unmatched"
             )
             if outcome["regressions"]:
                 for entry in outcome["regressions"]:
-                    if entry["metric"] == "speedup_vs_v1":
+                    if entry["metric"] == "value":
                         detail = (
-                            f"v2-over-v1 speedup fell to {entry['fresh_value']:.2f}x "
-                            f"from committed {entry['committed_value']:.2f}x"
+                            f"optimum {entry['fresh_value']} differs from "
+                            f"committed {entry['committed_value']}"
                         )
                     else:
                         detail = (
-                            f"{entry['fresh_value'] * 1000.0:.2f} ms vs committed "
-                            f"{entry['committed_value'] * 1000.0:.2f} ms"
+                            f"engine/host {entry['fresh_value']:.3f} vs committed "
+                            f"{entry['committed_value']:.3f} "
+                            f"({entry['ratio']:.2f}x > {threshold:.2f}x)"
                         )
-                    print(
-                        f"  REGRESSION {entry['name']}: {detail} "
-                        f"({entry['ratio']:.2f}x > {threshold:.2f}x)"
-                    )
+                    print(f"  REGRESSION {entry['name']}: {detail}")
                 return 1
-            print(f"no case regressed beyond {threshold:.2f}x")
+            print(
+                f"no case regressed: optima unchanged, engine/host within "
+                f"{threshold:.2f}x"
+            )
         return 0
 
     if args.command == "experiment":

@@ -45,16 +45,12 @@ from .decompose import (
 )
 from .interval_dp import (
     BOTTOM_UP_ENGINE_VERSION,
-    ENGINE_CHOICES,
     ENGINE_NAME,
     ENGINE_VERSION,
-    TRAMPOLINE_ENGINE_VERSION,
     EngineStats,
     GapObjective,
     IntervalDPEngine,
     PowerObjective,
-    TrampolineDPEngine,
-    build_engine,
 )
 from .multiproc_gap_dp import GapSolution, MultiprocessorGapSolver, solve_multiprocessor_gap
 from .multiproc_power_dp import (
@@ -97,13 +93,9 @@ __all__ = [
     "decompose_instance",
     "ENGINE_NAME",
     "ENGINE_VERSION",
-    "ENGINE_CHOICES",
     "BOTTOM_UP_ENGINE_VERSION",
-    "TRAMPOLINE_ENGINE_VERSION",
     "EngineStats",
     "IntervalDPEngine",
-    "TrampolineDPEngine",
-    "build_engine",
     "GapObjective",
     "PowerObjective",
     "MultiprocessorGapSolver",

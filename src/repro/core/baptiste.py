@@ -23,7 +23,7 @@ from typing import Dict, Optional, Tuple, Union
 
 from .dp_profile import IntervalDecomposition
 from .exceptions import InfeasibleInstanceError
-from .interval_dp import GapObjective, PowerObjective, build_engine
+from .interval_dp import GapObjective, IntervalDPEngine, PowerObjective
 from .jobs import MultiprocessorInstance, OneIntervalInstance
 from .schedule import Schedule
 
@@ -73,7 +73,7 @@ def _run_engine(
     single: OneIntervalInstance, objective, use_full_horizon: bool
 ) -> Tuple[Optional[Tuple[float, Schedule]], Dict]:
     """Run the shared engine at p = 1 and lift the assignment to a Schedule."""
-    engine = build_engine(
+    engine = IntervalDPEngine(
         IntervalDecomposition(
             single.to_multiprocessor(1), use_full_horizon=use_full_horizon
         ),

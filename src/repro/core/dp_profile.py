@@ -24,10 +24,9 @@ Two invariants of the candidate set are load-bearing elsewhere: every
 release and every deadline is itself a candidate column (the set contains
 ``[r, r + n]`` and ``[d - n, d]`` clipped to the horizon), which lets
 :mod:`repro.core.canonical` express job windows in column coordinates, and
-the v2 engine (:class:`repro.core.interval_dp.IntervalDPEngine`) groups
+the engine (:class:`repro.core.interval_dp.IntervalDPEngine`) groups
 jobs by release column to build released-job lists incrementally instead
-of re-scanning via :meth:`IntervalDecomposition.jobs_released_in` (which
-remains the per-interval query used by the v1 trampoline evaluator).
+of re-scanning via :meth:`IntervalDecomposition.jobs_released_in`.
 """
 
 from __future__ import annotations

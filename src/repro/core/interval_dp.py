@@ -22,43 +22,33 @@ What differs between the two theorems is only the *value algebra*:
   closed-form bridging charge ``min(stretch, alpha)`` per processor active
   on both sides of an idle stretch (Lemma 2).
 
-Two evaluators share the objectives:
-
-* :class:`IntervalDPEngine` (**v2**) is the one production evaluator: every
-  solver, the façade, the runtime and the service run it, with no optional
-  dependency.  It evaluates **bottom-up**: a discovery pass walks the
-  ``(t1, t2, k)`` node graph from the root, propagating the set of
-  reachable ``q`` values per node, and the evaluation pass then processes
-  nodes in increasing interval-length / job-count order.  Every node's
-  ``(q, b1, b2)`` boundary variants live in one flat list indexed by the
-  packed variant offset, so the hot combine loop reads child tables by
-  direct list indexing — no generators, no suspension objects, and no
-  dict hashing.  Node job sets are built incrementally (released-job
-  lists extend their length-minus-one predecessor; split counts come
-  from a two-pointer merge instead of per-column bisects).
-* :class:`TrampolineDPEngine` (**v1**, frozen) evaluates lazily top-down
-  through an explicit stack of suspended generators with a dict memo over
-  packed integer state keys.  It is selected only by passing
-  ``engine="v1"`` explicitly: ``repro-sched bench`` times v2 against it
-  for its machine-independent regression ratio, and the differential
-  tests pin v2 to it.
-
-Both engines share Hall-condition pre-pruning (a violated prefix/suffix
-count proves every boundary variant of a node empty), dominance pruning of
-the gap objective's occupancy vectors, and iterative schedule
-reconstruction; both run in O(1) native stack depth.
+:class:`IntervalDPEngine` evaluates either objective; every solver, the
+façade, the runtime and the service run it, with no optional dependency.
+It evaluates **bottom-up**: a discovery pass walks the ``(t1, t2, k)`` node
+graph from the root, propagating the set of reachable ``q`` values per
+node, and the evaluation pass then processes nodes in increasing
+interval-length / job-count order.  Every node's ``(q, b1, b2)`` boundary
+variants live in one flat list indexed by the packed variant offset, so
+the hot combine loop reads child tables by direct list indexing — no
+generators, no suspension objects, and no dict hashing.  Node job sets are
+built incrementally (released-job lists extend their length-minus-one
+predecessor; split counts come from a two-pointer merge instead of
+per-column bisects).  Hall-condition pre-pruning (a violated
+prefix/suffix count proves every boundary variant of a node empty),
+dominance pruning of the gap objective's occupancy vectors, and iterative
+schedule reconstruction keep it exact and in O(1) native stack depth.
 
 The solvers in :mod:`repro.core.multiproc_gap_dp` and
 :mod:`repro.core.multiproc_power_dp` are thin bindings of these objectives
-onto an engine; :mod:`repro.verify` certifies engine results against brute
-force and :mod:`repro.perf` measures both engines against each other and
-against the frozen pre-engine solvers.
+onto the engine; :mod:`repro.verify` certifies engine results against brute
+force and :mod:`repro.perf` times the engine against a frozen host-speed
+reference kernel.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .dp_profile import IntervalDecomposition
@@ -70,15 +60,11 @@ __all__ = [
     "ENGINE_NAME",
     "ENGINE_VERSION",
     "BOTTOM_UP_ENGINE_VERSION",
-    "TRAMPOLINE_ENGINE_VERSION",
-    "ENGINE_CHOICES",
     "EngineStats",
     "EngineOutcome",
     "GapObjective",
     "PowerObjective",
     "IntervalDPEngine",
-    "TrampolineDPEngine",
-    "build_engine",
     "staircase_schedule",
 ]
 
@@ -89,18 +75,15 @@ ENGINE_NAME = "interval-dp"
 #: code that would recompute it (4.0 retired the numpy-kernel evaluator,
 #: whose entries carried metadata no remaining code produces).
 ENGINE_VERSION = "4.0"
-#: Version of the bottom-up, array-packed scalar evaluator.
+#: Version of the bottom-up, array-packed scalar evaluator (the
+#: ``extra.engine.version`` every envelope carries).
 BOTTOM_UP_ENGINE_VERSION = "2.0"
-#: Version of the legacy generator-trampoline evaluator.
-TRAMPOLINE_ENGINE_VERSION = "1.0"
-#: Engine selectors accepted by :func:`build_engine` and the solvers
-#: (``None`` means ``"v2"``).
-ENGINE_CHOICES = ("v2", "v1")
 
-_MISSING = object()
 _INF = float("inf")
 
-#: Node job-count below which the Hall pre-check is skipped (see _node_jobs).
+#: Node job-count below which the Hall pre-check is skipped: the check costs
+#: O(k log C) per node, and below a few jobs the states it could prune are
+#: cheaper than the check.
 _HALL_CHECK_MIN_JOBS = 4
 
 # Choice records stored in the value tables; reconstruction replays them.
@@ -111,13 +94,11 @@ _EMPTY_CHOICE = ("empty",)
 class EngineStats:
     """Counters describing one engine run (exposed as JSON-native ints).
 
-    The two evaluators fill the same counters with engine-appropriate
-    meanings: ``states_computed`` counts DP states whose value table was
-    materialised, ``memo_hits`` counts child-table reads served from
-    already-computed storage (dict memo for v1, flat tables for v2), and
-    ``peak_stack_depth`` is the deepest dependency chain the evaluation
-    followed (suspension-stack depth for v1, longest node-DAG chain for
-    v2); it is at least 1 whenever any state was computed.
+    ``states_computed`` counts DP states whose value table was
+    materialised, ``memo_hits`` counts child-table reads served from the
+    already-computed flat tables, and ``peak_stack_depth`` is the longest
+    dependency chain of the node DAG; it is at least 1 whenever any state
+    was computed.
     """
 
     states_computed: int = 0
@@ -146,20 +127,6 @@ class EngineOutcome:
     value: Optional[float]
     assignment: Optional[Dict[int, int]]  # job index -> execution time
     stats: EngineStats
-
-
-@dataclass(frozen=True)
-class _SplitPlan:
-    """Branch bookkeeping for one ``(i1, i2, k)`` node, shared by its boundary variants.
-
-    ``splits`` holds one tuple per candidate column ``t' < t2`` of the
-    latest-deadline job: ``(col_idx, t_prime, k_left, k_right, idx_next,
-    adjacent, stretch, right_touches_t2)``.
-    """
-
-    jmax: int
-    right_end: bool
-    splits: Tuple[Tuple[int, int, int, int, int, bool, int, bool], ...]
 
 
 def _hall_feasible(
@@ -280,7 +247,7 @@ class GapObjective:
             return None
         return b1 + cost - label
 
-    def prune_table(self, table: Dict, stats: EngineStats) -> None:
+    def prune_arrays(self, costs: List, choices: List, stats: EngineStats) -> None:
         # Occupancy labels combine by max up the split tree and the final
         # max is subtracted exactly once at the root, so an entry's value in
         # any enclosing context is (its cost + context costs) - max(M, X)
@@ -290,23 +257,8 @@ class GapObjective:
         # lower-occupancy entry is strictly better (it never raises the
         # combined max).  M = 0 entries are exempt on both sides — they can
         # be unusable at the root (the max must be positive), so they
-        # neither dominate nor get dominated safely.
-        if len(table) < 2:
-            return
-        best_corrected = None
-        for label in sorted(table):
-            if label < 1:
-                continue
-            corrected = table[label][0] - label
-            if best_corrected is not None and corrected >= best_corrected:
-                del table[label]
-                stats.dominance_dropped += 1
-            else:
-                best_corrected = corrected
-
-    def prune_arrays(self, costs: List, choices: List, stats: EngineStats) -> None:
-        # Dense-array form of prune_table: dominated labels are blanked to
-        # +inf instead of deleted (same rule, same counters).
+        # neither dominate nor get dominated safely.  Dominated labels are
+        # blanked to +inf in the dense label-indexed arrays.
         best_corrected = None
         for label in range(1, len(costs)):
             cost = costs[label]
@@ -413,11 +365,8 @@ class PowerObjective:
         # First-column active processors pay their active time plus a wake-up.
         return b1 * (1.0 + self.alpha) + cost
 
-    def prune_table(self, table: Dict, stats: EngineStats) -> None:
-        # Scalar tables hold a single label; nothing to prune.
-        return None
-
     def prune_arrays(self, costs: List, choices: List, stats: EngineStats) -> None:
+        # Scalar tables hold a single label; nothing to prune.
         return None
 
     def zero_value(self):
@@ -425,10 +374,10 @@ class PowerObjective:
 
 
 # ---------------------------------------------------------------------------
-# v2: bottom-up, array-packed evaluation
+# Bottom-up, array-packed evaluation
 # ---------------------------------------------------------------------------
 
-# Node kinds of the v2 node graph.
+# Node kinds of the node graph.
 _PRUNED, _SINGLE, _EMPTY, _BRANCH = 0, 1, 2, 3
 
 
@@ -683,8 +632,7 @@ class IntervalDPEngine:
             # occupies one slot at t'), so it is empty under every boundary
             # when its jobs exceed p per column minus that slot; likewise
             # the right child when its jobs exceed raw column capacity.
-            # Dead splits never materialise their subtrees — the cheap
-            # structural analogue of the lazy engine's left-gating.
+            # Dead splits never materialise their subtrees.
             if k_left > p * (ci - i1 + 1) - 1:
                 continue
             idx_next = ci + 1
@@ -771,8 +719,7 @@ class IntervalDPEngine:
             kind = kinds[nid]
             if kind == _PRUNED:
                 # A pruned node's boundary variants are all computed to be
-                # empty; count them exactly as the lazy engine counted the
-                # empty leaf tables it materialised for pruned states.
+                # empty; each still counts as one computed state.
                 q_count = bin(self._node_qmask[nid]).count("1")
                 stats.states_computed += q_count * self._P * self._P
                 depth = 1
@@ -1079,416 +1026,6 @@ class IntervalDPEngine:
                 continue
             raise AssertionError(f"unknown reconstruction tag {tag!r}")
         return assignment
-
-
-# ---------------------------------------------------------------------------
-# v1: lazy top-down evaluation through a generator trampoline
-# ---------------------------------------------------------------------------
-class TrampolineDPEngine:
-    """Lazy top-down evaluator of the interval DP (v1, generator trampoline).
-
-    Kept as the differential reference for :class:`IntervalDPEngine` and as
-    the measured "engine v1" column of ``repro-sched bench``.  States are
-    evaluated by an explicit stack of suspended generators over a dict memo
-    keyed by packed mixed-radix integers; see the module docstring for the
-    shared state space and pruning machinery.
-    """
-
-    version = TRAMPOLINE_ENGINE_VERSION
-
-    def __init__(self, decomp: IntervalDecomposition, objective) -> None:
-        self.decomp = decomp
-        self.objective = objective
-        self.p = decomp.num_processors
-        self.stats = EngineStats()
-        self.memo: Dict[int, Dict] = {}
-        self._node_cache: Dict[int, Optional[Tuple[int, ...]]] = {}
-        self._plan_cache: Dict[int, _SplitPlan] = {}
-        # Mixed-radix bases of the flat integer state keys.
-        self._C = len(decomp.columns)
-        self._n1 = len(decomp.jobs) + 1
-        self._P = self.p + 1
-
-    # -- public API -------------------------------------------------------------
-    def solve(self) -> EngineOutcome:
-        """Evaluate the DP at the root and reconstruct an optimal assignment."""
-        obj = self.objective
-        n = self._n1 - 1
-        if n == 0:
-            return EngineOutcome(
-                feasible=True, value=obj.zero_value(), assignment={}, stats=self.stats
-            )
-        i2 = self._C - 1
-        best: Optional[Tuple[float, int, int]] = None  # (total, root key, label)
-        for b1 in range(self.p + 1):
-            for b2 in range(self.p + 1):
-                fields = (0, i2, n, 0, b1, b2)
-                table = self.evaluate(fields)
-                for label, entry in table:
-                    total = obj.root_total(b1, label, entry[0])
-                    if total is None:
-                        continue
-                    if best is None or total < best[0]:
-                        best = (total, self._encode(*fields), label)
-        if best is None:
-            return EngineOutcome(
-                feasible=False, value=None, assignment=None, stats=self.stats
-            )
-        assignment = self._reconstruct(best[1], best[2])
-        return EngineOutcome(
-            feasible=True, value=best[0], assignment=assignment, stats=self.stats
-        )
-
-    def metadata(self) -> Dict:
-        """JSON-native engine identification and pruning/memo statistics."""
-        return {
-            "name": ENGINE_NAME,
-            "version": self.version,
-            "objective": self.objective.name,
-            "stats": self.stats.as_dict(),
-        }
-
-    # -- state-key packing ------------------------------------------------------
-    def _encode(self, i1: int, i2: int, k: int, q: int, b1: int, b2: int) -> int:
-        P = self._P
-        return ((((i1 * self._C + i2) * self._n1 + k) * P + q) * P + b1) * P + b2
-
-    # -- iterative evaluation ---------------------------------------------------
-    def evaluate(self, fields: Tuple[int, int, int, int, int, int]) -> Dict:
-        """Evaluate one state (and, transitively, everything it depends on).
-
-        The recursion is simulated by an explicit stack of suspended
-        generators: each generator yields the child states it needs, the
-        driver answers from the memo or pushes the child, and a finished
-        generator's return value is memoised and sent to its parent.  Native
-        stack depth stays O(1) no matter how deep the DP nests.
-        """
-        key = self._encode(*fields)
-        memo = self.memo
-        found = memo.get(key, _MISSING)
-        if found is not _MISSING:
-            self.stats.memo_hits += 1
-            return found
-        stats = self.stats
-        # Any evaluation — even one answered inline by a leaf table —
-        # examined at least one logical stack level; leaf- or Hall-pruned-
-        # only runs previously reported a depth of 0.
-        if stats.peak_stack_depth < 1:
-            stats.peak_stack_depth = 1
-        leaf = self._leaf_table(*fields)
-        if leaf is not _MISSING:
-            memo[key] = leaf
-            stats.states_computed += 1
-            return leaf
-        stack: List[Tuple[int, object]] = [(key, self._state_gen(*fields))]
-        send_value = None
-        while stack:
-            top_key, gen = stack[-1]
-            try:
-                child_key, child_fields = gen.send(send_value)
-            except StopIteration as done:
-                table = done.value if done.value is not None else ()
-                memo[top_key] = table
-                stats.states_computed += 1
-                stack.pop()
-                send_value = table
-                continue
-            # Terminal and structurally-invalid children are computed inline;
-            # only genuine branch states pay for a suspended generator.
-            table = self._leaf_table(*child_fields)
-            if table is not _MISSING:
-                memo[child_key] = table
-                stats.states_computed += 1
-                send_value = table
-            else:
-                stack.append((child_key, self._state_gen(*child_fields)))
-                if len(stack) > stats.peak_stack_depth:
-                    stats.peak_stack_depth = len(stack)
-                send_value = None
-        return memo[key]
-
-    def _leaf_table(self, i1, i2, k, q, b1, b2):
-        """Direct table for terminal/invalid states, or ``_MISSING`` for branch states."""
-        obj = self.objective
-        p = self.p
-        if k < 0 or q < 0 or b1 < 0 or b2 < 0 or q > p or b1 > p or b2 > p:
-            return ()
-        if obj.invalid_state(k, q, b1, b2):
-            return ()
-        if i1 == i2:
-            node = self._node_jobs(i1, i2, k)
-            if node is None:
-                return ()
-            return obj.single_column(k, q, b1, b2, node[0], self.decomp.columns[i1])
-        if k == 0:
-            return obj.empty_interval(
-                q, b1, b2, self.decomp.columns[i1], self.decomp.columns[i2]
-            )
-        if obj.pre_branch_invalid(k, b1, b2):
-            return ()
-        if self._node_jobs(i1, i2, k) is None:
-            return ()
-        return _MISSING
-
-    def _state_gen(self, i1, i2, k, q, b1, b2):
-        """Generator computing one *branch* state's table, yielding needed children.
-
-        Only created for states :meth:`_leaf_table` classified as branch
-        states, so structural guards have already passed and the node's job
-        set is cached and non-``None``.  Tables are returned as immutable
-        tuples of ``(label, (cost, choice))`` pairs: parents only ever
-        iterate them, and freezing them avoids re-materialising dict views
-        in the combination hot loop.
-        """
-        obj = self.objective
-        columns = self.decomp.columns
-        t1 = columns[i1]
-        t2 = columns[i2]
-        node_jobs, releases = self._node_jobs(i1, i2, k)
-        plan = self._split_plan(i1, i2, k, node_jobs, releases, t1, t2)
-        jmax = plan.jmax
-        best: Dict = {}
-
-        # The generator consults the memo directly and only yields states the
-        # driver actually has to compute; right-child tables are prefetched
-        # once per split instead of once per (left, right) boundary pair.
-        # Memo hits are derived arithmetically (lookups minus misses) so the
-        # hot loop carries no per-lookup counter updates.
-        memo = self.memo
-        lookups = 0
-        misses = 0
-        C, n1, P = self._C, self._n1, self._P
-        base_i1 = i1 * C
-        left_range = obj.left_b2_values()
-        left_len = len(left_range)
-        right_range_inner = obj.right_b1_values(q, False)
-        right_range_touch = obj.right_b1_values(q, True)
-        left_b1_edge = obj.left_boundary(b1, True)
-        left_b1_inner = obj.left_boundary(b1, False)
-
-        # Case t' < t2: split into left [t1, t'] and right [t_next, t2].
-        for (ci, t_prime, k_left, k_right, idx_next, adjacent, stretch, rt2) in plan.splits:
-            left_b1 = left_b1_edge if t_prime == t1 else left_b1_inner
-            if left_b1 is None:
-                continue
-            left_base = ((((base_i1 + ci) * n1 + k_left) * P + 1) * P + left_b1) * P
-            right_base = (((idx_next * C + i2) * n1 + k_right) * P + q) * P
-            # Left subproblems gate the split: when every left boundary is
-            # empty the right subtree is never materialised (matching the
-            # laziness of a plain recursion), and when any is non-empty the
-            # right children are fetched once and shared by all of them.
-            lookups += left_len
-            left_entries = []
-            for left_b2 in left_range:
-                left_key = left_base + left_b2
-                left_table = memo.get(left_key, _MISSING)
-                if left_table is _MISSING:
-                    misses += 1
-                    left_table = yield (
-                        left_key,
-                        (i1, ci, k_left, 1, left_b1, left_b2),
-                    )
-                if left_table:
-                    left_entries.append((left_b2, left_key, left_table))
-            if not left_entries:
-                continue
-            right_range = right_range_touch if rt2 else right_range_inner
-            lookups += len(right_range)
-            right_entries = []
-            for right_b1 in right_range:
-                right_key = (right_base + right_b1) * P + b2
-                right_table = memo.get(right_key, _MISSING)
-                if right_table is _MISSING:
-                    misses += 1
-                    right_table = yield (
-                        right_key,
-                        (idx_next, i2, k_right, q, right_b1, b2),
-                    )
-                if right_table:
-                    right_entries.append((right_b1, right_key, right_table))
-            if not right_entries:
-                continue
-            charges = obj.charge_matrix(q, adjacent, stretch, rt2)
-            for left_b2, left_key, left_table in left_entries:
-                charge_row = charges[left_b2]
-                for right_b1, right_key, right_table in right_entries:
-                    charge = charge_row[right_b1]
-                    for label_l, entry_l in left_table:
-                        cost_l = entry_l[0] + charge
-                        for label_r, entry_r in right_table:
-                            label = label_l if label_l >= label_r else label_r
-                            cost = cost_l + entry_r[0]
-                            cur = best.get(label)
-                            if cur is None or cost < cur[0]:
-                                best[label] = (
-                                    cost,
-                                    (
-                                        "split",
-                                        jmax,
-                                        t_prime,
-                                        left_key,
-                                        label_l,
-                                        right_key,
-                                        label_r,
-                                    ),
-                                )
-
-        # Case t' == t2: the latest-deadline job runs at the right boundary.
-        if plan.right_end:
-            child = obj.right_end_child(k, q, b1, b2)
-            if child is not None:
-                cq, cb1, cb2 = child
-                child_key = (
-                    (((base_i1 + i2) * n1 + (k - 1)) * P + cq) * P + cb1
-                ) * P + cb2
-                lookups += 1
-                child_table = memo.get(child_key, _MISSING)
-                if child_table is _MISSING:
-                    misses += 1
-                    child_table = yield (child_key, (i1, i2, k - 1, cq, cb1, cb2))
-                for label, entry in child_table:
-                    cur = best.get(label)
-                    if cur is None or entry[0] < cur[0]:
-                        best[label] = (
-                            entry[0],
-                            ("right_end", child_key, label, jmax, t2),
-                        )
-
-        self.stats.memo_hits += lookups - misses
-        obj.prune_table(best, self.stats)
-        return tuple(best.items())
-
-    # -- per-(i1, i2, k) caches -------------------------------------------------
-    def _node_jobs(self, i1: int, i2: int, k: int):
-        """The node's ``(job set, sorted releases)``, or ``None`` when pruned.
-
-        ``None`` covers both unreachable states (fewer than ``k`` jobs
-        released in the interval) and Hall-pruned ones.  The sorted release
-        list is shared between the Hall check and the split plan.
-        """
-        cache_key = (i1 * self._C + i2) * self._n1 + k
-        cached = self._node_cache.get(cache_key, _MISSING)
-        if cached is not _MISSING:
-            return cached
-        columns = self.decomp.columns
-        t1, t2 = columns[i1], columns[i2]
-        released = self.decomp.jobs_released_in(t1, t2)
-        if k > len(released):
-            result = None
-        else:
-            node = tuple(released[:k])
-            jobs = self.decomp.jobs
-            releases = sorted(jobs[j].release for j in node)
-            result = (node, releases)
-            # The Hall check costs O(k log C) per (i1, i2, k); below a few
-            # jobs the states it could prune are cheaper than the check.
-            if k >= _HALL_CHECK_MIN_JOBS and not _hall_feasible(
-                jobs, columns, self.p, node, releases, t1, t2
-            ):
-                self.stats.hall_pruned += 1
-                result = None
-        self._node_cache[cache_key] = result
-        return result
-
-    def _split_plan(
-        self,
-        i1: int,
-        i2: int,
-        k: int,
-        node_jobs: Tuple[int, ...],
-        releases: List[int],
-        t1: int,
-        t2: int,
-    ) -> _SplitPlan:
-        """Branch bookkeeping for the node, computed once and shared."""
-        cache_key = (i1 * self._C + i2) * self._n1 + k
-        cached = self._plan_cache.get(cache_key)
-        if cached is not None:
-            return cached
-        decomp = self.decomp
-        columns = decomp.columns
-        jmax = node_jobs[-1]
-        candidate_cols = decomp.candidate_columns_for_job(jmax, t1, t2)
-        right_end = bool(candidate_cols) and candidate_cols[-1] == i2
-        splits = []
-        for ci in candidate_cols:
-            t_prime = columns[ci]
-            if t_prime == t2:
-                continue
-            num_right = k - bisect_right(releases, t_prime)
-            k_left = k - 1 - num_right
-            if k_left < 0:
-                continue
-            idx_next = ci + 1
-            t_next = columns[idx_next]
-            splits.append(
-                (
-                    ci,
-                    t_prime,
-                    k_left,
-                    num_right,
-                    idx_next,
-                    t_next == t_prime + 1,
-                    t_next - t_prime - 1,
-                    idx_next == i2,
-                )
-            )
-        plan = _SplitPlan(jmax=jmax, right_end=right_end, splits=tuple(splits))
-        self._plan_cache[cache_key] = plan
-        self.stats.plans_built += 1
-        return plan
-
-    # -- reconstruction ----------------------------------------------------------
-    def _reconstruct(self, key: int, label) -> Dict[int, int]:
-        """Replay memoised decisions into a ``job -> time`` assignment, iteratively."""
-        assignment: Dict[int, int] = {}
-        stack: List[Tuple[int, object]] = [(key, label)]
-        memo = self.memo
-        while stack:
-            state_key, state_label = stack.pop()
-            choice = None
-            for label, entry in memo[state_key]:
-                if label == state_label:
-                    choice = entry[1]
-                    break
-            if choice is None:
-                raise AssertionError("reconstruction reached a pruned table entry")
-            tag = choice[0]
-            if tag == "empty":
-                continue
-            if tag == "column":
-                for job_idx in choice[1]:
-                    assignment[job_idx] = choice[2]
-                continue
-            if tag == "right_end":
-                _tag, child_key, child_label, jmax, t2 = choice
-                assignment[jmax] = t2
-                stack.append((child_key, child_label))
-                continue
-            if tag == "split":
-                _tag, jmax, t_prime, left_key, left_label, right_key, right_label = choice
-                assignment[jmax] = t_prime
-                stack.append((left_key, left_label))
-                stack.append((right_key, right_label))
-                continue
-            raise AssertionError(f"unknown reconstruction tag {tag!r}")
-        return assignment
-
-
-def build_engine(
-    decomp: IntervalDecomposition, objective, engine: Optional[str] = None
-):
-    """Construct an evaluator by selector.
-
-    ``"v2"`` (and ``None``) is the bottom-up evaluator every solver runs;
-    ``"v1"`` is the frozen trampoline, selected only explicitly (the bench
-    and the differential tests).  Anything else raises :class:`ValueError`.
-    """
-    if engine is None or engine == "v2":
-        return IntervalDPEngine(decomp, objective)
-    if engine == "v1":
-        return TrampolineDPEngine(decomp, objective)
-    raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINE_CHOICES}")
 
 
 def staircase_schedule(

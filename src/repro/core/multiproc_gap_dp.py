@@ -31,7 +31,7 @@ from typing import Dict, Optional, Union
 
 from .dp_profile import IntervalDecomposition
 from .exceptions import InfeasibleInstanceError
-from .interval_dp import GapObjective, build_engine, staircase_schedule
+from .interval_dp import GapObjective, IntervalDPEngine, staircase_schedule
 from .jobs import MultiprocessorInstance, OneIntervalInstance
 from .schedule import MultiprocessorSchedule
 
@@ -66,24 +66,19 @@ class MultiprocessorGapSolver:
         Use every integer time in the horizon as a candidate column instead
         of the Baptiste candidate set; only sensible for small horizons
         (used by the tests to match the brute-force search space exactly).
-    engine:
-        Evaluator selector: ``"v2"`` (bottom-up array-packed scalar, what
-        ``None`` — the default — runs) or ``"v1"`` (legacy generator
-        trampoline, kept for benchmarks and differential tests).
     """
 
     def __init__(
         self,
         instance: Union[MultiprocessorInstance, OneIntervalInstance],
         use_full_horizon: bool = False,
-        engine: Optional[str] = None,
     ) -> None:
         if isinstance(instance, OneIntervalInstance):
             instance = instance.to_multiprocessor(1)
         self.instance = instance
         self.p = instance.num_processors
         self.decomp = IntervalDecomposition(instance, use_full_horizon=use_full_horizon)
-        self.engine = build_engine(self.decomp, GapObjective(self.p), engine=engine)
+        self.engine = IntervalDPEngine(self.decomp, GapObjective(self.p))
 
     def solve(self) -> GapSolution:
         """Solve the instance, returning the optimal gap count and a schedule."""
@@ -108,9 +103,6 @@ class MultiprocessorGapSolver:
 def solve_multiprocessor_gap(
     instance: Union[MultiprocessorInstance, OneIntervalInstance],
     use_full_horizon: bool = False,
-    engine: Optional[str] = None,
 ) -> GapSolution:
     """Solve multiprocessor gap scheduling exactly (Theorem 1 convenience wrapper)."""
-    return MultiprocessorGapSolver(
-        instance, use_full_horizon=use_full_horizon, engine=engine
-    ).solve()
+    return MultiprocessorGapSolver(instance, use_full_horizon=use_full_horizon).solve()

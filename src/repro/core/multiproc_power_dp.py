@@ -29,7 +29,7 @@ from typing import Dict, Optional, Union
 
 from .dp_profile import IntervalDecomposition
 from .exceptions import InfeasibleInstanceError
-from .interval_dp import PowerObjective, build_engine, staircase_schedule
+from .interval_dp import IntervalDPEngine, PowerObjective, staircase_schedule
 from .jobs import MultiprocessorInstance, OneIntervalInstance
 from .schedule import MultiprocessorSchedule
 
@@ -64,10 +64,6 @@ class MultiprocessorPowerSolver:
         Non-negative wake-up (transition) cost.
     use_full_horizon:
         Use all integer times as candidate columns (tests only).
-    engine:
-        Evaluator selector: ``"v2"`` (bottom-up array-packed scalar, what
-        ``None`` — the default — runs) or ``"v1"`` (legacy generator
-        trampoline, kept for benchmarks and differential tests).
     """
 
     def __init__(
@@ -75,7 +71,6 @@ class MultiprocessorPowerSolver:
         instance: Union[MultiprocessorInstance, OneIntervalInstance],
         alpha: float,
         use_full_horizon: bool = False,
-        engine: Optional[str] = None,
     ) -> None:
         if isinstance(instance, OneIntervalInstance):
             instance = instance.to_multiprocessor(1)
@@ -84,9 +79,7 @@ class MultiprocessorPowerSolver:
         self.p = instance.num_processors
         self.decomp = IntervalDecomposition(instance, use_full_horizon=use_full_horizon)
         # PowerObjective validates alpha >= 0.
-        self.engine = build_engine(
-            self.decomp, PowerObjective(self.p, alpha), engine=engine
-        )
+        self.engine = IntervalDPEngine(self.decomp, PowerObjective(self.p, alpha))
 
     def solve(self) -> PowerSolution:
         """Solve the instance, returning the optimal power and a schedule."""
@@ -117,10 +110,9 @@ def solve_multiprocessor_power(
     instance: Union[MultiprocessorInstance, OneIntervalInstance],
     alpha: float,
     use_full_horizon: bool = False,
-    engine: Optional[str] = None,
 ) -> PowerSolution:
     """Solve multiprocessor power minimization exactly (Theorem 2 convenience wrapper)."""
     solver = MultiprocessorPowerSolver(
-        instance, alpha=alpha, use_full_horizon=use_full_horizon, engine=engine
+        instance, alpha=alpha, use_full_horizon=use_full_horizon
     )
     return solver.solve()

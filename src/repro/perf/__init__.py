@@ -1,13 +1,14 @@
 """Benchmark subsystem: measured trajectories for the interval-DP hot path.
 
-The ROADMAP's north star demands hot paths "as fast as the hardware allows"
-*with measured trajectories*; this package is the measuring device.  It
-times the engine-backed Theorem 1/2 solvers against the frozen pre-engine
-recursive solvers (:mod:`repro.perf.seed_baseline`) over the generator
-families, with warmup/repeat control, and writes machine-readable JSON
-reports (``BENCH_dp.json``) with a stable, validated schema
-(:mod:`repro.perf.report`).  The ``repro-sched bench`` CLI subcommand is a
-thin wrapper around :func:`repro.perf.bench.run_bench`.
+This package times the engine-backed Theorem 1/2 solvers over the
+generator families, with warmup/repeat control, against a frozen
+stdlib-only host kernel timed just before each repeat
+(:func:`repro.perf.bench.host_kernel`); the per-case engine/host ratio is
+the machine-independent figure the regression gate compares.  Reports go
+to machine-readable JSON (``BENCH_dp.json``) with a stable, validated
+schema (:mod:`repro.perf.report`) and accumulate in an append-only history
+(:mod:`repro.perf.history`).  The ``repro-sched bench`` CLI subcommand is
+a thin wrapper around :func:`repro.perf.bench.run_bench`.
 
 This package times the engine only.  End-to-end costs of the layers above
 it (the service, the warm worker pool, the solve cache) are measured with

@@ -1,21 +1,25 @@
-"""Timed runners for the interval-DP engines over the generator families.
+"""Timed runner for the interval-DP engine over the generator families.
 
 Each :class:`BenchCase` pins one instance (family + parameters + seed) and
-is solved by up to three implementations — the v2 bottom-up engine, the v1
-trampoline engine, and the frozen pre-engine seed solver — with warmup and
-repeat control; solvers are constructed fresh for every timed run so memo
-tables never leak between repetitions.  The runner differentially asserts
-that every measured implementation agrees on feasibility and value for
-every case — a benchmark that silently timed a wrong answer would be worse
-than no benchmark.
+is solved by the engine with warmup and repeat control; solvers are
+constructed fresh for every timed run so memo tables never leak between
+repetitions.  Just before each timed engine repeat the runner times
+:func:`host_kernel`, a frozen stdlib-only workload that shares no code
+with the engine, and the case's ``engine_per_host`` is the median of the
+per-repeat engine/host ratios.  The host kernel moves with the machine
+(clock, cache, co-tenants) but never with the engine, so the ratio is a
+machine-independent measure that the regression gate
+(:func:`~repro.perf.report.compare_reports`) keys on.
+
+Optima are not re-derived here: the exact engine is the only
+implementation timed, and the gate compares each case's ``value`` with
+the committed report instead.  The decomposed column is still checked
+against the monolithic solve in the same run.
 
 ``run_bench(quick=True)`` is the CI smoke matrix (small instances, a couple
 of seconds); the default full matrix adds the medium (n >= 40, p >= 3) and
-large (n = 60/80, p = 3/4) instances whose seed -> v1 -> v2 trajectory is
-the headline artifact in ``BENCH_dp.json``.  The largest cases skip the
-seed baseline (``seed_baseline=False``): the recursive seed solvers take
-tens of seconds there and their column is already anchored by the shared
-medium cases.
+large (n = 60/80, p = 3/4) instances that make up the headline artifact
+``BENCH_dp.json``.
 """
 
 from __future__ import annotations
@@ -35,14 +39,15 @@ from ..generators import (
     splittable_instance,
     tight_window_instance,
 )
-from .report import BENCH_SCHEMA, environment_fingerprint
-from .seed_baseline import SeedGapSolver, SeedPowerSolver
+from .report import BENCH_SCHEMA, environment_fingerprint, values_agree
 
 __all__ = [
     "BenchCase",
     "default_cases",
     "portfolio_cases",
+    "host_kernel",
     "time_callable",
+    "time_against_host",
     "run_bench",
 ]
 
@@ -63,8 +68,6 @@ class BenchCase:
     horizon: int  # splittable: per-cluster horizon
     alpha: Optional[float] = None
     window: int = 4  # sparse-wide only: per-job window length
-    seed_baseline: bool = True  # time the frozen seed solver on this case
-    v1_baseline: bool = True  # time the v1 trampoline engine on this case
     clusters: int = 4  # splittable only: number of time-disjoint clusters
     seam: int = 8  # splittable only: idle integers between clusters
     slack: int = 6  # splittable only: max window slack inside a cluster
@@ -111,8 +114,8 @@ class BenchCase:
             )
         if self.family == "sparse-wide":
             # Long-horizon staircase: sparse releases, overlapping windows.
-            # This is the family that drove the seed solvers deepest into the
-            # native stack; both engines evaluate it iteratively.
+            # Its node DAG nests dozens of levels deep, which the engine
+            # evaluates iteratively.
             step = max(1, self.horizon // max(1, self.num_jobs))
             pairs = [
                 (i * step, i * step + self.window) for i in range(self.num_jobs)
@@ -161,7 +164,6 @@ def default_cases(quick: bool = False) -> List[BenchCase]:
             24,
             2,
             12,
-            seed_baseline=False,
             clusters=3,
             seam=6,
             decompose=True,
@@ -181,60 +183,32 @@ def default_cases(quick: bool = False) -> List[BenchCase]:
         BenchCase(
             "power/sparse-wide-n60-p1-a3", "power", "sparse-wide", 60, 1, 120, alpha=3.0
         ),
-        # Large exact families (engine v2 headline cases).  The n = 80
-        # cases skip the seed baseline: the frozen recursive solvers need
-        # tens of seconds per run there, and the seed column is already
-        # anchored by the shared n <= 60 cases.
+        # Large exact families (the engine's headline cases).
         BenchCase("gap/uniform-n60-p3", "gaps", "uniform", 60, 3, 40),
         BenchCase("power/uniform-n60-p3-a2", "power", "uniform", 60, 3, 40, alpha=2.0),
         BenchCase("gap/uniform-n60-p4", "gaps", "uniform", 60, 4, 36),
+        BenchCase("gap/uniform-n80-p4", "gaps", "uniform", 80, 4, 48),
         BenchCase(
-            "gap/uniform-n80-p4", "gaps", "uniform", 80, 4, 48, seed_baseline=False
-        ),
-        BenchCase(
-            "power/uniform-n80-p4-a2",
-            "power",
-            "uniform",
-            80,
-            4,
-            48,
-            alpha=2.0,
-            seed_baseline=False,
+            "power/uniform-n80-p4-a2", "power", "uniform", 80, 4, 48, alpha=2.0
         ),
         # Power at p = 4: the most combine arithmetic per branch node in
         # the matrix (the traffic the retired numpy kernels served best),
-        # so these two track the scalar combine's heaviest regime.  They
-        # skip the seed baseline for the same reason the n = 80 cases do.
+        # so these two track the scalar combine's heaviest regime.
         BenchCase(
-            "power/uniform-n60-p4-a2",
-            "power",
-            "uniform",
-            60,
-            4,
-            36,
-            alpha=2.0,
-            seed_baseline=False,
+            "power/uniform-n60-p4-a2", "power", "uniform", 60, 4, 36, alpha=2.0
         ),
         BenchCase(
-            "power/uniform-n70-p4-a2",
-            "power",
-            "uniform",
-            70,
-            4,
-            42,
-            alpha=2.0,
-            seed_baseline=False,
+            "power/uniform-n70-p4-a2", "power", "uniform", 70, 4, 42, alpha=2.0
         ),
         # Decomposition headline cases: three *identical* (time-shifted)
         # clusters of 30 wide-window jobs — the repeating-shift workload —
-        # with process-backend component solves.  These skip the seed and
-        # v1 columns; the column of interest is decomposed-vs-monolithic-v2
-        # (``speedup_vs_mono``).  The decomposed win here is algorithmic,
-        # not parallelism: the clusters are canonically isomorphic, so one
-        # component DP runs and the rest replay from the solve cache (see
-        # ``_time_decomposed`` for the cold-cache timing discipline) — the
-        # speedup therefore holds even on a single-core CI runner, and
-        # extra cores only widen it.
+        # with process-backend component solves.  The column of interest is
+        # decomposed-vs-monolithic (``speedup_vs_mono``).  The decomposed
+        # win here is algorithmic, not parallelism: the clusters are
+        # canonically isomorphic, so one component DP runs and the rest
+        # replay from the solve cache (see ``_time_decomposed`` for the
+        # cold-cache timing discipline) — the speedup therefore holds even
+        # on a single-core CI runner, and extra cores only widen it.
         BenchCase(
             "gap/splittable-periodic-n90-p3",
             "gaps",
@@ -242,8 +216,6 @@ def default_cases(quick: bool = False) -> List[BenchCase]:
             90,
             3,
             20,
-            seed_baseline=False,
-            v1_baseline=False,
             clusters=3,
             slack=14,
             periodic=True,
@@ -258,8 +230,6 @@ def default_cases(quick: bool = False) -> List[BenchCase]:
             3,
             20,
             alpha=2.0,
-            seed_baseline=False,
-            v1_baseline=False,
             clusters=3,
             slack=14,
             periodic=True,
@@ -344,6 +314,57 @@ def portfolio_cases(quick: bool = False) -> List[BenchCase]:
     return cases
 
 
+def host_kernel() -> int:
+    """Frozen host-speed reference workload: about 10 ms of list and dict work.
+
+    A min-plus product of two fixed 36x36 integer matrices, then a walk
+    over a dict built from the product.  It runs the same kinds of
+    interpreter operations as the engine's combine loop (list indexing,
+    comparisons, small-tuple dict keys) but shares no code with it, so a
+    slower or busier machine moves both timings while an engine change
+    moves only the engine's.  Every committed ``engine_per_host`` ratio is
+    relative to exactly this code: changing it invalidates the history.
+    """
+    size = 36
+    a = [[(i * 37 + j * 11) % 97 for j in range(size)] for i in range(size)]
+    b = [[(i * 13 + j * 29) % 89 for j in range(size)] for i in range(size)]
+    product = []
+    for row in a:
+        out = []
+        for j in range(size):
+            best = float("inf")
+            for k in range(size):
+                cost = row[k] + b[k][j]
+                if cost < best:
+                    best = cost
+            out.append(best)
+        product.append(out)
+    table: Dict[Tuple[int, int], int] = {}
+    for i, row in enumerate(product):
+        for j, value in enumerate(row):
+            key = (value % 61, j)
+            table[key] = table.get(key, 0) + i
+    total = 0
+    key = (0, 0)
+    for step in range(20000):
+        got = table.get(key)
+        if got is None:
+            key = (step % 61, step % size)
+            continue
+        total += got
+        key = ((got + step) % 61, (key[1] + 1) % size)
+    return total
+
+
+def _timing_block(runs: List[float]) -> Dict[str, object]:
+    return {
+        "best": min(runs),
+        "median": statistics.median(runs),
+        "mean": statistics.fmean(runs),
+        "runs": runs,
+    }
+
+
 def time_callable(
     fn: Callable[[], object], repeats: int, warmup: int
 ) -> Dict[str, object]:
@@ -355,22 +376,45 @@ def time_callable(
         start = time.perf_counter()
         fn()
         runs.append(time.perf_counter() - start)
-    return {
-        "best": min(runs),
-        "median": statistics.median(runs),
-        "mean": statistics.fmean(runs),
-        "runs": runs,
-    }
+    return _timing_block(runs)
 
 
-def _engine_solve(case: BenchCase, instance, engine: str = "v2"):
-    """Solve with an engine-backed solver; returns (feasible, value, stats)."""
+def time_against_host(
+    fn: Callable[[], object], repeats: int, warmup: int
+) -> Tuple[Dict[str, object], Dict[str, object], float]:
+    """Time ``fn`` with :func:`host_kernel` timed just before each repeat.
+
+    Returns ``(fn timing block, host timing block, ratio)`` where
+    ``ratio`` is the median of the per-repeat ``fn / host`` time ratios:
+    pairing each repeat with its own host measurement cancels machine
+    speed drift within the run, and the median discards a repeat that a
+    co-tenant disturbed on one side only.
+    """
+    for _ in range(warmup):
+        host_kernel()
+        fn()
+    runs: List[float] = []
+    host_runs: List[float] = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        host_kernel()
+        middle = time.perf_counter()
+        fn()
+        end = time.perf_counter()
+        host_runs.append(middle - start)
+        runs.append(end - middle)
+    ratio = statistics.median(run / host for run, host in zip(runs, host_runs))
+    return _timing_block(runs), _timing_block(host_runs), ratio
+
+
+def _engine_solve(case: BenchCase, instance):
+    """Solve with the engine-backed solver; returns (feasible, value, stats)."""
     if case.objective == "gaps":
-        solver = MultiprocessorGapSolver(instance, engine=engine)
+        solver = MultiprocessorGapSolver(instance)
         solution = solver.solve()
         value = solution.num_gaps
     else:
-        solver = MultiprocessorPowerSolver(instance, alpha=case.alpha, engine=engine)
+        solver = MultiprocessorPowerSolver(instance, alpha=case.alpha)
         solution = solver.solve()
         value = solution.power
     return solution.feasible, value, solver.engine.stats.as_dict()
@@ -444,26 +488,11 @@ def _time_decomposed(
     return timing, (feasible, value)
 
 
-def _baseline_solve(case: BenchCase, instance):
-    """Solve with the frozen seed baseline; returns (feasible, value)."""
-    if case.objective == "gaps":
-        feasible, value, _schedule = SeedGapSolver(instance).solve()
-    else:
-        feasible, value, _schedule = SeedPowerSolver(instance, alpha=case.alpha).solve()
-    return feasible, value
-
-
-def _values_agree(a, b) -> bool:
-    if a is None or b is None:
-        return a is None and b is None
-    return abs(float(a) - float(b)) <= 1e-6
-
-
 def _assert_agreement(case: BenchCase, label: str, feasible, value, other) -> None:
     other_feasible, other_value = other
-    if other_feasible != feasible or not _values_agree(value, other_value):
+    if other_feasible != feasible or not values_agree(value, other_value):
         raise AssertionError(
-            f"bench case {case.name}: engine v2 value {value!r} (feasible="
+            f"bench case {case.name}: engine value {value!r} (feasible="
             f"{feasible}) disagrees with {label} {other_value!r} "
             f"(feasible={other_feasible})"
         )
@@ -475,9 +504,9 @@ def _run_portfolio_case(
     """Measure one budget-raced portfolio case; returns its report record.
 
     The ``engine`` timing block here is the end-to-end
-    :func:`~repro.portfolio.run_portfolio` call; the DP comparison columns
-    are all null (the exact engines are exactly what these instances are
-    too large for).  One representative run supplies the member records
+    :func:`~repro.portfolio.run_portfolio` call; the host and comparison
+    columns are null (the race's wall time is pinned by the budget, not
+    by the machine).  One representative run supplies the member records
     and the realized certified gap.
     """
     from ..api.problem import Problem
@@ -511,10 +540,8 @@ def _run_portfolio_case(
         "alpha": case.alpha,
         "value": float(representative.value),
         "engine": timing,
-        "engine_v1": None,
-        "baseline": None,
-        "speedup": None,
-        "speedup_vs_v1": None,
+        "host": None,
+        "engine_per_host": None,
         "decomposed": None,
         "speedup_vs_mono": None,
         "portfolio": {
@@ -547,33 +574,14 @@ def _run_case(payload: Tuple) -> Dict:
     Module-level (with a picklable payload) so :func:`run_bench` can fan
     cases out through any :mod:`repro.runtime` backend.
     """
-    case, case_seed, repeats, warmup, baseline, compare_v1 = payload
+    case, case_seed, repeats, warmup = payload
     instance = case.make_instance(case_seed)
     if case.portfolio:
         return _run_portfolio_case(case, instance, repeats, warmup)
     feasible, value, stats = _engine_solve(case, instance)
-    engine_timing = time_callable(
+    engine_timing, host_timing, engine_per_host = time_against_host(
         lambda: _engine_solve(case, instance), repeats, warmup
     )
-    v1_timing = None
-    speedup_vs_v1 = None
-    if compare_v1 and case.v1_baseline:
-        v1_feasible, v1_value, _v1_stats = _engine_solve(case, instance, engine="v1")
-        _assert_agreement(case, "engine v1", feasible, value, (v1_feasible, v1_value))
-        v1_timing = time_callable(
-            lambda: _engine_solve(case, instance, engine="v1"), repeats, warmup
-        )
-        speedup_vs_v1 = v1_timing["median"] / max(engine_timing["median"], 1e-12)
-    baseline_timing = None
-    speedup = None
-    if baseline and case.seed_baseline:
-        _assert_agreement(
-            case, "seed baseline", feasible, value, _baseline_solve(case, instance)
-        )
-        baseline_timing = time_callable(
-            lambda: _baseline_solve(case, instance), repeats, warmup
-        )
-        speedup = baseline_timing["median"] / max(engine_timing["median"], 1e-12)
     decomposed_timing = None
     speedup_vs_mono = None
     if case.decompose:
@@ -593,10 +601,8 @@ def _run_case(payload: Tuple) -> Dict:
         "alpha": case.alpha,
         "value": None if value is None else float(value),
         "engine": engine_timing,
-        "engine_v1": v1_timing,
-        "baseline": baseline_timing,
-        "speedup": speedup,
-        "speedup_vs_v1": speedup_vs_v1,
+        "host": host_timing,
+        "engine_per_host": engine_per_host,
         "decomposed": decomposed_timing,
         "speedup_vs_mono": speedup_vs_mono,
         "portfolio": None,
@@ -609,8 +615,6 @@ def run_bench(
     repeats: Optional[int] = None,
     warmup: Optional[int] = None,
     seed: int = 0,
-    baseline: bool = True,
-    compare_v1: bool = True,
     cases: Optional[List[BenchCase]] = None,
     progress: Optional[Callable[[Dict], None]] = None,
     backend: Optional[object] = None,
@@ -628,12 +632,6 @@ def run_bench(
         Timing discipline (defaults: 3 timed runs after 1 warmup).
     seed:
         Master seed for the instance generators.
-    baseline:
-        Also time the frozen seed solvers (on cases that allow it) and
-        report speedups; disabling this leaves baseline/speedup null.
-    compare_v1:
-        Also time the v1 trampoline engine and report ``speedup_vs_v1``;
-        disabling this leaves engine_v1/speedup_vs_v1 null.
     cases:
         Explicit case list overriding :func:`default_cases`.
     progress:
@@ -656,8 +654,8 @@ def run_bench(
         timings, so parallel runs are for quick value-agreement sweeps,
         never for committed reports.
 
-    Every measured implementation is asserted to agree with the v2 engine
-    on feasibility and value before any timing is recorded; a case that
+    The decomposed solve is asserted to agree with the monolithic engine
+    on feasibility and value before its timing is recorded; a case that
     fails mid-sweep aborts the whole run (a benchmark with holes would
     silently pass the regression gate).
     """
@@ -670,18 +668,20 @@ def run_bench(
     case_list = default_cases(quick) if cases is None else list(cases)
     if portfolio:
         case_list = case_list + portfolio_cases(quick)
+    # Instance seeds follow the unfiltered matrix order, so a filtered run
+    # solves the same instances (and optima) as the committed report.
+    payloads = [
+        (case, seed + index, repeats, warmup)
+        for index, case in enumerate(case_list)
+    ]
     if name_filter is not None:
         import re
 
         pattern = re.compile(name_filter)
-        case_list = [case for case in case_list if pattern.search(case.name)]
-        if not case_list:
+        payloads = [p for p in payloads if pattern.search(p[0].name)]
+        if not payloads:
             raise ValueError(f"--filter {name_filter!r} matches no bench case")
 
-    payloads = [
-        (case, seed + index, repeats, warmup, baseline, compare_v1)
-        for index, case in enumerate(case_list)
-    ]
     records: List[Dict] = []
     for _index, outcome in run_tasks(
         _run_case, payloads, backend=backend or "serial", workers=workers

@@ -134,9 +134,11 @@ def rolling_median_reference(path: str, window: int) -> Tuple[Dict, int]:
     ``BENCH_SCHEMA`` (older-schema entries are skipped, never coerced), each
     case present in the newest such report gets timing blocks whose
     best/median/mean are the **medians** of the corresponding fields across
-    the entries that measured that case, and its speedup columns are
-    recomputed from the synthesized blocks.  Cases (or optional columns)
-    that only the newest report carries keep the newest report's numbers.
+    the entries that measured that case, an ``engine_per_host`` that is
+    the median of those entries' ratios (the figure the gate compares),
+    and a ``speedup_vs_mono`` recomputed from the synthesized blocks.
+    Cases (or optional columns) that only the newest report carries keep
+    the newest report's numbers.
 
     Returns ``(report, entries_used)``; the report passes
     :func:`~repro.perf.report.validate_report`.
@@ -165,20 +167,21 @@ def rolling_median_reference(path: str, window: int) -> Tuple[Dict, int]:
             c for report in tail for c in report["cases"] if c["name"] == case["name"]
         ]
         new_case = dict(case)
-        for key in ("engine", "engine_v1", "baseline", "decomposed"):
+        for key in ("engine", "host", "decomposed"):
             if case[key] is None:
                 continue  # the newest run dropped this column; keep it null
             blocks = [c[key] for c in siblings if c[key] is not None]
             new_case[key] = _median_timing(blocks)
-        engine_median = max(new_case["engine"]["median"], 1e-12)
-        if new_case["baseline"] is not None:
-            new_case["speedup"] = new_case["baseline"]["median"] / engine_median
-        if new_case["engine_v1"] is not None:
-            new_case["speedup_vs_v1"] = new_case["engine_v1"]["median"] / engine_median
-        if new_case["decomposed"] is not None:
-            new_case["speedup_vs_mono"] = engine_median / max(
-                new_case["decomposed"]["median"], 1e-12
+        if case["engine_per_host"] is not None:
+            new_case["engine_per_host"] = statistics.median(
+                c["engine_per_host"]
+                for c in siblings
+                if c["engine_per_host"] is not None
             )
+        if new_case["decomposed"] is not None:
+            new_case["speedup_vs_mono"] = max(
+                new_case["engine"]["median"], 1e-12
+            ) / max(new_case["decomposed"]["median"], 1e-12)
         synthesized.append(new_case)
     reference = dict(latest, cases=synthesized)
     validate_report(reference)

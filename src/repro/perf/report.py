@@ -13,8 +13,8 @@ Top-level keys::
     engine        {"name", "version"} of the engine family under test
     quick         whether this was the reduced CI smoke matrix
     seed          master instance-generator seed
-    repeats       timed repetitions per solver per case
-    warmup        untimed warmup runs per solver per case
+    repeats       timed repetitions per case
+    warmup        untimed warmup runs per case
     environment   {"python", "implementation", "platform"}
     cases         list of per-case records
 
@@ -27,11 +27,12 @@ Per-case keys::
     num_processors  p
     alpha           wake-up cost (null for the gap objective)
     value           optimal objective value (null when infeasible)
-    engine          timing block for the v2 (bottom-up scalar) engine
-    engine_v1       timing block for the v1 (trampoline) engine (null if skipped)
-    baseline        timing block for the frozen seed solver (null if skipped)
-    speedup         baseline median / engine median (null if baseline skipped)
-    speedup_vs_v1   engine_v1 median / engine median (null if v1 skipped)
+    engine          timing block for the interval-DP engine
+    host            timing block for the frozen host kernel, one run just
+                    before each timed engine repeat (null on portfolio cases)
+    engine_per_host median of the per-repeat engine/host time ratios: the
+                    machine-independent figure the gate compares (null on
+                    portfolio cases)
     decomposed      timing block for the decomposed façade solve, caches off
                     (null on cases without the decompose column)
     speedup_vs_mono engine median / decomposed median (null if not measured)
@@ -44,8 +45,8 @@ Per-case keys::
                     the budget went (``killed``/``beaten`` means a finisher
                     pinned the optimum first); on portfolio cases the
                     ``engine`` block times the end-to-end raced solve and
-                    every other comparison column is null
-    engine_stats    pruning/memo counters of one v2 engine run
+                    every other timing column is null
+    engine_stats    pruning/memo counters of one engine run
 
 Timing blocks::
 
@@ -53,25 +54,29 @@ Timing blocks::
 
 Schema history: ``bench-dp/v1`` (PR 3) measured the trampoline engine
 against the frozen seed solvers only; ``bench-dp/v2`` measures the
-bottom-up engine and adds the ``engine_v1`` / ``speedup_vs_v1`` comparison
-columns while keeping the seed-baseline column, so the committed report
-carries the full seed -> v1 -> v2 trajectory; ``bench-dp/v3`` adds the
-``decomposed`` / ``speedup_vs_mono`` columns for the splittable families
-solved through :mod:`repro.core.decompose` (the regression gate still keys
-on the engine columns — decomposition speedups depend on core count and
-are reported, not gated); ``bench-dp/v4`` added the ``engine_v3`` /
-``speedup_vs_v2`` / ``engine_v3_stats`` columns for the numpy-vectorized
-engine and the environment's numpy version; ``bench-dp/v5`` adds the
-nullable ``portfolio`` case block for the budget-raced large-n family
-(per-member times and the realized certified gap); ``bench-dp/v6``
-extends the portfolio block for preemptive racing — per-member
-``kill_reason`` (``beaten`` / ``deadline`` / ``admission`` / ``error``),
-the ``killed`` member state, and the block-level ``backend`` /
-``preemptive`` flags; ``bench-dp/v7`` drops the v4 columns and the numpy
-version again, along with the vectorized engine they measured.
-Portfolio cases carry no v1 column and their wall time is pinned by the
-budget, not the machine, so :func:`compare_reports` records them as
-skipped instead of gating them.
+bottom-up engine and adds a column for the trampoline engine and its
+speedup ratio while keeping the seed-solver column, so the committed
+report carries the full seed -> v1 -> v2 trajectory; ``bench-dp/v3`` adds
+the ``decomposed`` / ``speedup_vs_mono`` columns for the splittable
+families solved through :mod:`repro.core.decompose` (the regression gate
+still keys on the engine columns — decomposition speedups depend on core
+count and are reported, not gated); ``bench-dp/v4`` added the
+``engine_v3`` / ``speedup_vs_v2`` / ``engine_v3_stats`` columns for the
+numpy-vectorized engine and the environment's numpy version;
+``bench-dp/v5`` adds the nullable ``portfolio`` case block for the
+budget-raced large-n family (per-member times and the realized certified
+gap); ``bench-dp/v6`` extends the portfolio block for preemptive racing —
+per-member ``kill_reason`` (``beaten`` / ``deadline`` / ``admission`` /
+``error``), the ``killed`` member state, and the block-level ``backend``
+/ ``preemptive`` flags; ``bench-dp/v7`` drops the v4 columns and the
+numpy version again, along with the vectorized engine they measured;
+``bench-dp/v8`` replaces the trampoline-engine, seed-solver and speedup
+columns with the ``host`` block and the ``engine_per_host`` ratio,
+because the code they timed was deleted (the v7 entry of
+``BENCH_history.jsonl`` keeps the last seed -> v1 -> v2 trajectory).
+Portfolio cases carry no host column and their wall time is pinned by
+the budget, not the machine, so :func:`compare_reports` lists them apart
+instead of gating them.
 """
 
 from __future__ import annotations
@@ -93,11 +98,15 @@ __all__ = [
     "DEFAULT_REGRESSION_MIN_MEDIAN",
 ]
 
-BENCH_SCHEMA = "repro.perf/bench-dp/v7"
+BENCH_SCHEMA = "repro.perf/bench-dp/v8"
 
-#: A case regresses when its fresh engine median exceeds the committed
-#: median by more than this factor.
+#: A case regresses when its fresh ``engine_per_host`` ratio exceeds the
+#: committed ratio by more than this factor.
 DEFAULT_REGRESSION_THRESHOLD = 1.25
+
+#: Largest difference between a fresh and a committed optimum that still
+#: counts as the same value (the power objective is a float).
+VALUE_TOLERANCE = 1e-6
 
 #: Cases whose committed engine median is below this many seconds are
 #: excluded from the regression gate: micro-cases are dominated by timer
@@ -123,10 +132,8 @@ _CASE_KEYS = {
     "alpha",
     "value",
     "engine",
-    "engine_v1",
-    "baseline",
-    "speedup",
-    "speedup_vs_v1",
+    "host",
+    "engine_per_host",
     "decomposed",
     "speedup_vs_mono",
     "portfolio",
@@ -306,11 +313,14 @@ def validate_report(data: Any) -> None:
         if case["value"] is not None and not isinstance(case["value"], (int, float)):
             raise BenchSchemaError(f"{label}.value: must be a number or null")
         _check_timing(f"{label}.engine", case["engine"])
-        _check_optional_comparison(label, case, "baseline", "speedup")
-        _check_optional_comparison(label, case, "engine_v1", "speedup_vs_v1")
+        _check_optional_comparison(label, case, "host", "engine_per_host")
         _check_optional_comparison(label, case, "decomposed", "speedup_vs_mono")
         if case["portfolio"] is not None:
             _check_portfolio(f"{label}.portfolio", case["portfolio"])
+        elif case["host"] is None:
+            raise BenchSchemaError(
+                f"{label}.host: exact-DP cases must carry the host column"
+            )
         if not isinstance(case["engine_stats"], dict):
             raise BenchSchemaError(f"{label}.engine_stats: must be an object")
         for key, value in case["engine_stats"].items():
@@ -341,6 +351,13 @@ def validate_report_file(path: str) -> Dict:
     return data
 
 
+def values_agree(a, b) -> bool:
+    """Whether two optima (``None`` = infeasible) are the same value."""
+    if a is None or b is None:
+        return a is None and b is None
+    return abs(float(a) - float(b)) <= VALUE_TOLERANCE
+
+
 def compare_reports(
     fresh: Dict,
     committed: Dict,
@@ -349,32 +366,34 @@ def compare_reports(
 ) -> Dict[str, List]:
     """Gate a fresh report against a committed one.
 
-    Cases are matched by name.  When both reports carry the v1-comparison
-    column, a case is gated on its v2-over-v1 speedup — the v1 engine is
-    frozen code timed in the *same* run, so v2's advantage over it is a
-    machine-independent measure and survives CI runners slower or faster
-    than the machine that produced the committed report.  The speedup is
-    computed from each side's **best** run rather than the median:
-    best-of-N is the standard interference-robust estimator, and a ratio
-    of medians on few-repeat ~10 ms cases would flap with scheduler noise.
-    A case without the v1 column on either side falls back to the absolute
-    engine-median ratio.  Either way, a case **regresses** when its ratio
-    (committed speedup / fresh speedup, or fresh median / committed
-    median) exceeds ``threshold``.
+    Cases are matched by name.  A shared exact-DP case **regresses** when
+
+    * its ``value`` differs from the committed one by more than
+      :data:`VALUE_TOLERANCE`, or one side is infeasible (``null``) and the
+      other is not (metric ``"value"``; checked on every shared exact
+      case, below the noise floor too — the optima are deterministic), or
+    * its fresh ``engine_per_host`` exceeds the committed one by more than
+      ``threshold`` (metric ``"engine_per_host"``).  Each ratio divides
+      the engine's time by a frozen host kernel timed just before it in
+      the same run, so a machine uniformly slower or faster than the one
+      that produced the committed report leaves it unchanged, while an
+      engine slowdown moves it by its full factor.
 
     Cases whose committed engine median is under ``min_median`` seconds
-    are reported as ``skipped`` (too noisy to gate), and names present in
-    only one report as ``unmatched``.
+    are ``skipped`` by the timing gate (too noisy to gate), budget-raced
+    portfolio cases are listed under ``portfolio`` and never gated (their
+    wall time is pinned by the budget), and names present in only one
+    report are ``unmatched``.
 
-    When the two reports were produced by different Python versions,
-    absolute timings are not comparable, so a note is added to
-    ``warnings`` — reported, never gated.
+    When the two reports were produced by different Python versions, a
+    note is added to ``warnings`` — reported, never gated: the kernel and
+    the engine do not speed up by the same factor across interpreters.
 
     Returns ``{"regressions": [...], "compared": [...], "skipped": [...],
-    "unmatched": [...], "warnings": [...]}`` where each regression entry
-    is ``{"name", "metric", "fresh_value", "committed_value", "ratio"}``
-    with ``metric`` one of ``"speedup_vs_v1"`` / ``"engine_median"``, and
-    each warning is a human-readable string.
+    "portfolio": [...], "unmatched": [...], "warnings": [...]}`` where
+    each regression entry is ``{"name", "metric", "fresh_value",
+    "committed_value", "ratio"}`` (``ratio`` is null for ``"value"``
+    entries), and each warning is a human-readable string.
     """
     if threshold <= 0:
         raise ValueError(f"threshold must be positive, got {threshold}")
@@ -382,6 +401,7 @@ def compare_reports(
     regressions: List[Dict] = []
     compared: List[str] = []
     skipped: List[str] = []
+    portfolio: List[str] = []
     unmatched: List[str] = []
     warnings: List[str] = []
     mine = (fresh.get("environment") or {}).get("python")
@@ -390,8 +410,8 @@ def compare_reports(
         warnings.append(
             f"Python version differs between reports "
             f"(fresh: {mine or 'absent'}, committed: {theirs or 'absent'}); "
-            "absolute timings are not directly comparable across interpreters "
-            "— the gate keys on within-run ratios where it can"
+            "the engine and the host kernel need not speed up by the same "
+            "factor across interpreters, so engine/host ratios shift"
         )
     fresh_names = set()
     for case in fresh["cases"]:
@@ -401,35 +421,31 @@ def compare_reports(
         if reference is None:
             unmatched.append(name)
             continue
-        if case.get("portfolio") is not None or reference.get("portfolio") is not None:
-            # Portfolio cases spend their wall-clock budget by design and
-            # carry no within-run v1 ratio, so an absolute-time gate on
-            # them would only measure the CI runner, not the code.
-            skipped.append(name)
+        if case["portfolio"] is not None or reference["portfolio"] is not None:
+            portfolio.append(name)
             continue
+        if not values_agree(case["value"], reference["value"]):
+            regressions.append(
+                {
+                    "name": name,
+                    "metric": "value",
+                    "fresh_value": case["value"],
+                    "committed_value": reference["value"],
+                    "ratio": None,
+                }
+            )
         if reference["engine"]["median"] < min_median:
             skipped.append(name)
             continue
         compared.append(name)
-        fresh_v1 = case["engine_v1"]
-        committed_v1 = reference["engine_v1"]
-        if fresh_v1 is not None and committed_v1 is not None:
-            metric = "speedup_vs_v1"
-            fresh_value = fresh_v1["best"] / max(case["engine"]["best"], 1e-12)
-            committed_value = committed_v1["best"] / max(
-                reference["engine"]["best"], 1e-12
-            )
-            ratio = committed_value / max(fresh_value, 1e-12)
-        else:
-            metric = "engine_median"
-            fresh_value = case["engine"]["median"]
-            committed_value = reference["engine"]["median"]
-            ratio = fresh_value / committed_value
+        fresh_value = case["engine_per_host"]
+        committed_value = reference["engine_per_host"]
+        ratio = fresh_value / max(committed_value, 1e-12)
         if ratio > threshold:
             regressions.append(
                 {
                     "name": name,
-                    "metric": metric,
+                    "metric": "engine_per_host",
                     "fresh_value": fresh_value,
                     "committed_value": committed_value,
                     "ratio": ratio,
@@ -440,6 +456,7 @@ def compare_reports(
         "regressions": regressions,
         "compared": compared,
         "skipped": skipped,
+        "portfolio": portfolio,
         "unmatched": unmatched,
         "warnings": warnings,
     }

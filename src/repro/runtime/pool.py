@@ -23,6 +23,11 @@ replaces the per-call executor with one process-wide :class:`WorkerPool`:
   snapshot only when the generation moves, so long-lived workers never
   drift from a caller that reconfigured after the fork, and the per-task
   cost is one integer comparison.
+* **Registry generations.**  A forked worker knows only the solvers
+  registered before its fork.  Each worker is stamped with the solver
+  registry's generation at spawn, and :meth:`WorkerPool.acquire` retires
+  idle workers forked under an older generation, so a solver registered
+  after the pool warmed up is visible to the next session.
 * **Any-time incumbent channel.**  Worker-side task code can call
   :func:`publish_incumbent` to stream improving feasible solutions back
   to the parent while the task is still running.  The parent reads them
@@ -112,6 +117,12 @@ def _current_config() -> Dict[str, Any]:
     return {"cache_dir": disk_cache_dir()}
 
 
+def _registry_generation() -> int:
+    from ..api.registry import registry_generation
+
+    return registry_generation()
+
+
 def _apply_config(config: Dict[str, Any]) -> None:
     from .diskcache import configure_disk_cache, disk_cache_dir
 
@@ -180,6 +191,9 @@ class _Worker:
 
     def __init__(self, context) -> None:
         self.id = next(self._ids)
+        # Read before the fork: a registration racing the spawn then makes
+        # the stamp too old (an early retirement), never too new.
+        self.registry_generation = _registry_generation()
         self.conn, child_conn = context.Pipe(duplex=True)
         # Deliberately non-daemonic: pool tasks may themselves fan out
         # through nested backends (decomposed component solves under
@@ -265,11 +279,23 @@ class WorkerPool:
         return worker
 
     def acquire(self, count: int) -> List[_Worker]:
-        """Reserve ``count`` workers (warm ones first, spawning the rest)."""
+        """Reserve ``count`` workers (warm ones first, spawning the rest).
+
+        Idle workers forked before the latest solver registration are
+        retired here instead of reused.
+        """
         if count < 1:
             raise ValueError(f"must acquire at least one worker, got {count}")
+        generation = _registry_generation()
         workers: List[_Worker] = []
         with self._lock:
+            stale = [
+                w for w in self._idle if w.registry_generation != generation
+            ]
+            self._idle = [
+                w for w in self._idle if w.registry_generation == generation
+            ]
+            self._reaped += len(stale)
             while self._idle and len(workers) < count:
                 worker = self._idle.pop()
                 if worker.alive():
@@ -277,6 +303,8 @@ class WorkerPool:
                 else:  # died while idle; replace it outside the lock
                     self._reaped += 1
             self._acquired += count
+        for worker in stale:
+            worker.stop()
         while len(workers) < count:
             workers.append(self._spawn())
         return workers

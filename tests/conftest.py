@@ -8,6 +8,22 @@ from typing import List, Tuple
 import pytest
 
 from repro import Job, MultiIntervalInstance, MultiprocessorInstance, OneIntervalInstance
+from repro.api.registry import registry_generation
+from repro.runtime import shutdown_worker_pool
+
+
+@pytest.fixture(autouse=True)
+def retire_workers_after_a_registration():
+    """Stop warm pool workers forked while a test's throwaway solver existed.
+
+    Tests remove their solvers from the private registry dict, which does
+    not move the registry generation, so workers forked in between would
+    keep the removed solver for the rest of the session.
+    """
+    before = registry_generation()
+    yield
+    if registry_generation() != before:
+        shutdown_worker_pool()
 
 
 def random_window_pairs(

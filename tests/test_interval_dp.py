@@ -2,13 +2,16 @@
 
 import inspect
 import json
+import os
 import random
 import sys
 
 import pytest
 
 from repro import MultiprocessorInstance
-from repro.api import Problem, solve, to_json
+from repro.api import Problem, from_dict, solve, to_json
+from repro.api.solvers import clear_solve_cache
+from repro.bounds import lower_bound_for
 from repro.core.brute_force import (
     brute_force_gap_multiproc,
     brute_force_power_multiproc,
@@ -18,13 +21,9 @@ from repro.core.exceptions import InvalidInstanceError
 from repro.core.interval_dp import (
     BOTTOM_UP_ENGINE_VERSION,
     ENGINE_NAME,
-    ENGINE_VERSION,
-    TRAMPOLINE_ENGINE_VERSION,
     GapObjective,
     IntervalDPEngine,
     PowerObjective,
-    TrampolineDPEngine,
-    build_engine,
     staircase_schedule,
 )
 from repro.core.multiproc_gap_dp import MultiprocessorGapSolver, solve_multiprocessor_gap
@@ -32,12 +31,27 @@ from repro.core.multiproc_power_dp import (
     MultiprocessorPowerSolver,
     solve_multiprocessor_power,
 )
-from repro.generators import (
-    random_multiprocessor_instance,
-    random_one_interval_instance,
-)
-from repro.perf.seed_baseline import SeedGapSolver, SeedPowerSolver
+from repro.generators import random_one_interval_instance
+from repro.verify import certify_bound
 from tests.conftest import random_window_pairs
+
+#: Envelopes of ~30 seeded gap/power problems (p = 1-4, n up to 60, some
+#: infeasible), recorded from the engine when a second, independently
+#: written evaluator and the original recursive solvers were still in the
+#: tree and agreed with it on every one of them.
+ENVELOPE_FIXTURE = os.path.join(
+    os.path.dirname(__file__), "fixtures", "engine_envelopes.json"
+)
+with open(ENVELOPE_FIXTURE, "r", encoding="utf-8") as _handle:
+    RECORDED_ENVELOPES = json.load(_handle)["cases"]
+
+
+def _brute_force_value(instance, objective, alpha=None):
+    if objective == "gaps":
+        value, _schedule = brute_force_gap_multiproc(instance)
+    else:
+        value, _schedule = brute_force_power_multiproc(instance, alpha=alpha)
+    return value
 
 
 def _engine_for(instance, objective):
@@ -80,27 +94,6 @@ class TestEngineOutcome:
         assert stats["states_computed"] > 0
         assert all(isinstance(v, int) for v in stats.values())
 
-    def test_trampoline_metadata_reports_v1(self):
-        instance = MultiprocessorInstance.from_pairs([(0, 3), (2, 5)], num_processors=2)
-        engine = TrampolineDPEngine(IntervalDecomposition(instance), GapObjective(2))
-        engine.solve()
-        meta = engine.metadata()
-        assert meta["name"] == ENGINE_NAME
-        assert meta["version"] == TRAMPOLINE_ENGINE_VERSION
-
-    def test_build_engine_selectors(self):
-        instance = MultiprocessorInstance.from_pairs([(0, 3)], num_processors=1)
-        decomp = IntervalDecomposition(instance)
-        assert isinstance(build_engine(decomp, GapObjective(1), "v2"), IntervalDPEngine)
-        assert isinstance(
-            build_engine(decomp, GapObjective(1), "v1"), TrampolineDPEngine
-        )
-        # No selector means v2: there is no process-wide default to consult.
-        assert isinstance(build_engine(decomp, GapObjective(1)), IntervalDPEngine)
-        for retired in ("v3", "auto", "v9"):
-            with pytest.raises(ValueError):
-                build_engine(decomp, GapObjective(1), retired)
-
     def test_facade_engine_meta_names_v2(self):
         instance = random_one_interval_instance(
             num_jobs=6, horizon=16, max_window=5, seed=0
@@ -120,7 +113,12 @@ class TestEngineOutcome:
 
 
 class TestAgainstSeedBaseline:
-    """Differential guard: the engine must agree with the frozen seed solvers."""
+    """The seed-solver differential's seeded instances, checked against brute force.
+
+    The recursive seed solvers these tests were named after are gone;
+    brute force enumerates every assignment of the same instances, so it
+    is the stronger reference.
+    """
 
     @pytest.mark.parametrize("seed", range(15))
     def test_gap_matches_seed_solver(self, seed):
@@ -130,10 +128,10 @@ class TestAgainstSeedBaseline:
         pairs = random_window_pairs(rng, n, horizon=rng.randint(n, 12), max_window=5)
         instance = MultiprocessorInstance.from_pairs(pairs, num_processors=p)
         engine = solve_multiprocessor_gap(instance)
-        feasible, value, _sched = SeedGapSolver(instance).solve()
-        assert engine.feasible == feasible
-        if feasible:
-            assert engine.num_gaps == value
+        expected = _brute_force_value(instance, "gaps")
+        assert engine.feasible == (expected is not None)
+        if engine.feasible:
+            assert engine.num_gaps == expected
 
     @pytest.mark.parametrize("seed", range(15))
     def test_power_matches_seed_solver(self, seed):
@@ -144,10 +142,10 @@ class TestAgainstSeedBaseline:
         pairs = random_window_pairs(rng, n, horizon=rng.randint(n, 11), max_window=5)
         instance = MultiprocessorInstance.from_pairs(pairs, num_processors=p)
         engine = solve_multiprocessor_power(instance, alpha=alpha)
-        feasible, value, _sched = SeedPowerSolver(instance, alpha=alpha).solve()
-        assert engine.feasible == feasible
-        if feasible:
-            assert engine.power == pytest.approx(value)
+        expected = _brute_force_value(instance, "power", alpha)
+        assert engine.feasible == (expected is not None)
+        if engine.feasible:
+            assert engine.power == pytest.approx(expected)
 
 
 class TestPruning:
@@ -211,11 +209,10 @@ class TestPruning:
 class TestIterativeEvaluation:
     """The deep-recursion regression: wide-window n = 60 with sparse releases.
 
-    The pre-engine solvers recursed on the native stack and needed well
-    over 100 frames beyond the caller on this instance; the engine's
-    explicit-stack trampoline needs O(1).  The test pins that by solving
-    under a recursion limit only slightly above the current frame depth —
-    it passes only with the iterative engine.
+    A recursive evaluation of this instance needs well over 100 native
+    frames beyond the caller; the bottom-up engine needs O(1).  The test
+    pins that by solving under a recursion limit only slightly above the
+    current frame depth — it passes only with an iterative evaluation.
     """
 
     @pytest.fixture
@@ -238,20 +235,15 @@ class TestIterativeEvaluation:
             80, lambda: solve_multiprocessor_gap(wide_window_instance)
         )
         assert solution.feasible
-        # Cross-check the value with the seed solver under a normal limit.
-        _feasible, seed_value, _sched = SeedGapSolver(wide_window_instance).solve()
-        assert solution.num_gaps == seed_value
         solution.require_schedule().validate()
-
-    def test_seed_solver_hits_the_recursion_limit_on_the_same_instance(
-        self, wide_window_instance
-    ):
-        # Documents the hazard the engine removes: same instance, same
-        # limit, the recursive seed implementation cannot finish.
-        with pytest.raises(RecursionError):
-            self._with_recursion_limit(
-                80, lambda: SeedGapSolver(wide_window_instance).solve()
-            )
+        assert solution.require_schedule().num_gaps() == solution.num_gaps == 8
+        # The independently re-checked structural lower bound meets the
+        # optimum, so 8 gaps is provably optimal.
+        problem = Problem(objective="gaps", instance=wide_window_instance)
+        bound = lower_bound_for(problem)
+        certificate = certify_bound(problem, bound)
+        assert certificate.ok, certificate.issues
+        assert certificate.recomputed_value == bound.value == solution.num_gaps
 
     def test_power_engine_is_iterative_too(self, wide_window_instance):
         solution = self._with_recursion_limit(
@@ -285,7 +277,8 @@ class TestMemoReuse:
 
 
 class TestEngineV1VsV2:
-    """Differential guard: the bottom-up and trampoline evaluators agree."""
+    """The two-evaluator differential's seeded instances, now pinned to
+    brute force, and the envelopes both evaluators agreed on."""
 
     @pytest.mark.parametrize("seed", range(20))
     def test_gap_engines_agree(self, seed):
@@ -294,13 +287,13 @@ class TestEngineV1VsV2:
         p = rng.randint(1, 4)
         pairs = random_window_pairs(rng, n, horizon=rng.randint(n, 14), max_window=6)
         instance = MultiprocessorInstance.from_pairs(pairs, num_processors=p)
-        v1 = solve_multiprocessor_gap(instance, engine="v1")
-        v2 = solve_multiprocessor_gap(instance, engine="v2")
-        assert v1.feasible == v2.feasible
-        if v2.feasible:
-            assert v1.num_gaps == v2.num_gaps
-            v2.require_schedule().validate()
-            assert v2.require_schedule().num_gaps() == v2.num_gaps
+        solution = solve_multiprocessor_gap(instance)
+        expected = _brute_force_value(instance, "gaps")
+        assert solution.feasible == (expected is not None)
+        if solution.feasible:
+            assert solution.num_gaps == expected
+            solution.require_schedule().validate()
+            assert solution.require_schedule().num_gaps() == solution.num_gaps
 
     @pytest.mark.parametrize("seed", range(20))
     def test_power_engines_agree(self, seed):
@@ -310,54 +303,45 @@ class TestEngineV1VsV2:
         alpha = rng.choice([0.0, 0.5, 1.5, 3.0])
         pairs = random_window_pairs(rng, n, horizon=rng.randint(n, 13), max_window=6)
         instance = MultiprocessorInstance.from_pairs(pairs, num_processors=p)
-        v1 = solve_multiprocessor_power(instance, alpha=alpha, engine="v1")
-        v2 = solve_multiprocessor_power(instance, alpha=alpha, engine="v2")
-        assert v1.feasible == v2.feasible
-        if v2.feasible:
-            assert v2.power == pytest.approx(v1.power)
-            v2.require_schedule().validate()
-            assert v2.require_schedule().power_cost(alpha) == pytest.approx(v2.power)
+        solution = solve_multiprocessor_power(instance, alpha=alpha)
+        expected = _brute_force_value(instance, "power", alpha)
+        assert solution.feasible == (expected is not None)
+        if solution.feasible:
+            assert solution.power == pytest.approx(expected)
+            solution.require_schedule().validate()
+            assert solution.require_schedule().power_cost(alpha) == pytest.approx(
+                solution.power
+            )
 
-    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("seed", range(len(RECORDED_ENVELOPES)))
     def test_engines_pick_identical_schedules(self, seed):
-        # Not just the same optimum: the same value bits and the same
-        # witnessing schedule, on one-interval and multiprocessor inputs.
-        if seed % 2 == 0:
-            instance = random_one_interval_instance(
-                num_jobs=6, horizon=16, max_window=5, seed=seed
-            )
-        else:
-            instance = random_multiprocessor_instance(
-                num_jobs=8, num_processors=2, horizon=12, max_window=5, seed=seed
-            )
-        answers = []
-        for engine in ("v1", "v2"):
-            if seed % 3 == 0:
-                solution = MultiprocessorPowerSolver(
-                    instance, alpha=1.0 + seed % 4, engine=engine
-                ).solve()
-                value = solution.power
-            else:
-                solution = MultiprocessorGapSolver(instance, engine=engine).solve()
-                value = solution.num_gaps
-            schedule = solution.schedule
-            answers.append(
-                (solution.feasible, repr(value), schedule and schedule.assignment)
-            )
-        assert answers[0] == answers[1]
+        # Not just the same optimum: the same value bits, the same
+        # witnessing schedule and the same engine metadata, byte for byte.
+        case = RECORDED_ENVELOPES[seed]
+        problem = from_dict(case["problem"])
+        clear_solve_cache()
+        assert to_json(solve(problem)) == case["envelope"]
+
+    def test_recorded_envelopes_cover_the_matrix(self):
+        problems = [from_dict(case["problem"]) for case in RECORDED_ENVELOPES]
+        processors = {getattr(p.instance, "num_processors", 1) for p in problems}
+        assert processors == {1, 2, 3, 4}
+        assert {p.objective for p in problems} == {"gaps", "power"}
+        assert max(len(p.instance.jobs) for p in problems) == 60
+        statuses = {json.loads(case["envelope"])["status"] for case in RECORDED_ENVELOPES}
+        assert statuses == {"optimal", "infeasible"}
 
 
 class TestPeakDepthReporting:
     """Satellite regression: leaf/Hall-pruned-only runs must not report 0."""
 
-    #: Five jobs forced into a two-column window: both engines prune the
+    #: Five jobs forced into a two-column window: the engine prunes the
     #: root via the Hall condition without expanding any branch state.
     HALL_PRUNED = [(5, 6)] * 5 + [(0, 20)]
 
-    @pytest.mark.parametrize("engine", ["v1", "v2"])
-    def test_hall_pruned_run_reports_positive_depth(self, engine):
+    def test_hall_pruned_run_reports_positive_depth(self):
         instance = MultiprocessorInstance.from_pairs(self.HALL_PRUNED, num_processors=1)
-        solver = MultiprocessorGapSolver(instance, engine=engine)
+        solver = MultiprocessorGapSolver(instance)
         solution = solver.solve()
         assert not solution.feasible
         stats = solver.engine.stats
@@ -365,17 +349,16 @@ class TestPeakDepthReporting:
         assert stats.states_computed > 0
         assert stats.peak_stack_depth >= 1
 
-    @pytest.mark.parametrize("engine", ["v1", "v2"])
-    def test_single_column_run_reports_positive_depth(self, engine):
+    def test_single_column_run_reports_positive_depth(self):
         instance = MultiprocessorInstance.from_pairs([(4, 4), (4, 4)], num_processors=2)
-        solver = MultiprocessorGapSolver(instance, engine=engine)
+        solver = MultiprocessorGapSolver(instance)
         assert solver.solve().feasible
         assert solver.engine.stats.peak_stack_depth >= 1
 
     def test_v2_depth_tracks_the_dependency_chain(self):
         pairs = [(2 * i, 2 * i + 6) for i in range(60)]
         instance = MultiprocessorInstance.from_pairs(pairs, num_processors=1)
-        solver = MultiprocessorGapSolver(instance, engine="v2")
+        solver = MultiprocessorGapSolver(instance)
         solver.solve()
         # The node DAG of the sparse staircase nests dozens of levels deep;
         # the bottom-up pass reports the longest dependency chain.

@@ -18,6 +18,7 @@ from repro.perf import (
     validate_report_file,
     write_report,
 )
+from repro.perf.bench import host_kernel, time_against_host
 
 
 @pytest.fixture(scope="module")
@@ -32,16 +33,16 @@ class TestRunner:
         assert quick_report["schema"] == BENCH_SCHEMA
         assert quick_report["quick"] is True
 
-    def test_every_case_has_all_three_columns(self, quick_report):
-        seedless = {c.name for c in default_cases(quick=True) if not c.seed_baseline}
-        for case in quick_report["cases"]:
-            if case["name"] in seedless:
-                assert case["baseline"] is None and case["speedup"] is None
-            else:
-                assert case["baseline"] is not None
-                assert case["speedup"] > 0
-            assert case["engine_v1"] is not None
-            assert case["speedup_vs_v1"] > 0
+    def test_every_case_has_all_three_columns(self):
+        # engine, host, and the engine_per_host ratio paired repeat by repeat.
+        report = run_bench(quick=True, repeats=3, warmup=0)
+        for case in report["cases"]:
+            engine_runs = case["engine"]["runs"]
+            host_runs = case["host"]["runs"]
+            assert len(engine_runs) == len(host_runs) == 3
+            assert case["engine_per_host"] == pytest.approx(
+                statistics.median(e / h for e, h in zip(engine_runs, host_runs))
+            )
             assert case["engine_stats"]["states_computed"] > 0
 
     def test_quick_matrix_covers_the_decomposed_column(self, quick_report):
@@ -68,30 +69,6 @@ class TestRunner:
         assert any(case.num_jobs >= 60 for case in default_cases(quick=False))
         assert any(case.num_processors >= 4 for case in default_cases(quick=False))
 
-    def test_engine_only_mode_has_null_columns(self):
-        cases = [BenchCase("gap/tiny", "gaps", "uniform", 4, 1, 6)]
-        report = run_bench(
-            quick=True,
-            repeats=1,
-            warmup=0,
-            baseline=False,
-            compare_v1=False,
-            cases=cases,
-        )
-        validate_report(report)
-        case = report["cases"][0]
-        assert case["baseline"] is None and case["speedup"] is None
-        assert case["engine_v1"] is None and case["speedup_vs_v1"] is None
-
-    def test_case_level_seed_baseline_skip(self):
-        cases = [
-            BenchCase("gap/tiny", "gaps", "uniform", 4, 1, 6, seed_baseline=False)
-        ]
-        report = run_bench(quick=True, repeats=1, warmup=0, cases=cases)
-        case = report["cases"][0]
-        assert case["baseline"] is None and case["speedup"] is None
-        assert case["engine_v1"] is not None  # v1 comparison still runs
-
     def test_bad_timing_discipline_rejected(self):
         with pytest.raises(ValueError):
             run_bench(repeats=0)
@@ -104,6 +81,22 @@ class TestRunner:
         timing = time_callable(lambda: sum(range(50)), repeats=3, warmup=1)
         assert len(timing["runs"]) == 3
         assert timing["best"] <= timing["median"] <= max(timing["runs"])
+
+    def test_time_against_host_runs_the_kernel_before_each_repeat(self):
+        calls = []
+        timing, host, ratio = time_against_host(
+            lambda: calls.append("fn"), repeats=4, warmup=1
+        )
+        assert len(calls) == 5
+        assert len(timing["runs"]) == len(host["runs"]) == 4
+        assert ratio == statistics.median(
+            e / h for e, h in zip(timing["runs"], host["runs"])
+        )
+
+    def test_host_kernel_is_deterministic(self):
+        # The kernel is the fixed reference every committed ratio divides
+        # by; its result pins the work it does.
+        assert host_kernel() == host_kernel() == 151789
 
 
 class TestSchemaValidation:
@@ -133,14 +126,21 @@ class TestSchemaValidation:
 
     def test_case_drift_detected(self, quick_report):
         broken = json.loads(json.dumps(quick_report))
-        del broken["cases"][0]["speedup"]
+        del broken["cases"][0]["host"]
         with pytest.raises(BenchSchemaError, match="missing keys"):
             validate_report(broken)
 
-    def test_v1_column_without_ratio_is_drift(self, quick_report):
+    def test_host_column_without_ratio_is_drift(self, quick_report):
         broken = json.loads(json.dumps(quick_report))
-        broken["cases"][0]["speedup_vs_v1"] = None
-        with pytest.raises(BenchSchemaError, match="speedup_vs_v1"):
+        broken["cases"][0]["engine_per_host"] = None
+        with pytest.raises(BenchSchemaError, match="engine_per_host"):
+            validate_report(broken)
+
+    def test_exact_case_without_host_column_is_drift(self, quick_report):
+        broken = json.loads(json.dumps(quick_report))
+        broken["cases"][0]["host"] = None
+        broken["cases"][0]["engine_per_host"] = None
+        with pytest.raises(BenchSchemaError, match="host"):
             validate_report(broken)
 
     def test_duplicate_case_names_rejected(self, quick_report):
@@ -156,15 +156,27 @@ class TestSchemaValidation:
         assert data == json.loads(path.read_text())
 
 
-def _gateable_report(report, drop_v1=False):
-    """A deep copy with medians floored above the noise floor (and the v1
-    column optionally removed, forcing the absolute-median fallback)."""
+def _gateable_report(report):
+    """A deep copy with medians floored above the noise floor."""
     copied = json.loads(json.dumps(report))
     for case in copied["cases"]:
         case["engine"]["median"] = max(case["engine"]["median"], 0.01)
-        if drop_v1:
-            case["engine_v1"] = None
-            case["speedup_vs_v1"] = None
+    return copied
+
+
+def _rescaled(report, engine_factor, host_factor):
+    """A copy whose engine and host runs are scaled, ratios recomputed as
+    the runner computes them."""
+    copied = json.loads(json.dumps(report))
+    for case in copied["cases"]:
+        for key, factor in (("engine", engine_factor), ("host", host_factor)):
+            block = case[key]
+            block["runs"] = [run * factor for run in block["runs"]]
+            for stat in ("best", "median", "mean"):
+                block[stat] *= factor
+        case["engine_per_host"] = statistics.median(
+            e / h for e, h in zip(case["engine"]["runs"], case["host"]["runs"])
+        )
     return copied
 
 
@@ -177,57 +189,55 @@ class TestRegressionGate:
         assert outcome["compared"]
         assert outcome["unmatched"] == []
 
-    def test_shrunk_v1_speedup_is_a_regression(self, quick_report):
-        # The primary metric is the within-run v2-over-v1 speedup from
-        # best-of-runs (machine independent); v2 slowing to half its
-        # advantage must flag.
+    def test_slower_engine_on_an_unchanged_host_is_a_regression(self, quick_report):
+        # The engine twice as slow while the host kernel runs as before:
+        # the engine/host ratio doubles on every gated case.
         committed = _gateable_report(quick_report)
-        fresh = json.loads(json.dumps(committed))
-        for case in fresh["cases"]:
-            case["engine"]["best"] *= 2.0
+        fresh = _rescaled(committed, engine_factor=2.0, host_factor=1.0)
         outcome = compare_reports(fresh, committed, threshold=1.25)
-        assert outcome["regressions"]
-        worst = outcome["regressions"][0]
-        assert worst["metric"] == "speedup_vs_v1"
-        assert worst["ratio"] == pytest.approx(2.0)
+        assert {r["name"] for r in outcome["regressions"]} == set(outcome["compared"])
+        for entry in outcome["regressions"]:
+            assert entry["metric"] == "engine_per_host"
+            assert entry["ratio"] == pytest.approx(2.0)
 
     def test_uniformly_slower_machine_does_not_flag(self, quick_report):
-        # Same v2-over-v1 advantage, 3x slower absolute timings (a slower
-        # CI runner): not a regression.
+        # A machine 3x slower on both the engine and the host kernel (a
+        # slower CI runner): the ratio is unchanged, so no regression.
         committed = _gateable_report(quick_report)
-        fresh = json.loads(json.dumps(committed))
-        for case in fresh["cases"]:
-            for block in (case["engine"], case["engine_v1"]):
-                block["best"] *= 3.0
-                block["median"] *= 3.0
-        assert compare_reports(fresh, committed)["regressions"] == []
-
-    def test_median_fallback_without_v1_column(self, quick_report):
-        committed = _gateable_report(quick_report, drop_v1=True)
-        fresh = json.loads(json.dumps(committed))
-        for case in fresh["cases"]:
-            case["engine"]["median"] *= 2.0
-        outcome = compare_reports(fresh, committed, threshold=1.25)
-        assert outcome["regressions"]
-        worst = outcome["regressions"][0]
-        assert worst["metric"] == "engine_median"
-        assert worst["ratio"] == pytest.approx(2.0)
+        fresh = _rescaled(committed, engine_factor=3.0, host_factor=3.0)
+        outcome = compare_reports(fresh, committed)
+        assert outcome["compared"]
+        assert outcome["regressions"] == []
 
     def test_speedup_never_flags(self, quick_report):
-        committed = _gateable_report(quick_report, drop_v1=True)
-        fresh = json.loads(json.dumps(committed))
-        for case in fresh["cases"]:
-            case["engine"]["median"] *= 0.5
+        committed = _gateable_report(quick_report)
+        fresh = _rescaled(committed, engine_factor=0.5, host_factor=1.0)
         assert compare_reports(fresh, committed)["regressions"] == []
 
     def test_noise_floor_skips_micro_cases(self, quick_report):
         committed = _gateable_report(quick_report)
-        fresh = json.loads(json.dumps(committed))
-        for case in fresh["cases"]:
-            case["engine"]["best"] *= 100.0
+        fresh = _rescaled(committed, engine_factor=100.0, host_factor=1.0)
         outcome = compare_reports(fresh, committed, min_median=1e9)
         assert outcome["regressions"] == []
         assert set(outcome["skipped"]) == {c["name"] for c in committed["cases"]}
+
+    def test_changed_value_is_flagged(self, quick_report):
+        # Values are checked on every shared case, below the noise floor
+        # too; a feasibility flip counts as a changed value, a difference
+        # inside the tolerance does not.
+        committed = _gateable_report(quick_report)
+        fresh = json.loads(json.dumps(committed))
+        feasible = [c for c in fresh["cases"] if c["value"] is not None]
+        infeasible = next(c for c in fresh["cases"] if c["value"] is None)
+        feasible[0]["value"] += 1
+        for case in feasible[1:]:
+            case["value"] += 1e-9
+        infeasible["value"] = 0.0
+        outcome = compare_reports(fresh, committed, min_median=1e9)
+        flagged = {r["name"]: r for r in outcome["regressions"]}
+        assert set(flagged) == {feasible[0]["name"], infeasible["name"]}
+        assert all(r["metric"] == "value" for r in flagged.values())
+        assert flagged[infeasible["name"]]["committed_value"] is None
 
     def test_unmatched_cases_reported_both_ways(self, quick_report):
         committed = _gateable_report(quick_report)
@@ -250,7 +260,7 @@ class TestBenchCLI:
         )
         assert code == 0
         captured = capsys.readouterr().out
-        assert "v2" in captured and "seed" in captured
+        assert "engine" in captured and "host" in captured
         validate_report_file(str(out))
 
     def test_bench_check_accepts_valid_report(self, tmp_path, capsys):
@@ -282,13 +292,13 @@ class TestBenchCLI:
         committed = tmp_path / "committed.json"
         main(
             ["bench", "--quick", "--out", str(committed), "--repeats", "1",
-             "--warmup", "0", "--no-v1", "--no-baseline"]
+             "--warmup", "0"]
         )
         capsys.readouterr()
         out = tmp_path / "fresh.json"
         code = main(
             ["bench", "--quick", "--out", str(out), "--repeats", "1", "--warmup",
-             "0", "--no-v1", "--no-baseline", "--compare", str(committed),
+             "0", "--compare", str(committed),
              "--threshold", "1000"]
         )
         assert code == 0
@@ -298,23 +308,51 @@ class TestBenchCLI:
         committed = tmp_path / "committed.json"
         main(
             ["bench", "--quick", "--out", str(committed), "--repeats", "1",
-             "--warmup", "0", "--no-v1", "--no-baseline"]
+             "--warmup", "0"]
         )
-        # Shrink the committed medians so the fresh run regresses massively
-        # on every case above the noise floor.
+        # Lift every committed median above the noise floor and shrink the
+        # committed engine/host ratios, so the fresh run regresses ~100x.
         data = json.loads(committed.read_text())
         for case in data["cases"]:
             case["engine"]["median"] = 0.006
+            case["engine_per_host"] /= 100.0
         committed.write_text(json.dumps(data))
         capsys.readouterr()
         out = tmp_path / "fresh.json"
         code = main(
             ["bench", "--quick", "--out", str(out), "--repeats", "1", "--warmup",
-             "0", "--no-v1", "--no-baseline", "--compare", str(committed),
-             "--threshold", "0.0000001"]
+             "0", "--compare", str(committed)]
         )
         assert code == 1
         assert "REGRESSION" in capsys.readouterr().out
+
+    def test_bench_compare_fails_on_changed_optimum(self, tmp_path, capsys):
+        committed = tmp_path / "committed.json"
+        main(
+            ["bench", "--quick", "--out", str(committed), "--repeats", "1",
+             "--warmup", "0"]
+        )
+        data = json.loads(committed.read_text())
+        data["cases"][0]["value"] += 1
+        committed.write_text(json.dumps(data))
+        capsys.readouterr()
+        code = main(
+            ["bench", "--quick", "--out", str(tmp_path / "fresh.json"), "--repeats",
+             "1", "--warmup", "0", "--compare", str(committed), "--threshold", "1000"]
+        )
+        assert code == 1
+        out = capsys.readouterr().out
+        assert f"REGRESSION {data['cases'][0]['name']}: optimum" in out
+
+    def test_bench_compare_rejects_a_different_seed(self, tmp_path):
+        committed = tmp_path / "committed.json"
+        main(
+            ["bench", "--quick", "--out", str(committed), "--repeats", "1",
+             "--warmup", "0", "--filter", "tight"]
+        )
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--quick", "--seed", "3", "--compare", str(committed)])
+        assert excinfo.value.code == 2
 
     def test_bench_threshold_requires_compare(self):
         with pytest.raises(SystemExit):
@@ -328,7 +366,7 @@ class TestBenchCLI:
         for _ in range(2):
             code = main(
                 ["bench", "--quick", "--out", str(out), "--repeats", "1",
-                 "--warmup", "0", "--no-v1", "--no-baseline",
+                 "--warmup", "0",
                  "--append", str(history)]
             )
             assert code == 0
@@ -342,12 +380,12 @@ class TestBenchCLI:
         history = tmp_path / "HISTORY.jsonl"
         main(
             ["bench", "--quick", "--out", str(out), "--repeats", "1",
-             "--warmup", "0", "--no-v1", "--no-baseline", "--append", str(history)]
+             "--warmup", "0", "--append", str(history)]
         )
         capsys.readouterr()
         code = main(
             ["bench", "--quick", "--out", str(out), "--repeats", "1",
-             "--warmup", "0", "--no-v1", "--no-baseline",
+             "--warmup", "0",
              "--compare", str(history), "--threshold", "1000",
              "--append", str(history)]
         )
@@ -366,13 +404,13 @@ class TestBenchCLI:
         for _ in range(2):
             main(
                 ["bench", "--quick", "--out", str(out), "--repeats", "1",
-                 "--warmup", "0", "--no-v1", "--no-baseline",
+                 "--warmup", "0",
                  "--append", str(history)]
             )
         capsys.readouterr()
         code = main(
             ["bench", "--quick", "--out", str(out), "--repeats", "1",
-             "--warmup", "0", "--no-v1", "--no-baseline",
+             "--warmup", "0",
              "--compare", str(history), "--median-window", "5",
              "--threshold", "1000"]
         )
@@ -389,7 +427,7 @@ class TestBenchCLI:
         committed = tmp_path / "committed.json"
         main(
             ["bench", "--quick", "--out", str(committed), "--repeats", "1",
-             "--warmup", "0", "--no-v1", "--no-baseline"]
+             "--warmup", "0"]
         )
         capsys.readouterr()
         with pytest.raises(SystemExit):
@@ -418,21 +456,6 @@ class TestBenchCLI:
         assert medium, "full report must include the medium instances"
         exact = [case for case in medium if case["value"] is not None]
         assert exact, "full report must include exactly-solved n >= 40 cases"
-        # Acceptance: engine v2 at least doubles the v1 engine's median
-        # across the n >= 40 exact cases that carry the v1 column (the
-        # periodic splittable cases skip it), and every one of them improves
-        # substantially on its own.
-        ratios = [
-            case["speedup_vs_v1"]
-            for case in exact
-            if case["speedup_vs_v1"] is not None
-        ]
-        assert ratios
-        assert statistics.median(ratios) >= 2.0
-        assert all(ratio >= 1.5 for ratio in ratios)
-        # The frozen seed baseline column keeps the full trajectory.
-        seeded = [case for case in exact if case["baseline"] is not None]
-        assert seeded and all(case["speedup"] >= 1.5 for case in seeded)
         # Acceptance for the decomposition PR: on the large splittable
         # families with process-backend component solves, the decomposed
         # facade beats the monolithic v2 engine by >= 1.5x wall clock.

@@ -77,10 +77,9 @@ class TestPortfolioBenchRun:
 
     def test_dp_columns_are_null(self, portfolio_report):
         for case in portfolio_report["cases"]:
-            assert case["engine_v1"] is None
-            assert case["baseline"] is None
-            assert case["speedup"] is None
-            assert case["speedup_vs_v1"] is None
+            assert case["host"] is None
+            assert case["engine_per_host"] is None
+            assert case["decomposed"] is None
             assert case["engine"]["median"] > 0
 
     def test_regular_cases_have_null_portfolio_block(self):
@@ -112,7 +111,9 @@ class TestCompareSkipsPortfolio:
         outcome = compare_reports(slower, portfolio_report)
         assert not outcome["regressions"]
         assert not outcome["compared"]
-        assert set(outcome["skipped"]) >= {
+        # Counted apart from the sub-noise-floor skips.
+        assert not outcome["skipped"]
+        assert set(outcome["portfolio"]) == {
             case["name"] for case in portfolio_report["cases"]
         }
 
@@ -124,6 +125,16 @@ class TestNameFilter:
         )
         assert report["cases"]
         assert all("uniform" in case["name"] for case in report["cases"])
+
+    def test_filtered_run_solves_the_unfiltered_instances(self):
+        # Instance seeds follow the full matrix order, so the value gate
+        # can compare a filtered run with a committed full report.
+        full = {c["name"]: c for c in run_bench(quick=True, repeats=1, warmup=0)["cases"]}
+        narrow = run_bench(quick=True, repeats=1, warmup=0, name_filter="^power/")
+        assert narrow["cases"]
+        for case in narrow["cases"]:
+            assert case["value"] == full[case["name"]]["value"]
+            assert case["engine_stats"] == full[case["name"]]["engine_stats"]
 
     def test_filter_with_no_match_raises(self):
         with pytest.raises(ValueError):

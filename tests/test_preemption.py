@@ -13,7 +13,8 @@ import time
 
 import pytest
 
-from repro.api import Problem, run_portfolio, solve
+from repro.api import Problem, register_solver, run_portfolio, solve, solve_batch
+from repro.api.registry import _REGISTRY
 from repro.api.solvers import clear_solve_cache, solve_cache_stats
 from repro.core.jobs import OneIntervalInstance
 from repro.runtime import (
@@ -123,6 +124,34 @@ class TestWorkerPool:
 
     def test_publish_incumbent_is_noop_outside_workers(self):
         assert publish_incumbent(lambda: {"never": "sent"}) is False
+
+    def test_solver_registered_after_the_fork_reaches_warm_workers(self):
+        problem = Problem(
+            objective="gaps",
+            instance=OneIntervalInstance.from_pairs([(0, 2), (1, 3), (6, 8)]),
+        )
+        warm = solve_batch([problem, problem], backend="process", workers=2)
+        assert [r.status for r in warm] == ["optimal", "optimal"]
+        assert worker_pool_stats()["idle"] == 2
+
+        @register_solver(
+            "late-solver",
+            objective="gaps",
+            kind="baseline",
+            instance_types=(OneIntervalInstance,),
+        )
+        def _late(late_problem):
+            return solve(late_problem, solver="gap-dp")
+
+        try:
+            results = solve_batch(
+                [problem, problem], backend="process", workers=2, solver="late-solver"
+            )
+            assert [r.status for r in results] == ["optimal", "optimal"]
+            assert [r.solver for r in results] == ["late-solver", "late-solver"]
+            assert results[0].value == warm[0].value
+        finally:
+            _REGISTRY.pop("late-solver", None)
 
 
 class TestSingleFlight:
