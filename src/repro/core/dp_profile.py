@@ -17,22 +17,24 @@ single-processor algorithm [Bap06] exactly as the paper does in Section 2:
   in the proof of Theorem 1 shows this split loses nothing).
 
 This module centralises the parts that are identical for the gap and power
-objectives: candidate columns, the deadline ordering, and the job-set
-queries used to split subproblems.
+objectives: the candidate columns, their index, the deadline ordering, and
+the candidate columns of one job inside an interval.  The job-set queries
+that split subproblems live in the engine
+(:class:`repro.core.interval_dp.IntervalDPEngine`), which builds each
+interval's released-job list incrementally from its predecessor's.
 
-Two invariants of the candidate set are load-bearing elsewhere: every
+One invariant of the candidate set is load-bearing elsewhere: every
 release and every deadline is itself a candidate column (the set contains
-``[r, r + n]`` and ``[d - n, d]`` clipped to the horizon), which lets
-:mod:`repro.core.canonical` express job windows in column coordinates, and
-the engine (:class:`repro.core.interval_dp.IntervalDPEngine`) groups
-jobs by release column to build released-job lists incrementally instead
-of re-scanning via :meth:`IntervalDecomposition.jobs_released_in`.
+``[r, r + n]`` and ``[d - n, d]`` clipped to the horizon).  It lets
+:mod:`repro.core.canonical` express job windows in column coordinates and
+lets the engine group jobs by release column and run its split counts and
+Hall checks on column indices.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from .exceptions import InvalidInstanceError
 from .jobs import Job, MultiprocessorInstance
@@ -42,7 +44,7 @@ __all__ = ["IntervalDecomposition"]
 
 
 class IntervalDecomposition:
-    """Candidate columns and job-set queries shared by the exact DPs.
+    """Candidate columns and the deadline order shared by the exact DPs.
 
     Parameters
     ----------
@@ -74,61 +76,12 @@ class IntervalDecomposition:
             range(len(self.jobs)),
             key=lambda i: (self.jobs[i].deadline, self.jobs[i].release, i),
         )
-        self._range_cache: Dict[Tuple[int, int], List[int]] = {}
-
-    # -- column helpers -------------------------------------------------------
-    @property
-    def num_columns(self) -> int:
-        """Number of candidate columns."""
-        return len(self.columns)
-
-    def column(self, index: int) -> int:
-        """The time value of candidate column ``index``."""
-        return self.columns[index]
-
-    def index_of(self, time: int) -> int:
-        """The index of an existing candidate column ``time``."""
-        return self.column_index[time]
-
-    def first_column_after(self, time: int) -> Optional[int]:
-        """Index of the first candidate column strictly greater than ``time``."""
-        idx = bisect.bisect_right(self.columns, time)
-        if idx >= len(self.columns):
-            return None
-        return idx
 
     def columns_between(self, lo: int, hi: int) -> List[int]:
         """Indices of candidate columns with time in the inclusive range [lo, hi]."""
         start = bisect.bisect_left(self.columns, lo)
         end = bisect.bisect_right(self.columns, hi)
         return list(range(start, end))
-
-    # -- job-set helpers ------------------------------------------------------
-    def jobs_released_in(self, t1: int, t2: int) -> List[int]:
-        """Job indices with release in ``[t1, t2]``, in global deadline order."""
-        key = (t1, t2)
-        cached = self._range_cache.get(key)
-        if cached is None:
-            cached = [
-                j for j in self.deadline_order if t1 <= self.jobs[j].release <= t2
-            ]
-            self._range_cache[key] = cached
-        return cached
-
-    def node_jobs(self, t1: int, t2: int, k: int) -> Optional[List[int]]:
-        """The ``k`` earliest-deadline jobs released in ``[t1, t2]``.
-
-        Returns ``None`` when fewer than ``k`` jobs are released in the
-        interval, in which case the DP state is unreachable/infeasible.
-        """
-        released = self.jobs_released_in(t1, t2)
-        if k > len(released):
-            return None
-        return released[:k]
-
-    def count_released_after(self, job_indices: Sequence[int], t: int) -> int:
-        """Number of jobs among ``job_indices`` with release strictly after ``t``."""
-        return sum(1 for j in job_indices if self.jobs[j].release > t)
 
     def candidate_columns_for_job(
         self, job_index: int, t1: int, t2: int

@@ -27,13 +27,20 @@ façade, the runtime and the service run it, with no optional dependency.
 It evaluates **bottom-up**: a discovery pass walks the ``(t1, t2, k)`` node
 graph from the root, propagating the set of reachable ``q`` values per
 node, and the evaluation pass then processes nodes in increasing
-interval-length / job-count order.  Every node's ``(q, b1, b2)`` boundary
-variants live in one flat list indexed by the packed variant offset, so
-the hot combine loop reads child tables by direct list indexing — no
-generators, no suspension objects, and no dict hashing.  Node job sets are
-built incrementally (released-job lists extend their length-minus-one
-predecessor; split counts come from a two-pointer merge instead of
-per-column bisects).  Hall-condition pre-pruning (a violated
+interval-length / job-count order.  The tables hold **values only**: each
+node keeps one list indexed by packed boundary variant, holding the cost
+itself (``+inf`` when absent) under the scalar power algebra and the tuple
+of surviving ``(label, cost)`` entries under the gap objective's label
+vectors.  The combine records no choices; schedule reconstruction replays
+one variant's candidates in evaluation order and takes the first whose cost
+equals the stored optimum, which is exactly the candidate a strict-``<``
+scan would have recorded.  Both combines fold the right child's boundary
+range into a vector per ``(right child, q, b2)`` once and reuse it for
+every parent variant and every parent node that shares the child; the
+scalar one runs its min-plus products in builtins (``min(map(add, ...))``)
+over strided slices of the child cost lists.  Node job sets are built incrementally (released-job lists extend their
+length-minus-one predecessor; split counts come from a two-pointer merge
+instead of per-column bisects).  Hall-condition pre-pruning (a violated
 prefix/suffix count proves every boundary variant of a node empty),
 dominance pruning of the gap objective's occupancy vectors, and iterative
 schedule reconstruction keep it exact and in O(1) native stack depth.
@@ -47,8 +54,9 @@ reference kernel.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import insort
 from dataclasses import dataclass
+from operator import add, sub
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .dp_profile import IntervalDecomposition
@@ -81,13 +89,9 @@ BOTTOM_UP_ENGINE_VERSION = "2.0"
 
 _INF = float("inf")
 
-#: Node job-count below which the Hall pre-check is skipped: the check costs
-#: O(k log C) per node, and below a few jobs the states it could prune are
-#: cheaper than the check.
+#: Node job-count below which the Hall pre-check is skipped: below a few
+#: jobs the states it could prune are cheaper than the check.
 _HALL_CHECK_MIN_JOBS = 4
-
-# Choice records stored in the value tables; reconstruction replays them.
-_EMPTY_CHOICE = ("empty",)
 
 
 @dataclass
@@ -95,10 +99,14 @@ class EngineStats:
     """Counters describing one engine run (exposed as JSON-native ints).
 
     ``states_computed`` counts DP states whose value table was
-    materialised, ``memo_hits`` counts child-table reads served from the
-    already-computed flat tables, and ``peak_stack_depth`` is the longest
-    dependency chain of the node DAG; it is at least 1 whenever any state
-    was computed.
+    materialised, and ``peak_stack_depth`` is the longest dependency chain
+    of the node DAG; it is at least 1 whenever any state was computed.
+    ``memo_hits`` counts logical child-table reads: ``P * |left b2 range|``
+    per split whose children both have tables, ``|right b1 range|`` per
+    such split and ``(q, b2)`` variant group, and one per right-end
+    variant with a valid child.  It counts reads, not the work done for
+    them, so combine restructurings (such as the memoized right-child
+    folds) leave it unchanged and envelopes stay comparable across them.
     """
 
     states_computed: int = 0
@@ -129,36 +137,6 @@ class EngineOutcome:
     stats: EngineStats
 
 
-def _hall_feasible(
-    jobs, columns: List[int], p: int, node_jobs: Tuple[int, ...],
-    releases: List[int], t1: int, t2: int,
-) -> bool:
-    """Necessary Hall-style feasibility of the node jobs on candidate columns.
-
-    Checks prefix intervals ``[t1, d]`` over clipped deadlines and suffix
-    intervals ``[r, t2]`` over releases (already inside the interval by
-    construction) against capacity ``p`` per candidate column.  A violation
-    proves the state (under *any* boundary parameters) admits no
-    assignment, so the whole ``(q, b1, b2)`` family is pruned; passing
-    proves nothing and the state is evaluated normally.
-    """
-    lo = bisect_left(columns, t1)
-    hi = bisect_right(columns, t2)
-    # Prefix: node jobs arrive in deadline order, so clipped deadlines are
-    # non-decreasing and prefix counts are positional.
-    for count, j in enumerate(node_jobs, start=1):
-        d = jobs[j].deadline
-        if d > t2:
-            d = t2
-        if count > p * (bisect_right(columns, d, lo, hi) - lo):
-            return False
-    # Suffix: same argument over releases, scanned from the right.
-    for count, r in enumerate(reversed(releases), start=1):
-        if count > p * (hi - bisect_left(columns, r, lo, hi)):
-            return False
-    return True
-
-
 class GapObjective:
     """Value algebra of Theorem 1: gap count via occupancy-indexed vectors.
 
@@ -182,20 +160,20 @@ class GapObjective:
     def pre_branch_invalid(self, k: int, b1: int, b2: int) -> bool:
         return b1 + b2 > k
 
-    def single_column(self, k, q, b1, b2, node_jobs, t):
+    def single_column(self, k, q, b1, b2):
         # All k jobs execute at the single column; boundary counts must agree.
         if b1 != b2 or b1 != k:
             return ()
         if k == 0:
-            return ((q, (0, _EMPTY_CHOICE)),)
+            return ((q, 0),)
         if k + q > self.p:
             return ()
-        return ((k + q, (0, ("column", node_jobs, t))),)
+        return ((k + q, 0),)
 
     def empty_interval(self, q, b1, b2, t1, t2):
         if b1 != 0 or b2 != 0:
             return ()
-        return ((q, (q, _EMPTY_CHOICE)),)
+        return ((q, q),)
 
     def right_end_child(self, k, q, b1, b2):
         if b2 < 1 or q + 1 > self.p:
@@ -247,7 +225,7 @@ class GapObjective:
             return None
         return b1 + cost - label
 
-    def prune_arrays(self, costs: List, choices: List, stats: EngineStats) -> None:
+    def prune_arrays(self, costs: List, stats: EngineStats) -> None:
         # Occupancy labels combine by max up the split tree and the final
         # max is subtracted exactly once at the root, so an entry's value in
         # any enclosing context is (its cost + context costs) - max(M, X)
@@ -267,7 +245,6 @@ class GapObjective:
             corrected = cost - label
             if best_corrected is not None and corrected >= best_corrected:
                 costs[label] = _INF
-                choices[label] = None
                 stats.dominance_dropped += 1
             else:
                 best_corrected = corrected
@@ -320,15 +297,13 @@ class PowerObjective:
     def pre_branch_invalid(self, k: int, b1: int, b2: int) -> bool:
         return False
 
-    def single_column(self, k, q, b1, b2, node_jobs, t):
+    def single_column(self, k, q, b1, b2):
         if b1 != b2 or k + q > b1:
             return ()
-        if k == 0:
-            return ((0, (0.0, _EMPTY_CHOICE)),)
-        return ((0, (0.0, ("column", node_jobs, t))),)
+        return ((0, 0.0),)
 
     def empty_interval(self, q, b1, b2, t1, t2):
-        return ((0, (self.bridge_charge(t2 - t1 - 1, b1, b2), _EMPTY_CHOICE)),)
+        return ((0, self.bridge_charge(t2 - t1 - 1, b1, b2)),)
 
     def right_end_child(self, k, q, b1, b2):
         if q + 1 > b2:
@@ -365,16 +340,12 @@ class PowerObjective:
         # First-column active processors pay their active time plus a wake-up.
         return b1 * (1.0 + self.alpha) + cost
 
-    def prune_arrays(self, costs: List, choices: List, stats: EngineStats) -> None:
-        # Scalar tables hold a single label; nothing to prune.
-        return None
-
     def zero_value(self):
         return 0.0
 
 
 # ---------------------------------------------------------------------------
-# Bottom-up, array-packed evaluation
+# Bottom-up, values-only evaluation
 # ---------------------------------------------------------------------------
 
 # Node kinds of the node graph.
@@ -400,24 +371,44 @@ class IntervalDPEngine:
        dropped at plan time.
     2. **Evaluation** processes nodes in increasing ``(interval length,
        job count)`` order — every dependency of a node strictly precedes it
-       — writing each node's ``(q, b1, b2)`` variants into one flat list
-       indexed by the packed variant offset ``(q*P + b1)*P + b2``.  The
-       combine loop reads child tables by direct list indexing and keeps
-       per-variant values in dense label-indexed cost arrays, so the hot
-       path contains no generators, no dict hashing, and no per-state
-       suspension objects.
+       — and stores each node's values in one list indexed by the packed
+       variant offset ``vi = (q*P + b1)*P + b2``.  Under the scalar algebra
+       (power, one label) entry ``vi`` is the cost, ``+inf`` when absent;
+       under label vectors (gaps) it is the tuple of the variant's
+       surviving ``(label, cost)`` entries, ``None`` when absent.  For a
+       split and a ``(q, b2)`` group, the right child's ``rb1`` range is
+       folded into one vector per ``lb2`` — ``min_rb1(charge[lb2][rb1] +
+       right[rb1])``, per right label for gaps — memoized per ``(right
+       child, q, b2)``: the right child fixes ``t'``, the idle stretch, the
+       adjacency and whether it touches ``t2``, hence the charge matrix.
+       Each ``b1`` then combines its left row with the folded vector.  The
+       scalar fold and combine are ``min(map(add, ...))`` over strided
+       slices of the child cost lists, and every candidate keeps the
+       association ``left + (charge + right)``, so float bits are the same
+       for any ``alpha``; gap costs are integers, so their regrouping is
+       exact.
+
+    The tables record no choices.  :meth:`_reconstruct` re-derives each
+    step of the optimal schedule by replaying one variant's candidates in
+    evaluation order — splits in plan order, then ``lb2``, ``rb1``, the
+    left label and the right label, then the right-end child — and taking
+    the first whose cost equals the stored value: the candidate a
+    strict-``<`` scan would have recorded.  Only the ``O(n)`` nodes on the
+    optimal path are replayed.
 
     Node job sets are built incrementally: the released-job list of
     ``[t1, t2]`` extends the list of ``[t1, t2 - 1]`` by a rank-order merge
     with the jobs released exactly at ``t2``, sorted node releases extend
     their ``k - 1`` predecessor by one insertion, and split counts come
     from a two-pointer sweep instead of a bisect per candidate column.
+    Every release and deadline is a candidate column, so all of this, and
+    the Hall pre-check, runs on column indices.
 
     Parameters
     ----------
     decomp:
         The shared :class:`~repro.core.dp_profile.IntervalDecomposition`
-        (candidate columns and job-set queries).
+        (candidate columns and the deadline order).
     objective:
         A :class:`GapObjective` or :class:`PowerObjective` (or any object
         implementing the same value-algebra interface).
@@ -433,20 +424,32 @@ class IntervalDPEngine:
         self._C = len(decomp.columns)
         self._P = self.p + 1
         self._labels = objective.num_labels
+        # Objective lookups the combine reads instead of calling the
+        # objective per variant (built with the first branch grid, so runs
+        # that prune at the root never pay for them): the left b2 range, the
+        # left child's b1 per (t' at t1, parent b1) with -1 where none
+        # exists, and the right child's b1-range length per (q, t2 touch).
+        self._left_range: List[int] = []
+        self._left_b1: List[List[int]] = []
+        self._right_len: List[List[int]] = []
+        column_index = decomp.column_index
+        self._release_col = [column_index[job.release] for job in decomp.jobs]
+        self._deadline_col: Optional[List[int]] = None  # built by the Hall check
         # Per-column job lists (deadline-rank order) and rank lookup, the
         # substrate of the incremental released-list construction.
         self._rank = {j: r for r, j in enumerate(decomp.deadline_order)}
         self._col_jobs: List[Tuple[int, ...]] = [() for _ in range(self._C)]
         by_col: Dict[int, List[int]] = {}
         for j in decomp.deadline_order:
-            by_col.setdefault(decomp.jobs[j].release, []).append(j)
-        for release, ids in by_col.items():
-            idx = decomp.column_index.get(release)
-            if idx is not None:
-                self._col_jobs[idx] = tuple(ids)
+            by_col.setdefault(self._release_col[j], []).append(j)
+        for idx, ids in by_col.items():
+            self._col_jobs[idx] = tuple(ids)
         self._released_cache: Dict[Tuple[int, int], Tuple[int, ...]] = {}
-        self._releases_cache: Dict[Tuple[int, int, int], List[int]] = {}
-        self._grid_cache: Dict[Tuple[int, int], Tuple[List, List]] = {}
+        self._releases_cache: Dict[int, List[int]] = {}
+        self._hall_prefix_cache: Dict[int, int] = {}
+        self._grid_cache: Dict[Tuple[int, int], Tuple] = {}
+        # Right-child folds per (right child, q, b2), shared across parents.
+        self._fold_cache: Dict[int, object] = {}
         # Node graph (filled by _ensure_tables).
         self._key_to_id: Dict[int, int] = {}
         self._node_i1: List[int] = []
@@ -457,6 +460,10 @@ class IntervalDPEngine:
         self._node_plan: List[Optional[Tuple]] = []
         self._node_qmask: List[int] = []
         self._node_expanded: List[bool] = []
+        # Per node, a list indexed by packed variant (None when the node has
+        # no finite entry at all): the cost itself (+inf when absent) for
+        # the scalar algebra, the tuple of surviving (label, cost) entries
+        # (None when absent) for label vectors.
         self._tables: Optional[List[Optional[List]]] = None
         self._root_id: Optional[int] = None
 
@@ -470,21 +477,15 @@ class IntervalDPEngine:
             )
         self._ensure_tables()
         best: Optional[Tuple[float, int, int]] = None  # (total, variant, label)
-        table = self._tables[self._root_id]
-        if table is not None:
-            P = self._P
-            for b1 in range(P):
-                base = b1 * P  # root variants have q = 0
-                for b2 in range(P):
-                    entry = table[base + b2]
-                    if entry is None:
-                        continue
-                    for label, cost in entry[2]:
-                        total = obj.root_total(b1, label, cost)
-                        if total is None:
-                            continue
-                        if best is None or total < best[0]:
-                            best = (total, base + b2, label)
+        P = self._P
+        has_table = self._tables[self._root_id] is not None
+        for vi in range(P * P if has_table else 0):  # root q = 0: vi = b1 * P + b2
+            for label, cost in self._variant_entries(self._root_id, vi):
+                total = obj.root_total(vi // P, label, cost)
+                if total is None:
+                    continue
+                if best is None or total < best[0]:
+                    best = (total, vi, label)
         if best is None:
             return EngineOutcome(
                 feasible=False, value=None, assignment=None, stats=self.stats
@@ -546,21 +547,72 @@ class IntervalDPEngine:
             cache[(i1, idx)] = current
         return current
 
-    def _sorted_releases(self, i1: int, i2: int, k: int, node: Tuple[int, ...]) -> List[int]:
-        """Ascending releases of the node jobs, extended from the ``k - 1`` node."""
+    def _sorted_releases(self, i1: int, i2: int, k: int) -> List[int]:
+        """Ascending release columns of node ``(i1, i2, k)``'s jobs.
+
+        Extended from the ``k - 1`` node by one insertion: node ``k``'s
+        jobs are node ``k - 1``'s plus the ``k``-th released job.
+        """
         cache = self._releases_cache
-        got = cache.get((i1, i2, k))
+        key = (i1 * self._C + i2) * (len(self.decomp.jobs) + 1) + k
+        got = cache.get(key)
         if got is not None:
             return got
-        prev = cache.get((i1, i2, k - 1)) if k > 1 else []
-        jobs = self.decomp.jobs
-        if prev is not None and len(prev) == k - 1:
+        release_col = self._release_col
+        released = self._released(i1, i2)
+        prev = cache.get(key - 1) if k > 1 else []
+        if prev is not None:
             releases = list(prev)
-            insort(releases, jobs[node[-1]].release)
+            insort(releases, release_col[released[k - 1]])
         else:
-            releases = sorted(jobs[j].release for j in node)
-        cache[(i1, i2, k)] = releases
+            releases = sorted(release_col[j] for j in released[:k])
+        cache[key] = releases
         return releases
+
+    def _hall_feasible(self, i1: int, i2: int, k: int) -> bool:
+        """Necessary Hall-style feasibility of node ``(i1, i2, k)``.
+
+        Checks prefix intervals ``[i1, d]`` over clipped deadline columns
+        and suffix intervals ``[r, i2]`` over release columns against
+        capacity ``p`` per candidate column.  Every release and deadline is
+        a candidate column, so each count is an index difference.  A
+        violation proves the state (under *any* boundary parameters) admits
+        no assignment, so the whole ``(q, b1, b2)`` family is pruned;
+        passing proves nothing and the state is evaluated normally.
+
+        The prefix half only reads the released list of ``[i1, i2]`` (node
+        ``k``'s jobs are its first ``k``), so the first violating prefix
+        count is found once per interval and memoized.
+        """
+        key = i1 * self._C + i2
+        limit = self._hall_prefix_cache.get(key)
+        p = self.p
+        if limit is None:
+            deadline_col = self._deadline_col
+            if deadline_col is None:
+                column_index = self.decomp.column_index
+                deadline_col = self._deadline_col = [
+                    column_index[job.deadline] for job in self.decomp.jobs
+                ]
+            released = self._released(i1, i2)
+            limit = len(released) + 1
+            for count, j in enumerate(released, start=1):
+                d = deadline_col[j]
+                if d > i2:
+                    d = i2
+                if count > p * (d - i1 + 1):
+                    limit = count
+                    break
+            self._hall_prefix_cache[key] = limit
+        if k >= limit:
+            return False
+        # Suffix half: the i-th smallest release r (0-based) starts a suffix
+        # holding k - i jobs, so k - i <= p * (i2 + 1 - r) for every i,
+        # i.e. max_i(p * r - i) <= p * (i2 + 1) - k.
+        releases = self._sorted_releases(i1, i2, k)
+        if p > 1:
+            releases = map(p.__mul__, releases)
+        return max(map(sub, releases, range(k))) <= p * (i2 + 1) - k
 
     # -- discovery ---------------------------------------------------------------
     def _node_id(self, i1: int, i2: int, k: int) -> int:
@@ -599,30 +651,31 @@ class IntervalDPEngine:
         released = self._released(i1, i2)
         if k > len(released) or k > self.p * (i2 - i1 + 1):
             return  # unreachable / over capacity: stays _PRUNED with no children
-        node = released[:k]
-        t1, t2 = columns[i1], columns[i2]
-        releases = self._sorted_releases(i1, i2, k, node)
-        if k >= _HALL_CHECK_MIN_JOBS and not _hall_feasible(
-            decomp.jobs, columns, self.p, node, releases, t1, t2
-        ):
+        if k >= _HALL_CHECK_MIN_JOBS and not self._hall_feasible(i1, i2, k):
             self.stats.hall_pruned += 1
             return
+        node = released[:k]
         self._node_jobs_list[nid] = node
         if i1 == i2:
             self._node_kind[nid] = _SINGLE
             return
         self._node_kind[nid] = _BRANCH
         jmax = node[-1]
-        candidate_cols = decomp.candidate_columns_for_job(jmax, t1, t2)
+        releases = self._sorted_releases(i1, i2, k)
+        candidate_cols = decomp.candidate_columns_for_job(
+            jmax, columns[i1], columns[i2]
+        )
         right_end = bool(candidate_cols) and candidate_cols[-1] == i2
         splits = []
         p = self.p
-        ptr = 0  # two-pointer sweep: releases and candidate columns both ascend
+        key_to_id = self._key_to_id  # _node_id's lookup, inlined for hits
+        C = self._C
+        N1 = len(decomp.jobs) + 1
+        ptr = 0  # two-pointer sweep: release columns and candidates both ascend
         for ci in candidate_cols:
-            t_prime = columns[ci]
-            if t_prime == t2:
+            if ci == i2:
                 continue
-            while ptr < k and releases[ptr] <= t_prime:
+            while ptr < k and releases[ptr] <= ci:
                 ptr += 1
             k_right = k - ptr
             k_left = k - 1 - k_right
@@ -638,9 +691,14 @@ class IntervalDPEngine:
             idx_next = ci + 1
             if k_right > p * (i2 - idx_next + 1):
                 continue
+            t_prime = columns[ci]
             t_next = columns[idx_next]
-            left_id = self._node_id(i1, ci, k_left)
-            right_id = self._node_id(idx_next, i2, k_right)
+            left_id = key_to_id.get((i1 * C + ci) * N1 + k_left)
+            if left_id is None:
+                left_id = self._node_id(i1, ci, k_left)
+            right_id = key_to_id.get((idx_next * C + i2) * N1 + k_right)
+            if right_id is None:
+                right_id = self._node_id(idx_next, i2, k_right)
             splits.append(
                 (
                     t_prime,
@@ -679,27 +737,29 @@ class IntervalDPEngine:
         worklist: List[Tuple[int, int]] = [(self._root_id, 1)]
         while worklist:
             nid, bits = worklist.pop()
-            if not expanded[nid]:
+            first_visit = not expanded[nid]
+            if first_visit:
                 expanded[nid] = True
                 self._expand(nid)
             if kinds[nid] != _BRANCH:
                 continue
             _jmax, splits, right_end_id = plans[nid]
             for _t_prime, left_id, right_id, _adj, _stretch, _rt2 in splits:
-                add = left_bit & ~masks[left_id]
-                if add:
-                    masks[left_id] |= add
-                    worklist.append((left_id, add))
-                add = bits & ~masks[right_id]
-                if add:
-                    masks[right_id] |= add
-                    worklist.append((right_id, add))
+                # A left child's only bit never changes, so it flows on the
+                # parent's first visit alone.
+                if first_visit and not masks[left_id] & left_bit:
+                    masks[left_id] |= left_bit
+                    worklist.append((left_id, left_bit))
+                add_bits = bits & ~masks[right_id]
+                if add_bits:
+                    masks[right_id] |= add_bits
+                    worklist.append((right_id, add_bits))
             if right_end_id is not None:
                 shifted = (bits << 1) & full
-                add = shifted & ~masks[right_end_id]
-                if add:
-                    masks[right_end_id] |= add
-                    worklist.append((right_end_id, add))
+                add_bits = shifted & ~masks[right_end_id]
+                if add_bits:
+                    masks[right_end_id] |= add_bits
+                    worklist.append((right_end_id, add_bits))
         self._evaluate_all()
 
     # -- bottom-up evaluation -----------------------------------------------------
@@ -709,23 +769,27 @@ class IntervalDPEngine:
         i1s, i2s, ks = self._node_i1, self._node_i2, self._node_k
         order = sorted(range(num), key=lambda nid: (i2s[nid] - i1s[nid], ks[nid]))
         tables: List[Optional[List]] = [None] * num
+        branch = self._scalar_branch if self._labels == 1 else self._vector_branch
         depths = [0] * num
         kinds = self._node_kind
+        masks = self._node_qmask
+        plans = self._node_plan
         stats = self.stats
+        states_per_q = self._P * self._P
         peak = stats.peak_stack_depth
         for nid in order:
-            if self._node_qmask[nid] == 0:
+            mask = masks[nid]
+            if mask == 0:
                 continue
+            # Every boundary variant of a reachable node counts as computed,
+            # including those of pruned nodes (all computed to be empty).
+            stats.states_computed += bin(mask).count("1") * states_per_q
             kind = kinds[nid]
             if kind == _PRUNED:
-                # A pruned node's boundary variants are all computed to be
-                # empty; each still counts as one computed state.
-                q_count = bin(self._node_qmask[nid]).count("1")
-                stats.states_computed += q_count * self._P * self._P
                 depth = 1
             elif kind == _BRANCH:
-                tables[nid] = self._branch_tables(nid, tables)
-                _jmax, splits, right_end_id = self._node_plan[nid]
+                tables[nid] = branch(nid, tables)
+                _jmax, splits, right_end_id = plans[nid]
                 depth = 0
                 for _t, left_id, right_id, _adj, _stretch, _rt2 in splits:
                     if depths[left_id] > depth:
@@ -736,7 +800,7 @@ class IntervalDPEngine:
                     depth = depths[right_end_id]
                 depth += 1
             else:
-                tables[nid] = self._leaf_tables(nid, kind)
+                tables[nid] = self._leaf_table(nid, kind)
                 depth = 1
             depths[nid] = depth
             if depth > peak:
@@ -744,9 +808,14 @@ class IntervalDPEngine:
         stats.peak_stack_depth = peak
         self._tables = tables
 
-    def _variant_grid(self, nid: int) -> Tuple[List[int], List[Tuple[int, int, List]]]:
-        """Reachable ``q`` values and the valid variants grouped by ``(q, b2)``.
+    def _variant_grid(self, nid: int) -> Tuple:
+        """The valid boundary variants of one branch node, precomputed.
 
+        Returns ``(groups, variants, split_reads, right_end_pairs)``:
+        ``groups`` lists ``(q, b2, [(b1, vi), ...])`` per ``(q, b2)``;
+        ``variants`` is the flat list of every ``vi``; ``split_reads[rt2]``
+        is the ``memo_hits`` count of one live split; ``right_end_pairs``
+        maps each variant to its right-end child variant, where one exists.
         Grids only depend on the node through ``(objective.grid_key(k),
         qmask)``, so they are cached per run and shared across nodes.
         """
@@ -759,273 +828,398 @@ class IntervalDPEngine:
         if got is not None:
             return got
         P = self._P
-        q_list = [q for q in range(P) if mask >> q & 1]
+        if not self._left_range:
+            self._left_range = list(obj.left_b2_values())
+            for at_edge in (False, True):
+                row = []
+                for b1 in range(P):
+                    lb1 = obj.left_boundary(b1, at_edge)
+                    row.append(-1 if lb1 is None else lb1)
+                self._left_b1.append(row)
+            self._right_len = [
+                [len(obj.right_b1_values(q, rt2)) for rt2 in (False, True)]
+                for q in range(P)
+            ]
         invalid = obj.invalid_state
         pre_invalid = obj.pre_branch_invalid
-        groups: List[Tuple[int, int, List]] = []
-        for q in q_list:
+        groups: List[Tuple[int, int, List[Tuple[int, int]]]] = []
+        variants: List[int] = []
+        right_end_pairs: List[Tuple[int, int]] = []
+        for q in range(P):
+            if not mask >> q & 1:
+                continue
             for b2 in range(P):
                 b1_list = []
                 for b1 in range(P):
                     if invalid(k, q, b1, b2) or pre_invalid(k, b1, b2):
                         continue
-                    b1_list.append((b1, (q * P + b1) * P + b2))
+                    vi = (q * P + b1) * P + b2
+                    b1_list.append((b1, vi))
+                    variants.append(vi)
+                    child = obj.right_end_child(k, q, b1, b2)
+                    if child is not None:
+                        cq, cb1, cb2 = child
+                        right_end_pairs.append((vi, (cq * P + cb1) * P + cb2))
                 if b1_list:
                     groups.append((q, b2, b1_list))
-        got = (q_list, groups)
+        left_reads = P * len(self._left_range)
+        split_reads = tuple(
+            left_reads + sum(self._right_len[q][rt2] for q, _b2, _b1s in groups)
+            for rt2 in (False, True)
+        )
+        got = (groups, variants, split_reads, right_end_pairs)
         self._grid_cache[key] = got
         return got
 
-    def _seal(self, out: List, q_count: int) -> Optional[List]:
-        """Prune, freeze sparse entry views, and count one node's tables."""
-        obj = self.objective
-        stats = self.stats
-        L = self._labels
-        any_entry = False
-        if L == 1:
-            # Scalar value algebra: nothing to prune, one possible entry.
-            for vi, tbl in enumerate(out):
-                if tbl is None:
-                    continue
-                c0 = tbl[0][0]
-                if c0 != _INF:
-                    out[vi] = (tbl[0], tbl[1], ((0, c0),))
-                    any_entry = True
-                else:
-                    out[vi] = None
-            stats.states_computed += q_count * self._P * self._P
-            return out if any_entry else None
-        for vi, tbl in enumerate(out):
-            if tbl is None:
-                continue
-            costs, choices = tbl
-            obj.prune_arrays(costs, choices, stats)
-            entries = tuple(
-                (label, costs[label]) for label in range(L) if costs[label] != _INF
-            )
-            if entries:
-                out[vi] = (costs, choices, entries)
-                any_entry = True
-            else:
-                out[vi] = None
-        stats.states_computed += q_count * self._P * self._P
-        return out if any_entry else None
-
-    def _leaf_tables(self, nid: int, kind: int) -> Optional[List]:
-        """Tables of a single-column or empty-interval node, all variants at once."""
+    def _leaf_table(self, nid: int, kind: int):
+        """Table of a single-column or empty-interval node, all variants at once."""
         obj = self.objective
         P = self._P
         L = self._labels
         columns = self.decomp.columns
         i1, i2, k = self._node_i1[nid], self._node_i2[nid], self._node_k[nid]
-        node = self._node_jobs_list[nid]
         t1, t2 = columns[i1], columns[i2]
         mask = self._node_qmask[nid]
-        q_list = [q for q in range(P) if mask >> q & 1]
         invalid = obj.invalid_state
-        out: List[Optional[Tuple]] = [None] * (P * P * P)
-        for q in q_list:
-            base_q = q * P
+        scalar = L == 1
+        out: List = [_INF if scalar else None] * (P * P * P)
+        touched: List[int] = []
+        for q in range(P):
+            if not mask >> q & 1:
+                continue
             for b1 in range(P):
-                base = (base_q + b1) * P
+                base = (q * P + b1) * P
                 for b2 in range(P):
                     if invalid(k, q, b1, b2):
                         continue
                     if kind == _SINGLE:
-                        table = obj.single_column(k, q, b1, b2, node, t1)
+                        table = obj.single_column(k, q, b1, b2)
                     else:
                         table = obj.empty_interval(q, b1, b2, t1, t2)
                     if not table:
                         continue
+                    if scalar:
+                        out[base + b2] = table[0][1]
+                        touched.append(base + b2)
+                        continue
                     costs = [_INF] * L
-                    choices: List = [None] * L
-                    for label, (cost, choice) in table:
+                    for label, cost in table:
                         costs[label] = cost
-                        choices[label] = choice
-                    out[base + b2] = [costs, choices]
-        return self._seal(out, len(q_list))
+                    out[base + b2] = costs
+                    touched.append(base + b2)
+        if scalar:
+            return out if touched else None
+        return self._seal(out, touched)
 
-    def _branch_tables(self, nid: int, tables: List) -> Optional[List]:
-        """Tables of one branch node: combine child tables over every split."""
+    def _seal(self, work: List, variants: List[int]) -> Optional[List]:
+        """Prune one label-vector node's variants into their entry tuples.
+
+        Visits only ``variants`` (the node's grid) and replaces each label
+        vector by the tuple of its surviving ``(label, cost)`` entries;
+        returns ``None`` when no variant kept one.  Only label-vector
+        objectives implement ``prune_arrays``: the scalar algebra has
+        nothing to prune and never seals.
+        """
+        prune = self.objective.prune_arrays
+        stats = self.stats
+        entries: Optional[List] = None
+        for vi in variants:
+            vector = work[vi]
+            if vector is None:
+                continue
+            prune(vector, stats)
+            kept = tuple(
+                [(label, cost) for label, cost in enumerate(vector) if cost != _INF]
+            )
+            if not kept:
+                continue
+            if entries is None:
+                entries = [None] * len(work)
+            entries[vi] = kept
+        return entries
+
+    def _scalar_branch(self, nid: int, tables: List) -> Optional[List]:
+        """Cost list of one branch node under the scalar (power) value algebra."""
         obj = self.objective
         P = self._P
-        columns = self.decomp.columns
-        i1, i2, k = self._node_i1[nid], self._node_i2[nid], self._node_k[nid]
-        t1, t2 = columns[i1], columns[i2]
-        jmax, splits, right_end_id = self._node_plan[nid]
-        q_list, groups = self._variant_grid(nid)
-        out: List[Optional[List]] = [None] * (P * P * P)
+        PP = P * P
+        t1 = self.decomp.columns[self._node_i1[nid]]
+        _jmax, splits, right_end_id = self._node_plan[nid]
+        groups, _variants, split_reads, right_end_pairs = self._variant_grid(nid)
         if not groups:
-            return self._seal(out, len(q_list))
-        L = self._labels
-        scalar = L == 1
-        left_range = list(obj.left_b2_values())
-        left_boundary = obj.left_boundary
+            return None
+        out = [_INF] * (PP * P)
+        left_range = self._left_range
+        lo, hi = left_range[0], left_range[-1] + 1
+        left_b1 = self._left_b1
+        right_len = self._right_len
+        charge_matrix = obj.charge_matrix
+        folds = self._fold_cache
         lookups = 0
         for t_prime, left_id, right_id, adjacent, stretch, rt2 in splits:
-            left_tables = tables[left_id]
-            right_tables = tables[right_id]
-            if left_tables is None or right_tables is None:
+            left = tables[left_id]
+            right = tables[right_id]
+            if left is None or right is None:
                 continue
-            at_edge = t_prime == t1
-            # Left children always run with q = 1; prefetch their sparse
-            # entry views once per split, shared by every parent variant.
-            left_by_b1: List[List] = []
+            lookups += split_reads[rt2]
+            lb1_of = left_b1[t_prime == t1]
+            # Left children always run with q = 1: row lb1 holds their costs
+            # over the left b2 range.
+            rows = [left[(P + lb1) * P + lo:(P + lb1) * P + hi] for lb1 in range(P)]
+            for q, b2, b1_list in groups:
+                key = (right_id * P + q) * P + b2
+                bridge = folds.get(key)
+                if bridge is None:
+                    charges = charge_matrix(q, adjacent, stretch, rt2)
+                    base = q * PP + b2
+                    column = right[base:base + right_len[q][rt2] * P:P]
+                    bridge = [min(map(add, charges[lb2], column)) for lb2 in left_range]
+                    folds[key] = bridge
+                for b1, vi in b1_list:
+                    lb1 = lb1_of[b1]
+                    if lb1 < 0:
+                        continue
+                    cost = min(map(add, rows[lb1], bridge))
+                    if cost < out[vi]:
+                        out[vi] = cost
+        # Case t' == t2: the latest-deadline job runs at the right boundary.
+        if right_end_id is not None:
+            child = tables[right_end_id]
+            if child is not None:
+                lookups += len(right_end_pairs)
+                for vi, cvi in right_end_pairs:
+                    cost = child[cvi]
+                    if cost < out[vi]:
+                        out[vi] = cost
+        self.stats.memo_hits += lookups
+        return out if min(out) < _INF else None
+
+    def _fold_right(self, right: List, q: int, b2: int, charges: List, rt2: bool) -> Tuple:
+        """Fold a right child's ``rb1`` range into one label vector per ``lb2``.
+
+        Entry ``lb2`` holds ``(lr, min over rb1 of charge[lb2][rb1] + cost)``
+        for each right label ``lr`` with a finite value; the empty tuple
+        stands for a right column with no entries at all.  Gap costs are
+        integers, so the regrouped sums are exact.
+        """
+        L = self._labels
+        P = self._P
+        base = q * P * P + b2
+        column = right[base:base + self._right_len[q][rt2] * P:P]
+        if not any(column):
+            return ()
+        folded = []
+        for lb2 in self._left_range:
+            charge_row = charges[lb2]
+            best = [_INF] * L
+            for rb1, r_entries in enumerate(column):
+                if r_entries is None:
+                    continue
+                charge = charge_row[rb1]
+                for lr, cr in r_entries:
+                    cost = charge + cr
+                    if cost < best[lr]:
+                        best[lr] = cost
+            folded.append(
+                tuple([(lr, cost) for lr, cost in enumerate(best) if cost != _INF])
+            )
+        return tuple(folded)
+
+    def _vector_branch(self, nid: int, entries: List) -> Optional[List]:
+        """Entry table of one branch node under label vectors (gaps)."""
+        obj = self.objective
+        P = self._P
+        PP = P * P
+        L = self._labels
+        t1 = self.decomp.columns[self._node_i1[nid]]
+        _jmax, splits, right_end_id = self._node_plan[nid]
+        groups, variants, split_reads, right_end_pairs = self._variant_grid(nid)
+        if not groups:
+            return None
+        work: List[Optional[List]] = [None] * (PP * P)
+        left_range = self._left_range
+        lo, hi = left_range[0], left_range[-1] + 1
+        left_b1 = self._left_b1
+        charge_matrix = obj.charge_matrix
+        folds = self._fold_cache
+        lookups = 0
+        for t_prime, left_id, right_id, adjacent, stretch, rt2 in splits:
+            left = entries[left_id]
+            right = entries[right_id]
+            if left is None or right is None:
+                continue
+            lookups += split_reads[rt2]
+            lb1_of = left_b1[t_prime == t1]
+            # Left children always run with q = 1; gather their entry views
+            # once per split, shared by every parent variant.
+            left_by_b1 = []
             for lb1 in range(P):
                 base = (P + lb1) * P
-                entries = []
-                for lb2 in left_range:
-                    e = left_tables[base + lb2]
-                    if e is not None:
-                        entries.append((lb2, e[2], base + lb2))
-                left_by_b1.append(entries)
-            lookups += P * len(left_range)
+                left_by_b1.append(
+                    [
+                        (lb2, e)
+                        for lb2, e in zip(left_range, left[base + lo:base + hi])
+                        if e is not None
+                    ]
+                )
             for q, b2, b1_list in groups:
-                right_range = obj.right_b1_values(q, rt2)
-                rbase = q * P * P + b2
-                right_entries = []
-                for rb1 in right_range:
-                    rvi = rbase + rb1 * P
-                    e = right_tables[rvi]
-                    if e is not None:
-                        right_entries.append((rb1, e[2], rvi))
-                lookups += len(right_range)
-                if not right_entries:
-                    continue
-                charges = obj.charge_matrix(q, adjacent, stretch, rt2)
-                if scalar:
-                    # Scalar value algebra (power): the best right boundary
-                    # for a given mid-boundary lb2 is independent of b1, so
-                    # hoist the min over rb1 out of the b1 loop.
-                    best_right = []
-                    for lb2 in range(P):
-                        charge_row = charges[lb2]
-                        bv = _INF
-                        brvi = -1
-                        for rb1, r_entries, rvi in right_entries:
-                            cost = charge_row[rb1] + r_entries[0][1]
-                            if cost < bv:
-                                bv = cost
-                                brvi = rvi
-                        best_right.append((bv, brvi))
-                    for b1, vi in b1_list:
-                        lb1 = left_boundary(b1, at_edge)
-                        if lb1 is None:
-                            continue
-                        left_entries = left_by_b1[lb1]
-                        if not left_entries:
-                            continue
-                        tbl = out[vi]
-                        if tbl is None:
-                            costs = [_INF]
-                            choices: List = [None]
-                            tbl = out[vi] = [costs, choices]
-                        else:
-                            costs, choices = tbl
-                        for lb2, l_entries, lvi in left_entries:
-                            bv, brvi = best_right[lb2]
-                            cost = l_entries[0][1] + bv
-                            if cost < costs[0]:
-                                costs[0] = cost
-                                choices[0] = (
-                                    "split", jmax, t_prime,
-                                    left_id, lvi, 0, right_id, brvi, 0,
-                                )
+                key = (right_id * P + q) * P + b2
+                folded = folds.get(key)
+                if folded is None:
+                    folded = self._fold_right(
+                        right, q, b2, charge_matrix(q, adjacent, stretch, rt2), rt2
+                    )
+                    folds[key] = folded
+                if not folded:
                     continue
                 for b1, vi in b1_list:
-                    lb1 = left_boundary(b1, at_edge)
-                    if lb1 is None:
+                    lb1 = lb1_of[b1]
+                    if lb1 < 0:
                         continue
                     left_entries = left_by_b1[lb1]
                     if not left_entries:
                         continue
-                    tbl = out[vi]
-                    if tbl is None:
-                        costs = [_INF] * L
-                        choices = [None] * L
-                        tbl = out[vi] = [costs, choices]
-                    else:
-                        costs, choices = tbl
-                    for lb2, l_entries, lvi in left_entries:
-                        charge_row = charges[lb2]
-                        for rb1, r_entries, rvi in right_entries:
-                            charge = charge_row[rb1]
-                            for ll, cl in l_entries:
-                                base_cost = cl + charge
-                                for lr, cr in r_entries:
-                                    lab = ll if ll >= lr else lr
-                                    cost = base_cost + cr
-                                    if cost < costs[lab]:
-                                        costs[lab] = cost
-                                        choices[lab] = (
-                                            "split", jmax, t_prime,
-                                            left_id, lvi, ll, right_id, rvi, lr,
-                                        )
+                    costs = work[vi]
+                    if costs is None:
+                        costs = work[vi] = [_INF] * L
+                    for lb2, l_entries in left_entries:
+                        r_entries = folded[lb2 - lo]
+                        for ll, cl in l_entries:
+                            for lr, cr in r_entries:
+                                lab = ll if ll >= lr else lr
+                                cost = cl + cr
+                                if cost < costs[lab]:
+                                    costs[lab] = cost
         # Case t' == t2: the latest-deadline job runs at the right boundary.
         if right_end_id is not None:
-            child_tables = tables[right_end_id]
-            if child_tables is not None:
-                for q, b2, b1_list in groups:
-                    for b1, vi in b1_list:
-                        child = obj.right_end_child(k, q, b1, b2)
-                        if child is None:
-                            continue
-                        cq, cb1, cb2 = child
-                        cvi = (cq * P + cb1) * P + cb2
-                        lookups += 1
-                        e = child_tables[cvi]
-                        if e is None:
-                            continue
-                        tbl = out[vi]
-                        if tbl is None:
-                            costs = [_INF] * L
-                            choices = [None] * L
-                            tbl = out[vi] = [costs, choices]
-                        else:
-                            costs, choices = tbl
-                        for lab, cost in e[2]:
-                            if cost < costs[lab]:
-                                costs[lab] = cost
-                                choices[lab] = (
-                                    "right_end", right_end_id, cvi, lab, jmax, t2,
-                                )
+            child = entries[right_end_id]
+            if child is not None:
+                lookups += len(right_end_pairs)
+                for vi, cvi in right_end_pairs:
+                    e = child[cvi]
+                    if e is None:
+                        continue
+                    costs = work[vi]
+                    if costs is None:
+                        costs = work[vi] = [_INF] * L
+                    for lab, cost in e:
+                        if cost < costs[lab]:
+                            costs[lab] = cost
         self.stats.memo_hits += lookups
-        return self._seal(out, len(q_list))
+        return self._seal(work, variants)
 
     # -- reconstruction ----------------------------------------------------------
+    def _variant_entries(self, nid: int, vi: int) -> Tuple[Tuple[int, float], ...]:
+        """The finite ``(label, cost)`` entries of one variant of a node."""
+        table = self._tables[nid]
+        if table is None:
+            return ()
+        if self._labels > 1:
+            return table[vi] or ()
+        cost = table[vi]
+        return ((0, cost),) if cost != _INF else ()
+
     def _reconstruct(self, node_id: int, variant: int, label: int) -> Dict[int, int]:
-        """Replay table choices into a ``job -> time`` assignment, iteratively."""
+        """Replay optimal choices into a ``job -> time`` assignment, iteratively."""
         assignment: Dict[int, int] = {}
-        tables = self._tables
+        columns = self.decomp.columns
+        kinds = self._node_kind
         stack: List[Tuple[int, int, int]] = [(node_id, variant, label)]
         while stack:
             nid, vi, lab = stack.pop()
-            entry = tables[nid][vi]
-            if entry is None:
+            target = dict(self._variant_entries(nid, vi)).get(lab)
+            if target is None:
                 raise AssertionError("reconstruction reached a pruned table entry")
-            choice = entry[1][lab]
-            if choice is None:
-                raise AssertionError("reconstruction reached a pruned table entry")
-            tag = choice[0]
-            if tag == "empty":
+            kind = kinds[nid]
+            if kind == _SINGLE:
+                t = columns[self._node_i1[nid]]
+                for job_idx in self._node_jobs_list[nid]:
+                    assignment[job_idx] = t
                 continue
-            if tag == "column":
-                for job_idx in choice[1]:
-                    assignment[job_idx] = choice[2]
+            if kind == _EMPTY:
                 continue
-            if tag == "right_end":
-                _tag, child_id, child_vi, child_label, jmax, t2 = choice
-                assignment[jmax] = t2
-                stack.append((child_id, child_vi, child_label))
-                continue
-            if tag == "split":
-                (_tag, jmax, t_prime, left_id, lvi, ll, right_id, rvi, lr) = choice
-                assignment[jmax] = t_prime
-                stack.append((left_id, lvi, ll))
-                stack.append((right_id, rvi, lr))
-                continue
-            raise AssertionError(f"unknown reconstruction tag {tag!r}")
+            t, children = self._replay(nid, vi, lab, target)
+            assignment[self._node_plan[nid][0]] = t
+            stack.extend(children)
         return assignment
+
+    def _replay(self, nid: int, vi: int, lab: int, target: float) -> Tuple:
+        """The first candidate of variant ``vi`` / label ``lab`` costing ``target``.
+
+        Candidates are visited in evaluation order — splits in plan order,
+        then ``lb2``, ``rb1``, the left label and the right label, then the
+        right-end child — and each cost is computed with the combine's own
+        arithmetic, so the first exact match is the candidate a strict-``<``
+        scan records.  Returns ``(time of jmax, child (node, variant,
+        label) triples)``; raises if no candidate matches.
+        """
+        obj = self.objective
+        P = self._P
+        PP = P * P
+        q, rest = divmod(vi, PP)
+        b1, b2 = divmod(rest, P)
+        columns = self.decomp.columns
+        i1, i2, k = self._node_i1[nid], self._node_i2[nid], self._node_k[nid]
+        t1 = columns[i1]
+        _jmax, splits, right_end_id = self._node_plan[nid]
+        tables = self._tables
+        left_range = self._left_range
+        for t_prime, left_id, right_id, adjacent, stretch, rt2 in splits:
+            left, right = tables[left_id], tables[right_id]
+            if left is None or right is None:
+                continue
+            lb1 = self._left_b1[t_prime == t1][b1]
+            if lb1 < 0:
+                continue
+            charges = obj.charge_matrix(q, adjacent, stretch, rt2)
+            rlen = self._right_len[q][rt2]
+            rbase = q * PP + b2
+            lbase = (P + lb1) * P
+            if self._labels == 1:
+                column = right[rbase:rbase + rlen * P:P]
+                for lb2 in left_range:
+                    charge_row = charges[lb2]
+                    bridge = min(map(add, charge_row, column))
+                    if left[lbase + lb2] + bridge != target:
+                        continue
+                    for rb1 in range(rlen):
+                        if charge_row[rb1] + column[rb1] == bridge:
+                            return t_prime, (
+                                (left_id, lbase + lb2, 0),
+                                (right_id, rbase + rb1 * P, 0),
+                            )
+                continue
+            for lb2 in left_range:
+                l_entries = left[lbase + lb2]
+                if l_entries is None:
+                    continue
+                charge_row = charges[lb2]
+                for rb1 in range(rlen):
+                    rvi = rbase + rb1 * P
+                    r_entries = right[rvi]
+                    if r_entries is None:
+                        continue
+                    charge = charge_row[rb1]
+                    for ll, cl in l_entries:
+                        base_cost = cl + charge
+                        for lr, cr in r_entries:
+                            if (ll if ll >= lr else lr) == lab and base_cost + cr == target:
+                                return t_prime, (
+                                    (left_id, lbase + lb2, ll),
+                                    (right_id, rvi, lr),
+                                )
+        if right_end_id is not None:
+            child = obj.right_end_child(k, q, b1, b2)
+            if child is not None:
+                cq, cb1, cb2 = child
+                cvi = (cq * P + cb1) * P + cb2
+                for clab, cost in self._variant_entries(right_end_id, cvi):
+                    if clab == lab and cost == target:
+                        return columns[i2], ((right_end_id, cvi, lab),)
+        raise AssertionError(
+            f"no candidate of node {nid} variant {vi} label {lab} reproduces "
+            f"its stored optimum {target!r}"
+        )
 
 
 def staircase_schedule(

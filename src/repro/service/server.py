@@ -49,11 +49,24 @@ from .daemon import SchedulerDaemon
 from .queue import JobQueue
 from .stats import TaskMetrics, operational_stats
 
-__all__ = ["ServiceServer", "start_service"]
+__all__ = ["MAX_BODY_BYTES", "ServiceServer", "start_service"]
+
+#: Largest request body the server will read.  A larger declared
+#: ``Content-Length`` is answered with 413 before any of the body is read,
+#: so a client cannot make a handler allocate or wait for it.
+MAX_BODY_BYTES = 64 * 1024 * 1024
 
 
 class _BadRequest(ValueError):
     """Maps to a 400 with its message in the body."""
+
+    status = 400
+
+
+class _BodyTooLarge(_BadRequest):
+    """Maps to a 413: the declared body exceeds :data:`MAX_BODY_BYTES`."""
+
+    status = 413
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -68,6 +81,16 @@ class _Handler(BaseHTTPRequestHandler):
     @property
     def service(self) -> "ServiceServer":
         return self.server.service  # type: ignore[attr-defined]
+
+    def finish(self) -> None:
+        try:
+            super().finish()
+        finally:
+            # Every HTTP connection gets its own thread and so its own
+            # SQLite connection.  A sqlite3.Connection sits in a reference
+            # cycle, so without an explicit close its native memory (page
+            # cache, statements) lives until the cyclic GC next runs.
+            self.service.store.close()
 
     # -- plumbing ------------------------------------------------------------
     def _send(
@@ -92,12 +115,22 @@ class _Handler(BaseHTTPRequestHandler):
                 f"Content-Length must be a non-negative integer, got {declared!r}"
             )
         length = int(declared)
+        if length > MAX_BODY_BYTES:
+            # The body stays unread, so the stream cannot carry a next
+            # request either.
+            self.close_connection = True
+            raise _BodyTooLarge(
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit"
+            )
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise _BadRequest("request body must be a JSON object")
         try:
             data = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except ValueError as exc:
+            # Undecodable bytes, malformed JSON, and numbers json refuses to
+            # convert (such as integers past the digit limit) alike.
             raise _BadRequest(f"request body is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise _BadRequest("request body must be a JSON object")
@@ -147,7 +180,7 @@ class _Handler(BaseHTTPRequestHandler):
                 self._submit()
             except _BadRequest as exc:
                 closing = {"Connection": "close"} if self.close_connection else None
-                self._send(400, {"error": str(exc)}, closing)
+                self._send(exc.status, {"error": str(exc)}, closing)
             return
         job_id, verb = self._job_path()
         if job_id is not None and verb == "cancel":

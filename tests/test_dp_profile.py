@@ -1,10 +1,26 @@
-"""Unit tests for the shared interval-decomposition machinery of the exact DPs."""
+"""Unit tests for the shared interval-decomposition machinery of the exact DPs.
+
+The job-set queries that split subproblems live in the interval-DP engine
+(released-job lists built incrementally per column range); they are
+checked here against direct filters of the decomposition's deadline order.
+"""
+
+import random
 
 import pytest
 
-from repro import Job, MultiprocessorInstance
+from repro import MultiprocessorInstance
 from repro.core.dp_profile import IntervalDecomposition
-from repro.core.exceptions import InvalidInstanceError
+from repro.core.interval_dp import GapObjective, IntervalDPEngine, PowerObjective
+from tests.conftest import random_window_pairs
+
+
+def _engine(decomp: IntervalDecomposition) -> IntervalDPEngine:
+    return IntervalDPEngine(decomp, GapObjective(decomp.num_processors))
+
+
+def _index_range(decomp: IntervalDecomposition, t1: int, t2: int):
+    return decomp.column_index[t1], decomp.column_index[t2]
 
 
 @pytest.fixture
@@ -18,19 +34,15 @@ def decomposition() -> IntervalDecomposition:
 class TestColumns:
     def test_columns_cover_horizon_for_small_instances(self, decomposition):
         assert decomposition.columns == list(range(0, 10))
-        assert decomposition.num_columns == 10
 
     def test_index_of_and_column_roundtrip(self, decomposition):
-        for idx in range(decomposition.num_columns):
-            assert decomposition.index_of(decomposition.column(idx)) == idx
-
-    def test_first_column_after(self, decomposition):
-        assert decomposition.first_column_after(3) == decomposition.index_of(4)
-        assert decomposition.first_column_after(9) is None
+        assert len(decomposition.column_index) == len(decomposition.columns)
+        for idx, t in enumerate(decomposition.columns):
+            assert decomposition.column_index[t] == idx
 
     def test_columns_between(self, decomposition):
         indices = decomposition.columns_between(2, 4)
-        assert [decomposition.column(i) for i in indices] == [2, 3, 4]
+        assert [decomposition.columns[i] for i in indices] == [2, 3, 4]
         assert decomposition.columns_between(20, 30) == []
 
 
@@ -41,29 +53,18 @@ class TestJobQueries:
         assert deadlines == sorted(deadlines)
 
     def test_jobs_released_in_range(self, decomposition):
-        released = decomposition.jobs_released_in(2, 5)
+        released = _engine(decomposition)._released(*_index_range(decomposition, 2, 5))
         assert set(released) == {1, 2}
-
-    def test_node_jobs_prefix_and_overflow(self, decomposition):
-        assert decomposition.node_jobs(0, 9, 4) is not None
-        assert decomposition.node_jobs(0, 9, 5) is None
-        first_two = decomposition.node_jobs(0, 9, 2)
-        deadlines = [decomposition.jobs[j].deadline for j in first_two]
-        assert deadlines == sorted(deadlines)
-
-    def test_count_released_after(self, decomposition):
-        all_jobs = decomposition.node_jobs(0, 9, 4)
-        assert decomposition.count_released_after(all_jobs, 6) == 1
-        assert decomposition.count_released_after(all_jobs, -1) == 4
 
     def test_candidate_columns_for_job_clipped_to_interval(self, decomposition):
         cols = decomposition.candidate_columns_for_job(2, 4, 6)
-        assert [decomposition.column(i) for i in cols] == [4, 5, 6]
+        assert [decomposition.columns[i] for i in cols] == [4, 5, 6]
         assert decomposition.candidate_columns_for_job(0, 5, 9) == []
 
     def test_range_query_is_cached(self, decomposition):
-        first = decomposition.jobs_released_in(0, 9)
-        second = decomposition.jobs_released_in(0, 9)
+        engine = _engine(decomposition)
+        first = engine._released(*_index_range(decomposition, 0, 9))
+        second = engine._released(*_index_range(decomposition, 0, 9))
         assert first is second
 
 
@@ -77,27 +78,65 @@ class TestJobSplitQueries:
         )
         return IntervalDecomposition(instance)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_engine_released_matches_deadline_order_filter(self, seed):
+        # The incremental merge must equal a direct scan of the deadline
+        # order for every column range, whatever order the ranges are
+        # first asked for in.
+        rng = random.Random(seed)
+        n = rng.randint(1, 14)
+        pairs = random_window_pairs(rng, n, horizon=rng.randint(n, 30), max_window=8)
+        decomp = IntervalDecomposition(
+            MultiprocessorInstance.from_pairs(pairs, num_processors=1 + seed % 3)
+        )
+        engine = _engine(decomp)
+        ranges = [
+            (i1, i2)
+            for i1 in range(len(decomp.columns))
+            for i2 in range(i1, len(decomp.columns))
+        ]
+        rng.shuffle(ranges)
+        for i1, i2 in ranges:
+            t1, t2 = decomp.columns[i1], decomp.columns[i2]
+            expected = [
+                j for j in decomp.deadline_order if t1 <= decomp.jobs[j].release <= t2
+            ]
+            assert list(engine._released(i1, i2)) == expected, (i1, i2)
+
     def test_split_partitions_node_jobs(self, split_decomposition):
+        # Every split of every branch node partitions the node's jobs minus
+        # jmax into released-at-or-before t' (left child) and released
+        # after t' (right child), exactly as the exchange argument needs.
         decomp = split_decomposition
-        node = decomp.node_jobs(0, 8, 5)
-        # Branching at t' = 3 must partition jobs into released-before and
-        # released-after exactly the way the DP's left/right children do.
-        num_right = decomp.count_released_after(node, 3)
-        left = [j for j in node if decomp.jobs[j].release <= 3]
-        assert len(left) + num_right == len(node)
-        assert num_right == 2  # releases 4 and 6
+        engine = IntervalDPEngine(decomp, PowerObjective(2, 1.0))
+        engine.solve()
+        checked = 0
+        for nid, plan in enumerate(engine._node_plan):
+            if plan is None:
+                continue
+            node = engine._node_jobs_list[nid]
+            _jmax, splits, _right_end = plan
+            for t_prime, left_id, right_id, *_rest in splits:
+                after = [j for j in node if decomp.jobs[j].release > t_prime]
+                assert engine._node_k[right_id] == len(after)
+                assert engine._node_k[left_id] == len(node) - 1 - len(after)
+                checked += 1
+        assert checked > 0
 
     def test_node_jobs_prefix_is_stable_under_k(self, split_decomposition):
-        decomp = split_decomposition
-        for k in range(1, 5):
-            smaller = decomp.node_jobs(0, 8, k)
-            larger = decomp.node_jobs(0, 8, k + 1)
-            assert larger[: len(smaller)] == smaller
-
-    def test_subinterval_release_filtering(self, split_decomposition):
-        released = split_decomposition.jobs_released_in(4, 8)
-        assert set(released) == {3, 4}
-        assert split_decomposition.jobs_released_in(9, 20) == []
+        # Node k's jobs are the first k released jobs, a prefix of node
+        # k + 1's: the memoized Hall prefix check relies on it.
+        engine = _engine(split_decomposition)
+        engine.solve()
+        by_range = {}
+        for nid, jobs in enumerate(engine._node_jobs_list):
+            if jobs is not None:
+                key = (engine._node_i1[nid], engine._node_i2[nid])
+                by_range.setdefault(key, {})[engine._node_k[nid]] = jobs
+        for nodes in by_range.values():
+            for k, jobs in nodes.items():
+                if k + 1 in nodes:
+                    assert nodes[k + 1][:k] == jobs
 
     def test_candidate_columns_empty_outside_window(self, split_decomposition):
         # Job 1 has window [1, 3]; clipped to [5, 8] nothing remains.
@@ -105,28 +144,35 @@ class TestJobSplitQueries:
 
     def test_candidate_columns_clip_both_ends(self, split_decomposition):
         cols = split_decomposition.candidate_columns_for_job(0, 2, 4)
-        assert [split_decomposition.column(i) for i in cols] == [2, 3, 4]
+        assert [split_decomposition.columns[i] for i in cols] == [2, 3, 4]
 
 
 class TestRangeCache:
+    """The engine's released-list cache, keyed by column-index range."""
+
     def test_distinct_ranges_get_distinct_entries(self, decomposition):
-        a = decomposition.jobs_released_in(0, 5)
-        b = decomposition.jobs_released_in(0, 9)
+        engine = _engine(decomposition)
+        a = engine._released(*_index_range(decomposition, 0, 5))
+        b = engine._released(*_index_range(decomposition, 0, 9))
         assert a is not b
-        assert decomposition.jobs_released_in(0, 5) is a
-        assert decomposition.jobs_released_in(0, 9) is b
+        assert engine._released(*_index_range(decomposition, 0, 5)) is a
+        assert engine._released(*_index_range(decomposition, 0, 9)) is b
 
     def test_cache_key_is_the_time_range(self, decomposition):
-        before = len(decomposition._range_cache)
-        decomposition.jobs_released_in(2, 8)
-        decomposition.jobs_released_in(2, 8)
-        assert len(decomposition._range_cache) == before + 1
+        engine = _engine(decomposition)
+        i1, i2 = _index_range(decomposition, 2, 8)
+        engine._released(i1, i2)
+        assert (i1, i2) in engine._released_cache
+        before = len(engine._released_cache)
+        engine._released(i1, i2)
+        assert len(engine._released_cache) == before
 
     def test_empty_range_is_cached_too(self, decomposition):
-        assert decomposition.jobs_released_in(100, 200) == []
-        assert decomposition.jobs_released_in(100, 200) is decomposition.jobs_released_in(
-            100, 200
-        )
+        engine = _engine(decomposition)
+        # Job 3 is released at 7 and nothing at 8 or 9.
+        i1, i2 = _index_range(decomposition, 8, 9)
+        assert engine._released(i1, i2) == ()
+        assert engine._released(i1, i2) is engine._released_cache[(i1, i2)]
 
 
 class TestDeadlineOrderDeterminism:

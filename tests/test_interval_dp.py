@@ -5,6 +5,7 @@ import json
 import os
 import random
 import sys
+from bisect import bisect_left, bisect_right
 
 import pytest
 
@@ -35,10 +36,16 @@ from repro.generators import random_one_interval_instance
 from repro.verify import certify_bound
 from tests.conftest import random_window_pairs
 
-#: Envelopes of ~30 seeded gap/power problems (p = 1-4, n up to 60, some
-#: infeasible), recorded from the engine when a second, independently
-#: written evaluator and the original recursive solvers were still in the
-#: tree and agreed with it on every one of them.
+#: Envelopes of seeded gap/power problems (p = 1-4, n up to 60, some
+#: infeasible).  The first 30 were recorded from the engine when a second,
+#: independently written evaluator and the original recursive solvers were
+#: still in the tree and agreed with it on every one of them.  The last 12
+#: are power problems at alpha = 0.1, 0.3 and 1.7 (p = 1-4, n <= 40; five
+#: duplicate their job windows, so many schedules tie for the optimum).
+#: Float sums are exact at the first 30 cases' alphas (0.5, 2 and 4), so
+#: only these pin the association order of the combine's additions and the
+#: first-optimum tie-breaking: seven of them change if the combine computes
+#: ``(left + charge) + right`` instead of ``left + (charge + right)``.
 ENVELOPE_FIXTURE = os.path.join(
     os.path.dirname(__file__), "fixtures", "engine_envelopes.json"
 )
@@ -206,6 +213,62 @@ class TestPruning:
                 assert dp.power == pytest.approx(brute)
 
 
+def _bisect_hall_feasible(jobs, columns, p, node_jobs, releases, t1, t2):
+    """The Hall pre-check in time coordinates, with a bisect per count.
+
+    The oracle for the engine's column-index check: prefix intervals
+    ``[t1, d]`` run over clipped deadlines (node jobs arrive in deadline
+    order) and suffix intervals ``[r, t2]`` over sorted releases, each
+    against ``p`` slots per candidate column.
+    """
+    lo = bisect_left(columns, t1)
+    hi = bisect_right(columns, t2)
+    for count, j in enumerate(node_jobs, start=1):
+        d = min(jobs[j].deadline, t2)
+        if count > p * (bisect_right(columns, d, lo, hi) - lo):
+            return False
+    for count, r in enumerate(reversed(releases), start=1):
+        if count > p * (hi - bisect_left(columns, r, lo, hi)):
+            return False
+    return True
+
+
+class TestHallIndexCheck:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_index_check_matches_bisect_oracle(self, seed):
+        rng = random.Random(9000 + seed)
+        verdicts = set()
+        for _ in range(6):
+            n = rng.randint(4, 16)
+            p = rng.randint(1, 3)
+            pairs = random_window_pairs(
+                rng, n, horizon=rng.randint(max(2, n // (2 * p)), n + 4), max_window=5
+            )
+            decomp = IntervalDecomposition(
+                MultiprocessorInstance.from_pairs(pairs, num_processors=p)
+            )
+            engine = IntervalDPEngine(decomp, GapObjective(p))
+            columns = decomp.columns
+            # Random nodes, asked for in random order so the memoized
+            # prefix half is hit from every direction.
+            for _ in range(60):
+                i1 = rng.randrange(len(columns))
+                i2 = rng.randrange(i1, len(columns))
+                released = engine._released(i1, i2)
+                if not released:
+                    continue
+                k = rng.randint(1, len(released))
+                node = released[:k]
+                releases = sorted(decomp.jobs[j].release for j in node)
+                expected = _bisect_hall_feasible(
+                    decomp.jobs, columns, p, node, releases, columns[i1], columns[i2]
+                )
+                assert engine._hall_feasible(i1, i2, k) == expected, (pairs, p, i1, i2, k)
+                verdicts.add(expected)
+        # Both verdicts occur, so neither half of the check is vacuous.
+        assert verdicts == {True, False}
+
+
 class TestIterativeEvaluation:
     """The deep-recursion regression: wide-window n = 60 with sparse releases.
 
@@ -330,6 +393,11 @@ class TestEngineV1VsV2:
         assert max(len(p.instance.jobs) for p in problems) == 60
         statuses = {json.loads(case["envelope"])["status"] for case in RECORDED_ENVELOPES}
         assert statuses == {"optimal", "infeasible"}
+        # At least one alpha with a long binary expansion (0.1, 0.3 and 1.7
+        # are not multiples of 2**-20), or a reassociated float sum could
+        # not change any recorded value.
+        alphas = {p.alpha for p in problems if p.objective == "power"}
+        assert any(float(a * 2**20) != int(a * 2**20) for a in alphas), alphas
 
 
 class TestPeakDepthReporting:
@@ -348,6 +416,16 @@ class TestPeakDepthReporting:
         assert stats.hall_pruned > 0
         assert stats.states_computed > 0
         assert stats.peak_stack_depth >= 1
+
+    @pytest.mark.parametrize("objective", [GapObjective(1), PowerObjective(1, 0.3)])
+    def test_root_pruned_run_reports_positive_depth(self, objective):
+        # Two jobs on one column of one processor: the root itself is over
+        # capacity, so the only computed states are the pruned root's.
+        instance = MultiprocessorInstance.from_pairs([(0, 0), (0, 0)], num_processors=1)
+        engine = _engine_for(instance, objective)
+        assert not engine.solve().feasible
+        assert engine.stats.states_computed > 0
+        assert engine.stats.peak_stack_depth == 1
 
     def test_single_column_run_reports_positive_depth(self):
         instance = MultiprocessorInstance.from_pairs([(4, 4), (4, 4)], num_processors=2)

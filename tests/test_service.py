@@ -10,9 +10,11 @@ cannot: SIGKILL + restart recovery and SIGTERM graceful drain of
 ``repro-sched serve``.
 """
 
+import gc
 import json
 import os
 import signal
+import sqlite3
 import socket
 import subprocess
 import sys
@@ -33,6 +35,7 @@ from repro.api import (
 )
 from repro.api.registry import _REGISTRY, register_solver
 from repro.service import ServiceClient, ServiceError, ServiceServer
+from repro.service.server import MAX_BODY_BYTES
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -376,6 +379,78 @@ class TestHttpSurface:
         assert client.health()["status"] == "ok"
         job_id = client.submit(gap_problem(0))
         assert client.result(job_id, timeout=30.0).status == "optimal"
+
+    @staticmethod
+    def _raw_post(server, head: bytes, body: bytes = b"") -> bytes:
+        """Send one raw POST /v1/jobs and read until the server closes."""
+        with socket.create_connection((server.host, server.port), timeout=5.0) as sock:
+            sock.sendall(
+                b"POST /v1/jobs HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Type: application/json\r\n" + head + b"\r\n\r\n" + body
+            )
+            reply = b""
+            while True:
+                chunk = sock.recv(4096)
+                if not chunk:
+                    return reply
+                reply += chunk
+
+    def test_oversized_content_length_is_413_before_reading(self, make_server):
+        # Nothing of the declared body is sent: a server that tried to read
+        # (or allocate) it would hang or die instead of answering.
+        server = make_server()
+        for declared in (MAX_BODY_BYTES + 1, 10**12):
+            reply = self._raw_post(server, b"Content-Length: %d" % declared)
+            head, _, body = reply.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 413"), (declared, reply)
+            assert b"\r\nConnection: close" in head
+            assert str(MAX_BODY_BYTES) in json.loads(body)["error"]
+        client = ServiceClient(server.url, client_id="after-oversized")
+        job_id = client.submit(gap_problem(0))
+        assert client.result(job_id, timeout=30.0).status == "optimal"
+
+    def test_unconvertible_json_number_is_400(self, make_server):
+        # json.loads raises a plain ValueError (not JSONDecodeError) for an
+        # integer past the interpreter's digit limit.
+        server = make_server()
+        payload = b'{"problem": ' + b"7" * 100_000 + b"}"
+        reply = self._raw_post(
+            server, b"Content-Length: %d\r\nConnection: close" % len(payload), payload
+        )
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400"), reply[:200]
+        assert "JSON" in json.loads(body)["error"]
+
+    def test_http_connections_close_their_sqlite_handles(self, make_server):
+        # Each HTTP connection is served on a fresh thread with its own
+        # SQLite connection.  sqlite3.Connection objects sit in reference
+        # cycles, so with the cyclic GC off an unclosed one stays open; the
+        # handler must close it when the HTTP connection ends.
+        server = make_server()
+        client = ServiceClient(server.url, client_id="handles")
+
+        def open_sqlite_connections():
+            count = 0
+            for obj in gc.get_objects():
+                if isinstance(obj, sqlite3.Connection):
+                    try:
+                        obj.total_changes
+                    except sqlite3.ProgrammingError:  # closed
+                        continue
+                    count += 1
+            return count
+
+        gc.disable()
+        try:
+            before = open_sqlite_connections()
+            for seed in range(30):
+                client.status(client.submit(gap_problem(seed)))
+            opened = open_sqlite_connections() - before
+        finally:
+            gc.enable()
+        # 60 HTTP requests; only the daemon's few long-lived threads may
+        # keep a connection open.
+        assert opened <= 12, opened
 
     def test_result_not_ready_is_202(self, make_server):
         server = make_server(window=1)
