@@ -79,7 +79,7 @@ from .serialization import from_dict, from_json, register_codec, to_dict, to_jso
 
 # The portfolio races through this package's own solve façade, so importing
 # it eagerly here would be circular; resolve its names on first access.
-_PORTFOLIO_NAMES = ("run_portfolio", "default_members", "DEFAULT_EXACT_JOB_LIMIT")
+_PORTFOLIO_NAMES = ("run_portfolio", "default_members")
 
 
 def __getattr__(name):
@@ -111,7 +111,6 @@ __all__ = [
     # budget-raced portfolio + certified bounds
     "run_portfolio",
     "default_members",
-    "DEFAULT_EXACT_JOB_LIMIT",
     "BoundCertificate",
     "gap_lower_bound",
     "power_lower_bound",

@@ -186,8 +186,9 @@ def solve(
     budget:
         Wall-clock seconds.  When given, dispatch routes to the
         :mod:`repro.portfolio` racer instead of a single solver: scalable
-        heuristics (plus the exact DP on small instances) race under the
-        deadline and the best feasible answer comes back with a certified
+        heuristics and the exact DP race on the warm worker pool, the
+        members still running at the deadline are killed, and the best
+        feasible answer comes back with a certified
         ``extra["optimality_gap"]``.  Requires ``solver="auto"`` — a
         forced solver name and a budget contradict each other.
 

@@ -56,8 +56,9 @@ Sub-commands
 
 Two top-level flags configure the :mod:`repro.runtime` execution layer
 for whichever sub-command follows: ``--backend serial|thread|process``
-selects the execution backend (equivalently ``REPRO_BACKEND``), and
-``--cache-dir PATH`` enables the persistent solve-cache tier
+selects the execution backend for batch work (equivalently
+``REPRO_BACKEND``; ``--budget`` races always run on the warm worker
+pool), and ``--cache-dir PATH`` enables the persistent solve-cache tier
 (equivalently ``REPRO_CACHE_DIR``).
 
 All solving goes through :mod:`repro.api`; this module never imports a
@@ -100,7 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=available_backends(),
         help="execution backend for batch work in the sub-command "
-        "(default: REPRO_BACKEND, else serial)",
+        "(default: REPRO_BACKEND, else serial); budget races always run "
+        "on the warm worker pool",
     )
     parser.add_argument(
         "--cache-dir",
@@ -273,12 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="REGEX",
         help="run only cases whose name matches this regular expression "
         "(error when nothing matches)",
-    )
-    bench.add_argument(
-        "--portfolio",
-        action="store_true",
-        help="also run the budget-raced large-n portfolio cases (reported, "
-        "never gated by --compare)",
     )
 
     serve = sub.add_parser(
@@ -790,7 +786,7 @@ def _dispatch(argv: Optional[Sequence[str]] = None) -> int:
                 ]
                 if value is not None
             ]
-            if args.quick or args.portfolio or args.seed != 0 or conflicting:
+            if args.quick or args.seed != 0 or conflicting:
                 parser.error(
                     "--check only validates an existing report; drop the other flags"
                 )
@@ -818,16 +814,6 @@ def _dispatch(argv: Optional[Sequence[str]] = None) -> int:
 
         def _print_case(record) -> None:
             engine_ms = record["engine"]["median"] * 1000.0
-            if record.get("portfolio") is not None:
-                race = record["portfolio"]
-                ratio = race["ratio"]
-                ratio_text = "unbounded" if ratio is None else f"{ratio:.3f}"
-                print(
-                    f"{record['name']:<28} raced {engine_ms:>9.2f} ms "
-                    f"(budget {race['budget']:g}s)   winner {race['winner']}   "
-                    f"gap ratio {ratio_text}"
-                )
-                return
             host_ms = record["host"]["median"] * 1000.0
             line = (
                 f"{record['name']:<28} engine {engine_ms:>9.2f} ms   "
@@ -896,7 +882,6 @@ def _dispatch(argv: Optional[Sequence[str]] = None) -> int:
                 # Deliberately only the explicit flag: a REPRO_BACKEND default
                 # must not silently parallelize (and distort) timed runs.
                 backend=args.backend,
-                portfolio=args.portfolio,
                 name_filter=args.filter,
             )
         except ValueError as exc:
@@ -924,7 +909,6 @@ def _dispatch(argv: Optional[Sequence[str]] = None) -> int:
                 f"regression gate vs {compare_label}: "
                 f"{len(outcome['compared'])} cases compared, "
                 f"{len(outcome['skipped'])} skipped (sub-noise-floor), "
-                f"{len(outcome['portfolio'])} portfolio (not gated), "
                 f"{len(outcome['unmatched'])} unmatched"
             )
             if outcome["regressions"]:

@@ -18,7 +18,6 @@ fresh solves by the repository's ``perfbench/`` harness.
 from .bench import (
     BenchCase,
     default_cases,
-    portfolio_cases,
     run_bench,
     time_callable,
 )
@@ -45,7 +44,6 @@ from .report import (
 __all__ = [
     "BenchCase",
     "default_cases",
-    "portfolio_cases",
     "run_bench",
     "time_callable",
     "BENCH_SCHEMA",

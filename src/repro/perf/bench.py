@@ -20,6 +20,10 @@ against the monolithic solve in the same run.
 of seconds); the default full matrix adds the medium (n >= 40, p >= 3) and
 large (n = 60/80, p = 3/4) instances that make up the headline artifact
 ``BENCH_dp.json``.
+
+Budget-raced solves are not timed here: their wall time is pinned by the
+budget, not by the engine.  The repository's ``perfbench`` ``portfolio``
+workload measures them end to end, with every answer certified.
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ from .report import BENCH_SCHEMA, environment_fingerprint, values_agree
 __all__ = [
     "BenchCase",
     "default_cases",
-    "portfolio_cases",
     "host_kernel",
     "time_callable",
     "time_against_host",
@@ -74,8 +77,6 @@ class BenchCase:
     periodic: bool = False  # splittable only: identical (shifted) clusters
     decompose: bool = False  # also time the decomposed facade solve
     decompose_backend: Optional[str] = None  # component backend (None: default chain)
-    portfolio: bool = False  # time the budget-raced portfolio, not the DP engines
-    budget: Optional[float] = None  # portfolio only: wall-clock budget in seconds
 
     def make_instance(self, seed: int) -> MultiprocessorInstance:
         """Build the case's instance deterministically from ``seed``."""
@@ -120,27 +121,6 @@ class BenchCase:
             pairs = [
                 (i * step, i * step + self.window) for i in range(self.num_jobs)
             ]
-            return MultiprocessorInstance.from_pairs(
-                pairs, num_processors=self.num_processors
-            )
-        if self.family == "bursty":
-            # Well-separated bursts of 50 jobs each, feasible by
-            # construction: every deadline sits at least h/2 past every
-            # release of its burst, so any release suffix of a burst has
-            # h/2 + 2 >= 52 slots of capacity.  ``horizon`` is the
-            # per-burst release span h.
-            import random as _random
-
-            rng = _random.Random(seed)
-            h = self.horizon
-            burst = 50
-            pairs = []
-            for cluster in range(self.num_jobs // burst):
-                base = 3 * h * cluster
-                for _ in range(burst):
-                    release = base + rng.randrange(h)
-                    deadline = base + h + h // 2 + rng.randrange(h // 2)
-                    pairs.append((release, deadline))
             return MultiprocessorInstance.from_pairs(
                 pairs, num_processors=self.num_processors
             )
@@ -235,80 +215,6 @@ def default_cases(quick: bool = False) -> List[BenchCase]:
             periodic=True,
             decompose=True,
             decompose_backend="process",
-        ),
-    ]
-    return cases
-
-
-def portfolio_cases(quick: bool = False) -> List[BenchCase]:
-    """The budget-raced large-n portfolio family (``bench --portfolio``).
-
-    These cases time :func:`repro.portfolio.run_portfolio` end to end (the
-    ``engine`` column) and record per-member times plus the realized
-    certified gap in the ``portfolio`` block.  Their wall time is pinned
-    by the budget, so :func:`~repro.perf.report.compare_reports` skips
-    them instead of gating.  The quick list is a prefix of the full list,
-    mirroring :func:`default_cases`.
-    """
-    cases = [
-        BenchCase(
-            "portfolio/gap-sparse-n1000",
-            "gaps",
-            "sparse-wide",
-            1000,
-            1,
-            7000,
-            window=30,
-            portfolio=True,
-            budget=1.0,
-        ),
-        BenchCase(
-            "portfolio/power-bursty-n1000-a4",
-            "power",
-            "bursty",
-            1000,
-            1,
-            100,
-            alpha=4.0,
-            portfolio=True,
-            budget=1.0,
-        ),
-    ]
-    if quick:
-        return cases
-    cases += [
-        BenchCase(
-            "portfolio/gap-sparse-n10000",
-            "gaps",
-            "sparse-wide",
-            10_000,
-            1,
-            70_000,
-            window=30,
-            portfolio=True,
-            budget=2.0,
-        ),
-        BenchCase(
-            "portfolio/power-bursty-n10000-a4",
-            "power",
-            "bursty",
-            10_000,
-            1,
-            100,
-            alpha=4.0,
-            portfolio=True,
-            budget=2.0,
-        ),
-        BenchCase(
-            "portfolio/gap-sparse-n100000",
-            "gaps",
-            "sparse-wide",
-            100_000,
-            1,
-            700_000,
-            window=30,
-            portfolio=True,
-            budget=5.0,
         ),
     ]
     return cases
@@ -498,76 +404,6 @@ def _assert_agreement(case: BenchCase, label: str, feasible, value, other) -> No
         )
 
 
-def _run_portfolio_case(
-    case: BenchCase, instance, repeats: int, warmup: int
-) -> Dict:
-    """Measure one budget-raced portfolio case; returns its report record.
-
-    The ``engine`` timing block here is the end-to-end
-    :func:`~repro.portfolio.run_portfolio` call; the host and comparison
-    columns are null (the race's wall time is pinned by the budget, not
-    by the machine).  One representative run supplies the member records
-    and the realized certified gap.
-    """
-    from ..api.problem import Problem
-    from ..portfolio import run_portfolio
-
-    if case.budget is None or case.budget <= 0:
-        raise ValueError(f"portfolio case {case.name} needs a positive budget")
-    single = instance.single_processor_view()
-    problem = Problem(objective=case.objective, instance=single, alpha=case.alpha)
-    representative = run_portfolio(problem, case.budget)
-    if not representative.feasible:
-        raise AssertionError(
-            f"bench case {case.name}: portfolio returned {representative.status} "
-            "on a feasible-by-construction instance"
-        )
-    gap = representative.extra.get("optimality_gap") or {}
-    if gap.get("ratio") is None:
-        raise AssertionError(
-            f"bench case {case.name}: portfolio produced no finite certified gap"
-        )
-    timing = time_callable(
-        lambda: run_portfolio(problem, case.budget), repeats, warmup
-    )
-    race = representative.extra["portfolio"]
-    return {
-        "name": case.name,
-        "objective": case.objective,
-        "family": case.family,
-        "num_jobs": instance.num_jobs,
-        "num_processors": case.num_processors,
-        "alpha": case.alpha,
-        "value": float(representative.value),
-        "engine": timing,
-        "host": None,
-        "engine_per_host": None,
-        "decomposed": None,
-        "speedup_vs_mono": None,
-        "portfolio": {
-            "budget": case.budget,
-            "status": representative.status,
-            "winner": race["winner"],
-            "upper": float(gap["upper"]),
-            "lower": None if gap.get("lower") is None else float(gap["lower"]),
-            "ratio": None if gap.get("ratio") is None else float(gap["ratio"]),
-            "backend": race.get("backend", "serial"),
-            "preemptive": bool(race.get("preemptive", False)),
-            "members": [
-                {
-                    "name": member["name"],
-                    "state": member["state"],
-                    "status": member.get("status"),
-                    "wall_time": member.get("wall_time"),
-                    "kill_reason": member.get("kill_reason"),
-                }
-                for member in race["members"]
-            ],
-        },
-        "engine_stats": {},
-    }
-
-
 def _run_case(payload: Tuple) -> Dict:
     """Measure one benchmark case end to end; returns its report record.
 
@@ -576,8 +412,6 @@ def _run_case(payload: Tuple) -> Dict:
     """
     case, case_seed, repeats, warmup = payload
     instance = case.make_instance(case_seed)
-    if case.portfolio:
-        return _run_portfolio_case(case, instance, repeats, warmup)
     feasible, value, stats = _engine_solve(case, instance)
     engine_timing, host_timing, engine_per_host = time_against_host(
         lambda: _engine_solve(case, instance), repeats, warmup
@@ -605,7 +439,6 @@ def _run_case(payload: Tuple) -> Dict:
         "engine_per_host": engine_per_host,
         "decomposed": decomposed_timing,
         "speedup_vs_mono": speedup_vs_mono,
-        "portfolio": None,
         "engine_stats": stats,
     }
 
@@ -619,7 +452,6 @@ def run_bench(
     progress: Optional[Callable[[Dict], None]] = None,
     backend: Optional[object] = None,
     workers: Optional[int] = None,
-    portfolio: bool = False,
     name_filter: Optional[str] = None,
 ) -> Dict:
     """Run the benchmark matrix and return a schema-conformant report dict.
@@ -637,10 +469,6 @@ def run_bench(
     progress:
         Optional callback invoked with each finished case record (in
         matrix order on every backend).
-    portfolio:
-        Also run the budget-raced large-n :func:`portfolio_cases`
-        (appended after the DP matrix so the quick-prefix property of the
-        case list is preserved).
     name_filter:
         Regular expression matched (``re.search``) against case names;
         non-matching cases are dropped.  Raises ``ValueError`` when
@@ -666,8 +494,6 @@ def run_bench(
     if repeats < 1 or warmup < 0:
         raise ValueError("repeats must be >= 1 and warmup >= 0")
     case_list = default_cases(quick) if cases is None else list(cases)
-    if portfolio:
-        case_list = case_list + portfolio_cases(quick)
     # Instance seeds follow the unfiltered matrix order, so a filtered run
     # solves the same instances (and optima) as the committed report.
     payloads = [

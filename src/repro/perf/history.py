@@ -172,12 +172,9 @@ def rolling_median_reference(path: str, window: int) -> Tuple[Dict, int]:
                 continue  # the newest run dropped this column; keep it null
             blocks = [c[key] for c in siblings if c[key] is not None]
             new_case[key] = _median_timing(blocks)
-        if case["engine_per_host"] is not None:
-            new_case["engine_per_host"] = statistics.median(
-                c["engine_per_host"]
-                for c in siblings
-                if c["engine_per_host"] is not None
-            )
+        new_case["engine_per_host"] = statistics.median(
+            c["engine_per_host"] for c in siblings
+        )
         if new_case["decomposed"] is not None:
             new_case["speedup_vs_mono"] = max(
                 new_case["engine"]["median"], 1e-12

@@ -29,23 +29,12 @@ Per-case keys::
     value           optimal objective value (null when infeasible)
     engine          timing block for the interval-DP engine
     host            timing block for the frozen host kernel, one run just
-                    before each timed engine repeat (null on portfolio cases)
+                    before each timed engine repeat
     engine_per_host median of the per-repeat engine/host time ratios: the
-                    machine-independent figure the gate compares (null on
-                    portfolio cases)
+                    machine-independent figure the gate compares
     decomposed      timing block for the decomposed façade solve, caches off
                     (null on cases without the decompose column)
     speedup_vs_mono engine median / decomposed median (null if not measured)
-    portfolio       budget-raced portfolio block (null on the exact-DP
-                    cases): ``{"budget", "status", "winner", "upper",
-                    "lower", "ratio", "backend", "preemptive", "members"}``
-                    where ``members`` lists every roster member's
-                    ``{"name", "state", "status", "wall_time",
-                    "kill_reason"}`` — the state/reason pair explains where
-                    the budget went (``killed``/``beaten`` means a finisher
-                    pinned the optimum first); on portfolio cases the
-                    ``engine`` block times the end-to-end raced solve and
-                    every other timing column is null
     engine_stats    pruning/memo counters of one engine run
 
 Timing blocks::
@@ -73,10 +62,12 @@ numpy version again, along with the vectorized engine they measured;
 ``bench-dp/v8`` replaces the trampoline-engine, seed-solver and speedup
 columns with the ``host`` block and the ``engine_per_host`` ratio,
 because the code they timed was deleted (the v7 entry of
-``BENCH_history.jsonl`` keeps the last seed -> v1 -> v2 trajectory).
-Portfolio cases carry no host column and their wall time is pinned by
-the budget, not the machine, so :func:`compare_reports` lists them apart
-instead of gating them.
+``BENCH_history.jsonl`` keeps the last seed -> v1 -> v2 trajectory);
+``bench-dp/v9`` drops the ``portfolio`` case block with the budget-raced
+family it described and makes ``host`` and ``engine_per_host`` required
+on every case (a raced solve's wall time is pinned by its budget, and the
+repository's ``perfbench`` ``portfolio`` workload measures races end to
+end).
 """
 
 from __future__ import annotations
@@ -98,7 +89,7 @@ __all__ = [
     "DEFAULT_REGRESSION_MIN_MEDIAN",
 ]
 
-BENCH_SCHEMA = "repro.perf/bench-dp/v8"
+BENCH_SCHEMA = "repro.perf/bench-dp/v9"
 
 #: A case regresses when its fresh ``engine_per_host`` ratio exceeds the
 #: committed ratio by more than this factor.
@@ -136,24 +127,9 @@ _CASE_KEYS = {
     "engine_per_host",
     "decomposed",
     "speedup_vs_mono",
-    "portfolio",
     "engine_stats",
 }
 _TIMING_KEYS = {"best", "median", "mean", "runs"}
-_PORTFOLIO_KEYS = {
-    "budget",
-    "status",
-    "winner",
-    "upper",
-    "lower",
-    "ratio",
-    "backend",
-    "preemptive",
-    "members",
-}
-_PORTFOLIO_MEMBER_KEYS = {"name", "state", "status", "wall_time", "kill_reason"}
-_MEMBER_STATES = ("ran", "killed", "cancelled")
-_KILL_REASONS = ("beaten", "deadline", "admission", "error")
 
 
 class BenchSchemaError(ValueError):
@@ -210,61 +186,6 @@ def _check_optional_comparison(
         )
 
 
-def _check_portfolio(label: str, block: Any) -> None:
-    """The nullable per-case portfolio block (budget race outcome)."""
-    if not isinstance(block, dict):
-        raise BenchSchemaError(f"{label}: portfolio block must be an object")
-    _require_keys(label, block, _PORTFOLIO_KEYS)
-    if not isinstance(block["budget"], (int, float)) or block["budget"] <= 0:
-        raise BenchSchemaError(f"{label}.budget: must be a positive number")
-    if not isinstance(block["status"], str) or not block["status"]:
-        raise BenchSchemaError(f"{label}.status: must be a non-empty string")
-    if block["winner"] is not None and not isinstance(block["winner"], str):
-        raise BenchSchemaError(f"{label}.winner: must be a string or null")
-    if not isinstance(block["upper"], (int, float)):
-        raise BenchSchemaError(f"{label}.upper: must be a number")
-    for key in ("lower", "ratio"):
-        if block[key] is not None and not isinstance(block[key], (int, float)):
-            raise BenchSchemaError(f"{label}.{key}: must be a number or null")
-    if not isinstance(block["backend"], str) or not block["backend"]:
-        raise BenchSchemaError(f"{label}.backend: must be a non-empty string")
-    if not isinstance(block["preemptive"], bool):
-        raise BenchSchemaError(f"{label}.preemptive: must be a boolean")
-    members = block["members"]
-    if not isinstance(members, list) or not members:
-        raise BenchSchemaError(f"{label}.members: must be a non-empty list")
-    for index, member in enumerate(members):
-        member_label = f"{label}.members[{index}]"
-        if not isinstance(member, dict):
-            raise BenchSchemaError(f"{member_label}: must be an object")
-        _require_keys(member_label, member, _PORTFOLIO_MEMBER_KEYS)
-        if not isinstance(member["name"], str) or not member["name"]:
-            raise BenchSchemaError(f"{member_label}.name: must be a non-empty string")
-        if member["state"] not in _MEMBER_STATES:
-            raise BenchSchemaError(
-                f"{member_label}.state: must be one of {_MEMBER_STATES}"
-            )
-        if member["status"] is not None and not isinstance(member["status"], str):
-            raise BenchSchemaError(f"{member_label}.status: must be a string or null")
-        if member["wall_time"] is not None and not isinstance(
-            member["wall_time"], (int, float)
-        ):
-            raise BenchSchemaError(
-                f"{member_label}.wall_time: must be a number or null"
-            )
-        reason = member["kill_reason"]
-        if member["state"] == "ran":
-            if reason is not None:
-                raise BenchSchemaError(
-                    f"{member_label}.kill_reason: must be null for state 'ran'"
-                )
-        elif reason not in _KILL_REASONS:
-            raise BenchSchemaError(
-                f"{member_label}.kill_reason: must be one of {_KILL_REASONS} "
-                f"for state {member['state']!r}"
-            )
-
-
 def validate_report(data: Any) -> None:
     """Raise :class:`BenchSchemaError` unless ``data`` matches the schema exactly."""
     if not isinstance(data, dict):
@@ -313,14 +234,10 @@ def validate_report(data: Any) -> None:
         if case["value"] is not None and not isinstance(case["value"], (int, float)):
             raise BenchSchemaError(f"{label}.value: must be a number or null")
         _check_timing(f"{label}.engine", case["engine"])
-        _check_optional_comparison(label, case, "host", "engine_per_host")
+        _check_timing(f"{label}.host", case["host"])
+        if not isinstance(case["engine_per_host"], (int, float)):
+            raise BenchSchemaError(f"{label}.engine_per_host: must be a number")
         _check_optional_comparison(label, case, "decomposed", "speedup_vs_mono")
-        if case["portfolio"] is not None:
-            _check_portfolio(f"{label}.portfolio", case["portfolio"])
-        elif case["host"] is None:
-            raise BenchSchemaError(
-                f"{label}.host: exact-DP cases must carry the host column"
-            )
         if not isinstance(case["engine_stats"], dict):
             raise BenchSchemaError(f"{label}.engine_stats: must be an object")
         for key, value in case["engine_stats"].items():
@@ -366,7 +283,7 @@ def compare_reports(
 ) -> Dict[str, List]:
     """Gate a fresh report against a committed one.
 
-    Cases are matched by name.  A shared exact-DP case **regresses** when
+    Cases are matched by name.  A shared case **regresses** when
 
     * its ``value`` differs from the committed one by more than
       :data:`VALUE_TOLERANCE`, or one side is infeasible (``null``) and the
@@ -380,17 +297,15 @@ def compare_reports(
       engine slowdown moves it by its full factor.
 
     Cases whose committed engine median is under ``min_median`` seconds
-    are ``skipped`` by the timing gate (too noisy to gate), budget-raced
-    portfolio cases are listed under ``portfolio`` and never gated (their
-    wall time is pinned by the budget), and names present in only one
-    report are ``unmatched``.
+    are ``skipped`` by the timing gate (too noisy to gate), and names
+    present in only one report are ``unmatched``.
 
     When the two reports were produced by different Python versions, a
     note is added to ``warnings`` — reported, never gated: the kernel and
     the engine do not speed up by the same factor across interpreters.
 
     Returns ``{"regressions": [...], "compared": [...], "skipped": [...],
-    "portfolio": [...], "unmatched": [...], "warnings": [...]}`` where
+    "unmatched": [...], "warnings": [...]}`` where
     each regression entry is ``{"name", "metric", "fresh_value",
     "committed_value", "ratio"}`` (``ratio`` is null for ``"value"``
     entries), and each warning is a human-readable string.
@@ -401,7 +316,6 @@ def compare_reports(
     regressions: List[Dict] = []
     compared: List[str] = []
     skipped: List[str] = []
-    portfolio: List[str] = []
     unmatched: List[str] = []
     warnings: List[str] = []
     mine = (fresh.get("environment") or {}).get("python")
@@ -420,9 +334,6 @@ def compare_reports(
         reference = committed_by_name.get(name)
         if reference is None:
             unmatched.append(name)
-            continue
-        if case["portfolio"] is not None or reference["portfolio"] is not None:
-            portfolio.append(name)
             continue
         if not values_agree(case["value"], reference["value"]):
             regressions.append(
@@ -456,7 +367,6 @@ def compare_reports(
         "regressions": regressions,
         "compared": compared,
         "skipped": skipped,
-        "portfolio": portfolio,
         "unmatched": unmatched,
         "warnings": warnings,
     }

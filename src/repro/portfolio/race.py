@@ -1,16 +1,14 @@
 """The portfolio racer: concurrent members, hard kills, any-time incumbents.
 
-Two dispatch disciplines, chosen by what the resolved backend session can
-actually deliver (``session.can_kill``):
-
-**Preemptive racing** (pool-backed process sessions).  Every roster
-member — including the exact DP, with no job-count admission rule —
-launches in its own worker process at t=0.  The first finisher that
-*pins* the race (a proven-optimal or proven-infeasible answer, or a
-feasible value meeting the certified lower bound) hard-kills the losers
-immediately (kill reason ``"beaten"``); budget expiry hard-kills
-everything still running (``"deadline"``).  Members stream improving
-feasible schedules over the any-time incumbent channel
+Every budgeted race runs one discipline, on the warm worker pool
+(:mod:`repro.runtime.pool`).  Every roster member — including the exact
+DP, at any instance size — launches in its own worker process at t=0.
+The first finisher that *pins* the race (a proven-optimal or
+proven-infeasible answer, or a feasible value meeting the certified lower
+bound) hard-kills the losers immediately (kill reason ``"beaten"``);
+budget expiry hard-kills everything still running (``"deadline"``), and
+a worker lost without an answer is recorded as ``"error"``.  Members
+stream improving feasible schedules over the any-time incumbent channel
 (:func:`repro.runtime.pool.publish_incumbent`) while they run, so a
 member killed mid-solve still contributes its best published schedule to
 the final answer.  When the deadline passes before *any* answer or
@@ -18,19 +16,13 @@ incumbent exists, the cheapest still-running member is spared the kill
 and awaited — a tiny budget degrades to "one heuristic, slightly late",
 never to "no answer".
 
-**Cooperative racing** (serial and thread sessions, which cannot stop a
-running task).  The historical two-wave discipline: deadline-aware
-heuristics first, then the exact DP admitted only when the instance is
-small enough (:data:`DEFAULT_EXACT_JOB_LIMIT`) and enough budget remains
-(it cannot be cancelled once started).  Refused members are recorded as
-``"cancelled"`` with kill reason ``"admission"`` (too large) or
-``"deadline"`` (budget exhausted).
+The race never consults the batch backend (``configure_backend`` /
+``REPRO_BACKEND``): that setting picks where batch work runs, and must not
+change what a budgeted solve returns.
 
 Determinism: given budget headroom, the returned *value*, *status*, and
-*optimality gap* are deterministic on every backend.  The cooperative
-path additionally fixes the winning member and its schedule; under
-preemptive racing the winning member name is timing-dependent by design
-(any winner is certified equally).
+*optimality gap* are deterministic; the winning member name is
+timing-dependent by design (any winner is certified equally).
 """
 
 from __future__ import annotations
@@ -46,20 +38,10 @@ from ..bounds import hall_deficiency, lower_bound_for
 from ..core.exceptions import ReproError, SolverError
 from ..core.jobs import OneIntervalInstance
 from ..core.schedule import Schedule
-from ..runtime.backends import resolve_backend
-from ..runtime.pool import WorkerLostError
+from ..runtime.pool import WorkerLostError, get_worker_pool
 from ..verify.certificates import values_close
 
-__all__ = ["DEFAULT_EXACT_JOB_LIMIT", "default_members", "run_portfolio"]
-
-#: Largest instance the exact DP member is admitted on under *cooperative*
-#: dispatch, where a started DP cannot be stopped.  Preemptive sessions
-#: ignore it: the DP races from t=0 and is hard-killed at the deadline.
-DEFAULT_EXACT_JOB_LIMIT = 400
-
-#: Fraction of the budget that must remain for the cooperative path to
-#: dispatch the exact DP.
-_EXACT_DISPATCH_FRACTION = 0.2
+__all__ = ["default_members", "run_portfolio"]
 
 #: Member order per objective, cheapest first.  The exact DP rides last.
 _HEURISTIC_MEMBERS = {
@@ -73,12 +55,11 @@ def default_members(problem: Problem) -> List[str]:
     """The racing roster for ``problem``, cheapest member first.
 
     Single-processor one-interval instances get the scalable heuristics
-    plus the exact DP — at *every* size: whether the DP actually runs is
-    a dispatch-time decision (preemptive sessions race it under hard
-    kill; cooperative ones apply :func:`run_portfolio`'s
-    ``exact_job_limit`` admission rule).  Every other instance/objective
-    combination degrades to the automatic-dispatch solver alone (still
-    budget-accounted, still enveloped).
+    plus the exact DP — at *every* size: the DP races under hard kill, so
+    a budget it cannot meet costs it the race, never the deadline.  Every
+    other instance/objective combination degrades to the
+    automatic-dispatch solver alone (still budget-accounted, still
+    enveloped).
     """
     instance = problem.instance
     capable = {spec.name for spec in capable_solvers(problem)}
@@ -105,7 +86,7 @@ def default_members(problem: Problem) -> List[str]:
 
 
 def _race_member(payload: Tuple[Problem, str, float]) -> SolveResult:
-    """Worker-side member solve (module-level so process backends pickle it)."""
+    """Worker-side member solve (module-level so the pool can pickle it)."""
     problem, member, remaining = payload
     deadline = time.perf_counter() + remaining
     try:
@@ -119,10 +100,6 @@ def _race_member(payload: Tuple[Problem, str, float]) -> SolveResult:
             schedule=None,
             extra={"error_type": type(exc).__name__, "error": str(exc)},
         )
-
-
-def _is_exact_member(problem: Problem, name: str) -> bool:
-    return name == _EXACT_MEMBERS.get(problem.objective)
 
 
 def _pins(result: SolveResult, bound) -> bool:
@@ -172,7 +149,7 @@ def _incumbent_result(problem: Problem, payload: Any) -> Optional[SolveResult]:
     )
 
 
-def _preemptive_race(
+def _race(
     session,
     problem: Problem,
     roster: List[str],
@@ -181,7 +158,7 @@ def _preemptive_race(
     start: float,
     bound,
 ) -> Tuple[Dict[str, SolveResult], Dict[str, str], Dict[str, SolveResult], Dict[str, float]]:
-    """Race every member concurrently from t=0 under hard-kill discipline.
+    """Race every member concurrently from t=0, killing the losers.
 
     Returns ``(results, killed, incumbents, wall)``: completed member
     results, kill reasons for the members stopped early, reconstructed
@@ -274,8 +251,7 @@ def _preemptive_race(
     if outstanding:
         # Budget expired.  Spare the cheapest still-running member when
         # nothing usable exists yet — a tiny budget must still return a
-        # feasible answer, exactly like the cooperative path's
-        # always-run-one-heuristic rule.
+        # feasible answer.
         have_answer = bool(incumbents) or any(
             res.feasible or res.status == "infeasible"
             for res in results.values()
@@ -290,68 +266,7 @@ def _preemptive_race(
     return results, killed, incumbents, wall
 
 
-def _cooperative_race(
-    session,
-    problem: Problem,
-    roster: List[str],
-    budget: float,
-    deadline: float,
-    exact_job_limit: int,
-) -> Tuple[Dict[str, SolveResult], Dict[str, str]]:
-    """The historical two-wave dispatch for sessions that cannot kill.
-
-    Returns ``(results, cancelled)`` with cancellation reasons:
-    ``"admission"`` (exact DP refused on size) or ``"deadline"`` (budget
-    exhausted before dispatch).
-    """
-    wave1 = [name for name in roster if not _is_exact_member(problem, name)]
-    wave2 = [name for name in roster if _is_exact_member(problem, name)]
-    results: Dict[str, SolveResult] = {}
-    cancelled: Dict[str, str] = {}
-    in_flight: List[str] = []
-    for name in wave1:
-        remaining = deadline - time.perf_counter()
-        if remaining <= 0 and in_flight:
-            cancelled[name] = "deadline"
-            continue
-        session.submit(len(in_flight), (problem, name, max(remaining, 0.01)))
-        in_flight.append(name)
-    for _ in range(len(in_flight)):
-        tag, outcome = session.pop()
-        results[in_flight[tag]] = outcome
-    for name in wave2:
-        remaining = deadline - time.perf_counter()
-        if results:
-            # The DP cannot be stopped once started: refuse it when the
-            # instance is too large to finish predictably, or when so
-            # little budget remains that admitting it would blow the
-            # deadline.  (With no other answer at all it runs anyway —
-            # an answer late beats no answer on time.)
-            if (
-                isinstance(problem.instance, OneIntervalInstance)
-                and problem.instance.num_jobs > exact_job_limit
-            ):
-                cancelled[name] = "admission"
-                continue
-            if remaining < budget * _EXACT_DISPATCH_FRACTION:
-                cancelled[name] = "deadline"
-                continue
-        session.submit(0, (problem, name, max(remaining, 0.01)))
-        _tag, outcome = session.pop()
-        results[name] = outcome
-    return results, cancelled
-
-
-def run_portfolio(
-    problem: Problem,
-    budget: float,
-    *,
-    seed: int = 0,
-    backend=None,
-    workers: Optional[int] = None,
-    members: Optional[List[str]] = None,
-    exact_job_limit: int = DEFAULT_EXACT_JOB_LIMIT,
-) -> SolveResult:
+def run_portfolio(problem: Problem, budget: float) -> SolveResult:
     """Race portfolio members under ``budget`` seconds of wall clock.
 
     Returns the best feasible member answer in the uniform envelope, with
@@ -360,47 +275,21 @@ def run_portfolio(
     the instance class), and ``extra["portfolio"]`` recording the budget,
     the winner, and every member's outcome — wall time and kill reason
     included for the members stopped early.
-
-    With no explicit ``backend``/``workers`` and no configured default,
-    the race runs on the warm process pool sized to the roster, which
-    enables preemptive racing (see the module docstring); configuring a
-    serial or thread backend selects the cooperative two-wave discipline
-    instead.
     """
     if budget <= 0:
         raise ValueError(f"budget must be positive, got {budget}")
     start = time.perf_counter()
     deadline = start + budget
-    roster = list(members if members is not None else default_members(problem))
+    roster = default_members(problem)
     bound = lower_bound_for(problem)
 
     # One worker per member: the roster races concurrently even when the
     # host has fewer cores (any-time semantics want every member started,
-    # not a queue).  The legacy workers rule turns this into the pooled
-    # process backend unless something explicitly configured otherwise.
-    effective_workers = workers if workers is not None else len(roster)
-    backend_obj = resolve_backend(backend, effective_workers)
-
-    results: Dict[str, SolveResult] = {}
-    killed: Dict[str, str] = {}
-    cancelled: Dict[str, str] = {}
-    incumbents: Dict[str, SolveResult] = {}
-    wall: Dict[str, float] = {}
-    with backend_obj.session(_race_member, 1) as session:
-        preemptive = bool(getattr(session, "can_kill", False))
-        if preemptive:
-            results, killed, incumbents, wall = _preemptive_race(
-                session, problem, roster, budget, deadline, start, bound
-            )
-        else:
-            results, cancelled = _cooperative_race(
-                session, problem, roster, budget, deadline, exact_job_limit
-            )
-            wall = {
-                name: res.wall_time
-                for name, res in results.items()
-                if res.wall_time is not None
-            }
+    # not a queue).
+    with get_worker_pool().session(_race_member, len(roster)) as session:
+        results, killed, incumbents, wall = _race(
+            session, problem, roster, budget, deadline, start, bound
+        )
 
     records: List[Dict[str, object]] = []
     for name in roster:
@@ -429,23 +318,9 @@ def run_portfolio(
                 record["incumbent"] = True
                 record["value"] = incumbents[name].value
             records.append(record)
-        elif name in cancelled:
-            records.append(
-                {
-                    "name": name,
-                    "state": "cancelled",
-                    "status": None,
-                    "value": None,
-                    "wall_time": None,
-                    "kill_reason": cancelled[name],
-                }
-            )
 
     portfolio_extra: Dict[str, object] = {
         "budget": budget,
-        "seed": seed,
-        "backend": backend_obj.name,
-        "preemptive": preemptive,
         "members": records,
         "winner": None,
         "lower_bound": bound.to_dict() if bound is not None else None,

@@ -38,6 +38,11 @@ Selection is layered, most explicit wins:
 
 Third-party backends register with :func:`register_backend` and become
 addressable by name everywhere a built-in is.
+
+A budgeted solve (:mod:`repro.portfolio`) is a race, not batch work, and
+never goes through this selection: it always runs on the warm worker
+pool, which alone can hard-kill a losing member, so the configured
+backend cannot change what a budgeted solve returns.
 """
 
 from __future__ import annotations
@@ -83,16 +88,7 @@ class ExecutionSession:
     Task callables must never raise — the stream layer wraps them so every
     exception is captured as a per-task outcome.  A raising task is a
     programming error and propagates out of :meth:`pop`.
-
-    Preemption is optional: sessions advertise it via :attr:`can_kill`.
-    Only sessions backed by worker processes (the pool-backed process
-    backend) can actually terminate a running task; the base surface
-    keeps the other backends honest with explicit no-op semantics so the
-    portfolio racer can feature-detect instead of type-checking.
     """
-
-    #: True when :meth:`kill` can actually stop a *running* task.
-    can_kill = False
 
     def submit(self, tag: int, item: object) -> None:
         raise NotImplementedError
@@ -105,21 +101,6 @@ class ExecutionSession:
         when nothing finished in time.
         """
         raise NotImplementedError
-
-    def kill(self, tag: int) -> bool:
-        """Hard-stop task ``tag`` if this session can; returns ``True`` on stop.
-
-        The base implementation cannot interrupt anything and returns
-        ``False``; killed tags (where supported) never surface from
-        :meth:`pop`.
-        """
-        return False
-
-    def take_incumbent(self, tag: int) -> Optional[object]:
-        """Latest any-time incumbent published by ``tag``, if the backend
-        carries an incumbent channel (only the pool-backed process
-        sessions do)."""
-        return None
 
     @property
     def in_flight(self) -> int:
@@ -279,8 +260,7 @@ class ProcessBackend(Backend):
 
     Sessions draw warm workers from the process-wide
     :class:`~repro.runtime.pool.WorkerPool` — interpreters spawned once
-    and reused across sessions — and support hard preemption
-    (``can_kill``) plus the any-time incumbent channel.
+    and reused across sessions.
     """
 
     name = "process"

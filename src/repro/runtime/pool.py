@@ -4,9 +4,9 @@
 ``ProcessPoolExecutor`` for every session, so every ``solve_batch`` /
 ``solve_stream`` call and every service drain paid cold interpreter spawn
 and configuration re-sync before the first DP state was evaluated — and a
-running worker could never be interrupted, which is why the portfolio
-racer refused to dispatch the exact DP on large instances.  This module
-replaces the per-call executor with one process-wide :class:`WorkerPool`:
+running worker could never be interrupted.  This module replaces the
+per-call executor with one process-wide :class:`WorkerPool`, on which
+every budgeted portfolio race runs:
 
 * **Warm reuse.**  Workers are spawned once and survive across sessions;
   a second ``solve_stream`` call finds interpreters already imported and
@@ -385,8 +385,6 @@ class PoolSession:
     the worker running a tag, and :meth:`take_incumbent` drains the
     latest any-time payload a task published.
     """
-
-    can_kill = True
 
     def __init__(
         self, pool: WorkerPool, fn: Callable, workers: int, chunksize: int

@@ -132,6 +132,9 @@ class _Handler(BaseHTTPRequestHandler):
             # Undecodable bytes, malformed JSON, and numbers json refuses to
             # convert (such as integers past the digit limit) alike.
             raise _BadRequest(f"request body is not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            # Arrays or objects nested past the interpreter's recursion limit.
+            raise _BadRequest("request body JSON nests too deeply") from exc
         if not isinstance(data, dict):
             raise _BadRequest("request body must be a JSON object")
         return data

@@ -14,7 +14,7 @@ portfolio makes is checked against the known optimum:
   bound through :func:`~repro.verify.certificates.certify_bound`.
 
 Exposed on the command line as ``repro-sched fuzz --portfolio``; CI runs
-it in the portfolio smoke job.
+it in the race smoke job.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from .certificates import TOLERANCE, certify_bound, certify_result
 
 __all__ = ["PortfolioFuzzFailure", "PortfolioFuzzReport", "portfolio_fuzz"]
 
-#: Largest fuzz instance; must stay far under the portfolio's exact-DP
-#: admission limit so the optimum is always available for comparison.
+#: Largest fuzz instance; small enough that the raced exact DP always
+#: finishes inside the budget, so the optimum is available for comparison.
 MAX_FUZZ_JOBS = 14
 
 _ALPHAS = (0.5, 1.0, 2.0, 3.5)

@@ -143,6 +143,21 @@ class TestSchemaValidation:
         with pytest.raises(BenchSchemaError, match="host"):
             validate_report(broken)
 
+    def test_case_carrying_portfolio_is_drift(self, quick_report):
+        # v9 dropped the budget-raced portfolio block, null or not.
+        for block in (None, {"budget": 1.0, "status": "optimal"}):
+            broken = json.loads(json.dumps(quick_report))
+            broken["cases"][0]["portfolio"] = block
+            with pytest.raises(BenchSchemaError, match="unexpected keys"):
+                validate_report(broken)
+
+    def test_null_host_is_drift(self, quick_report):
+        # Every v9 case carries the host column and its ratio.
+        broken = json.loads(json.dumps(quick_report))
+        broken["cases"][0]["host"] = None
+        with pytest.raises(BenchSchemaError, match="host"):
+            validate_report(broken)
+
     def test_duplicate_case_names_rejected(self, quick_report):
         broken = json.loads(json.dumps(quick_report))
         broken["cases"].append(broken["cases"][0])
@@ -440,6 +455,37 @@ class TestBenchCLI:
         with pytest.raises(SystemExit):
             main(["bench", "--check", "x.json", "--median-window", "2"])
 
+    def test_bench_check_rejects_filter(self, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--check", str(tmp_path / "x.json"), "--filter", "dense"])
+        assert excinfo.value.code == 2
+
+    def test_bench_filter_flag(self, tmp_path, capsys):
+        out = tmp_path / "bench.json"
+        code = main(
+            [
+                "bench",
+                "--quick",
+                "--repeats",
+                "1",
+                "--warmup",
+                "0",
+                "--filter",
+                "uniform",
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 0
+        with open(out, "r", encoding="utf-8") as handle:
+            report = json.load(handle)
+        assert all("uniform" in case["name"] for case in report["cases"])
+
+    def test_bench_filter_no_match_is_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--quick", "--filter", "zebra", "--out", str(tmp_path / "b.json")])
+        assert excinfo.value.code == 2
+
     def test_committed_report_is_schema_valid(self):
         # BENCH_dp.json at the repo root is a released artifact; CI fails on
         # drift, and so does the tier-1 suite.
@@ -466,6 +512,29 @@ class TestBenchCLI:
         ]
         assert headline, "full report must include the large splittable cases"
         assert all(case["speedup_vs_mono"] >= 1.5 for case in headline)
+
+
+class TestNameFilter:
+    def test_filter_narrows_the_matrix(self):
+        report = run_bench(
+            quick=True, repeats=1, warmup=0, name_filter="uniform"
+        )
+        assert report["cases"]
+        assert all("uniform" in case["name"] for case in report["cases"])
+
+    def test_filtered_run_solves_the_unfiltered_instances(self):
+        # Instance seeds follow the full matrix order, so the value gate
+        # can compare a filtered run with a committed full report.
+        full = {c["name"]: c for c in run_bench(quick=True, repeats=1, warmup=0)["cases"]}
+        narrow = run_bench(quick=True, repeats=1, warmup=0, name_filter="^power/")
+        assert narrow["cases"]
+        for case in narrow["cases"]:
+            assert case["value"] == full[case["name"]]["value"]
+            assert case["engine_stats"] == full[case["name"]]["engine_stats"]
+
+    def test_filter_with_no_match_raises(self):
+        with pytest.raises(ValueError):
+            run_bench(quick=True, repeats=1, warmup=0, name_filter="zebra")
 
 
 class TestFuzzProfile:

@@ -48,7 +48,6 @@ def make_report(median=0.01, name="gap/test-n10-p1"):
                 "decomposed": None,
                 "speedup_vs_mono": None,
                 "engine_stats": {"states_computed": 5},
-                "portfolio": None,
             }
         ],
     }

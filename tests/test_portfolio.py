@@ -12,7 +12,6 @@ import time
 import pytest
 
 from repro.api import (
-    DEFAULT_EXACT_JOB_LIMIT,
     Problem,
     default_members,
     run_portfolio,
@@ -41,11 +40,10 @@ class TestDefaultMembers:
         assert roster == ["edf-gap", "localsearch-gap", "gap-dp"]
 
     def test_large_instance_keeps_exact_in_roster(self):
-        # Admission moved from roster construction to dispatch time: the
-        # exact DP is always rostered; preemptive sessions race it under
-        # hard kill, cooperative ones refuse it at dispatch ("admission").
+        # The exact DP is rostered at every size: the race hard-kills it
+        # at the deadline.
         inst = OneIntervalInstance.from_pairs(
-            [(3 * i, 3 * i + 5) for i in range(DEFAULT_EXACT_JOB_LIMIT + 1)]
+            [(3 * i, 3 * i + 5) for i in range(450)]
         )
         roster = default_members(Problem(objective="gaps", instance=inst))
         assert roster == ["edf-gap", "localsearch-gap", "gap-dp"]
@@ -99,9 +97,9 @@ class TestRunPortfolio:
         names = [member["name"] for member in race["members"]]
         assert names == ["edf-gap", "localsearch-gap", "gap-dp"]
         for member in race["members"]:
-            # Preemptive racing may hard-kill beaten members; every record
-            # still carries its state, kill reason and wall time.
-            assert member["state"] in ("ran", "killed", "cancelled")
+            # The race may hard-kill beaten members; every record still
+            # carries its state, kill reason and wall time.
+            assert member["state"] in ("ran", "killed")
             if member["state"] == "ran":
                 assert member["kill_reason"] is None
                 assert member["wall_time"] >= 0
@@ -110,16 +108,7 @@ class TestRunPortfolio:
         assert any(member["state"] == "ran" for member in race["members"])
         assert race["winner"] in names
         assert race["budget"] == 5.0
-        assert race["backend"] in ("serial", "thread", "process")
-
-    def test_serial_backend_runs_every_member(self):
-        # The cooperative path keeps the historical guarantee: with budget
-        # headroom every rostered member actually runs to completion.
-        problem = Problem(objective="gaps", instance=small_instance())
-        result = run_portfolio(problem, budget=5.0, backend="serial")
-        race = result.extra["portfolio"]
-        assert race["preemptive"] is False
-        assert all(member["state"] == "ran" for member in race["members"])
+        assert set(race) == {"budget", "members", "winner", "lower_bound"}
 
     def test_infeasible_instance_attaches_hall_certificate(self):
         bad = OneIntervalInstance.from_pairs([(0, 1), (0, 1), (0, 1)])
@@ -138,7 +127,7 @@ class TestRunPortfolio:
             run_portfolio(problem, budget=0.0)
 
     def test_deterministic_given_budget_headroom(self):
-        # Preemptive racing fixes the value, status and certified gap given
+        # The race fixes the value, status and certified gap given
         # headroom; the winning member's *name* is timing-dependent by
         # design (whoever pins first kills the rest).
         problem = Problem(objective="gaps", instance=small_instance())
@@ -148,28 +137,10 @@ class TestRunPortfolio:
         assert first.status == second.status
         assert first.extra["optimality_gap"] == second.extra["optimality_gap"]
 
-    def test_serial_backend_fully_deterministic(self):
-        # The cooperative path additionally fixes the winner and schedule.
-        problem = Problem(objective="gaps", instance=small_instance())
-        first = run_portfolio(problem, budget=5.0, backend="serial")
-        second = run_portfolio(problem, budget=5.0, backend="serial")
-        assert first.value == second.value
-        assert first.extra["portfolio"]["winner"] == (
-            second.extra["portfolio"]["winner"]
-        )
-        assert first.schedule.assignment == second.schedule.assignment
-
-    def test_explicit_members_are_honored(self):
-        problem = Problem(objective="gaps", instance=small_instance())
-        result = run_portfolio(problem, budget=5.0, members=["edf-gap"])
-        race = result.extra["portfolio"]
-        assert [member["name"] for member in race["members"]] == ["edf-gap"]
-
     def test_tight_budget_cancels_exact_member(self):
         # A sub-millisecond budget still returns a feasible answer, and the
-        # exact DP must not be allowed to blow the deadline: the
-        # cooperative path refuses to dispatch it ("cancelled"), the
-        # preemptive path hard-kills it ("killed" at the deadline).
+        # exact DP must not be allowed to blow the deadline: the race
+        # hard-kills it at the deadline.
         inst = OneIntervalInstance.from_pairs(
             [(3 * i, 3 * i + 5) for i in range(300)]
         )
@@ -180,20 +151,7 @@ class TestRunPortfolio:
             for member in result.extra["portfolio"]["members"]
         }
         assert result.feasible
-        assert members["gap-dp"]["state"] in ("cancelled", "killed")
-
-    def test_tight_budget_serial_cancels_with_reason(self):
-        inst = OneIntervalInstance.from_pairs(
-            [(3 * i, 3 * i + 5) for i in range(300)]
-        )
-        problem = Problem(objective="gaps", instance=inst)
-        result = run_portfolio(problem, budget=1e-4, backend="serial")
-        members = {
-            member["name"]: member
-            for member in result.extra["portfolio"]["members"]
-        }
-        assert result.feasible
-        assert members["gap-dp"]["state"] == "cancelled"
+        assert members["gap-dp"]["state"] == "killed"
         assert members["gap-dp"]["kill_reason"] == "deadline"
 
 

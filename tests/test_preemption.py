@@ -18,7 +18,9 @@ from repro.api.registry import _REGISTRY
 from repro.api.solvers import clear_solve_cache, solve_cache_stats
 from repro.core.jobs import OneIntervalInstance
 from repro.runtime import (
+    configure_backend,
     configure_disk_cache,
+    configured_backend,
     get_worker_pool,
     shutdown_worker_pool,
     solve_stream,
@@ -88,7 +90,6 @@ class TestWorkerPool:
             session.submit(0, "victim")
             session.submit(1, "survivor")
             assert session.pop(timeout=0.05) is None  # both still running
-            assert session.can_kill
             assert session.kill(0) is True
             assert session.kill(0) is False  # idempotent
             # the survivor's four-second solve is unaffected
@@ -232,10 +233,9 @@ def _race_same_key(cache_dir, barrier, queue):
 
 
 def _differential_instance():
-    # The PR 9 admission-rule refusal case: n = 450 > DEFAULT_EXACT_JOB_LIMIT,
-    # the heuristics plateau one gap above the optimum (local-search local
-    # minimum), and the certified lower bound sits far below both — so no
-    # heuristic can ever pin ratio == 1.0, only the exact DP can.  The
+    # n = 450: the heuristics plateau one gap above the optimum (local-search
+    # local minimum), and the certified lower bound sits far below both — so
+    # no heuristic can ever pin ratio == 1.0, only the exact DP can.  The
     # instance decomposes into many small windows, so the DP finishes in
     # well under a second inside its racing worker.
     rng = random.Random(0)
@@ -250,33 +250,28 @@ def _differential_instance():
 
 
 class TestPreemptiveRacing:
-    def test_exact_dp_wins_a_race_it_was_previously_refused(self):
-        # Differential acceptance: under PR 9's cooperative discipline the
-        # exact DP is never dispatched on this instance (n > 400 ⇒
-        # "admission") and the portfolio stays approximate; the preemptive
-        # racer launches it at t=0 and returns a certified optimum within
-        # the same budget.
+    def test_exact_dp_wins_the_race_whatever_the_batch_backend(self, monkeypatch):
+        # The batch backend setting must not change a budgeted answer: the
+        # race always runs on the warm pool, where the exact DP races from
+        # t=0 and certifies the optimum the heuristics cannot reach.
         problem = Problem(objective="gaps", instance=_differential_instance())
-
-        cooperative = run_portfolio(problem, budget=10.0, backend="serial")
-        members = {
-            m["name"]: m for m in cooperative.extra["portfolio"]["members"]
-        }
-        assert members["gap-dp"]["state"] == "cancelled"
-        assert members["gap-dp"]["kill_reason"] == "admission"
-        assert cooperative.status == "approximate"
-        assert cooperative.extra["optimality_gap"]["ratio"] > 1.0
-
+        previous = configured_backend()
+        configure_backend("serial")
+        try:
+            configured = run_portfolio(problem, budget=10.0)
+        finally:
+            configure_backend(previous)
         clear_solve_cache()
-        # Pin the process backend: under the REPRO_BACKEND=serial/thread CI
-        # legs the unpinned default resolves to a kill-less session and the
-        # race would (by design) fall back to the cooperative discipline.
-        preemptive = run_portfolio(problem, budget=10.0, backend="process")
-        assert preemptive.extra["portfolio"]["preemptive"] is True
-        assert preemptive.status == "optimal"
-        assert preemptive.extra["optimality_gap"]["ratio"] == pytest.approx(1.0)
-        assert preemptive.value < cooperative.value
-        assert certify_result(problem, preemptive).ok
+        shutdown_worker_pool()
+        monkeypatch.setenv("REPRO_BACKEND", "thread")
+        from_env = run_portfolio(problem, budget=10.0)
+
+        exact = solve(problem, solver="gap-dp")
+        for result in (configured, from_env):
+            assert result.status == "optimal"
+            assert result.value == exact.value
+            assert result.extra["optimality_gap"]["ratio"] == pytest.approx(1.0)
+            assert certify_result(problem, result).ok
 
     def test_race_leaves_no_orphan_processes(self):
         problem = Problem(objective="gaps", instance=_differential_instance())
@@ -292,7 +287,7 @@ class TestPreemptiveRacing:
             [(5 * i, 5 * i + 9) for i in range(2000)]
         )
         problem = Problem(objective="gaps", instance=inst)
-        result = run_portfolio(problem, budget=1e-3, backend="process")
+        result = run_portfolio(problem, budget=1e-3)
         assert result.feasible
         assert result.schedule is not None
         assert len(result.schedule.assignment) == 2000
@@ -308,7 +303,7 @@ class TestPreemptiveRacing:
             [(i, i + 4000) for i in range(4000)]  # one giant window: slow DP
         )
         problem = Problem(objective="gaps", instance=inst)
-        result = run_portfolio(problem, budget=0.5, backend="process")
+        result = run_portfolio(problem, budget=0.5)
         assert result.feasible  # a heuristic answered; the DP was killed
         # no torn disk entries: every file parses or is ignored as a miss
         disk = DiskSolveCache(str(tmp_path))

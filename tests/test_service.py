@@ -421,6 +421,21 @@ class TestHttpSurface:
         assert head.startswith(b"HTTP/1.1 400"), reply[:200]
         assert "JSON" in json.loads(body)["error"]
 
+    def test_deeply_nested_json_is_400(self, make_server):
+        # json.loads raises RecursionError, not ValueError, on nesting past
+        # the interpreter's recursion limit.
+        server = make_server()
+        payload = b"[" * 100_000 + b"]" * 100_000
+        reply = self._raw_post(
+            server, b"Content-Length: %d\r\nConnection: close" % len(payload), payload
+        )
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400"), reply[:200]
+        assert "nests too deeply" in json.loads(body)["error"]
+        client = ServiceClient(server.url, client_id="after-nested")
+        job_id = client.submit(gap_problem(0))
+        assert client.result(job_id, timeout=30.0).status == "optimal"
+
     def test_http_connections_close_their_sqlite_handles(self, make_server):
         # Each HTTP connection is served on a fresh thread with its own
         # SQLite connection.  sqlite3.Connection objects sit in reference
