@@ -51,42 +51,42 @@ def main() -> None:
         server = start_service(db_path, port=0, backend="thread", window=4)
         print(f"service up at {server.url} (db: jobs.db, backend: thread)")
 
-        client = ServiceClient(server.url, client_id="example")
-        problems = make_workload()
+        with ServiceClient(server.url, client_id="example") as client:
+            problems = make_workload()
 
-        print("\n=== submit ===")
-        job_ids = [client.submit(problem) for problem in problems]
-        vip = client.submit(problems[0], priority=10)  # jumps the queue
-        print(f"submitted {len(job_ids)} jobs + 1 high-priority rerun")
+            print("\n=== submit ===")
+            job_ids = [client.submit(problem) for problem in problems]
+            vip = client.submit(problems[0], priority=10)  # jumps the queue
+            print(f"submitted {len(job_ids)} jobs + 1 high-priority rerun")
 
-        print("\n=== results (vs direct solve) ===")
-        for problem, job_id in zip(problems, job_ids):
-            remote = client.result(job_id, timeout=60.0)
-            local = solve(problem)
-            match = "identical" if to_json(remote) == to_json(local) else "DIFFERENT"
+            print("\n=== results (vs direct solve) ===")
+            for problem, job_id in zip(problems, job_ids):
+                remote = client.result(job_id, timeout=60.0)
+                local = solve(problem)
+                match = "identical" if to_json(remote) == to_json(local) else "DIFFERENT"
+                print(
+                    f"job {job_id[:8]}  {problem.objective:<6} "
+                    f"status={remote.status:<10} value={remote.value}  "
+                    f"envelope vs local solve: {match}"
+                )
+            vip_status = client.status(vip)
+            print(f"high-priority job finished as {vip_status['state']}")
+
+            print("\n=== operational stats ===")
+            stats = client.stats()
+            jobs = stats["service"]["jobs"]
+            print(f"jobs: {jobs['done']} done, {jobs['queued']} queued")
             print(
-                f"job {job_id[:8]}  {problem.objective:<6} "
-                f"status={remote.status:<10} value={remote.value}  "
-                f"envelope vs local solve: {match}"
+                f"tasks completed: {stats['tasks']['completed']} "
+                f"(by status: {stats['tasks']['by_status']})"
             )
-        vip_status = client.status(vip)
-        print(f"high-priority job finished as {vip_status['state']}")
-
-        print("\n=== operational stats ===")
-        stats = client.stats()
-        jobs = stats["service"]["jobs"]
-        print(f"jobs: {jobs['done']} done, {jobs['queued']} queued")
-        print(
-            f"tasks completed: {stats['tasks']['completed']} "
-            f"(by status: {stats['tasks']['by_status']})"
-        )
-        print(f"solve cache: hits={stats['cache']['hits']} misses={stats['cache']['misses']}")
-        engine = stats["engine"]
-        if engine:
-            print(
-                f"engine counters: states_computed={engine.get('states_computed')} "
-                f"memo_hits={engine.get('memo_hits')}"
-            )
+            print(f"solve cache: hits={stats['cache']['hits']} misses={stats['cache']['misses']}")
+            engine = stats["engine"]
+            if engine:
+                print(
+                    f"engine counters: states_computed={engine.get('states_computed')} "
+                    f"memo_hits={engine.get('memo_hits')}"
+                )
 
         server.stop()
         print("\nservice drained and stopped cleanly")

@@ -491,7 +491,8 @@ def _client_command(args: argparse.Namespace, parser: argparse.ArgumentParser) -
             payload = operational_stats()
         else:
             try:
-                payload = ServiceClient(args.url).stats()
+                with ServiceClient(args.url) as client:
+                    payload = client.stats()
             except ServiceError as exc:
                 print(f"stats failed: {exc}", file=sys.stderr)
                 return 1
@@ -531,6 +532,8 @@ def _client_command(args: argparse.Namespace, parser: argparse.ArgumentParser) -
         if exc.payload:
             print(json.dumps(exc.payload, indent=2, sort_keys=True), file=sys.stderr)
         return 1
+    finally:
+        client.close()
     parser.error(f"unknown client command {args.command!r}")  # pragma: no cover
     return 2
 

@@ -1,4 +1,4 @@
-"""A thin HTTP client for the scheduling service (urllib, no dependencies).
+"""A thin HTTP client for the scheduling service (``http.client``, stdlib only).
 
 :class:`ServiceClient` wraps the five service endpoints in typed calls:
 ``submit`` takes a façade :class:`~repro.api.problem.Problem` and returns a
@@ -13,14 +13,27 @@ Every non-2xx response raises :class:`ServiceError` carrying the HTTP
 status and the server's structured JSON payload, so callers can
 distinguish a 429 quota denial (inspect ``payload["error"]`` and
 ``payload["retry_after"]``) from a 410 cancelled job or a 404 typo.
+
+Transport: one persistent HTTP/1.1 connection per client, opened on the
+first request and reused, under a lock, by every submit, poll and fetch.
+Before an idle connection is reused its socket is checked; a readable one
+has been closed by the server (after its idle timeout, say), so the
+client reconnects instead of sending into it.  A ``GET`` that still fails
+with a reset or disconnect on a reused connection is retried once on a
+fresh one; a ``POST`` never is, because a lost reply must not submit a
+job twice.  Close the client (or use it as a context manager) to give the
+connection back.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import select
+import socket
+import threading
 import time
-import urllib.error
-import urllib.request
+import urllib.parse
 from typing import Any, Dict, Optional
 
 from ..api.problem import Problem
@@ -50,8 +63,21 @@ class ServiceError(ReproError):
         self.payload = payload or {}
 
 
+def _closed_by_peer(sock: socket.socket) -> bool:
+    """True when an idle connection is readable: the server has closed it."""
+    if hasattr(select, "poll"):  # select() cannot watch descriptors >= 1024
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    return bool(select.select([sock], [], [], 0)[0])
+
+
 class ServiceClient:
-    """Talks to one service instance at ``url`` on behalf of ``client_id``."""
+    """Talks to one service instance at ``url`` on behalf of ``client_id``.
+
+    Holds one keep-alive connection (see the module docstring); safe to
+    share between threads, whose requests then take turns on it.
+    """
 
     def __init__(
         self, url: str, *, client_id: str = "client", timeout: float = 10.0
@@ -59,42 +85,89 @@ class ServiceClient:
         self.url = url.rstrip("/")
         self.client_id = client_id
         self.timeout = timeout
+        self._lock = threading.Lock()
+        self._conn: Optional[http.client.HTTPConnection] = None
+        self._prefix = ""
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Close the connection; a later request opens a new one."""
+        with self._lock:
+            if self._conn is not None:
+                self._conn.close()
 
     # -- transport ------------------------------------------------------------
+    def _connection(self) -> http.client.HTTPConnection:
+        if self._conn is None:
+            try:
+                parts = urllib.parse.urlsplit(self.url)
+                port = parts.port
+                if parts.scheme not in ("http", "https") or not parts.hostname:
+                    raise ValueError("expected http://HOST[:PORT][/PREFIX]")
+            except ValueError as exc:
+                # Keep the client's error surface uniform for CLI consumers.
+                raise ServiceError(
+                    f"invalid service URL {self.url!r}: {exc}"
+                ) from exc
+            factory = (
+                http.client.HTTPSConnection
+                if parts.scheme == "https"
+                else http.client.HTTPConnection
+            )
+            self._conn = factory(parts.hostname, port, timeout=self.timeout)
+            self._prefix = parts.path
+        return self._conn
+
     def _request(
         self, method: str, path: str, body: Optional[Dict[str, Any]] = None
     ) -> Dict[str, Any]:
         data = None if body is None else json.dumps(body).encode("utf-8")
+        headers = {"Content-Type": "application/json"}
+        with self._lock:
+            conn = self._connection()
+            retried = False
+            while True:
+                reused = conn.sock is not None
+                if reused and _closed_by_peer(conn.sock):
+                    conn.close()
+                    reused = False
+                try:
+                    conn.request(method, self._prefix + path, data, headers)
+                    response = conn.getresponse()
+                    status, raw = response.status, response.read()
+                    break
+                except BaseException as exc:
+                    conn.close()  # its state is unknown now
+                    if (
+                        isinstance(exc, ConnectionError)
+                        and reused
+                        and method == "GET"
+                        and not retried
+                    ):
+                        retried = True
+                        continue
+                    if isinstance(exc, (OSError, http.client.HTTPException)):
+                        raise ServiceError(
+                            f"cannot reach service at {self.url}: {exc}"
+                        ) from exc
+                    raise
+        if 200 <= status < 300:
+            return json.loads(raw.decode("utf-8"))
         try:
-            request = urllib.request.Request(
-                self.url + path,
-                data=data,
-                method=method,
-                headers={"Content-Type": "application/json"},
-            )
-        except ValueError as exc:
-            # urllib raises bare ValueError for a malformed/empty URL; keep
-            # the client's error surface uniform for CLI consumers.
-            raise ServiceError(f"invalid service URL {self.url!r}: {exc}") from exc
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return json.loads(response.read().decode("utf-8"))
-        except urllib.error.HTTPError as exc:
-            raw = exc.read()
-            try:
-                payload = json.loads(raw.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                payload = {"error": raw.decode("utf-8", "replace")}
-            raise ServiceError(
-                f"{method} {path} failed with HTTP {exc.code}: "
-                f"{payload.get('error', 'unknown error')}",
-                status=exc.code,
-                payload=payload,
-            ) from exc
-        except urllib.error.URLError as exc:
-            raise ServiceError(
-                f"cannot reach service at {self.url}: {exc.reason}"
-            ) from exc
+            payload = json.loads(raw.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            payload = {"error": raw.decode("utf-8", "replace")}
+        raise ServiceError(
+            f"{method} {path} failed with HTTP {status}: "
+            f"{payload.get('error', 'unknown error')}",
+            status=status,
+            payload=payload,
+        )
 
     # -- job lifecycle --------------------------------------------------------
     def submit(

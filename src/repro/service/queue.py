@@ -21,10 +21,12 @@ job takes effect immediately; cancelling a *running* job sets a flag — the
 in-flight DP is not interruptible — and the job lands in ``cancelled``
 (result discarded) when the solve returns.
 
-Concurrency: connections are per-thread (the HTTP handler threads and the
-daemon's executor thread each get their own), WAL mode lets readers
-proceed under a writer, and the claim transaction is the only contended
-write path.
+Concurrency: connections are per-thread (each keep-alive HTTP connection's
+handler thread and the daemon's threads each get their own), WAL mode lets
+readers proceed under a writer, and the claim transaction is the only
+contended write path.  The store is set up once, by its constructor: WAL
+mode persists in the file and the schema in the database, so a connection
+opened later on another thread only sets its per-connection options.
 
 Jobs carry the serialized :class:`~repro.api.problem.Problem` JSON, the
 submitting client id, a priority (higher first, FIFO within a priority),
@@ -182,7 +184,11 @@ class JobQueue:
         if parent:
             os.makedirs(parent, exist_ok=True)
         self._local = threading.local()
-        self._conn()  # eagerly create the file, switch to WAL, apply schema
+        # Create the file, switch it to WAL, and apply the schema, once:
+        # both persist, so other threads' connections skip them.
+        conn = self._conn()
+        conn.execute("PRAGMA journal_mode=WAL")
+        conn.executescript(_SCHEMA)
 
     # -- connection management ----------------------------------------------
     def _conn(self) -> sqlite3.Connection:
@@ -193,9 +199,7 @@ class JobQueue:
             # Autocommit mode: transactions are explicit (BEGIN IMMEDIATE)
             # so multi-statement transitions hold the write lock they need.
             conn.isolation_level = None
-            conn.execute("PRAGMA journal_mode=WAL")
             conn.execute("PRAGMA synchronous=NORMAL")
-            conn.executescript(_SCHEMA)
             self._local.conn = conn
         return conn
 

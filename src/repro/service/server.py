@@ -30,6 +30,19 @@ lets the in-flight window finish and write back, then tears the listener
 down.  A SIGKILLed server instead leaves ``running`` rows behind, which
 the next start re-enqueues via :meth:`JobQueue.recover` — the
 kill/restart test in the suite exercises exactly that path.
+
+Connections are persistent (HTTP/1.1 keep-alive): one handler thread, and
+so one SQLite connection, serves every request a client sends until the
+client closes, :data:`IDLE_TIMEOUT_S` passes without a request, or a
+response says ``Connection: close``.  Responses go out with Nagle's
+algorithm off, since headers and body are two writes and the body would
+otherwise wait for the client's delayed ACK.  A response sent while the
+request's declared body is still unread (a 503 while draining, a POST to
+an unknown path, a bad or oversized ``Content-Length``, a chunked body)
+closes the connection: the unread bytes cannot be parsed as a next
+request, and reading them only to discard them could cost up to
+:data:`MAX_BODY_BYTES`.  Handler threads are daemon threads, so
+:meth:`ServiceServer.stop` does not wait for open connections.
 """
 
 from __future__ import annotations
@@ -49,12 +62,16 @@ from .daemon import SchedulerDaemon
 from .queue import JobQueue
 from .stats import TaskMetrics, operational_stats
 
-__all__ = ["MAX_BODY_BYTES", "ServiceServer", "start_service"]
+__all__ = ["IDLE_TIMEOUT_S", "MAX_BODY_BYTES", "ServiceServer", "start_service"]
 
 #: Largest request body the server will read.  A larger declared
 #: ``Content-Length`` is answered with 413 before any of the body is read,
 #: so a client cannot make a handler allocate or wait for it.
 MAX_BODY_BYTES = 64 * 1024 * 1024
+
+#: Seconds a keep-alive connection may wait for its next request before the
+#: server closes it and hands back its thread and SQLite connection.
+IDLE_TIMEOUT_S = 5.0
 
 
 class _BadRequest(ValueError):
@@ -74,6 +91,10 @@ class _Handler(BaseHTTPRequestHandler):
     # always sets it.
     protocol_version = "HTTP/1.1"
     server_version = "repro-sched-service"
+    # _send writes headers and body separately; with Nagle on, the body
+    # waits for the client's delayed ACK (~40 ms) on a reused connection.
+    disable_nagle_algorithm = True
+    timeout = IDLE_TIMEOUT_S
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         pass  # operational visibility comes from /v1/stats, not stderr spam
@@ -92,6 +113,16 @@ class _Handler(BaseHTTPRequestHandler):
             # cache, statements) lives until the cyclic GC next runs.
             self.service.store.close()
 
+    def parse_request(self) -> bool:
+        parsed = super().parse_request()
+        # A declared body, even a malformed one, stays pending until
+        # _read_body consumes it; _send closes the connection if it never is.
+        self._body_pending = parsed and (
+            (self.headers.get("Content-Length") or "0").strip() != "0"
+            or "Transfer-Encoding" in self.headers
+        )
+        return parsed
+
     # -- plumbing ------------------------------------------------------------
     def _send(
         self, status: int, payload: Dict[str, Any], headers: Optional[Dict] = None
@@ -102,28 +133,34 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
+        if self.close_connection or self._body_pending:
+            # Say so when the client asked to close, and close when body
+            # bytes are unread: they would be parsed as the next request
+            # line.  (send_header sets close_connection.)
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
     def _read_body(self) -> Dict[str, Any]:
         declared = (self.headers.get("Content-Length") or "0").strip()
         if not (declared.isascii() and declared.isdigit()):
-            # The body's extent is unknown, so the rest of the stream cannot
-            # be parsed as a next request: answer, then close.
-            self.close_connection = True
+            # The body's extent is unknown: it stays pending, and the
+            # connection closes after the 400.
             raise _BadRequest(
                 f"Content-Length must be a non-negative integer, got {declared!r}"
             )
         length = int(declared)
         if length > MAX_BODY_BYTES:
-            # The body stays unread, so the stream cannot carry a next
-            # request either.
-            self.close_connection = True
+            # Answered before any of the body is read; it stays pending.
             raise _BodyTooLarge(
                 f"request body of {length} bytes exceeds the "
                 f"{MAX_BODY_BYTES}-byte limit"
             )
+        if "Transfer-Encoding" in self.headers:
+            # Only Content-Length bodies are read; this one stays pending.
+            raise _BadRequest("request body must be sent with a Content-Length")
         raw = self.rfile.read(length) if length else b""
+        self._body_pending = False
         if not raw:
             raise _BadRequest("request body must be a JSON object")
         try:
@@ -182,8 +219,7 @@ class _Handler(BaseHTTPRequestHandler):
             try:
                 self._submit()
             except _BadRequest as exc:
-                closing = {"Connection": "close"} if self.close_connection else None
-                self._send(exc.status, {"error": str(exc)}, closing)
+                self._send(exc.status, {"error": str(exc)})
             return
         job_id, verb = self._job_path()
         if job_id is not None and verb == "cancel":

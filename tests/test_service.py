@@ -11,6 +11,7 @@ cannot: SIGKILL + restart recovery and SIGTERM graceful drain of
 """
 
 import gc
+import http.client
 import json
 import os
 import signal
@@ -18,10 +19,12 @@ import sqlite3
 import socket
 import subprocess
 import sys
+import textwrap
 import threading
 import time
 import urllib.error
 import urllib.request
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -31,11 +34,12 @@ from repro.api import (
     Problem,
     SolveResult,
     solve,
+    to_dict,
     to_json,
 )
 from repro.api.registry import _REGISTRY, register_solver
 from repro.service import ServiceClient, ServiceError, ServiceServer
-from repro.service.server import MAX_BODY_BYTES
+from repro.service.server import MAX_BODY_BYTES, _Handler
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -132,6 +136,37 @@ def make_server(tmp_path):
         server.stop()
 
 
+@pytest.fixture
+def connect():
+    """Factory for clients of a server; closes their connections on exit."""
+    clients = []
+
+    def factory(server: ServiceServer, client_id: str = "client") -> ServiceClient:
+        client = ServiceClient(server.url, client_id=client_id)
+        clients.append(client)
+        return client
+
+    yield factory
+    for client in clients:
+        client.close()
+
+
+def _urllib_request(server, method, path, body=None):
+    """One request through urllib, which sends ``Connection: close``."""
+    request = urllib.request.Request(
+        server.url + path,
+        data=body,
+        method=method,
+        headers={"Content-Type": "application/json"},
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=5.0) as response:
+            return response.status, json.loads(response.read())
+    except urllib.error.HTTPError as exc:
+        with exc:
+            return exc.code, json.loads(exc.read())
+
+
 def _wait_for_state(client, job_id, state, timeout=10.0):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -143,9 +178,9 @@ def _wait_for_state(client, job_id, state, timeout=10.0):
 
 
 class TestSubmitPollResult:
-    def test_result_parity_with_direct_solve(self, make_server):
+    def test_result_parity_with_direct_solve(self, make_server, connect):
         server = make_server()
-        client = ServiceClient(server.url, client_id="parity")
+        client = connect(server, "parity")
         problems = [gap_problem(3), power_problem(5)]
         for problem in problems:
             job_id = client.submit(problem)
@@ -154,9 +189,9 @@ class TestSubmitPollResult:
             # the service and from a local call are byte-identical.
             assert to_json(remote) == to_json(solve(problem))
 
-    def test_status_view_fields(self, make_server):
+    def test_status_view_fields(self, make_server, connect):
         server = make_server()
-        client = ServiceClient(server.url, client_id="viewer")
+        client = connect(server, "viewer")
         job_id = client.submit(gap_problem(1), priority=7)
         client.result(job_id, timeout=30.0)
         view = client.status(job_id)
@@ -168,11 +203,11 @@ class TestSubmitPollResult:
         assert view["finished_at"] >= view["started_at"] >= view["submitted_at"]
         assert "problem" not in view  # payload bodies stay off the status view
 
-    def test_fifty_job_mixed_workload(self, make_server):
+    def test_fifty_job_mixed_workload(self, make_server, connect):
         # The ISSUE's acceptance scenario: 50 mixed gap/power jobs through
         # the thread backend, every envelope byte-identical to solve().
         server = make_server(window=8)
-        client = ServiceClient(server.url, client_id="bulk")
+        client = connect(server, "bulk")
         problems = [
             gap_problem(i) if i % 2 == 0 else power_problem(i) for i in range(50)
         ]
@@ -185,9 +220,9 @@ class TestSubmitPollResult:
         assert stats["service"]["jobs"]["queued"] == 0
         assert stats["tasks"]["completed"] >= 1
 
-    def test_error_job_carries_error_envelope(self, make_server):
+    def test_error_job_carries_error_envelope(self, make_server, connect):
         server = make_server()
-        client = ServiceClient(server.url, client_id="crash")
+        client = connect(server, "crash")
         job_id = client.submit(sleepy_problem(0), solver="test-crash")
         _wait_for_state(client, job_id, "error")
         view = client.status(job_id)
@@ -196,19 +231,19 @@ class TestSubmitPollResult:
         assert remote.status == "error"
         assert remote.extra["error_type"] == "RuntimeError"
 
-    def test_unknown_solver_becomes_error_job(self, make_server):
+    def test_unknown_solver_becomes_error_job(self, make_server, connect):
         server = make_server()
-        client = ServiceClient(server.url, client_id="typo")
+        client = connect(server, "typo")
         job_id = client.submit(gap_problem(0), solver="no-such-solver")
         _wait_for_state(client, job_id, "error")
         assert "SolverError" in client.status(job_id)["error"]
 
-    def test_priority_orders_execution(self, make_server):
+    def test_priority_orders_execution(self, make_server, connect):
         # window=1 + a gated job holding the lane: everything submitted
         # behind it is still queued when the lane frees, so the high
         # priority job must run before the earlier-submitted low one.
         server = make_server(window=1)
-        client = ServiceClient(server.url, client_id="prio")
+        client = connect(server, "prio")
         blocker = client.submit(sleepy_problem(0), solver="test-sleepy")
         _wait_for_state(client, blocker, "running")
         low = client.submit(gap_problem(1), priority=0)
@@ -221,9 +256,9 @@ class TestSubmitPollResult:
 
 
 class TestCancel:
-    def test_cancel_queued_is_immediate(self, make_server):
+    def test_cancel_queued_is_immediate(self, make_server, connect):
         server = make_server(window=1)
-        client = ServiceClient(server.url, client_id="cancel")
+        client = connect(server, "cancel")
         blocker = client.submit(sleepy_problem(0), solver="test-sleepy")
         _wait_for_state(client, blocker, "running")
         queued = client.submit(sleepy_problem(1), solver="test-sleepy")
@@ -235,9 +270,11 @@ class TestCancel:
         SLEEP_GATE.set()
         client.result(blocker, timeout=30.0)
 
-    def test_cancel_running_lands_cancelled_and_discards_result(self, make_server):
+    def test_cancel_running_lands_cancelled_and_discards_result(
+        self, make_server, connect
+    ):
         server = make_server(window=1)
-        client = ServiceClient(server.url, client_id="cancel")
+        client = connect(server, "cancel")
         job_id = client.submit(sleepy_problem(2), solver="test-sleepy")
         _wait_for_state(client, job_id, "running")
         assert client.cancel(job_id)["state"] == "cancelling"
@@ -247,9 +284,9 @@ class TestCancel:
             client.result(job_id, wait=False)
         assert excinfo.value.status == 410
 
-    def test_cancel_finished_job_conflicts(self, make_server):
+    def test_cancel_finished_job_conflicts(self, make_server, connect):
         server = make_server()
-        client = ServiceClient(server.url, client_id="cancel")
+        client = connect(server, "cancel")
         job_id = client.submit(gap_problem(0))
         client.result(job_id, timeout=30.0)
         with pytest.raises(ServiceError) as excinfo:
@@ -257,18 +294,18 @@ class TestCancel:
         assert excinfo.value.status == 409
         assert excinfo.value.payload["state"] == "done"
 
-    def test_cancel_unknown_job_404(self, make_server):
+    def test_cancel_unknown_job_404(self, make_server, connect):
         server = make_server()
-        client = ServiceClient(server.url, client_id="cancel")
+        client = connect(server, "cancel")
         with pytest.raises(ServiceError) as excinfo:
             client.cancel("deadbeef")
         assert excinfo.value.status == 404
 
 
 class TestAdmission:
-    def test_quota_429_with_structured_payload(self, make_server):
+    def test_quota_429_with_structured_payload(self, make_server, connect):
         server = make_server(window=1, max_queued=2, rate=0.0)
-        client = ServiceClient(server.url, client_id="greedy")
+        client = connect(server, "greedy")
         held = [
             client.submit(sleepy_problem(i), solver="test-sleepy") for i in range(2)
         ]
@@ -278,7 +315,7 @@ class TestAdmission:
         assert excinfo.value.payload["error"] == "quota_exceeded"
         assert excinfo.value.payload["retry_after"] is None
         # Another client is unaffected by greedy's quota.
-        other = ServiceClient(server.url, client_id="polite")
+        other = connect(server, "polite")
         done = other.submit(gap_problem(0))
         SLEEP_GATE.set()
         other.result(done, timeout=30.0)
@@ -287,9 +324,9 @@ class TestAdmission:
         # Outstanding jobs drained, the client may submit again.
         assert client.submit(gap_problem(1))
 
-    def test_rate_limit_429_with_retry_after(self, make_server):
+    def test_rate_limit_429_with_retry_after(self, make_server, connect):
         server = make_server(rate=0.001, burst=2, max_queued=0)
-        client = ServiceClient(server.url, client_id="chatty")
+        client = connect(server, "chatty")
         client.submit(gap_problem(0))
         client.submit(gap_problem(1))
         with pytest.raises(ServiceError) as excinfo:
@@ -300,15 +337,15 @@ class TestAdmission:
 
 
 class TestHttpSurface:
-    def test_healthz(self, make_server):
+    def test_healthz(self, make_server, connect):
         server = make_server()
-        payload = ServiceClient(server.url).health()
+        payload = connect(server).health()
         assert payload["status"] == "ok"
         assert payload["state"] == "running"
 
-    def test_stats_shape_matches_cli_payload(self, make_server):
+    def test_stats_shape_matches_cli_payload(self, make_server, connect):
         server = make_server()
-        client = ServiceClient(server.url, client_id="stats")
+        client = connect(server, "stats")
         job_id = client.submit(gap_problem(0))
         client.result(job_id, timeout=30.0)
         payload = client.stats()
@@ -327,17 +364,7 @@ class TestHttpSurface:
         server = make_server()
 
         def raw_request(method, path, body=None):
-            request = urllib.request.Request(
-                server.url + path,
-                data=body,
-                method=method,
-                headers={"Content-Type": "application/json"},
-            )
-            try:
-                with urllib.request.urlopen(request, timeout=5.0) as response:
-                    return response.status, json.loads(response.read())
-            except urllib.error.HTTPError as exc:
-                return exc.code, json.loads(exc.read())
+            return _urllib_request(server, method, path, body)
 
         assert raw_request("GET", "/v1/nope")[0] == 404
         assert raw_request("POST", "/v1/nope")[0] == 404
@@ -353,7 +380,7 @@ class TestHttpSurface:
         )
         assert status == 400
 
-    def test_bad_content_length_is_400(self, make_server):
+    def test_bad_content_length_is_400(self, make_server, connect):
         # Raw sockets: urllib never sends a malformed Content-Length.
         server = make_server()
         address = (server.host, server.port)
@@ -375,7 +402,7 @@ class TestHttpSurface:
             assert head.startswith(b"HTTP/1.1 400"), (declared, reply)
             assert "Content-Length" in json.loads(body)["error"]
         # The server keeps serving.
-        client = ServiceClient(server.url, client_id="after-bad-length")
+        client = connect(server, "after-bad-length")
         assert client.health()["status"] == "ok"
         job_id = client.submit(gap_problem(0))
         assert client.result(job_id, timeout=30.0).status == "optimal"
@@ -395,7 +422,9 @@ class TestHttpSurface:
                     return reply
                 reply += chunk
 
-    def test_oversized_content_length_is_413_before_reading(self, make_server):
+    def test_oversized_content_length_is_413_before_reading(
+        self, make_server, connect
+    ):
         # Nothing of the declared body is sent: a server that tried to read
         # (or allocate) it would hang or die instead of answering.
         server = make_server()
@@ -405,7 +434,7 @@ class TestHttpSurface:
             assert head.startswith(b"HTTP/1.1 413"), (declared, reply)
             assert b"\r\nConnection: close" in head
             assert str(MAX_BODY_BYTES) in json.loads(body)["error"]
-        client = ServiceClient(server.url, client_id="after-oversized")
+        client = connect(server, "after-oversized")
         job_id = client.submit(gap_problem(0))
         assert client.result(job_id, timeout=30.0).status == "optimal"
 
@@ -421,7 +450,7 @@ class TestHttpSurface:
         assert head.startswith(b"HTTP/1.1 400"), reply[:200]
         assert "JSON" in json.loads(body)["error"]
 
-    def test_deeply_nested_json_is_400(self, make_server):
+    def test_deeply_nested_json_is_400(self, make_server, connect):
         # json.loads raises RecursionError, not ValueError, on nesting past
         # the interpreter's recursion limit.
         server = make_server()
@@ -432,7 +461,7 @@ class TestHttpSurface:
         head, _, body = reply.partition(b"\r\n\r\n")
         assert head.startswith(b"HTTP/1.1 400"), reply[:200]
         assert "nests too deeply" in json.loads(body)["error"]
-        client = ServiceClient(server.url, client_id="after-nested")
+        client = connect(server, "after-nested")
         job_id = client.submit(gap_problem(0))
         assert client.result(job_id, timeout=30.0).status == "optimal"
 
@@ -440,36 +469,30 @@ class TestHttpSurface:
         # Each HTTP connection is served on a fresh thread with its own
         # SQLite connection.  sqlite3.Connection objects sit in reference
         # cycles, so with the cyclic GC off an unclosed one stays open; the
-        # handler must close it when the HTTP connection ends.
+        # handler must close it when the HTTP connection ends.  urllib
+        # sends Connection: close, so every request here is a connection.
         server = make_server()
-        client = ServiceClient(server.url, client_id="handles")
-
-        def open_sqlite_connections():
-            count = 0
-            for obj in gc.get_objects():
-                if isinstance(obj, sqlite3.Connection):
-                    try:
-                        obj.total_changes
-                    except sqlite3.ProgrammingError:  # closed
-                        continue
-                    count += 1
-            return count
-
         gc.disable()
         try:
-            before = open_sqlite_connections()
+            before = _open_sqlite_connections()
             for seed in range(30):
-                client.status(client.submit(gap_problem(seed)))
-            opened = open_sqlite_connections() - before
+                body = {"problem": to_dict(gap_problem(seed)), "client_id": "handles"}
+                status, payload = _urllib_request(
+                    server, "POST", "/v1/jobs", json.dumps(body).encode()
+                )
+                assert status == 202, payload
+                path = f"/v1/jobs/{payload['id']}"
+                assert _urllib_request(server, "GET", path)[0] == 200
+            opened = _open_sqlite_connections() - before
         finally:
             gc.enable()
-        # 60 HTTP requests; only the daemon's few long-lived threads may
+        # 60 HTTP connections; only the daemon's few long-lived threads may
         # keep a connection open.
         assert opened <= 12, opened
 
-    def test_result_not_ready_is_202(self, make_server):
+    def test_result_not_ready_is_202(self, make_server, connect):
         server = make_server(window=1)
-        client = ServiceClient(server.url, client_id="poll")
+        client = connect(server, "poll")
         job_id = client.submit(sleepy_problem(3), solver="test-sleepy")
         with pytest.raises(ServiceError) as excinfo:
             client.result(job_id, wait=False)
@@ -477,9 +500,9 @@ class TestHttpSurface:
         SLEEP_GATE.set()
         client.result(job_id, timeout=30.0)
 
-    def test_draining_refuses_submissions(self, make_server):
+    def test_draining_refuses_submissions(self, make_server, connect):
         server = make_server()
-        client = ServiceClient(server.url, client_id="late")
+        client = connect(server, "late")
         server.draining = True
         try:
             with pytest.raises(ServiceError) as excinfo:
@@ -487,6 +510,201 @@ class TestHttpSurface:
             assert excinfo.value.status == 503
         finally:
             server.draining = False
+
+
+def _open_sqlite_connections() -> int:
+    count = 0
+    for obj in gc.get_objects():
+        if isinstance(obj, sqlite3.Connection):
+            try:
+                obj.total_changes
+            except sqlite3.ProgrammingError:  # closed
+                continue
+            count += 1
+    return count
+
+
+class _DropsSecondRequest(BaseHTTPRequestHandler):
+    """Answers the first request on a connection, then drops the connection
+    on the next one without a reply, as a server closing it mid-request."""
+
+    protocol_version = "HTTP/1.1"
+    seen: list = []
+
+    def log_message(self, format, *args):  # noqa: A002
+        pass
+
+    def _handle(self):
+        self.rfile.read(int(self.headers.get("Content-Length") or 0))
+        self.seen.append((self.command, self.path))
+        if getattr(self, "answered", False):
+            self.close_connection = True
+            return
+        self.answered = True
+        body = b'{"id": "x", "status": "ok"}'
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    do_GET = do_POST = _handle
+
+
+class TestKeepAlive:
+    """One persistent connection per client, and what the server owes it."""
+
+    def test_sequential_requests_on_one_connection_do_not_stall(self, make_server):
+        # With Nagle's algorithm on, every reply on a reused connection
+        # waited for the client's delayed ACK: 30 requests took ~1.3 s.
+        server = make_server()
+        conn = http.client.HTTPConnection(server.host, server.port, timeout=5.0)
+        try:
+            start = time.perf_counter()
+            for index in range(30):
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                assert response.status == 200
+                response.read()
+                if index == 0:
+                    sock = conn.sock
+            elapsed = time.perf_counter() - start
+            assert conn.sock is sock  # one connection throughout
+        finally:
+            conn.close()
+        assert elapsed < 0.5, elapsed
+
+    @pytest.mark.parametrize(
+        "path, chunked, status",
+        [
+            ("/v1/jobs", False, 503),
+            ("/v1/nope", False, 404),
+            ("/v1/jobs/deadbeef/cancel", False, 404),
+            ("/v1/jobs", True, 400),
+        ],
+    )
+    def test_reply_before_the_body_is_read_closes_the_connection(
+        self, make_server, path, chunked, status
+    ):
+        # The unread body must not be parsed as the next request line.
+        server = make_server()
+        server.draining = status == 503  # POST /v1/jobs answers before reading
+        body = json.dumps({"problem": to_dict(gap_problem(0))}).encode()
+        conn = http.client.HTTPConnection(server.host, server.port, timeout=5.0)
+        try:
+            conn.request(  # an iterable body goes out chunked
+                "POST",
+                path,
+                iter([body]) if chunked else body,
+                {"Content-Type": "application/json"},
+            )
+            response = conn.getresponse()
+            assert response.status == status
+            assert response.getheader("Connection") == "close"
+            response.read()
+            conn.request("GET", "/healthz")  # on a new connection
+            response = conn.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read())["status"] == "ok"
+        finally:
+            conn.close()
+            server.draining = False
+
+    def test_one_client_holds_one_sqlite_handle(self, make_server, connect):
+        server = make_server()
+        client = connect(server, "handles")
+        client.result(client.submit(gap_problem(99)), timeout=30.0)
+        gc.disable()
+        try:
+            before = _open_sqlite_connections()
+            for seed in range(30):
+                client.status(client.submit(gap_problem(seed)))
+            opened = _open_sqlite_connections() - before
+        finally:
+            gc.enable()
+        assert opened <= 2, opened
+
+    def test_client_reconnects_after_an_idle_close(
+        self, make_server, connect, monkeypatch
+    ):
+        monkeypatch.setattr(_Handler, "timeout", 0.2)
+        server = make_server()
+        client = connect(server, "idle")
+        assert client.health()["status"] == "ok"
+        time.sleep(0.5)  # the server closes the idle connection meanwhile
+        job_id = client.submit(gap_problem(0))
+        assert client.result(job_id, timeout=30.0).status == "optimal"
+        assert sum(server.store.counts().values()) == 1
+
+    def test_stop_does_not_wait_for_open_connections(self, tmp_path):
+        # One client idles on its connection, another keeps sending on its
+        # own; joining their handler threads must not outwait either.
+        server = ServiceServer(str(tmp_path / "jobs.db"), port=0).start()
+        polling = threading.Event()
+        polling.set()
+        with ServiceClient(server.url) as idle, ServiceClient(server.url) as busy:
+            assert idle.health()["status"] == "ok"
+
+            def poll():
+                while polling.is_set():
+                    try:
+                        busy.health()
+                    except ServiceError:
+                        return  # the listener is gone
+
+            poller = threading.Thread(target=poll)
+            stopper = threading.Thread(target=server.stop)
+            poller.start()
+            stopper.start()
+            stopper.join(timeout=5.0)
+            stopped = not stopper.is_alive()
+            polling.clear()
+            poller.join(timeout=10.0)
+            stopper.join(timeout=30.0)
+        assert stopped
+
+    @pytest.fixture
+    def dropping_server(self):
+        _DropsSecondRequest.seen = []
+        httpd = ThreadingHTTPServer(("127.0.0.1", 0), _DropsSecondRequest)
+        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+        thread.start()
+        yield httpd
+        httpd.shutdown()
+        httpd.server_close()
+        thread.join(timeout=5.0)
+
+    def test_get_is_retried_once_on_a_fresh_connection(self, dropping_server):
+        host, port = dropping_server.server_address[:2]
+        # A path prefix in the URL is kept on every request.
+        with ServiceClient(f"http://{host}:{port}/svc/") as client:
+            assert client.health()["status"] == "ok"
+            assert client.health()["status"] == "ok"
+        assert _DropsSecondRequest.seen == [("GET", "/svc/healthz")] * 3
+
+    def test_post_is_never_sent_twice(self, dropping_server):
+        host, port = dropping_server.server_address[:2]
+        with ServiceClient(f"http://{host}:{port}") as client:
+            assert client.health()["status"] == "ok"
+            with pytest.raises(ServiceError, match="cannot reach service"):
+                client.submit(gap_problem(0))
+        assert _DropsSecondRequest.seen == [("GET", "/healthz"), ("POST", "/v1/jobs")]
+
+    @pytest.mark.parametrize(
+        "url", ["", "not a url", "ftp://example.com", "http://", "http://host:port"]
+    )
+    def test_malformed_url_is_invalid_service_url(self, url):
+        with ServiceClient(url) as client:
+            with pytest.raises(ServiceError, match="invalid service URL"):
+                client.health()
+
+    def test_unreachable_service_is_a_service_error(self):
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]  # bound, never listening
+            with ServiceClient(f"http://127.0.0.1:{port}") as client:
+                with pytest.raises(ServiceError, match="cannot reach service"):
+                    client.health()
 
 
 class TestServiceCLIVerbs:
@@ -608,33 +826,39 @@ class TestProcessLifecycle:
         ]
         process, url = _start_serve_subprocess(db_path)
         try:
-            client = ServiceClient(url, client_id="kill-test")
-            job_ids = [client.submit(problem) for problem in problems]
+            with ServiceClient(url, client_id="kill-test") as client:
+                job_ids = [client.submit(problem) for problem in problems]
         finally:
             # SIGKILL mid-run: no drain, no atexit — only SQLite's
             # transactions protect the state.
             process.kill()
-            process.wait(timeout=10)
+            process.communicate(timeout=10)
 
         process, url = _start_serve_subprocess(db_path)
         try:
-            client = ServiceClient(url, client_id="kill-test")
-            for problem, job_id in zip(problems, job_ids):
-                remote = client.result(job_id, timeout=60.0)
-                assert to_json(remote) == to_json(solve(problem))
-            stats = client.stats()
+            with ServiceClient(url, client_id="kill-test") as client:
+                for problem, job_id in zip(problems, job_ids):
+                    remote = client.result(job_id, timeout=60.0)
+                    assert to_json(remote) == to_json(solve(problem))
+                stats = client.stats()
             assert stats["service"]["jobs"]["done"] == 20
         finally:
             process.terminate()
-            process.wait(timeout=15)
+            process.communicate(timeout=15)
 
     def test_sigterm_drains_gracefully(self, tmp_path):
         db_path = str(tmp_path / "jobs.db")
         process, url = _start_serve_subprocess(db_path)
-        client = ServiceClient(url, client_id="drain-test")
-        job_ids = [client.submit(gap_problem(i)) for i in range(6)]
-        process.send_signal(signal.SIGTERM)
-        out, _ = process.communicate(timeout=30)
+        try:
+            with ServiceClient(url, client_id="drain-test") as client:
+                job_ids = [client.submit(gap_problem(i)) for i in range(6)]
+                # The client's connection stays open through the drain.
+                process.send_signal(signal.SIGTERM)
+                out, _ = process.communicate(timeout=30)
+        finally:
+            if process.poll() is None:  # a failure above must not leak it
+                process.kill()
+                process.communicate(timeout=10)
         assert process.returncode == 0
         assert "drain requested" in out
         assert "drained cleanly" in out
@@ -649,3 +873,13 @@ class TestProcessLifecycle:
             assert counts["done"] + counts["queued"] == len(job_ids)
         finally:
             store.close()
+
+
+def test_package_quickstart_runs(tmp_path, monkeypatch):
+    import repro.service
+
+    block = repro.service.__doc__.split("Quickstart", 1)[1].split("::\n", 1)[1]
+    monkeypatch.chdir(tmp_path)  # the quickstart writes jobs.db to the cwd
+    namespace = {}
+    exec(textwrap.dedent(block), namespace)
+    assert namespace["result"].status == "optimal"
