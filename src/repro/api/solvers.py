@@ -33,6 +33,7 @@ import threading
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
 
+from ..bounds.certificate import BoundCertificate
 from ..core.baptiste import (
     minimize_gaps_single_processor,
     minimize_power_single_processor,
@@ -621,22 +622,33 @@ def _solve_online_edf(problem: Problem) -> SolveResult:
 #: Wall-clock deadline (``time.perf_counter()`` value) the local-search
 #: adapters stop at; set by the portfolio racer via :func:`heuristic_deadline`.
 _HEURISTIC_DEADLINE: List[Optional[float]] = [None]
+#: Lower bound the heuristic adapters stamp instead of computing one; set
+#: alongside the deadline.
+_HEURISTIC_BOUND: List[Optional[BoundCertificate]] = [None]
 
 
 @contextmanager
-def heuristic_deadline(deadline: Optional[float]):
+def heuristic_deadline(
+    deadline: Optional[float], bound: Optional[BoundCertificate] = None
+):
     """Run the heuristic adapters under a cooperative wall-clock deadline.
 
     ``deadline`` is an absolute ``time.perf_counter()`` value.  The
     local-search solvers stop sweeping when it passes and return the best
     schedule found so far — stopping early never invalidates the answer,
     it only loosens the certified factor.
+
+    ``bound``, when given, must be :func:`~repro.bounds.lower_bound_for`
+    of the problem solved inside the context: the adapters certify with
+    it instead of computing the same bound again.
     """
     _HEURISTIC_DEADLINE.append(deadline)
+    _HEURISTIC_BOUND.append(bound)
     try:
         yield
     finally:
         _HEURISTIC_DEADLINE.pop()
+        _HEURISTIC_BOUND.pop()
 
 
 def _publish_times(times: Dict[int, int]) -> None:
@@ -667,7 +679,9 @@ def _certified_heuristic_result(problem: Problem, schedule, extra: Dict) -> Solv
         value: float = schedule.num_gaps()
     else:
         value = schedule.power_cost(problem.alpha)
-    cert = lower_bound_for(problem)
+    cert = _HEURISTIC_BOUND[-1]
+    if cert is None:
+        cert = lower_bound_for(problem)
     ratio: Optional[float] = None
     lower: Optional[float] = None
     if cert is not None:

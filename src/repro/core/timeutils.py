@@ -57,15 +57,22 @@ def candidate_times_for_jobs(
     if use_full_horizon or horizon <= SMALL_HORIZON_FACTOR * n + SMALL_HORIZON_SLACK:
         return list(range(lo, hi + 1))
 
-    candidates = set()
-    for job in jobs:
-        start = max(lo, job.release)
-        end = min(hi, job.release + n)
-        candidates.update(range(start, end + 1))
-        start = max(lo, job.deadline - n)
-        end = min(hi, job.deadline)
-        candidates.update(range(start, end + 1))
-    return sorted(candidates)
+    # Merge the 2n clipped windows in start order; adding each window's
+    # times to a set instead costs O(n^2) once the windows overlap.
+    windows = sorted(
+        [(job.release, min(hi, job.release + n)) for job in jobs]
+        + [(max(lo, job.deadline - n), job.deadline) for job in jobs]
+    )
+    candidates: List[int] = []
+    run_start, run_end = windows[0]
+    for start, end in windows:
+        if start > run_end + 1:
+            candidates.extend(range(run_start, run_end + 1))
+            run_start, run_end = start, end
+        elif end > run_end:
+            run_end = end
+    candidates.extend(range(run_start, run_end + 1))
+    return candidates
 
 
 def candidate_times(

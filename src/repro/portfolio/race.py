@@ -20,6 +20,14 @@ The race never consults the batch backend (``configure_backend`` /
 ``REPRO_BACKEND``): that setting picks where batch work runs, and must not
 change what a budgeted solve returns.
 
+Each side of the race is sent only what it does not already hold.  The
+parent pickles the race's problem and its certified lower bound once, and
+every member payload carries those same bytes.  The heuristic members
+stamp the parent's bound instead of recomputing it.  A member's reply
+leaves out the instance its schedule sits on, and the parent re-attaches
+its own ``problem.instance``, so a raced schedule holds the caller's
+instance object, as an unraced :func:`~repro.api.solve` does.
+
 Determinism: given budget headroom, the returned *value*, *status*, and
 *optimality gap* are deterministic; the winning member name is
 timing-dependent by design (any winner is certified equally).
@@ -27,6 +35,7 @@ timing-dependent by design (any winner is certified equally).
 
 from __future__ import annotations
 
+import pickle
 import time
 from typing import Any, Dict, List, Optional, Set, Tuple
 
@@ -85,13 +94,20 @@ def default_members(problem: Problem) -> List[str]:
     return members
 
 
-def _race_member(payload: Tuple[Problem, str, float]) -> SolveResult:
-    """Worker-side member solve (module-level so the pool can pickle it)."""
-    problem, member, remaining = payload
+def _race_member(payload: Tuple[bytes, str, float]) -> SolveResult:
+    """Worker-side member solve (module-level so the pool can pickle it).
+
+    ``payload`` is ``(blob, member, remaining)``, where ``blob`` is the
+    race's pickled ``(problem, bound)`` pair, shared by every member.  A
+    schedule on this worker's copy of the instance comes back without it
+    (and without its cached views); the parent re-attaches its own.
+    """
+    blob, member, remaining = payload
+    problem, bound = pickle.loads(blob)
     deadline = time.perf_counter() + remaining
     try:
-        with heuristic_deadline(deadline):
-            return solve(problem, solver=member)
+        with heuristic_deadline(deadline, bound):
+            result = solve(problem, solver=member)
     except ReproError as exc:
         return SolveResult(
             status="error",
@@ -100,6 +116,11 @@ def _race_member(payload: Tuple[Problem, str, float]) -> SolveResult:
             schedule=None,
             extra={"error_type": type(exc).__name__, "error": str(exc)},
         )
+    schedule = result.schedule
+    if schedule is not None and schedule.instance is problem.instance:
+        schedule.instance = None
+        schedule.invalidate_caches()
+    return result
 
 
 def _pins(result: SolveResult, bound) -> bool:
@@ -172,13 +193,16 @@ def _race(
     wall: Dict[str, float] = {}
     outstanding: Set[int] = set()
 
+    blob = pickle.dumps((problem, bound), protocol=pickle.HIGHEST_PROTOCOL)
     for tag, name in enumerate(roster):
-        session.submit(tag, (problem, name, budget))
+        session.submit(tag, (blob, name, budget))
         outstanding.add(tag)
 
     def note_finish(tag: int, result: SolveResult) -> None:
         outstanding.discard(tag)
         name = roster[tag]
+        if result.schedule is not None and result.schedule.instance is None:
+            result.schedule.instance = problem.instance
         results[name] = result
         elapsed = time.perf_counter() - start
         wall[name] = (

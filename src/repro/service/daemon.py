@@ -31,6 +31,7 @@ from __future__ import annotations
 import asyncio
 import threading
 from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..api.serialization import from_json, to_json
@@ -111,6 +112,11 @@ class SchedulerDaemon:
         self._loop = asyncio.get_running_loop()
         self._wake = asyncio.Event()
         self.state = "running"
+        # One executor thread: windows run one at a time, and the store
+        # connection it opens is closed on that thread when the loop stops.
+        executor = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-service-batch"
+        )
         if self.metrics is not None:
             add_task_observer(self.metrics.observe)
         try:
@@ -134,8 +140,13 @@ class SchedulerDaemon:
                 # it here is what makes a stop request drain gracefully —
                 # the in-flight window always writes back before the loop
                 # exits.
-                await self._loop.run_in_executor(None, self._execute_batch, batch)
+                await self._loop.run_in_executor(executor, self._execute_batch, batch)
         finally:
+            # SQLite connections are per thread: close the executor's and
+            # this loop thread's, or they stay open until the GC runs.
+            executor.submit(self.store.close).result()
+            executor.shutdown()
+            self.store.close()
             if self.metrics is not None:
                 remove_task_observer(self.metrics.observe)
             # The daemon owns the process tree it spawned: solve batches run

@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+import repro.bounds
 from repro.api import (
     Problem,
     default_members,
@@ -23,6 +24,8 @@ from repro.core.jobs import (
     MultiprocessorInstance,
     OneIntervalInstance,
 )
+from repro.portfolio import race as race_module
+from repro.runtime import shutdown_worker_pool
 from repro.verify import certify_bound, certify_result
 
 
@@ -30,6 +33,28 @@ def small_instance():
     return OneIntervalInstance.from_pairs(
         [(0, 3), (2, 6), (5, 9), (9, 14), (13, 17)]
     )
+
+
+def staircase(n):
+    """Local search meets the gap bound here, long before the exact DP ends."""
+    return OneIntervalInstance.from_pairs([(7 * i, 7 * i + 30) for i in range(n)])
+
+
+def dp_settled_instance():
+    """Gap bound 2 below the optimum 3: only the exact DP can pin the race."""
+    return OneIntervalInstance.from_pairs(
+        [(7, 9), (3, 6), (15, 16), (2, 2), (0, 3), (17, 19), (25, 25), (7, 9)]
+    )
+
+
+class _CountingInstance(OneIntervalInstance):
+    """Counts how often it is pickled; unpickles as a plain instance."""
+
+    pickles = 0
+
+    def __reduce_ex__(self, protocol):
+        type(self).pickles += 1
+        return (OneIntervalInstance, (self.jobs,))
 
 
 class TestDefaultMembers:
@@ -153,6 +178,85 @@ class TestRunPortfolio:
         assert result.feasible
         assert members["gap-dp"]["state"] == "killed"
         assert members["gap-dp"]["kill_reason"] == "deadline"
+
+
+class TestLeanProtocol:
+    """What crosses the process boundary in a race, and what comes back."""
+
+    def test_heuristic_win_holds_the_callers_instance(self):
+        inst = staircase(200)
+        problem = Problem(objective="gaps", instance=inst)
+        result = run_portfolio(problem, budget=5.0)
+        assert result.extra["portfolio"]["winner"] in ("edf-gap", "localsearch-gap")
+        assert result.schedule.instance is inst
+        assert certify_result(problem, result).ok
+
+    def test_dp_win_holds_the_callers_instance(self):
+        inst = dp_settled_instance()
+        problem = Problem(objective="gaps", instance=inst)
+        result = run_portfolio(problem, budget=5.0)
+        assert result.extra["portfolio"]["winner"] == "gap-dp"
+        assert result.status == "optimal" and result.value == 3
+        assert result.schedule.instance is inst
+        assert certify_result(problem, result).ok
+
+    def test_members_use_the_parents_bound(self, monkeypatch):
+        problem = Problem(objective="gaps", instance=staircase(200))
+        expected = run_portfolio(problem, budget=5.0)
+
+        def refuse(_problem):
+            raise RuntimeError("a race member recomputed the lower bound")
+
+        monkeypatch.setattr(repro.bounds, "lower_bound_for", refuse)
+        shutdown_worker_pool()  # the next race forks workers that see the patch
+        try:
+            result = run_portfolio(problem, budget=5.0)
+        finally:
+            shutdown_worker_pool()
+        for member in result.extra["portfolio"]["members"]:
+            assert member["status"] != "error" and member["kill_reason"] != "error", member
+        assert result.value == expected.value
+        assert result.status == expected.status
+        assert result.extra["optimality_gap"] == expected.extra["optimality_gap"]
+        assert certify_result(problem, result).ok
+
+    def test_the_instance_is_pickled_once_per_race(self):
+        inst = _CountingInstance(staircase(200).jobs)
+        problem = Problem(objective="gaps", instance=inst)
+        _CountingInstance.pickles = 0
+        result = run_portfolio(problem, budget=5.0)
+        assert result.feasible
+        assert _CountingInstance.pickles == 1
+        assert result.schedule.instance is inst
+
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            Problem(objective="gaps", instance=staircase(200)),
+            Problem(objective="power", instance=staircase(100), alpha=3.0),
+        ],
+        ids=["gaps", "power"],
+    )
+    def test_member_envelopes_match_unraced_solves(self, monkeypatch, problem):
+        raced = {}
+        race = race_module._race
+
+        def capture(*args):
+            outcome = race(*args)
+            raced.update(outcome[0])  # completed members' envelopes
+            return outcome
+
+        monkeypatch.setattr(race_module, "_race", capture)
+        run_portfolio(problem, budget=5.0)
+        heuristics = [name for name in raced if not name.endswith("-dp")]
+        assert any(name.startswith("localsearch-") for name in heuristics), raced
+        for name in heuristics:
+            alone = solve(problem, solver=name)
+            inside = raced[name]
+            assert inside.value == alone.value
+            assert inside.status == alone.status
+            assert inside.guarantee_factor == alone.guarantee_factor
+            assert inside.extra["lower_bound"] == alone.extra["lower_bound"]
 
 
 class TestFacadeBudget:

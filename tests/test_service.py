@@ -663,6 +663,32 @@ class TestKeepAlive:
             stopper.join(timeout=30.0)
         assert stopped
 
+    def test_stop_closes_the_daemons_sqlite_handles(self, tmp_path):
+        # The scheduler loop thread and its executor thread each open a
+        # thread-local store connection; sqlite3.Connection objects sit in
+        # reference cycles, so with the GC off an unclosed one outlives
+        # the daemon.
+        threads_before = set(threading.enumerate())
+        gc.disable()
+        try:
+            before = _open_sqlite_connections()
+            server = ServiceServer(
+                str(tmp_path / "jobs.db"), port=0, backend="thread", poll_interval=0.02
+            ).start()
+            with ServiceClient(server.url, client_id="stop") as client:
+                for seed in range(5):
+                    job_id = client.submit(gap_problem(seed))
+                    assert client.result(job_id, timeout=30.0).status == "optimal"
+            server.stop()
+            # The handler thread ends once the client has closed; wait for
+            # it so only the daemon's connections can still be open.
+            for thread in set(threading.enumerate()) - threads_before:
+                thread.join(timeout=5.0)
+            opened = _open_sqlite_connections() - before
+        finally:
+            gc.enable()
+        assert opened == 0, opened
+
     @pytest.fixture
     def dropping_server(self):
         _DropsSecondRequest.seen = []

@@ -1,7 +1,29 @@
 """Unit tests for the candidate-time-column computation."""
 
+import random
+import time
+
 from repro import Job, MultiprocessorInstance, OneIntervalInstance
-from repro.core.timeutils import candidate_times, candidate_times_for_jobs
+from repro.core.timeutils import (
+    SMALL_HORIZON_FACTOR,
+    SMALL_HORIZON_SLACK,
+    candidate_times,
+    candidate_times_for_jobs,
+)
+
+
+def _set_union_oracle(jobs):
+    """Reference: the per-job set union of every clipped window."""
+    n = len(jobs)
+    lo = min(job.release for job in jobs)
+    hi = max(job.deadline for job in jobs)
+    if hi - lo + 1 <= SMALL_HORIZON_FACTOR * n + SMALL_HORIZON_SLACK:
+        return list(range(lo, hi + 1))
+    candidates = set()
+    for job in jobs:
+        candidates.update(range(max(lo, job.release), min(hi, job.release + n) + 1))
+        candidates.update(range(max(lo, job.deadline - n), min(hi, job.deadline) + 1))
+    return sorted(candidates)
 
 
 class TestCandidateTimes:
@@ -47,3 +69,39 @@ class TestCandidateTimes:
         for job in jobs:
             assert job.release in times
             assert job.deadline in times
+
+
+class TestMatchesSetUnionOracle:
+    def test_random_instances(self):
+        rng = random.Random(20)
+        sparse = 0
+        for _ in range(600):
+            n = rng.randint(1, 40)
+            horizon = rng.choice([n, 4 * n + 16, 6 * n + 20, 40 * n, 500 * n])
+            window = rng.randint(1, max(1, horizon // rng.choice([1, 4, 50])))
+            jobs = []
+            for _ in range(n):
+                release = rng.randrange(-50, horizon)
+                jobs.append(Job(release, release + rng.randrange(window)))
+            expected = _set_union_oracle(jobs)
+            hi = max(job.deadline for job in jobs)
+            lo = min(job.release for job in jobs)
+            sparse += hi - lo + 1 > SMALL_HORIZON_FACTOR * n + SMALL_HORIZON_SLACK
+            assert candidate_times_for_jobs(jobs) == expected, jobs
+        # Most draws take the window-merge branch, not the full horizon.
+        assert sparse > 300
+
+    def test_staircase_past_the_small_horizon(self):
+        # Overlapping n-wide windows: the case the set union made quadratic.
+        jobs = [Job(7 * i, 7 * i + 30) for i in range(400)]
+        assert 7 * 400 + 30 > SMALL_HORIZON_FACTOR * 400 + SMALL_HORIZON_SLACK
+        assert candidate_times_for_jobs(jobs) == _set_union_oracle(jobs)
+
+    def test_large_staircase_is_fast(self):
+        jobs = [Job(7 * i, 7 * i + 30) for i in range(3000)]
+        start = time.perf_counter()
+        times = candidate_times_for_jobs(jobs)
+        # The set union needs most of a second at this size; the merge a
+        # few milliseconds.
+        assert time.perf_counter() - start < 0.25
+        assert times == list(range(0, 7 * 2999 + 31))
