@@ -8,7 +8,7 @@ remote client would:
 
 1. submit a mixed batch of gap and power jobs (with one high-priority
    straggler that jumps the queue);
-2. poll results and check they are byte-identical to direct ``solve()``
+2. wait for results and check they are byte-identical to direct ``solve()``
    calls — same engine, same canonical envelope, network boundary or not;
 3. read the operational stats surface (queue depths, cache tiers,
    aggregated engine counters);

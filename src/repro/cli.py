@@ -377,10 +377,10 @@ def build_parser() -> argparse.ArgumentParser:
     result_cmd.add_argument(
         "--no-wait",
         action="store_true",
-        help="fail instead of polling when the job is still pending",
+        help="fail instead of waiting when the job is still pending",
     )
     result_cmd.add_argument(
-        "--timeout", type=float, default=60.0, help="poll timeout (default 60)"
+        "--timeout", type=float, default=60.0, help="wait timeout in seconds (default 60)"
     )
 
     cancel = _client_parser("cancel", "cancel a queued or running job")

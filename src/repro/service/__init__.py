@@ -8,7 +8,8 @@ standard library (a hard rule, enforced by a hygiene test):
 * :mod:`~repro.service.queue` — SQLite-backed job store (WAL mode, set
   up once per store) with atomic ``queued → running → done|error|cancelled``
   transitions.  The store is the source of truth: a killed daemon loses
-  nothing, and restart re-enqueues whatever was mid-flight.
+  nothing, and restart re-enqueues whatever was mid-flight.  Each terminal
+  transition wakes the waits held on that job.
 * :mod:`~repro.service.daemon` — the asyncio scheduler loop: claim a
   window of jobs, drain it through :func:`repro.runtime.solve_stream`
   under a configurable backend, write envelopes back as they complete,
@@ -16,11 +17,15 @@ standard library (a hard rule, enforced by a hygiene test):
 * :mod:`~repro.service.server` — the HTTP/JSON API (``POST /v1/jobs``,
   status/result/cancel, ``GET /v1/stats``, ``GET /healthz``) on stdlib
   ``http.server``, with keep-alive connections and Nagle's algorithm off.
+  ``GET /v1/jobs/<id>/result?wait=<s>`` holds the request until the
+  daemon writes the job back, so clients do not poll.
 * :mod:`~repro.service.admission` — per-client token-bucket rate limits
   and an outstanding-jobs quota, surfaced as structured 429s.
 * :mod:`~repro.service.client` — :class:`ServiceClient`, which holds one
   persistent HTTP connection (close it, or use it in a ``with`` block),
-  behind the ``repro-sched submit/status/result/cancel`` CLI verbs.
+  behind the ``repro-sched submit/status/result/cancel`` CLI verbs.  Its
+  ``result`` waits in held requests, and polls only a server that does
+  not hold them.
 * :mod:`~repro.service.stats` — the shared operational-stats payload
   (cache tiers, engine counters, task totals) used by both the CLI's
   ``stats`` subcommand and ``GET /v1/stats``.

@@ -2,7 +2,7 @@
 
 :class:`ServiceClient` wraps the five service endpoints in typed calls:
 ``submit`` takes a façade :class:`~repro.api.problem.Problem` and returns a
-job id; ``result`` polls until the job is terminal and hands back the
+job id; ``result`` waits until the job is terminal and hands back the
 decoded :class:`~repro.api.result.SolveResult` — byte-identical (modulo
 ``wall_time``, which the façade already excludes from equality) to what a
 local :func:`repro.api.solve` call would have produced, because it is the
@@ -15,7 +15,8 @@ distinguish a 429 quota denial (inspect ``payload["error"]`` and
 ``payload["retry_after"]``) from a 410 cancelled job or a 404 typo.
 
 Transport: one persistent HTTP/1.1 connection per client, opened on the
-first request and reused, under a lock, by every submit, poll and fetch.
+first request and reused by every submit, status and result request;
+threads sharing a client take turns on it in arrival order.
 Before an idle connection is reused its socket is checked; a readable one
 has been closed by the server (after its idle timeout, say), so the
 client reconnects instead of sending into it.  A ``GET`` that still fails
@@ -23,6 +24,18 @@ with a reset or disconnect on a reused connection is retried once on a
 fresh one; a ``POST`` never is, because a lost reply must not submit a
 job twice.  Close the client (or use it as a context manager) to give the
 connection back.
+
+Waiting for a result: ``result`` asks the server to hold each result
+request until the job is terminal (``GET …/result?wait=<s>``), so the
+daemon's write-back answers it and the client does not poll.  A hold
+lasts at most :data:`RESULT_HOLD_S`, the time left before ``result``'s
+own deadline, or half the socket timeout, whichever is least; when it
+runs out the client asks again.  A 202 that comes back before its hold
+ran out was not held (a server without ``wait``, or one that is
+draining), and the client then sleeps ``poll_interval`` before asking
+again.  The one connection carries one request at a time, so while a
+thread holds a result request, another thread sharing the client waits
+at most one hold for its turn.
 """
 
 from __future__ import annotations
@@ -34,14 +47,19 @@ import socket
 import threading
 import time
 import urllib.parse
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Set
 
 from ..api.problem import Problem
 from ..api.result import SolveResult
 from ..api.serialization import from_dict, to_dict
 from ..core.exceptions import ReproError
 
-__all__ = ["ServiceClient", "ServiceError"]
+__all__ = ["RESULT_HOLD_S", "ServiceClient", "ServiceError"]
+
+#: Longest hold one result request asks for.  Kept short because a client
+#: shared between threads sends their requests one at a time: this bounds
+#: how long a held result request makes another thread's request wait.
+RESULT_HOLD_S = 1.0
 
 
 class ServiceError(ReproError):
@@ -61,6 +79,44 @@ class ServiceError(ReproError):
         super().__init__(message)
         self.status = status
         self.payload = payload or {}
+
+
+class _TurnLock:
+    """A lock granted in arrival order.
+
+    A ``threading.Lock`` lets the thread that releases it take it straight
+    back, so a thread re-issuing held result requests could keep another
+    thread off the connection for hold after hold; here each thread waits
+    only for the turns taken before its own.
+    """
+
+    def __init__(self) -> None:
+        self._cond = threading.Condition()
+        self._next_turn = 0
+        self._serving = 0
+        self._abandoned: Set[int] = set()
+
+    def __enter__(self) -> None:
+        with self._cond:
+            turn = self._next_turn
+            self._next_turn += 1
+            try:
+                self._cond.wait_for(lambda: self._serving == turn)
+            except BaseException:  # interrupted while queued: give the turn up
+                self._abandoned.add(turn)
+                self._advance()
+                raise
+
+    def __exit__(self, *exc_info: Any) -> None:
+        with self._cond:
+            self._serving += 1
+            self._advance()
+
+    def _advance(self) -> None:
+        while self._serving in self._abandoned:
+            self._abandoned.remove(self._serving)
+            self._serving += 1
+        self._cond.notify_all()
 
 
 def _closed_by_peer(sock: socket.socket) -> bool:
@@ -85,7 +141,7 @@ class ServiceClient:
         self.url = url.rstrip("/")
         self.client_id = client_id
         self.timeout = timeout
-        self._lock = threading.Lock()
+        self._lock = _TurnLock()
         self._conn: Optional[http.client.HTTPConnection] = None
         self._prefix = ""
 
@@ -201,13 +257,25 @@ class ServiceClient:
     ) -> SolveResult:
         """Fetch (by default: await) the job's result envelope.
 
-        Polls until the job turns terminal; raises :class:`ServiceError`
-        for a cancelled job (410), an error job without an envelope, or on
-        timeout.  With ``wait=False`` a single 202 "not ready" also raises.
+        Waits until the job turns terminal, in held requests (see the
+        module docstring), or polling every ``poll_interval`` seconds if
+        the server does not hold them; raises :class:`ServiceError` for a
+        cancelled job (410), an error job without an envelope, or on
+        timeout.  With ``wait=False`` it sends one plain request, and a
+        202 "not ready" also raises.
         """
         deadline = time.monotonic() + timeout
+        path = f"/v1/jobs/{job_id}/result"
         while True:
-            payload = self._request("GET", f"/v1/jobs/{job_id}/result")
+            hold = 0.0
+            if wait:
+                hold = min(RESULT_HOLD_S, deadline - time.monotonic())
+                if self.timeout is not None:  # None: blocking sockets
+                    hold = min(hold, self.timeout / 2)
+            sent = time.monotonic()
+            payload = self._request(
+                "GET", f"{path}?wait={hold:.3f}" if hold > 0 else path
+            )
             if payload.get("result") is not None:
                 return from_dict(payload["result"])
             state = payload.get("state")
@@ -222,13 +290,15 @@ class ServiceClient:
                 raise ServiceError(
                     f"job {job_id} is still {state}", status=202, payload=payload
                 )
-            if time.monotonic() >= deadline:
+            now = time.monotonic()
+            if now >= deadline:
                 raise ServiceError(
                     f"timed out after {timeout:g}s waiting for job {job_id} "
                     f"(last state: {state})",
                     payload=payload,
                 )
-            time.sleep(poll_interval)
+            if now - sent < hold:
+                time.sleep(poll_interval)  # answered early: it was not held
 
     def cancel(self, job_id: str) -> Dict[str, Any]:
         """Request cancellation; returns ``{"state": "cancelled"|"cancelling"}``."""

@@ -6,7 +6,8 @@ from the :class:`~repro.service.queue.JobQueue` (atomically marking them
 under the configured execution backend, and write each
 :class:`~repro.api.result.SolveResult` envelope back the moment it
 completes — results stream back in completion order, so a fast job is
-pollable before its slower batchmates finish.
+answered before its slower batchmates finish (the store's commit wakes
+any result request held on that job).
 
 Everything the runtime layer already does for batch solving carries over
 for free: the backend pool (serial/thread/process), in-flight canonical
@@ -86,6 +87,7 @@ class SchedulerDaemon:
         self.rounds = 0
         self.completed = 0
         self._stop_requested = threading.Event()
+        self._started = threading.Event()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._wake: Optional[asyncio.Event] = None
 
@@ -99,6 +101,13 @@ class SchedulerDaemon:
             except RuntimeError:
                 pass  # loop already closed — nothing left to wake
 
+    def wait_started(self, timeout: float) -> bool:
+        """Block until :meth:`run` is looping and :meth:`kick` reaches it.
+
+        Returns ``False`` if that has not happened within ``timeout`` s.
+        """
+        return self._started.wait(timeout)
+
     def request_stop(self) -> None:
         """Begin a graceful drain: finish the in-flight window, then stop."""
         if self.state == "running":
@@ -111,7 +120,6 @@ class SchedulerDaemon:
         """Run until :meth:`request_stop`; safe to call once per instance."""
         self._loop = asyncio.get_running_loop()
         self._wake = asyncio.Event()
-        self.state = "running"
         # One executor thread: windows run one at a time, and the store
         # connection it opens is closed on that thread when the loop stops.
         executor = ThreadPoolExecutor(
@@ -119,6 +127,8 @@ class SchedulerDaemon:
         )
         if self.metrics is not None:
             add_task_observer(self.metrics.observe)
+        self.state = "running"
+        self._started.set()
         try:
             while not self._stop_requested.is_set():
                 batch = self.store.claim(self.window)

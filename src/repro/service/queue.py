@@ -28,6 +28,15 @@ contended write path.  The store is set up once, by its constructor: WAL
 mode persists in the file and the schema in the database, so a connection
 opened later on another thread only sets its per-connection options.
 
+Held waits: :meth:`JobQueue.wait` blocks a caller until one job is
+terminal, without polling SQLite or holding a lock.  Each waiter parks on
+its own event in an in-process registry keyed by job id; every terminal
+transition (``complete``, ``request_cancel`` of a queued job, and
+``claim``'s finalization of a cancel-requested queued job) sets the
+events of that job only, after its commit.  The HTTP layer uses this for
+``GET /v1/jobs/<id>/result?wait=``, so the daemon's write-back answers a
+held request directly.
+
 Jobs carry the serialized :class:`~repro.api.problem.Problem` JSON, the
 submitting client id, a priority (higher first, FIFO within a priority),
 and the full timestamp trail.  :class:`JobRecord` is registered with the
@@ -46,7 +55,7 @@ import time
 import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..api.serialization import register_codec
 
@@ -184,6 +193,13 @@ class JobQueue:
         if parent:
             os.makedirs(parent, exist_ok=True)
         self._local = threading.local()
+        # Held waits (see wait()): job id -> the events of its waiters.
+        self._waiters_lock = threading.Lock()
+        self._waiters: Dict[str, List[threading.Event]] = {}
+        self._waits_released = False
+        self._held = 0
+        self._woken = 0
+        self._timed_out = 0
         # Create the file, switch it to WAL, and apply the schema, once:
         # both persist, so other threads' connections skip them.
         conn = self._conn()
@@ -312,6 +328,7 @@ class JobQueue:
         refilled this round, which only costs one poll interval.
         """
         claimed: List[JobRecord] = []
+        cancelled: List[str] = []
         now = time.time()
         with self._tx() as conn:
             rows = conn.execute(
@@ -330,6 +347,7 @@ class JobQueue:
                         " finished_at = MAX(?, submitted_at) WHERE id = ?",
                         (now, record.id),
                     )
+                    cancelled.append(record.id)
                     continue
                 started = max(now, record.submitted_at)
                 conn.execute(
@@ -345,6 +363,7 @@ class JobQueue:
                         attempts=record.attempts + 1,
                     )
                 )
+        self._wake(cancelled)
         return claimed
 
     def complete(
@@ -374,21 +393,18 @@ class JobQueue:
             if row["state"] != "running":
                 return row["state"]
             if row["cancel_requested"]:
-                conn.execute(
-                    "UPDATE jobs SET state = 'cancelled',"
-                    " finished_at = MAX(?, COALESCE(started_at, submitted_at)),"
-                    " result = NULL, error = NULL WHERE id = ?",
-                    (now, job_id),
-                )
-                return "cancelled"
-            state = "error" if failed else "done"
+                state = "cancelled"
+                result_json = error = None
+            else:
+                state = "error" if failed else "done"
             conn.execute(
                 "UPDATE jobs SET state = ?,"
                 " finished_at = MAX(?, COALESCE(started_at, submitted_at)),"
                 " result = ?, error = ? WHERE id = ?",
                 (state, now, result_json, error, job_id),
             )
-            return state
+        self._wake((job_id,))
+        return state
 
     def recover(self) -> int:
         """Re-enqueue every ``running`` job (daemon startup after a crash).
@@ -421,19 +437,83 @@ class JobQueue:
             if row is None:
                 return None
             state = row["state"]
-            if state == "queued":
-                conn.execute(
-                    "UPDATE jobs SET state = 'cancelled', cancel_requested = 1,"
-                    " finished_at = MAX(?, submitted_at) WHERE id = ?",
-                    (now, job_id),
-                )
-                return "cancelled"
             if state == "running":
                 conn.execute(
                     "UPDATE jobs SET cancel_requested = 1 WHERE id = ?", (job_id,)
                 )
                 return "cancelling"
-            return state
+            if state != "queued":
+                return state
+            conn.execute(
+                "UPDATE jobs SET state = 'cancelled', cancel_requested = 1,"
+                " finished_at = MAX(?, submitted_at) WHERE id = ?",
+                (now, job_id),
+            )
+        self._wake((job_id,))
+        return "cancelled"
+
+    # -- held waits -------------------------------------------------------------
+    def wait(self, job_id: str, timeout: float) -> Optional[JobRecord]:
+        """The job's record once it is terminal, or once ``timeout`` passes.
+
+        ``None`` for an unknown id.  The waiter is registered before the
+        row is read, so a transition committed after that read still wakes
+        it; while it waits it holds no lock and runs no query.  After
+        :meth:`release_waiters` it returns the record as it stands, at once.
+        """
+        event = threading.Event()
+        with self._waiters_lock:
+            released = self._waits_released
+            if not released:
+                self._waiters.setdefault(job_id, []).append(event)
+        if released:
+            return self.get(job_id)
+        held = woken = False
+        try:
+            record = self.get(job_id)
+            if record is None or record.state in TERMINAL_STATES:
+                return record
+            with self._waiters_lock:
+                self._held += 1
+            held = True
+            woken = event.wait(timeout)
+            return self.get(job_id)
+        finally:
+            with self._waiters_lock:
+                events = self._waiters[job_id]
+                events.remove(event)
+                if not events:
+                    del self._waiters[job_id]
+                if held:
+                    self._held -= 1
+                    if woken:
+                        self._woken += 1
+                    else:
+                        self._timed_out += 1
+
+    def _wake(self, job_ids: Iterable[str]) -> None:
+        """Set the events of these jobs' waiters (after their commit)."""
+        with self._waiters_lock:
+            for job_id in job_ids:
+                for event in self._waiters.get(job_id, ()):
+                    event.set()
+
+    def release_waiters(self) -> None:
+        """Wake every held wait, and make later waits return at once."""
+        with self._waiters_lock:
+            self._waits_released = True
+            for events in self._waiters.values():
+                for event in events:
+                    event.set()
+
+    def wait_stats(self) -> Dict[str, int]:
+        """Waits held now, and how many ended woken or timed out."""
+        with self._waiters_lock:
+            return {
+                "held": self._held,
+                "woken": self._woken,
+                "timed_out": self._timed_out,
+            }
 
     # -- operational views ----------------------------------------------------
     def counts(self) -> Dict[str, int]:

@@ -14,8 +14,11 @@ API surface (all JSON)::
                                 (429 structured denial, 503 while draining)
     GET  /v1/jobs/<id>          status view             -> 200 (404 unknown)
     GET  /v1/jobs/<id>/result   result envelope         -> 200 when terminal
-                                with a result, 202 while pending, 410 when
-                                cancelled
+         [?wait=<s>]            with a result, 202 while pending, 410 when
+                                cancelled; ``wait`` holds a pending job's
+                                request up to s seconds (at most
+                                MAX_RESULT_WAIT_S; 400 if malformed,
+                                negative or not finite)
     POST /v1/jobs/<id>/cancel   cancel                  -> 200 {"state":
                                 "cancelled"|"cancelling"}, 409 if finished
     GET  /v1/stats              queue depths, per-state counts, cache tiers,
@@ -29,7 +32,18 @@ SIGTERM under ``repro-sched serve``) it refuses new submissions with 503,
 lets the in-flight window finish and write back, then tears the listener
 down.  A SIGKILLed server instead leaves ``running`` rows behind, which
 the next start re-enqueues via :meth:`JobQueue.recover` — the
-kill/restart test in the suite exercises exactly that path.
+kill/restart test in the suite exercises exactly that path.  ``start()``
+returns once the scheduler loop runs, so a submit right after it is
+never left waiting for the loop's first poll.
+
+Held result requests: ``GET /v1/jobs/<id>/result?wait=<s>`` on a pending
+job parks its handler thread in :meth:`JobQueue.wait` until the job is
+terminal or ``s`` seconds pass, and is then answered as without ``wait``.
+The daemon's write-back commits and wakes it, so a client gets its answer
+without polling.  ``stop()`` wakes every held request first (each gets the
+job's state as it stands), so a drain never waits on one.  A terminal
+reply splices the stored canonical envelope text into the body as is,
+instead of decoding and re-encoding it.
 
 Connections are persistent (HTTP/1.1 keep-alive): one handler thread, and
 so one SQLite connection, serves every request a client sends until the
@@ -49,9 +63,11 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import signal
 import threading
 import time
+import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 
@@ -62,7 +78,13 @@ from .daemon import SchedulerDaemon
 from .queue import JobQueue
 from .stats import TaskMetrics, operational_stats
 
-__all__ = ["IDLE_TIMEOUT_S", "MAX_BODY_BYTES", "ServiceServer", "start_service"]
+__all__ = [
+    "IDLE_TIMEOUT_S",
+    "MAX_BODY_BYTES",
+    "MAX_RESULT_WAIT_S",
+    "ServiceServer",
+    "start_service",
+]
 
 #: Largest request body the server will read.  A larger declared
 #: ``Content-Length`` is answered with 413 before any of the body is read,
@@ -72,6 +94,13 @@ MAX_BODY_BYTES = 64 * 1024 * 1024
 #: Seconds a keep-alive connection may wait for its next request before the
 #: server closes it and hands back its thread and SQLite connection.
 IDLE_TIMEOUT_S = 5.0
+
+#: Longest a ``GET /v1/jobs/<id>/result?wait=`` is held; a larger ``wait``
+#: is cut to this, so a held request gives its thread back within it.
+MAX_RESULT_WAIT_S = 30.0
+
+#: Seconds :meth:`ServiceServer.start` waits for the scheduler loop to run.
+START_TIMEOUT_S = 10.0
 
 
 class _BadRequest(ValueError):
@@ -127,7 +156,12 @@ class _Handler(BaseHTTPRequestHandler):
     def _send(
         self, status: int, payload: Dict[str, Any], headers: Optional[Dict] = None
     ) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+        self._send_body(status, json.dumps(payload, sort_keys=True), headers)
+
+    def _send_body(
+        self, status: int, text: str, headers: Optional[Dict] = None
+    ) -> None:
+        body = text.encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -138,8 +172,13 @@ class _Handler(BaseHTTPRequestHandler):
             # bytes are unread: they would be parsed as the next request
             # line.  (send_header sets close_connection.)
             self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
+        try:
+            self.end_headers()
+            self.wfile.write(body)
+        except ConnectionError:
+            # The client left (say, while its result request was held):
+            # no one is left to answer, and the connection is done.
+            self.close_connection = True
 
     def _read_body(self) -> Dict[str, Any]:
         declared = (self.headers.get("Content-Length") or "0").strip()
@@ -176,6 +215,25 @@ class _Handler(BaseHTTPRequestHandler):
             raise _BadRequest("request body must be a JSON object")
         return data
 
+    def _wait_param(self) -> float:
+        """The ``wait`` query parameter in seconds (0 if absent), capped."""
+        query = urllib.parse.parse_qs(
+            self.path.partition("?")[2], keep_blank_values=True
+        )
+        values = query.get("wait")
+        if values is None:
+            return 0.0
+        try:
+            wait = float(values[0])
+        except ValueError:
+            wait = math.nan
+        if len(values) != 1 or not math.isfinite(wait) or wait < 0:
+            raise _BadRequest(
+                "wait must be one finite, non-negative number of seconds, "
+                f"got {values!r}"
+            )
+        return min(wait, MAX_RESULT_WAIT_S)
+
     def _job_path(self) -> Tuple[Optional[str], Optional[str]]:
         """Split ``/v1/jobs/<id>[/verb]`` into (job id, verb)."""
         parts = [p for p in self.path.split("?", 1)[0].split("/") if p]
@@ -209,7 +267,10 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(200, record.public_dict())
             return
         if job_id is not None and verb == "result":
-            self._get_result(job_id)
+            try:
+                self._get_result(job_id)
+            except _BadRequest as exc:
+                self._send(exc.status, {"error": str(exc)})
             return
         self._send(404, {"error": f"no such endpoint: GET {path}"})
 
@@ -270,7 +331,9 @@ class _Handler(BaseHTTPRequestHandler):
         self._send(202, {"id": record.id, "state": record.state})
 
     def _get_result(self, job_id: str) -> None:
-        record = self.service.store.get(job_id)
+        wait = self._wait_param()
+        store = self.service.store
+        record = store.wait(job_id, wait) if wait > 0 else store.get(job_id)
         if record is None:
             self._send(404, {"error": "unknown job", "id": job_id})
             return
@@ -290,13 +353,13 @@ class _Handler(BaseHTTPRequestHandler):
                 return
             self._send(202, {"id": record.id, "state": record.state})
             return
-        self._send(
+        # The stored envelope is canonical JSON text: splice it in as is
+        # (keys in sorted order, as _send writes them) instead of decoding
+        # and re-encoding it.
+        self._send_body(
             200,
-            {
-                "id": record.id,
-                "state": record.state,
-                "result": json.loads(record.result),
-            },
+            f'{{"id": {json.dumps(record.id)}, "result": {record.result}, '
+            f'"state": {json.dumps(record.state)}}}',
         )
 
     def _cancel(self, job_id: str) -> None:
@@ -319,8 +382,8 @@ class ServiceServer:
     ``port=0`` binds an ephemeral port (read it back from :attr:`url`).
     Construction recovers interrupted jobs from the store; :meth:`start`
     launches the listener and the scheduler loop on daemon threads and
-    returns immediately — use :meth:`run_forever` for the CLI's blocking,
-    signal-driven variant.
+    returns once the loop runs — use :meth:`run_forever` for the CLI's
+    blocking, signal-driven variant.
     """
 
     def __init__(
@@ -365,26 +428,40 @@ class ServiceServer:
 
     # -- lifecycle -----------------------------------------------------------
     def start(self) -> "ServiceServer":
-        """Bind the listener and launch the scheduler loop; non-blocking."""
+        """Bind the listener, start the scheduler loop, then serve.
+
+        Returns once the loop runs (``daemon.state == "running"``); raises
+        ``RuntimeError`` if it has not started within
+        :data:`START_TIMEOUT_S`.
+        """
         if self._httpd is not None:
             raise RuntimeError("service already started")
-        self._httpd = ThreadingHTTPServer(
+        httpd = ThreadingHTTPServer(
             (self._requested_host, self._requested_port), _Handler
         )
-        self._httpd.service = self  # type: ignore[attr-defined]
-        self.host, self.port = self._httpd.server_address[:2]
-        self._http_thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            name="repro-service-http",
-            daemon=True,
-        )
-        self._http_thread.start()
+        httpd.service = self  # type: ignore[attr-defined]
         self._daemon_thread = threading.Thread(
             target=lambda: asyncio.run(self.daemon.run()),
             name="repro-service-scheduler",
             daemon=True,
         )
         self._daemon_thread.start()
+        if not self.daemon.wait_started(START_TIMEOUT_S):
+            self.daemon.request_stop()
+            httpd.server_close()
+            raise RuntimeError(
+                f"scheduler loop did not start within {START_TIMEOUT_S:g}s"
+            )
+        self._httpd = httpd
+        self.host, self.port = httpd.server_address[:2]
+        self._http_thread = threading.Thread(
+            # stop() waits for the accept loop to see the shutdown request,
+            # which it checks once per poll (0.5 s by default).
+            target=lambda: httpd.serve_forever(poll_interval=0.05),
+            name="repro-service-http",
+            daemon=True,
+        )
+        self._http_thread.start()
         self.started_at = time.time()
         return self
 
@@ -396,8 +473,13 @@ class ServiceServer:
         return f"http://{self.host}:{self.port}"
 
     def stop(self, timeout: float = 30.0) -> None:
-        """Graceful drain: 503 new submits, finish in-flight, tear down."""
+        """Graceful drain: 503 new submits, finish in-flight, tear down.
+
+        Held result requests are answered first, with their jobs' state as
+        it stands, so the drain never waits on one.
+        """
         self.draining = True
+        self.store.release_waiters()
         self.daemon.request_stop()
         if self._daemon_thread is not None:
             self._daemon_thread.join(timeout=timeout)
@@ -471,6 +553,7 @@ class ServiceServer:
             "oldest_queued_age": self.store.oldest_queued_age(),
             "scheduler": self.daemon.stats(),
             "admission": self.admission.stats(),
+            "result_waits": self.store.wait_stats(),
         }
         return payload
 

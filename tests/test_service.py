@@ -39,6 +39,9 @@ from repro.api import (
 )
 from repro.api.registry import _REGISTRY, register_solver
 from repro.service import ServiceClient, ServiceError, ServiceServer
+from repro.service import server as server_module
+from repro.service.client import RESULT_HOLD_S, _TurnLock
+from repro.service.daemon import SchedulerDaemon
 from repro.service.server import MAX_BODY_BYTES, _Handler
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -343,6 +346,34 @@ class TestHttpSurface:
         assert payload["status"] == "ok"
         assert payload["state"] == "running"
 
+    def test_start_returns_once_the_loop_runs(self, tmp_path):
+        # start() must not return before the scheduler thread has set its
+        # state and its wake-up handle; `python -X dev` slows the loop's
+        # start enough to show it.
+        for cycle in range(20):
+            server = ServiceServer(
+                str(tmp_path / "jobs.db"), port=0, backend="thread"
+            ).start()
+            try:
+                assert server.daemon.state == "running", cycle
+            finally:
+                server.stop()
+
+    def test_start_raises_if_the_loop_never_starts(
+        self, tmp_path, monkeypatch
+    ):
+        async def never_starts(self):
+            pass
+
+        monkeypatch.setattr(SchedulerDaemon, "run", never_starts)
+        monkeypatch.setattr(server_module, "START_TIMEOUT_S", 0.2)
+        server = ServiceServer(str(tmp_path / "jobs.db"), port=0)
+        try:
+            with pytest.raises(RuntimeError, match="did not start"):
+                server.start()
+        finally:
+            server.stop()
+
     def test_stats_shape_matches_cli_payload(self, make_server, connect):
         server = make_server()
         client = connect(server, "stats")
@@ -510,6 +541,326 @@ class TestHttpSurface:
             assert excinfo.value.status == 503
         finally:
             server.draining = False
+
+
+def _until_held(server, count=1, timeout=10.0):
+    """Wait until ``count`` result requests are held on ``server``."""
+    deadline = time.monotonic() + timeout
+    while server.store.wait_stats()["held"] < count:
+        assert time.monotonic() < deadline, server.store.wait_stats()
+        time.sleep(0.005)
+
+
+def _record_requests(client):
+    """Make ``client`` log the (method, path) of every request it sends."""
+    sent = []
+    request = client._request
+
+    def recording(method, path, body=None):
+        sent.append((method, path))
+        return request(method, path, body)
+
+    client._request = recording
+    return sent
+
+
+class _Fetch(threading.Thread):
+    """``client.result(job_id)`` on its own thread, timed."""
+
+    def __init__(self, client, job_id):
+        super().__init__()
+        self.client, self.job_id = client, job_id
+        self.result = self.error = self.finished = None
+
+    def run(self):
+        try:
+            self.result = self.client.result(self.job_id, timeout=30.0)
+        except ServiceError as exc:
+            self.error = exc
+        self.finished = time.monotonic()
+
+
+class TestResultWait:
+    """``GET /v1/jobs/<id>/result?wait=``: held requests, answered by the
+    daemon's write-back."""
+
+    def test_held_request_is_answered_by_the_write_back(
+        self, make_server, connect
+    ):
+        server = make_server(window=1)
+        client = connect(server, "held")
+        job_id = client.submit(sleepy_problem(0), solver="test-sleepy")
+        sent = _record_requests(client)
+        fetch = _Fetch(client, job_id)
+        fetch.start()
+        _until_held(server)
+        opened = time.monotonic()
+        SLEEP_GATE.set()
+        fetch.join(timeout=10.0)
+        assert not fetch.is_alive()
+        assert fetch.result.status == "optimal"
+        assert fetch.finished - opened < 0.5
+        # One request, held until the job was done: no polling.
+        hold = f"wait={RESULT_HOLD_S:.3f}"
+        assert sent == [("GET", f"/v1/jobs/{job_id}/result?{hold}")]
+        waits = connect(server, "stats").stats()["service"]["result_waits"]
+        assert waits == {"held": 0, "woken": 1, "timed_out": 0}
+        assert server.store._waiters == {}
+
+    def test_cancelling_a_queued_job_answers_its_held_request(
+        self, make_server, connect
+    ):
+        server = make_server(window=1)
+        client = connect(server, "held")
+        blocker = client.submit(sleepy_problem(0), solver="test-sleepy")
+        _wait_for_state(client, blocker, "running")
+        queued = client.submit(sleepy_problem(1), solver="test-sleepy")
+        fetch = _Fetch(client, queued)
+        fetch.start()
+        _until_held(server)
+        cancelled = time.monotonic()
+        assert connect(server, "canceller").cancel(queued)["state"] == "cancelled"
+        fetch.join(timeout=10.0)
+        assert not fetch.is_alive()
+        assert fetch.error.status == 410
+        assert fetch.finished - cancelled < 0.5
+        assert server.store._waiters == {}
+        SLEEP_GATE.set()
+
+    def test_stop_answers_held_requests_and_does_not_wait_for_them(
+        self, make_server, connect
+    ):
+        server = make_server(window=1)
+        client = connect(server, "drain")
+        blocker = client.submit(sleepy_problem(0), solver="test-sleepy")
+        _wait_for_state(client, blocker, "running")
+        queued = client.submit(sleepy_problem(1), solver="test-sleepy")
+        conn = http.client.HTTPConnection(server.host, server.port, timeout=10.0)
+        stopper = threading.Thread(target=server.stop)
+        try:
+            conn.request("GET", f"/v1/jobs/{queued}/result?wait=20")
+            _until_held(server)
+            stop_called = time.monotonic()
+            stopper.start()
+            response = conn.getresponse()
+            answered = time.monotonic() - stop_called
+            assert response.status == 202
+            assert json.loads(response.read())["state"] == "queued"
+        finally:
+            conn.close()
+            released = time.monotonic()
+            SLEEP_GATE.set()  # lets the drain finish the blocker
+            if stopper.ident is not None:
+                stopper.join(timeout=30.0)
+        # Answered at once, while the drain still waited for the blocker,
+        # and the drain did not wait for the held request.
+        assert answered < 0.5
+        assert not stopper.is_alive()
+        assert time.monotonic() - released < 2.0
+        waits = server.stats_payload()["service"]["result_waits"]
+        assert waits == {"held": 0, "woken": 1, "timed_out": 0}
+        assert server.store._waiters == {}
+
+    def test_a_client_that_leaves_during_a_hold_is_dropped_quietly(
+        self, make_server, connect, capsys
+    ):
+        # The reply to a departed client fails with a broken pipe or a
+        # reset, which socketserver would print as a traceback.
+        server = make_server(window=1)
+        client = connect(server, "leaver")
+        job_id = client.submit(sleepy_problem(0), solver="test-sleepy")
+        address = (server.host, server.port)
+        for _ in range(3):
+            with socket.create_connection(address, timeout=5.0) as sock:
+                sock.sendall(
+                    f"GET /v1/jobs/{job_id}/result?wait=0.2 HTTP/1.1\r\n"
+                    "Host: test\r\n\r\n".encode()
+                )
+                _until_held(server)
+        deadline = time.monotonic() + 5.0
+        while server.store.wait_stats()["timed_out"] < 3:
+            assert time.monotonic() < deadline, server.store.wait_stats()
+            time.sleep(0.01)
+        time.sleep(0.1)  # the handlers write their replies after the hold
+        assert "Traceback" not in capsys.readouterr().err
+        SLEEP_GATE.set()
+        assert client.result(job_id, timeout=30.0).status == "optimal"
+
+    @pytest.mark.parametrize(
+        "query",
+        ["wait=abc", "wait=-1", "wait=nan", "wait=inf", "wait=", "wait=1&wait=2"],
+    )
+    def test_bad_wait_is_400(self, make_server, connect, query):
+        server = make_server()
+        client = connect(server, "bad-wait")
+        job_id = client.submit(gap_problem(0))
+        status, payload = _urllib_request(
+            server, "GET", f"/v1/jobs/{job_id}/result?{query}"
+        )
+        assert status == 400
+        assert "wait must be" in payload["error"]
+
+    def test_huge_wait_is_capped(self, make_server, connect, monkeypatch):
+        monkeypatch.setattr(server_module, "MAX_RESULT_WAIT_S", 0.2)
+        server = make_server(window=1)
+        client = connect(server, "capped")
+        job_id = client.submit(sleepy_problem(0), solver="test-sleepy")
+        start = time.monotonic()
+        status, payload = _urllib_request(
+            server, "GET", f"/v1/jobs/{job_id}/result?wait=1e9"
+        )
+        held = time.monotonic() - start
+        assert status == 202
+        assert payload["state"] in ("queued", "running")
+        assert 0.2 <= held < 3.0
+        assert server.store.wait_stats() == {"held": 0, "woken": 0, "timed_out": 1}
+        SLEEP_GATE.set()
+
+    def test_client_polls_a_server_that_does_not_hold(self, stub_server):
+        # The stub answers 202 at once, as a server without ``wait`` would.
+        host, port = stub_server.server_address[:2]
+        # A hold never reaches past half the socket timeout.
+        with ServiceClient(f"http://{host}:{port}", timeout=0.5) as client:
+            result = client.result("job", timeout=10.0, poll_interval=0.05)
+        assert to_json(result) == to_json(solve(gap_problem(0)))
+        times = [at for at, _path in _AnswersLater.seen]
+        paths = [path for _at, path in _AnswersLater.seen]
+        assert paths == ["/v1/jobs/job/result?wait=0.250"] * 4
+        assert all(b - a >= 0.045 for a, b in zip(times, times[1:])), times
+
+    def test_a_hold_never_outlasts_the_callers_deadline(
+        self, make_server, connect
+    ):
+        server = make_server(window=1)
+        client = connect(server, "deadline")
+        job_id = client.submit(sleepy_problem(0), solver="test-sleepy")
+        sent = _record_requests(client)
+        start = time.monotonic()
+        with pytest.raises(ServiceError, match="timed out after 0.3s"):
+            client.result(job_id, timeout=0.3)
+        assert time.monotonic() - start < RESULT_HOLD_S
+        (request,) = sent
+        assert float(request[1].split("?wait=")[1]) <= 0.3
+        SLEEP_GATE.set()
+
+    @pytest.fixture
+    def stub_server(self):
+        _AnswersLater.seen = []
+        httpd = ThreadingHTTPServer(("127.0.0.1", 0), _AnswersLater)
+        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+        thread.start()
+        yield httpd
+        httpd.shutdown()
+        httpd.server_close()
+        thread.join(timeout=5.0)
+
+    def test_wait_false_sends_one_plain_get(self, make_server, connect):
+        server = make_server(window=1)
+        client = connect(server, "once")
+        job_id = client.submit(sleepy_problem(0), solver="test-sleepy")
+        sent = _record_requests(client)
+        with pytest.raises(ServiceError) as excinfo:
+            client.result(job_id, wait=False)
+        assert excinfo.value.status == 202
+        assert sent == [("GET", f"/v1/jobs/{job_id}/result")]
+        SLEEP_GATE.set()
+
+    def test_registry_is_empty_once_many_waits_return(self, make_server, connect):
+        server = make_server(window=1)
+        blocker = connect(server, "blocker").submit(
+            sleepy_problem(0), solver="test-sleepy"
+        )
+        queued = connect(server, "queued").submit(
+            sleepy_problem(1), solver="test-sleepy"
+        )
+        fetches = [
+            _Fetch(connect(server, f"waiter-{i}"), job_id)
+            for i, job_id in enumerate([blocker, blocker, queued, queued])
+        ]
+        for fetch in fetches:
+            fetch.start()
+        _until_held(server, 4)
+        assert len(server.store._waiters) == 2
+        connect(server, "canceller").cancel(queued)
+        SLEEP_GATE.set()
+        for fetch in fetches:
+            fetch.join(timeout=10.0)
+            assert not fetch.is_alive()
+        assert [f.result.status for f in fetches[:2]] == ["optimal"] * 2
+        assert [f.error.status for f in fetches[2:]] == [410] * 2
+        assert server.store._waiters == {}
+        assert server.store.wait_stats()["held"] == 0
+
+    def test_a_shared_client_waits_at_most_one_hold(self, make_server, connect):
+        # Thread requests take turns on the client's one connection, so a
+        # held result request delays another thread's submit by at most one
+        # hold (RESULT_HOLD_S), not until the awaited job is done.
+        server = make_server(window=1)
+        client = connect(server, "shared")
+        slow = client.submit(sleepy_problem(0), solver="test-sleepy")
+        fetch = _Fetch(client, slow)
+        fetch.start()
+        _until_held(server)
+        start = time.monotonic()
+        quick = client.submit(gap_problem(0))
+        took = time.monotonic() - start
+        SLEEP_GATE.set()
+        fetch.join(timeout=10.0)
+        assert not fetch.is_alive()
+        assert fetch.result.status == "optimal"
+        assert took < RESULT_HOLD_S + 0.5, took
+        assert client.result(quick, timeout=30.0).status == "optimal"
+
+    def test_turn_lock_loses_no_update_under_contention(self):
+        # More threads than cores, each doing an unprotected-looking
+        # read-modify-write under the client's lock, with frequent switches.
+        lock, total = _TurnLock(), [0]
+
+        def bump():
+            for _ in range(200):
+                with lock:
+                    value = total[0]
+                    time.sleep(0)
+                    total[0] = value + 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=bump) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert total[0] == 8 * 200
+
+
+class _AnswersLater(BaseHTTPRequestHandler):
+    """Answers a result request 202 at once, three times, then 200."""
+
+    protocol_version = "HTTP/1.1"
+    seen: list = []
+
+    def log_message(self, format, *args):  # noqa: A002
+        pass
+
+    def do_GET(self):  # noqa: N802
+        self.seen.append((time.monotonic(), self.path))
+        if len(self.seen) <= 3:
+            payload = {"id": "job", "state": "running"}
+            status = 202
+        else:
+            payload = {"id": "job", "state": "done",
+                       "result": to_dict(solve(gap_problem(0)))}
+            status = 200
+        body = json.dumps(payload).encode()
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
 
 
 def _open_sqlite_connections() -> int:

@@ -1,6 +1,8 @@
 """Unit tests for the persistent job store (repro.service.queue)."""
 
+import sys
 import threading
+import time
 
 import pytest
 
@@ -200,6 +202,180 @@ class TestConcurrency:
             t.join()
         assert sorted(claimed) == sorted(ids)
         assert len(set(claimed)) == len(ids)
+
+
+class _Waiter(threading.Thread):
+    """Runs one ``store.wait`` on its own thread and records how it ended."""
+
+    def __init__(self, store, job_id, timeout):
+        super().__init__()
+        self.store, self.job_id, self.timeout = store, job_id, timeout
+        self.record = self.elapsed = None
+
+    def run(self):
+        start = time.monotonic()
+        self.record = self.store.wait(self.job_id, self.timeout)
+        self.elapsed = time.monotonic() - start
+        self.store.close()
+
+
+def _until_held(store, count, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while store.wait_stats()["held"] < count:
+        assert time.monotonic() < deadline, store.wait_stats()
+        time.sleep(0.005)
+
+
+class TestHeldWaits:
+    def test_terminal_job_returns_at_once_and_holds_nothing(self, store):
+        record = store.submit(_problem_json())
+        store.claim(1)
+        store.complete(record.id, result_json="{}")
+        assert store.wait(record.id, 30.0).state == "done"
+        assert store.wait("nope", 30.0) is None
+        assert store.wait_stats() == {"held": 0, "woken": 0, "timed_out": 0}
+        assert store._waiters == {}
+
+    def test_complete_wakes_the_waiter(self, store):
+        record = store.submit(_problem_json())
+        store.claim(1)
+        waiter = _Waiter(store, record.id, 30.0)
+        waiter.start()
+        _until_held(store, 1)
+        store.complete(record.id, result_json='{"ok":1}')
+        waiter.join(timeout=5.0)
+        assert not waiter.is_alive()
+        assert waiter.record.state == "done"
+        assert waiter.record.result == '{"ok":1}'
+        assert waiter.elapsed < 5.0
+        assert store.wait_stats() == {"held": 0, "woken": 1, "timed_out": 0}
+
+    def test_timeout_returns_the_pending_record(self, store):
+        record = store.submit(_problem_json())
+        start = time.monotonic()
+        assert store.wait(record.id, 0.1).state == "queued"
+        assert time.monotonic() - start >= 0.1
+        assert store.wait_stats() == {"held": 0, "woken": 0, "timed_out": 1}
+
+    def test_a_transition_wakes_only_its_own_job(self, store):
+        mine = store.submit(_problem_json())
+        other = store.submit(_problem_json())
+        store.claim(2)
+        waiter = _Waiter(store, mine.id, 0.3)
+        waiter.start()
+        _until_held(store, 1)
+        store.complete(other.id, result_json="{}")
+        waiter.join(timeout=5.0)
+        assert not waiter.is_alive()
+        assert waiter.record.state == "running"
+        assert waiter.elapsed >= 0.3
+        assert store.wait_stats() == {"held": 0, "woken": 0, "timed_out": 1}
+
+    def test_cancelling_a_queued_job_wakes_its_waiter(self, store):
+        record = store.submit(_problem_json())
+        waiter = _Waiter(store, record.id, 30.0)
+        waiter.start()
+        _until_held(store, 1)
+        assert store.request_cancel(record.id) == "cancelled"
+        waiter.join(timeout=5.0)
+        assert not waiter.is_alive()
+        assert waiter.record.state == "cancelled"
+
+    def test_cancel_of_a_running_job_wakes_at_write_back(self, store):
+        record = store.submit(_problem_json())
+        store.claim(1)
+        waiter = _Waiter(store, record.id, 30.0)
+        waiter.start()
+        _until_held(store, 1)
+        assert store.request_cancel(record.id) == "cancelling"  # not terminal
+        time.sleep(0.05)
+        assert waiter.is_alive()
+        assert store.complete(record.id, result_json="{}") == "cancelled"
+        waiter.join(timeout=5.0)
+        assert not waiter.is_alive()
+        assert waiter.record.state == "cancelled"
+
+    def test_claim_finalizing_a_cancelled_job_wakes_its_waiter(self, store):
+        # A running job flagged for cancel and then recovered is queued with
+        # the flag set; the next claim finalizes it instead of running it.
+        record = store.submit(_problem_json())
+        store.claim(1)
+        store.request_cancel(record.id)
+        store.recover()
+        waiter = _Waiter(store, record.id, 30.0)
+        waiter.start()
+        _until_held(store, 1)
+        assert store.claim(5) == []
+        waiter.join(timeout=5.0)
+        assert not waiter.is_alive()
+        assert waiter.record.state == "cancelled"
+
+    def test_release_wakes_every_waiter_and_later_waits_return_at_once(
+        self, store
+    ):
+        jobs = [store.submit(_problem_json()).id for _ in range(3)]
+        waiters = [_Waiter(store, job_id, 30.0) for job_id in jobs + jobs[:1]]
+        for waiter in waiters:
+            waiter.start()
+        _until_held(store, 4)
+        store.release_waiters()
+        for waiter in waiters:
+            waiter.join(timeout=5.0)
+            assert not waiter.is_alive()
+            assert waiter.record.state == "queued"
+        start = time.monotonic()
+        assert store.wait(jobs[0], 30.0).state == "queued"
+        assert time.monotonic() - start < 1.0
+        assert store.wait_stats() == {"held": 0, "woken": 4, "timed_out": 0}
+
+    def test_registry_is_empty_once_the_waits_return(self, store):
+        # Several waiters per job, ending every way a wait can end.
+        done, cancelled, pending = (store.submit(_problem_json()).id for _ in range(3))
+        store.claim(1)  # `done` runs
+        waiters = [
+            _Waiter(store, job_id, timeout)
+            for job_id, timeout in [
+                (done, 30.0), (done, 30.0), (cancelled, 30.0), (pending, 0.2),
+            ]
+        ]
+        for waiter in waiters:
+            waiter.start()
+        _until_held(store, 4)
+        store.complete(done, result_json="{}")
+        store.request_cancel(cancelled)
+        for waiter in waiters:
+            waiter.join(timeout=5.0)
+            assert not waiter.is_alive()
+        assert [w.record.state for w in waiters] == [
+            "done", "done", "cancelled", "queued",
+        ]
+        assert store._waiters == {}
+        assert store.wait_stats() == {"held": 0, "woken": 3, "timed_out": 1}
+
+
+    def test_no_wake_up_is_lost_under_a_short_switch_interval(self, store):
+        # Completions race the waiters' registration: each waiter either
+        # finds its job done or is woken; none may sit out its timeout.
+        jobs = [store.submit(_problem_json()).id for _ in range(8)]
+        store.claim(8)
+        waiters = [_Waiter(store, jobs[i % 8], 10.0) for i in range(32)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for waiter in waiters:
+                waiter.start()
+            for job_id in jobs:
+                store.complete(job_id, result_json="{}")
+            for waiter in waiters:
+                waiter.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(waiter.is_alive() for waiter in waiters)
+        assert all(waiter.record.state == "done" for waiter in waiters)
+        stats = store.wait_stats()
+        assert stats["held"] == 0
+        assert stats["timed_out"] == 0
+        assert store._waiters == {}
 
 
 class TestJobRecordCodec:
