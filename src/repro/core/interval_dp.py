@@ -38,12 +38,18 @@ scan would have recorded.  Both combines fold the right child's boundary
 range into a vector per ``(right child, q, b2)`` once and reuse it for
 every parent variant and every parent node that shares the child; the
 scalar one runs its min-plus products in builtins (``min(map(add, ...))``)
-over strided slices of the child cost lists.  Node job sets are built incrementally (released-job lists extend their
-length-minus-one predecessor; split counts come from a two-pointer merge
-instead of per-column bisects).  Hall-condition pre-pruning (a violated
-prefix/suffix count proves every boundary variant of a node empty),
-dominance pruning of the gap objective's occupancy vectors, and iterative
-schedule reconstruction keep it exact and in O(1) native stack depth.
+over strided slices of the child cost lists.  Node job sets are built
+incrementally (released-job lists extend their length-minus-one
+predecessor; split counts come from a two-pointer merge instead of
+per-column bisects).  Hall limits reject empty subproblems before they
+exist: per column interval and per ``q`` (the slots enclosing subproblems
+hold at its right-end column), the smallest job count whose node violates
+a prefix or suffix Hall count.  A violation proves every boundary variant
+of the node empty at that ``q``, so discovery drops a split before it
+allocates a child over its limit and never propagates a ``q`` bit past
+one; values and schedules are those of the unpruned DP.  Dominance
+pruning of the gap objective's occupancy vectors and iterative schedule
+reconstruction keep it exact and in O(1) native stack depth.
 
 The solvers in :mod:`repro.core.multiproc_gap_dp` and
 :mod:`repro.core.multiproc_power_dp` are thin bindings of these objectives
@@ -54,9 +60,9 @@ reference kernel.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
-from operator import add, sub
+from operator import add
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .dp_profile import IntervalDecomposition
@@ -81,17 +87,16 @@ ENGINE_NAME = "interval-dp"
 #: canonicalization and disk caches — bumping it silently invalidates every
 #: previously cached entry, so replayed engine metadata always matches the
 #: code that would recompute it (4.0 retired the numpy-kernel evaluator,
-#: whose entries carried metadata no remaining code produces).
-ENGINE_VERSION = "4.0"
+#: whose entries carried metadata no remaining code produces; 4.1 moved the
+#: Hall check to per-interval limits applied at plan time, which changed
+#: the engine counters every entry replays).
+ENGINE_VERSION = "4.1"
 #: Version of the bottom-up, array-packed scalar evaluator (the
-#: ``extra.engine.version`` every envelope carries).
-BOTTOM_UP_ENGINE_VERSION = "2.0"
+#: ``extra.engine.version`` every envelope carries; 2.1 counts the states,
+#: plans and Hall rejections of plan-time Hall limits).
+BOTTOM_UP_ENGINE_VERSION = "2.1"
 
 _INF = float("inf")
-
-#: Node job-count below which the Hall pre-check is skipped: below a few
-#: jobs the states it could prune are cheaper than the check.
-_HALL_CHECK_MIN_JOBS = 4
 
 
 @dataclass
@@ -107,6 +112,11 @@ class EngineStats:
     variant with a valid child.  It counts reads, not the work done for
     them, so combine restructurings (such as the memoized right-child
     folds) leave it unchanged and envelopes stay comparable across them.
+    ``hall_pruned`` counts the candidates the Hall limits reject at plan
+    time: splits dropped because a child is over its limit, right-end
+    cases dropped because their child is over it at ``q = 1``, and a root
+    over its limit at ``q = 0``.  The ``q`` bits withheld from nodes are
+    not counted; they show in ``states_computed``.
     """
 
     states_computed: int = 0
@@ -366,9 +376,11 @@ class IntervalDPEngine:
        walked only when the first bit reaches it — so subtrees no
        enclosing subproblem can ask for are never built, and the table
        pass never materialises a boundary family nobody queries.
-       Capacity-dead splits (left child exceeding ``p`` slots per column
-       minus jmax's, right child exceeding raw column capacity) are
-       dropped at plan time.
+       **Hall limits** (:meth:`_hall_limits`, one per column interval and
+       ``q``) reject empty subproblems before they exist: a split whose
+       left child is over its limit at ``q = 1`` or whose right child is
+       over it at ``q = 0`` is dropped before either child is allocated,
+       and each node receives only the ``q`` bits under its limit.
     2. **Evaluation** processes nodes in increasing ``(interval length,
        job count)`` order — every dependency of a node strictly precedes it
        — and stores each node's values in one list indexed by the packed
@@ -402,7 +414,7 @@ class IntervalDPEngine:
     their ``k - 1`` predecessor by one insertion, and split counts come
     from a two-pointer sweep instead of a bisect per candidate column.
     Every release and deadline is a candidate column, so all of this, and
-    the Hall pre-check, runs on column indices.
+    the Hall limits, run on column indices.
 
     Parameters
     ----------
@@ -434,10 +446,14 @@ class IntervalDPEngine:
         self._right_len: List[List[int]] = []
         column_index = decomp.column_index
         self._release_col = [column_index[job.release] for job in decomp.jobs]
-        self._deadline_col: Optional[List[int]] = None  # built by the Hall check
+        self._deadline_col = [column_index[job.deadline] for job in decomp.jobs]
+        # Deadline column per deadline rank (ascending): the prefix walks.
+        self._rank_deadline = [self._deadline_col[j] for j in decomp.deadline_order]
         # Per-column job lists (deadline-rank order) and rank lookup, the
         # substrate of the incremental released-list construction.
-        self._rank = {j: r for r, j in enumerate(decomp.deadline_order)}
+        self._rank = [0] * len(decomp.jobs)
+        for r, j in enumerate(decomp.deadline_order):
+            self._rank[j] = r
         self._col_jobs: List[Tuple[int, ...]] = [() for _ in range(self._C)]
         by_col: Dict[int, List[int]] = {}
         for j in decomp.deadline_order:
@@ -446,7 +462,14 @@ class IntervalDPEngine:
             self._col_jobs[idx] = tuple(ids)
         self._released_cache: Dict[Tuple[int, int], Tuple[int, ...]] = {}
         self._releases_cache: Dict[int, List[int]] = {}
-        self._hall_prefix_cache: Dict[int, int] = {}
+        # Hall limits (see _hall_limits): per interval, and the prefix and
+        # suffix walks they are read from, per anchor column.
+        self._released_upto = [0] * (self._C + 1)  # jobs released before column c
+        for c in range(self._C):
+            self._released_upto[c + 1] = self._released_upto[c] + len(self._col_jobs[c])
+        self._limits_cache: Dict[int, Tuple[int, ...]] = {}
+        self._prefix_walks: Dict[int, Tuple[int, int]] = {}
+        self._suffix_walks: Dict[int, List[Tuple[int, ...]]] = {}
         self._grid_cache: Dict[Tuple[int, int], Tuple] = {}
         # Right-child folds per (right child, q, b2), shared across parents.
         self._fold_cache: Dict[int, object] = {}
@@ -459,6 +482,8 @@ class IntervalDPEngine:
         self._node_jobs_list: List[Optional[Tuple[int, ...]]] = []
         self._node_plan: List[Optional[Tuple]] = []
         self._node_qmask: List[int] = []
+        # The q bits each node may receive: those under its Hall limits.
+        self._node_allowed: List[int] = []
         self._node_expanded: List[bool] = []
         # Per node, a list indexed by packed variant (None when the node has
         # no finite entry at all): the cost itself (+inf when absent) for
@@ -569,60 +594,140 @@ class IntervalDPEngine:
         cache[key] = releases
         return releases
 
-    def _hall_feasible(self, i1: int, i2: int, k: int) -> bool:
-        """Necessary Hall-style feasibility of node ``(i1, i2, k)``.
+    def _hall_limits(self, i1: int, i2: int) -> Tuple[int, ...]:
+        """Per-``q`` Hall limits of the column interval ``[i1, i2]``.
 
-        Checks prefix intervals ``[i1, d]`` over clipped deadline columns
-        and suffix intervals ``[r, i2]`` over release columns against
-        capacity ``p`` per candidate column.  Every release and deadline is
-        a candidate column, so each count is an index difference.  A
-        violation proves the state (under *any* boundary parameters) admits
-        no assignment, so the whole ``(q, b1, b2)`` family is pruned;
-        passing proves nothing and the state is evaluated normally.
+        Entry ``q`` is the smallest job count ``k`` whose node ``(i1, i2,
+        k)`` violates a Hall count when ``q`` of the ``p`` slots at column
+        ``i2`` are held by enclosing subproblems, or the number of jobs
+        released in the interval plus one when no node does.  The counts
+        are the prefixes ``[i1, d]``, ``d < i2``, over deadline columns and
+        the suffixes ``[r, i2]`` over release columns, each against ``p``
+        slots per candidate column and ``p - q`` at ``i2`` (the prefix
+        ``[i1, i2]`` is the suffix ``r = i1``).  Every release and deadline
+        is a candidate column, so each count is an index difference.
 
-        The prefix half only reads the released list of ``[i1, i2]`` (node
-        ``k``'s jobs are its first ``k``), so the first violating prefix
-        count is found once per interval and memoized.
+        A violation proves every ``(b1, b2)`` variant of the node empty at
+        that ``q`` (Hall's condition is necessary for a schedule), and node
+        ``k``'s jobs are a prefix of node ``k + 1``'s, so a node is dead at
+        ``q`` exactly when ``k >= limits[q]``; the limits never increase
+        with ``q``.  Both walks they are read from are shared by every
+        interval with the same anchor column and run in deadline-rank
+        space: the limit is the position, among the interval's released
+        jobs, of the first rank whose arrival overflows a count.
         """
         key = i1 * self._C + i2
-        limit = self._hall_prefix_cache.get(key)
-        p = self.p
-        if limit is None:
-            deadline_col = self._deadline_col
-            if deadline_col is None:
-                column_index = self.decomp.column_index
-                deadline_col = self._deadline_col = [
-                    column_index[job.deadline] for job in self.decomp.jobs
-                ]
+        got = self._limits_cache.get(key)
+        if got is not None:
+            return got
+        n = len(self.decomp.jobs)
+        first = self._prefix_walks.get(i1)
+        if first is None:
+            first = self._prefix_walks[i1] = self._prefix_walk(i1)
+        prefix = first[1] if first[0] < i2 else n
+        table = self._suffix_walks.get(i2)
+        if table is None:
+            table = self._suffix_walks[i2] = self._suffix_walk(i2)
+        suffix = table[i2 - i1] if i2 - i1 < len(table) else table[-1]
+        if prefix == n and suffix[-1] == n:
+            count = self._released_upto[i2 + 1] - self._released_upto[i1]
+            limits = (count + 1,) * self._P
+        else:
+            # A finite threshold is the rank of one of the interval's own
+            # released jobs; its limit is that job's position plus one.
             released = self._released(i1, i2)
-            limit = len(released) + 1
-            for count, j in enumerate(released, start=1):
-                d = deadline_col[j]
-                if d > i2:
-                    d = i2
-                if count > p * (d - i1 + 1):
-                    limit = count
-                    break
-            self._hall_prefix_cache[key] = limit
-        if k >= limit:
-            return False
-        # Suffix half: the i-th smallest release r (0-based) starts a suffix
-        # holding k - i jobs, so k - i <= p * (i2 + 1 - r) for every i,
-        # i.e. max_i(p * r - i) <= p * (i2 + 1) - k.
-        releases = self._sorted_releases(i1, i2, k)
-        if p > 1:
-            releases = map(p.__mul__, releases)
-        return max(map(sub, releases, range(k))) <= p * (i2 + 1) - k
+            order = self.decomp.deadline_order
+            found = []
+            for threshold in suffix:
+                if prefix < threshold:
+                    threshold = prefix
+                if threshold == n:
+                    found.append(len(released) + 1)
+                else:
+                    found.append(released.index(order[threshold]) + 1)
+            limits = tuple(found)
+        self._limits_cache[key] = limits
+        return limits
+
+    def _prefix_walk(self, i1: int) -> Tuple[int, int]:
+        """The first overflowing prefix count ``[i1, d]`` as ``(d, rank)``.
+
+        Walks deadline columns up from ``i1`` over the jobs released at or
+        after ``i1``, in deadline-rank order.  The count over ``[i1, d]``
+        overflows once the job at index ``p * (d - i1 + 1)`` of that walk
+        is in a node; a later prefix can only overflow at a later job, so
+        the first overflow is the only one any interval ``[i1, i2 > d]``
+        needs.  Returns ``(C, n)`` when no prefix overflows.
+        """
+        p = self.p
+        order = self.decomp.deadline_order
+        release_col, rank_deadline = self._release_col, self._rank_deadline
+        n = len(order)
+        remaining = n - self._released_upto[i1]
+        r = bisect_left(rank_deadline, i1)
+        count = 0
+        for d in range(i1, self._C - 1):
+            cap = p * (d - i1 + 1)
+            if cap >= remaining:
+                break
+            while r < n and rank_deadline[r] == d:
+                if release_col[order[r]] >= i1:
+                    if count == cap:
+                        return d, r
+                    count += 1
+                r += 1
+        return self._C, n
+
+    def _suffix_walk(self, i2: int) -> List[Tuple[int, ...]]:
+        """Per-``q`` suffix thresholds of every interval ending at ``i2``.
+
+        Walks release columns ``r`` down from ``i2``.  Entry ``i2 - i1``
+        holds, per ``q``, the smallest deadline rank whose arrival in a
+        node of ``[i1, i2]`` overflows some suffix ``[r, i2]``, ``r >= i1``,
+        with ``p * (i2 + 1 - r) - q`` slots (``n`` when none does).  The
+        walk stops once the slots exceed every job released up to ``i2``;
+        the last entry then holds for every interval further left.
+        """
+        p = self.p
+        n = len(self.decomp.jobs)
+        rank = self._rank
+        col_jobs = self._col_jobs
+        total = self._released_upto[i2 + 1]
+        qs = range(self._P)
+        ranks: List[int] = []
+        best = [n] * self._P
+        current = tuple(best)
+        table: List[Tuple[int, ...]] = []
+        cap = 0
+        for col in range(i2, -1, -1):
+            cap += p
+            for j in col_jobs[col]:
+                insort(ranks, rank[j])
+            m = len(ranks)
+            if cap - p < m:
+                for q in qs:
+                    if cap - q < m and ranks[cap - q] < best[q]:
+                        best[q] = ranks[cap - q]
+                current = tuple(best)
+            table.append(current)
+            if cap >= total:
+                break
+        return table
 
     # -- discovery ---------------------------------------------------------------
-    def _node_id(self, i1: int, i2: int, k: int) -> int:
+    def _node_id(
+        self, i1: int, i2: int, k: int, limits: Optional[Tuple[int, ...]] = None
+    ) -> int:
         """Allocate (or look up) a node entry without expanding it.
 
         Expansion is demand-driven: a node is classified and its plan built
         only when the q-mask propagation first reaches it with a non-empty
         bitmask, so subtrees no enclosing subproblem can ask for (e.g.
         right-end chains whose shifted mask overflows past ``p``) are never
-        walked at all.
+        walked at all.  A new node records the ``q`` bits it may receive:
+        those under its interval's Hall limits (``limits``, looked up when
+        not given), which never increase with ``q``, so the allowed bits
+        are always ``0 .. j`` for some ``j``.
         """
         key = (i1 * self._C + i2) * (len(self.decomp.jobs) + 1) + k
         nid = self._key_to_id.get(key)
@@ -637,10 +742,27 @@ class IntervalDPEngine:
             self._node_plan.append(None)
             self._node_qmask.append(0)
             self._node_expanded.append(False)
+            open_bits = self._P
+            if k:
+                if limits is None:
+                    limits = self._hall_limits(i1, i2)
+                if k >= limits[-1]:
+                    open_bits = 0
+                    while k < limits[open_bits]:
+                        open_bits += 1
+            self._node_allowed.append((1 << open_bits) - 1)
         return nid
 
     def _expand(self, nid: int) -> None:
-        """Classify one node and, for branch nodes, build its split plan."""
+        """Classify one node and, for branch nodes, build its split plan.
+
+        Only nodes under their Hall limit for some ``q`` are ever expanded,
+        and a split is dropped before either child is allocated when its
+        left child is over its limit at ``q = 1`` (the only ``q`` a left
+        child is queried at) or its right child at ``q = 0``; the right-end
+        case is dropped when its child is over its limit at ``q = 1``.
+        Each drop counts in ``hall_pruned``.
+        """
         decomp = self.decomp
         columns = decomp.columns
         i1, i2, k = self._node_i1[nid], self._node_i2[nid], self._node_k[nid]
@@ -648,13 +770,7 @@ class IntervalDPEngine:
             self._node_kind[nid] = _SINGLE if i1 == i2 else _EMPTY
             self._node_jobs_list[nid] = ()
             return
-        released = self._released(i1, i2)
-        if k > len(released) or k > self.p * (i2 - i1 + 1):
-            return  # unreachable / over capacity: stays _PRUNED with no children
-        if k >= _HALL_CHECK_MIN_JOBS and not self._hall_feasible(i1, i2, k):
-            self.stats.hall_pruned += 1
-            return
-        node = released[:k]
+        node = self._released(i1, i2)[:k]
         self._node_jobs_list[nid] = node
         if i1 == i2:
             self._node_kind[nid] = _SINGLE
@@ -662,43 +778,57 @@ class IntervalDPEngine:
         self._node_kind[nid] = _BRANCH
         jmax = node[-1]
         releases = self._sorted_releases(i1, i2, k)
-        candidate_cols = decomp.candidate_columns_for_job(
-            jmax, columns[i1], columns[i2]
-        )
-        right_end = bool(candidate_cols) and candidate_cols[-1] == i2
+        # jmax runs at a candidate column of its window clipped to [i1, i2]:
+        # every release and deadline is a candidate column, so those are
+        # the indices from its release column to its deadline column.
+        last = self._deadline_col[jmax]
+        right_end = last >= i2
+        if right_end:
+            last = i2 - 1
         splits = []
-        p = self.p
+        pruned = 0
         key_to_id = self._key_to_id  # _node_id's lookup, inlined for hits
+        allowed = self._node_allowed
+        limits_cache = self._limits_cache
+        hall_limits = self._hall_limits
         C = self._C
         N1 = len(decomp.jobs) + 1
         ptr = 0  # two-pointer sweep: release columns and candidates both ascend
-        for ci in candidate_cols:
-            if ci == i2:
-                continue
+        for ci in range(self._release_col[jmax], last + 1):
             while ptr < k and releases[ptr] <= ci:
                 ptr += 1
+            # ptr counts jmax itself (released at or before ci).
             k_right = k - ptr
-            k_left = k - 1 - k_right
-            if k_left < 0:
-                continue
-            # Capacity gate: the left child always runs with q = 1 (jmax
-            # occupies one slot at t'), so it is empty under every boundary
-            # when its jobs exceed p per column minus that slot; likewise
-            # the right child when its jobs exceed raw column capacity.
-            # Dead splits never materialise their subtrees.
-            if k_left > p * (ci - i1 + 1) - 1:
-                continue
+            k_left = ptr - 1
             idx_next = ci + 1
-            if k_right > p * (i2 - idx_next + 1):
-                continue
-            t_prime = columns[ci]
-            t_next = columns[idx_next]
+            # A child that exists already carries its allowed q bits; a new
+            # one is checked against its interval's limits first, so a dead
+            # split never allocates either child.
+            left_limits = right_limits = None
             left_id = key_to_id.get((i1 * C + ci) * N1 + k_left)
             if left_id is None:
-                left_id = self._node_id(i1, ci, k_left)
+                if k_left:
+                    left_limits = limits_cache.get(i1 * C + ci) or hall_limits(i1, ci)
+                    if k_left >= left_limits[1]:
+                        pruned += 1
+                        continue
+            elif not allowed[left_id] & 2:
+                pruned += 1
+                continue
             right_id = key_to_id.get((idx_next * C + i2) * N1 + k_right)
+            if right_id is None and k_right:
+                right_limits = (
+                    limits_cache.get(idx_next * C + i2) or hall_limits(idx_next, i2)
+                )
+                if k_right >= right_limits[0]:
+                    pruned += 1
+                    continue
+            if left_id is None:
+                left_id = self._node_id(i1, ci, k_left, left_limits)
             if right_id is None:
-                right_id = self._node_id(idx_next, i2, k_right)
+                right_id = self._node_id(idx_next, i2, k_right, right_limits)
+            t_prime = columns[ci]
+            t_next = columns[idx_next]
             splits.append(
                 (
                     t_prime,
@@ -709,9 +839,21 @@ class IntervalDPEngine:
                     idx_next == i2,
                 )
             )
-        right_end_id = self._node_id(i1, i2, k - 1) if right_end else None
+        right_end_id = None
+        if right_end:
+            # The right-end child is only ever queried at q >= 1.
+            right_end_id = key_to_id.get((i1 * C + i2) * N1 + k - 1)
+            if right_end_id is None:
+                limits = limits_cache.get(i1 * C + i2) or hall_limits(i1, i2)
+                if k - 1 < limits[1]:
+                    right_end_id = self._node_id(i1, i2, k - 1, limits)
+            elif not allowed[right_end_id] & 2:
+                right_end_id = None
+            if right_end_id is None:
+                pruned += 1
         self._node_plan[nid] = (jmax, tuple(splits), right_end_id)
         self.stats.plans_built += 1
+        self.stats.hall_pruned += pruned
 
     def _ensure_tables(self) -> None:
         """Run demand-driven discovery and the dependency-ordered table pass once.
@@ -719,9 +861,11 @@ class IntervalDPEngine:
         Discovery and q-mask propagation are one interleaved worklist: a
         node is expanded (classified, plan built, children allocated) the
         first time a non-empty bitmask of reachable ``q`` values arrives,
-        and each new bit flows onward through the already-built plan.
-        Nodes that never receive a bit are never expanded — their subtrees
-        do not exist as far as the table pass is concerned.
+        and each new bit flows onward through the already-built plan, to
+        the bits each child's Hall limits allow.  Nodes that never receive
+        a bit are never expanded — their subtrees do not exist as far as
+        the table pass is concerned.  A root over its own limit at
+        ``q = 0`` stays pruned: every variant of it is empty.
         """
         if self._tables is not None:
             return
@@ -731,10 +875,13 @@ class IntervalDPEngine:
         kinds = self._node_kind
         plans = self._node_plan
         expanded = self._node_expanded
-        full = (1 << self._P) - 1
+        allowed = self._node_allowed
         left_bit = 1 << 1  # left children are always evaluated with q = 1
         masks[self._root_id] = 1  # the root is queried with q = 0
         worklist: List[Tuple[int, int]] = [(self._root_id, 1)]
+        if not allowed[self._root_id] & 1:
+            self.stats.hall_pruned += 1
+            worklist.clear()
         while worklist:
             nid, bits = worklist.pop()
             first_visit = not expanded[nid]
@@ -750,13 +897,12 @@ class IntervalDPEngine:
                 if first_visit and not masks[left_id] & left_bit:
                     masks[left_id] |= left_bit
                     worklist.append((left_id, left_bit))
-                add_bits = bits & ~masks[right_id]
+                add_bits = bits & allowed[right_id] & ~masks[right_id]
                 if add_bits:
                     masks[right_id] |= add_bits
                     worklist.append((right_id, add_bits))
             if right_end_id is not None:
-                shifted = (bits << 1) & full
-                add_bits = shifted & ~masks[right_end_id]
+                add_bits = (bits << 1) & allowed[right_end_id] & ~masks[right_end_id]
                 if add_bits:
                     masks[right_end_id] |= add_bits
                     worklist.append((right_end_id, add_bits))

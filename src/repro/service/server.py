@@ -55,8 +55,14 @@ request's declared body is still unread (a 503 while draining, a POST to
 an unknown path, a bad or oversized ``Content-Length``, a chunked body)
 closes the connection: the unread bytes cannot be parsed as a next
 request, and reading them only to discard them could cost up to
-:data:`MAX_BODY_BYTES`.  Handler threads are daemon threads, so
-:meth:`ServiceServer.stop` does not wait for open connections.
+:data:`MAX_BODY_BYTES`.  That close lingers: the server shuts down its
+write side, so the client reads the reply and then end of stream, and
+discards input until the client closes, :data:`LINGER_MAX_BYTES` arrive or
+:data:`LINGER_TIMEOUT_S` pass.  Closing with the body unread would make
+the kernel reset the connection, and a client still sending its body
+would then fail its send instead of reading the reply.  Handler threads
+are daemon threads, so :meth:`ServiceServer.stop` does not wait for open
+connections.
 """
 
 from __future__ import annotations
@@ -65,6 +71,7 @@ import asyncio
 import json
 import math
 import signal
+import socket
 import threading
 import time
 import urllib.parse
@@ -80,6 +87,8 @@ from .stats import TaskMetrics, operational_stats
 
 __all__ = [
     "IDLE_TIMEOUT_S",
+    "LINGER_MAX_BYTES",
+    "LINGER_TIMEOUT_S",
     "MAX_BODY_BYTES",
     "MAX_RESULT_WAIT_S",
     "ServiceServer",
@@ -94,6 +103,11 @@ MAX_BODY_BYTES = 64 * 1024 * 1024
 #: Seconds a keep-alive connection may wait for its next request before the
 #: server closes it and hands back its thread and SQLite connection.
 IDLE_TIMEOUT_S = 5.0
+
+#: Bounds on the input discarded when a connection closes with a request
+#: body unread: bytes, and seconds after the reply.
+LINGER_MAX_BYTES = 1024 * 1024
+LINGER_TIMEOUT_S = 1.0
 
 #: Longest a ``GET /v1/jobs/<id>/result?wait=`` is held; a larger ``wait``
 #: is cut to this, so a held request gives its thread back within it.
@@ -124,6 +138,8 @@ class _Handler(BaseHTTPRequestHandler):
     # waits for the client's delayed ACK (~40 ms) on a reused connection.
     disable_nagle_algorithm = True
     timeout = IDLE_TIMEOUT_S
+    # Set per request by parse_request; False until a request declares a body.
+    _body_pending = False
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         pass  # operational visibility comes from /v1/stats, not stderr spam
@@ -135,12 +151,39 @@ class _Handler(BaseHTTPRequestHandler):
     def finish(self) -> None:
         try:
             super().finish()
+            if self._body_pending:
+                self._linger()
         finally:
             # Every HTTP connection gets its own thread and so its own
             # SQLite connection.  A sqlite3.Connection sits in a reference
             # cycle, so without an explicit close its native memory (page
             # cache, statements) lives until the cyclic GC next runs.
             self.service.store.close()
+
+    def _linger(self) -> None:
+        """Discard a pending body, within bounds, so the close does not reset.
+
+        The reply is already flushed.  Shutting down the write side shows
+        the client the end of the reply; the input still arriving is read
+        and dropped until the client closes or a bound is hit, and only
+        then does the socket close.
+        """
+        sock = self.connection
+        deadline = time.monotonic() + LINGER_TIMEOUT_S
+        discarded = 0
+        try:
+            sock.shutdown(socket.SHUT_WR)
+            while discarded < LINGER_MAX_BYTES:
+                left = deadline - time.monotonic()
+                if left <= 0:
+                    break
+                sock.settimeout(left)
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                discarded += len(chunk)
+        except OSError:
+            pass  # the client reset or timed out: nothing left to save
 
     def parse_request(self) -> bool:
         parsed = super().parse_request()

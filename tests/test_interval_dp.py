@@ -45,7 +45,9 @@ from tests.conftest import random_window_pairs
 #: Float sums are exact at the first 30 cases' alphas (0.5, 2 and 4), so
 #: only these pin the association order of the combine's additions and the
 #: first-optimum tie-breaking: seven of them change if the combine computes
-#: ``(left + charge) + right`` instead of ``left + (charge + right)``.
+#: ``(left + charge) + right`` instead of ``left + (charge + right)``.  A
+#: change that moves only engine counters or versions re-records them with
+#: ``tests/fixtures/record_engine_envelopes.py``, which rewrites nothing else.
 ENVELOPE_FIXTURE = os.path.join(
     os.path.dirname(__file__), "fixtures", "engine_envelopes.json"
 )
@@ -111,7 +113,7 @@ class TestEngineOutcome:
         ):
             meta = json.loads(to_json(solve(problem)))["extra"]["engine"]
             assert meta["name"] == ENGINE_NAME
-            assert meta["version"] == BOTTOM_UP_ENGINE_VERSION == "2.0"
+            assert meta["version"] == BOTTOM_UP_ENGINE_VERSION == "2.1"
             assert set(meta) == {"name", "version", "objective", "stats"}
 
     def test_power_objective_rejects_negative_alpha(self):
@@ -213,60 +215,162 @@ class TestPruning:
                 assert dp.power == pytest.approx(brute)
 
 
-def _bisect_hall_feasible(jobs, columns, p, node_jobs, releases, t1, t2):
-    """The Hall pre-check in time coordinates, with a bisect per count.
+def _bisect_hall_limits(jobs, columns, p, released, t1, t2):
+    """Per-``q`` Hall limits of ``[t1, t2]`` in time coordinates, a bisect per count.
 
-    The oracle for the engine's column-index check: prefix intervals
-    ``[t1, d]`` run over clipped deadlines (node jobs arrive in deadline
-    order) and suffix intervals ``[r, t2]`` over sorted releases, each
-    against ``p`` slots per candidate column.
+    The oracle for the engine's column-index limits.  Node ``k`` holds the
+    first ``k`` of ``released`` (the interval's jobs in deadline order); it
+    violates at ``q`` when a prefix ``[t1, d]`` over clipped deadlines or a
+    suffix ``[r, t2]`` over sorted releases holds more jobs than ``p`` slots
+    per candidate column, ``p - q`` at ``t2``.  Entry ``q`` is the smallest
+    violating ``k``, or ``len(released) + 1``.
     """
     lo = bisect_left(columns, t1)
     hi = bisect_right(columns, t2)
-    for count, j in enumerate(node_jobs, start=1):
-        d = min(jobs[j].deadline, t2)
-        if count > p * (bisect_right(columns, d, lo, hi) - lo):
+
+    def violates(node, q):
+        for count, j in enumerate(node, start=1):
+            d = min(jobs[j].deadline, t2)
+            held = q if d == t2 else 0
+            if count > p * (bisect_right(columns, d, lo, hi) - lo) - held:
+                return True
+        releases = sorted(jobs[j].release for j in node)
+        for count, r in enumerate(reversed(releases), start=1):
+            if count > p * (hi - bisect_left(columns, r, lo, hi)) - q:
+                return True
+        return False
+
+    limits = []
+    for q in range(p + 1):
+        limit = len(released) + 1
+        for k in range(1, len(released) + 1):
+            if violates(released[:k], q):
+                limit = k
+                break
+        limits.append(limit)
+    return limits
+
+
+def _edf_fits(jobs, columns, p, node, t1, t2, q):
+    """Whether ``node``'s unit jobs fit in ``[t1, t2]`` with ``p - q`` slots at ``t2``.
+
+    Earliest-deadline-first over the candidate columns: each column runs
+    the pending released jobs with the earliest deadlines, up to its
+    slots.  Unit jobs with interval windows make this exact.
+    """
+    pending = []
+    waiting = sorted(node, key=lambda j: max(jobs[j].release, t1))
+    at = 0
+    for t in columns[bisect_left(columns, t1):bisect_right(columns, t2)]:
+        while at < len(waiting) and max(jobs[waiting[at]].release, t1) <= t:
+            pending.append(min(jobs[waiting[at]].deadline, t2))
+            at += 1
+        pending.sort()
+        if pending and pending[0] < t:
             return False
-    for count, r in enumerate(reversed(releases), start=1):
-        if count > p * (hi - bisect_left(columns, r, lo, hi)):
-            return False
-    return True
+        del pending[: p - q if t == t2 else p]
+    return not pending and at == len(waiting)
+
+
+def _random_decomposition(rng, p_range=(1, 3)):
+    n = rng.randint(4, 16)
+    p = rng.randint(*p_range)
+    pairs = random_window_pairs(
+        rng, n, horizon=rng.randint(max(2, n // (2 * p)), n + 4), max_window=5
+    )
+    instance = MultiprocessorInstance.from_pairs(pairs, num_processors=p)
+    return IntervalDecomposition(instance)
 
 
 class TestHallIndexCheck:
     @pytest.mark.parametrize("seed", range(8))
     def test_index_check_matches_bisect_oracle(self, seed):
         rng = random.Random(9000 + seed)
-        verdicts = set()
+        q_dependent = finite = 0
         for _ in range(6):
-            n = rng.randint(4, 16)
-            p = rng.randint(1, 3)
-            pairs = random_window_pairs(
-                rng, n, horizon=rng.randint(max(2, n // (2 * p)), n + 4), max_window=5
-            )
-            decomp = IntervalDecomposition(
-                MultiprocessorInstance.from_pairs(pairs, num_processors=p)
-            )
+            decomp = _random_decomposition(rng)
+            p = decomp.num_processors
             engine = IntervalDPEngine(decomp, GapObjective(p))
             columns = decomp.columns
-            # Random nodes, asked for in random order so the memoized
-            # prefix half is hit from every direction.
+            # Random intervals, asked for in random order so the walks
+            # shared per anchor column are entered from every direction.
             for _ in range(60):
+                i1 = rng.randrange(len(columns))
+                i2 = rng.randrange(i1, len(columns))
+                released = engine._released(i1, i2)
+                expected = _bisect_hall_limits(
+                    decomp.jobs, columns, p, released, columns[i1], columns[i2]
+                )
+                limits = engine._hall_limits(i1, i2)
+                assert list(limits) == expected, (decomp.jobs, p, i1, i2)
+                finite += expected[0] <= len(released)
+                q_dependent += expected[0] != expected[-1]
+        # Some limits bite even at q = 0 and some only once q slots are held,
+        # so neither the counts nor the q term is vacuous.
+        assert finite and q_dependent
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rejected_nodes_have_no_schedule(self, seed):
+        # Soundness: whenever a limit rejects a node at q, no schedule of its
+        # jobs exists with q of the p slots at the last column held.
+        rng = random.Random(9500 + seed)
+        rejected_only_with_q = 0
+        for _ in range(8):
+            decomp = _random_decomposition(rng, p_range=(1, 4))
+            p = decomp.num_processors
+            engine = IntervalDPEngine(decomp, PowerObjective(p, 1.0))
+            columns = decomp.columns
+            for _ in range(50):
                 i1 = rng.randrange(len(columns))
                 i2 = rng.randrange(i1, len(columns))
                 released = engine._released(i1, i2)
                 if not released:
                     continue
                 k = rng.randint(1, len(released))
-                node = released[:k]
-                releases = sorted(decomp.jobs[j].release for j in node)
-                expected = _bisect_hall_feasible(
-                    decomp.jobs, columns, p, node, releases, columns[i1], columns[i2]
-                )
-                assert engine._hall_feasible(i1, i2, k) == expected, (pairs, p, i1, i2, k)
-                verdicts.add(expected)
-        # Both verdicts occur, so neither half of the check is vacuous.
-        assert verdicts == {True, False}
+                q = rng.randint(0, p)
+                limits = engine._hall_limits(i1, i2)
+                if k < limits[q]:
+                    continue
+                assert not _edf_fits(
+                    decomp.jobs, columns, p, released[:k], columns[i1], columns[i2], q
+                ), (decomp.jobs, p, i1, i2, k, q)
+                rejected_only_with_q += k < limits[0]
+        assert rejected_only_with_q > 0
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_q_aware_rejections_keep_the_optimum(self, seed):
+        # p = 2-4 gap and power instances: nodes have q bits withheld
+        # (limits at q >= 1), splits are dropped at plan time, and the
+        # optimum and its schedule still match brute force.
+        rng = random.Random(9800 + seed)
+        withheld = pruned = 0
+        for _ in range(6):
+            n = rng.randint(5, 8)
+            p = rng.randint(2, 4)
+            pairs = random_window_pairs(rng, n, horizon=rng.randint(2, 5), max_window=3)
+            instance = MultiprocessorInstance.from_pairs(pairs, num_processors=p)
+            for objective in ("gaps", "power"):
+                alpha = rng.choice([0.3, 1.0, 2.5]) if objective == "power" else None
+                if objective == "gaps":
+                    solver = MultiprocessorGapSolver(instance)
+                else:
+                    solver = MultiprocessorPowerSolver(instance, alpha=alpha)
+                solution = solver.solve()
+                expected = _brute_force_value(instance, objective, alpha)
+                assert solution.feasible == (expected is not None)
+                if solution.feasible:
+                    schedule = solution.require_schedule()
+                    schedule.validate()
+                    if objective == "gaps":
+                        assert solution.num_gaps == expected == schedule.num_gaps()
+                    else:
+                        assert solution.power == pytest.approx(expected)
+                        assert schedule.power_cost(alpha) == pytest.approx(expected)
+                engine = solver.engine
+                full = (1 << (p + 1)) - 1
+                withheld += sum(mask != full for mask in engine._node_allowed)
+                pruned += engine.stats.hall_pruned
+        assert withheld > 0 and pruned > 0
 
 
 class TestIterativeEvaluation:
@@ -398,6 +502,33 @@ class TestEngineV1VsV2:
         # not change any recorded value.
         alphas = {p.alpha for p in problems if p.objective == "power"}
         assert any(float(a * 2**20) != int(a * 2**20) for a in alphas), alphas
+
+
+class TestEnvelopeRecorder:
+    """The fixture recorder rewrites engine stats and versions, nothing else."""
+
+    def _pair(self):
+        from tests.fixtures.record_engine_envelopes import rerecord
+
+        recorded = RECORDED_ENVELOPES[14]["envelope"]  # a decomposed envelope
+        envelope = json.loads(recorded)
+        nested = envelope["extra"]["engine"]["decomposition"]["per_component"][0]
+        return rerecord, recorded, envelope, nested
+
+    def test_engine_fields_at_any_depth_are_rewritten(self):
+        rerecord, recorded, envelope, nested = self._pair()
+        envelope["extra"]["engine"]["version"] = "9.9"
+        nested["engine"]["stats"]["plans_built"] += 1
+        fresh = json.dumps(envelope, sort_keys=True, separators=(",", ":"))
+        assert rerecord(recorded, fresh) == fresh
+
+    def test_any_other_change_is_refused(self):
+        rerecord, recorded, envelope, nested = self._pair()
+        nested["engine"]["stats"]["plans_built"] += 1
+        envelope["value"] += 1
+        fresh = json.dumps(envelope, sort_keys=True, separators=(",", ":"))
+        with pytest.raises(ValueError):
+            rerecord(recorded, fresh)
 
 
 class TestPeakDepthReporting:

@@ -961,6 +961,36 @@ class TestKeepAlive:
             conn.close()
             server.draining = False
 
+    def test_clients_still_sending_a_body_read_the_early_reply(self, make_server):
+        # A chunked POST /v1/jobs is answered 400 before its body is read.
+        # Closing on the unread body made the kernel reset the connection,
+        # and a client whose last chunk was still going out then failed
+        # with BrokenPipeError instead of reading the 400 (22 of 500 such
+        # requests failed before the server lingered on close).  Lingering
+        # ends when the client closes, not at its time bound, so 300 of
+        # them stay fast.
+        server = make_server()
+        body = json.dumps({"problem": to_dict(gap_problem(0))}).encode()
+        failures = []
+        start = time.perf_counter()
+        for index in range(300):
+            conn = http.client.HTTPConnection(server.host, server.port, timeout=5.0)
+            try:
+                conn.request(
+                    "POST", "/v1/jobs", iter([body]), {"Content-Type": "application/json"}
+                )
+                response = conn.getresponse()
+                response.read()
+                if response.status != 400:
+                    failures.append((index, response.status))
+            except OSError as exc:
+                failures.append((index, repr(exc)))
+            finally:
+                conn.close()
+        elapsed = time.perf_counter() - start
+        assert failures == []
+        assert elapsed < 30.0, elapsed
+
     def test_one_client_holds_one_sqlite_handle(self, make_server, connect):
         server = make_server()
         client = connect(server, "handles")
