@@ -67,6 +67,7 @@ from ..core.power_approx import approximate_power_schedule
 from ..core.schedule import Schedule
 from ..core.throughput import greedy_throughput_schedule
 from ..runtime.diskcache import get_disk_cache
+from ..runtime.pool import publish_incumbent
 from .decomposition import try_decomposed_solve
 from .problem import Problem
 from .registry import register_solver
@@ -659,8 +660,6 @@ def _publish_times(times: Dict[int, int]) -> None:
     after hard-killing it mid-search.  The payload dict is copied only
     when the throttle actually lets a send through.
     """
-    from ..runtime.pool import publish_incumbent
-
     publish_incumbent(lambda: {"times": dict(times)})
 
 

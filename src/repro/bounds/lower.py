@@ -65,26 +65,25 @@ def window_components(instance: OneIntervalInstance) -> List[Tuple[int, int]]:
     return components
 
 
-def interval_coverage(instance: OneIntervalInstance, length: int) -> int:
+def interval_coverage(releases: List[int], deadlines: List[int], length: int) -> int:
     """Max number of job windows intersecting any interval of ``length`` slots.
 
-    Window ``[r, d]`` intersects ``[t, t + length - 1]`` exactly when
-    ``t in [r - length + 1, d]``, so this is a max-overlap sweep over those
-    shifted intervals: O(n log n) (O(n) after the instance's sorted views).
+    ``releases`` and ``deadlines`` are the jobs' release times and
+    deadlines, each in ascending order, so a caller probing several
+    lengths sorts once.  Window ``[r, d]`` intersects ``[t, t + length -
+    1]`` exactly when ``t in [r - length + 1, d]``, so this is an O(n)
+    max-overlap sweep over those shifted intervals.
     """
     if length < 1:
         raise ValueError(f"length must be positive, got {length}")
-    if instance.num_jobs == 0:
-        return 0
-    starts = sorted(r - length + 1 for r in instance.releases)
-    ends = sorted(instance.deadlines)
     best = active = 0
     i = j = 0
-    n = len(starts)
+    n = len(releases)
+    shift = length - 1
     while i < n:
-        # A window ending at d deactivates at d + 1; break ties by
-        # deactivating before activating at the same sweep position.
-        if ends[j] + 1 <= starts[i]:
+        # Window [r, d] is active on the sweep positions [r - length + 1, d];
+        # break ties by deactivating before activating at the same position.
+        if deadlines[j] + 1 <= releases[i] - shift:
             active -= 1
             j += 1
         else:
@@ -109,11 +108,13 @@ def _block_length_cap(instance: OneIntervalInstance) -> Optional[Dict[str, int]]
         return None
     lo_r, hi_d = instance.horizon
     horizon = hi_d - lo_r + 1
+    releases = sorted(instance.releases)
+    deadlines = sorted(instance.deadlines)
     failing: Optional[int] = None
     passing = 1  # interval_coverage(1) >= 1 whenever a window exists
     probe = 2
     while probe < horizon:
-        if interval_coverage(instance, probe) < probe:
+        if interval_coverage(releases, deadlines, probe) < probe:
             failing = probe
             break
         passing = probe
@@ -122,14 +123,14 @@ def _block_length_cap(instance: OneIntervalInstance) -> Optional[Dict[str, int]]
         return None
     while failing - passing > 1:
         mid = (failing + passing) // 2
-        if interval_coverage(instance, mid) < mid:
+        if interval_coverage(releases, deadlines, mid) < mid:
             failing = mid
         else:
             passing = mid
     cap = failing - 1
     return {
         "probe": failing,
-        "coverage": interval_coverage(instance, failing),
+        "coverage": interval_coverage(releases, deadlines, failing),
         "cap": cap,
         "bound": (n + cap - 1) // cap - 1,
     }

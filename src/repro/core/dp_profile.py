@@ -17,8 +17,8 @@ single-processor algorithm [Bap06] exactly as the paper does in Section 2:
   in the proof of Theorem 1 shows this split loses nothing).
 
 This module centralises the parts that are identical for the gap and power
-objectives: the candidate columns, their index, the deadline ordering, and
-the candidate columns of one job inside an interval.  The job-set queries
+objectives: the candidate columns, their index and the deadline ordering.
+The job-set queries
 that split subproblems live in the engine
 (:class:`repro.core.interval_dp.IntervalDPEngine`), which builds each
 interval's released-job list incrementally from its predecessor's.
@@ -33,7 +33,6 @@ Hall checks on column indices.
 
 from __future__ import annotations
 
-import bisect
 from typing import Dict, List, Tuple
 
 from .exceptions import InvalidInstanceError
@@ -76,20 +75,3 @@ class IntervalDecomposition:
             range(len(self.jobs)),
             key=lambda i: (self.jobs[i].deadline, self.jobs[i].release, i),
         )
-
-    def columns_between(self, lo: int, hi: int) -> List[int]:
-        """Indices of candidate columns with time in the inclusive range [lo, hi]."""
-        start = bisect.bisect_left(self.columns, lo)
-        end = bisect.bisect_right(self.columns, hi)
-        return list(range(start, end))
-
-    def candidate_columns_for_job(
-        self, job_index: int, t1: int, t2: int
-    ) -> List[int]:
-        """Column indices where ``job_index`` may run inside ``[t1, t2]``."""
-        job = self.jobs[job_index]
-        lo = max(t1, job.release)
-        hi = min(t2, job.deadline)
-        if hi < lo:
-            return []
-        return self.columns_between(lo, hi)

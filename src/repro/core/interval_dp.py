@@ -29,7 +29,8 @@ graph from the root, propagating the set of reachable ``q`` values per
 node, and the evaluation pass then processes nodes in increasing
 interval-length / job-count order.  The tables hold **values only**: each
 node keeps one list indexed by packed boundary variant, holding the cost
-itself (``+inf`` when absent) under the scalar power algebra and the tuple
+itself (``+inf`` when absent) under the scalar algebra (power, and gaps at
+``p = 1``, where every entry a branch reads has occupancy 1) and the tuple
 of surviving ``(label, cost)`` entries under the gap objective's label
 vectors.  The combine records no choices; schedule reconstruction replays
 one variant's candidates in evaluation order and takes the first whose cost
@@ -38,7 +39,10 @@ scan would have recorded.  Both combines fold the right child's boundary
 range into a vector per ``(right child, q, b2)`` once and reuse it for
 every parent variant and every parent node that shares the child; the
 scalar one runs its min-plus products in builtins (``min(map(add, ...))``)
-over strided slices of the child cost lists.  Node job sets are built
+over strided slices of the child cost lists.  Subproblems without jobs
+get no node per interval: their tables are closed-form in the
+interval's span, so one shared leaf per distinct span serves every
+interval of that span.  Node job sets are built
 incrementally (released-job lists extend their length-minus-one
 predecessor; split counts come from a two-pointer merge instead of
 per-column bisects).  Hall limits reject empty subproblems before they
@@ -88,13 +92,15 @@ ENGINE_NAME = "interval-dp"
 #: previously cached entry, so replayed engine metadata always matches the
 #: code that would recompute it (4.0 retired the numpy-kernel evaluator,
 #: whose entries carried metadata no remaining code produces; 4.1 moved the
-#: Hall check to per-interval limits applied at plan time, which changed
-#: the engine counters every entry replays).
-ENGINE_VERSION = "4.1"
+#: Hall check to per-interval limits applied at plan time, and 4.2 shared
+#: the ``k = 0`` leaves, each change moving the engine counters every entry
+#: replays).
+ENGINE_VERSION = "4.2"
 #: Version of the bottom-up, array-packed scalar evaluator (the
 #: ``extra.engine.version`` every envelope carries; 2.1 counts the states,
-#: plans and Hall rejections of plan-time Hall limits).
-BOTTOM_UP_ENGINE_VERSION = "2.1"
+#: plans and Hall rejections of plan-time Hall limits, 2.2 counts each
+#: shared ``k = 0`` leaf's states once).
+BOTTOM_UP_ENGINE_VERSION = "2.2"
 
 _INF = float("inf")
 
@@ -104,8 +110,11 @@ class EngineStats:
     """Counters describing one engine run (exposed as JSON-native ints).
 
     ``states_computed`` counts DP states whose value table was
-    materialised, and ``peak_stack_depth`` is the longest dependency chain
-    of the node DAG; it is at least 1 whenever any state was computed.
+    materialised; a ``k = 0`` leaf is one table shared by every interval
+    of its span, so its states count once per run, at the ``q`` values
+    any of those intervals is queried with.  ``peak_stack_depth`` is the
+    longest dependency chain of the node DAG; it is at least 1 whenever
+    any state was computed.
     ``memo_hits`` counts logical child-table reads: ``P * |left b2 range|``
     per split whose children both have tables, ``|right b1 range|`` per
     such split and ``(q, b2)`` variant group, and one per right-end
@@ -157,11 +166,20 @@ class GapObjective:
     """
 
     name = "gaps"
+    #: The label of every entry under the scalar combine (p = 1).
+    scalar_label = 1
 
     def __init__(self, num_processors: int) -> None:
         self.p = num_processors
-        #: Size of the value-table label space (occupancies 0..p).
-        self.num_labels = num_processors + 1
+        #: Size of the value-table label space (occupancies 0..p).  At p = 1
+        #: it is one label: left children run at q = 1, where every entry
+        #: has occupancy 1, so every combined entry and every root entry
+        #: has occupancy 1 (a right ``k = 0`` leaf's 0 is absorbed by the
+        #: max) and dominance has no second label to compare.  The engine
+        #: then runs the scalar combine with :attr:`scalar_label` implied;
+        #: label vectors at p = 1 (``num_labels = 2``) give the same
+        #: values, schedules and counters.
+        self.num_labels = 1 if num_processors == 1 else num_processors + 1
         self._charges: Dict = {}
 
     def invalid_state(self, k: int, q: int, b1: int, b2: int) -> bool:
@@ -275,6 +293,8 @@ class PowerObjective:
     name = "power"
     #: Scalar value algebra: a single table label (0).
     num_labels = 1
+    #: The label of every entry under the scalar combine.
+    scalar_label = 0
 
     def __init__(self, num_processors: int, alpha: float) -> None:
         if alpha < 0:
@@ -380,19 +400,23 @@ class IntervalDPEngine:
        ``q``) reject empty subproblems before they exist: a split whose
        left child is over its limit at ``q = 1`` or whose right child is
        over it at ``q = 0`` is dropped before either child is allocated,
-       and each node receives only the ``q`` bits under its limit.
-    2. **Evaluation** processes nodes in increasing ``(interval length,
-       job count)`` order — every dependency of a node strictly precedes it
-       — and stores each node's values in one list indexed by the packed
+       and each node receives only the ``q`` bits under its limit.  A
+       child without jobs is the shared leaf of its span (see
+       :meth:`_node_id`), built once per run.
+    2. **Evaluation** processes the shared leaves, then every other node
+       in increasing ``(interval length, job count)`` order — every
+       dependency of a node strictly precedes it — and stores each node's values in one list indexed by the packed
        variant offset ``vi = (q*P + b1)*P + b2``.  Under the scalar algebra
-       (power, one label) entry ``vi`` is the cost, ``+inf`` when absent;
-       under label vectors (gaps) it is the tuple of the variant's
-       surviving ``(label, cost)`` entries, ``None`` when absent.  For a
-       split and a ``(q, b2)`` group, the right child's ``rb1`` range is
-       folded into one vector per ``lb2`` — ``min_rb1(charge[lb2][rb1] +
-       right[rb1])``, per right label for gaps — memoized per ``(right
-       child, q, b2)``: the right child fixes ``t'``, the idle stretch, the
-       adjacency and whether it touches ``t2``, hence the charge matrix.
+       (one label: power, and gaps at ``p = 1``) entry ``vi`` is the cost,
+       ``+inf`` when absent; under label vectors (gaps at ``p >= 2``) it is
+       the tuple of the variant's surviving ``(label, cost)`` entries,
+       ``None`` when absent.  For a split and a ``(q, b2)`` group, the
+       right child's ``rb1`` range is folded into one vector per ``lb2`` —
+       ``min_rb1(charge[lb2][rb1] + right[rb1])``, per right label for
+       gaps — memoized per ``(right child, q, b2)``: a right child with
+       jobs fixes ``t'``, the idle stretch, the adjacency and whether it
+       touches ``t2``, hence the charge matrix; a shared ``k = 0`` leaf
+       does not, so its memo key also carries the split's stretch.
        Each ``b1`` then combines its left row with the folded vector.  The
        scalar fold and combine are ``min(map(add, ...))`` over strided
        slices of the child cost lists, and every candidate keeps the
@@ -436,6 +460,7 @@ class IntervalDPEngine:
         self._C = len(decomp.columns)
         self._P = self.p + 1
         self._labels = objective.num_labels
+        self._scalar_label = objective.scalar_label
         # Objective lookups the combine reads instead of calling the
         # objective per variant (built with the first branch grid, so runs
         # that prune at the root never pay for them): the left b2 range, the
@@ -465,16 +490,28 @@ class IntervalDPEngine:
         # Hall limits (see _hall_limits): per interval, and the prefix and
         # suffix walks they are read from, per anchor column.
         self._released_upto = [0] * (self._C + 1)  # jobs released before column c
+        # Largest left excess ending at column c: max over c' <= c of the
+        # jobs released in [c', c] minus p per column (Kadane), which tells
+        # a suffix walk when no column range further left can overflow.
+        self._left_excess = [0] * self._C
+        run = 0
         for c in range(self._C):
-            self._released_upto[c + 1] = self._released_upto[c] + len(self._col_jobs[c])
+            released = len(self._col_jobs[c])
+            self._released_upto[c + 1] = self._released_upto[c] + released
+            run = released - self.p + (run if run > 0 else 0)
+            self._left_excess[c] = run
         self._limits_cache: Dict[int, Tuple[int, ...]] = {}
         self._prefix_walks: Dict[int, Tuple[int, int]] = {}
         self._suffix_walks: Dict[int, List[Tuple[int, ...]]] = {}
         self._grid_cache: Dict[Tuple[int, int], Tuple] = {}
-        # Right-child folds per (right child, q, b2), shared across parents.
+        # Right-child folds per (fold identity, q, b2), shared across
+        # parents; a k = 0 right child's identity also carries the split's
+        # stretch (see _expand).
         self._fold_cache: Dict[int, object] = {}
-        # Node graph (filled by _ensure_tables).
+        # Node graph (filled by _ensure_tables); k = 0 leaves are keyed by
+        # span alone.
         self._key_to_id: Dict[int, int] = {}
+        self._leaf_ids: Dict[int, int] = {}
         self._node_i1: List[int] = []
         self._node_i2: List[int] = []
         self._node_k: List[int] = []
@@ -684,15 +721,18 @@ class IntervalDPEngine:
         Walks release columns ``r`` down from ``i2``.  Entry ``i2 - i1``
         holds, per ``q``, the smallest deadline rank whose arrival in a
         node of ``[i1, i2]`` overflows some suffix ``[r, i2]``, ``r >= i1``,
-        with ``p * (i2 + 1 - r) - q`` slots (``n`` when none does).  The
-        walk stops once the slots exceed every job released up to ``i2``;
-        the last entry then holds for every interval further left.
+        with ``p * (i2 + 1 - r) - q`` slots (``n`` when none does).  A
+        suffix can overflow at some ``q`` only while its jobs exceed
+        ``p * (i2 - r)``, so the walk stops at the first column whose
+        excess, plus the largest left excess ending just before it
+        (:attr:`_left_excess`), leaves every suffix further left within
+        that; the last entry then holds for every interval further left.
         """
         p = self.p
         n = len(self.decomp.jobs)
         rank = self._rank
         col_jobs = self._col_jobs
-        total = self._released_upto[i2 + 1]
+        left_excess = self._left_excess
         qs = range(self._P)
         ranks: List[int] = []
         best = [n] * self._P
@@ -710,7 +750,7 @@ class IntervalDPEngine:
                         best[q] = ranks[cap - q]
                 current = tuple(best)
             table.append(current)
-            if cap >= total:
+            if col == 0 or m - cap + left_excess[col - 1] + p <= 0:
                 break
         return table
 
@@ -728,28 +768,43 @@ class IntervalDPEngine:
         those under its interval's Hall limits (``limits``, looked up when
         not given), which never increase with ``q``, so the allowed bits
         are always ``0 .. j`` for some ``j``.
+
+        ``k = 0`` asks for a shared leaf.  A node without jobs has a
+        closed-form table in ``(q, b1, b2)`` and the span ``t2 - t1`` alone
+        (``single_column`` at span 0, ``empty_interval`` otherwise), so one
+        leaf per distinct span serves every interval of that span.  It
+        keeps the first interval that asked for it, is classified at once,
+        and takes every ``q``.
         """
-        key = (i1 * self._C + i2) * (len(self.decomp.jobs) + 1) + k
-        nid = self._key_to_id.get(key)
+        if k:
+            ids = self._key_to_id
+            key = (i1 * self._C + i2) * (len(self.decomp.jobs) + 1) + k
+        else:
+            ids = self._leaf_ids
+            key = self.decomp.columns[i2] - self.decomp.columns[i1]
+        nid = ids.get(key)
         if nid is None:
-            nid = len(self._node_i1)
-            self._key_to_id[key] = nid
+            nid = ids[key] = len(self._node_i1)
             self._node_i1.append(i1)
             self._node_i2.append(i2)
             self._node_k.append(k)
-            self._node_kind.append(_PRUNED)
-            self._node_jobs_list.append(None)
             self._node_plan.append(None)
             self._node_qmask.append(0)
-            self._node_expanded.append(False)
             open_bits = self._P
             if k:
+                self._node_kind.append(_PRUNED)
+                self._node_jobs_list.append(None)
+                self._node_expanded.append(False)
                 if limits is None:
                     limits = self._hall_limits(i1, i2)
                 if k >= limits[-1]:
                     open_bits = 0
                     while k < limits[open_bits]:
                         open_bits += 1
+            else:
+                self._node_kind.append(_SINGLE if key == 0 else _EMPTY)
+                self._node_jobs_list.append(())
+                self._node_expanded.append(True)
             self._node_allowed.append((1 << open_bits) - 1)
         return nid
 
@@ -761,15 +816,20 @@ class IntervalDPEngine:
         left child is over its limit at ``q = 1`` (the only ``q`` a left
         child is queried at) or its right child at ``q = 0``; the right-end
         case is dropped when its child is over its limit at ``q = 1``.
-        Each drop counts in ``hall_pruned``.
+        Each drop counts in ``hall_pruned``.  ``k = 0`` children are the
+        shared leaves, which no limit rejects.
+
+        A split is ``(t', left id, right id, stretch, right child touches
+        t2, fold identity)``.  The fold identity keys the right-child fold
+        memo: the right child's id when it has jobs (it fixes ``t'``, hence
+        the charge matrix), otherwise a negative code of the leaf's span
+        and the split's stretch, since a shared leaf meets many stretches;
+        the stretch fixes the adjacency and, with the span, whether the
+        leaf touches ``t2``.
         """
         decomp = self.decomp
         columns = decomp.columns
         i1, i2, k = self._node_i1[nid], self._node_i2[nid], self._node_k[nid]
-        if k == 0:
-            self._node_kind[nid] = _SINGLE if i1 == i2 else _EMPTY
-            self._node_jobs_list[nid] = ()
-            return
         node = self._released(i1, i2)[:k]
         self._node_jobs_list[nid] = node
         if i1 == i2:
@@ -791,6 +851,9 @@ class IntervalDPEngine:
         allowed = self._node_allowed
         limits_cache = self._limits_cache
         hall_limits = self._hall_limits
+        leaf_ids = self._leaf_ids
+        t1, t2 = columns[i1], columns[i2]
+        H1 = columns[-1] - columns[0] + 1  # exceeds every stretch
         C = self._C
         N1 = len(decomp.jobs) + 1
         ptr = 0  # two-pointer sweep: release columns and candidates both ascend
@@ -805,40 +868,37 @@ class IntervalDPEngine:
             # one is checked against its interval's limits first, so a dead
             # split never allocates either child.
             left_limits = right_limits = None
-            left_id = key_to_id.get((i1 * C + ci) * N1 + k_left)
-            if left_id is None:
-                if k_left:
+            if k_left:
+                left_id = key_to_id.get((i1 * C + ci) * N1 + k_left)
+                if left_id is None:
                     left_limits = limits_cache.get(i1 * C + ci) or hall_limits(i1, ci)
                     if k_left >= left_limits[1]:
                         pruned += 1
                         continue
-            elif not allowed[left_id] & 2:
-                pruned += 1
-                continue
-            right_id = key_to_id.get((idx_next * C + i2) * N1 + k_right)
-            if right_id is None and k_right:
-                right_limits = (
-                    limits_cache.get(idx_next * C + i2) or hall_limits(idx_next, i2)
-                )
-                if k_right >= right_limits[0]:
+                elif not allowed[left_id] & 2:
                     pruned += 1
                     continue
+            else:
+                left_id = leaf_ids.get(columns[ci] - t1)
+            if k_right:
+                right_id = key_to_id.get((idx_next * C + i2) * N1 + k_right)
+                if right_id is None:
+                    right_limits = (
+                        limits_cache.get(idx_next * C + i2) or hall_limits(idx_next, i2)
+                    )
+                    if k_right >= right_limits[0]:
+                        pruned += 1
+                        continue
+            else:
+                right_id = leaf_ids.get(t2 - columns[idx_next])
             if left_id is None:
                 left_id = self._node_id(i1, ci, k_left, left_limits)
             if right_id is None:
                 right_id = self._node_id(idx_next, i2, k_right, right_limits)
             t_prime = columns[ci]
-            t_next = columns[idx_next]
-            splits.append(
-                (
-                    t_prime,
-                    left_id,
-                    right_id,
-                    t_next == t_prime + 1,
-                    t_next - t_prime - 1,
-                    idx_next == i2,
-                )
-            )
+            stretch = columns[idx_next] - t_prime - 1
+            fold = right_id if k_right else ~((t2 - t_prime - 1 - stretch) * H1 + stretch)
+            splits.append((t_prime, left_id, right_id, stretch, idx_next == i2, fold))
         right_end_id = None
         if right_end:
             # The right-end child is only ever queried at q >= 1.
@@ -891,7 +951,7 @@ class IntervalDPEngine:
             if kinds[nid] != _BRANCH:
                 continue
             _jmax, splits, right_end_id = plans[nid]
-            for _t_prime, left_id, right_id, _adj, _stretch, _rt2 in splits:
+            for _t_prime, left_id, right_id, _stretch, _rt2, _fold in splits:
                 # A left child's only bit never changes, so it flows on the
                 # parent's first visit alone.
                 if first_visit and not masks[left_id] & left_bit:
@@ -910,10 +970,18 @@ class IntervalDPEngine:
 
     # -- bottom-up evaluation -----------------------------------------------------
     def _evaluate_all(self) -> None:
-        """Process every node in increasing (interval length, job count) order."""
+        """Process every node in increasing (interval length, job count) order.
+
+        The shared ``k = 0`` leaves go first: one of them stands for
+        intervals of many index lengths, and it depends on nothing.
+        """
         num = len(self._node_i1)
         i1s, i2s, ks = self._node_i1, self._node_i2, self._node_k
-        order = sorted(range(num), key=lambda nid: (i2s[nid] - i1s[nid], ks[nid]))
+        N1 = len(self.decomp.jobs) + 1
+        order = sorted(
+            range(num),
+            key=lambda nid: (i2s[nid] - i1s[nid] + 1) * N1 + ks[nid] if ks[nid] else 0,
+        )
         tables: List[Optional[List]] = [None] * num
         branch = self._scalar_branch if self._labels == 1 else self._vector_branch
         depths = [0] * num
@@ -937,7 +1005,7 @@ class IntervalDPEngine:
                 tables[nid] = branch(nid, tables)
                 _jmax, splits, right_end_id = plans[nid]
                 depth = 0
-                for _t, left_id, right_id, _adj, _stretch, _rt2 in splits:
+                for _t, left_id, right_id, _stretch, _rt2, _fold in splits:
                     if depths[left_id] > depth:
                         depth = depths[left_id]
                     if depths[right_id] > depth:
@@ -1085,7 +1153,11 @@ class IntervalDPEngine:
         return entries
 
     def _scalar_branch(self, nid: int, tables: List) -> Optional[List]:
-        """Cost list of one branch node under the scalar (power) value algebra."""
+        """Cost list of one branch node under the scalar value algebra.
+
+        Power runs here at every ``p``, and gaps at ``p = 1``, where the
+        objective's one label is implied (see ``GapObjective.num_labels``).
+        """
         obj = self.objective
         P = self._P
         PP = P * P
@@ -1102,7 +1174,7 @@ class IntervalDPEngine:
         charge_matrix = obj.charge_matrix
         folds = self._fold_cache
         lookups = 0
-        for t_prime, left_id, right_id, adjacent, stretch, rt2 in splits:
+        for t_prime, left_id, right_id, stretch, rt2, fold in splits:
             left = tables[left_id]
             right = tables[right_id]
             if left is None or right is None:
@@ -1113,10 +1185,10 @@ class IntervalDPEngine:
             # over the left b2 range.
             rows = [left[(P + lb1) * P + lo:(P + lb1) * P + hi] for lb1 in range(P)]
             for q, b2, b1_list in groups:
-                key = (right_id * P + q) * P + b2
+                key = (fold * P + q) * P + b2
                 bridge = folds.get(key)
                 if bridge is None:
-                    charges = charge_matrix(q, adjacent, stretch, rt2)
+                    charges = charge_matrix(q, stretch == 0, stretch, rt2)
                     base = q * PP + b2
                     column = right[base:base + right_len[q][rt2] * P:P]
                     bridge = [min(map(add, charges[lb2], column)) for lb2 in left_range]
@@ -1189,7 +1261,7 @@ class IntervalDPEngine:
         charge_matrix = obj.charge_matrix
         folds = self._fold_cache
         lookups = 0
-        for t_prime, left_id, right_id, adjacent, stretch, rt2 in splits:
+        for t_prime, left_id, right_id, stretch, rt2, fold in splits:
             left = entries[left_id]
             right = entries[right_id]
             if left is None or right is None:
@@ -1209,11 +1281,11 @@ class IntervalDPEngine:
                     ]
                 )
             for q, b2, b1_list in groups:
-                key = (right_id * P + q) * P + b2
+                key = (fold * P + q) * P + b2
                 folded = folds.get(key)
                 if folded is None:
                     folded = self._fold_right(
-                        right, q, b2, charge_matrix(q, adjacent, stretch, rt2), rt2
+                        right, q, b2, charge_matrix(q, stretch == 0, stretch, rt2), rt2
                     )
                     folds[key] = folded
                 if not folded:
@@ -1263,7 +1335,7 @@ class IntervalDPEngine:
         if self._labels > 1:
             return table[vi] or ()
         cost = table[vi]
-        return ((0, cost),) if cost != _INF else ()
+        return ((self._scalar_label, cost),) if cost != _INF else ()
 
     def _reconstruct(self, node_id: int, variant: int, label: int) -> Dict[int, int]:
         """Replay optimal choices into a ``job -> time`` assignment, iteratively."""
@@ -1310,14 +1382,14 @@ class IntervalDPEngine:
         _jmax, splits, right_end_id = self._node_plan[nid]
         tables = self._tables
         left_range = self._left_range
-        for t_prime, left_id, right_id, adjacent, stretch, rt2 in splits:
+        for t_prime, left_id, right_id, stretch, rt2, _fold in splits:
             left, right = tables[left_id], tables[right_id]
             if left is None or right is None:
                 continue
             lb1 = self._left_b1[t_prime == t1][b1]
             if lb1 < 0:
                 continue
-            charges = obj.charge_matrix(q, adjacent, stretch, rt2)
+            charges = obj.charge_matrix(q, stretch == 0, stretch, rt2)
             rlen = self._right_len[q][rt2]
             rbase = q * PP + b2
             lbase = (P + lb1) * P
@@ -1331,8 +1403,8 @@ class IntervalDPEngine:
                     for rb1 in range(rlen):
                         if charge_row[rb1] + column[rb1] == bridge:
                             return t_prime, (
-                                (left_id, lbase + lb2, 0),
-                                (right_id, rbase + rb1 * P, 0),
+                                (left_id, lbase + lb2, lab),
+                                (right_id, rbase + rb1 * P, lab),
                             )
                 continue
             for lb2 in left_range:

@@ -20,6 +20,7 @@ from repro.bounds import (
     power_lower_bound,
     window_components,
 )
+from repro.bounds.lower import _block_length_cap, interval_coverage
 from repro.core.jobs import (
     MultiIntervalInstance,
     MultiprocessorInstance,
@@ -27,6 +28,7 @@ from repro.core.jobs import (
 )
 from repro.matching.hall import hall_violation
 from repro.verify import certify_bound
+from repro.verify.certificates import _coverage_recount
 
 
 def random_instance(rng, max_jobs=12):
@@ -55,6 +57,45 @@ class TestWindowComponents:
 
     def test_empty_instance(self):
         assert window_components(OneIntervalInstance(())) == []
+
+
+class TestIntervalCoverage:
+    """The density bound's sweep against the certificate checker's recount."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sweep_matches_the_recount_at_every_length(self, seed):
+        rng = random.Random(2600 + seed)
+        for _ in range(12):
+            instance = random_instance(rng, max_jobs=25)
+            releases = sorted(instance.releases)
+            deadlines = sorted(instance.deadlines)
+            lo, hi = instance.horizon
+            for length in range(1, hi - lo + 3):
+                expected = _coverage_recount(instance, length)
+                assert interval_coverage(releases, deadlines, length) == expected, (
+                    instance.jobs,
+                    length,
+                )
+
+    def test_block_cap_reports_the_recounted_coverage(self):
+        # The coverage the cap reports for its failing probe is the
+        # recount's.
+        rng = random.Random(2700)
+        capped = 0
+        for _ in range(40):
+            instance = random_instance(rng, max_jobs=25)
+            density = _block_length_cap(instance)
+            if density is None:
+                continue
+            capped += 1
+            probe = density["probe"]
+            assert density["coverage"] == _coverage_recount(instance, probe) < probe
+        assert capped > 0
+
+    def test_no_jobs_and_bad_length(self):
+        assert interval_coverage([], [], 3) == 0
+        with pytest.raises(ValueError):
+            interval_coverage([0], [1], 0)
 
 
 class TestGapLowerBound:

@@ -40,11 +40,6 @@ class TestColumns:
         for idx, t in enumerate(decomposition.columns):
             assert decomposition.column_index[t] == idx
 
-    def test_columns_between(self, decomposition):
-        indices = decomposition.columns_between(2, 4)
-        assert [decomposition.columns[i] for i in indices] == [2, 3, 4]
-        assert decomposition.columns_between(20, 30) == []
-
 
 class TestJobQueries:
     def test_deadline_order_is_by_deadline_then_release(self, decomposition):
@@ -55,11 +50,6 @@ class TestJobQueries:
     def test_jobs_released_in_range(self, decomposition):
         released = _engine(decomposition)._released(*_index_range(decomposition, 2, 5))
         assert set(released) == {1, 2}
-
-    def test_candidate_columns_for_job_clipped_to_interval(self, decomposition):
-        cols = decomposition.candidate_columns_for_job(2, 4, 6)
-        assert [decomposition.columns[i] for i in cols] == [4, 5, 6]
-        assert decomposition.candidate_columns_for_job(0, 5, 9) == []
 
     def test_range_query_is_cached(self, decomposition):
         engine = _engine(decomposition)
@@ -137,14 +127,6 @@ class TestJobSplitQueries:
             for k, jobs in nodes.items():
                 if k + 1 in nodes:
                     assert nodes[k + 1][:k] == jobs
-
-    def test_candidate_columns_empty_outside_window(self, split_decomposition):
-        # Job 1 has window [1, 3]; clipped to [5, 8] nothing remains.
-        assert split_decomposition.candidate_columns_for_job(1, 5, 8) == []
-
-    def test_candidate_columns_clip_both_ends(self, split_decomposition):
-        cols = split_decomposition.candidate_columns_for_job(0, 2, 4)
-        assert [split_decomposition.columns[i] for i in cols] == [2, 3, 4]
 
 
 class TestRangeCache:

@@ -113,7 +113,7 @@ class TestEngineOutcome:
         ):
             meta = json.loads(to_json(solve(problem)))["extra"]["engine"]
             assert meta["name"] == ENGINE_NAME
-            assert meta["version"] == BOTTOM_UP_ENGINE_VERSION == "2.1"
+            assert meta["version"] == BOTTOM_UP_ENGINE_VERSION == "2.2"
             assert set(meta) == {"name", "version", "objective", "stats"}
 
     def test_power_objective_rejects_negative_alpha(self):
@@ -371,6 +371,171 @@ class TestHallIndexCheck:
                 withheld += sum(mask != full for mask in engine._node_allowed)
                 pruned += engine.stats.hall_pruned
         assert withheld > 0 and pruned > 0
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("density", ["dense", "sparse"])
+    def test_every_interval_matches_the_oracle(self, p, density):
+        # Every (i1, i2) and every q, on instances whose suffix walks
+        # overflow often (dense) or hardly ever (sparse): the walks stop as
+        # soon as no column range further left can overflow, and the limits
+        # still equal the oracle's, which counts every prefix and suffix.
+        rng = random.Random(f"walk:{p}:{density}")
+        stopped_early = finite = 0
+        for _ in range(3):
+            n = rng.randint(8, 13)
+            if density == "dense":
+                horizon, max_window = max(2, n // p), 3
+            else:
+                horizon, max_window = 3 * n, 6
+            pairs = random_window_pairs(rng, n, horizon, max_window)
+            decomp = IntervalDecomposition(
+                MultiprocessorInstance.from_pairs(pairs, num_processors=p)
+            )
+            engine = IntervalDPEngine(decomp, GapObjective(p))
+            columns = decomp.columns
+            for i2 in range(len(columns)):
+                for i1 in range(i2 + 1):
+                    released = engine._released(i1, i2)
+                    expected = _bisect_hall_limits(
+                        decomp.jobs, columns, p, released, columns[i1], columns[i2]
+                    )
+                    limits = engine._hall_limits(i1, i2)
+                    assert list(limits) == expected, (pairs, p, i1, i2)
+                    finite += expected[-1] <= len(released)
+            # Without the early stop a walk runs until its slots cover every
+            # job released up to its column, or to column 0.
+            for i2, table in engine._suffix_walks.items():
+                total = engine._released_upto[i2 + 1]
+                full = min(i2 + 1, max(1, -(-total // p)))
+                assert len(table) <= full
+                stopped_early += len(table) < full
+        assert finite
+        # Dense walks at p >= 2 can need every column; sparse ones never do.
+        assert stopped_early or density == "dense"
+
+
+class TestSharedLeaves:
+    """``k = 0`` nodes are one shared leaf per span, not one per interval."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_no_interval_allocates_its_own_empty_node(self, seed):
+        rng = random.Random(13000 + seed)
+        p = 1 + seed % 3
+        while True:
+            n = rng.randint(10, 40)
+            pairs = random_window_pairs(rng, n, horizon=2 * n // p + 2, max_window=8)
+            instance = MultiprocessorInstance.from_pairs(pairs, num_processors=p)
+            objective = GapObjective(p) if seed % 2 else PowerObjective(p, 1.5)
+            engine = _engine_for(instance, objective)
+            if engine.solve().feasible:
+                break
+        columns = engine.decomp.columns
+
+        def span(nid):
+            return columns[engine._node_i2[nid]] - columns[engine._node_i1[nid]]
+
+        leaves = [nid for nid, k in enumerate(engine._node_k) if k == 0]
+        assert len({span(nid) for nid in leaves}) == len(leaves)
+        # Every k = 0 child of every split is the leaf of its own interval's
+        # span, and the leaves stand for many more intervals than there are
+        # leaves.
+        intervals = set()
+        for nid, plan in enumerate(engine._node_plan):
+            if plan is None:
+                continue
+            t1 = columns[engine._node_i1[nid]]
+            t2 = columns[engine._node_i2[nid]]
+            for t_prime, left_id, right_id, stretch, _rt2, _fold in plan[1]:
+                t_next = t_prime + stretch + 1
+                if engine._node_k[left_id] == 0:
+                    assert span(left_id) == t_prime - t1
+                    intervals.add((t1, t_prime))
+                if engine._node_k[right_id] == 0:
+                    assert span(right_id) == t2 - t_next
+                    intervals.add((t_next, t2))
+        assert len(intervals) > len(leaves)
+        # A leaf's states count once, at the q values any interval asks for.
+        per_q = engine._P * engine._P
+        assert engine.stats.states_computed == per_q * sum(
+            bin(mask).count("1") for mask in engine._node_qmask
+        )
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_sparse_columns_match_the_full_horizon(self, seed):
+        # A few long windows over a long horizon leave gaps between the
+        # candidate columns, so one leaf span meets splits of different
+        # stretches and index lengths: its fold memo must key on the
+        # stretch, and it must be evaluated before every user.  On every
+        # integer column (stretch 0, index length = span) the same DP is
+        # immune to both mistakes and has the same optimum.
+        rng = random.Random(15000 + seed)
+        reused = 0
+        for _ in range(4):
+            n = rng.randint(3, 7)
+            p = rng.randint(1, 2)
+            pairs = random_window_pairs(
+                rng, n, horizon=rng.randint(60, 140), max_window=rng.randint(10, 40)
+            )
+            instance = MultiprocessorInstance.from_pairs(pairs, num_processors=p)
+            alpha = rng.choice([0.5, 1.7, 3.0])
+            for make in (lambda: GapObjective(p), lambda: PowerObjective(p, alpha)):
+                engine = _engine_for(instance, make())
+                outcome = engine.solve()
+                dense = IntervalDPEngine(
+                    IntervalDecomposition(instance, use_full_horizon=True), make()
+                ).solve()
+                assert outcome.feasible == dense.feasible
+                if outcome.feasible:
+                    assert outcome.value == pytest.approx(dense.value), (pairs, p, alpha)
+                stretches = {}
+                for plan in engine._node_plan:
+                    for _t, _left, right_id, stretch, _rt2, _fold in plan[1] if plan else ():
+                        if engine._node_k[right_id] == 0:
+                            stretches.setdefault(right_id, set()).add(stretch)
+                reused += any(len(seen) > 1 for seen in stretches.values())
+        assert reused
+
+
+class TestScalarGapsAtOneProcessor:
+    """At p = 1 the gap objective runs on the scalar combine.
+
+    Forcing the label-vector path through the objective's own label count
+    must give the same values, assignments and counters, on instances up
+    to the size the portfolio's DP races solve.
+    """
+
+    def test_one_processor_gaps_have_one_label(self):
+        assert GapObjective(1).num_labels == 1
+        assert GapObjective(2).num_labels == 3
+
+    @staticmethod
+    def _both_paths(instance):
+        scalar_engine = _engine_for(instance, GapObjective(1))
+        forced = GapObjective(1)
+        forced.num_labels = 2
+        vector_engine = _engine_for(instance, forced)
+        scalar, vector = scalar_engine.solve(), vector_engine.solve()
+        assert scalar_engine._labels == 1 and vector_engine._labels == 2
+        assert scalar.feasible == vector.feasible
+        assert scalar.value == vector.value
+        assert scalar.assignment == vector.assignment
+        assert scalar.stats.as_dict() == vector.stats.as_dict()
+        return scalar.feasible
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_scalar_and_label_vector_paths_agree(self, seed):
+        rng = random.Random(14000 + seed)
+        for n in (rng.randint(2, 10), rng.randint(20, 50)):
+            horizon = round(n * rng.choice((1.0, 1.4, 2.0)))
+            pairs = random_window_pairs(rng, n, horizon, max_window=12)
+            self._both_paths(MultiprocessorInstance.from_pairs(pairs, num_processors=1))
+        # One feasible instance of the DP races' size (n = 80-120, horizon
+        # 1.4 n, windows up to 12), after any infeasible draws.
+        while True:
+            n = rng.randint(80, 120)
+            pairs = random_window_pairs(rng, n, round(n * 1.4), max_window=12)
+            if self._both_paths(MultiprocessorInstance.from_pairs(pairs, num_processors=1)):
+                break
 
 
 class TestIterativeEvaluation:
