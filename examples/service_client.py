@@ -48,8 +48,10 @@ def make_workload():
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         db_path = str(Path(tmp) / "jobs.db")
-        server = start_service(db_path, port=0, backend="thread", window=4)
-        print(f"service up at {server.url} (db: jobs.db, backend: thread)")
+        # Serial: the warm pool forks, and a fork from this multi-threaded
+        # server can leave a worker deadlocked on a lock another thread held.
+        server = start_service(db_path, port=0, backend="serial", window=4)
+        print(f"service up at {server.url} (db: jobs.db, backend: serial)")
 
         with ServiceClient(server.url, client_id="example") as client:
             problems = make_workload()

@@ -52,7 +52,7 @@ from .core import (
     spans_of_busy_times,
 )
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = [
     "__version__",

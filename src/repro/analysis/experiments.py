@@ -445,7 +445,7 @@ def _experiment_task(payload) -> ExperimentTable:
 
 def run_all_experiments(
     scale: str = "paper",
-    backend: "object | None" = None,
+    backend: "str | None" = None,
     workers: "int | None" = None,
 ) -> List[ExperimentTable]:
     """Run every experiment in id order.

@@ -11,10 +11,10 @@ stream into a list.  Everything the stream provides applies here:
   parallel run serializes byte-identically to a serial run of the same
   workload.
 * **Backends.**  ``workers`` keeps its historical meaning (``None``/``0``/
-  ``1`` serial, ``N > 1`` a process pool), but the execution strategy is
-  now pluggable: pass ``backend="thread"`` (or any registered backend
-  name / instance), call :func:`repro.runtime.configure_backend`, or set
-  ``REPRO_BACKEND`` to move the same workload onto a different pool.
+  ``1`` serial, ``N > 1`` the warm process pool).  Pass
+  ``backend="serial"`` or ``backend="process"``, call
+  :func:`repro.runtime.configure_backend`, or set ``REPRO_BACKEND`` to
+  choose one whatever ``workers`` says.
 * **Dedupe.**  Canonically identical tasks — exact duplicates *and*
   time-shift/job-permutation isomorphs — are solved once per stream
   window; duplicate positions receive independent copies (disable with
@@ -42,7 +42,7 @@ def solve_batch(
     workers: Optional[int] = None,
     chunksize: int = 1,
     dedupe: bool = True,
-    backend: Optional[object] = None,
+    backend: Optional[str] = None,
     on_error: str = "result",
 ) -> List[SolveResult]:
     """Solve many problems, optionally in parallel, with deterministic ordering.
@@ -59,8 +59,9 @@ def solve_batch(
         ``1`` solve serially in this process and ``N > 1`` use a process
         pool of ``N`` workers — the historical behavior.
     chunksize:
-        Tasks per worker round-trip on pooled backends; larger values
-        amortize IPC for big batches of tiny problems.
+        Tasks per worker round-trip on the process backend; larger
+        values amortize IPC for big batches of tiny problems (measured in
+        ``docs/performance.md``).
     dedupe:
         Collapse canonically identical tasks to one solve per stream
         window; each duplicate position receives an independent result
@@ -68,9 +69,9 @@ def solve_batch(
         so in-place post-processing of one position never leaks into
         another.
     backend:
-        Execution backend name or instance; ``None`` defers to
-        :func:`repro.runtime.configure_backend` / ``REPRO_BACKEND`` /
-        the workers rule above.
+        Execution backend name, ``"serial"`` or ``"process"``; ``None``
+        defers to :func:`repro.runtime.configure_backend` /
+        ``REPRO_BACKEND`` / the workers rule above.
     on_error:
         ``"result"`` (default) turns a crashed task into a
         ``status="error"`` result at its position; ``"raise"`` re-raises

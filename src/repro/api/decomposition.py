@@ -60,6 +60,7 @@ from ..core.interval_dp import ENGINE_NAME, ENGINE_VERSION, staircase_schedule
 from ..core.jobs import MultiprocessorInstance, OneIntervalInstance
 from ..core.schedule import Schedule
 from ..core.timeutils import candidate_times_for_jobs
+from ..runtime.backends import default_backend_name, resolve_backend
 from ..runtime.diskcache import configure_disk_cache, disk_cache_dir
 from ..runtime.stream import run_tasks
 
@@ -106,10 +107,6 @@ def _zero_stats() -> Dict[str, object]:
 
 _STATS = _zero_stats()
 
-#: Per-thread nesting depth: > 0 while inside a component solve, where a
-#: recursive decomposition must not spawn another worker pool.
-_LOCAL = threading.local()
-
 
 def configure_decomposition(
     *,
@@ -125,10 +122,12 @@ def configure_decomposition(
     ``configure_decomposition(**snapshot)`` restores it).
 
     ``enabled`` switches decomposed solving on or off; ``min_jobs`` is
-    the smallest instance that may decompose; ``backend`` / ``workers``
-    pin the execution backend for component solves (``None`` follows the
-    runtime's default backend chain).
+    the smallest instance that may decompose; ``backend`` (a name) /
+    ``workers`` pin the execution backend for component solves (``None``
+    follows the configured default or ``REPRO_BACKEND``, else serial).
     """
+    if backend is not _UNSET and backend is not None:
+        resolve_backend(backend)  # raises for anything but a backend name
     with _CONFIG_LOCK:
         if enabled is not _UNSET:
             _CONFIG["enabled"] = bool(enabled)
@@ -174,10 +173,6 @@ def _bump(**deltas) -> None:
             _STATS[key] += delta
 
 
-def _depth() -> int:
-    return getattr(_LOCAL, "depth", 0)
-
-
 def _component_task(payload: Tuple) -> Tuple:
     """Worker-side component solve (module-level so every backend pickles it).
 
@@ -192,11 +187,7 @@ def _component_task(payload: Tuple) -> Tuple:
     configure_decomposition(enabled=enabled, min_jobs=min_jobs)
     from .registry import solve
 
-    _LOCAL.depth = _depth() + 1
-    try:
-        result = solve(problem, solver=solver_name)
-    finally:
-        _LOCAL.depth -= 1
+    result = solve(problem, solver=solver_name)
     if result.status == "infeasible":
         return (False, None, None, None)
     if result.status != "optimal" or result.schedule is None:
@@ -211,19 +202,16 @@ def _component_task(payload: Tuple) -> Tuple:
     return (True, result.value, times, engine if isinstance(engine, dict) else None)
 
 
-def _component_backend() -> Tuple[object, Optional[int], bool]:
-    """Resolve the backend for component solves; nested calls go serial."""
-    from ..runtime.backends import default_backend_name
+def _component_backend() -> Tuple[str, int]:
+    """Resolve the backend for component solves.
 
+    Unlike the batch default this ignores ``workers > 1``: components run
+    serially unless a backend is named.  Inside a pool worker they always
+    run serially.
+    """
     cfg = decomposition_config()
-    backend = cfg["backend"]
-    workers = cfg["workers"]
-    if _depth() > 0:
-        return "serial", None, True
-    if backend is None:
-        backend = default_backend_name() or "serial"
-    name = backend if isinstance(backend, str) else getattr(backend, "name", "")
-    return backend, workers, name == "serial"
+    backend = cfg["backend"] or default_backend_name() or "serial"
+    return resolve_backend(backend, cfg["workers"])
 
 
 def _min_seam_for(problem) -> Optional[Tuple[float, str]]:
@@ -304,7 +292,7 @@ def _run_component_solves(
     started).
     """
     cfg = decomposition_config()
-    backend, workers, serial = _component_backend()
+    backend, workers = _component_backend()
     cache_dir = disk_cache_dir()
     payloads = []
     for comp_idx, procs in tasks:
@@ -326,7 +314,7 @@ def _run_component_solves(
         backend=backend,
         workers=workers,
         ordered=False,
-        window=1 if serial else None,
+        window=1 if backend == "serial" else None,
     ):
         comp_idx, procs = tasks[index]
         feasible, value, times, meta = outcome.unwrap()

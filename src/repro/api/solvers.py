@@ -92,9 +92,10 @@ DEFAULT_SOLVE_CACHE_SIZE = 256
 #: Bounded LRU keyed by (objective, parameters, canonical instance key).
 #: Shared by the exact gap-dp / power-dp adapters so repeated or
 #: shift/permutation-isomorphic instances — the common shape of
-#: ``solve_batch`` traffic — skip the DP entirely.  Per-process state
-#: (lock-protected, so the thread backend's workers share it safely):
-#: pool workers each warm their own copy.  When a disk tier is configured
+#: ``solve_batch`` traffic — skip the DP entirely.  Per-process state,
+#: lock-protected because threads share it: the service's HTTP handler
+#: threads read its counters while the daemon's executor thread solves.
+#: Pool workers each warm their own copy.  When a disk tier is configured
 #: (:func:`repro.runtime.configure_disk_cache`), a memory miss falls
 #: through to the content-addressed store and a fresh solve populates
 #: both tiers, so warm entries survive the process and are shared across
@@ -103,7 +104,7 @@ _SOLVE_CACHE = CanonicalSolveCache(maxsize=DEFAULT_SOLVE_CACHE_SIZE)
 
 #: Count of solves that actually ran a DP (neither tier answered).  The
 #: cross-backend equivalence suite asserts this stays zero on a warm disk
-#: cache; lock-protected for the thread backend.
+#: cache; lock-protected like the cache.
 _FRESH_SOLVES = 0
 _FRESH_LOCK = threading.Lock()
 
@@ -378,8 +379,8 @@ def seed_solve_cache(problem: Problem, result: SolveResult) -> bool:
     form = canonical_form(problem.instance)
     if _SOLVE_CACHE.peek((objective_key, form.key)) is not None:
         # The representative's own solve already populated both tiers (the
-        # serial and thread backends share this process's cache); storing
-        # again would only burn a redundant disk write.
+        # serial backend shares this process's cache); storing again would
+        # only burn a redundant disk write.
         return True
     if result.status == "infeasible":
         _store_canonical(objective_key, form, False, None, None)

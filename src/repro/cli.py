@@ -55,7 +55,7 @@ Sub-commands
     running service (identical shape to ``GET /v1/stats``).
 
 Two top-level flags configure the :mod:`repro.runtime` execution layer
-for whichever sub-command follows: ``--backend serial|thread|process``
+for whichever sub-command follows: ``--backend serial|process``
 selects the execution backend for batch work (equivalently
 ``REPRO_BACKEND``; ``--budget`` races always run on the warm worker
 pool), and ``--cache-dir PATH`` enables the persistent solve-cache tier
@@ -95,11 +95,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
-    from .runtime import available_backends
+    from .runtime import BACKENDS
 
     parser.add_argument(
         "--backend",
-        choices=available_backends(),
+        choices=BACKENDS,
         help="execution backend for batch work in the sub-command "
         "(default: REPRO_BACKEND, else serial); budget races always run "
         "on the warm worker pool",

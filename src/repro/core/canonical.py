@@ -191,9 +191,10 @@ class CanonicalSolveCache:
     so callers can turn caching off without branching.
 
     Every operation (including the hit/miss accounting) holds one lock, so
-    the thread execution backend of :mod:`repro.runtime` can share a single
-    cache across workers with exact counters; uncontended acquisition is
-    cheap enough not to matter on the serial path.
+    threads of one process share a single cache with exact counters (the
+    scheduling service reads them on its HTTP handler threads while its
+    executor thread solves); uncontended acquisition is cheap enough not to
+    matter on the serial path.
     """
 
     def __init__(self, maxsize: int = 256) -> None:

@@ -450,7 +450,7 @@ def run_bench(
     seed: int = 0,
     cases: Optional[List[BenchCase]] = None,
     progress: Optional[Callable[[Dict], None]] = None,
-    backend: Optional[object] = None,
+    backend: Optional[str] = None,
     workers: Optional[int] = None,
     name_filter: Optional[str] = None,
 ) -> Dict:

@@ -5,10 +5,9 @@ results), this package owns *how* many of them run: which pool executes
 the tasks, how task streams are windowed and reordered, and which cache
 tiers a solve consults before doing DP work.
 
-* :mod:`repro.runtime.backends` — the pluggable :class:`Backend` protocol
-  with ``serial`` / ``thread`` / ``process`` implementations, a registry
-  for third-party backends, and the ``configure_backend()`` /
-  ``REPRO_BACKEND`` selection chain.
+* :mod:`repro.runtime.backends` — the two batch backends, ``serial``
+  (inline) and ``process`` (the warm pool), and the call site /
+  ``configure_backend()`` / ``REPRO_BACKEND`` / workers selection chain.
 * :mod:`repro.runtime.pool` — the persistent :class:`WorkerPool` behind
   the ``process`` backend: warm worker processes reused across sessions,
   hard task kills (terminate-and-respawn), config-generation re-sync,
@@ -38,16 +37,11 @@ Quickstart::
 
 from .backends import (
     BACKEND_ENV_VAR,
-    Backend,
-    ExecutionSession,
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-    available_backends,
+    BACKENDS,
     configure_backend,
     configured_backend,
     default_backend_name,
-    register_backend,
+    open_session,
     resolve_backend,
 )
 from .pool import (
@@ -77,16 +71,11 @@ from .stream import TaskOutcome, run_tasks, solve_stream
 __all__ = [
     # backends
     "BACKEND_ENV_VAR",
-    "Backend",
-    "ExecutionSession",
-    "SerialBackend",
-    "ThreadBackend",
-    "ProcessBackend",
-    "available_backends",
-    "register_backend",
+    "BACKENDS",
     "configure_backend",
     "configured_backend",
     "default_backend_name",
+    "open_session",
     "resolve_backend",
     # disk cache tier
     "CACHE_DIR_ENV_VAR",

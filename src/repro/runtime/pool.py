@@ -1,18 +1,14 @@
 """The persistent worker pool: warm processes, hard kills, incumbents.
 
-:class:`~repro.runtime.backends.ProcessBackend` historically built a fresh
-``ProcessPoolExecutor`` for every session, so every ``solve_batch`` /
-``solve_stream`` call and every service drain paid cold interpreter spawn
-and configuration re-sync before the first DP state was evaluated — and a
-running worker could never be interrupted.  This module replaces the
-per-call executor with one process-wide :class:`WorkerPool`, on which
-every budgeted portfolio race runs:
+One process-wide :class:`WorkerPool` runs the ``process`` batch backend
+(:func:`repro.runtime.backends.open_session`) and every budgeted
+portfolio race:
 
 * **Warm reuse.**  Workers are spawned once and survive across sessions;
   a second ``solve_stream`` call finds interpreters already imported and
-  caches already warm.  Idle workers beyond :data:`DEFAULT_IDLE_TIMEOUT`
-  seconds are reaped so a burst of parallel work does not pin processes
-  forever.
+  caches already warm instead of paying a cold start before its first DP
+  state.  Idle workers beyond :data:`DEFAULT_IDLE_TIMEOUT` seconds are
+  reaped so a burst of parallel work does not pin processes forever.
 * **Hard cancellation.**  :meth:`PoolSession.kill` terminates the worker
   process running a task mid-solve (``SIGTERM``-and-respawn) — the
   primitive the portfolio racer uses to kill losing members the moment a
@@ -84,6 +80,11 @@ INCUMBENT_MIN_INTERVAL = 0.25
 # ---------------------------------------------------------------------------
 # worker-side: the loop and the incumbent channel
 # ---------------------------------------------------------------------------
+#: True in a pool worker process (set by :func:`_worker_main`).
+#: :func:`repro.runtime.backends.resolve_backend` reads it to run batch
+#: work a task starts serially: a worker never forks a pool of its own.
+_IN_WORKER = False
+
 #: Worker-side incumbent publisher installed around the running task
 #: (``None`` outside a pool worker, making publish_incumbent a no-op).
 _PUBLISHER: List[Optional[Callable[[Any], None]]] = [None]
@@ -140,6 +141,8 @@ def _worker_main(conn, parent_conn) -> None:
     raise); a raise anyway is reported as a ``("crash", ...)`` message
     and the worker keeps serving.
     """
+    global _IN_WORKER
+    _IN_WORKER = True
     parent_conn.close()  # our inherited copy; parent death must mean EOF
     applied_generation = -1
     while True:
@@ -195,10 +198,10 @@ class _Worker:
         # the stamp too old (an early retirement), never too new.
         self.registry_generation = _registry_generation()
         self.conn, child_conn = context.Pipe(duplex=True)
-        # Deliberately non-daemonic: pool tasks may themselves fan out
-        # through nested backends (decomposed component solves under
-        # REPRO_BACKEND=process), and daemonic processes cannot have
-        # children.  Orphan safety comes from the pipe EOF instead.
+        # Non-daemonic, so a task may still start processes of its own
+        # (daemonic processes cannot have children); batch work it starts
+        # runs serially (_IN_WORKER).  Orphan safety comes from the pipe
+        # EOF, not from the daemon flag.
         self.process = context.Process(
             target=_worker_main,
             args=(child_conn, self.conn),
@@ -379,8 +382,8 @@ class WorkerLostError(RuntimeError):
 class PoolSession:
     """One task stream over exclusively-acquired pool workers.
 
-    Implements the :class:`~repro.runtime.backends.ExecutionSession`
-    surface (submit / pop / in_flight / close) plus the preemption
+    Implements the session surface the stream layer programs against
+    (submit / pop / in_flight / close) plus the preemption
     extras: :meth:`pop` accepts a ``timeout``, :meth:`kill` terminates
     the worker running a tag, and :meth:`take_incumbent` drains the
     latest any-time payload a task published.
@@ -404,7 +407,7 @@ class PoolSession:
         self._killed_tags: set = set()
         self._closed = False
 
-    # -- the ExecutionSession surface ---------------------------------------
+    # -- the session surface --------------------------------------------------
     def submit(self, tag: int, item: object) -> None:
         self._buffer.append((tag, item))
         self._in_flight += 1

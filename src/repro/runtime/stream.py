@@ -4,7 +4,7 @@ Two entry points, built on the same windowed admit/drain/pop pattern
 (:func:`solve_stream` adds dedupe and cache hooks inside its loop):
 
 * :func:`run_tasks` — the generic primitive: map a picklable function over
-  an iterable through any :class:`~repro.runtime.backends.Backend`,
+  an iterable on either backend (:mod:`repro.runtime.backends`),
   yielding :class:`TaskOutcome`\\ s as tasks finish.  Per-task exceptions
   are captured into the outcome instead of poisoning the run; the fuzz
   driver, the bench runner and the experiment harness all fan out
@@ -61,7 +61,7 @@ from typing import (
     Tuple,
 )
 
-from .backends import Backend, resolve_backend
+from .backends import open_session, resolve_backend
 from .diskcache import configure_disk_cache, disk_cache_dir
 from .observe import notify_task_observers
 
@@ -109,12 +109,12 @@ def _to_outcome(raw: Tuple) -> TaskOutcome:
     return TaskOutcome(ok=False, error_type=raw[1], error=raw[2], traceback=raw[3])
 
 
-def _default_window(backend: Backend, chunksize: int, window: Optional[int]) -> int:
+def _default_window(workers: int, chunksize: int, window: Optional[int]) -> int:
     if window is not None:
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         return window
-    return max(4, 2 * backend.effective_workers * max(1, chunksize))
+    return max(4, 2 * workers * max(1, chunksize))
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +124,7 @@ def run_tasks(
     fn: Callable[[Any], Any],
     items: Iterable[Any],
     *,
-    backend: Optional[object] = None,
+    backend: Optional[str] = None,
     workers: Optional[int] = None,
     ordered: bool = True,
     window: Optional[int] = None,
@@ -138,9 +138,9 @@ def run_tasks(
     buffered at any moment and ``items`` is consumed lazily, so the
     pipeline runs in bounded memory over arbitrarily long inputs.
     """
-    backend_obj = resolve_backend(backend, workers)
-    limit = _default_window(backend_obj, chunksize, window)
-    with backend_obj.session(_Guarded(fn), chunksize) as session:
+    name, count = resolve_backend(backend, workers)
+    limit = _default_window(count, chunksize, window)
+    with open_session(name, count, _Guarded(fn), chunksize) as session:
         iterator = iter(enumerate(items))
         pending: Dict[int, TaskOutcome] = {}
         next_emit = 0
@@ -252,7 +252,7 @@ def solve_stream(
     problems: Iterable[Any],
     solver: str = "auto",
     *,
-    backend: Optional[object] = None,
+    backend: Optional[str] = None,
     workers: Optional[int] = None,
     chunksize: int = 1,
     ordered: bool = True,
@@ -272,11 +272,11 @@ def solve_stream(
     solver:
         Passed through to :func:`repro.api.solve` for every problem.
     backend / workers:
-        Execution backend selection (see
+        Execution backend name, ``"serial"`` or ``"process"`` (see
         :func:`~repro.runtime.backends.resolve_backend`); ``workers``
-        sizes the pool for the parallel backends.
+        sizes the process backend.
     chunksize:
-        Tasks per worker round-trip on the pooled backends.
+        Tasks per worker round-trip on the process backend.
     ordered:
         ``True`` yields results in input order (the ``solve_batch``
         determinism guarantee); ``False`` yields in completion order.
@@ -302,8 +302,8 @@ def solve_stream(
         raise ValueError(
             f"on_error must be 'result' or 'raise', got {on_error!r}"
         )
-    backend_obj = resolve_backend(backend, workers)
-    limit = _default_window(backend_obj, chunksize, window)
+    name, count = resolve_backend(backend, workers)
+    limit = _default_window(count, chunksize, window)
     cache_dir = disk_cache_dir()
 
     pending: Dict[int, Any] = {}  # ordered-mode reorder buffer
@@ -364,7 +364,7 @@ def solve_stream(
         except Exception:  # noqa: BLE001
             return False
 
-    with backend_obj.session(_Guarded(_solve_task), chunksize) as session:
+    with open_session(name, count, _Guarded(_solve_task), chunksize) as session:
 
         def dispatch(index: int, problem, key: Optional[Tuple]) -> None:
             problem_of[index] = problem

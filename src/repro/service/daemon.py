@@ -3,16 +3,16 @@
 An asyncio loop with one job: repeatedly *claim* a window of queued jobs
 from the :class:`~repro.service.queue.JobQueue` (atomically marking them
 ``running``), push the window through :func:`repro.runtime.solve_stream`
-under the configured execution backend, and write each
+on the execution backend resolved at construction, and write each
 :class:`~repro.api.result.SolveResult` envelope back the moment it
 completes — results stream back in completion order, so a fast job is
 answered before its slower batchmates finish (the store's commit wakes
 any result request held on that job).
 
 Everything the runtime layer already does for batch solving carries over
-for free: the backend pool (serial/thread/process), in-flight canonical
-dedupe (fifty isomorphic submissions burn one DP), the two-tier solve
-cache, and per-task error capture (a crashing solve becomes one
+for free: the backend (serial, or the warm process pool), in-flight
+canonical dedupe (fifty isomorphic submissions burn one DP), the two-tier
+solve cache, and per-task error capture (a crashing solve becomes one
 ``status="error"`` envelope stored on that job, not a dead daemon).
 
 Crash safety comes from the store, not the loop: claimed jobs are
@@ -36,7 +36,12 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..api.serialization import from_json, to_json
-from ..runtime import add_task_observer, remove_task_observer, solve_stream
+from ..runtime import (
+    add_task_observer,
+    remove_task_observer,
+    resolve_backend,
+    solve_stream,
+)
 from .queue import JobQueue, JobRecord
 from .stats import TaskMetrics
 
@@ -51,8 +56,9 @@ class SchedulerDaemon:
     store:
         The persistent job queue to drain.
     backend / workers:
-        Execution backend selection, passed through to
-        :func:`repro.runtime.solve_stream` for every claimed window.
+        Execution backend selection, resolved once here (an unknown name
+        raises ``ValueError`` before the loop starts) and used for every
+        claimed window.
     window:
         Maximum jobs claimed (and therefore in flight) per scheduling
         round — the concurrency window.
@@ -67,7 +73,7 @@ class SchedulerDaemon:
         self,
         store: JobQueue,
         *,
-        backend: Optional[object] = None,
+        backend: Optional[str] = None,
         workers: Optional[int] = None,
         window: int = 4,
         poll_interval: float = 0.05,
@@ -77,13 +83,14 @@ class SchedulerDaemon:
             raise ValueError(f"window must be >= 1, got {window}")
         if poll_interval <= 0:
             raise ValueError(f"poll_interval must be positive, got {poll_interval}")
+        self.backend, self.workers = resolve_backend(backend, workers)
         self.store = store
-        self.backend = backend
-        self.workers = workers
         self.window = int(window)
         self.poll_interval = float(poll_interval)
         self.metrics = metrics
         self.state = "idle"  # idle -> running -> draining -> stopped
+        #: ``"Type: message"`` of the exception that ended the loop, if any.
+        self.error: Optional[str] = None
         self.rounds = 0
         self.completed = 0
         self._stop_requested = threading.Event()
@@ -114,6 +121,11 @@ class SchedulerDaemon:
             self.state = "draining"
         self._stop_requested.set()
         self.kick()
+
+    @property
+    def failed(self) -> bool:
+        """The loop has stopped although no stop was requested: it died."""
+        return self.state == "stopped" and not self._stop_requested.is_set()
 
     # -- the loop ------------------------------------------------------------
     async def run(self) -> None:
@@ -151,6 +163,9 @@ class SchedulerDaemon:
                 # the in-flight window always writes back before the loop
                 # exits.
                 await self._loop.run_in_executor(executor, self._execute_batch, batch)
+        except Exception as exc:
+            self.error = f"{type(exc).__name__}: {exc}"
+            raise
         finally:
             # SQLite connections are per thread: close the executor's and
             # this loop thread's, or they stay open until the GC runs.

@@ -23,7 +23,9 @@ API surface (all JSON)::
                                 "cancelled"|"cancelling"}, 409 if finished
     GET  /v1/stats              queue depths, per-state counts, cache tiers,
                                 engine counters, admission + daemon counters
-    GET  /healthz               liveness + drain state
+    GET  /healthz               liveness + drain state -> 200, or 503
+                                {"status": "down"} once the scheduler loop
+                                has died
 
 :class:`ServiceServer` owns the lifecycle: it wires store + admission +
 daemon together, runs the HTTP pool and the asyncio scheduler loop on
@@ -289,14 +291,15 @@ class _Handler(BaseHTTPRequestHandler):
         path = self.path.split("?", 1)[0]
         if path == "/healthz":
             svc = self.service
-            self._send(
-                200,
-                {
-                    "status": "ok",
-                    "state": "draining" if svc.draining else svc.daemon.state,
-                    "pending": svc.store.pending_count(),
-                },
-            )
+            down = svc.daemon.failed  # the loop died: queued jobs never run
+            body = {
+                "status": "down" if down else "ok",
+                "state": "draining" if svc.draining else svc.daemon.state,
+                "pending": svc.store.pending_count(),
+            }
+            if down:
+                body["error"] = svc.daemon.error
+            self._send(503 if down else 200, body)
             return
         if path == "/v1/stats":
             self._send(200, self.service.stats_payload())
@@ -435,7 +438,7 @@ class ServiceServer:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        backend: Optional[object] = None,
+        backend: Optional[str] = None,
         workers: Optional[int] = None,
         window: int = 4,
         poll_interval: float = 0.05,
@@ -450,17 +453,20 @@ class ServiceServer:
         self.admission = AdmissionController(
             rate=rate, burst=burst, max_queued=max_queued
         )
-        self.daemon = SchedulerDaemon(
-            self.store,
-            backend=backend,
-            workers=workers,
-            window=window,
-            poll_interval=poll_interval,
-            metrics=self.metrics,
-        )
+        try:
+            self.daemon = SchedulerDaemon(
+                self.store,
+                backend=backend,
+                workers=workers,
+                window=window,
+                poll_interval=poll_interval,
+                metrics=self.metrics,
+            )
+        except BaseException:
+            self.store.close()  # a bad setting must not leak the store
+            raise
         self.default_solver = default_solver
         self.recovered = self.store.recover() if recover else 0
-        self.backend = backend
         self.draining = False
         self.started_at: Optional[float] = None
         self._requested_host = host

@@ -374,7 +374,7 @@ def fuzz(
     metamorphic: bool = True,
     corpus_path: Optional[str] = None,
     progress: Optional[Callable[[int, DifferentialReport], None]] = None,
-    backend: Optional[object] = None,
+    backend: Optional[str] = None,
     workers: Optional[int] = None,
 ) -> FuzzReport:
     """Run ``n`` differential fuzz cases, cycling through ``objectives``.

@@ -158,11 +158,11 @@ class TestByteIdentity:
     def test_identical_across_backends(self):
         problem = gap_problem(num_jobs=12, num_processors=2, seed=3)
         serialized = {}
-        for backend in ("serial", "thread", "process"):
+        for backend in ("serial", "process"):
             clear_solve_cache()
             configure_decomposition(backend=backend, workers=2)
             serialized[backend] = to_json(solve(problem, solver="gap-dp"))
-        assert serialized["serial"] == serialized["thread"] == serialized["process"]
+        assert serialized["serial"] == serialized["process"]
 
     def test_power_identical_across_backends(self):
         instance = splittable_instance(
@@ -170,11 +170,11 @@ class TestByteIdentity:
         )
         problem = Problem(objective="power", instance=instance, alpha=2.0)
         serialized = {}
-        for backend in ("serial", "thread"):
+        for backend in ("serial", "process"):
             clear_solve_cache()
-            configure_decomposition(backend=backend)
+            configure_decomposition(backend=backend, workers=2)
             serialized[backend] = to_json(solve(problem, solver="power-dp"))
-        assert serialized["serial"] == serialized["thread"]
+        assert serialized["serial"] == serialized["process"]
 
     def test_cache_hit_replays_fresh_result_verbatim(self):
         problem = gap_problem(num_jobs=12, num_processors=2, seed=4)
@@ -277,12 +277,17 @@ class TestMetadataAndConfig:
         assert "decomposition" not in result.extra["engine"]
 
     def test_config_snapshot_round_trips(self):
-        snapshot = configure_decomposition(min_jobs=7, backend="thread", workers=3)
+        snapshot = configure_decomposition(min_jobs=7, backend="process", workers=3)
         configure_decomposition(min_jobs=99, backend=None, workers=None)
         restored = configure_decomposition(**snapshot)
         assert restored["min_jobs"] == 7
-        assert restored["backend"] == "thread"
+        assert restored["backend"] == "process"
         assert restored["workers"] == 3
+
+    def test_backend_takes_a_known_name_only(self):
+        with pytest.raises(ValueError):
+            configure_decomposition(backend="thread")
+        assert decomposition_config()["backend"] == "serial"
 
     def test_default_min_jobs_protects_small_instances(self):
         assert DEFAULT_MIN_JOBS >= 8

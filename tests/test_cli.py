@@ -400,9 +400,9 @@ class TestRuntimeFlags:
         from repro.runtime import configured_backend
 
         feed_stdin(monkeypatch, one_cpu((0, 0), (2, 2)))
-        code = main(["--backend", "thread", "solve", "-i", "-", "--objective", "gaps"])
+        code = main(["--backend", "process", "solve", "-i", "-", "--objective", "gaps"])
         assert code == 0
-        assert configured_backend() == "thread"
+        assert configured_backend() == "process"
 
     def test_unknown_backend_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -263,7 +263,7 @@ class TestPreemptiveRacing:
             configure_backend(previous)
         clear_solve_cache()
         shutdown_worker_pool()
-        monkeypatch.setenv("REPRO_BACKEND", "thread")
+        monkeypatch.setenv("REPRO_BACKEND", "process")
         from_env = run_portfolio(problem, budget=10.0)
 
         exact = solve(problem, solver="gap-dp")

@@ -1,16 +1,18 @@
 """Tests for the ``repro.runtime`` execution layer.
 
-Covers the backend registry and selection chain, the generic ``run_tasks``
-primitive, the ``solve_stream`` pipeline (ordering, laziness, in-flight
-dedupe, error capture), the two-tier canonical solve cache (thread-safe
-accounting, disk replay, version invalidation), and the cross-backend
-equivalence acceptance suite.
+Covers the backend selection chain, the generic ``run_tasks`` primitive,
+the ``solve_stream`` pipeline (ordering, laziness, in-flight dedupe, error
+capture), the two-tier canonical solve cache (thread-safe accounting, disk
+replay, version invalidation), and the cross-backend equivalence
+acceptance suite.
 """
 
 import copy
 import itertools
 import json
 import os
+import sys
+import threading
 
 import pytest
 
@@ -24,18 +26,13 @@ from repro.generators import (
     random_one_interval_instance,
 )
 from repro.runtime import (
-    Backend,
+    BACKENDS,
     DiskSolveCache,
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-    available_backends,
     configure_backend,
     configure_disk_cache,
     default_backend_name,
     disk_cache_dir,
     get_disk_cache,
-    register_backend,
     resolve_backend,
     run_tasks,
     solve_stream,
@@ -102,31 +99,38 @@ def mixed_workload(count=18):
 
 
 # ---------------------------------------------------------------------------
-# backends: registry and selection chain
+# backends: the selection chain
 # ---------------------------------------------------------------------------
+def _resolve_in_task(_item):
+    return resolve_backend(None, workers=4)
+
+
 class TestBackendSelection:
     def test_builtins_registered(self):
-        assert {"serial", "thread", "process"} <= set(available_backends())
+        assert BACKENDS == ("serial", "process")
 
     def test_resolve_by_name_and_instance(self):
-        assert isinstance(resolve_backend("thread"), ThreadBackend)
-        backend = SerialBackend()
-        assert resolve_backend(backend) is backend
+        assert resolve_backend("process", workers=3) == ("process", 3)
+        assert resolve_backend("process") == ("process", os.cpu_count() or 1)
+        assert resolve_backend("serial", workers=3) == ("serial", 1)
+        # Names only: an object standing in for a backend is refused.
+        with pytest.raises(TypeError):
+            resolve_backend(object())
 
     def test_legacy_workers_rule(self):
-        assert isinstance(resolve_backend(None, workers=None), SerialBackend)
-        assert isinstance(resolve_backend(None, workers=1), SerialBackend)
-        assert isinstance(resolve_backend(None, workers=4), ProcessBackend)
+        assert resolve_backend(None, workers=None) == ("serial", 1)
+        assert resolve_backend(None, workers=1) == ("serial", 1)
+        assert resolve_backend(None, workers=4) == ("process", 4)
 
     def test_configured_default_beats_workers_rule(self):
-        configure_backend("thread")
-        assert default_backend_name() == "thread"
-        assert isinstance(resolve_backend(None, workers=4), ThreadBackend)
+        configure_backend("serial")
+        assert default_backend_name() == "serial"
+        assert resolve_backend(None, workers=4) == ("serial", 1)
 
     def test_env_var_beats_workers_rule(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "thread")
-        assert default_backend_name() == "thread"
-        assert isinstance(resolve_backend(None, workers=4), ThreadBackend)
+        monkeypatch.setenv("REPRO_BACKEND", "serial")
+        assert default_backend_name() == "serial"
+        assert resolve_backend(None, workers=4) == ("serial", 1)
 
     def test_configure_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "process")
@@ -142,43 +146,33 @@ class TestBackendSelection:
         with pytest.raises(ValueError):
             default_backend_name()
 
-    def test_register_backend_validation(self):
-        with pytest.raises(ValueError):
-            register_backend("serial", SerialBackend)
-        with pytest.raises(TypeError):
-            register_backend("not-a-backend", object)
-
     def test_explicit_argument_beats_configured_default(self):
         configure_backend("process")
-        assert isinstance(resolve_backend("serial"), SerialBackend)
+        assert resolve_backend("serial") == ("serial", 1)
 
+    def test_thread_is_rejected_everywhere(self, monkeypatch):
+        from repro.cli import main
 
-class TestThreadBackendSizing:
-    """Regression: effective_workers must equal the real pool size.
+        with pytest.raises(ValueError):
+            configure_backend("thread")
+        with pytest.raises(ValueError):
+            resolve_backend("thread")
+        monkeypatch.setenv("REPRO_BACKEND", "thread")
+        with pytest.raises(ValueError):
+            resolve_backend(None, workers=4)
+        monkeypatch.delenv("REPRO_BACKEND")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--backend", "thread", "list-solvers"])
+        assert excinfo.value.code == 2
 
-    ThreadBackend used to inherit the base class's raw ``cpu_count``
-    while ``ThreadPoolExecutor`` defaulted to ``min(32, cpu_count + 4)``,
-    so the stream layer sized its in-flight window from a parallelism the
-    pool did not have.
-    """
-
-    def test_default_matches_executor_default_formula(self):
-        assert ThreadBackend().effective_workers == min(
-            32, (os.cpu_count() or 1) + 4
-        )
-
-    def test_explicit_workers_override(self):
-        assert ThreadBackend(workers=3).effective_workers == 3
-
-    def test_session_pool_sized_from_effective_workers(self):
-        for backend in (ThreadBackend(), ThreadBackend(workers=2)):
-            session = backend.session(lambda x: x)
-            try:
-                assert (
-                    session._executor._max_workers == backend.effective_workers
-                )
-            finally:
-                session.close()
+    def test_pool_workers_never_nest_a_pool(self, monkeypatch):
+        # Batch work a pool task starts runs serially, whatever the
+        # environment says: a worker forking a pool of its own would leave
+        # processes behind when it is killed.
+        monkeypatch.setenv("REPRO_BACKEND", "process")
+        assert resolve_backend(None, workers=4) == ("process", 4)
+        out = list(run_tasks(_resolve_in_task, range(2), backend="process", workers=2))
+        assert [outcome.unwrap() for _index, outcome in out] == [("serial", 1)] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +189,7 @@ def _fail_on_odd(x):
 
 
 class TestRunTasks:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_ordered_results_all_backends(self, backend):
         items = list(range(12))
         out = list(run_tasks(_square, items, backend=backend, workers=3))
@@ -205,12 +199,12 @@ class TestRunTasks:
 
     def test_unordered_covers_all_indices(self):
         out = list(
-            run_tasks(_square, range(10), backend="thread", workers=4, ordered=False)
+            run_tasks(_square, range(10), backend="process", workers=2, ordered=False)
         )
         assert sorted(index for index, _ in out) == list(range(10))
         assert all(o.value == i * i for i, o in out)
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_per_task_error_capture(self, backend):
         out = list(run_tasks(_fail_on_odd, range(6), backend=backend, workers=2))
         for index, outcome in out:
@@ -247,7 +241,7 @@ class TestRunTasks:
         assert [o.value for _, o in out] == [x * x for x in items]
 
     def test_empty_input(self):
-        assert list(run_tasks(_square, [], backend="thread")) == []
+        assert list(run_tasks(_square, [], backend="process")) == []
 
     def test_window_validation(self):
         with pytest.raises(ValueError):
@@ -267,7 +261,7 @@ class TestSolveStream:
         problems = mixed_workload(12)
         pairs = list(
             solve_stream(
-                problems, backend="thread", workers=4, ordered=False, with_index=True
+                problems, backend="process", workers=2, ordered=False, with_index=True
             )
         )
         assert sorted(index for index, _ in pairs) == list(range(12))
@@ -345,7 +339,7 @@ class TestSolveStream:
         assert clone == result
         assert clone.extra["error_type"] == "SolverError"
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_mixed_failures_keep_positions(self, backend):
         # Alternate solvable gap problems with throughput problems that the
         # forced solver cannot handle: failures land exactly at their input
@@ -654,29 +648,97 @@ class TestDiskCacheCorruption:
 # ---------------------------------------------------------------------------
 class TestConcurrentAccounting:
     def test_thread_backend_hit_miss_counts_exact(self):
-        clear_solve_cache()
         shifts = (0, 2, 5, 9, 13, 21)
         problems = [shifted_problem(shift) for shift in shifts]
-        results = list(solve_stream(problems, backend="thread", workers=4))
+        results = list(solve_stream(problems, backend="serial"))
         stats = solve_cache_stats()
         # The canonical dedupe parks the five isomorphic duplicates behind
-        # one in-flight representative: exactly one miss-then-fresh-solve,
-        # then exactly one cache replay per duplicate — even with four
-        # worker threads racing.
+        # one representative: exactly one miss-then-fresh-solve, then
+        # exactly one cache replay per duplicate.
         assert stats["fresh_solves"] == 1
         assert stats["misses"] == 1
         assert stats["hits"] == len(shifts) - 1
         assert len({r.value for r in results}) == 1
 
-    def test_thread_backend_no_dedupe_counts_exact(self):
+        # Plain threads of one process run their own deduped streams on
+        # the shared cache.  Only a thread's first lookup can miss (before
+        # any thread has stored the answer); every other one must hit, and
+        # each must count exactly once.
         clear_solve_cache()
-        # Distinct seeds: no two problems share a canonical key, so every
-        # solve is a miss and the counters must sum exactly.
-        problems = [shifted_problem(0, seed=seed) for seed in range(8)]
-        list(solve_stream(problems, backend="thread", workers=4, dedupe=False))
+        threads_count, rounds = 4, 10
+        values = [set() for _ in range(threads_count)]
+        start = threading.Barrier(threads_count)
+
+        def stream_all(slot):
+            start.wait()
+            for _ in range(rounds):
+                values[slot].update(
+                    r.value for r in solve_stream(problems, backend="serial")
+                )
+
+        threads = [
+            threading.Thread(target=stream_all, args=(slot,))
+            for slot in range(threads_count)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert values == [{results[0].value}] * threads_count
         stats = solve_cache_stats()
-        assert stats["hits"] + stats["misses"] == 8
+        assert stats["hits"] + stats["misses"] == threads_count * rounds * len(shifts)
+        assert 1 <= stats["misses"] <= threads_count
         assert stats["fresh_solves"] == stats["misses"]
+
+    def test_thread_backend_no_dedupe_counts_exact(self):
+        # Threads of one process share its cache (the service reads the
+        # counters on its handler threads while its executor thread
+        # solves), calling solve() with no dedupe in front of it.  A cache
+        # smaller than the key set keeps entries churning while the
+        # threads race, and every lookup must still count once.
+        problems = [
+            shifted_problem(shift, seed=seed)
+            for seed in range(4)
+            for shift in (0, 2, 5)
+        ]
+        expected = [to_json(solve(p)) for p in problems]
+        configure_solve_cache(3)
+        clear_solve_cache()
+        threads_count, rounds = 4, 20
+        answers = [None] * threads_count
+        start = threading.Barrier(threads_count)
+
+        def solve_all(slot):
+            start.wait()
+            for _ in range(rounds):
+                answers[slot] = [to_json(solve(p)) for p in problems]
+
+        threads = [
+            threading.Thread(target=solve_all, args=(slot,))
+            for slot in range(threads_count)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert answers == [expected] * threads_count
+        stats = solve_cache_stats()
+        lookups = rounds * threads_count * len(problems)
+        assert stats["hits"] + stats["misses"] == lookups
+        assert stats["fresh_solves"] == stats["misses"]
+        assert stats["hits"] > 0 and stats["size"] <= 3
 
     def test_disk_replay_byte_identical_across_processes(self, tmp_path):
         configure_disk_cache(str(tmp_path))
@@ -701,7 +763,7 @@ class TestCrossBackendEquivalence:
         problems = mixed_workload(18)
 
         serialized = {}
-        for backend in ("serial", "thread", "process"):
+        for backend in ("serial", "process"):
             clear_solve_cache()
             results = list(
                 solve_stream(problems, backend=backend, workers=3, chunksize=2)
@@ -711,7 +773,7 @@ class TestCrossBackendEquivalence:
                 for p in problems
             ]
             serialized[backend] = [to_json(r) for r in results]
-        assert serialized["serial"] == serialized["thread"] == serialized["process"]
+        assert serialized["serial"] == serialized["process"]
 
         # Warm-disk pass: populate the disk tier once, drop every in-memory
         # entry, then re-run the whole set — zero DP evaluations, and the
@@ -731,30 +793,9 @@ class TestCrossBackendEquivalence:
 
     def test_solve_batch_backend_parameter(self):
         problems = mixed_workload(6)
-        assert solve_batch(problems, backend="thread", workers=2) == solve_batch(
+        assert solve_batch(problems, backend="process", workers=2) == solve_batch(
             problems
         )
-
-
-class TestCustomBackend:
-    def test_registered_backend_usable_by_name(self):
-        class CountingBackend(SerialBackend):
-            name = "counting-test"
-            sessions = 0
-
-            def session(self, fn, chunksize=1):
-                type(self).sessions += 1
-                return super().session(fn, chunksize)
-
-        try:
-            register_backend("counting-test", CountingBackend)
-            results = solve_batch(mixed_workload(3), backend="counting-test")
-            assert len(results) == 3
-            assert CountingBackend.sessions == 1
-        finally:
-            import repro.runtime.backends as backends
-
-            backends._BACKENDS.pop("counting-test", None)
 
 
 class TestErrorEnvelope:
@@ -871,21 +912,6 @@ class TestCacheContains:
         before = solve_cache_stats()
         solve_cache_contains(problem)
         assert solve_cache_stats() == before
-
-
-class TestRegisterBackendDecorator:
-    def test_decorator_factory_form(self):
-        import repro.runtime.backends as backends
-
-        try:
-
-            @register_backend("decorated-test")
-            class DecoratedBackend(SerialBackend):
-                name = "decorated-test"
-
-            assert isinstance(resolve_backend("decorated-test"), DecoratedBackend)
-        finally:
-            backends._BACKENDS.pop("decorated-test", None)
 
 
 class TestFuzzCorpusPersistence:

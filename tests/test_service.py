@@ -123,7 +123,7 @@ def make_server(tmp_path):
 
     def factory(**kwargs) -> ServiceServer:
         counter[0] += 1
-        kwargs.setdefault("backend", "thread")
+        kwargs.setdefault("backend", "serial")
         kwargs.setdefault("window", 4)
         kwargs.setdefault("poll_interval", 0.02)
         server = ServiceServer(
@@ -207,8 +207,8 @@ class TestSubmitPollResult:
         assert "problem" not in view  # payload bodies stay off the status view
 
     def test_fifty_job_mixed_workload(self, make_server, connect):
-        # The ISSUE's acceptance scenario: 50 mixed gap/power jobs through
-        # the thread backend, every envelope byte-identical to solve().
+        # The acceptance scenario: 50 mixed gap/power jobs through the
+        # service, every envelope byte-identical to solve().
         server = make_server(window=8)
         client = connect(server, "bulk")
         problems = [
@@ -346,14 +346,50 @@ class TestHttpSurface:
         assert payload["status"] == "ok"
         assert payload["state"] == "running"
 
+    @pytest.mark.filterwarnings(
+        # The loop's exception reaches the thread's excepthook by design.
+        "ignore::pytest.PytestUnhandledThreadExceptionWarning"
+    )
+    def test_healthz_reports_a_dead_loop(self, make_server, connect, monkeypatch):
+        def crash(self, batch):
+            raise RuntimeError("scheduler crashed")
+
+        monkeypatch.setattr(SchedulerDaemon, "_execute_batch", crash)
+        server = make_server()
+        client = connect(server)
+        client.submit(gap_problem(0))
+        server._daemon_thread.join(timeout=10.0)
+        assert not server._daemon_thread.is_alive()
+        status, payload = _urllib_request(server, "GET", "/healthz")
+        assert status == 503
+        assert payload["status"] == "down"
+        assert payload["state"] == "stopped"
+        assert payload["error"] == "RuntimeError: scheduler crashed"
+        with pytest.raises(ServiceError) as excinfo:
+            client.health()
+        assert excinfo.value.status == 503
+
+    def test_unknown_backend_fails_at_construction(self, tmp_path):
+        # A server that accepted jobs it could never run would leave them
+        # queued forever; construction refuses the name instead, and closes
+        # the store it opened.
+        gc.disable()
+        try:
+            before = _open_sqlite_connections()
+            for name in ("thread", "quantum"):
+                with pytest.raises(ValueError, match="unknown backend"):
+                    ServiceServer(str(tmp_path / "jobs.db"), port=0, backend=name)
+            opened = _open_sqlite_connections() - before
+        finally:
+            gc.enable()
+        assert opened == 0, opened
+
     def test_start_returns_once_the_loop_runs(self, tmp_path):
         # start() must not return before the scheduler thread has set its
         # state and its wake-up handle; `python -X dev` slows the loop's
         # start enough to show it.
         for cycle in range(20):
-            server = ServiceServer(
-                str(tmp_path / "jobs.db"), port=0, backend="thread"
-            ).start()
+            server = ServiceServer(str(tmp_path / "jobs.db"), port=0).start()
             try:
                 assert server.daemon.state == "running", cycle
             finally:
@@ -1054,7 +1090,7 @@ class TestKeepAlive:
         try:
             before = _open_sqlite_connections()
             server = ServiceServer(
-                str(tmp_path / "jobs.db"), port=0, backend="thread", poll_interval=0.02
+                str(tmp_path / "jobs.db"), port=0, backend="serial", poll_interval=0.02
             ).start()
             with ServiceClient(server.url, client_id="stop") as client:
                 for seed in range(5):
@@ -1200,8 +1236,6 @@ def _start_serve_subprocess(db_path, *extra_args):
             sys.executable,
             "-m",
             "repro",
-            "--backend",
-            "thread",
             "serve",
             "--db",
             db_path,
