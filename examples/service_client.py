@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Scheduling-as-a-service: a self-contained tour of ``repro.service``.
 
-This example boots the real service in-process — SQLite job store, asyncio
-scheduler, HTTP API on an ephemeral port — then talks to it exclusively
-over HTTP through :class:`repro.service.ServiceClient`, exactly as a
-remote client would:
+This example boots the real service in-process — SQLite job store,
+scheduler thread, HTTP API on an ephemeral port — then talks to it
+exclusively over HTTP through :class:`repro.service.ServiceClient`,
+exactly as a remote client would:
 
 1. submit a mixed batch of gap and power jobs (with one high-priority
    straggler that jumps the queue);

@@ -94,7 +94,7 @@ DEFAULT_SOLVE_CACHE_SIZE = 256
 #: shift/permutation-isomorphic instances — the common shape of
 #: ``solve_batch`` traffic — skip the DP entirely.  Per-process state,
 #: lock-protected because threads share it: the service's HTTP handler
-#: threads read its counters while the daemon's executor thread solves.
+#: threads read its counters while the daemon's scheduler thread solves.
 #: Pool workers each warm their own copy.  When a disk tier is configured
 #: (:func:`repro.runtime.configure_disk_cache`), a memory miss falls
 #: through to the content-addressed store and a fresh solve populates

@@ -41,10 +41,11 @@ Sub-commands
     of the canonical solve cache.
 ``serve``
     Run the scheduling service: an HTTP/JSON API over a persistent SQLite
-    job queue, drained by an asyncio scheduler through the configured
+    job queue, drained by a scheduler thread through the configured
     execution backend (see :mod:`repro.service` and ``docs/service.md``).
     SIGTERM/SIGINT drain gracefully; interrupted jobs are re-enqueued on
-    the next start.
+    the next start, and a job interrupted on all of its three attempts
+    goes to ``error`` as poison.
 ``submit`` / ``status`` / ``result`` / ``cancel``
     Client verbs against a running service (``--url``): submit a JSON
     instance/problem (``--wait`` blocks for the result envelope), poll a

@@ -193,7 +193,7 @@ class CanonicalSolveCache:
     Every operation (including the hit/miss accounting) holds one lock, so
     threads of one process share a single cache with exact counters (the
     scheduling service reads them on its HTTP handler threads while its
-    executor thread solves); uncontended acquisition is cheap enough not to
+    scheduler thread solves); uncontended acquisition is cheap enough not to
     matter on the serial path.
     """
 

@@ -248,8 +248,8 @@ class WorkerPool:
     Sessions :meth:`acquire` workers for exclusive use and release them
     on close; the pool grows on demand, keeps released workers warm, and
     reaps the ones idle past ``idle_timeout`` seconds.  Thread-safe: the
-    service daemon's executor thread and the main thread may run
-    sessions concurrently.
+    service's scheduler thread and the main thread may run sessions
+    concurrently.
     """
 
     def __init__(self, idle_timeout: float = DEFAULT_IDLE_TIMEOUT) -> None:

@@ -10,10 +10,10 @@ standard library (a hard rule, enforced by a hygiene test):
   transitions.  The store is the source of truth: a killed daemon loses
   nothing, and restart re-enqueues whatever was mid-flight.  Each terminal
   transition wakes the waits held on that job.
-* :mod:`~repro.service.daemon` — the asyncio scheduler loop: claim a
-  window of jobs, drain it through :func:`repro.runtime.solve_stream`
-  under a configurable backend, write envelopes back as they complete,
-  drain gracefully on stop.
+* :mod:`~repro.service.daemon` — the scheduler thread: claim a window
+  of jobs, drain it through :func:`repro.runtime.solve_stream` under a
+  configurable backend, write envelopes back as they complete, drain
+  gracefully on stop.
 * :mod:`~repro.service.server` — the HTTP/JSON API (``POST /v1/jobs``,
   status/result/cancel, ``GET /v1/stats``, ``GET /healthz``) on stdlib
   ``http.server``, with keep-alive connections and Nagle's algorithm off.

@@ -1,6 +1,6 @@
-"""The scheduler loop: drain the persistent queue through the runtime.
+"""The scheduler thread: drain the persistent queue through the runtime.
 
-An asyncio loop with one job: repeatedly *claim* a window of queued jobs
+One plain thread with one job: repeatedly *claim* a window of queued jobs
 from the :class:`~repro.service.queue.JobQueue` (atomically marking them
 ``running``), push the window through :func:`repro.runtime.solve_stream`
 on the execution backend resolved at construction, and write each
@@ -15,24 +15,25 @@ canonical dedupe (fifty isomorphic submissions burn one DP), the two-tier
 solve cache, and per-task error capture (a crashing solve becomes one
 ``status="error"`` envelope stored on that job, not a dead daemon).
 
-Crash safety comes from the store, not the loop: claimed jobs are
+Crash safety comes from the store, not the thread: claimed jobs are
 ``running`` rows in SQLite, so a killed process leaves a trail that
 :meth:`~repro.service.queue.JobQueue.recover` re-enqueues on the next
 start.  Graceful drain is the inverse: :meth:`SchedulerDaemon.request_stop`
-lets the in-flight window finish and write back before the loop exits —
+lets the in-flight window finish and write back before the thread exits —
 nothing is left ``running`` after a clean stop.
 
-The loop sleeps ``poll_interval`` between empty polls; the HTTP layer
-calls :meth:`SchedulerDaemon.kick` after each accepted submission to wake
-it immediately, so idle-service latency is not bounded by the poll.
+When a claim finds the queue empty, the thread sleeps on a
+:class:`threading.Event` for at most ``poll_interval``; the HTTP layer
+calls :meth:`SchedulerDaemon.kick` after each accepted submission to set
+it, so idle-service latency is not bounded by the poll.  The event is
+cleared *before* each claim, so a submit that commits after the claim's
+read still finds it set: no kick is lost, and each wake costs one claim.
 """
 
 from __future__ import annotations
 
-import asyncio
 import threading
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..api.serialization import from_json, to_json
@@ -57,7 +58,7 @@ class SchedulerDaemon:
         The persistent job queue to drain.
     backend / workers:
         Execution backend selection, resolved once here (an unknown name
-        raises ``ValueError`` before the loop starts) and used for every
+        raises ``ValueError`` before the thread starts) and used for every
         claimed window.
     window:
         Maximum jobs claimed (and therefore in flight) per scheduling
@@ -89,30 +90,21 @@ class SchedulerDaemon:
         self.poll_interval = float(poll_interval)
         self.metrics = metrics
         self.state = "idle"  # idle -> running -> draining -> stopped
-        #: ``"Type: message"`` of the exception that ended the loop, if any.
+        #: ``"Type: message"`` of the exception that ended the thread, if any.
         self.error: Optional[str] = None
         self.rounds = 0
         self.completed = 0
         self._stop_requested = threading.Event()
         self._started = threading.Event()
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._wake: Optional[asyncio.Event] = None
+        self._wake = threading.Event()
 
     # -- cross-thread controls ----------------------------------------------
     def kick(self) -> None:
-        """Wake the loop now (called by the HTTP layer after a submit)."""
-        loop, wake = self._loop, self._wake
-        if loop is not None and wake is not None:
-            try:
-                loop.call_soon_threadsafe(wake.set)
-            except RuntimeError:
-                pass  # loop already closed — nothing left to wake
+        """Wake the thread now (called by the HTTP layer after a submit)."""
+        self._wake.set()
 
     def wait_started(self, timeout: float) -> bool:
-        """Block until :meth:`run` is looping and :meth:`kick` reaches it.
-
-        Returns ``False`` if that has not happened within ``timeout`` s.
-        """
+        """Block until :meth:`run` runs; ``False`` after ``timeout`` s."""
         return self._started.wait(timeout)
 
     def request_stop(self) -> None:
@@ -124,53 +116,41 @@ class SchedulerDaemon:
 
     @property
     def failed(self) -> bool:
-        """The loop has stopped although no stop was requested: it died."""
+        """The thread has stopped although no stop was requested: it died."""
         return self.state == "stopped" and not self._stop_requested.is_set()
 
-    # -- the loop ------------------------------------------------------------
-    async def run(self) -> None:
-        """Run until :meth:`request_stop`; safe to call once per instance."""
-        self._loop = asyncio.get_running_loop()
-        self._wake = asyncio.Event()
-        # One executor thread: windows run one at a time, and the store
-        # connection it opens is closed on that thread when the loop stops.
-        executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-service-batch"
-        )
+    # -- the scheduler thread ------------------------------------------------
+    def run(self) -> None:
+        """Claim, solve and write back until :meth:`request_stop`.
+
+        The scheduler thread's target; safe to call once per instance.
+        """
         if self.metrics is not None:
             add_task_observer(self.metrics.observe)
         self.state = "running"
         self._started.set()
         try:
-            while not self._stop_requested.is_set():
+            while True:
+                # Clear before the stop check and the claim: a stop request
+                # or a submit that lands after either finds the event set,
+                # and the wait below returns at once.
+                self._wake.clear()
+                if self._stop_requested.is_set():
+                    break
                 batch = self.store.claim(self.window)
                 if not batch:
-                    self._wake.clear()
-                    # Re-check after clearing: a kick between claim() and
-                    # clear() must not be lost.
-                    if self._stop_requested.is_set():
-                        break
-                    try:
-                        await asyncio.wait_for(
-                            self._wake.wait(), timeout=self.poll_interval
-                        )
-                    except asyncio.TimeoutError:
-                        pass
+                    self._wake.wait(self.poll_interval)
                     continue
                 self.rounds += 1
-                # The blocking pipeline runs on an executor thread; awaiting
-                # it here is what makes a stop request drain gracefully —
-                # the in-flight window always writes back before the loop
-                # exits.
-                await self._loop.run_in_executor(executor, self._execute_batch, batch)
+                # A stop request waits for this: the in-flight window
+                # always writes back before the thread exits.
+                self._execute_batch(batch)
         except Exception as exc:
             self.error = f"{type(exc).__name__}: {exc}"
             raise
         finally:
-            # SQLite connections are per thread: close the executor's and
-            # this loop thread's, or they stay open until the GC runs.
-            executor.submit(self.store.close).result()
-            executor.shutdown()
+            # SQLite connections are per thread: close this one now, or it
+            # stays open until the GC runs.
             self.store.close()
             if self.metrics is not None:
                 remove_task_observer(self.metrics.observe)

@@ -4,8 +4,9 @@ One row per job, one file per deployment.  The store is the service's
 source of truth: the daemon claims work out of it, the HTTP layer reads
 status from it, and because every state transition is a committed SQLite
 transaction, a killed daemon loses nothing — :meth:`JobQueue.recover`
-re-enqueues whatever was mid-flight and the replacement process continues
-where the dead one stopped.
+re-enqueues whatever was mid-flight (or retires it as poison after
+:data:`MAX_ATTEMPTS` claims) and the replacement process continues where
+the dead one stopped.
 
 Job lifecycle::
 
@@ -22,7 +23,7 @@ in-flight DP is not interruptible — and the job lands in ``cancelled``
 (result discarded) when the solve returns.
 
 Concurrency: connections are per-thread (each keep-alive HTTP connection's
-handler thread and the daemon's threads each get their own), WAL mode lets
+handler thread and the scheduler thread each get their own), WAL mode lets
 readers proceed under a writer, and the claim transaction is the only
 contended write path.  The store is set up once, by its constructor: WAL
 mode persists in the file and the schema in the database, so a connection
@@ -61,6 +62,7 @@ from ..api.serialization import register_codec
 
 __all__ = [
     "JOB_STATES",
+    "MAX_ATTEMPTS",
     "TERMINAL_STATES",
     "JobRecord",
     "JobQueue",
@@ -71,6 +73,11 @@ JOB_STATES = ("queued", "running", "done", "error", "cancelled")
 
 #: States a job never leaves.
 TERMINAL_STATES = frozenset({"done", "error", "cancelled"})
+
+#: Claims a job gets.  A job still ``running`` at :meth:`JobQueue.recover`
+#: after this many was interrupted on every one, most likely because it
+#: kills the process that solves it: it goes to ``error`` as poison.
+MAX_ATTEMPTS = 3
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS jobs (
@@ -407,17 +414,35 @@ class JobQueue:
         return state
 
     def recover(self) -> int:
-        """Re-enqueue every ``running`` job (daemon startup after a crash).
+        """Re-enqueue interrupted jobs (daemon startup after a crash).
 
-        Attempts are preserved, so a poison job that keeps killing workers
-        remains visible in its attempt count.
+        A ``running`` job with fewer than :data:`MAX_ATTEMPTS` attempts is
+        queued again, its attempts kept; one at the cap goes to ``error``
+        with an error starting ``poison:``, and its held waits are woken.
+        Returns the number re-enqueued.
         """
+        now = time.time()
         with self._tx() as conn:
-            cursor = conn.execute(
+            poisoned = [
+                row["id"]
+                for row in conn.execute(
+                    "SELECT id FROM jobs WHERE state = 'running' AND attempts >= ?",
+                    (MAX_ATTEMPTS,),
+                )
+            ]
+            conn.execute(
+                "UPDATE jobs SET state = 'error',"
+                " finished_at = MAX(?, COALESCE(started_at, submitted_at)),"
+                " error = 'poison: interrupted on each of its ' || attempts"
+                " || ' attempts' WHERE state = 'running' AND attempts >= ?",
+                (now, MAX_ATTEMPTS),
+            )
+            requeued = conn.execute(
                 "UPDATE jobs SET state = 'queued', started_at = NULL"
                 " WHERE state = 'running'"
-            )
-            return cursor.rowcount
+            ).rowcount
+        self._wake(poisoned)
+        return requeued
 
     # -- client-side transitions ---------------------------------------------
     def request_cancel(self, job_id: str) -> Optional[str]:

@@ -24,19 +24,19 @@ API surface (all JSON)::
     GET  /v1/stats              queue depths, per-state counts, cache tiers,
                                 engine counters, admission + daemon counters
     GET  /healthz               liveness + drain state -> 200, or 503
-                                {"status": "down"} once the scheduler loop
-                                has died
+                                {"status": "down"} once the scheduler
+                                thread has died
 
 :class:`ServiceServer` owns the lifecycle: it wires store + admission +
-daemon together, runs the HTTP pool and the asyncio scheduler loop on
-background threads, and implements graceful drain — on ``stop()`` (or
+daemon together, runs the HTTP pool and the scheduler thread in the
+background, and implements graceful drain — on ``stop()`` (or
 SIGTERM under ``repro-sched serve``) it refuses new submissions with 503,
 lets the in-flight window finish and write back, then tears the listener
 down.  A SIGKILLed server instead leaves ``running`` rows behind, which
 the next start re-enqueues via :meth:`JobQueue.recover` — the
 kill/restart test in the suite exercises exactly that path.  ``start()``
-returns once the scheduler loop runs, so a submit right after it is
-never left waiting for the loop's first poll.
+returns once the scheduler thread runs, so ``/healthz`` reads
+``"running"`` right after it.
 
 Held result requests: ``GET /v1/jobs/<id>/result?wait=<s>`` on a pending
 job parks its handler thread in :meth:`JobQueue.wait` until the job is
@@ -69,7 +69,6 @@ connections.
 
 from __future__ import annotations
 
-import asyncio
 import json
 import math
 import signal
@@ -115,7 +114,7 @@ LINGER_TIMEOUT_S = 1.0
 #: is cut to this, so a held request gives its thread back within it.
 MAX_RESULT_WAIT_S = 30.0
 
-#: Seconds :meth:`ServiceServer.start` waits for the scheduler loop to run.
+#: Seconds :meth:`ServiceServer.start` waits for the scheduler thread to run.
 START_TIMEOUT_S = 10.0
 
 
@@ -291,7 +290,7 @@ class _Handler(BaseHTTPRequestHandler):
         path = self.path.split("?", 1)[0]
         if path == "/healthz":
             svc = self.service
-            down = svc.daemon.failed  # the loop died: queued jobs never run
+            down = svc.daemon.failed  # the thread died: queued jobs never run
             body = {
                 "status": "down" if down else "ok",
                 "state": "draining" if svc.draining else svc.daemon.state,
@@ -427,8 +426,8 @@ class ServiceServer:
 
     ``port=0`` binds an ephemeral port (read it back from :attr:`url`).
     Construction recovers interrupted jobs from the store; :meth:`start`
-    launches the listener and the scheduler loop on daemon threads and
-    returns once the loop runs — use :meth:`run_forever` for the CLI's
+    launches the listener and the scheduler thread as daemon threads and
+    returns once the scheduler runs — use :meth:`run_forever` for the CLI's
     blocking, signal-driven variant.
     """
 
@@ -477,9 +476,9 @@ class ServiceServer:
 
     # -- lifecycle -----------------------------------------------------------
     def start(self) -> "ServiceServer":
-        """Bind the listener, start the scheduler loop, then serve.
+        """Bind the listener, start the scheduler thread, then serve.
 
-        Returns once the loop runs (``daemon.state == "running"``); raises
+        Returns once the scheduler runs (``daemon.state == "running"``); raises
         ``RuntimeError`` if it has not started within
         :data:`START_TIMEOUT_S`.
         """
@@ -490,7 +489,7 @@ class ServiceServer:
         )
         httpd.service = self  # type: ignore[attr-defined]
         self._daemon_thread = threading.Thread(
-            target=lambda: asyncio.run(self.daemon.run()),
+            target=self.daemon.run,
             name="repro-service-scheduler",
             daemon=True,
         )
@@ -499,7 +498,7 @@ class ServiceServer:
             self.daemon.request_stop()
             httpd.server_close()
             raise RuntimeError(
-                f"scheduler loop did not start within {START_TIMEOUT_S:g}s"
+                f"scheduler thread did not start within {START_TIMEOUT_S:g}s"
             )
         self._httpd = httpd
         self.host, self.port = httpd.server_address[:2]
@@ -576,15 +575,6 @@ class ServiceServer:
         finally:
             for signum, handler in previous.items():
                 signal.signal(signum, handler)
-
-    def wait_idle(self, timeout: float = 30.0, poll: float = 0.02) -> bool:
-        """Block until no job is queued or running (testing convenience)."""
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if self.store.pending_count() == 0:
-                return True
-            time.sleep(poll)
-        return False
 
     # -- the stats surface ----------------------------------------------------
     def stats_payload(self) -> Dict[str, Any]:

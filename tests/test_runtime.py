@@ -698,7 +698,7 @@ class TestConcurrentAccounting:
 
     def test_thread_backend_no_dedupe_counts_exact(self):
         # Threads of one process share its cache (the service reads the
-        # counters on its handler threads while its executor thread
+        # counters on its handler threads while its scheduler thread
         # solves), calling solve() with no dedupe in front of it.  A cache
         # smaller than the key set keeps entries churning while the
         # threads race, and every lookup must still count once.

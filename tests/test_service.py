@@ -1,7 +1,7 @@
 """End-to-end tests for the scheduling service (daemon + HTTP + client).
 
 The in-process tests boot a real :class:`ServiceServer` on an ephemeral
-port — the HTTP listener, asyncio scheduler, SQLite store, and admission
+port — the HTTP listener, scheduler thread, SQLite store, and admission
 controller are all live; only the process boundary is skipped, which
 lets the tests register throwaway solvers (a gate-controlled "sleepy"
 solver for deterministic cancel-while-running coverage, a crashing one
@@ -14,6 +14,7 @@ import gc
 import http.client
 import json
 import os
+import random
 import signal
 import sqlite3
 import socket
@@ -379,15 +380,14 @@ class TestHttpSurface:
             for name in ("thread", "quantum"):
                 with pytest.raises(ValueError, match="unknown backend"):
                     ServiceServer(str(tmp_path / "jobs.db"), port=0, backend=name)
-            opened = _open_sqlite_connections() - before
+            opened = len(_open_sqlite_connections().keys() - before.keys())
         finally:
             gc.enable()
         assert opened == 0, opened
 
     def test_start_returns_once_the_loop_runs(self, tmp_path):
         # start() must not return before the scheduler thread has set its
-        # state and its wake-up handle; `python -X dev` slows the loop's
-        # start enough to show it.
+        # state; `python -X dev` slows start-up enough to show it.
         for cycle in range(20):
             server = ServiceServer(str(tmp_path / "jobs.db"), port=0).start()
             try:
@@ -398,7 +398,7 @@ class TestHttpSurface:
     def test_start_raises_if_the_loop_never_starts(
         self, tmp_path, monkeypatch
     ):
-        async def never_starts(self):
+        def never_starts(self):
             pass
 
         monkeypatch.setattr(SchedulerDaemon, "run", never_starts)
@@ -550,7 +550,7 @@ class TestHttpSurface:
                 assert status == 202, payload
                 path = f"/v1/jobs/{payload['id']}"
                 assert _urllib_request(server, "GET", path)[0] == 200
-            opened = _open_sqlite_connections() - before
+            opened = len(_open_sqlite_connections().keys() - before.keys())
         finally:
             gc.enable()
         # 60 HTTP connections; only the daemon's few long-lived threads may
@@ -577,6 +577,86 @@ class TestHttpSurface:
             assert excinfo.value.status == 503
         finally:
             server.draining = False
+
+
+def _threads_named(prefix):
+    return [t for t in threading.enumerate() if t.name.startswith(prefix)]
+
+
+class TestSchedulerThread:
+    def test_one_scheduler_thread_and_no_executor(self, tmp_path):
+        server = ServiceServer(str(tmp_path / "jobs.db"), port=0).start()
+        try:
+            with ServiceClient(server.url) as client:
+                job_id = client.submit(gap_problem(0))
+                assert client.result(job_id, timeout=30.0).status == "optimal"
+            assert len(_threads_named("repro-service-scheduler")) == 1
+            assert _threads_named("repro-service-batch") == []
+        finally:
+            server.stop()
+        assert _threads_named("repro-service-scheduler") == []
+        assert _threads_named("repro-service-batch") == []
+
+    def test_no_kick_is_lost(self, make_server):
+        # With a 30 s poll only kicks wake the scheduler: a lost one leaves
+        # its job queued until the client gives up.  Clients submit in
+        # rounds, each at a random moment, so a round's last submit has no
+        # later kick to cover for its own.  A slow claim widens the gap
+        # between the claim's read and the next wait, where a submit could
+        # commit unseen.
+        server = make_server(poll_interval=30.0)
+        claim = server.store.claim
+
+        def slow_claim(limit):
+            batch = claim(limit)
+            time.sleep(0.002)
+            return batch
+
+        server.store.claim = slow_claim
+        clients, rounds = 4, 60
+        barrier = threading.Barrier(clients)
+        latencies, failures = [], []
+
+        def submitter(index):
+            rng = random.Random(index)
+            with ServiceClient(server.url, client_id=f"kick-{index}") as client:
+                for round_ in range(rounds):
+                    try:
+                        barrier.wait(timeout=30.0)
+                    except threading.BrokenBarrierError:
+                        return  # another client failed, or one hung
+                    time.sleep(rng.uniform(0.0, 0.02))
+                    start = time.monotonic()
+                    try:
+                        job_id = client.submit(gap_problem(clients * round_ + index))
+                        client.result(job_id, timeout=5.0)
+                    except ServiceError as exc:
+                        failures.append(str(exc))
+                        barrier.abort()  # fail fast: stop every client
+                        return
+                    latencies.append(time.monotonic() - start)
+
+        threads = [
+            threading.Thread(target=submitter, args=(i,)) for i in range(clients)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert len(latencies) == clients * rounds
+        assert max(latencies) < 5.0
+        # Idle again: the stop request is a kick too.
+        assert server.store.pending_count() == 0
+        start = time.monotonic()
+        server.stop()
+        assert time.monotonic() - start < 1.0
 
 
 def _until_held(server, count=1, timeout=10.0):
@@ -899,16 +979,23 @@ class _AnswersLater(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
 
-def _open_sqlite_connections() -> int:
-    count = 0
+def _open_sqlite_connections() -> dict:
+    """Every open connection the GC sees, by id.
+
+    The dict holds the connections, so no id in it can be reused by a
+    connection opened later: ``(after.keys() - before.keys())`` counts
+    the ones opened since, whatever an earlier test's threads close
+    meanwhile.
+    """
+    conns = {}
     for obj in gc.get_objects():
         if isinstance(obj, sqlite3.Connection):
             try:
                 obj.total_changes
             except sqlite3.ProgrammingError:  # closed
                 continue
-            count += 1
-    return count
+            conns[id(obj)] = obj
+    return conns
 
 
 class _DropsSecondRequest(BaseHTTPRequestHandler):
@@ -1036,7 +1123,7 @@ class TestKeepAlive:
             before = _open_sqlite_connections()
             for seed in range(30):
                 client.status(client.submit(gap_problem(seed)))
-            opened = _open_sqlite_connections() - before
+            opened = len(_open_sqlite_connections().keys() - before.keys())
         finally:
             gc.enable()
         assert opened <= 2, opened
@@ -1081,10 +1168,9 @@ class TestKeepAlive:
         assert stopped
 
     def test_stop_closes_the_daemons_sqlite_handles(self, tmp_path):
-        # The scheduler loop thread and its executor thread each open a
-        # thread-local store connection; sqlite3.Connection objects sit in
-        # reference cycles, so with the GC off an unclosed one outlives
-        # the daemon.
+        # The scheduler thread opens a thread-local store connection;
+        # sqlite3.Connection objects sit in reference cycles, so with the
+        # GC off an unclosed one outlives the daemon.
         threads_before = set(threading.enumerate())
         gc.disable()
         try:
@@ -1101,7 +1187,7 @@ class TestKeepAlive:
             # it so only the daemon's connections can still be open.
             for thread in set(threading.enumerate()) - threads_before:
                 thread.join(timeout=5.0)
-            opened = _open_sqlite_connections() - before
+            opened = len(_open_sqlite_connections().keys() - before.keys())
         finally:
             gc.enable()
         assert opened == 0, opened

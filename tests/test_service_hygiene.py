@@ -95,6 +95,35 @@ def test_package_imports_only_stdlib_and_repro(module):
     )
 
 
+def _run_fresh(code):
+    """Run ``code`` in a fresh interpreter that imports this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(PACKAGE_DIR)]
+        + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    env.pop("REPRO_CACHE_DIR", None)
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def test_service_import_loads_no_asyncio_or_executor():
+    # The scheduler is one plain thread: neither module is needed, and
+    # importing asyncio alone took ~20 ms.
+    proc = _run_fresh(
+        "import sys\n"
+        "import repro.service\n"
+        "loaded = {'asyncio', 'concurrent.futures'} & set(sys.modules)\n"
+        "assert not loaded, sorted(loaded)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_exact_power_solve_never_imports_numpy():
     # A fresh interpreter: the test process itself may have numpy loaded
     # by a test dependency.
@@ -111,17 +140,5 @@ def test_exact_power_solve_never_imports_numpy():
             "assert 'numpy' not in sys.modules, 'numpy was imported'",
         ]
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.dirname(PACKAGE_DIR)]
-        + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
-    )
-    env.pop("REPRO_CACHE_DIR", None)
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = _run_fresh(code)
     assert proc.returncode == 0, proc.stderr

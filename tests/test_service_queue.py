@@ -8,6 +8,7 @@ import pytest
 
 from repro.api import OneIntervalInstance, Problem, from_json, to_json
 from repro.service import JOB_STATES, TERMINAL_STATES, JobQueue, JobRecord
+from repro.service.queue import MAX_ATTEMPTS
 
 
 def _problem_json(pairs=((0, 2), (1, 3))) -> str:
@@ -139,6 +140,41 @@ class TestRecovery:
         assert revived.state == "queued"
         assert revived.started_at is None
         assert revived.attempts == 1  # the interrupted attempt stays visible
+
+    def test_recover_below_the_cap_requeues_with_attempts_kept(self, store):
+        record = store.submit(_problem_json())
+        for _ in range(MAX_ATTEMPTS - 1):
+            store.claim(1)
+            assert store.recover() == 1
+        revived = store.get(record.id)
+        assert revived.state == "queued"
+        assert revived.attempts == MAX_ATTEMPTS - 1
+        assert revived.error is None
+
+    def test_recover_at_the_cap_retires_the_job_as_poison(self, store):
+        poison = store.submit(_problem_json())
+        for _ in range(MAX_ATTEMPTS - 1):
+            store.claim(1)
+            store.recover()
+        (claimed,) = store.claim(1)
+        assert claimed.attempts == MAX_ATTEMPTS
+        innocent = store.submit(_problem_json())
+        store.claim(1)
+        waiter = _Waiter(store, poison.id, 10.0)
+        waiter.start()
+        _until_held(store, 1)
+        assert store.recover() == 1  # only the job below the cap
+        waiter.join(timeout=5.0)
+        assert not waiter.is_alive()
+        assert waiter.record.state == "error"
+        assert store.wait_stats()["woken"] == 1
+        final = store.get(poison.id)
+        assert final.state == "error"
+        assert final.error.startswith("poison:")
+        assert final.attempts == MAX_ATTEMPTS
+        assert final.result is None
+        assert final.started_at <= final.finished_at
+        assert store.get(innocent.id).state == "queued"
 
     def test_state_survives_reopen(self, tmp_path):
         path = str(tmp_path / "jobs.db")
