@@ -14,28 +14,23 @@ Hajiaghayi, Sayedi-Roshkhar and Zadimoghaddam (SPAA 2007):
 Every algorithm is called through one façade, :mod:`repro.api`
 (``Problem`` / ``solve`` / ``solve_batch`` / JSON round-trip), or
 ``repro-sched solve`` on the command line.  This top level re-exports only
-the data model, schedules, feasibility helpers, exceptions and the core
-solver classes; the per-algorithm functions live in :mod:`repro.core`.
+the data model, schedules, feasibility helpers and exceptions; the exact
+binding :func:`repro.core.solve_exact` and the per-algorithm functions live
+in :mod:`repro.core`.
 See ``README.md`` for a quickstart and ``docs/architecture.md`` for the
 layer-by-layer system inventory.
 """
 
 from .core import (
-    BaptisteGapResult,
-    BaptistePowerResult,
-    GapSolution,
     InfeasibleInstanceError,
     InvalidInstanceError,
     InvalidScheduleError,
     Job,
     MultiIntervalInstance,
     MultiIntervalJob,
-    MultiprocessorGapSolver,
     MultiprocessorInstance,
-    MultiprocessorPowerSolver,
     MultiprocessorSchedule,
     OneIntervalInstance,
-    PowerSolution,
     ReproError,
     Schedule,
     SolverError,
@@ -52,7 +47,7 @@ from .core import (
     spans_of_busy_times,
 )
 
-__version__ = "6.0.0"
+__version__ = "7.0.0"
 
 __all__ = [
     "__version__",
@@ -79,10 +74,4 @@ __all__ = [
     "feasible_schedule_multiproc",
     "edf_schedule",
     "complete_partial_schedule",
-    "BaptisteGapResult",
-    "BaptistePowerResult",
-    "MultiprocessorGapSolver",
-    "GapSolution",
-    "MultiprocessorPowerSolver",
-    "PowerSolution",
 ]

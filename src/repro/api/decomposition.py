@@ -56,9 +56,13 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from ..core.decompose import Decomposition, decompose_instance
-from ..core.interval_dp import ENGINE_NAME, ENGINE_VERSION, staircase_schedule
+from ..core.interval_dp import (
+    ENGINE_NAME,
+    ENGINE_VERSION,
+    schedule_from_times,
+    times_from_schedule,
+)
 from ..core.jobs import MultiprocessorInstance, OneIntervalInstance
-from ..core.schedule import Schedule
 from ..core.timeutils import candidate_times_for_jobs
 from ..runtime.backends import default_backend_name, resolve_backend
 from ..runtime.diskcache import configure_disk_cache, disk_cache_dir
@@ -194,12 +198,13 @@ def _component_task(payload: Tuple) -> Tuple:
         raise RuntimeError(
             f"component solve returned status {result.status!r}"
         )
-    times = {
-        job: (slot[1] if isinstance(slot, tuple) else slot)
-        for job, slot in result.schedule.assignment.items()
-    }
     engine = result.extra.get("engine")
-    return (True, result.value, times, engine if isinstance(engine, dict) else None)
+    return (
+        True,
+        result.value,
+        times_from_schedule(result.schedule),
+        engine if isinstance(engine, dict) else None,
+    )
 
 
 def _component_backend() -> Tuple[str, int]:
@@ -459,11 +464,7 @@ def _solve_decomposed(problem, decomp: Decomposition, solver_name: str, processo
         for sub_idx, t in times.items():
             merged_times[component.job_indices[sub_idx]] = t
     instance = problem.instance
-    if isinstance(instance, OneIntervalInstance):
-        schedule = Schedule(instance=instance, assignment=merged_times)
-        schedule.validate()
-    else:
-        schedule = staircase_schedule(instance, merged_times)
+    schedule = schedule_from_times(instance, merged_times)
     if gaps:
         value = schedule.num_gaps()
         if predicted is not None and value != predicted:

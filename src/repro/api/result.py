@@ -1,10 +1,10 @@
 """The uniform result envelope returned by every façade solver.
 
-Whatever the underlying algorithm reports (``GapSolution``,
-``PowerSolution``, ``PowerApproxResult``, ``ThroughputResult``, bare
-tuples from the brute-force oracles), the façade wraps it in a
-:class:`SolveResult` so that callers — the CLI, the experiment harness,
-the batch executor, a service boundary — see one shape.
+Whatever the underlying algorithm reports (``ExactSolution``,
+``PowerApproxResult``, ``ThroughputResult``, bare tuples from the
+brute-force oracles), the façade wraps it in a :class:`SolveResult` so
+that callers — the CLI, the experiment harness, the batch executor, a
+service boundary — see one shape.
 
 ``wall_time`` is measurement noise, not part of the answer: it is excluded
 from equality comparisons and from the canonical JSON form, which is what

@@ -34,10 +34,6 @@ from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
 
 from ..bounds.certificate import BoundCertificate
-from ..core.baptiste import (
-    minimize_gaps_single_processor,
-    minimize_power_single_processor,
-)
 from ..core.brute_force import (
     brute_force_gap_multiproc,
     brute_force_gap_single,
@@ -53,18 +49,15 @@ from ..core.canonical import (
     restore_assignment,
 )
 from ..core.greedy_gap import greedy_gap_schedule
-from ..core.interval_dp import staircase_schedule
+from ..core.interval_dp import schedule_from_times, solve_exact, times_from_schedule
 from ..core.list_heuristics import edf_list_schedule, merge_local_search
 from ..core.jobs import (
     MultiIntervalInstance,
     MultiprocessorInstance,
     OneIntervalInstance,
 )
-from ..core.multiproc_gap_dp import MultiprocessorGapSolver
-from ..core.multiproc_power_dp import MultiprocessorPowerSolver
 from ..core.online import online_gap_schedule
 from ..core.power_approx import approximate_power_schedule
-from ..core.schedule import Schedule
 from ..core.throughput import greedy_throughput_schedule
 from ..runtime.diskcache import get_disk_cache
 from ..runtime.pool import publish_incumbent
@@ -190,12 +183,9 @@ def _replay_hit(
     feasible, value, assignment, engine_meta = cached
     if not feasible:
         return _infeasible(problem)
-    times = restore_assignment(form, assignment)
-    if isinstance(problem.instance, OneIntervalInstance):
-        schedule = Schedule(instance=problem.instance, assignment=times)
-        schedule.validate()
-    else:
-        schedule = staircase_schedule(problem.instance, times)
+    schedule = schedule_from_times(
+        problem.instance, restore_assignment(form, assignment)
+    )
     extra = dict(extra_base)
     extra["engine"] = _replay_engine_meta(engine_meta)
     return SolveResult(
@@ -387,18 +377,13 @@ def seed_solve_cache(problem: Problem, result: SolveResult) -> bool:
         return True
     if result.status != "optimal" or result.schedule is None:
         return False
-    assignment = result.schedule.assignment
-    times = {
-        job: (slot[1] if isinstance(slot, tuple) else slot)
-        for job, slot in assignment.items()
-    }
     engine_meta = result.extra.get("engine")
     _store_canonical(
         objective_key,
         form,
         True,
         result.value,
-        times,
+        times_from_schedule(result.schedule),
         _replay_engine_meta(engine_meta if isinstance(engine_meta, dict) else None),
     )
     return True
@@ -416,114 +401,48 @@ def _infeasible(problem: Problem) -> SolveResult:
     )
 
 
-@register_solver(
+def _solve_exact_dp(problem: Problem) -> SolveResult:
+    """The ``gap-dp`` and ``power-dp`` adapter: decomposed or monolithic, cached."""
+    instance = problem.instance
+    extra_base: Dict = {}
+    if problem.objective == "power":
+        extra_base["alpha"] = problem.alpha
+    if isinstance(instance, MultiprocessorInstance):
+        extra_base["num_processors"] = instance.num_processors
+    extra_base["exact"] = True
+
+    def solve_fresh():
+        decomposed = try_decomposed_solve(problem)
+        if decomposed is not None:
+            return decomposed
+        solution = solve_exact(instance, problem.objective, problem.alpha)
+        return (
+            solution.feasible,
+            solution.value,
+            solution.schedule,
+            solution.times,
+            solution.engine,
+        )
+
+    return _cached_exact_solve(
+        problem, _objective_key_for(problem), extra_base, solve_fresh
+    )
+
+
+register_solver(
     "gap-dp",
     objective="gaps",
     kind="exact",
     instance_types=(OneIntervalInstance, MultiprocessorInstance),
     description="Theorem 1 exact interval DP (Baptiste's algorithm at p = 1)",
-)
-def _solve_gap_dp(problem: Problem) -> SolveResult:
-    instance = problem.instance
-    if isinstance(instance, OneIntervalInstance):
-
-        def solve_fresh():
-            decomposed = try_decomposed_solve(problem)
-            if decomposed is not None:
-                return decomposed
-            single = minimize_gaps_single_processor(instance)
-            if not single.feasible:
-                return False, None, None, None, None
-            return (
-                True,
-                single.num_gaps,
-                single.schedule,
-                dict(single.schedule.assignment),
-                single.engine,
-            )
-
-        return _cached_exact_solve(problem, ("gaps",), {"exact": True}, solve_fresh)
-
-    def solve_fresh():
-        decomposed = try_decomposed_solve(problem)
-        if decomposed is not None:
-            return decomposed
-        solver = MultiprocessorGapSolver(instance)
-        solution = solver.solve()
-        if not solution.feasible:
-            return False, None, None, None, None
-        times = {j: t for j, (_proc, t) in solution.schedule.assignment.items()}
-        return (
-            True,
-            solution.num_gaps,
-            solution.schedule,
-            times,
-            solver.engine_metadata(),
-        )
-
-    return _cached_exact_solve(
-        problem,
-        ("gaps",),
-        {"num_processors": instance.num_processors, "exact": True},
-        solve_fresh,
-    )
-
-
-@register_solver(
+)(_solve_exact_dp)
+register_solver(
     "power-dp",
     objective="power",
     kind="exact",
     instance_types=(OneIntervalInstance, MultiprocessorInstance),
     description="Theorem 2 exact interval DP for power minimization",
-)
-def _solve_power_dp(problem: Problem) -> SolveResult:
-    instance = problem.instance
-    alpha = problem.alpha
-    objective_key = ("power", alpha)
-    if isinstance(instance, OneIntervalInstance):
-
-        def solve_fresh():
-            decomposed = try_decomposed_solve(problem)
-            if decomposed is not None:
-                return decomposed
-            single = minimize_power_single_processor(instance, alpha=alpha)
-            if not single.feasible:
-                return False, None, None, None, None
-            return (
-                True,
-                single.power,
-                single.schedule,
-                dict(single.schedule.assignment),
-                single.engine,
-            )
-
-        return _cached_exact_solve(
-            problem, objective_key, {"alpha": alpha, "exact": True}, solve_fresh
-        )
-
-    def solve_fresh():
-        decomposed = try_decomposed_solve(problem)
-        if decomposed is not None:
-            return decomposed
-        solver = MultiprocessorPowerSolver(instance, alpha=alpha)
-        solution = solver.solve()
-        if not solution.feasible:
-            return False, None, None, None, None
-        times = {j: t for j, (_proc, t) in solution.schedule.assignment.items()}
-        return (
-            True,
-            solution.power,
-            solution.schedule,
-            times,
-            solver.engine_metadata(),
-        )
-
-    return _cached_exact_solve(
-        problem,
-        objective_key,
-        {"alpha": alpha, "num_processors": instance.num_processors, "exact": True},
-        solve_fresh,
-    )
+)(_solve_exact_dp)
 
 
 @register_solver(

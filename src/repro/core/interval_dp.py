@@ -55,11 +55,12 @@ one; values and schedules are those of the unpruned DP.  Dominance
 pruning of the gap objective's occupancy vectors and iterative schedule
 reconstruction keep it exact and in O(1) native stack depth.
 
-The solvers in :mod:`repro.core.multiproc_gap_dp` and
-:mod:`repro.core.multiproc_power_dp` are thin bindings of these objectives
-onto the engine; :mod:`repro.verify` certifies engine results against brute
-force and :mod:`repro.perf` times the engine against a frozen host-speed
-reference kernel.
+:func:`solve_exact` is the one binding of these objectives onto the
+engine, Baptiste's single-processor algorithm being its ``p = 1`` case;
+:func:`schedule_from_times` alone decides which schedule type a solve
+returns.  The façade's exact adapter, its cache, the decomposed solve and
+:mod:`repro.perf` all call them; :mod:`repro.verify` certifies engine
+results against brute force.
 """
 
 from __future__ import annotations
@@ -67,12 +68,12 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from operator import add
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .dp_profile import IntervalDecomposition
 from .exceptions import InvalidInstanceError
-from .jobs import MultiprocessorInstance
-from .schedule import MultiprocessorSchedule
+from .jobs import MultiprocessorInstance, OneIntervalInstance
+from .schedule import MultiprocessorSchedule, Schedule, staircase_normalize
 
 __all__ = [
     "ENGINE_NAME",
@@ -83,7 +84,10 @@ __all__ = [
     "GapObjective",
     "PowerObjective",
     "IntervalDPEngine",
-    "staircase_schedule",
+    "ExactSolution",
+    "solve_exact",
+    "schedule_from_times",
+    "times_from_schedule",
 ]
 
 ENGINE_NAME = "interval-dp"
@@ -1440,17 +1444,84 @@ class IntervalDPEngine:
         )
 
 
-def staircase_schedule(
-    instance: MultiprocessorInstance, times: Dict[int, int]
-) -> MultiprocessorSchedule:
-    """Stack a ``job -> time`` assignment onto processors in staircase order."""
-    by_time: Dict[int, List[int]] = {}
-    for job_idx, t in times.items():
-        by_time.setdefault(t, []).append(job_idx)
-    assignment: Dict[int, Tuple[int, int]] = {}
-    for t, job_indices in by_time.items():
-        for level, job_idx in enumerate(sorted(job_indices), start=1):
-            assignment[job_idx] = (level, t)
-    schedule = MultiprocessorSchedule(instance=instance, assignment=assignment)
+@dataclass
+class ExactSolution:
+    """One exact solve: the optimum, a witnessing schedule, engine metadata.
+
+    ``value`` is the gap count (an ``int``) or the power (a ``float``);
+    ``schedule`` and ``times`` (its ``job -> execution time`` map) are
+    ``None`` when the instance is infeasible.  ``engine`` is
+    :meth:`IntervalDPEngine.metadata` either way.
+    """
+
+    feasible: bool
+    value: Optional[float]
+    schedule: Optional[Union[Schedule, MultiprocessorSchedule]]
+    times: Optional[Dict[int, int]]
+    engine: Dict
+
+
+def solve_exact(
+    instance: Union[OneIntervalInstance, MultiprocessorInstance],
+    objective: str,
+    alpha: Optional[float] = None,
+) -> ExactSolution:
+    """Solve ``instance`` exactly for ``"gaps"`` (Theorem 1) or ``"power"`` (Theorem 2).
+
+    A one-interval instance is the ``p = 1`` case, Baptiste's problem.
+    ``alpha`` is the wake-up cost and is read only for ``"power"``.
+    """
+    if isinstance(instance, OneIntervalInstance):
+        lifted = instance.to_multiprocessor(1)
+    else:
+        lifted = instance
+    p = lifted.num_processors
+    if objective == "gaps":
+        algebra = GapObjective(p)
+    elif objective == "power" and alpha is not None:
+        algebra = PowerObjective(p, alpha)
+    else:
+        raise ValueError(
+            f"solve_exact needs objective 'gaps', or 'power' with alpha; "
+            f"got {objective!r} with alpha={alpha!r}"
+        )
+    engine = IntervalDPEngine(IntervalDecomposition(lifted), algebra)
+    outcome = engine.solve()
+    if not outcome.feasible:
+        return ExactSolution(False, None, None, None, engine.metadata())
+    value = int(outcome.value) if objective == "gaps" else float(outcome.value)
+    times = outcome.assignment
+    schedule = schedule_from_times(instance, times)
+    return ExactSolution(True, value, schedule, times, engine.metadata())
+
+
+def schedule_from_times(
+    instance: Union[OneIntervalInstance, MultiprocessorInstance],
+    times: Dict[int, int],
+) -> Union[Schedule, MultiprocessorSchedule]:
+    """The validated schedule of a ``job -> time`` map, typed by the input.
+
+    A one-interval instance gets a :class:`~repro.core.schedule.Schedule`;
+    any multiprocessor instance, ``p = 1`` included, gets a
+    :class:`~repro.core.schedule.MultiprocessorSchedule` in staircase order
+    (:func:`~repro.core.schedule.staircase_normalize`): the jobs run at one
+    time sit on processors ``1, 2, ...`` by job index.
+    """
+    if isinstance(instance, OneIntervalInstance):
+        schedule = Schedule(instance=instance, assignment=dict(times))
+    else:
+        slots = staircase_normalize({job: (1, t) for job, t in times.items()})
+        schedule = MultiprocessorSchedule(instance=instance, assignment=slots)
     schedule.validate()
     return schedule
+
+
+def times_from_schedule(
+    schedule: Union[Schedule, MultiprocessorSchedule]
+) -> Dict[int, int]:
+    """The ``job -> time`` map of a schedule: the inverse of :func:`schedule_from_times`."""
+    return {
+        job: (slot[1] if isinstance(slot, tuple) else slot)
+        for job, slot in schedule.assignment.items()
+    }
+

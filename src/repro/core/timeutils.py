@@ -3,9 +3,9 @@
 Baptiste [Bap06] proved that for unit jobs there is always an optimal
 schedule in which the execution time of every job lies within distance ``n``
 of some release time or deadline.  The paper extends the same argument to
-the multiprocessor case (proof of Theorem 1).  The dynamic programs in
-:mod:`repro.core.multiproc_gap_dp` and :mod:`repro.core.multiproc_power_dp`
-therefore only ever place jobs at *candidate columns*:
+the multiprocessor case (proof of Theorem 1).  The interval DP of
+:mod:`repro.core.interval_dp` therefore only ever places jobs at
+*candidate columns*:
 
 ``candidates = union over jobs j of [r_j, r_j + n] and [d_j - n, d_j]``,
 

@@ -34,9 +34,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.jobs import MultiprocessorInstance
-from ..core.multiproc_gap_dp import MultiprocessorGapSolver
-from ..core.multiproc_power_dp import MultiprocessorPowerSolver
-from ..core.interval_dp import ENGINE_NAME, ENGINE_VERSION
+from ..core.interval_dp import ENGINE_NAME, ENGINE_VERSION, solve_exact
 from ..generators import (
     clustered_release_instance,
     random_multiprocessor_instance,
@@ -314,16 +312,9 @@ def time_against_host(
 
 
 def _engine_solve(case: BenchCase, instance):
-    """Solve with the engine-backed solver; returns (feasible, value, stats)."""
-    if case.objective == "gaps":
-        solver = MultiprocessorGapSolver(instance)
-        solution = solver.solve()
-        value = solution.num_gaps
-    else:
-        solver = MultiprocessorPowerSolver(instance, alpha=case.alpha)
-        solution = solver.solve()
-        value = solution.power
-    return solution.feasible, value, solver.engine.stats.as_dict()
+    """The engine plus the schedule lift; returns (feasible, value, stats)."""
+    solution = solve_exact(instance, case.objective, case.alpha)
+    return solution.feasible, solution.value, solution.engine["stats"]
 
 
 def _decomposed_solve(case: BenchCase, instance):

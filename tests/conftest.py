@@ -9,6 +9,8 @@ import pytest
 
 from repro import Job, MultiIntervalInstance, MultiprocessorInstance, OneIntervalInstance
 from repro.api.registry import registry_generation
+from repro.core.dp_profile import IntervalDecomposition
+from repro.core.interval_dp import GapObjective, IntervalDPEngine, PowerObjective
 from repro.runtime import shutdown_worker_pool
 
 
@@ -24,6 +26,20 @@ def retire_workers_after_a_registration():
     yield
     if registry_generation() != before:
         shutdown_worker_pool()
+
+
+def full_horizon_engine(instance, objective: str = "gaps", alpha=None) -> IntervalDPEngine:
+    """An engine over every integer time of the horizon: brute force's search space.
+
+    ``solve_exact`` keeps the candidate columns of Baptiste's lemma; the
+    differential tests that compare the engine with brute force on that
+    lemma-free space build the engine here and call ``solve()``.
+    """
+    if isinstance(instance, OneIntervalInstance):
+        instance = instance.to_multiprocessor(1)
+    p = instance.num_processors
+    algebra = GapObjective(p) if objective == "gaps" else PowerObjective(p, alpha)
+    return IntervalDPEngine(IntervalDecomposition(instance, use_full_horizon=True), algebra)
 
 
 def random_window_pairs(

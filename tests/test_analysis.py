@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import MultiprocessorInstance, OneIntervalInstance, Schedule, solve_multiprocessor_gap
+from repro.core import MultiprocessorInstance, OneIntervalInstance, Schedule, solve_exact
 from repro.analysis import (
     ALL_EXPERIMENTS,
     ExperimentTable,
@@ -14,6 +14,10 @@ from repro.analysis import (
     run_experiment,
     schedule_summary,
 )
+
+#: The columns in which an experiment table reports a checked correspondence
+#: or bound; every value other than ``-`` must read ``yes``.
+_CHECK_COLUMNS = ("match", "within_bound", "relation_holds", "within_3x", "sqrt_bound_ok")
 
 
 class TestMetrics:
@@ -38,7 +42,7 @@ class TestMetrics:
         instance = MultiprocessorInstance.from_pairs(
             [(0, 0), (2, 2), (0, 0)], num_processors=2
         )
-        schedule = solve_multiprocessor_gap(instance).require_schedule()
+        schedule = solve_exact(instance, "gaps").schedule
         stats = gap_statistics(schedule)
         assert stats["num_gaps"] == schedule.num_gaps()
 
@@ -91,12 +95,18 @@ class TestExperimentHarness:
         with pytest.raises(KeyError):
             run_experiment("E99")
 
-    @pytest.mark.parametrize("experiment_id", ["E1", "E2", "E5", "E9", "E12"])
+    @pytest.mark.parametrize(
+        "experiment_id", sorted(ALL_EXPERIMENTS, key=lambda key: int(key[1:]))
+    )
     def test_smoke_scale_experiments_report_success(self, experiment_id):
         table = run_experiment(experiment_id, scale="smoke")
         assert table.rows, f"{experiment_id} produced no rows"
-        if "match" in table.columns:
-            assert all(value == "yes" for value in table.column("match"))
+        for column in _CHECK_COLUMNS:
+            if column in table.columns:
+                values = [v for v in table.column(column) if v is not None and v != "-"]
+                assert all(value == "yes" for value in values), (
+                    f"{experiment_id} column {column} reports a failure: {values}"
+                )
 
     def test_e3_within_bound(self):
         table = run_experiment("E3", scale="smoke")

@@ -17,13 +17,8 @@ from repro.api import (
     select_solver,
     solve,
 )
-from repro.core.baptiste import (
-    minimize_gaps_single_processor,
-    minimize_power_single_processor,
-)
 from repro.core.brute_force import brute_force_gap_multiproc
-from repro.core.multiproc_gap_dp import solve_multiprocessor_gap
-from repro.core.multiproc_power_dp import solve_multiprocessor_power
+from repro.core.interval_dp import solve_exact
 from repro.core.power_approx import approximate_power_schedule
 from repro.core.throughput import greedy_throughput_schedule
 
@@ -163,9 +158,9 @@ class TestRegistryDispatch:
 class TestSolveResults:
     def test_gap_result_matches_core_solver(self, multiproc):
         result = solve(Problem(objective="gaps", instance=multiproc))
-        core = solve_multiprocessor_gap(multiproc)
+        core = solve_exact(multiproc, "gaps")
         assert result.status == "optimal"
-        assert result.value == core.num_gaps
+        assert result.value == core.value
         assert result.guarantee_factor == 1.0
         assert result.wall_time > 0.0
         schedule = result.require_schedule()
@@ -174,8 +169,8 @@ class TestSolveResults:
 
     def test_power_result_matches_core_solver(self, multiproc):
         result = solve(Problem(objective="power", instance=multiproc, alpha=2.0))
-        core = solve_multiprocessor_power(multiproc, alpha=2.0)
-        assert result.value == pytest.approx(core.power)
+        core = solve_exact(multiproc, "power", alpha=2.0)
+        assert result.value == pytest.approx(core.value)
         assert result.extra["alpha"] == 2.0
 
     def test_brute_force_agrees_with_dp(self, multiproc):
@@ -274,26 +269,26 @@ class TestInfeasibleUniformity:
 class TestCoreMatchesFacade:
     """Each per-theorem core function agrees with its façade envelope."""
 
-    def test_solve_multiprocessor_gap(self, multiproc):
-        core = solve_multiprocessor_gap(multiproc)
+    def test_solve_exact_gaps_multiprocessor(self, multiproc):
+        core = solve_exact(multiproc, "gaps")
         facade = solve(Problem(objective="gaps", instance=multiproc))
         assert core.feasible == facade.feasible
-        assert core.num_gaps == facade.value
+        assert core.value == facade.value
 
-    def test_solve_multiprocessor_power(self, multiproc):
-        core = solve_multiprocessor_power(multiproc, 2.0)
+    def test_solve_exact_power_multiprocessor(self, multiproc):
+        core = solve_exact(multiproc, "power", 2.0)
         facade = solve(Problem(objective="power", instance=multiproc, alpha=2.0))
-        assert core.power == pytest.approx(facade.value)
+        assert core.value == pytest.approx(facade.value)
 
-    def test_minimize_gaps_single_processor(self, one_interval):
-        core = minimize_gaps_single_processor(one_interval)
+    def test_solve_exact_gaps_single_processor(self, one_interval):
+        core = solve_exact(one_interval, "gaps")
         facade = solve(Problem(objective="gaps", instance=one_interval))
-        assert core.num_gaps == facade.value
+        assert core.value == facade.value
 
-    def test_minimize_power_single_processor(self, one_interval):
-        core = minimize_power_single_processor(one_interval, 2.0)
+    def test_solve_exact_power_single_processor(self, one_interval):
+        core = solve_exact(one_interval, "power", 2.0)
         facade = solve(Problem(objective="power", instance=one_interval, alpha=2.0))
-        assert core.power == pytest.approx(facade.value)
+        assert core.value == pytest.approx(facade.value)
 
     def test_approximate_power_schedule(self, multi_interval):
         core = approximate_power_schedule(multi_interval, 1.0)
@@ -313,7 +308,7 @@ class TestCoreMatchesFacade:
 
     def test_infeasible_core_result_matches_facade_envelope(self):
         clash = OneIntervalInstance.from_pairs([(0, 0), (0, 0)])
-        core = minimize_gaps_single_processor(clash)
+        core = solve_exact(clash, "gaps")
         facade = solve(Problem(objective="gaps", instance=clash))
         assert not core.feasible
         assert facade.status == "infeasible"

@@ -14,6 +14,7 @@ from repro import (
     is_feasible,
     is_feasible_multiproc,
 )
+from repro.generators import random_multiprocessor_instance, random_one_interval_instance
 
 
 class TestFeasibility:
@@ -67,6 +68,12 @@ class TestFeasibleSchedule:
         schedule = feasible_schedule_multiproc(instance)
         schedule.validate()
 
+    def test_multiprocessor_schedule_of_a_large_random_instance(self):
+        instance = random_multiprocessor_instance(
+            num_jobs=60, num_processors=4, horizon=120, max_window=12, seed=6
+        )
+        assert feasible_schedule_multiproc(instance).is_complete()
+
     def test_multiprocessor_infeasible(self):
         instance = MultiprocessorInstance.from_pairs(
             [(0, 0), (0, 0), (0, 0)], num_processors=2
@@ -91,6 +98,12 @@ class TestEDF:
         instance = OneIntervalInstance.from_pairs([(0, 0), (0, 0)])
         with pytest.raises(InfeasibleInstanceError):
             edf_schedule(instance)
+
+    def test_edf_completes_a_large_random_instance(self):
+        instance = random_one_interval_instance(
+            num_jobs=200, horizon=800, max_window=20, seed=3
+        )
+        assert edf_schedule(instance).is_complete()
 
     def test_edf_empty_instance(self):
         schedule = edf_schedule(OneIntervalInstance(jobs=[]))

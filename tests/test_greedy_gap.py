@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.core import OneIntervalInstance, minimize_gaps_single_processor
+from repro.core import OneIntervalInstance, solve_exact
 from repro.core.greedy_gap import greedy_gap_schedule
 from tests.conftest import random_window_pairs
 
@@ -43,14 +43,14 @@ class TestGreedyGap:
             pairs = random_window_pairs(rng, n, horizon=rng.randint(n + 2, 18), max_window=5)
             instance = OneIntervalInstance.from_pairs(pairs)
             greedy = greedy_gap_schedule(instance)
-            exact = minimize_gaps_single_processor(instance)
+            exact = solve_exact(instance, "gaps")
             if not exact.feasible:
                 assert not greedy.feasible
                 continue
             assert greedy.feasible
             # The proven guarantee is 3x; allow the additive slack of one gap
             # that the guarantee statement permits for OPT = 0.
-            assert greedy.num_gaps <= max(3 * exact.num_gaps, 1)
+            assert greedy.num_gaps <= max(3 * exact.value, 1)
 
     def test_greedy_never_beats_the_optimum(self):
         rng = random.Random(11)
@@ -58,6 +58,6 @@ class TestGreedyGap:
             pairs = random_window_pairs(rng, 5, horizon=14, max_window=6)
             instance = OneIntervalInstance.from_pairs(pairs)
             greedy = greedy_gap_schedule(instance)
-            exact = minimize_gaps_single_processor(instance)
+            exact = solve_exact(instance, "gaps")
             if greedy.feasible and exact.feasible:
-                assert greedy.num_gaps >= exact.num_gaps
+                assert greedy.num_gaps >= exact.value

@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.core import (
-    MultiIntervalInstance,
-    minimize_gaps_single_processor,
-    minimize_power_single_processor,
-    solve_multiprocessor_gap,
-    solve_multiprocessor_power,
-)
+from repro.core import MultiIntervalInstance, solve_exact
 from repro.analysis import power_breakdown, schedule_summary
 from repro.core.greedy_gap import greedy_gap_schedule
 from repro.core.power_approx import approximate_power_schedule
@@ -31,24 +25,24 @@ class TestDatacenterPipeline:
         instance = bursty_server_instance(
             num_bursts=3, jobs_per_burst=3, burst_spacing=8, slack=2, num_processors=3
         )
-        gap_solution = solve_multiprocessor_gap(instance)
-        power_solution = solve_multiprocessor_power(instance, alpha=4.0)
+        gap_solution = solve_exact(instance, "gaps")
+        power_solution = solve_exact(instance, "power", alpha=4.0)
         assert gap_solution.feasible and power_solution.feasible
         # The power optimum can always be realised with at most as much power
         # as the gap-optimal schedule costs.
-        gap_schedule_power = gap_solution.require_schedule().power_cost(4.0)
-        assert power_solution.power <= gap_schedule_power + 1e-9
+        gap_schedule_power = gap_solution.schedule.power_cost(4.0)
+        assert power_solution.value <= gap_schedule_power + 1e-9
 
     def test_simulator_confirms_power_numbers(self):
         instance = bursty_server_instance(
             num_bursts=2, jobs_per_burst=2, burst_spacing=10, slack=2, num_processors=2
         )
-        solution = solve_multiprocessor_power(instance, alpha=2.5)
-        schedule = solution.require_schedule()
+        solution = solve_exact(instance, "power", alpha=2.5)
+        schedule = solution.schedule
         sim = simulate_schedule(schedule, PowerModel(alpha=2.5))
-        assert sim.total_energy == pytest.approx(solution.power)
+        assert sim.total_energy == pytest.approx(solution.value)
         breakdown = power_breakdown(schedule, alpha=2.5)
-        assert breakdown["total"] == pytest.approx(solution.power)
+        assert breakdown["total"] == pytest.approx(solution.value)
 
 
 class TestSensorPipeline:
@@ -100,9 +94,9 @@ class TestBaselineComparison:
         instance = random_multiprocessor_instance(
             num_jobs=8, num_processors=1, horizon=24, max_window=6, seed=9
         ).single_processor_view()
-        exact = minimize_gaps_single_processor(instance)
+        exact = solve_exact(instance, "gaps")
         greedy = greedy_gap_schedule(instance)
         assert exact.feasible and greedy.feasible
-        assert exact.num_gaps <= greedy.num_gaps
-        exact_power = minimize_power_single_processor(instance, alpha=2.0)
-        assert exact_power.power <= greedy.schedule.power_cost(2.0) + 1e-9
+        assert exact.value <= greedy.num_gaps
+        exact_power = solve_exact(instance, "power", alpha=2.0)
+        assert exact_power.value <= greedy.schedule.power_cost(2.0) + 1e-9

@@ -9,7 +9,12 @@ from bisect import bisect_left, bisect_right
 
 import pytest
 
-from repro import MultiprocessorInstance
+from repro import (
+    MultiprocessorInstance,
+    MultiprocessorSchedule,
+    OneIntervalInstance,
+    Schedule,
+)
 from repro.api import Problem, from_dict, solve, to_json
 from repro.api.solvers import clear_solve_cache
 from repro.bounds import lower_bound_for
@@ -25,16 +30,13 @@ from repro.core.interval_dp import (
     GapObjective,
     IntervalDPEngine,
     PowerObjective,
-    staircase_schedule,
-)
-from repro.core.multiproc_gap_dp import MultiprocessorGapSolver, solve_multiprocessor_gap
-from repro.core.multiproc_power_dp import (
-    MultiprocessorPowerSolver,
-    solve_multiprocessor_power,
+    schedule_from_times,
+    solve_exact,
+    times_from_schedule,
 )
 from repro.generators import random_one_interval_instance
 from repro.verify import certify_bound
-from tests.conftest import random_window_pairs
+from tests.conftest import full_horizon_engine, random_window_pairs
 
 #: Envelopes of seeded gap/power problems (p = 1-4, n up to 60, some
 #: infeasible).  The first 30 were recorded from the engine when a second,
@@ -88,7 +90,7 @@ class TestEngineOutcome:
         for job_idx, t in outcome.assignment.items():
             job = instance.jobs[job_idx]
             assert job.release <= t <= job.deadline
-        schedule = staircase_schedule(instance, outcome.assignment)
+        schedule = schedule_from_times(instance, outcome.assignment)
         assert schedule.num_gaps() == outcome.value
 
     def test_metadata_shape(self):
@@ -136,11 +138,11 @@ class TestAgainstSeedBaseline:
         p = rng.randint(1, 3)
         pairs = random_window_pairs(rng, n, horizon=rng.randint(n, 12), max_window=5)
         instance = MultiprocessorInstance.from_pairs(pairs, num_processors=p)
-        engine = solve_multiprocessor_gap(instance)
+        engine = solve_exact(instance, "gaps")
         expected = _brute_force_value(instance, "gaps")
         assert engine.feasible == (expected is not None)
         if engine.feasible:
-            assert engine.num_gaps == expected
+            assert engine.value == expected
 
     @pytest.mark.parametrize("seed", range(15))
     def test_power_matches_seed_solver(self, seed):
@@ -150,11 +152,55 @@ class TestAgainstSeedBaseline:
         alpha = rng.choice([0.0, 0.5, 2.0, 4.0])
         pairs = random_window_pairs(rng, n, horizon=rng.randint(n, 11), max_window=5)
         instance = MultiprocessorInstance.from_pairs(pairs, num_processors=p)
-        engine = solve_multiprocessor_power(instance, alpha=alpha)
+        engine = solve_exact(instance, "power", alpha)
         expected = _brute_force_value(instance, "power", alpha)
         assert engine.feasible == (expected is not None)
         if engine.feasible:
-            assert engine.power == pytest.approx(expected)
+            assert engine.value == pytest.approx(expected)
+
+
+class TestScheduleFromTimes:
+    """One helper decides the schedule type a solve returns, from the input type."""
+
+    PAIRS = [(0, 2), (0, 2), (1, 3), (5, 6)]
+    TIMES = {0: 0, 1: 1, 2: 2, 3: 5}
+
+    def test_one_interval_input_gets_a_single_processor_schedule(self):
+        instance = OneIntervalInstance.from_pairs(self.PAIRS)
+        schedule = schedule_from_times(instance, self.TIMES)
+        assert type(schedule) is Schedule
+        assert schedule.instance is instance
+        assert schedule.assignment == self.TIMES
+        assert times_from_schedule(schedule) == self.TIMES
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_multiprocessor_input_gets_the_staircase(self, p):
+        instance = MultiprocessorInstance.from_pairs(self.PAIRS, num_processors=p)
+        times = {0: 0, 1: 0, 2: 2, 3: 5} if p == 3 else self.TIMES
+        schedule = schedule_from_times(instance, times)
+        assert type(schedule) is MultiprocessorSchedule
+        # Jobs sharing a time stack onto processors 1, 2, ... in index order.
+        levels = {job: proc for job, (proc, _t) in schedule.assignment.items()}
+        assert levels == ({0: 1, 1: 2, 2: 1, 3: 1} if p == 3 else {0: 1, 1: 1, 2: 1, 3: 1})
+        assert times_from_schedule(schedule) == times
+
+    def test_solve_exact_types_its_schedule_by_input(self):
+        single = solve_exact(OneIntervalInstance.from_pairs(self.PAIRS), "gaps")
+        lifted = solve_exact(
+            MultiprocessorInstance.from_pairs(self.PAIRS, num_processors=1), "gaps"
+        )
+        assert type(single.schedule) is Schedule
+        assert type(lifted.schedule) is MultiprocessorSchedule
+        assert single.value == lifted.value
+        assert times_from_schedule(single.schedule) == single.times
+        assert times_from_schedule(lifted.schedule) == lifted.times
+
+    def test_solve_exact_rejects_an_unknown_objective_or_a_missing_alpha(self):
+        instance = OneIntervalInstance.from_pairs(self.PAIRS)
+        with pytest.raises(ValueError):
+            solve_exact(instance, "throughput")
+        with pytest.raises(ValueError):
+            solve_exact(instance, "power")
 
 
 class TestPruning:
@@ -164,10 +210,9 @@ class TestPruning:
         instance = MultiprocessorInstance.from_pairs(
             [(5, 6)] * 5 + [(0, 20)], num_processors=1
         )
-        solver = MultiprocessorGapSolver(instance)
-        solution = solver.solve()
+        solution = solve_exact(instance, "gaps")
         assert not solution.feasible
-        assert solver.engine.stats.hall_pruned > 0
+        assert solution.engine["stats"]["hall_pruned"] > 0
 
     def test_hall_pruning_never_changes_the_optimum(self):
         # Random sweep: values must match the brute-force oracle whether or
@@ -178,9 +223,9 @@ class TestPruning:
             p = rng.randint(1, 2)
             pairs = random_window_pairs(rng, n, horizon=rng.randint(n, 9), max_window=3)
             instance = MultiprocessorInstance.from_pairs(pairs, num_processors=p)
-            dp = solve_multiprocessor_gap(instance, use_full_horizon=True)
+            dp = full_horizon_engine(instance).solve()
             brute, _ = brute_force_gap_multiproc(instance)
-            assert (dp.num_gaps if dp.feasible else None) == brute
+            assert dp.value == brute
 
     def test_dominance_pruning_fires_and_preserves_optimality(self):
         fired = 0
@@ -190,11 +235,11 @@ class TestPruning:
             p = rng.randint(2, 4)
             pairs = random_window_pairs(rng, n, horizon=rng.randint(n, 12), max_window=6)
             instance = MultiprocessorInstance.from_pairs(pairs, num_processors=p)
-            solver = MultiprocessorGapSolver(instance, use_full_horizon=True)
-            solution = solver.solve()
+            engine = full_horizon_engine(instance)
+            outcome = engine.solve()
             brute, _ = brute_force_gap_multiproc(instance)
-            assert (solution.num_gaps if solution.feasible else None) == brute
-            fired += solver.engine.stats.dominance_dropped > 0
+            assert outcome.value == brute
+            fired += engine.stats.dominance_dropped > 0
         # The flipped-corrected-value dominance rule fires on most random
         # multiprocessor instances; a dead prune would be silent regression.
         assert fired >= 3
@@ -207,12 +252,12 @@ class TestPruning:
             alpha = rng.choice([0.5, 1.0, 3.0])
             pairs = random_window_pairs(rng, n, horizon=rng.randint(n, 8), max_window=4)
             instance = MultiprocessorInstance.from_pairs(pairs, num_processors=p)
-            dp = solve_multiprocessor_power(instance, alpha=alpha, use_full_horizon=True)
+            dp = full_horizon_engine(instance, "power", alpha).solve()
             brute, _ = brute_force_power_multiproc(instance, alpha=alpha)
             if brute is None:
                 assert not dp.feasible
             else:
-                assert dp.power == pytest.approx(brute)
+                assert dp.value == pytest.approx(brute)
 
 
 def _bisect_hall_limits(jobs, columns, p, released, t1, t2):
@@ -351,22 +396,18 @@ class TestHallIndexCheck:
             instance = MultiprocessorInstance.from_pairs(pairs, num_processors=p)
             for objective in ("gaps", "power"):
                 alpha = rng.choice([0.3, 1.0, 2.5]) if objective == "power" else None
-                if objective == "gaps":
-                    solver = MultiprocessorGapSolver(instance)
-                else:
-                    solver = MultiprocessorPowerSolver(instance, alpha=alpha)
-                solution = solver.solve()
+                algebra = GapObjective(p) if objective == "gaps" else PowerObjective(p, alpha)
+                engine = _engine_for(instance, algebra)
+                outcome = engine.solve()
                 expected = _brute_force_value(instance, objective, alpha)
-                assert solution.feasible == (expected is not None)
-                if solution.feasible:
-                    schedule = solution.require_schedule()
-                    schedule.validate()
+                assert outcome.feasible == (expected is not None)
+                if outcome.feasible:
+                    schedule = schedule_from_times(instance, outcome.assignment)
                     if objective == "gaps":
-                        assert solution.num_gaps == expected == schedule.num_gaps()
+                        assert outcome.value == expected == schedule.num_gaps()
                     else:
-                        assert solution.power == pytest.approx(expected)
+                        assert outcome.value == pytest.approx(expected)
                         assert schedule.power_cost(alpha) == pytest.approx(expected)
-                engine = solver.engine
                 full = (1 << (p + 1)) - 1
                 withheld += sum(mask != full for mask in engine._node_allowed)
                 pruned += engine.stats.hall_pruned
@@ -564,35 +605,32 @@ class TestIterativeEvaluation:
         self, wide_window_instance
     ):
         solution = self._with_recursion_limit(
-            80, lambda: solve_multiprocessor_gap(wide_window_instance)
+            80, lambda: solve_exact(wide_window_instance, "gaps")
         )
         assert solution.feasible
-        solution.require_schedule().validate()
-        assert solution.require_schedule().num_gaps() == solution.num_gaps == 8
+        solution.schedule.validate()
+        assert solution.schedule.num_gaps() == solution.value == 8
         # The independently re-checked structural lower bound meets the
         # optimum, so 8 gaps is provably optimal.
         problem = Problem(objective="gaps", instance=wide_window_instance)
         bound = lower_bound_for(problem)
         certificate = certify_bound(problem, bound)
         assert certificate.ok, certificate.issues
-        assert certificate.recomputed_value == bound.value == solution.num_gaps
+        assert certificate.recomputed_value == bound.value == solution.value
 
     def test_power_engine_is_iterative_too(self, wide_window_instance):
         solution = self._with_recursion_limit(
             80,
-            lambda: solve_multiprocessor_power(wide_window_instance, alpha=2.0),
+            lambda: solve_exact(wide_window_instance, "power", 2.0),
         )
         assert solution.feasible
-        assert solution.power == pytest.approx(
-            solution.require_schedule().power_cost(2.0)
-        )
+        assert solution.value == pytest.approx(solution.schedule.power_cost(2.0))
 
     def test_peak_stack_depth_is_reported(self, wide_window_instance):
-        solver = MultiprocessorGapSolver(wide_window_instance)
-        solver.solve()
+        solution = solve_exact(wide_window_instance, "gaps")
         # The logical DP nests dozens of levels deep; the engine tracked
         # them on its explicit stack, not the interpreter's.
-        assert solver.engine.stats.peak_stack_depth >= 30
+        assert solution.engine["stats"]["peak_stack_depth"] >= 30
 
 
 class TestMemoReuse:
@@ -600,12 +638,12 @@ class TestMemoReuse:
         instance = MultiprocessorInstance.from_pairs(
             [(0, 3), (1, 4), (2, 6), (5, 8)], num_processors=2
         )
-        solver = MultiprocessorPowerSolver(instance, alpha=1.0)
-        first = solver.solve()
-        computed = solver.engine.stats.states_computed
-        second = solver.solve()
-        assert first.power == second.power
-        assert solver.engine.stats.states_computed == computed
+        engine = _engine_for(instance, PowerObjective(2, 1.0))
+        first = engine.solve()
+        computed = engine.stats.states_computed
+        second = engine.solve()
+        assert first.value == second.value
+        assert engine.stats.states_computed == computed
 
 
 class TestEngineV1VsV2:
@@ -619,13 +657,13 @@ class TestEngineV1VsV2:
         p = rng.randint(1, 4)
         pairs = random_window_pairs(rng, n, horizon=rng.randint(n, 14), max_window=6)
         instance = MultiprocessorInstance.from_pairs(pairs, num_processors=p)
-        solution = solve_multiprocessor_gap(instance)
+        solution = solve_exact(instance, "gaps")
         expected = _brute_force_value(instance, "gaps")
         assert solution.feasible == (expected is not None)
         if solution.feasible:
-            assert solution.num_gaps == expected
-            solution.require_schedule().validate()
-            assert solution.require_schedule().num_gaps() == solution.num_gaps
+            assert solution.value == expected
+            solution.schedule.validate()
+            assert solution.schedule.num_gaps() == solution.value
 
     @pytest.mark.parametrize("seed", range(20))
     def test_power_engines_agree(self, seed):
@@ -635,15 +673,13 @@ class TestEngineV1VsV2:
         alpha = rng.choice([0.0, 0.5, 1.5, 3.0])
         pairs = random_window_pairs(rng, n, horizon=rng.randint(n, 13), max_window=6)
         instance = MultiprocessorInstance.from_pairs(pairs, num_processors=p)
-        solution = solve_multiprocessor_power(instance, alpha=alpha)
+        solution = solve_exact(instance, "power", alpha)
         expected = _brute_force_value(instance, "power", alpha)
         assert solution.feasible == (expected is not None)
         if solution.feasible:
-            assert solution.power == pytest.approx(expected)
-            solution.require_schedule().validate()
-            assert solution.require_schedule().power_cost(alpha) == pytest.approx(
-                solution.power
-            )
+            assert solution.value == pytest.approx(expected)
+            solution.schedule.validate()
+            assert solution.schedule.power_cost(alpha) == pytest.approx(solution.value)
 
     @pytest.mark.parametrize("seed", range(len(RECORDED_ENVELOPES)))
     def test_engines_pick_identical_schedules(self, seed):
@@ -705,13 +741,12 @@ class TestPeakDepthReporting:
 
     def test_hall_pruned_run_reports_positive_depth(self):
         instance = MultiprocessorInstance.from_pairs(self.HALL_PRUNED, num_processors=1)
-        solver = MultiprocessorGapSolver(instance)
-        solution = solver.solve()
+        solution = solve_exact(instance, "gaps")
         assert not solution.feasible
-        stats = solver.engine.stats
-        assert stats.hall_pruned > 0
-        assert stats.states_computed > 0
-        assert stats.peak_stack_depth >= 1
+        stats = solution.engine["stats"]
+        assert stats["hall_pruned"] > 0
+        assert stats["states_computed"] > 0
+        assert stats["peak_stack_depth"] >= 1
 
     @pytest.mark.parametrize("objective", [GapObjective(1), PowerObjective(1, 0.3)])
     def test_root_pruned_run_reports_positive_depth(self, objective):
@@ -725,15 +760,14 @@ class TestPeakDepthReporting:
 
     def test_single_column_run_reports_positive_depth(self):
         instance = MultiprocessorInstance.from_pairs([(4, 4), (4, 4)], num_processors=2)
-        solver = MultiprocessorGapSolver(instance)
-        assert solver.solve().feasible
-        assert solver.engine.stats.peak_stack_depth >= 1
+        solution = solve_exact(instance, "gaps")
+        assert solution.feasible
+        assert solution.engine["stats"]["peak_stack_depth"] >= 1
 
     def test_v2_depth_tracks_the_dependency_chain(self):
         pairs = [(2 * i, 2 * i + 6) for i in range(60)]
         instance = MultiprocessorInstance.from_pairs(pairs, num_processors=1)
-        solver = MultiprocessorGapSolver(instance)
-        solver.solve()
+        solution = solve_exact(instance, "gaps")
         # The node DAG of the sparse staircase nests dozens of levels deep;
         # the bottom-up pass reports the longest dependency chain.
-        assert solver.engine.stats.peak_stack_depth >= 30
+        assert solution.engine["stats"]["peak_stack_depth"] >= 30

@@ -55,6 +55,14 @@ class TestHopcroftKarp:
         matching = maximum_matching(graph)
         assert len(matching) == 1
 
+    def test_large_sparse_graph(self):
+        graph = BipartiteGraph(n_left=300)
+        for i in range(300):
+            for offset in range(6):
+                graph.add_edge(i, (i * 3 + offset * 7) % 400)
+        match_left, _ = hopcroft_karp(graph)
+        assert sum(1 for m in match_left if m != -1) >= 250
+
     def test_empty_graph(self):
         graph = BipartiteGraph(n_left=0)
         match_left, match_right = hopcroft_karp(graph)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import InvalidInstanceError, is_feasible, minimize_gaps_single_processor
+from repro.core import InvalidInstanceError, is_feasible, solve_exact
 from repro.core.online import (
     compare_online_offline,
     multi_interval_online_dilemma,
@@ -27,9 +27,9 @@ class TestLowerBoundFamily:
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_offline_optimum_is_constant(self, n):
         instance = online_lower_bound_instance(n)
-        offline = minimize_gaps_single_processor(instance)
+        offline = solve_exact(instance, "gaps")
         assert offline.feasible
-        assert offline.num_gaps <= 1
+        assert offline.value <= 1
 
     def test_alternative_continuation_forces_immediate_execution(self):
         # In the alternative instance the flexible jobs MUST be executed before
@@ -44,7 +44,7 @@ class TestLowerBoundFamily:
     def test_comparison_helper(self):
         n = 4
         instance = online_lower_bound_instance(n)
-        offline = minimize_gaps_single_processor(instance).num_gaps
+        offline = solve_exact(instance, "gaps").value
         comparison = compare_online_offline(instance, offline)
         assert comparison.online_gaps >= n - 1
         assert comparison.ratio >= n - 1

@@ -42,6 +42,13 @@ class TestApproximation:
         result.schedule.validate()
         assert result.schedule.is_complete()
 
+    @pytest.mark.parametrize("n", [20, 40])
+    def test_complete_on_larger_random_instances(self, n):
+        instance = random_multi_interval_instance(
+            num_jobs=n, horizon=4 * n, intervals_per_job=2, interval_length=2, seed=n
+        )
+        assert approximate_power_schedule(instance, 3.0).schedule.is_complete()
+
     def test_infeasible_instance_raises(self):
         instance = MultiIntervalInstance.from_time_lists([[0], [0]])
         with pytest.raises(InfeasibleInstanceError):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import MultiprocessorInstance, OneIntervalInstance, Schedule, solve_multiprocessor_power
+from repro.core import MultiprocessorInstance, OneIntervalInstance, Schedule, solve_exact
 from repro.core.exceptions import InvalidInstanceError
 from repro.power import PowerModel, SleepStatePolicy, simulate_schedule
 
@@ -69,10 +69,10 @@ class TestSimulator:
         instance = MultiprocessorInstance.from_pairs(
             [(0, 1), (0, 1), (4, 6), (5, 8)], num_processors=2
         )
-        solution = solve_multiprocessor_power(instance, alpha=1.5)
-        schedule = solution.require_schedule()
+        solution = solve_exact(instance, "power", alpha=1.5)
+        schedule = solution.schedule
         sim = simulate_schedule(schedule, PowerModel(alpha=1.5))
-        assert sim.total_energy == pytest.approx(solution.power)
+        assert sim.total_energy == pytest.approx(solution.value)
         assert len(sim.traces) == schedule.used_processors()
 
     def test_empty_schedule(self):

@@ -13,6 +13,7 @@ from repro import (
     power_cost_of_busy_times,
     spans_of_busy_times,
 )
+from repro.core import solve_exact
 from repro.core.schedule import gap_lengths_of_busy_times, staircase_normalize
 
 # Keep hypothesis fast and deterministic enough for CI.
@@ -119,44 +120,34 @@ class TestSolverProperties:
     @FAST
     @given(windows_strategy, st.integers(min_value=1, max_value=3))
     def test_gap_dp_schedule_is_valid_and_matches_value(self, raw_windows, p):
-        from repro.core import solve_multiprocessor_gap
-
         pairs = [(r, r + length) for r, length in raw_windows]
         instance = MultiprocessorInstance.from_pairs(pairs, num_processors=p)
-        solution = solve_multiprocessor_gap(instance)
+        solution = solve_exact(instance, "gaps")
         if solution.feasible:
-            schedule = solution.require_schedule()
+            schedule = solution.schedule
             schedule.validate()
-            assert schedule.num_gaps() == solution.num_gaps
+            assert schedule.num_gaps() == solution.value
             assert schedule.used_processors() <= p
 
     @FAST
     @given(windows_strategy, st.floats(min_value=0, max_value=6))
     def test_power_dp_never_beats_trivial_lower_bound(self, raw_windows, alpha):
-        from repro.core import solve_multiprocessor_power
-
         pairs = [(r, r + length) for r, length in raw_windows]
         instance = MultiprocessorInstance.from_pairs(pairs, num_processors=2)
-        solution = solve_multiprocessor_power(instance, alpha=alpha)
+        solution = solve_exact(instance, "power", alpha=alpha)
         if solution.feasible:
             n = instance.num_jobs
-            assert solution.power >= n - 1e-9
-            assert solution.power >= n + alpha - 1e-9  # at least one wake-up
-            schedule = solution.require_schedule()
-            assert abs(schedule.power_cost(alpha) - solution.power) < 1e-9
+            assert solution.value >= n - 1e-9
+            assert solution.value >= n + alpha - 1e-9  # at least one wake-up
+            schedule = solution.schedule
+            assert abs(schedule.power_cost(alpha) - solution.value) < 1e-9
 
     @FAST
     @given(windows_strategy)
     def test_more_processors_never_hurt(self, raw_windows):
-        from repro.core import solve_multiprocessor_gap
-
         pairs = [(r, r + length) for r, length in raw_windows]
-        one = solve_multiprocessor_gap(
-            MultiprocessorInstance.from_pairs(pairs, num_processors=1)
-        )
-        two = solve_multiprocessor_gap(
-            MultiprocessorInstance.from_pairs(pairs, num_processors=2)
-        )
+        one = solve_exact(MultiprocessorInstance.from_pairs(pairs, num_processors=1), "gaps")
+        two = solve_exact(MultiprocessorInstance.from_pairs(pairs, num_processors=2), "gaps")
         if one.feasible:
             assert two.feasible
-            assert two.num_gaps <= one.num_gaps
+            assert two.value <= one.value

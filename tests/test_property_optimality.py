@@ -10,10 +10,9 @@ from repro.core.brute_force import (
     brute_force_power_multi_interval,
     brute_force_power_multiproc,
 )
-from repro.core.multiproc_gap_dp import solve_multiprocessor_gap
-from repro.core.multiproc_power_dp import solve_multiprocessor_power
 from repro.core.power_approx import approximate_power_schedule
 from repro.core.feasibility import is_feasible
+from tests.conftest import full_horizon_engine
 
 SLOW_OK = settings(
     max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -32,21 +31,21 @@ class TestExactSolversAreOptimal:
     def test_gap_dp_equals_brute_force(self, raw_windows, p):
         pairs = [(r, r + length) for r, length in raw_windows]
         instance = MultiprocessorInstance.from_pairs(pairs, num_processors=p)
-        dp = solve_multiprocessor_gap(instance, use_full_horizon=True)
+        dp = full_horizon_engine(instance).solve()
         brute, _ = brute_force_gap_multiproc(instance)
-        assert (dp.num_gaps if dp.feasible else None) == brute
+        assert dp.value == brute
 
     @SLOW_OK
     @given(small_jobs, st.sampled_from([0.5, 1.0, 2.0, 4.0]))
     def test_power_dp_equals_brute_force(self, raw_windows, alpha):
         pairs = [(r, r + length) for r, length in raw_windows]
         instance = MultiprocessorInstance.from_pairs(pairs, num_processors=2)
-        dp = solve_multiprocessor_power(instance, alpha=alpha, use_full_horizon=True)
+        dp = full_horizon_engine(instance, "power", alpha).solve()
         brute, _ = brute_force_power_multiproc(instance, alpha=alpha)
         if brute is None:
             assert not dp.feasible
         else:
-            assert abs(dp.power - brute) < 1e-9
+            assert abs(dp.value - brute) < 1e-9
 
 
 multi_interval_jobs = st.lists(

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.core import MultiIntervalInstance, MultiprocessorInstance, solve_multiprocessor_gap
+from repro.core import MultiIntervalInstance, MultiprocessorInstance, solve_exact
 from repro.core.brute_force import brute_force_gap_multi_interval
 from repro.core.exceptions import InvalidInstanceError
 from repro.core.feasibility import is_feasible
+from repro.generators import random_multiprocessor_instance
 from repro.reductions import (
     build_three_unit_gadget,
     build_two_interval_gadget,
@@ -96,6 +97,14 @@ class TestArithmeticView:
         diffs = {b - a for a, b in zip(starts, starts[1:])}
         assert diffs == {view.period}
 
+    def test_view_job_has_p_times_per_window_slot(self):
+        instance = random_multiprocessor_instance(
+            num_jobs=12, num_processors=2, horizon=30, max_window=8, seed=1234
+        )
+        view = multiprocessor_as_multi_interval(instance)
+        for source_job, view_job in zip(instance.jobs, view.instance.jobs):
+            assert view_job.num_times == 2 * source_job.window_length
+
     def test_slot_mapping_roundtrip(self):
         instance = MultiprocessorInstance.from_pairs([(2, 4)], num_processors=2)
         view = multiprocessor_as_multi_interval(instance)
@@ -108,9 +117,9 @@ class TestArithmeticView:
         instance = MultiprocessorInstance.from_pairs(
             [(0, 1), (0, 1), (3, 4), (3, 4)], num_processors=2
         )
-        solution = solve_multiprocessor_gap(instance)
+        solution = solve_exact(instance, "gaps")
         view = multiprocessor_as_multi_interval(instance)
-        mp_gaps, mi_gaps, used = gap_correspondence(view, solution.require_schedule())
+        mp_gaps, mi_gaps, used = gap_correspondence(view, solution.schedule)
         assert mi_gaps == mp_gaps + used - 1
 
     def test_short_period_rejected(self):

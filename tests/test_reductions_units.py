@@ -72,6 +72,14 @@ class TestDisjointToTwoUnit:
         assert abs(source_opt - derived_opt) <= 1
 
 
+    def test_round_trip_stays_disjoint_then_two_unit(self):
+        source = MultiIntervalInstance.from_time_lists([[0, 1], [1, 2], [6, 7], [10, 11]])
+        disjoint = two_unit_to_disjoint_unit(source)
+        back = disjoint_unit_to_two_unit(disjoint.instance)
+        assert disjoint.instance.is_disjoint_unit()
+        assert all(job.num_times <= 2 for job in back.instance.jobs)
+
+
 class TestBSetCoverGadget:
     @pytest.fixture
     def source(self) -> SetCoverInstance:

@@ -63,6 +63,11 @@ class TestGreedyAndLocalSearch:
         assert instance.is_packing(local)
         assert len(local) >= len(exact) - 1  # Hurkens-Schrijver style guarantee margin
 
+    def test_local_search_returns_a_packing_on_a_large_instance(self):
+        sets = [[i, i + 1, 1000 + (i % 17)] for i in range(0, 200, 2)]
+        instance = SetPackingInstance(sets=sets)
+        assert instance.is_packing(local_search_set_packing(instance, 2))
+
     def test_empty_collection(self):
         instance = SetPackingInstance(sets=[])
         assert greedy_set_packing(instance) == []

@@ -7,6 +7,7 @@ import pytest
 from repro import InvalidInstanceError, MultiIntervalInstance
 from repro.core.brute_force import brute_force_throughput
 from repro.core.throughput import greedy_throughput_schedule
+from repro.generators import periodic_sensor_instance
 from repro.generators.random_jobs import random_multi_interval_instance
 
 
@@ -60,6 +61,17 @@ class TestGreedyThroughput:
         result = greedy_throughput_schedule(instance, max_gaps=4)
         lengths = [w.length for w in result.working_intervals]
         assert lengths == sorted(lengths, reverse=True)
+
+
+    def test_larger_gap_budget_never_schedules_fewer_jobs(self):
+        instance = periodic_sensor_instance(
+            num_sensors=5, readings_per_sensor=2, period=12, window=3, seed=5
+        )
+        counts = [
+            greedy_throughput_schedule(instance, max_gaps=k).num_scheduled
+            for k in range(1, 6)
+        ]
+        assert counts == sorted(counts)
 
 
 class TestApproximationQuality:
