@@ -6,9 +6,12 @@ The gap-dp / power-dp adapters call :func:`try_decomposed_solve` before
 running the monolithic DP: when the instance splits, each component is
 solved through the ordinary façade (so every component hits the two-tier
 canonical solve cache independently and shared clusters dedupe across a
-workload), the component solves run concurrently through
-:func:`repro.runtime.run_tasks` under the configured backend, and the
-sub-results merge back into one optimal schedule.
+workload), the component solves run through :func:`repro.runtime.run_tasks`
+on the batch backend :func:`repro.runtime.resolve_backend` picks (serial
+unless ``configure_backend`` or ``REPRO_BACKEND`` names ``process``), and
+the sub-results merge back into one optimal schedule.  Pool workers learn
+``enabled``/``min_jobs`` from the pool's config snapshot, like every other
+setting.
 
 Merge semantics (both proved against the staircase-normalized optima the
 engines compute):
@@ -64,8 +67,7 @@ from ..core.interval_dp import (
 )
 from ..core.jobs import MultiprocessorInstance, OneIntervalInstance
 from ..core.timeutils import candidate_times_for_jobs
-from ..runtime.backends import default_backend_name, resolve_backend
-from ..runtime.diskcache import configure_disk_cache, disk_cache_dir
+from ..runtime.backends import resolve_backend
 from ..runtime.stream import run_tasks
 
 __all__ = [
@@ -85,12 +87,7 @@ DEFAULT_MIN_JOBS = 16
 _UNSET = object()
 
 _CONFIG_LOCK = threading.Lock()
-_CONFIG: Dict[str, object] = {
-    "enabled": True,
-    "min_jobs": DEFAULT_MIN_JOBS,
-    "backend": None,  # None -> configured default / REPRO_BACKEND / serial
-    "workers": None,
-}
+_CONFIG: Dict[str, object] = {"enabled": True, "min_jobs": DEFAULT_MIN_JOBS}
 
 _STATS_LOCK = threading.Lock()
 
@@ -113,11 +110,7 @@ _STATS = _zero_stats()
 
 
 def configure_decomposition(
-    *,
-    enabled: object = _UNSET,
-    min_jobs: object = _UNSET,
-    backend: object = _UNSET,
-    workers: object = _UNSET,
+    *, enabled: object = _UNSET, min_jobs: object = _UNSET
 ) -> Dict[str, object]:
     """Update the process-wide decomposition configuration.
 
@@ -126,23 +119,13 @@ def configure_decomposition(
     ``configure_decomposition(**snapshot)`` restores it).
 
     ``enabled`` switches decomposed solving on or off; ``min_jobs`` is
-    the smallest instance that may decompose; ``backend`` (a name) /
-    ``workers`` pin the execution backend for component solves (``None``
-    follows the configured default or ``REPRO_BACKEND``, else serial).
+    the smallest instance that may decompose.
     """
-    if backend is not _UNSET and backend is not None:
-        resolve_backend(backend)  # raises for anything but a backend name
     with _CONFIG_LOCK:
         if enabled is not _UNSET:
             _CONFIG["enabled"] = bool(enabled)
         if min_jobs is not _UNSET:
             _CONFIG["min_jobs"] = max(0, int(min_jobs))  # type: ignore[arg-type]
-        if backend is not _UNSET:
-            _CONFIG["backend"] = backend
-        if workers is not _UNSET:
-            _CONFIG["workers"] = (
-                None if workers is None else max(1, int(workers))  # type: ignore[arg-type]
-            )
         return dict(_CONFIG)
 
 
@@ -180,15 +163,10 @@ def _bump(**deltas) -> None:
 def _component_task(payload: Tuple) -> Tuple:
     """Worker-side component solve (module-level so every backend pickles it).
 
-    The parent's disk-cache directory and decomposition thresholds ride
-    along so process workers observe the caller's configuration.  Returns
-    the essentials only — ``(feasible, value, times, engine_meta)`` — to
-    keep IPC payloads small.
+    Returns the essentials only — ``(feasible, value, times,
+    engine_meta)`` — to keep IPC payloads small.
     """
-    problem, solver_name, cache_dir, enabled, min_jobs = payload
-    if disk_cache_dir() != cache_dir:
-        configure_disk_cache(cache_dir)
-    configure_decomposition(enabled=enabled, min_jobs=min_jobs)
+    problem, solver_name = payload
     from .registry import solve
 
     result = solve(problem, solver=solver_name)
@@ -205,18 +183,6 @@ def _component_task(payload: Tuple) -> Tuple:
         times_from_schedule(result.schedule),
         engine if isinstance(engine, dict) else None,
     )
-
-
-def _component_backend() -> Tuple[str, int]:
-    """Resolve the backend for component solves.
-
-    Unlike the batch default this ignores ``workers > 1``: components run
-    serially unless a backend is named.  Inside a pool worker they always
-    run serially.
-    """
-    cfg = decomposition_config()
-    backend = cfg["backend"] or default_backend_name() or "serial"
-    return resolve_backend(backend, cfg["workers"])
 
 
 def _min_seam_for(problem) -> Optional[Tuple[float, str]]:
@@ -290,15 +256,13 @@ def _run_component_solves(
 ) -> Optional[Dict[Tuple[int, int], Tuple]]:
     """Solve every ``(component, processors)`` task; ``None`` ⇒ infeasible.
 
-    Tasks stream through the configured backend in completion order; an
+    Tasks stream through the batch backend in completion order; an
     infeasible component at its full budget ``u_max`` proves the whole
     instance infeasible and stops the run (remaining tasks are abandoned,
     which under the serial backend's window of one means they were never
     started).
     """
-    cfg = decomposition_config()
-    backend, workers = _component_backend()
-    cache_dir = disk_cache_dir()
+    backend, workers = resolve_backend()
     payloads = []
     for comp_idx, procs in tasks:
         component = decomp.components[comp_idx]
@@ -309,9 +273,7 @@ def _run_component_solves(
             alpha=problem.alpha,
             max_gaps=problem.max_gaps,
         )
-        payloads.append(
-            (sub_problem, solver_name, cache_dir, cfg["enabled"], cfg["min_jobs"])
-        )
+        payloads.append((sub_problem, solver_name))
     results: Dict[Tuple[int, int], Tuple] = {}
     for index, outcome in run_tasks(
         _component_task,

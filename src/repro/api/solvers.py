@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import threading
+import time
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
 
@@ -70,9 +71,7 @@ __all__: List[str] = [
     "clear_solve_cache",
     "configure_solve_cache",
     "heuristic_deadline",
-    "seed_solve_cache",
     "solve_cache_bypass",
-    "solve_cache_contains",
     "solve_cache_stats",
 ]
 
@@ -198,6 +197,45 @@ def _replay_hit(
     )
 
 
+def replay_isomorph(
+    problem: Problem,
+    form: CanonicalForm,
+    result: SolveResult,
+    result_form: CanonicalForm,
+) -> Optional[SolveResult]:
+    """Move an exact-DP answer onto a canonically isomorphic problem.
+
+    ``result`` answered a problem whose canonical form is ``result_form``;
+    ``form`` is ``problem``'s, with the same key.  Returns the envelope a
+    cache replay of ``problem`` builds, or ``None`` unless ``result`` is an
+    optimal or infeasible ``gap-dp``/``power-dp`` answer whose schedule
+    lies on the candidate grid — exactly the answers the cache stores.
+    :func:`repro.runtime.solve_stream` finishes isomorphic duplicates
+    with it.
+    """
+    start = time.perf_counter()
+    if result.solver not in ("gap-dp", "power-dp"):
+        return None
+    if result.status == "infeasible":
+        entry: Tuple = (False, None, None, None)
+    elif result.status == "optimal" and result.schedule is not None:
+        times = times_from_schedule(result.schedule)
+        if not set(times.values()) <= set(result_form.column_times):
+            return None  # a decomposed merge with Hall-clipped times
+        entry = (
+            True,
+            result.value,
+            canonical_assignment(result_form, times),
+            result.extra.get("engine"),
+        )
+    else:
+        return None
+    replay = _replay_hit(problem, form, entry, _exact_extra_base(problem))
+    replay.solver = result.solver
+    replay.wall_time = time.perf_counter() - start
+    return replay
+
+
 def _cached_exact_solve(
     problem: Problem, objective_key: Tuple, extra_base: Dict, solve_fresh
 ) -> SolveResult:
@@ -222,21 +260,25 @@ def _cached_exact_solve(
     # Single-flight on the shared disk tier: when several processes (racing
     # portfolio members, parallel stream workers) miss on the same canonical
     # key at once, exactly one runs the DP; the rest wait for its entry and
-    # replay it — never counting as a fresh solve.  Lockless when no disk
-    # tier is configured (processes then share no cache to collide in).
+    # replay it — never counting as a fresh solve.  The tier is read only
+    # once the lock is held, so a leader that wrote its entry and unlocked
+    # just before is a hit too.  Lockless when no disk tier is configured
+    # (processes then share no cache to collide in).
     disk = get_disk_cache()
     locked = False
     cache_key = None if form is None else (objective_key, form.key)
     if disk is not None and cache_key is not None:
-        if disk.try_lock(cache_key):
-            locked = True
-        else:
-            entry = disk.wait_for_entry(cache_key)
-            if entry is not None:
-                _SOLVE_CACHE.put(cache_key, entry)
-                return _replay_hit(problem, form, entry, extra_base)
-            # The flight aborted (killed leader) or timed out: fall through
-            # and solve ourselves, locklessly — correctness over exclusivity.
+        locked = disk.try_lock(cache_key)
+        entry = disk.get(cache_key) if locked else disk.wait_for_entry(cache_key)
+        if entry is not None:
+            if locked:
+                disk.unlock(cache_key)
+            # Promote into the memory tier so the next isomorphic solve in
+            # this process never touches the filesystem.
+            _SOLVE_CACHE.put(cache_key, entry)
+            return _replay_hit(problem, form, entry, extra_base)
+        # An aborted (killed leader) or timed-out flight falls through: we
+        # solve ourselves, locklessly — correctness over exclusivity.
     try:
         with _FRESH_LOCK:
             _FRESH_SOLVES += 1
@@ -273,18 +315,7 @@ def _lookup_canonical(
     if _BYPASS_DEPTH or (_SOLVE_CACHE.maxsize <= 0 and disk is None):
         return None, None
     form = canonical_form(instance)
-    cache_key = (objective_key, form.key)
-    entry = _SOLVE_CACHE.get(cache_key)
-    if entry is not None:
-        return form, entry
-    if disk is not None:
-        entry = disk.get(cache_key)
-        if entry is not None:
-            # Promote into the memory tier so the next isomorphic solve in
-            # this process never touches the filesystem.
-            _SOLVE_CACHE.put(cache_key, entry)
-            return form, entry
-    return form, None
+    return form, _SOLVE_CACHE.get((objective_key, form.key))
 
 
 def _store_canonical(
@@ -314,81 +345,6 @@ def _objective_key_for(problem: Problem) -> Optional[Tuple]:
     return None
 
 
-def solve_cache_contains(problem: Problem) -> bool:
-    """True when some cache tier verifiably holds this problem's answer.
-
-    Counter-neutral (no hit/miss accounting, no LRU reordering).  The
-    stream pipeline uses this to decide whether replaying a duplicate in
-    the calling process is genuinely cheap: a positive answer means the
-    next :func:`repro.api.solve` of this problem is a cache replay, not a
-    DP run (modulo a concurrent eviction, which merely costs that one
-    solve).
-    """
-    if not isinstance(
-        problem.instance, (OneIntervalInstance, MultiprocessorInstance)
-    ):
-        return False
-    objective_key = _objective_key_for(problem)
-    if objective_key is None:
-        return False
-    disk = get_disk_cache()
-    if _BYPASS_DEPTH or (_SOLVE_CACHE.maxsize <= 0 and disk is None):
-        return False
-    cache_key = (objective_key, canonical_form(problem.instance).key)
-    if _SOLVE_CACHE.peek(cache_key) is not None:
-        return True
-    return disk is not None and disk.contains(cache_key)
-
-
-def seed_solve_cache(problem: Problem, result: SolveResult) -> bool:
-    """Populate the canonical cache from an already-computed result.
-
-    This is the hook :func:`repro.runtime.solve_stream` uses to finish
-    parked canonically-isomorphic duplicates without re-running the DP:
-    after the representative solve lands, its result is seeded here and
-    the duplicates replay through the cache (remapping the schedule onto
-    their own instances).  Returns ``True`` when an entry was stored.
-
-    Only results the exact gap/power adapters could themselves have
-    cached are eligible: an optimal or infeasible answer from ``gap-dp``
-    / ``power-dp`` on a canonicalizable instance, with caching enabled
-    and not bypassed.
-    """
-    if result.solver not in ("gap-dp", "power-dp"):
-        return False
-    if not isinstance(
-        problem.instance, (OneIntervalInstance, MultiprocessorInstance)
-    ):
-        return False
-    objective_key = _objective_key_for(problem)
-    if objective_key is None:
-        return False
-    disk = get_disk_cache()
-    if _BYPASS_DEPTH or (_SOLVE_CACHE.maxsize <= 0 and disk is None):
-        return False
-    form = canonical_form(problem.instance)
-    if _SOLVE_CACHE.peek((objective_key, form.key)) is not None:
-        # The representative's own solve already populated both tiers (the
-        # serial backend shares this process's cache); storing again would
-        # only burn a redundant disk write.
-        return True
-    if result.status == "infeasible":
-        _store_canonical(objective_key, form, False, None, None)
-        return True
-    if result.status != "optimal" or result.schedule is None:
-        return False
-    engine_meta = result.extra.get("engine")
-    _store_canonical(
-        objective_key,
-        form,
-        True,
-        result.value,
-        times_from_schedule(result.schedule),
-        _replay_engine_meta(engine_meta if isinstance(engine_meta, dict) else None),
-    )
-    return True
-
-
 def _infeasible(problem: Problem) -> SolveResult:
     # Adapters for flag-based cores translate ``feasible=False`` into the
     # uniform envelope; adapters for raising cores simply let
@@ -401,15 +357,20 @@ def _infeasible(problem: Problem) -> SolveResult:
     )
 
 
-def _solve_exact_dp(problem: Problem) -> SolveResult:
-    """The ``gap-dp`` and ``power-dp`` adapter: decomposed or monolithic, cached."""
-    instance = problem.instance
+def _exact_extra_base(problem: Problem) -> Dict:
+    """The ``extra`` keys of an exact-DP result, before its engine metadata."""
     extra_base: Dict = {}
     if problem.objective == "power":
         extra_base["alpha"] = problem.alpha
-    if isinstance(instance, MultiprocessorInstance):
-        extra_base["num_processors"] = instance.num_processors
+    if isinstance(problem.instance, MultiprocessorInstance):
+        extra_base["num_processors"] = problem.instance.num_processors
     extra_base["exact"] = True
+    return extra_base
+
+
+def _solve_exact_dp(problem: Problem) -> SolveResult:
+    """The ``gap-dp`` and ``power-dp`` adapter: decomposed or monolithic, cached."""
+    instance = problem.instance
 
     def solve_fresh():
         decomposed = try_decomposed_solve(problem)
@@ -425,7 +386,7 @@ def _solve_exact_dp(problem: Problem) -> SolveResult:
         )
 
     return _cached_exact_solve(
-        problem, _objective_key_for(problem), extra_base, solve_fresh
+        problem, _objective_key_for(problem), _exact_extra_base(problem), solve_fresh
     )
 
 
@@ -621,69 +582,18 @@ def _certified_heuristic_result(problem: Problem, schedule, extra: Dict) -> Solv
     )
 
 
-@register_solver(
-    "edf-gap",
-    objective="gaps",
-    kind="approximate",
-    instance_types=(OneIntervalInstance,),
-    description="O(n log n) EDF list schedule with an a-posteriori certified gap factor",
-)
-def _solve_edf_gap(problem: Problem) -> SolveResult:
+def _solve_edf(problem: Problem) -> SolveResult:
+    """The ``edf-gap`` and ``edf-power`` adapter."""
     schedule = edf_list_schedule(problem.instance)
     _publish_times(schedule.assignment)
     return _certified_heuristic_result(problem, schedule, {"heuristic": "edf"})
 
 
-@register_solver(
-    "localsearch-gap",
-    objective="gaps",
-    kind="approximate",
-    instance_types=(OneIntervalInstance,),
-    description="EDF plus block-merge local search over gap boundaries",
-)
-def _solve_localsearch_gap(problem: Problem) -> SolveResult:
+def _solve_localsearch(problem: Problem) -> SolveResult:
+    """The ``localsearch-gap`` and ``localsearch-power`` adapter."""
     search = merge_local_search(
         problem.instance,
-        objective="gaps",
-        deadline=_HEURISTIC_DEADLINE[-1],
-        on_improve=_publish_times,
-    )
-    return _certified_heuristic_result(
-        problem,
-        search.schedule,
-        {
-            "heuristic": "edf+localsearch",
-            "sweeps": search.sweeps,
-            "merges": search.merges,
-            "exhausted": search.exhausted,
-        },
-    )
-
-
-@register_solver(
-    "edf-power",
-    objective="power",
-    kind="approximate",
-    instance_types=(OneIntervalInstance,),
-    description="O(n log n) EDF list schedule with an a-posteriori certified power factor",
-)
-def _solve_edf_power(problem: Problem) -> SolveResult:
-    schedule = edf_list_schedule(problem.instance)
-    _publish_times(schedule.assignment)
-    return _certified_heuristic_result(problem, schedule, {"heuristic": "edf"})
-
-
-@register_solver(
-    "localsearch-power",
-    objective="power",
-    kind="approximate",
-    instance_types=(OneIntervalInstance,),
-    description="EDF plus power-aware block-merge local search",
-)
-def _solve_localsearch_power(problem: Problem) -> SolveResult:
-    search = merge_local_search(
-        problem.instance,
-        objective="power",
+        objective=problem.objective,
         alpha=problem.alpha,
         deadline=_HEURISTIC_DEADLINE[-1],
         on_improve=_publish_times,
@@ -698,6 +608,36 @@ def _solve_localsearch_power(problem: Problem) -> SolveResult:
             "exhausted": search.exhausted,
         },
     )
+
+
+register_solver(
+    "edf-gap",
+    objective="gaps",
+    kind="approximate",
+    instance_types=(OneIntervalInstance,),
+    description="O(n log n) EDF list schedule with an a-posteriori certified gap factor",
+)(_solve_edf)
+register_solver(
+    "localsearch-gap",
+    objective="gaps",
+    kind="approximate",
+    instance_types=(OneIntervalInstance,),
+    description="EDF plus block-merge local search over gap boundaries",
+)(_solve_localsearch)
+register_solver(
+    "edf-power",
+    objective="power",
+    kind="approximate",
+    instance_types=(OneIntervalInstance,),
+    description="O(n log n) EDF list schedule with an a-posteriori certified power factor",
+)(_solve_edf)
+register_solver(
+    "localsearch-power",
+    objective="power",
+    kind="approximate",
+    instance_types=(OneIntervalInstance,),
+    description="EDF plus power-aware block-merge local search",
+)(_solve_localsearch)
 
 
 @register_solver(

@@ -228,13 +228,6 @@ class CanonicalSolveCache:
             self.hits += 1
             return entry
 
-    def peek(self, key):
-        """Like :meth:`get` but counter- and LRU-neutral (cache introspection)."""
-        with self._lock:
-            if self.maxsize <= 0:
-                return None
-            return self._entries.get(key)
-
     def put(self, key, value) -> None:
         """Insert ``key -> value``, evicting least-recently-used overflow."""
         with self._lock:

@@ -74,7 +74,7 @@ class BenchCase:
     slack: int = 6  # splittable only: max window slack inside a cluster
     periodic: bool = False  # splittable only: identical (shifted) clusters
     decompose: bool = False  # also time the decomposed facade solve
-    decompose_backend: Optional[str] = None  # component backend (None: default chain)
+    decompose_backend: Optional[str] = None  # batch backend for component solves
 
     def make_instance(self, seed: int) -> MultiprocessorInstance:
         """Build the case's instance deterministically from ``seed``."""
@@ -345,17 +345,22 @@ def _time_decomposed(
     cache traffic is the product feature being measured — on periodic
     instances the isomorphic clusters collapse onto one component solve,
     which is how the decomposed column beats the monolith even on a
-    single-core runner.  The solve-cache, disk-cache and decomposition
-    configurations are snapshotted and restored so a bench sweep leaves
-    the process exactly as it found it.
+    single-core runner.  A case's ``decompose_backend`` is installed with
+    :func:`~repro.runtime.configure_backend` for the timed solves, so its
+    component solves run there like any other batch work.  The
+    solve-cache, disk-cache, decomposition and backend configurations are
+    snapshotted and restored so a bench sweep leaves the process exactly
+    as it found it.
     """
     from ..api.decomposition import configure_decomposition, decomposition_config
     from ..api.solvers import clear_solve_cache, configure_solve_cache, solve_cache_stats
+    from ..runtime.backends import configure_backend, configured_backend
     from ..runtime.diskcache import configure_disk_cache, disk_cache_dir
 
     saved_decomp = decomposition_config()
     saved_maxsize = solve_cache_stats()["maxsize"]
     saved_disk = disk_cache_dir()
+    saved_backend = configured_backend()
 
     def cold_solve():
         clear_solve_cache()
@@ -365,9 +370,9 @@ def _time_decomposed(
         configure_solve_cache(max(saved_maxsize, 256))
         if saved_disk is not None:
             configure_disk_cache(None)
-        configure_decomposition(
-            enabled=True, min_jobs=2, backend=case.decompose_backend
-        )
+        configure_decomposition(enabled=True, min_jobs=2)
+        if case.decompose_backend is not None:
+            configure_backend(case.decompose_backend)
         feasible, value, extra = cold_solve()
         engine_meta = (extra or {}).get("engine") or {}
         if feasible and "decomposition" not in engine_meta:
@@ -377,6 +382,7 @@ def _time_decomposed(
             )
         timing = time_callable(cold_solve, repeats, warmup)
     finally:
+        configure_backend(saved_backend)
         configure_decomposition(**saved_decomp)
         configure_solve_cache(saved_maxsize)
         clear_solve_cache()

@@ -10,20 +10,20 @@ tiers a solve consults before doing DP work.
   ``configure_backend()`` / ``REPRO_BACKEND`` / workers selection chain.
 * :mod:`repro.runtime.pool` — the persistent :class:`WorkerPool` behind
   the ``process`` backend: warm worker processes reused across sessions,
-  hard task kills (terminate-and-respawn), config-generation re-sync,
-  and the any-time incumbent channel (``publish_incumbent()``).
+  hard task kills (terminate-and-respawn), the config snapshot that alone
+  carries the caller's settings (disk-cache directory, decomposition
+  switches) to workers, and the any-time incumbent channel
+  (``publish_incumbent()``).
 * :mod:`repro.runtime.stream` — :func:`solve_stream`, the chunked
   bounded-memory pipeline with deterministic-order mode, in-flight
-  canonical dedupe, and per-task error capture; and :func:`run_tasks`,
-  the generic fan-out primitive the fuzz/bench/experiment harnesses use.
+  canonical dedupe (isomorphic duplicates take the representative's
+  answer remapped onto their own instances), and per-task error capture;
+  and :func:`run_tasks`, the generic fan-out primitive the
+  fuzz/bench/experiment harnesses use.
 * :mod:`repro.runtime.diskcache` — the content-addressed on-disk tier of
   the canonical solve cache (atomic writes, engine-version invalidation),
   enabled with ``configure_disk_cache()`` / ``--cache-dir`` /
   ``REPRO_CACHE_DIR``.
-* :mod:`repro.runtime.observe` — per-task completion observers:
-  ``add_task_observer(fn)`` sees every ``(problem, result)`` the stream
-  delivers, which is how the scheduling service aggregates engine and
-  status counters without instrumenting callers.
 
 Quickstart::
 
@@ -60,12 +60,6 @@ from .diskcache import (
     disk_cache_dir,
     get_disk_cache,
 )
-from .observe import (
-    add_task_observer,
-    notify_task_observers,
-    remove_task_observer,
-    task_observers,
-)
 from .stream import TaskOutcome, run_tasks, solve_stream
 
 __all__ = [
@@ -95,9 +89,4 @@ __all__ = [
     "TaskOutcome",
     "run_tasks",
     "solve_stream",
-    # completion observers
-    "add_task_observer",
-    "remove_task_observer",
-    "task_observers",
-    "notify_task_observers",
 ]

@@ -167,16 +167,17 @@ class DiskSolveCache:
         """True when the lock's recorded owner process is provably gone."""
         try:
             with open(path, "r", encoding="ascii") as handle:
-                pid = int(handle.read().strip() or "0")
+                pid = int(handle.read().strip())
         except (OSError, ValueError):
-            # Torn mid-write or already removed: only treat as stale once
-            # it is old enough that no live writer can still be mid-write.
+            pid = 0
+        if pid <= 0:
+            # Empty (its creator has not written its pid yet), torn or
+            # already removed: only treat as stale once it is old enough
+            # that no live writer can still be mid-write.
             try:
                 return time.time() - os.path.getmtime(path) > 10.0
             except OSError:
                 return False
-        if pid <= 0:
-            return True
         try:
             os.kill(pid, 0)
         except ProcessLookupError:
@@ -271,10 +272,6 @@ class DiskSolveCache:
         with self._lock:
             self.hits += 1
         return entry
-
-    def contains(self, key: Tuple) -> bool:
-        """Counter-neutral presence probe (the entry may still fail to load)."""
-        return os.path.isfile(self._entry_path(cache_key_digest(key)))
 
     def put(self, key: Tuple, entry: Tuple) -> None:
         """Atomically persist ``entry`` under ``key`` (last writer wins)."""

@@ -14,11 +14,13 @@ portfolio race:
   primitive the portfolio racer uses to kill losing members the moment a
   winner certifies, and to enforce budget expiry on the exact DP.
 * **Config-generation re-sync.**  Each dispatched task carries a
-  generation-stamped snapshot of the parent's relevant process-wide
-  configuration (the disk-cache directory).  Workers re-apply the
-  snapshot only when the generation moves, so long-lived workers never
-  drift from a caller that reconfigured after the fork, and the per-task
-  cost is one integer comparison.
+  generation-stamped snapshot of the parent's process-wide settings a
+  solve reads: the disk-cache directory and the decomposition switches
+  (``enabled``, ``min_jobs``).  The snapshot is the only channel by
+  which settings reach a worker; task payloads carry none.  Workers
+  re-apply it only when the generation moves, so long-lived workers
+  never drift from a caller that reconfigured after the fork, and the
+  per-task cost is one integer comparison.
 * **Registry generations.**  A forked worker knows only the solvers
   registered before its fork.  Each worker is stamped with the solver
   registry's generation at spawn, and :meth:`WorkerPool.acquire` retires
@@ -112,10 +114,11 @@ def publish_incumbent(make_payload: Callable[[], Any]) -> bool:
 
 
 def _current_config() -> Dict[str, Any]:
-    """Snapshot of the parent config workers must mirror."""
+    """Snapshot of the parent settings workers must mirror."""
+    from ..api.decomposition import decomposition_config
     from .diskcache import disk_cache_dir
 
-    return {"cache_dir": disk_cache_dir()}
+    return {"cache_dir": disk_cache_dir(), "decomposition": decomposition_config()}
 
 
 def _registry_generation() -> int:
@@ -125,10 +128,12 @@ def _registry_generation() -> int:
 
 
 def _apply_config(config: Dict[str, Any]) -> None:
+    from ..api.decomposition import configure_decomposition
     from .diskcache import configure_disk_cache, disk_cache_dir
 
     if disk_cache_dir() != config["cache_dir"]:
         configure_disk_cache(config["cache_dir"])
+    configure_decomposition(**config["decomposition"])
 
 
 def _worker_main(conn, parent_conn) -> None:

@@ -1,7 +1,7 @@
 """The streaming batch pipeline: chunked, bounded-memory task execution.
 
 Two entry points, built on the same windowed admit/drain/pop pattern
-(:func:`solve_stream` adds dedupe and cache hooks inside its loop):
+(:func:`solve_stream` adds dedupe inside its loop):
 
 * :func:`run_tasks` — the generic primitive: map a picklable function over
   an iterable on either backend (:mod:`repro.runtime.backends`),
@@ -25,13 +25,16 @@ Two entry points, built on the same windowed admit/drain/pop pattern
   latency-sensitive consumers.
 * **In-flight dedupe of canonically-identical tasks.**  Before dispatch,
   each problem is keyed by its canonical digest (exact duplicates and
-  time-shift/job-permutation isomorphs share a key).  While a
-  representative is in flight its duplicates are parked, not dispatched —
-  two workers never burn the same DP concurrently.  When the
-  representative lands: exact duplicates receive independent deep copies
-  of its result; isomorphic duplicates are replayed through the canonical
-  solve cache (seeded from the representative's result) so their
-  schedules are remapped onto their own instances.
+  time-shift/job-permutation isomorphs share a key); its canonical form
+  is computed once and kept for the remap.  While a representative is in
+  flight its duplicates are parked, not dispatched — two workers never
+  burn the same DP concurrently.  When the representative lands: exact
+  duplicates receive independent deep copies of its result; isomorphic
+  duplicates get its exact-DP answer moved onto their own instances
+  (:func:`repro.api.solvers.replay_isomorph`), with no DP and no cache
+  lookup.  A duplicate whose representative's answer cannot move (a
+  heuristic result, or a decomposed schedule off the candidate grid) is
+  dispatched like any other task.
 * **Per-task error capture.**  A crashing worker task becomes one
   ``status="error"`` :class:`~repro.api.result.SolveResult` (exception
   type, message, and traceback in ``extra``) at that task's position;
@@ -62,8 +65,6 @@ from typing import (
 )
 
 from .backends import open_session, resolve_backend
-from .diskcache import configure_disk_cache, disk_cache_dir
-from .observe import notify_task_observers
 
 __all__ = ["TaskOutcome", "run_tasks", "solve_stream"]
 
@@ -173,16 +174,12 @@ def run_tasks(
 # the solve pipeline
 # ---------------------------------------------------------------------------
 def _solve_task(payload: Tuple) -> "Any":
-    """Worker-side task: sync the disk-cache tier, then solve.
+    """Worker-side task: solve one ``(problem, solver)`` payload.
 
-    Module-level (and payload-only) so every backend can transport it.
-    The parent's disk-cache directory rides along in the payload because
-    process workers under ``spawn`` — or long-lived workers that outlive a
-    reconfiguration — would otherwise drift from the caller's cache setup.
+    Module-level so every backend can transport it.  A pool worker gets
+    the caller's settings from the pool's config snapshot, not from here.
     """
-    problem, solver, cache_dir = payload
-    if disk_cache_dir() != cache_dir:
-        configure_disk_cache(cache_dir)
+    problem, solver = payload
     from ..api.registry import solve
 
     return solve(problem, solver=solver)
@@ -205,8 +202,8 @@ def _error_result(problem, outcome: TaskOutcome):
     )
 
 
-def _dedupe_key(problem, solver: str) -> Tuple:
-    """Stream-dedupe key: canonical digest when the instance supports it.
+def _dedupe_key(problem, solver: str) -> Tuple[Tuple, Any]:
+    """Stream-dedupe key plus the canonical form it came from (or ``None``).
 
     Canonically identical problems (equal, time-shifted, or job-permuted
     instances with the same objective parameters) collapse to one key;
@@ -216,36 +213,26 @@ def _dedupe_key(problem, solver: str) -> Tuple:
     from ..core.jobs import MultiprocessorInstance, OneIntervalInstance
 
     if isinstance(problem.instance, (OneIntervalInstance, MultiprocessorInstance)):
-        digest = canonical_form(problem.instance).digest
-        return (
+        form = canonical_form(problem.instance)
+        key = (
             "canonical",
             solver,
             problem.objective,
             problem.alpha,
             problem.max_gaps,
-            digest,
+            form.digest,
         )
-    return ("structural", solver, problem)
+        return key, form
+    return ("structural", solver, problem), None
 
 
-def _parent_solve(problem, solver: str, on_error: str):
-    """Solve in the calling process (used for cache-replayable duplicates)."""
-    from ..api.registry import solve
+def _replay(problem, form, rep_problem, rep_result, rep_form):
+    """A duplicate's result from its representative's, or ``None`` to solve it."""
+    if problem == rep_problem:
+        return copy.deepcopy(rep_result)
+    from ..api.solvers import replay_isomorph
 
-    try:
-        return solve(problem, solver=solver)
-    except Exception as exc:  # noqa: BLE001 — same isolation as worker tasks
-        if on_error == "raise":
-            raise
-        return _error_result(
-            problem,
-            TaskOutcome(
-                ok=False,
-                error_type=type(exc).__name__,
-                error=str(exc),
-                traceback=_traceback.format_exc(),
-            ),
-        )
+    return replay_isomorph(problem, form, rep_result, rep_form)
 
 
 def solve_stream(
@@ -283,9 +270,9 @@ def solve_stream(
     dedupe:
         Park canonically identical in-flight tasks behind one
         representative solve; exact duplicates get independent deep
-        copies, isomorphic ones are replayed through the canonical cache.
-        Completed representatives are remembered in a bounded LRU
-        (:data:`DEDUPE_WINDOW` entries), so duplicates also collapse
+        copies, isomorphic ones get its answer remapped onto their own
+        instances.  Completed representatives are remembered in a bounded
+        LRU (:data:`DEDUPE_WINDOW` entries), so duplicates also collapse
         across the stream, not just while in flight.
     window:
         In-flight + buffered task bound (default ``2 × workers ×
@@ -304,22 +291,19 @@ def solve_stream(
         )
     name, count = resolve_backend(backend, workers)
     limit = _default_window(count, chunksize, window)
-    cache_dir = disk_cache_dir()
 
     pending: Dict[int, Any] = {}  # ordered-mode reorder buffer
     ready: deque = deque()  # unordered-mode emission queue
     next_emit = 0
     reps: Dict[Tuple, int] = {}  # dedupe key -> in-flight representative
-    key_of: Dict[int, Tuple] = {}  # in-flight index -> dedupe key
+    key_of: Dict[int, Tuple] = {}  # in-flight index -> (dedupe key, form)
     problem_of: Dict[int, Any] = {}  # in-flight index -> problem
-    parked: Dict[int, List[Tuple[int, Any]]] = {}  # rep index -> duplicates
+    parked: Dict[int, List[Tuple[int, Any, Any]]] = {}  # rep index -> duplicates
     parked_count = 0
-    finished: "OrderedDict[Tuple, Tuple[Any, Any, bool]]" = OrderedDict()
+    # dedupe key -> (problem, result, canonical form) of a representative
+    finished: "OrderedDict[Tuple, Tuple[Any, Any, Any]]" = OrderedDict()
 
-    def deliver(index: int, problem: Any, result: Any) -> None:
-        # Every emission path funnels through here exactly once per task,
-        # so this is where registered task observers see the traffic.
-        notify_task_observers(problem, result)
+    def deliver(index: int, result: Any) -> None:
         if ordered:
             pending[index] = result
         else:
@@ -341,71 +325,45 @@ def solve_stream(
             )
         return _error_result(problem_of[index], outcome)
 
-    def seed_from(problem, result) -> bool:
-        # Seeding the canonical cache can never be load-bearing: a failure
-        # just means parked isomorphic duplicates are dispatched normally.
-        from ..api.solvers import seed_solve_cache
-
-        try:
-            return seed_solve_cache(problem, result)
-        except Exception:  # noqa: BLE001
-            return False
-
-    def cache_ready(problem) -> bool:
-        # A seeded key does not guarantee a cheap replay forever: the memory
-        # tier may have evicted the entry since (it is smaller than the
-        # dedupe LRU).  Solving in the parent is only allowed when a cache
-        # tier verifiably holds the answer — otherwise the duplicate would
-        # run a full DP inline and stall the pipeline; dispatch it instead.
-        from ..api.solvers import solve_cache_contains
-
-        try:
-            return solve_cache_contains(problem)
-        except Exception:  # noqa: BLE001
-            return False
-
     with open_session(name, count, _Guarded(_solve_task), chunksize) as session:
 
-        def dispatch(index: int, problem, key: Optional[Tuple]) -> None:
+        def dispatch(index: int, problem, key: Optional[Tuple], form) -> None:
             problem_of[index] = problem
             if key is not None:
-                key_of[index] = key
-            session.submit(index, (problem, solver, cache_dir))
+                key_of[index] = (key, form)
+            session.submit(index, (problem, solver))
 
         def admit(index: int, problem) -> None:
             nonlocal parked_count
             if not dedupe:
-                dispatch(index, problem, None)
+                dispatch(index, problem, None, None)
                 return
-            key = _dedupe_key(problem, solver)
+            key, form = _dedupe_key(problem, solver)
             hit = finished.get(key)
             if hit is not None:
                 finished.move_to_end(key)
-                rep_problem, rep_result, seeded = hit
-                if problem == rep_problem:
-                    deliver(index, problem, copy.deepcopy(rep_result))
-                    return
-                if seeded and cache_ready(problem):
-                    deliver(index, problem, _parent_solve(problem, solver, on_error))
-                    return
-                dispatch(index, problem, key)
+                result = _replay(problem, form, *hit)
+                if result is None:
+                    dispatch(index, problem, key, form)
+                else:
+                    deliver(index, result)
                 return
             rep = reps.get(key)
             if rep is not None:
-                parked.setdefault(rep, []).append((index, problem))
+                parked.setdefault(rep, []).append((index, problem, form))
                 parked_count += 1
                 return
             reps[key] = index
-            dispatch(index, problem, key)
+            dispatch(index, problem, key, form)
 
         def complete(index: int, raw: Tuple) -> None:
             nonlocal parked_count
             result = resolve_outcome(index, raw)
             problem = problem_of.pop(index)
-            deliver(index, problem, result)
-            key = key_of.pop(index, None)
-            if key is None:
+            deliver(index, result)
+            if index not in key_of:
                 return
+            key, form = key_of.pop(index)
             if reps.get(key) != index:
                 return  # a re-dispatched former duplicate, not a representative
             del reps[key]
@@ -418,29 +376,23 @@ def solve_stream(
                 # representative and re-dispatched; the rest stay parked
                 # behind it.
                 if duplicates:
-                    new_rep_index, new_rep_problem = duplicates[0]
+                    new_rep_index, new_rep_problem, new_rep_form = duplicates[0]
                     parked_count -= 1
                     reps[key] = new_rep_index
-                    dispatch(new_rep_index, new_rep_problem, key)
+                    dispatch(new_rep_index, new_rep_problem, key, new_rep_form)
                     if len(duplicates) > 1:
                         parked[new_rep_index] = duplicates[1:]
                 return
-            seeded = seed_from(problem, result)
-            finished[key] = (problem, result, seeded)
+            finished[key] = (problem, result, form)
             while len(finished) > DEDUPE_WINDOW:
                 finished.popitem(last=False)
-            for dup_index, dup_problem in duplicates:
+            for dup_index, dup_problem, dup_form in duplicates:
                 parked_count -= 1
-                if dup_problem == problem:
-                    deliver(dup_index, dup_problem, copy.deepcopy(result))
-                elif seeded and cache_ready(dup_problem):
-                    deliver(
-                        dup_index,
-                        dup_problem,
-                        _parent_solve(dup_problem, solver, on_error),
-                    )
+                replayed = _replay(dup_problem, dup_form, problem, result, form)
+                if replayed is None:
+                    dispatch(dup_index, dup_problem, key, dup_form)
                 else:
-                    dispatch(dup_index, dup_problem, key)
+                    deliver(dup_index, replayed)
 
         iterator = iter(enumerate(problems))
         exhausted = False

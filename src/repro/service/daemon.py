@@ -37,12 +37,7 @@ from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..api.serialization import from_json, to_json
-from ..runtime import (
-    add_task_observer,
-    remove_task_observer,
-    resolve_backend,
-    solve_stream,
-)
+from ..runtime import resolve_backend, solve_stream
 from .queue import JobQueue, JobRecord
 from .stats import TaskMetrics
 
@@ -66,8 +61,8 @@ class SchedulerDaemon:
     poll_interval:
         Seconds to sleep between polls of an empty queue.
     metrics:
-        Optional :class:`TaskMetrics` registered as a runtime task
-        observer for the daemon's lifetime.
+        Optional :class:`TaskMetrics` that observes every result the
+        daemon writes back.
     """
 
     def __init__(
@@ -125,8 +120,6 @@ class SchedulerDaemon:
 
         The scheduler thread's target; safe to call once per instance.
         """
-        if self.metrics is not None:
-            add_task_observer(self.metrics.observe)
         self.state = "running"
         self._started.set()
         try:
@@ -152,8 +145,6 @@ class SchedulerDaemon:
             # SQLite connections are per thread: close this one now, or it
             # stays open until the GC runs.
             self.store.close()
-            if self.metrics is not None:
-                remove_task_observer(self.metrics.observe)
             # The daemon owns the process tree it spawned: solve batches run
             # through the shared warm pool, so a stopping daemon must reap
             # those workers or every drain leaks them.
@@ -191,7 +182,10 @@ class SchedulerDaemon:
                 with_index=True,
                 on_error="result",
             ):
-                self._write_back(pairs[index][0], result)
+                record, problem = pairs[index]
+                if self.metrics is not None:
+                    self.metrics.observe(problem, result)
+                self._write_back(record, result)
 
     def _write_back(self, record: JobRecord, result: Any) -> None:
         failed = result.status == "error"

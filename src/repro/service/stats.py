@@ -8,14 +8,14 @@ running service:
 * ``cache`` — :func:`repro.api.solve_cache_stats` verbatim: memory-tier
   size/hits/misses, fresh-solve count, and the disk tier's counters.
 * ``engine`` / ``tasks`` — aggregated from a :class:`TaskMetrics`, which
-  observes every result the runtime delivers (via
-  :func:`repro.runtime.add_task_observer`) and accumulates the interval-DP
-  engine's pruning/memoization counters plus per-status task totals.
+  the scheduler daemon feeds every result it writes back, and which
+  accumulates the interval-DP engine's pruning/memoization counters plus
+  per-status task totals.
 
-The daemon installs its own :class:`TaskMetrics` for its lifetime; the CLI
-reports the in-process counters (zero in a fresh process — the cache block
-still carries the on-disk inventory), or fetches a live service's payload
-with ``repro-sched stats --url``.
+The daemon owns its :class:`TaskMetrics` for its lifetime; the bare CLI
+has no daemon, so its engine and task blocks read zero (the cache block
+still carries the on-disk inventory), and ``repro-sched stats --url``
+fetches a live service's payload instead.
 """
 
 from __future__ import annotations
@@ -32,10 +32,9 @@ _PEAK_COUNTERS = frozenset({"peak_stack_depth"})
 class TaskMetrics:
     """Thread-safe aggregation of delivered task results.
 
-    ``observe(problem, result)`` matches the runtime task-observer
-    signature, so an instance plugs straight into
-    :func:`repro.runtime.add_task_observer`.  Counters mirror the fuzz
-    driver's engine-profile semantics: additive counters sum across tasks,
+    The scheduler daemon calls ``observe(problem, result)`` once per
+    result it writes back.  Counters mirror the fuzz driver's
+    engine-profile semantics: additive counters sum across tasks,
     high-water marks (``peak_stack_depth``) take the maximum.
     """
 
@@ -87,20 +86,15 @@ class TaskMetrics:
             }
 
 
-#: Metrics the bare CLI reports on; a daemon uses its own instance instead.
-PROCESS_METRICS = TaskMetrics()
-
-
 def operational_stats(metrics: Optional[TaskMetrics] = None) -> Dict[str, Any]:
     """The shared stats payload: cache tiers + engine counters + task totals.
 
-    ``metrics`` defaults to the module-level :data:`PROCESS_METRICS`
-    (all-zero unless something registered it as a task observer); the
-    daemon passes its own live instance and layers a ``service`` block on
-    top.
+    Without ``metrics`` (the bare CLI) the engine and task blocks read
+    zero; the daemon passes its own live instance and layers a
+    ``service`` block on top.
     """
     from ..api.solvers import solve_cache_stats
 
     payload: Dict[str, Any] = {"cache": solve_cache_stats()}
-    payload.update((metrics or PROCESS_METRICS).snapshot())
+    payload.update((metrics or TaskMetrics()).snapshot())
     return payload

@@ -5,7 +5,8 @@ values, schedules and serialized results to the monolithic DP, across
 objectives, processor counts and execution backends, fresh or from
 cache.  These tests pin that contract, plus the orchestration details —
 per-component cache population, the infeasible-component short-circuit,
-the synthesized ``decomposition`` metadata block, and the config gates.
+the synthesized ``decomposition`` metadata block, the config gates, and
+warm pool workers following a later reconfiguration.
 """
 
 import pytest
@@ -24,6 +25,7 @@ from repro.api import (
     decomposition_stats,
     reset_decomposition_stats,
     solve,
+    solve_batch,
     solve_cache_bypass,
     solve_cache_stats,
     to_json,
@@ -31,17 +33,22 @@ from repro.api import (
 from repro.api.decomposition import DEFAULT_MIN_JOBS
 from repro.core.jobs import Job
 from repro.generators import splittable_instance
+from repro.runtime import configure_backend, configured_backend
 
 
 @pytest.fixture(autouse=True)
 def decomposition_sandbox():
-    """Fresh cache + a permissive decomposition config, restored afterwards."""
+    """Fresh cache, a permissive decomposition config and serial component
+    solves (the batch backend), all restored afterwards."""
     saved = decomposition_config()
+    saved_backend = configured_backend()
     configure_solve_cache(256)
     clear_solve_cache()
-    configure_decomposition(enabled=True, min_jobs=2, backend="serial", workers=None)
+    configure_decomposition(enabled=True, min_jobs=2)
+    configure_backend("serial")
     reset_decomposition_stats()
     yield
+    configure_backend(saved_backend)
     configure_decomposition(**saved)
     configure_solve_cache(256)
     clear_solve_cache()
@@ -160,7 +167,7 @@ class TestByteIdentity:
         serialized = {}
         for backend in ("serial", "process"):
             clear_solve_cache()
-            configure_decomposition(backend=backend, workers=2)
+            configure_backend(backend)
             serialized[backend] = to_json(solve(problem, solver="gap-dp"))
         assert serialized["serial"] == serialized["process"]
 
@@ -172,7 +179,7 @@ class TestByteIdentity:
         serialized = {}
         for backend in ("serial", "process"):
             clear_solve_cache()
-            configure_decomposition(backend=backend, workers=2)
+            configure_backend(backend)
             serialized[backend] = to_json(solve(problem, solver="power-dp"))
         assert serialized["serial"] == serialized["process"]
 
@@ -277,17 +284,32 @@ class TestMetadataAndConfig:
         assert "decomposition" not in result.extra["engine"]
 
     def test_config_snapshot_round_trips(self):
-        snapshot = configure_decomposition(min_jobs=7, backend="process", workers=3)
-        configure_decomposition(min_jobs=99, backend=None, workers=None)
-        restored = configure_decomposition(**snapshot)
-        assert restored["min_jobs"] == 7
-        assert restored["backend"] == "process"
-        assert restored["workers"] == 3
-
-    def test_backend_takes_a_known_name_only(self):
-        with pytest.raises(ValueError):
-            configure_decomposition(backend="thread")
-        assert decomposition_config()["backend"] == "serial"
+        snapshot = configure_decomposition(enabled=False, min_jobs=7)
+        assert snapshot == {"enabled": False, "min_jobs": 7}
+        configure_decomposition(enabled=True, min_jobs=99)
+        assert configure_decomposition(**snapshot) == snapshot
 
     def test_default_min_jobs_protects_small_instances(self):
         assert DEFAULT_MIN_JOBS >= 8
+
+
+class TestWarmWorkerSettings:
+    """Pool workers forked under one decomposition setting must follow the
+    caller's later reconfiguration: the pool's config snapshot carries it."""
+
+    @pytest.mark.parametrize("change", [{"enabled": False}, {"min_jobs": 1000}])
+    def test_process_batch_matches_serial_after_reconfiguring(self, change):
+        warm = solve_batch(
+            [gap_problem(num_jobs=12, num_processors=2, seed=21)],
+            backend="process",
+            workers=2,
+        )
+        assert "decomposition" in warm[0].extra["engine"]
+        configure_decomposition(**change)
+        # A problem no worker has solved yet, so no worker-side cache entry
+        # can answer for it.
+        problem = gap_problem(num_jobs=12, num_processors=2, seed=22)
+        serial = solve_batch([problem], backend="serial")
+        parallel = solve_batch([problem], backend="process", workers=2)
+        assert "decomposition" not in serial[0].extra["engine"]
+        assert to_json(parallel[0]) == to_json(serial[0])

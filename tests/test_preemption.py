@@ -180,6 +180,50 @@ class TestSingleFlight:
         assert cache.try_lock(key) is True  # broken and re-acquired
         cache.unlock(key)
 
+    def test_empty_lock_is_live_until_old(self, tmp_path):
+        # A lock whose creator has not written its pid yet must not read
+        # as a dead owner's: only the torn-write age rule may break it.
+        cache = DiskSolveCache(str(tmp_path))
+        key = (("gaps",), ("unwritten",))
+        path = cache._lock_path(cache_key_digest(key))
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        os.close(os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+        assert cache._lock_is_stale(path) is False
+        assert cache.try_lock(key) is False
+        aged = time.time() - 11.0
+        os.utime(path, (aged, aged))
+        assert cache._lock_is_stale(path) is True
+        assert cache.try_lock(key) is True
+        cache.unlock(key)
+
+    def test_entry_landing_before_the_lock_replays(self, tmp_path, monkeypatch):
+        # A leader that writes its entry and unlocks between this process's
+        # lookup and its lock has answered: no second DP may run.
+        cache = configure_disk_cache(str(tmp_path))
+        problem = Problem(
+            objective="gaps",
+            instance=OneIntervalInstance.from_pairs([(0, 3), (2, 6), (9, 12)]),
+        )
+        first = solve(problem, solver="gap-dp")
+        (entry_path,) = list(cache._walk_entries())
+        held = str(tmp_path / "held-entry")
+        os.replace(entry_path, held)
+        clear_solve_cache()
+        real_try_lock = DiskSolveCache.try_lock
+
+        def leader_lands_first(self, key):
+            os.replace(held, entry_path)
+            return real_try_lock(self, key)
+
+        monkeypatch.setattr(DiskSolveCache, "try_lock", leader_lands_first)
+        replay = solve(problem, solver="gap-dp")
+        assert replay == first
+        assert solve_cache_stats()["fresh_solves"] == 0
+        assert not [
+            name for _d, _s, names in os.walk(tmp_path) for name in names
+            if name.endswith(".lock")
+        ]
+
     def test_waiter_gets_the_leaders_entry(self, tmp_path):
         cache = DiskSolveCache(str(tmp_path))
         key = (("gaps",), ("flight",))

@@ -17,7 +17,7 @@ import threading
 import pytest
 
 from repro.api import Problem, SolveResult, from_json, solve, solve_batch, to_json
-from repro.api.solvers import seed_solve_cache, solve_cache_stats
+from repro.api.solvers import replay_isomorph, solve_cache_stats
 from repro.api import clear_solve_cache, configure_solve_cache
 from repro.core.exceptions import SolverError
 from repro.generators import (
@@ -328,6 +328,101 @@ class TestSolveStream:
         assert solve_cache_stats()["fresh_solves"] == 1
         assert solve_cache_stats()["hits"] == 0
 
+    def test_dedupe_with_cache_disabled_collapses_isomorphs(self):
+        configure_solve_cache(0)
+        clear_solve_cache()
+        problems = [shifted_problem(shift) for shift in (0, 3, 11, 7)]
+        results = list(solve_stream(problems, backend="serial"))
+        # The stream moves the representative's answer onto each isomorph
+        # itself, so no cache tier is needed for them to share one DP run.
+        assert solve_cache_stats()["fresh_solves"] == 1
+        assert len({r.value for r in results}) == 1
+        for problem, result in zip(problems, results):
+            assert result.require_schedule().instance == problem.instance
+            result.schedule.validate()
+
+    def test_far_isomorphs_inside_the_dedupe_window_solve_once(self):
+        from repro.api import OneIntervalInstance
+        from repro.api.solvers import DEFAULT_SOLVE_CACHE_SIZE
+        from repro.runtime.stream import DEDUPE_WINDOW
+
+        # More distinct classes than the memory tier holds, each seen again
+        # shifted once all of them have been solved: the stream's record of
+        # finished representatives answers every repeat.
+        count = DEFAULT_SOLVE_CACHE_SIZE + 44
+        assert 2 * count <= DEDUPE_WINDOW
+        pairs = [[(0, 2 + i), (1, 3 + i)] for i in range(count)]
+        problems = [
+            Problem(objective="gaps", instance=OneIntervalInstance.from_pairs(p))
+            for p in pairs
+        ] + [
+            Problem(
+                objective="gaps",
+                instance=OneIntervalInstance.from_pairs(
+                    [(r + 5, d + 5) for r, d in p]
+                ),
+            )
+            for p in pairs
+        ]
+        results = solve_batch(problems, backend="serial")
+        assert solve_cache_stats()["fresh_solves"] == count
+        for problem, result, first in zip(problems[count:], results[count:], results):
+            assert result.value == first.value
+            assert result.require_schedule().instance == problem.instance
+
+    def test_replay_isomorph_eligibility(self):
+        from repro.api import OneIntervalInstance, configure_decomposition
+        from repro.api.decomposition import decomposition_config
+        from repro.core.canonical import canonical_form
+
+        def moved_pair(pairs, shift=6):
+            first = Problem(
+                objective="gaps", instance=OneIntervalInstance.from_pairs(pairs)
+            )
+            second = Problem(
+                objective="gaps",
+                instance=OneIntervalInstance.from_pairs(
+                    [(r + shift, d + shift) for r, d in reversed(pairs)]
+                ),
+            )
+            return first, canonical_form(first.instance), second, canonical_form(
+                second.instance
+            )
+
+        # An optimal and an infeasible exact answer move, and each lands as
+        # the envelope a cache replay of the moved problem builds.
+        for pairs in ([(0, 2), (1, 4), (6, 9)], [(3, 3), (3, 3)]):
+            clear_solve_cache()
+            problem, form, moved, moved_form = moved_pair(pairs)
+            result = solve(problem)
+            cached = solve(moved)
+            assert solve_cache_stats()["hits"] == 1
+            replay = replay_isomorph(moved, moved_form, result, form)
+            assert to_json(replay) == to_json(cached)
+            assert replay.solver == cached.solver == "gap-dp"
+        problem, form, moved, moved_form = moved_pair([(0, 2), (1, 4), (6, 9)])
+        # Heuristic and throughput answers do not move.
+        greedy = solve(problem, solver="greedy-gap")
+        assert replay_isomorph(moved, moved_form, greedy, form) is None
+        tp = mixed_workload(3)[2]
+        assert replay_isomorph(moved, moved_form, solve(tp), form) is None
+        # Nor does a decomposed schedule with a Hall-clipped time off the
+        # candidate grid, which the cache does not store either.
+        saved = decomposition_config()
+        configure_decomposition(enabled=True, min_jobs=2)
+        try:
+            problem, form, moved, moved_form = moved_pair(
+                [(4, 9), (11, 21), (2, 16), (45, 48)]
+            )
+            result = solve(problem)
+        finally:
+            configure_decomposition(**saved)
+        assert "decomposition" in result.extra["engine"]
+        assert not set(result.schedule.assignment.values()) <= set(
+            form.column_times
+        )
+        assert replay_isomorph(moved, moved_form, result, form) is None
+
     def test_on_error_validation(self):
         with pytest.raises(ValueError):
             list(solve_stream([], on_error="explode"))
@@ -516,24 +611,6 @@ class TestTwoTierCache:
         assert stats["fresh_solves"] == 1
         assert stats["disk"]["hits"] == 1 and stats["disk"]["writes"] == 1
 
-    def test_seed_solve_cache_eligibility(self, tmp_path):
-        problem = shifted_problem(0)
-        result = solve(problem)
-        clear_solve_cache()
-        from repro.api.solvers import _SOLVE_CACHE
-
-        _SOLVE_CACHE.clear()
-        assert seed_solve_cache(problem, result) is True
-        replay = solve(problem)
-        assert to_json(replay) == to_json(result)
-        assert solve_cache_stats()["fresh_solves"] == 0
-        # Non-exact results are not eligible.
-        greedy = solve(problem, solver="greedy-gap")
-        assert seed_solve_cache(problem, greedy) is False
-        # Throughput problems have no canonical objective key.
-        tp = mixed_workload(3)[2]
-        assert seed_solve_cache(tp, solve(tp)) is False
-
 
 # ---------------------------------------------------------------------------
 # satellite: robustness against on-disk entry corruption
@@ -653,17 +730,18 @@ class TestConcurrentAccounting:
         results = list(solve_stream(problems, backend="serial"))
         stats = solve_cache_stats()
         # The canonical dedupe parks the five isomorphic duplicates behind
-        # one representative: exactly one miss-then-fresh-solve, then
-        # exactly one cache replay per duplicate.
+        # one representative: exactly one miss-then-fresh-solve, and the
+        # stream remaps that answer onto each duplicate without a lookup.
         assert stats["fresh_solves"] == 1
         assert stats["misses"] == 1
-        assert stats["hits"] == len(shifts) - 1
+        assert stats["hits"] == 0
         assert len({r.value for r in results}) == 1
 
         # Plain threads of one process run their own deduped streams on
-        # the shared cache.  Only a thread's first lookup can miss (before
-        # any thread has stored the answer); every other one must hit, and
-        # each must count exactly once.
+        # the shared cache; each stream looks up its representative only.
+        # Only a thread's first lookup can miss (before any thread has
+        # stored the answer); every other one must hit, and each must
+        # count exactly once.
         clear_solve_cache()
         threads_count, rounds = 4, 10
         values = [set() for _ in range(threads_count)]
@@ -692,7 +770,7 @@ class TestConcurrentAccounting:
         assert not any(thread.is_alive() for thread in threads)
         assert values == [{results[0].value}] * threads_count
         stats = solve_cache_stats()
-        assert stats["hits"] + stats["misses"] == threads_count * rounds * len(shifts)
+        assert stats["hits"] + stats["misses"] == threads_count * rounds
         assert 1 <= stats["misses"] <= threads_count
         assert stats["fresh_solves"] == stats["misses"]
 
@@ -884,34 +962,6 @@ class TestErrorDedupeRetry:
             assert attempts["count"] == 2
         finally:
             _REGISTRY.pop("flaky-later-test", None)
-
-
-class TestCacheContains:
-    def test_contains_tracks_both_tiers(self, tmp_path):
-        from repro.api.solvers import _SOLVE_CACHE, solve_cache_contains
-
-        problem = shifted_problem(0)
-        assert solve_cache_contains(problem) is False
-        solve(problem)
-        assert solve_cache_contains(problem) is True
-        # Evicted from memory, no disk tier: no longer cheaply replayable.
-        _SOLVE_CACHE.clear()
-        assert solve_cache_contains(problem) is False
-        # With a disk tier the entry survives memory eviction.
-        configure_disk_cache(str(tmp_path))
-        clear_solve_cache()
-        solve(problem)
-        _SOLVE_CACHE.clear()
-        assert solve_cache_contains(problem) is True
-
-    def test_contains_is_counter_neutral(self):
-        from repro.api.solvers import solve_cache_contains
-
-        problem = shifted_problem(0)
-        solve(problem)
-        before = solve_cache_stats()
-        solve_cache_contains(problem)
-        assert solve_cache_stats() == before
 
 
 class TestFuzzCorpusPersistence:

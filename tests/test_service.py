@@ -259,6 +259,55 @@ class TestSubmitPollResult:
         )
 
 
+class TestTaskMetrics:
+    """``/v1/stats`` counts each result the daemon writes back exactly once."""
+
+    def test_every_written_back_result_is_counted(self, make_server, connect):
+        server = make_server()
+        client = connect(server, "metrics")
+        problems = [gap_problem(1), gap_problem(2), power_problem(3)]
+        for job_id in [client.submit(problem) for problem in problems]:
+            client.result(job_id, timeout=30.0)
+        payload = client.stats()
+        statuses = {}
+        for problem in problems:
+            status = solve(problem).status
+            statuses[status] = statuses.get(status, 0) + 1
+        assert payload["tasks"]["completed"] == len(problems)
+        assert payload["tasks"]["by_status"] == statuses
+        assert payload["engine"]["states_computed"] > 0
+
+    def test_exact_duplicates_count_once_each(self, make_server, connect):
+        server = make_server(window=4)
+        client = connect(server, "dupes")
+        blocker = client.submit(sleepy_problem(0), solver="test-sleepy")
+        _wait_for_state(client, blocker, "running")
+        # Queued behind the blocker, the copies share one claimed window:
+        # the stream solves one and hands the others copies of its result.
+        copies = [client.submit(gap_problem(4)) for _ in range(3)]
+        SLEEP_GATE.set()
+        for job_id in [blocker] + copies:
+            client.result(job_id, timeout=30.0)
+        tasks = client.stats()["tasks"]
+        assert tasks["completed"] == 4
+        copy_status = solve(gap_problem(4)).status
+        assert tasks["by_status"][copy_status] >= 3
+        assert sum(tasks["by_status"].values()) == 4
+
+    def test_error_envelopes_count_once_each(self, make_server, connect):
+        server = make_server()
+        client = connect(server, "errors")
+        job_ids = [
+            client.submit(sleepy_problem(seed), solver="test-crash")
+            for seed in range(2)
+        ]
+        for job_id in job_ids:
+            _wait_for_state(client, job_id, "error")
+        tasks = client.stats()["tasks"]
+        assert tasks["completed"] == 2
+        assert tasks["by_status"] == {"error": 2}
+
+
 class TestCancel:
     def test_cancel_queued_is_immediate(self, make_server, connect):
         server = make_server(window=1)
