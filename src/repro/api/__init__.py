@@ -69,8 +69,6 @@ from ..bounds import (
 )
 from .batch import solve_batch
 from .decomposition import (
-    configure_decomposition,
-    decomposition_config,
     decomposition_stats,
     reset_decomposition_stats,
     try_decomposed_solve,
@@ -123,8 +121,6 @@ __all__ = [
     "solve_cache_bypass",
     "solve_cache_stats",
     # decomposed solving
-    "configure_decomposition",
-    "decomposition_config",
     "decomposition_stats",
     "reset_decomposition_stats",
     "try_decomposed_solve",

@@ -1,17 +1,16 @@
-"""Decomposed exact solves: cluster detection, concurrent component DPs, merge.
+"""Decomposed exact solves: cluster detection, component DPs, merge.
 
 :mod:`repro.core.decompose` finds the time-disjoint clusters of an
 instance; this module turns that structure into a faster *exact* solve.
 The gap-dp / power-dp adapters call :func:`try_decomposed_solve` before
-running the monolithic DP: when the instance splits, each component is
-solved through the ordinary façade (so every component hits the two-tier
-canonical solve cache independently and shared clusters dedupe across a
-workload), the component solves run through :func:`repro.runtime.run_tasks`
-on the batch backend :func:`repro.runtime.resolve_backend` picks (serial
-unless ``configure_backend`` or ``REPRO_BACKEND`` names ``process``), and
-the sub-results merge back into one optimal schedule.  Pool workers learn
-``enabled``/``min_jobs`` from the pool's config snapshot, like every other
-setting.
+running the monolithic DP, on every instance of at least
+:data:`DEFAULT_MIN_JOBS` jobs.  When the instance splits, each component
+is solved in the calling process, in frontier order, through the
+ordinary façade — so every component hits the two-tier canonical solve
+cache independently and shared clusters dedupe across a workload — and
+the sub-results merge back into one optimal schedule.  No setting
+switches this on or off; :func:`repro.core.solve_exact` is the
+monolithic answer.
 
 Merge semantics (both proved against the staircase-normalized optima the
 engines compute):
@@ -38,18 +37,19 @@ engines compute):
   DP rather than ever returning a wrong answer).
 
 An infeasible component at its full processor budget proves the whole
-instance infeasible, so the orchestrator short-circuits without solving
-the remaining components (exactly so under the serial backend, which
-runs with an in-flight window of one).
+instance infeasible, so the orchestrator stops there and never solves
+the remaining components.
 
 Determinism contract: everything returned to the adapter — value, the
 merged times, and the synthesized engine metadata (which embeds a
 ``decomposition`` block with per-component engine stats) — is a pure
-function of the instance and configuration, never of backend timing, so
+function of the instance, never of the batch backend or of timing, so
 decomposed results stay byte-identical across backends and across
-fresh-vs-cache-replay.  Wall-clock decomposition time is deliberately
-*not* in the result envelope (it would break replay byte-identity);
-it accumulates in :func:`decomposition_stats`.
+fresh-vs-cache-replay.  They equal the monolithic DP's *values*; the
+envelope differs from the monolith's (the ``decomposition`` block, and
+possibly another optimal schedule).  Wall-clock decomposition time is
+deliberately *not* in the result envelope (it would break replay
+byte-identity); it accumulates in :func:`decomposition_stats`.
 """
 
 from __future__ import annotations
@@ -62,18 +62,14 @@ from ..core.decompose import Decomposition, decompose_instance
 from ..core.interval_dp import (
     ENGINE_NAME,
     ENGINE_VERSION,
+    ExactSolution,
     schedule_from_times,
     times_from_schedule,
 )
 from ..core.jobs import MultiprocessorInstance, OneIntervalInstance
-from ..core.timeutils import candidate_times_for_jobs
-from ..runtime.backends import resolve_backend
-from ..runtime.stream import run_tasks
 
 __all__ = [
     "DEFAULT_MIN_JOBS",
-    "configure_decomposition",
-    "decomposition_config",
     "decomposition_stats",
     "reset_decomposition_stats",
     "try_decomposed_solve",
@@ -83,11 +79,6 @@ __all__ = [
 #: instance beats any orchestration overhead, and exact cache-counter
 #: expectations in small-instance tests stay undisturbed.
 DEFAULT_MIN_JOBS = 16
-
-_UNSET = object()
-
-_CONFIG_LOCK = threading.Lock()
-_CONFIG: Dict[str, object] = {"enabled": True, "min_jobs": DEFAULT_MIN_JOBS}
 
 _STATS_LOCK = threading.Lock()
 
@@ -107,32 +98,6 @@ def _zero_stats() -> Dict[str, object]:
 
 
 _STATS = _zero_stats()
-
-
-def configure_decomposition(
-    *, enabled: object = _UNSET, min_jobs: object = _UNSET
-) -> Dict[str, object]:
-    """Update the process-wide decomposition configuration.
-
-    Only the keyword arguments actually passed change; the new
-    configuration snapshot is returned (and is round-trippable:
-    ``configure_decomposition(**snapshot)`` restores it).
-
-    ``enabled`` switches decomposed solving on or off; ``min_jobs`` is
-    the smallest instance that may decompose.
-    """
-    with _CONFIG_LOCK:
-        if enabled is not _UNSET:
-            _CONFIG["enabled"] = bool(enabled)
-        if min_jobs is not _UNSET:
-            _CONFIG["min_jobs"] = max(0, int(min_jobs))  # type: ignore[arg-type]
-        return dict(_CONFIG)
-
-
-def decomposition_config() -> Dict[str, object]:
-    """Snapshot of the current configuration (safe to mutate)."""
-    with _CONFIG_LOCK:
-        return dict(_CONFIG)
 
 
 def decomposition_stats() -> Dict[str, object]:
@@ -158,31 +123,6 @@ def _bump(**deltas) -> None:
     with _STATS_LOCK:
         for key, delta in deltas.items():
             _STATS[key] += delta
-
-
-def _component_task(payload: Tuple) -> Tuple:
-    """Worker-side component solve (module-level so every backend pickles it).
-
-    Returns the essentials only — ``(feasible, value, times,
-    engine_meta)`` — to keep IPC payloads small.
-    """
-    problem, solver_name = payload
-    from .registry import solve
-
-    result = solve(problem, solver=solver_name)
-    if result.status == "infeasible":
-        return (False, None, None, None)
-    if result.status != "optimal" or result.schedule is None:
-        raise RuntimeError(
-            f"component solve returned status {result.status!r}"
-        )
-    engine = result.extra.get("engine")
-    return (
-        True,
-        result.value,
-        times_from_schedule(result.schedule),
-        engine if isinstance(engine, dict) else None,
-    )
 
 
 def _min_seam_for(problem) -> Optional[Tuple[float, str]]:
@@ -253,42 +193,41 @@ def _run_component_solves(
     solver_name: str,
     tasks: List[Tuple[int, int]],
     u_max: List[int],
-) -> Optional[Dict[Tuple[int, int], Tuple]]:
+) -> Optional[Dict[Tuple[int, int], Optional[Tuple]]]:
     """Solve every ``(component, processors)`` task; ``None`` ⇒ infeasible.
 
-    Tasks stream through the batch backend in completion order; an
-    infeasible component at its full budget ``u_max`` proves the whole
-    instance infeasible and stops the run (remaining tasks are abandoned,
-    which under the serial backend's window of one means they were never
-    started).
+    Tasks run in order, in this process, through the façade's ``solve``.
+    An infeasible component at its full budget ``u_max`` proves the whole
+    instance infeasible, and the remaining tasks never start.
     """
-    backend, workers = resolve_backend()
-    payloads = []
+    from .registry import solve
+
+    results: Dict[Tuple[int, int], Optional[Tuple]] = {}
     for comp_idx, procs in tasks:
         component = decomp.components[comp_idx]
-        sub = _sub_instance(problem.instance, component.jobs, procs)
         sub_problem = type(problem)(
             objective=problem.objective,
-            instance=sub,
+            instance=_sub_instance(problem.instance, component.jobs, procs),
             alpha=problem.alpha,
             max_gaps=problem.max_gaps,
         )
-        payloads.append((sub_problem, solver_name))
-    results: Dict[Tuple[int, int], Tuple] = {}
-    for index, outcome in run_tasks(
-        _component_task,
-        payloads,
-        backend=backend,
-        workers=workers,
-        ordered=False,
-        window=1 if backend == "serial" else None,
-    ):
-        comp_idx, procs = tasks[index]
-        feasible, value, times, meta = outcome.unwrap()
+        result = solve(sub_problem, solver=solver_name)
         _bump(component_solves=1)
-        results[(comp_idx, procs)] = (value, times, meta) if feasible else None
-        if not feasible and procs == u_max[comp_idx]:
-            return None
+        if result.status == "infeasible":
+            if procs == u_max[comp_idx]:
+                return None
+            results[(comp_idx, procs)] = None
+            continue
+        if result.status != "optimal" or result.schedule is None:
+            raise RuntimeError(
+                f"component solve returned status {result.status!r}"
+            )
+        engine = result.extra.get("engine")
+        results[(comp_idx, procs)] = (
+            result.value,
+            times_from_schedule(result.schedule),
+            engine if isinstance(engine, dict) else None,
+        )
     return results
 
 
@@ -348,27 +287,29 @@ def _combine_gaps(
     return best[0], best[3]
 
 
-def try_decomposed_solve(problem):
+def _infeasible() -> ExactSolution:
+    # The envelope of an infeasible answer carries no engine metadata.
+    return ExactSolution(False, None, None, None, {})
+
+
+def try_decomposed_solve(problem) -> Optional[ExactSolution]:
     """Attempt a decomposed exact solve; ``None`` means "run the monolith".
 
-    On success returns the adapter's ``solve_fresh`` tuple extended with a
-    cacheability flag: ``(feasible, value, schedule, times, engine_meta,
-    cacheable)``.  ``cacheable`` is false when the merged schedule uses a
-    (Hall-clipped) execution time off the original instance's candidate
-    grid, which the canonical cache cannot encode.
+    On success returns the :class:`~repro.core.ExactSolution` that
+    :func:`repro.core.solve_exact` returns, with the merged schedule and
+    the synthesized engine metadata.  Instances of fewer than
+    :data:`DEFAULT_MIN_JOBS` jobs, and every solve under
+    :func:`~repro.api.solve_cache_bypass`, get ``None``.
     """
     from . import solvers as _solvers
 
     if _solvers._BYPASS_DEPTH:
         return None
-    cfg = decomposition_config()
-    if not cfg["enabled"]:
-        return None
     instance = problem.instance
     if not isinstance(instance, (OneIntervalInstance, MultiprocessorInstance)):
         return None
     jobs = instance.jobs
-    if len(jobs) < cfg["min_jobs"]:  # type: ignore[operator]
+    if len(jobs) < DEFAULT_MIN_JOBS:
         return None
     seam_solver = _min_seam_for(problem)
     if seam_solver is None:
@@ -385,7 +326,7 @@ def try_decomposed_solve(problem):
     _bump(attempts=1, detect_seconds=detect_elapsed)
     if decomp.infeasible:
         _bump(infeasible_short_circuits=1, solve_seconds=time.perf_counter() - start)
-        return (False, None, None, None, None, True)
+        return _infeasible()
     if not decomp.is_split:
         _bump(single_component=1)
         return None
@@ -397,7 +338,9 @@ def try_decomposed_solve(problem):
     return outcome
 
 
-def _solve_decomposed(problem, decomp: Decomposition, solver_name: str, processors: int):
+def _solve_decomposed(
+    problem, decomp: Decomposition, solver_name: str, processors: int
+) -> Optional[ExactSolution]:
     gaps = problem.objective == "gaps"
     u_max = [min(processors, c.num_jobs) for c in decomp.components]
     if gaps and processors > 1:
@@ -411,7 +354,7 @@ def _solve_decomposed(problem, decomp: Decomposition, solver_name: str, processo
         tasks = [(comp_idx, u_max[comp_idx]) for comp_idx in range(len(decomp.components))]
     results = _run_component_solves(problem, decomp, solver_name, tasks, u_max)
     if results is None:
-        return (False, None, None, None, None, True)
+        return _infeasible()
     if gaps and processors > 1:
         combined = _combine_gaps(results, u_max)
         if combined is None:  # pragma: no cover - shielded by the short-circuit
@@ -443,5 +386,4 @@ def _solve_decomposed(problem, decomp: Decomposition, solver_name: str, processo
             _bump(merge_fallbacks=1)
             return None
     meta = _synthesize_meta(problem, decomp, chosen_u, chosen)
-    cacheable = set(merged_times.values()) <= set(candidate_times_for_jobs(jobs=instance.jobs))
-    return (True, value, schedule, merged_times, meta, cacheable)
+    return ExactSolution(True, value, schedule, merged_times, meta)

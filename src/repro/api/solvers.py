@@ -107,11 +107,13 @@ def configure_solve_cache(maxsize: int) -> None:
 
 
 def clear_solve_cache() -> None:
-    """Drop every in-memory cached solve and reset every counter.
+    """Empty this process's memory tier and reset this process's counters.
 
-    The disk tier's files are untouched (use
-    :meth:`repro.runtime.DiskSolveCache.clear` or ``repro-sched cache
-    clear`` for that), but its per-process hit/miss/write counters reset.
+    Only the calling process is cleared: a warm pool worker keeps its own
+    memory tier, whose entries stay correct answers.  The disk tier's
+    files are untouched (use :meth:`repro.runtime.DiskSolveCache.clear`
+    or ``repro-sched cache clear`` for that), but its per-process
+    hit/miss/write counters reset.
     """
     global _FRESH_SOLVES
     _SOLVE_CACHE.clear()
@@ -220,8 +222,8 @@ def replay_isomorph(
         entry: Tuple = (False, None, None, None)
     elif result.status == "optimal" and result.schedule is not None:
         times = times_from_schedule(result.schedule)
-        if not set(times.values()) <= set(result_form.column_times):
-            return None  # a decomposed merge with Hall-clipped times
+        if not _on_grid(result_form, times):
+            return None
         entry = (
             True,
             result.value,
@@ -234,76 +236,6 @@ def replay_isomorph(
     replay.solver = result.solver
     replay.wall_time = time.perf_counter() - start
     return replay
-
-
-def _cached_exact_solve(
-    problem: Problem, objective_key: Tuple, extra_base: Dict, solve_fresh
-) -> SolveResult:
-    """The canonical-cache flow shared by the exact gap/power adapters.
-
-    ``solve_fresh()`` runs the underlying solver and returns
-    ``(feasible, value, schedule, times, engine_meta)`` with ``times`` the
-    raw ``job -> execution time`` map of the schedule (ignored when
-    infeasible).  A sixth element, when present, is a ``cacheable`` flag:
-    a decomposed solve whose merged schedule uses Hall-clipped execution
-    times off the instance's candidate grid cannot be expressed in
-    canonical coordinates and is returned without being stored.  The
-    cache stores a *copy* of the engine metadata (via
-    :func:`_replay_engine_meta`): the same dict is returned in the
-    result's ``extra``, and a caller mutating it must not poison later
-    hits.
-    """
-    global _FRESH_SOLVES
-    form, cached = _lookup_canonical(objective_key, problem.instance)
-    if cached is not None:
-        return _replay_hit(problem, form, cached, extra_base)
-    # Single-flight on the shared disk tier: when several processes (racing
-    # portfolio members, parallel stream workers) miss on the same canonical
-    # key at once, exactly one runs the DP; the rest wait for its entry and
-    # replay it — never counting as a fresh solve.  The tier is read only
-    # once the lock is held, so a leader that wrote its entry and unlocked
-    # just before is a hit too.  Lockless when no disk tier is configured
-    # (processes then share no cache to collide in).
-    disk = get_disk_cache()
-    locked = False
-    cache_key = None if form is None else (objective_key, form.key)
-    if disk is not None and cache_key is not None:
-        locked = disk.try_lock(cache_key)
-        entry = disk.get(cache_key) if locked else disk.wait_for_entry(cache_key)
-        if entry is not None:
-            if locked:
-                disk.unlock(cache_key)
-            # Promote into the memory tier so the next isomorphic solve in
-            # this process never touches the filesystem.
-            _SOLVE_CACHE.put(cache_key, entry)
-            return _replay_hit(problem, form, entry, extra_base)
-        # An aborted (killed leader) or timed-out flight falls through: we
-        # solve ourselves, locklessly — correctness over exclusivity.
-    try:
-        with _FRESH_LOCK:
-            _FRESH_SOLVES += 1
-        fresh = solve_fresh()
-        feasible, value, schedule, times, engine_meta = fresh[:5]
-        cacheable = fresh[5] if len(fresh) > 5 else True
-        if not feasible:
-            _store_canonical(objective_key, form, False, None, None)
-            return _infeasible(problem)
-        if cacheable:
-            _store_canonical(
-                objective_key, form, True, value, times,
-                _replay_engine_meta(engine_meta),
-            )
-    finally:
-        if locked:
-            disk.unlock(cache_key)
-    return SolveResult(
-        status="optimal",
-        objective=problem.objective,
-        value=value,
-        schedule=schedule,
-        guarantee_factor=1.0,
-        extra={**extra_base, "engine": engine_meta},
-    )
 
 
 def _lookup_canonical(
@@ -328,12 +260,20 @@ def _store_canonical(
 ) -> None:
     if form is None:  # bypassed lookup — do not populate either
         return
+    if times is not None and not _on_grid(form, times):
+        return
     assignment = canonical_assignment(form, times) if times is not None else None
     entry = (feasible, value, assignment, engine_meta)
     _SOLVE_CACHE.put((objective_key, form.key), entry)
     disk = get_disk_cache()
     if disk is not None:
         disk.put((objective_key, form.key), entry)
+
+
+def _on_grid(form: CanonicalForm, times: Dict[int, int]) -> bool:
+    # A decomposed merge can place a job at a Hall-clipped time off the
+    # candidate grid, which canonical coordinates cannot hold.
+    return set(times.values()) <= set(form.column_times)
 
 
 def _objective_key_for(problem: Problem) -> Optional[Tuple]:
@@ -369,24 +309,64 @@ def _exact_extra_base(problem: Problem) -> Dict:
 
 
 def _solve_exact_dp(problem: Problem) -> SolveResult:
-    """The ``gap-dp`` and ``power-dp`` adapter: decomposed or monolithic, cached."""
-    instance = problem.instance
+    """The ``gap-dp`` and ``power-dp`` adapter: decomposed or monolithic, cached.
 
-    def solve_fresh():
-        decomposed = try_decomposed_solve(problem)
-        if decomposed is not None:
-            return decomposed
-        solution = solve_exact(instance, problem.objective, problem.alpha)
-        return (
-            solution.feasible,
-            solution.value,
-            solution.schedule,
-            solution.times,
-            solution.engine,
+    The cache stores a *copy* of the engine metadata (via
+    :func:`_replay_engine_meta`): the same dict is returned in the
+    result's ``extra``, and a caller mutating it must not poison later
+    hits.
+    """
+    global _FRESH_SOLVES
+    objective_key = _objective_key_for(problem)
+    extra_base = _exact_extra_base(problem)
+    form, cached = _lookup_canonical(objective_key, problem.instance)
+    if cached is not None:
+        return _replay_hit(problem, form, cached, extra_base)
+    # Single-flight on the shared disk tier: when several processes (racing
+    # portfolio members, parallel stream workers) miss on the same canonical
+    # key at once, exactly one runs the DP; the rest wait for its entry and
+    # replay it — never counting as a fresh solve.  The tier is read only
+    # once the lock is held, so a leader that wrote its entry and unlocked
+    # just before is a hit too.  Lockless when no disk tier is configured
+    # (processes then share no cache to collide in).
+    disk = get_disk_cache()
+    locked = False
+    cache_key = None if form is None else (objective_key, form.key)
+    if disk is not None and cache_key is not None:
+        locked = disk.try_lock(cache_key)
+        entry = disk.get(cache_key) if locked else disk.wait_for_entry(cache_key)
+        if entry is not None:
+            if locked:
+                disk.unlock(cache_key)
+            # Promote into the memory tier so the next isomorphic solve in
+            # this process never touches the filesystem.
+            _SOLVE_CACHE.put(cache_key, entry)
+            return _replay_hit(problem, form, entry, extra_base)
+        # An aborted (killed leader) or timed-out flight falls through: we
+        # solve ourselves, locklessly — correctness over exclusivity.
+    try:
+        with _FRESH_LOCK:
+            _FRESH_SOLVES += 1
+        solution = try_decomposed_solve(problem)
+        if solution is None:
+            solution = solve_exact(problem.instance, problem.objective, problem.alpha)
+        if not solution.feasible:
+            _store_canonical(objective_key, form, False, None, None)
+            return _infeasible(problem)
+        _store_canonical(
+            objective_key, form, True, solution.value, solution.times,
+            _replay_engine_meta(solution.engine),
         )
-
-    return _cached_exact_solve(
-        problem, _objective_key_for(problem), _exact_extra_base(problem), solve_fresh
+    finally:
+        if locked:
+            disk.unlock(cache_key)
+    return SolveResult(
+        status="optimal",
+        objective=problem.objective,
+        value=solution.value,
+        schedule=solution.schedule,
+        guarantee_factor=1.0,
+        extra={**extra_base, "engine": solution.engine},
     )
 
 

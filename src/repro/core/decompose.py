@@ -5,7 +5,7 @@ instance whose jobs fall into *time-disjoint clusters* is much cheaper to
 solve cluster by cluster than as one monolith — and the clusters are
 independent: no feasible schedule moves work across an interval that no
 job window covers.  This module finds those clusters; the orchestration
-(solving components concurrently and merging their schedules) lives in
+(solving the components one by one and merging their schedules) lives in
 :mod:`repro.api.decomposition`.
 
 Two detection mechanisms compose:

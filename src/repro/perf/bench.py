@@ -14,7 +14,10 @@ machine-independent measure that the regression gate
 Optima are not re-derived here: the exact engine is the only
 implementation timed, and the gate compares each case's ``value`` with
 the committed report instead.  The decomposed column is still checked
-against the monolithic solve in the same run.
+against the monolithic solve in the same run.  It times the façade's
+decomposed solve from a cold cache in this process: components run
+inline, so its speedup on the periodic cases comes from the solve cache
+collapsing isomorphic clusters, not from extra cores.
 
 ``run_bench(quick=True)`` is the CI smoke matrix (small instances, a couple
 of seconds); the default full matrix adds the medium (n >= 40, p >= 3) and
@@ -74,7 +77,6 @@ class BenchCase:
     slack: int = 6  # splittable only: max window slack inside a cluster
     periodic: bool = False  # splittable only: identical (shifted) clusters
     decompose: bool = False  # also time the decomposed facade solve
-    decompose_backend: Optional[str] = None  # batch backend for component solves
 
     def make_instance(self, seed: int) -> MultiprocessorInstance:
         """Build the case's instance deterministically from ``seed``."""
@@ -132,9 +134,9 @@ def default_cases(quick: bool = False) -> List[BenchCase]:
         BenchCase("gap/tight-n20-p2", "gaps", "tight", 20, 2, 16),
         BenchCase("power/uniform-n16-p2-a2", "power", "uniform", 16, 2, 18, alpha=2.0),
         BenchCase("gap/baptiste-n30-p1", "gaps", "uniform", 30, 1, 40),
-        # Smoke coverage for the decomposition path: small clusters, serial
-        # components (stable on shared CI runners), value-agreement asserted
-        # between the decomposed facade solve and the monolithic engine.
+        # Smoke coverage for the decomposition path: small clusters,
+        # value-agreement asserted between the decomposed facade solve and
+        # the monolithic engine.
         BenchCase(
             "gap/splittable-n24-p2",
             "gaps",
@@ -179,14 +181,14 @@ def default_cases(quick: bool = False) -> List[BenchCase]:
             "power/uniform-n70-p4-a2", "power", "uniform", 70, 4, 42, alpha=2.0
         ),
         # Decomposition headline cases: three *identical* (time-shifted)
-        # clusters of 30 wide-window jobs — the repeating-shift workload —
-        # with process-backend component solves.  The column of interest is
-        # decomposed-vs-monolithic (``speedup_vs_mono``).  The decomposed
-        # win here is algorithmic, not parallelism: the clusters are
-        # canonically isomorphic, so one component DP runs and the rest
-        # replay from the solve cache (see ``_time_decomposed`` for the
-        # cold-cache timing discipline) — the speedup therefore holds even
-        # on a single-core CI runner, and extra cores only widen it.
+        # clusters of 30 wide-window jobs — the repeating-shift workload.
+        # The column of interest is decomposed-vs-monolithic
+        # (``speedup_vs_mono``).  The win is algorithmic: the clusters are
+        # canonically isomorphic, so each frontier DP runs once and the
+        # other clusters replay it from the solve cache (see
+        # ``_time_decomposed`` for the cold-cache timing discipline).  The
+        # components run inline, one after another, so core count does
+        # not enter it.
         BenchCase(
             "gap/splittable-periodic-n90-p3",
             "gaps",
@@ -198,7 +200,6 @@ def default_cases(quick: bool = False) -> List[BenchCase]:
             slack=14,
             periodic=True,
             decompose=True,
-            decompose_backend="process",
         ),
         BenchCase(
             "power/splittable-periodic-n90-p3-a2",
@@ -212,7 +213,6 @@ def default_cases(quick: bool = False) -> List[BenchCase]:
             slack=14,
             periodic=True,
             decompose=True,
-            decompose_backend="process",
         ),
     ]
     return cases
@@ -318,7 +318,7 @@ def _engine_solve(case: BenchCase, instance):
 
 
 def _decomposed_solve(case: BenchCase, instance):
-    """Solve through the façade with decomposition on; (feasible, value, extra)."""
+    """Solve through the façade, which decomposes; (feasible, value, extra)."""
     from ..api.problem import Problem
     from ..api.registry import solve
 
@@ -337,30 +337,24 @@ def _time_decomposed(
 ) -> Tuple[Dict[str, object], Tuple[bool, object]]:
     """Time the decomposed façade solve from a cold canonical cache.
 
-    Each timed run clears the in-memory solve cache first (a dict clear,
-    nanoseconds against the millisecond DPs) and runs with the disk tier
-    off, so no run ever answers from a previous run's work: every repeat
-    re-detects the split and pays for its own component DPs end-to-end.
-    *Within* one run the memory cache stays live, because per-component
-    cache traffic is the product feature being measured — on periodic
-    instances the isomorphic clusters collapse onto one component solve,
-    which is how the decomposed column beats the monolith even on a
-    single-core runner.  A case's ``decompose_backend`` is installed with
-    :func:`~repro.runtime.configure_backend` for the timed solves, so its
-    component solves run there like any other batch work.  The
-    solve-cache, disk-cache, decomposition and backend configurations are
-    snapshotted and restored so a bench sweep leaves the process exactly
-    as it found it.
+    Each timed run clears this process's memory cache first (a dict
+    clear, nanoseconds against the millisecond DPs) and runs with the
+    disk tier off, so no run ever answers from a previous run's work:
+    every repeat re-detects the split and pays for its own component DPs
+    end-to-end.  The components run inline in this process, so the
+    clear reaches every cache they could read.  *Within* one run the
+    memory cache stays live, because per-component cache traffic is the
+    product feature being measured — on periodic instances the isomorphic
+    clusters collapse onto one solve per frontier budget, which is how
+    the decomposed column beats the monolith without extra cores.  The
+    solve-cache and disk-cache configurations are snapshotted and
+    restored so a bench sweep leaves the process exactly as it found it.
     """
-    from ..api.decomposition import configure_decomposition, decomposition_config
     from ..api.solvers import clear_solve_cache, configure_solve_cache, solve_cache_stats
-    from ..runtime.backends import configure_backend, configured_backend
     from ..runtime.diskcache import configure_disk_cache, disk_cache_dir
 
-    saved_decomp = decomposition_config()
     saved_maxsize = solve_cache_stats()["maxsize"]
     saved_disk = disk_cache_dir()
-    saved_backend = configured_backend()
 
     def cold_solve():
         clear_solve_cache()
@@ -370,9 +364,6 @@ def _time_decomposed(
         configure_solve_cache(max(saved_maxsize, 256))
         if saved_disk is not None:
             configure_disk_cache(None)
-        configure_decomposition(enabled=True, min_jobs=2)
-        if case.decompose_backend is not None:
-            configure_backend(case.decompose_backend)
         feasible, value, extra = cold_solve()
         engine_meta = (extra or {}).get("engine") or {}
         if feasible and "decomposition" not in engine_meta:
@@ -382,8 +373,6 @@ def _time_decomposed(
             )
         timing = time_callable(cold_solve, repeats, warmup)
     finally:
-        configure_backend(saved_backend)
-        configure_decomposition(**saved_decomp)
         configure_solve_cache(saved_maxsize)
         clear_solve_cache()
         if saved_disk is not None:

@@ -11,15 +11,16 @@ tiers a solve consults before doing DP work.
 * :mod:`repro.runtime.pool` — the persistent :class:`WorkerPool` behind
   the ``process`` backend: warm worker processes reused across sessions,
   hard task kills (terminate-and-respawn), the config snapshot that alone
-  carries the caller's settings (disk-cache directory, decomposition
-  switches) to workers, and the any-time incumbent channel
-  (``publish_incumbent()``).
+  carries the caller's one setting (the disk-cache directory) to workers,
+  and the any-time incumbent channel (``publish_incumbent()``).
 * :mod:`repro.runtime.stream` — :func:`solve_stream`, the chunked
   bounded-memory pipeline with deterministic-order mode, in-flight
   canonical dedupe (isomorphic duplicates take the representative's
   answer remapped onto their own instances), and per-task error capture;
   and :func:`run_tasks`, the generic fan-out primitive the
-  fuzz/bench/experiment harnesses use.
+  fuzz/bench/experiment harnesses use.  Both size their own in-flight
+  window: one task at a time inline, ``2 × workers × chunksize`` (at
+  least 4) on the pool.
 * :mod:`repro.runtime.diskcache` — the content-addressed on-disk tier of
   the canonical solve cache (atomic writes, engine-version invalidation),
   enabled with ``configure_disk_cache()`` / ``--cache-dir`` /

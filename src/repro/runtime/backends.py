@@ -2,14 +2,14 @@
 
 Every batch path of the package — :func:`repro.runtime.solve_stream`, the
 :func:`repro.api.solve_batch` compatibility wrapper, the fuzz driver, the
-bench runner, the experiment harness, decomposed component solves and the
-service daemon — runs its tasks on one of two backends, named by a string
-from :data:`BACKENDS`:
+bench runner, the experiment harness and the service daemon — runs its
+tasks on one of two backends, named by a string from :data:`BACKENDS`:
 
 ``serial``
-    Runs each task inline in the calling process, in submission order.
-    Zero setup cost, exact single-process semantics; the default whenever
-    nothing asks for parallelism.
+    Runs each task inline in the calling process, in submission order,
+    one at a time: a task starts only once the previous result has been
+    handed on.  Zero setup cost, exact single-process semantics; the
+    default whenever nothing asks for parallelism.
 ``process``
     Sessions on the process-wide warm :class:`~repro.runtime.pool.WorkerPool`.
     True parallelism for CPU-bound DP evaluation plus hard preemption;
@@ -17,6 +17,10 @@ from :data:`BACKENDS`:
     object is).  Workers inherit the parent's configuration on fork and
     are re-synchronized by config generation where it matters (the
     on-disk cache tier).
+
+A single solve is not batch work: a decomposed exact solve runs its
+components inline in the calling process on either backend, so the
+backend changes neither what a solve returns nor where it runs.
 
 There is no thread backend: the exact DPs are pure-Python loops, so under
 the GIL a thread pool runs them no faster than one thread does.

@@ -14,9 +14,8 @@ portfolio race:
   primitive the portfolio racer uses to kill losing members the moment a
   winner certifies, and to enforce budget expiry on the exact DP.
 * **Config-generation re-sync.**  Each dispatched task carries a
-  generation-stamped snapshot of the parent's process-wide settings a
-  solve reads: the disk-cache directory and the decomposition switches
-  (``enabled``, ``min_jobs``).  The snapshot is the only channel by
+  generation-stamped snapshot of the one process-wide setting a solve
+  reads: the disk-cache directory.  The snapshot is the only channel by
   which settings reach a worker; task payloads carry none.  Workers
   re-apply it only when the generation moves, so long-lived workers
   never drift from a caller that reconfigured after the fork, and the
@@ -115,10 +114,9 @@ def publish_incumbent(make_payload: Callable[[], Any]) -> bool:
 
 def _current_config() -> Dict[str, Any]:
     """Snapshot of the parent settings workers must mirror."""
-    from ..api.decomposition import decomposition_config
     from .diskcache import disk_cache_dir
 
-    return {"cache_dir": disk_cache_dir(), "decomposition": decomposition_config()}
+    return {"cache_dir": disk_cache_dir()}
 
 
 def _registry_generation() -> int:
@@ -128,12 +126,10 @@ def _registry_generation() -> int:
 
 
 def _apply_config(config: Dict[str, Any]) -> None:
-    from ..api.decomposition import configure_decomposition
     from .diskcache import configure_disk_cache, disk_cache_dir
 
     if disk_cache_dir() != config["cache_dir"]:
         configure_disk_cache(config["cache_dir"])
-    configure_decomposition(**config["decomposition"])
 
 
 def _worker_main(conn, parent_conn) -> None:

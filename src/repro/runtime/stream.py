@@ -41,10 +41,12 @@ Two entry points, built on the same windowed admit/drain/pop pattern
   every other task in the batch is unaffected.  ``on_error="raise"``
   restores fail-fast behavior.
 
-Memory is bounded by the in-flight window (roughly ``2 × workers ×
-chunksize`` tasks plus their buffered results) and a fixed-size LRU of
-completed representatives kept for dedupe; the input iterable is consumed
-lazily, never materialized.
+Both entry points size their in-flight window themselves
+(:func:`_window`): one task at a time inline, so each result is yielded
+before the next task runs, and ``max(4, 2 × workers × chunksize)`` tasks
+plus their buffered results on the pool.  Memory is bounded by that
+window and a fixed-size LRU of completed representatives kept for
+dedupe; the input iterable is consumed lazily, never materialized.
 """
 
 from __future__ import annotations
@@ -110,11 +112,14 @@ def _to_outcome(raw: Tuple) -> TaskOutcome:
     return TaskOutcome(ok=False, error_type=raw[1], error=raw[2], traceback=raw[3])
 
 
-def _default_window(workers: int, chunksize: int, window: Optional[int]) -> int:
-    if window is not None:
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        return window
+def _window(backend: str, workers: int, chunksize: int) -> int:
+    """Tasks in flight or buffered at once on a resolved backend.
+
+    One inline, so each result is yielded before the next task runs; on
+    the pool, enough to keep every worker busy while the next chunk waits.
+    """
+    if backend == "serial":
+        return 1
     return max(4, 2 * workers * max(1, chunksize))
 
 
@@ -128,19 +133,18 @@ def run_tasks(
     backend: Optional[str] = None,
     workers: Optional[int] = None,
     ordered: bool = True,
-    window: Optional[int] = None,
     chunksize: int = 1,
 ) -> Iterator[Tuple[int, TaskOutcome]]:
     """Map ``fn`` over ``items`` through a backend, streaming the outcomes.
 
     Yields ``(index, outcome)`` pairs — in input order when ``ordered``,
     else in completion order.  ``fn`` and the items must be picklable for
-    the process backend.  At most ``window`` tasks are in flight or
+    the process backend.  At most :func:`_window` tasks are in flight or
     buffered at any moment and ``items`` is consumed lazily, so the
     pipeline runs in bounded memory over arbitrarily long inputs.
     """
     name, count = resolve_backend(backend, workers)
-    limit = _default_window(count, chunksize, window)
+    limit = _window(name, count, chunksize)
     with open_session(name, count, _Guarded(fn), chunksize) as session:
         iterator = iter(enumerate(items))
         pending: Dict[int, TaskOutcome] = {}
@@ -244,7 +248,6 @@ def solve_stream(
     chunksize: int = 1,
     ordered: bool = True,
     dedupe: bool = True,
-    window: Optional[int] = None,
     on_error: str = "result",
     with_index: bool = False,
 ) -> Iterator[Any]:
@@ -263,7 +266,9 @@ def solve_stream(
         :func:`~repro.runtime.backends.resolve_backend`); ``workers``
         sizes the process backend.
     chunksize:
-        Tasks per worker round-trip on the process backend.
+        Tasks per worker round-trip on the process backend; with
+        ``workers`` it sizes the pool's in-flight window (inline, one
+        task at a time).
     ordered:
         ``True`` yields results in input order (the ``solve_batch``
         determinism guarantee); ``False`` yields in completion order.
@@ -274,9 +279,6 @@ def solve_stream(
         instances.  Completed representatives are remembered in a bounded
         LRU (:data:`DEDUPE_WINDOW` entries), so duplicates also collapse
         across the stream, not just while in flight.
-    window:
-        In-flight + buffered task bound (default ``2 × workers ×
-        chunksize``, at least 4).
     on_error:
         ``"result"`` (default) converts a crashed task into a
         ``status="error"`` result at its position; ``"raise"`` re-raises
@@ -290,7 +292,7 @@ def solve_stream(
             f"on_error must be 'result' or 'raise', got {on_error!r}"
         )
     name, count = resolve_backend(backend, workers)
-    limit = _default_window(count, chunksize, window)
+    limit = _window(name, count, chunksize)
 
     pending: Dict[int, Any] = {}  # ordered-mode reorder buffer
     ready: deque = deque()  # unordered-mode emission queue

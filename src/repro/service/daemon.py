@@ -5,9 +5,11 @@ from the :class:`~repro.service.queue.JobQueue` (atomically marking them
 ``running``), push the window through :func:`repro.runtime.solve_stream`
 on the execution backend resolved at construction, and write each
 :class:`~repro.api.result.SolveResult` envelope back the moment it
-completes — results stream back in completion order, so a fast job is
-answered before its slower batchmates finish (the store's commit wakes
-any result request held on that job).
+completes (the store's commit wakes any result request held on that
+job).  Results stream back in completion order: on the process backend a
+fast job is answered before its slower batchmates finish, and on the
+serial backend each job is written back before the next one in the
+window starts.
 
 Everything the runtime layer already does for batch solving carries over
 for free: the backend (serial, or the warm process pool), in-flight
@@ -56,8 +58,9 @@ class SchedulerDaemon:
         raises ``ValueError`` before the thread starts) and used for every
         claimed window.
     window:
-        Maximum jobs claimed (and therefore in flight) per scheduling
-        round — the concurrency window.
+        Maximum jobs claimed per scheduling round — the concurrency
+        window on the process backend; the serial backend solves them
+        one after another.
     poll_interval:
         Seconds to sleep between polls of an empty queue.
     metrics:

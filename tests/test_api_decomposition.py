@@ -1,12 +1,13 @@
 """Tests for repro.api.decomposition (decomposed facade solves).
 
-The decomposed path must be *invisible* except for speed: identical
-values, schedules and serialized results to the monolithic DP, across
-objectives, processor counts and execution backends, fresh or from
-cache.  These tests pin that contract, plus the orchestration details —
-per-component cache population, the infeasible-component short-circuit,
-the synthesized ``decomposition`` metadata block, the config gates, and
-warm pool workers following a later reconfiguration.
+The decomposed path must be *invisible* except for speed and its
+``decomposition`` metadata block: identical values to the monolithic DP,
+across objectives and processor counts, and identical serialized results
+across execution backends, fresh or from cache.  These tests pin that
+contract, plus the orchestration details — per-component cache
+population, the infeasible-component short-circuit, the synthesized
+``decomposition`` metadata block, the job-count rule, and component
+solves that stay in the calling process whatever the batch backend.
 """
 
 import pytest
@@ -19,37 +20,42 @@ from repro.api import (
     OneIntervalInstance,
     Problem,
     clear_solve_cache,
-    configure_decomposition,
     configure_solve_cache,
-    decomposition_config,
     decomposition_stats,
     reset_decomposition_stats,
     solve,
-    solve_batch,
     solve_cache_bypass,
     solve_cache_stats,
     to_json,
 )
+from repro.api import decomposition
 from repro.api.decomposition import DEFAULT_MIN_JOBS
 from repro.core.jobs import Job
 from repro.generators import splittable_instance
-from repro.runtime import configure_backend, configured_backend
+from repro.runtime import (
+    configure_backend,
+    configured_backend,
+    shutdown_worker_pool,
+    worker_pool_stats,
+)
 
 
 @pytest.fixture(autouse=True)
-def decomposition_sandbox():
-    """Fresh cache, a permissive decomposition config and serial component
-    solves (the batch backend), all restored afterwards."""
-    saved = decomposition_config()
+def decomposition_sandbox(monkeypatch):
+    """Fresh cache, small instances allowed to decompose, and the serial
+    batch backend, all restored afterwards.
+
+    Lowering the job-count rule reaches only this process; every solve
+    here is a single ``solve()``, whose components never leave it.
+    """
     saved_backend = configured_backend()
     configure_solve_cache(256)
     clear_solve_cache()
-    configure_decomposition(enabled=True, min_jobs=2)
+    monkeypatch.setattr(decomposition, "DEFAULT_MIN_JOBS", 2)
     configure_backend("serial")
     reset_decomposition_stats()
     yield
     configure_backend(saved_backend)
-    configure_decomposition(**saved)
     configure_solve_cache(256)
     clear_solve_cache()
 
@@ -183,6 +189,22 @@ class TestByteIdentity:
             serialized[backend] = to_json(solve(problem, solver="power-dp"))
         assert serialized["serial"] == serialized["process"]
 
+    def test_process_backend_runs_components_inline(self, monkeypatch):
+        # A single solve is not batch work: on the process backend too, its
+        # components solve in this process, so no pool worker is spawned
+        # and the envelope is the serial one.
+        monkeypatch.setattr(decomposition, "DEFAULT_MIN_JOBS", DEFAULT_MIN_JOBS)
+        problem = gap_problem(num_jobs=DEFAULT_MIN_JOBS, num_processors=2, seed=5)
+        shutdown_worker_pool()
+        spawned = worker_pool_stats()["spawned"]
+        configure_backend("process")
+        on_process = solve(problem, solver="gap-dp")
+        assert worker_pool_stats()["spawned"] == spawned
+        assert "decomposition" in on_process.extra["engine"]
+        clear_solve_cache()
+        configure_backend("serial")
+        assert to_json(solve(problem, solver="gap-dp")) == to_json(on_process)
+
     def test_cache_hit_replays_fresh_result_verbatim(self):
         problem = gap_problem(num_jobs=12, num_processors=2, seed=4)
         fresh = solve(problem, solver="gap-dp")
@@ -238,7 +260,7 @@ class TestInfeasibility:
         # *anchored* prefix/suffix Hall counts (the surrounding slack
         # absorbs them), so the infeasibility only surfaces when the middle
         # component's DP runs — and then the third cluster must never be
-        # solved (serial backend, in-flight window of one).
+        # solved.
         jobs = jobs_from_pairs(
             [(0, 1), (0, 1)]
             + [(10, 11)] * 5
@@ -272,44 +294,15 @@ class TestMetadataAndConfig:
             isinstance(v, int) for v in result.extra["engine"]["stats"].values()
         )
 
-    def test_disabled_configuration_runs_the_monolith(self):
-        configure_decomposition(enabled=False)
-        result = solve(gap_problem(), solver="gap-dp")
-        assert "decomposition" not in result.extra["engine"]
+    def test_min_jobs_threshold_gates_decomposition(self, monkeypatch):
+        # The shipped rule, not the sandbox's: below DEFAULT_MIN_JOBS jobs
+        # the monolith answers, from it on the instance decomposes.
+        monkeypatch.setattr(decomposition, "DEFAULT_MIN_JOBS", DEFAULT_MIN_JOBS)
+        below = solve(gap_problem(num_jobs=DEFAULT_MIN_JOBS - 1), solver="gap-dp")
+        assert "decomposition" not in below.extra["engine"]
         assert decomposition_stats()["attempts"] == 0
-
-    def test_min_jobs_threshold_gates_decomposition(self):
-        configure_decomposition(min_jobs=1000)
-        result = solve(gap_problem(), solver="gap-dp")
-        assert "decomposition" not in result.extra["engine"]
-
-    def test_config_snapshot_round_trips(self):
-        snapshot = configure_decomposition(enabled=False, min_jobs=7)
-        assert snapshot == {"enabled": False, "min_jobs": 7}
-        configure_decomposition(enabled=True, min_jobs=99)
-        assert configure_decomposition(**snapshot) == snapshot
+        at = solve(gap_problem(num_jobs=DEFAULT_MIN_JOBS), solver="gap-dp")
+        assert "decomposition" in at.extra["engine"]
 
     def test_default_min_jobs_protects_small_instances(self):
         assert DEFAULT_MIN_JOBS >= 8
-
-
-class TestWarmWorkerSettings:
-    """Pool workers forked under one decomposition setting must follow the
-    caller's later reconfiguration: the pool's config snapshot carries it."""
-
-    @pytest.mark.parametrize("change", [{"enabled": False}, {"min_jobs": 1000}])
-    def test_process_batch_matches_serial_after_reconfiguring(self, change):
-        warm = solve_batch(
-            [gap_problem(num_jobs=12, num_processors=2, seed=21)],
-            backend="process",
-            workers=2,
-        )
-        assert "decomposition" in warm[0].extra["engine"]
-        configure_decomposition(**change)
-        # A problem no worker has solved yet, so no worker-side cache entry
-        # can answer for it.
-        problem = gap_problem(num_jobs=12, num_processors=2, seed=22)
-        serial = solve_batch([problem], backend="serial")
-        parallel = solve_batch([problem], backend="process", workers=2)
-        assert "decomposition" not in serial[0].extra["engine"]
-        assert to_json(parallel[0]) == to_json(serial[0])

@@ -502,9 +502,9 @@ class TestBenchCLI:
         assert medium, "full report must include the medium instances"
         exact = [case for case in medium if case["value"] is not None]
         assert exact, "full report must include exactly-solved n >= 40 cases"
-        # Acceptance for the decomposition PR: on the large splittable
-        # families with process-backend component solves, the decomposed
-        # facade beats the monolithic v2 engine by >= 1.5x wall clock.
+        # Acceptance for decomposition: on the large splittable families,
+        # the decomposed facade (components inline, cold cache) beats the
+        # monolithic v2 engine by >= 1.5x wall clock.
         headline = [
             case
             for case in data["cases"]

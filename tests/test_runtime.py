@@ -226,7 +226,7 @@ class TestRunTasks:
                 consumed.append(i)
                 yield i
 
-        stream = run_tasks(_square, producer(), backend="serial", window=4)
+        stream = run_tasks(_square, producer(), backend="serial")
         for _ in range(3):
             next(stream)
         # A bounded window must not have drained an unbounded input.
@@ -242,10 +242,6 @@ class TestRunTasks:
 
     def test_empty_input(self):
         assert list(run_tasks(_square, [], backend="process")) == []
-
-    def test_window_validation(self):
-        with pytest.raises(ValueError):
-            list(run_tasks(_square, [1], window=0))
 
 
 # ---------------------------------------------------------------------------
@@ -277,11 +273,44 @@ class TestSolveStream:
                 consumed.append(seed)
                 yield shifted_problem(0, seed=seed % 5)
 
-        stream = solve_stream(producer(), backend="serial", window=4)
+        stream = solve_stream(producer(), backend="serial")
         for _ in range(3):
             next(stream)
         assert len(consumed) <= 4 + 3
         stream.close()
+
+    @pytest.mark.parametrize("ordered", [True, False])
+    def test_serial_stream_yields_each_result_before_the_next_solve(
+        self, ordered
+    ):
+        from repro.api.registry import _REGISTRY, register_solver
+        from repro.api import OneIntervalInstance
+
+        events = []
+
+        @register_solver(
+            "logging-test",
+            objective="gaps",
+            kind="baseline",
+            instance_types=(OneIntervalInstance,),
+        )
+        def _logging(problem):
+            events.append("solve")
+            return solve(problem, solver="gap-dp")
+
+        try:
+            problems = [shifted_problem(0, seed=seed) for seed in range(4)]
+            for _result in solve_stream(
+                problems,
+                solver="logging-test",
+                backend="serial",
+                ordered=ordered,
+                dedupe=False,
+            ):
+                events.append("yield")
+        finally:
+            _REGISTRY.pop("logging-test", None)
+        assert events == ["solve", "yield"] * 4
 
     def test_exact_duplicates_solved_once(self):
         clear_solve_cache()
@@ -370,9 +399,8 @@ class TestSolveStream:
             assert result.value == first.value
             assert result.require_schedule().instance == problem.instance
 
-    def test_replay_isomorph_eligibility(self):
-        from repro.api import OneIntervalInstance, configure_decomposition
-        from repro.api.decomposition import decomposition_config
+    def test_replay_isomorph_eligibility(self, monkeypatch):
+        from repro.api import OneIntervalInstance, decomposition
         from repro.core.canonical import canonical_form
 
         def moved_pair(pairs, shift=6):
@@ -407,16 +435,13 @@ class TestSolveStream:
         tp = mixed_workload(3)[2]
         assert replay_isomorph(moved, moved_form, solve(tp), form) is None
         # Nor does a decomposed schedule with a Hall-clipped time off the
-        # candidate grid, which the cache does not store either.
-        saved = decomposition_config()
-        configure_decomposition(enabled=True, min_jobs=2)
-        try:
-            problem, form, moved, moved_form = moved_pair(
-                [(4, 9), (11, 21), (2, 16), (45, 48)]
-            )
-            result = solve(problem)
-        finally:
-            configure_decomposition(**saved)
+        # candidate grid, which the cache does not store either.  The
+        # job-count rule is lowered for this one in-process solve.
+        monkeypatch.setattr(decomposition, "DEFAULT_MIN_JOBS", 2)
+        problem, form, moved, moved_form = moved_pair(
+            [(4, 9), (11, 21), (2, 16), (45, 48)]
+        )
+        result = solve(problem)
         assert "decomposition" in result.extra["engine"]
         assert not set(result.schedule.assignment.values()) <= set(
             form.column_times
@@ -917,13 +942,50 @@ class TestErrorDedupeRetry:
             results = list(
                 solve_stream(problems, solver="flaky-test", backend="serial")
             )
-            # The representative failed once; both duplicates were retried
-            # (the first was promoted to representative, the second then
-            # collapsed onto it), so exactly one error escapes.
+            # The representative failed once and was not remembered, so
+            # the first duplicate solved afresh and the second replayed it:
+            # exactly one error escapes.
             assert [r.status for r in results] == ["error", "optimal", "optimal"]
             assert attempts["count"] == 2
         finally:
             _REGISTRY.pop("flaky-test", None)
+
+    def test_failed_representative_promotes_a_parked_duplicate(self, tmp_path):
+        from repro.api.registry import _REGISTRY, register_solver
+        from repro.api import OneIntervalInstance
+
+        # Workers count attempts in a file: the pool runs them elsewhere.
+        log = tmp_path / "attempts"
+
+        @register_solver(
+            "flaky-pool-test",
+            objective="gaps",
+            kind="baseline",
+            instance_types=(OneIntervalInstance,),
+        )
+        def _flaky(problem):
+            first = not log.exists()
+            with open(log, "a") as handle:
+                handle.write("x")
+            if first:
+                raise RuntimeError("transient failure")
+            return solve(problem, solver="gap-dp")
+
+        try:
+            problems = [shifted_problem(0)] * 3
+            results = list(
+                solve_stream(
+                    problems, solver="flaky-pool-test", backend="process", workers=2
+                )
+            )
+            # On the pool all three are admitted at once, so the copies
+            # park behind the representative.  It failed: the first copy
+            # was promoted to representative and the second collapsed onto
+            # it, so exactly one error escapes.
+            assert [r.status for r in results] == ["error", "optimal", "optimal"]
+            assert log.read_text() == "xx"
+        finally:
+            _REGISTRY.pop("flaky-pool-test", None)
 
     def test_error_not_remembered_for_later_duplicates(self):
         from repro.api.registry import _REGISTRY, register_solver
@@ -944,9 +1006,9 @@ class TestErrorDedupeRetry:
             return solve(problem, solver="gap-dp")
 
         try:
-            # window=4 forces the later duplicates to arrive after the
-            # failed representative already completed: they must re-solve,
-            # not replay the stale error from the dedupe LRU.
+            # Serially the later duplicate arrives after the failed
+            # representative already completed: it must re-solve, not
+            # replay the stale error from the dedupe LRU.
             problems = [shifted_problem(0)] * 2
 
             def trickle():
@@ -954,9 +1016,7 @@ class TestErrorDedupeRetry:
                 yield problems[1]
 
             results = list(
-                solve_stream(
-                    trickle(), solver="flaky-later-test", backend="serial", window=1
-                )
+                solve_stream(trickle(), solver="flaky-later-test", backend="serial")
             )
             assert [r.status for r in results] == ["error", "optimal"]
             assert attempts["count"] == 2

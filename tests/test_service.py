@@ -43,6 +43,7 @@ from repro.service import ServiceClient, ServiceError, ServiceServer
 from repro.service import server as server_module
 from repro.service.client import RESULT_HOLD_S, _TurnLock
 from repro.service.daemon import SchedulerDaemon
+from repro.service.queue import JobQueue
 from repro.service.server import MAX_BODY_BYTES, _Handler
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -76,6 +77,18 @@ def _register_test_solvers() -> None:
     def _crash(problem: Problem) -> SolveResult:
         raise RuntimeError("intentional test crash")
 
+    @register_solver(
+        "test-gated",
+        objective="gaps",
+        kind="exact",
+        instance_types=(OneIntervalInstance,),
+        description="test-only: three-job instances block on a gate",
+    )
+    def _gated(problem: Problem) -> SolveResult:
+        if problem.instance.num_jobs == 3:
+            SLEEP_GATE.wait(timeout=30.0)
+        return solve(problem, solver="gap-dp")
+
 
 @pytest.fixture(scope="module", autouse=True)
 def test_solvers():
@@ -89,6 +102,7 @@ def test_solvers():
     yield
     _REGISTRY.pop("test-sleepy", None)
     _REGISTRY.pop("test-crash", None)
+    _REGISTRY.pop("test-gated", None)
 
 
 def gap_problem(seed: int) -> Problem:
@@ -257,6 +271,37 @@ class TestSubmitPollResult:
         assert (
             client.status(high)["started_at"] <= client.status(low)["started_at"]
         )
+
+
+class TestSerialWindow:
+    def test_fast_job_is_answered_while_a_slow_batchmate_is_held(self, tmp_path):
+        # Both jobs are queued before the server starts, so its first
+        # claim takes them together.  Serially the stream solves one job
+        # at a time and yields it before the next starts: the fast job is
+        # written back while the slow one still blocks on the gate.
+        db_path = str(tmp_path / "jobs.db")
+        store = JobQueue(db_path)
+        fast = store.submit(to_json(sleepy_problem(0)), solver="test-gated").id
+        slow_problem = Problem(
+            objective="gaps",
+            instance=OneIntervalInstance.from_pairs([(0, 3), (1, 4), (6, 9)]),
+        )
+        slow = store.submit(to_json(slow_problem), solver="test-gated").id
+        store.close()
+        SLEEP_GATE.clear()
+        server = ServiceServer(
+            db_path, port=0, backend="serial", window=2, poll_interval=0.02
+        ).start()
+        try:
+            with ServiceClient(server.url) as client:
+                assert client.result(fast, timeout=10.0).status == "optimal"
+                assert client.status(slow)["state"] == "running"
+                assert server.daemon.rounds == 1
+                SLEEP_GATE.set()
+                assert client.result(slow, timeout=30.0).status == "optimal"
+        finally:
+            SLEEP_GATE.set()
+            server.stop()
 
 
 class TestTaskMetrics:
