@@ -21,8 +21,9 @@ stream into a list.  Everything the stream provides applies here:
   ``dedupe=False``).
 * **Error capture.**  A crashing task yields a ``status="error"`` result
   at its position (exception type, message, traceback in ``extra``)
-  instead of poisoning the whole batch; pass ``on_error="raise"`` for the
-  old fail-fast behavior.
+  instead of poisoning the whole batch, and so does a task whose pool
+  worker died under it; pass ``on_error="raise"`` for the old fail-fast
+  behavior.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ def solve_batch(
     problems: Iterable[Problem],
     solver: str = "auto",
     workers: Optional[int] = None,
-    chunksize: int = 1,
     dedupe: bool = True,
     backend: Optional[str] = None,
     on_error: str = "result",
@@ -58,10 +58,6 @@ def solve_batch(
         Pool size.  With no backend selected anywhere, ``None``, ``0`` or
         ``1`` solve serially in this process and ``N > 1`` use a process
         pool of ``N`` workers — the historical behavior.
-    chunksize:
-        Tasks per worker round-trip on the process backend; larger
-        values amortize IPC for big batches of tiny problems (measured in
-        ``docs/performance.md``).
     dedupe:
         Collapse canonically identical tasks to one solve per stream
         window; each duplicate position receives an independent result
@@ -87,7 +83,6 @@ def solve_batch(
             solver=solver,
             backend=backend,
             workers=workers,
-            chunksize=chunksize,
             ordered=True,
             dedupe=dedupe,
             on_error=on_error,

@@ -209,12 +209,11 @@ def _race(
             result.wall_time if result.wall_time is not None else elapsed
         )
 
-    def note_lost(tags: List[int]) -> None:
-        for tag in tags:
-            if tag in outstanding:
-                outstanding.discard(tag)
-                killed[roster[tag]] = "error"
-                wall[roster[tag]] = time.perf_counter() - start
+    def note_lost(tag: int) -> None:
+        if tag in outstanding:
+            outstanding.discard(tag)
+            killed[roster[tag]] = "error"
+            wall[roster[tag]] = time.perf_counter() - start
 
     def kill_tags(tags: List[int], reason: str) -> None:
         for tag in tags:
@@ -243,7 +242,7 @@ def _race(
             try:
                 item = session.pop(timeout=timeout)
             except WorkerLostError as exc:
-                note_lost(exc.tags)
+                note_lost(exc.tag)
                 continue
             except LookupError:
                 break
@@ -259,7 +258,7 @@ def _race(
         try:
             item = session.pop(timeout=min(0.1, deadline - now))
         except WorkerLostError as exc:
-            note_lost(exc.tags)
+            note_lost(exc.tag)
             continue
         if item is None:
             continue

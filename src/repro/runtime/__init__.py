@@ -10,17 +10,17 @@ tiers a solve consults before doing DP work.
   ``configure_backend()`` / ``REPRO_BACKEND`` / workers selection chain.
 * :mod:`repro.runtime.pool` — the persistent :class:`WorkerPool` behind
   the ``process`` backend: warm worker processes reused across sessions,
-  hard task kills (terminate-and-respawn), the config snapshot that alone
-  carries the caller's one setting (the disk-cache directory) to workers,
-  and the any-time incumbent channel (``publish_incumbent()``).
-* :mod:`repro.runtime.stream` — :func:`solve_stream`, the chunked
+  one task per message (each carrying the caller's one setting, the
+  disk-cache directory), hard task kills (terminate-and-respawn), and
+  the any-time incumbent channel (``publish_incumbent()``).
+* :mod:`repro.runtime.stream` — :func:`solve_stream`, the
   bounded-memory pipeline with deterministic-order mode, in-flight
   canonical dedupe (isomorphic duplicates take the representative's
-  answer remapped onto their own instances), and per-task error capture;
-  and :func:`run_tasks`, the generic fan-out primitive the
-  fuzz/bench/experiment harnesses use.  Both size their own in-flight
-  window: one task at a time inline, ``2 × workers × chunksize`` (at
-  least 4) on the pool.
+  answer remapped onto their own instances), and per-task error capture
+  (a task whose worker died included); and :func:`run_tasks`, the
+  generic fan-out primitive the fuzz/bench/experiment harnesses use.
+  Both size their own in-flight window: one task at a time inline,
+  ``2 × workers`` (at least 4) on the pool.
 * :mod:`repro.runtime.diskcache` — the content-addressed on-disk tier of
   the canonical solve cache (atomic writes, engine-version invalidation),
   enabled with ``configure_disk_cache()`` / ``--cache-dir`` /

@@ -14,9 +14,9 @@ tasks on one of two backends, named by a string from :data:`BACKENDS`:
     Sessions on the process-wide warm :class:`~repro.runtime.pool.WorkerPool`.
     True parallelism for CPU-bound DP evaluation plus hard preemption;
     task functions and payloads must be picklable (every façade value
-    object is).  Workers inherit the parent's configuration on fork and
-    are re-synchronized by config generation where it matters (the
-    on-disk cache tier).
+    object is).  Workers inherit the parent's configuration on fork, and
+    each task carries the caller's disk-cache directory, the one setting
+    a solve reads.
 
 A single solve is not batch work: a decomposed exact solve runs its
 components inline in the calling process on either backend, so the
@@ -169,13 +169,13 @@ def resolve_backend(
     return name, max(1, int(workers))
 
 
-def open_session(name: str, workers: int, fn: Callable, chunksize: int = 1):
+def open_session(name: str, workers: int, fn: Callable):
     """Start one task stream on a resolved backend.
 
     ``name`` and ``workers`` come from :func:`resolve_backend`.  Serial
     runs ``fn`` inline; process sends tasks to ``workers`` warm pool
-    workers, ``chunksize`` tasks per round trip.
+    workers, one task per message.
     """
     if name == "serial":
         return _SerialSession(fn)
-    return _pool.get_worker_pool().session(fn, workers, chunksize)
+    return _pool.get_worker_pool().session(fn, workers)

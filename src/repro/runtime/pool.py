@@ -13,13 +13,12 @@ portfolio race:
   process running a task mid-solve (``SIGTERM``-and-respawn) — the
   primitive the portfolio racer uses to kill losing members the moment a
   winner certifies, and to enforce budget expiry on the exact DP.
-* **Config-generation re-sync.**  Each dispatched task carries a
-  generation-stamped snapshot of the one process-wide setting a solve
-  reads: the disk-cache directory.  The snapshot is the only channel by
-  which settings reach a worker; task payloads carry none.  Workers
-  re-apply it only when the generation moves, so long-lived workers
-  never drift from a caller that reconfigured after the fork, and the
-  per-task cost is one integer comparison.
+* **One task per message.**  Each dispatched task travels alone, with
+  the one process-wide setting a solve reads: the caller's disk-cache
+  directory.  A worker reconfigures its disk tier only when its own
+  directory differs, so long-lived workers never drift from a caller
+  that reconfigured after the fork.  A kill or a lost worker concerns
+  exactly one task.
 * **Registry generations.**  A forked worker knows only the solvers
   registered before its fork.  Each worker is stamped with the solver
   registry's generation at spawn, and :meth:`WorkerPool.acquire` retires
@@ -36,6 +35,11 @@ worker terminated mid-``send`` can corrupt only its own channel, which
 the pool discards and respawns, leaving its siblings untouched.  Workers
 close the inherited parent pipe end, so losing the parent process (even
 to ``SIGKILL``) delivers EOF and the worker exits instead of orphaning.
+
+Messages in: ``("task", tag, fn, item, cache_dir)`` or ``("stop",)``.
+Messages out: ``("inc", tag, payload)`` for each published incumbent,
+then one ``("done", tag, outcome)``, or ``("crash", tag, error_type,
+error)`` when the task raised anyway.
 """
 
 from __future__ import annotations
@@ -49,6 +53,8 @@ from collections import deque
 from multiprocessing import connection as _mp_connection
 from multiprocessing import get_context
 from typing import Any, Callable, Dict, List, Optional, Tuple
+
+from .diskcache import configure_disk_cache, disk_cache_dir
 
 __all__ = [
     "DEFAULT_IDLE_TIMEOUT",
@@ -112,40 +118,22 @@ def publish_incumbent(make_payload: Callable[[], Any]) -> bool:
     return True
 
 
-def _current_config() -> Dict[str, Any]:
-    """Snapshot of the parent settings workers must mirror."""
-    from .diskcache import disk_cache_dir
-
-    return {"cache_dir": disk_cache_dir()}
-
-
 def _registry_generation() -> int:
     from ..api.registry import registry_generation
 
     return registry_generation()
 
 
-def _apply_config(config: Dict[str, Any]) -> None:
-    from .diskcache import configure_disk_cache, disk_cache_dir
-
-    if disk_cache_dir() != config["cache_dir"]:
-        configure_disk_cache(config["cache_dir"])
-
-
 def _worker_main(conn, parent_conn) -> None:
-    """The persistent worker loop: recv a chunk, run it, send the results.
+    """The persistent worker loop: recv one task, run it, send its outcome.
 
-    Messages in: ``("task", chunk_id, fn, [(tag, item), ...], config)``
-    or ``("stop",)``.  Messages out: ``("inc", tag, payload)`` for
-    incumbents and ``("done", chunk_id, [(tag, outcome), ...])`` per
-    chunk.  Task callables follow the session contract (they never
-    raise); a raise anyway is reported as a ``("crash", ...)`` message
-    and the worker keeps serving.
+    Task callables follow the session contract (they never raise); a
+    raise anyway is reported as a ``("crash", ...)`` message and the
+    worker keeps serving.
     """
     global _IN_WORKER
     _IN_WORKER = True
     parent_conn.close()  # our inherited copy; parent death must mean EOF
-    applied_generation = -1
     while True:
         try:
             message = conn.recv()
@@ -153,32 +141,21 @@ def _worker_main(conn, parent_conn) -> None:
             break  # parent is gone
         if message[0] == "stop":
             break
-        _kind, chunk_id, fn, chunk, config = message
-        if config["generation"] != applied_generation:
-            _apply_config(config)
-            applied_generation = config["generation"]
-        outcomes: List[Tuple[int, Any]] = []
-        for tag, item in chunk:
-            _PUBLISHER[-1] = lambda payload, _tag=tag: conn.send(
-                ("inc", _tag, payload)
-            )
-            _LAST_PUBLISH[0] = 0.0
-            try:
-                outcomes.append((tag, fn(item)))
-            except BaseException as exc:  # noqa: BLE001 — report, keep serving
-                _PUBLISHER[-1] = None
-                try:
-                    conn.send(("crash", chunk_id, type(exc).__name__, str(exc)))
-                except (OSError, ValueError):
-                    pass
-                break
-            finally:
-                _PUBLISHER[-1] = None
-        else:
-            try:
-                conn.send(("done", chunk_id, outcomes))
-            except (OSError, ValueError):
-                break  # parent pipe gone mid-send; nothing left to serve
+        _kind, tag, fn, item, cache_dir = message
+        if disk_cache_dir() != cache_dir:
+            configure_disk_cache(cache_dir)
+        _PUBLISHER[-1] = lambda payload: conn.send(("inc", tag, payload))
+        _LAST_PUBLISH[0] = 0.0
+        try:
+            reply = ("done", tag, fn(item))
+        except BaseException as exc:  # noqa: BLE001 — report, keep serving
+            reply = ("crash", tag, type(exc).__name__, str(exc))
+        finally:
+            _PUBLISHER[-1] = None
+        try:
+            conn.send(reply)
+        except (OSError, ValueError):
+            break  # parent pipe gone mid-send; nothing left to serve
     try:
         conn.close()
     except OSError:
@@ -248,32 +225,19 @@ class WorkerPool:
 
     Sessions :meth:`acquire` workers for exclusive use and release them
     on close; the pool grows on demand, keeps released workers warm, and
-    reaps the ones idle past ``idle_timeout`` seconds.  Thread-safe: the
-    service's scheduler thread and the main thread may run sessions
-    concurrently.
+    reaps the ones idle past :data:`DEFAULT_IDLE_TIMEOUT` seconds.
+    Thread-safe: the service's scheduler thread and the main thread may
+    run sessions concurrently.
     """
 
-    def __init__(self, idle_timeout: float = DEFAULT_IDLE_TIMEOUT) -> None:
-        self.idle_timeout = float(idle_timeout)
+    def __init__(self) -> None:
         self._context = get_context("fork" if "fork" in _START_METHODS else None)
         self._lock = threading.Lock()
         self._idle: List[_Worker] = []
         self._acquired = 0
-        self._generation = 0
-        self._last_config: Optional[Dict[str, Any]] = None
         self._spawned = 0
         self._killed = 0
         self._reaped = 0
-
-    # -- configuration generations -----------------------------------------
-    def config(self) -> Dict[str, Any]:
-        """The generation-stamped config snapshot dispatched with tasks."""
-        snapshot = _current_config()
-        with self._lock:
-            if snapshot != self._last_config:
-                self._generation += 1
-                self._last_config = snapshot
-            return {"generation": self._generation, **snapshot}
 
     # -- worker lifecycle ---------------------------------------------------
     def _spawn(self) -> _Worker:
@@ -325,10 +289,10 @@ class WorkerPool:
                 else:
                     self._reaped += 1
             stale = [
-                w for w in self._idle if now - w.idle_since > self.idle_timeout
+                w for w in self._idle if now - w.idle_since > DEFAULT_IDLE_TIMEOUT
             ]
             self._idle = [
-                w for w in self._idle if now - w.idle_since <= self.idle_timeout
+                w for w in self._idle if now - w.idle_since <= DEFAULT_IDLE_TIMEOUT
             ]
             self._reaped += len(stale)
         for worker in stale:
@@ -358,26 +322,22 @@ class WorkerPool:
                 "reaped": self._reaped,
             }
 
-    def session(
-        self, fn: Callable, workers: int, chunksize: int = 1
-    ) -> "PoolSession":
-        return PoolSession(self, fn, workers, chunksize)
+    def session(self, fn: Callable, workers: int) -> "PoolSession":
+        return PoolSession(self, fn, workers)
 
 
 class WorkerLostError(RuntimeError):
     """A pool worker died without delivering its task's outcome.
 
     Raised from :meth:`PoolSession.pop` for *unexpected* deaths (a
-    crashed or externally-killed worker).  Tasks killed deliberately via
-    :meth:`PoolSession.kill` never raise — they simply produce no
-    outcome.
+    crashed or externally-killed worker); ``tag`` names the one task
+    that was lost.  Tasks killed deliberately via :meth:`PoolSession.kill`
+    never raise — they simply produce no outcome.
     """
 
-    def __init__(self, tags: List[int], detail: str) -> None:
-        super().__init__(
-            f"pool worker died while running task(s) {tags}: {detail}"
-        )
-        self.tags = tags
+    def __init__(self, tag: int, detail: str) -> None:
+        super().__init__(f"pool worker died while running task {tag}: {detail}")
+        self.tag = tag
 
 
 class PoolSession:
@@ -387,40 +347,32 @@ class PoolSession:
     (submit / pop / in_flight / close) plus the preemption
     extras: :meth:`pop` accepts a ``timeout``, :meth:`kill` terminates
     the worker running a tag, and :meth:`take_incumbent` drains the
-    latest any-time payload a task published.
+    latest any-time payload a task published.  Every task is in exactly
+    one of three places: waiting for a worker, running on one, or
+    completed and waiting to be popped.
     """
 
-    def __init__(
-        self, pool: WorkerPool, fn: Callable, workers: int, chunksize: int
-    ) -> None:
+    def __init__(self, pool: WorkerPool, fn: Callable, workers: int) -> None:
         self._pool = pool
         self._fn = fn
-        self._chunksize = max(1, int(chunksize))
         self._workers = pool.acquire(max(1, int(workers)))
         self._idle: List[_Worker] = list(self._workers)
-        self._running: Dict[_Worker, Tuple[int, List[int]]] = {}
-        self._pending: deque = deque()  # (chunk_id, [(tag, item), ...])
-        self._buffer: List[Tuple[int, Any]] = []
+        self._pending: deque = deque()  # (tag, item) waiting for a worker
+        self._running: Dict[_Worker, int] = {}  # worker -> its tag
         self._ready: deque = deque()  # completed (tag, outcome)
         self._incumbents: Dict[int, Any] = {}
-        self._chunk_ids = itertools.count()
-        self._in_flight = 0
-        self._killed_tags: set = set()
         self._closed = False
 
     # -- the session surface --------------------------------------------------
     def submit(self, tag: int, item: object) -> None:
-        self._buffer.append((tag, item))
-        self._in_flight += 1
-        if len(self._buffer) >= self._chunksize:
-            self.flush()
+        self._pending.append((tag, item))
+        self._dispatch()
 
     def flush(self) -> None:
-        """Queue any partially-filled chunk for dispatch."""
-        if self._buffer:
-            chunk, self._buffer = self._buffer, []
-            self._pending.append((next(self._chunk_ids), chunk))
-        self._dispatch()
+        """Does nothing: :meth:`submit` already dispatches every task.
+
+        Kept only because ``perfbench/layers.py``'s kill probe calls it.
+        """
 
     def _dispatch(self) -> None:
         while self._idle and self._pending:
@@ -429,42 +381,37 @@ class PoolSession:
                 # Died while idle (exceedingly rare); replace silently.
                 self._replace_worker(worker)
                 continue
-            chunk_id, chunk = self._pending.popleft()
+            tag, item = self._pending.popleft()
             try:
-                worker.conn.send(
-                    ("task", chunk_id, self._fn, chunk, self._pool.config())
-                )
+                worker.conn.send(("task", tag, self._fn, item, disk_cache_dir()))
             except (OSError, ValueError):
-                self._pending.appendleft((chunk_id, chunk))
+                self._pending.appendleft((tag, item))
                 self._replace_worker(worker)
                 continue
-            self._running[worker] = (chunk_id, [tag for tag, _item in chunk])
+            self._running[worker] = tag
 
     def _replace_worker(self, worker: _Worker) -> None:
+        """Hard-kill ``worker`` (dropping its task) and idle a fresh one."""
+        self._running.pop(worker, None)
         fresh = self._pool.replace(worker)
         self._workers[self._workers.index(worker)] = fresh
         self._idle.append(fresh)
 
     @property
     def in_flight(self) -> int:
-        return self._in_flight
+        return len(self._pending) + len(self._running) + len(self._ready)
 
     def pop(self, timeout: Optional[float] = None) -> Optional[Tuple[int, object]]:
         """Return one completed ``(tag, outcome)``; ``None`` on timeout.
 
         Blocks forever when ``timeout`` is ``None`` (the plain session
-        contract).  Killed tags never surface here.
+        contract).  Killed tags never surface here; a lost worker raises
+        :class:`WorkerLostError` for its one tag.
         """
         deadline = None if timeout is None else time.perf_counter() + timeout
-        while True:
-            if self._ready:
-                self._in_flight -= 1
-                return self._ready.popleft()
-            self.flush()
+        while not self._ready:
+            self._dispatch()
             if not self._running:
-                if self._pending:  # no live worker could take it
-                    self._dispatch()
-                    continue
                 raise LookupError("no task in flight")
             wait_for = None
             if deadline is not None:
@@ -475,106 +422,58 @@ class PoolSession:
             if not ready_conns:
                 return None  # timeout
             for conn in ready_conns:
-                worker = next(
-                    w for w in self._running if w.conn is conn
-                )
+                worker = next(w for w in self._running if w.conn is conn)
                 self._drain_worker(worker)
+        return self._ready.popleft()
 
     def _drain_worker(self, worker: _Worker) -> None:
-        chunk_id, tags = self._running[worker]
+        tag = self._running[worker]
         try:
             message = worker.conn.recv()
         except (EOFError, OSError):
-            del self._running[worker]
             self._replace_worker(worker)
-            live = [t for t in tags if t not in self._killed_tags]
-            self._in_flight -= len(live)
-            raise WorkerLostError(live, "connection lost") from None
-        kind = message[0]
-        if kind == "inc":
-            _kind, tag, payload = message
-            if tag not in self._killed_tags:
-                self._incumbents[tag] = payload
+            raise WorkerLostError(tag, "connection lost") from None
+        if message[0] == "inc":
+            self._incumbents[tag] = message[2]
             return
-        if kind == "crash":
-            _kind, _chunk_id, error_type, error = message
-            del self._running[worker]
-            self._idle.append(worker)
-            live = [t for t in tags if t not in self._killed_tags]
-            self._in_flight -= len(live)
-            raise WorkerLostError(live, f"task raised {error_type}: {error}")
-        # "done"
-        _kind, _chunk_id, outcomes = message
         del self._running[worker]
         self._idle.append(worker)
-        self._dispatch()
-        for tag, outcome in outcomes:
-            # Killed tags were accounted at kill time and never surface.
-            if tag not in self._killed_tags:
-                self._ready.append((tag, outcome))
+        self._dispatch()  # the next task starts before the caller sees this one
+        if message[0] == "crash":
+            _kind, _tag, error_type, error = message
+            raise WorkerLostError(tag, f"task raised {error_type}: {error}")
+        self._ready.append((tag, message[2]))
 
     # -- preemption extras --------------------------------------------------
-    def kill(self, tag: int, drop_pending: bool = True) -> bool:
+    def kill(self, tag: int) -> bool:
         """Hard-kill the task ``tag``; returns True when something stopped.
 
-        A running tag terminates its worker mid-solve (the whole chunk it
-        rode in dies with it — racing callers use ``chunksize=1``); a
-        still-pending tag is simply dropped from the queue when
-        ``drop_pending``.  Killed tags never come back from :meth:`pop`;
-        any incumbent they published remains readable.
+        A running tag terminates its worker mid-solve; a still-pending tag
+        is dropped from the queue.  Killed tags never come back from
+        :meth:`pop`; any incumbent they published remains readable.  A
+        task whose result already reached the pipe is not killed: this
+        returns ``False`` and the result pops as a completion.
         """
-        self.flush()
-        if tag in self._killed_tags:
-            return False
-        for worker, (chunk_id, tags) in list(self._running.items()):
-            if tag in tags:
-                # Drain anything already in the pipe before pulling the
-                # trigger: a final incumbent must not die with the worker,
-                # and a member that finished microseconds ago is a
-                # completion, not a kill.
-                try:
-                    while worker.conn.poll():
-                        message = worker.conn.recv()
-                        if message[0] == "inc":
-                            _kind, inc_tag, payload = message
-                            if inc_tag not in self._killed_tags:
-                                self._incumbents[inc_tag] = payload
-                        elif message[0] == "done":
-                            del self._running[worker]
-                            self._idle.append(worker)
-                            self._dispatch()
-                            for done_tag, outcome in message[2]:
-                                if done_tag not in self._killed_tags:
-                                    self._ready.append((done_tag, outcome))
-                            return False  # finished before the kill landed
-                        else:  # "crash": the task died on its own
-                            break
-                except (EOFError, OSError):
-                    pass
-                del self._running[worker]
-                fresh = self._pool.replace(worker)
-                self._workers[self._workers.index(worker)] = fresh
-                self._idle.append(fresh)
-                live = [t for t in tags if t not in self._killed_tags]
-                self._killed_tags.update(live)
-                self._in_flight -= len(live)
-                self._dispatch()
+        for index, (pending_tag, _item) in enumerate(self._pending):
+            if pending_tag == tag:
+                del self._pending[index]
                 return True
-        if drop_pending:
-            for index, (chunk_id, chunk) in enumerate(self._pending):
-                chunk_tags = [t for t, _item in chunk]
-                if tag in chunk_tags:
-                    remaining = [
-                        (t, item) for t, item in chunk if t != tag
-                    ]
-                    if remaining:
-                        self._pending[index] = (chunk_id, remaining)
-                    else:
-                        del self._pending[index]
-                    self._killed_tags.add(tag)
-                    self._in_flight -= 1
-                    return True
-        return False
+        worker = next((w for w, t in self._running.items() if t == tag), None)
+        if worker is None:
+            return False
+        # Drain anything already in the pipe before pulling the trigger: a
+        # final incumbent must not die with the worker, and a task that
+        # finished microseconds ago is a completion, not a kill.
+        try:
+            while worker.conn.poll():
+                self._drain_worker(worker)
+                if self._running.get(worker) != tag:
+                    return False  # finished before the kill landed
+        except WorkerLostError:
+            return True  # died on its own first; nothing left to stop
+        self._replace_worker(worker)
+        self._dispatch()
+        return True
 
     def take_incumbent(self, tag: int) -> Optional[Any]:
         """Pop and return the latest incumbent ``tag`` published, if any."""
@@ -585,13 +484,9 @@ class PoolSession:
         if self._closed:
             return
         self._closed = True
-        for worker, (_chunk_id, tags) in list(self._running.items()):
-            del self._running[worker]
-            fresh = self._pool.replace(worker)
-            self._workers[self._workers.index(worker)] = fresh
-            self._killed_tags.update(tags)
+        for worker in list(self._running):
+            self._replace_worker(worker)
         self._pending.clear()
-        self._buffer.clear()
         self._pool.release(self._workers)
         self._workers = []
         self._idle = []

@@ -1,4 +1,4 @@
-"""The streaming batch pipeline: chunked, bounded-memory task execution.
+"""The streaming batch pipeline: bounded-memory task execution.
 
 Two entry points, built on the same windowed admit/drain/pop pattern
 (:func:`solve_stream` adds dedupe inside its loop):
@@ -38,15 +38,17 @@ Two entry points, built on the same windowed admit/drain/pop pattern
 * **Per-task error capture.**  A crashing worker task becomes one
   ``status="error"`` :class:`~repro.api.result.SolveResult` (exception
   type, message, and traceback in ``extra``) at that task's position;
-  every other task in the batch is unaffected.  ``on_error="raise"``
-  restores fail-fast behavior.
+  every other task in the batch is unaffected.  A task whose pool worker
+  died under it (``os._exit``, a signal) is such a failure too, with
+  ``error_type="WorkerLostError"``.  ``on_error="raise"`` restores
+  fail-fast behavior.
 
 Both entry points size their in-flight window themselves
 (:func:`_window`): one task at a time inline, so each result is yielded
-before the next task runs, and ``max(4, 2 × workers × chunksize)`` tasks
-plus their buffered results on the pool.  Memory is bounded by that
-window and a fixed-size LRU of completed representatives kept for
-dedupe; the input iterable is consumed lazily, never materialized.
+before the next task runs, and ``max(4, 2 × workers)`` tasks plus their
+buffered results on the pool.  Memory is bounded by that window and a
+fixed-size LRU of completed representatives kept for dedupe; the input
+iterable is consumed lazily, never materialized.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ from typing import (
 )
 
 from .backends import open_session, resolve_backend
+from .pool import WorkerLostError
 
 __all__ = ["TaskOutcome", "run_tasks", "solve_stream"]
 
@@ -112,15 +115,25 @@ def _to_outcome(raw: Tuple) -> TaskOutcome:
     return TaskOutcome(ok=False, error_type=raw[1], error=raw[2], traceback=raw[3])
 
 
-def _window(backend: str, workers: int, chunksize: int) -> int:
+def _window(backend: str, workers: int) -> int:
     """Tasks in flight or buffered at once on a resolved backend.
 
     One inline, so each result is yielded before the next task runs; on
-    the pool, enough to keep every worker busy while the next chunk waits.
+    the pool, enough to keep every worker busy while the next task waits.
     """
     if backend == "serial":
         return 1
-    return max(4, 2 * workers * max(1, chunksize))
+    return max(4, 2 * workers)
+
+
+def _pop(session) -> Tuple[int, Tuple]:
+    """The next ``(tag, raw outcome)``; a lost worker fails its one task."""
+    try:
+        return session.pop()
+    except WorkerLostError as exc:
+        return exc.tag, (
+            "error", "WorkerLostError", str(exc), _traceback.format_exc()
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +146,6 @@ def run_tasks(
     backend: Optional[str] = None,
     workers: Optional[int] = None,
     ordered: bool = True,
-    chunksize: int = 1,
 ) -> Iterator[Tuple[int, TaskOutcome]]:
     """Map ``fn`` over ``items`` through a backend, streaming the outcomes.
 
@@ -144,8 +156,8 @@ def run_tasks(
     pipeline runs in bounded memory over arbitrarily long inputs.
     """
     name, count = resolve_backend(backend, workers)
-    limit = _window(name, count, chunksize)
-    with open_session(name, count, _Guarded(fn), chunksize) as session:
+    limit = _window(name, count)
+    with open_session(name, count, _Guarded(fn)) as session:
         iterator = iter(enumerate(items))
         pending: Dict[int, TaskOutcome] = {}
         next_emit = 0
@@ -166,7 +178,7 @@ def run_tasks(
                 if exhausted:
                     break
                 continue
-            tag, raw = session.pop()
+            tag, raw = _pop(session)
             outcome = _to_outcome(raw)
             if ordered:
                 pending[tag] = outcome
@@ -181,7 +193,7 @@ def _solve_task(payload: Tuple) -> "Any":
     """Worker-side task: solve one ``(problem, solver)`` payload.
 
     Module-level so every backend can transport it.  A pool worker gets
-    the caller's settings from the pool's config snapshot, not from here.
+    the caller's disk-cache directory with each task, not from here.
     """
     problem, solver = payload
     from ..api.registry import solve
@@ -245,7 +257,6 @@ def solve_stream(
     *,
     backend: Optional[str] = None,
     workers: Optional[int] = None,
-    chunksize: int = 1,
     ordered: bool = True,
     dedupe: bool = True,
     on_error: str = "result",
@@ -264,11 +275,7 @@ def solve_stream(
     backend / workers:
         Execution backend name, ``"serial"`` or ``"process"`` (see
         :func:`~repro.runtime.backends.resolve_backend`); ``workers``
-        sizes the process backend.
-    chunksize:
-        Tasks per worker round-trip on the process backend; with
-        ``workers`` it sizes the pool's in-flight window (inline, one
-        task at a time).
+        sizes the process backend and its in-flight window.
     ordered:
         ``True`` yields results in input order (the ``solve_batch``
         determinism guarantee); ``False`` yields in completion order.
@@ -292,7 +299,7 @@ def solve_stream(
             f"on_error must be 'result' or 'raise', got {on_error!r}"
         )
     name, count = resolve_backend(backend, workers)
-    limit = _window(name, count, chunksize)
+    limit = _window(name, count)
 
     pending: Dict[int, Any] = {}  # ordered-mode reorder buffer
     ready: deque = deque()  # unordered-mode emission queue
@@ -327,7 +334,7 @@ def solve_stream(
             )
         return _error_result(problem_of[index], outcome)
 
-    with open_session(name, count, _Guarded(_solve_task), chunksize) as session:
+    with open_session(name, count, _Guarded(_solve_task)) as session:
 
         def dispatch(index: int, problem, key: Optional[Tuple], form) -> None:
             problem_of[index] = problem
@@ -422,5 +429,5 @@ def solve_stream(
                 if exhausted:
                     break
                 continue
-            tag, raw = session.pop()
+            tag, raw = _pop(session)
             complete(tag, raw)

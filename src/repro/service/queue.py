@@ -40,15 +40,11 @@ held request directly.
 
 Jobs carry the serialized :class:`~repro.api.problem.Problem` JSON, the
 submitting client id, a priority (higher first, FIFO within a priority),
-and the full timestamp trail.  :class:`JobRecord` is registered with the
-façade wire format (:func:`repro.api.register_codec` under the
-``"service_job"`` tag), so a job envelope round-trips through
-``to_json`` / ``from_json`` like any other façade value.
+and the full timestamp trail.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import sqlite3
 import threading
@@ -56,9 +52,7 @@ import time
 import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
-
-from ..api.serialization import register_codec
+from typing import Dict, Iterable, Iterator, List, Optional
 
 __all__ = [
     "JOB_STATES",
@@ -108,8 +102,7 @@ class JobRecord:
 
     ``problem`` and ``result`` hold canonical façade JSON *text* (or
     ``None`` for ``result`` until the job finishes), so a record is cheap
-    to move around and decodes on demand via :meth:`problem_obj` /
-    :meth:`result_obj`.
+    to move around; ``repro.api.from_json`` decodes either.
     """
 
     id: str
@@ -126,20 +119,6 @@ class JobRecord:
     result: Optional[str]
     error: Optional[str]
 
-    def problem_obj(self):
-        """Decode the stored problem JSON into a façade ``Problem``."""
-        from ..api.serialization import from_json
-
-        return from_json(self.problem)
-
-    def result_obj(self):
-        """Decode the stored result JSON (``None`` until terminal)."""
-        if self.result is None:
-            return None
-        from ..api.serialization import from_json
-
-        return from_json(self.result)
-
     def public_dict(self) -> Dict[str, object]:
         """The status view the HTTP API serves (no payload bodies)."""
         return {
@@ -155,40 +134,6 @@ class JobRecord:
             "finished_at": self.finished_at,
             "error": self.error,
         }
-
-
-def _canonical_text(data: object) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
-
-
-def _encode_job_record(record: JobRecord) -> Dict[str, object]:
-    payload = record.public_dict()
-    payload["problem"] = json.loads(record.problem)
-    payload["result"] = None if record.result is None else json.loads(record.result)
-    return payload
-
-
-def _decode_job_record(data: Dict[str, object]) -> JobRecord:
-    return JobRecord(
-        id=str(data["id"]),
-        client_id=str(data["client_id"]),
-        priority=int(data["priority"]),
-        solver=str(data["solver"]),
-        problem=_canonical_text(data["problem"]),
-        state=str(data["state"]),
-        cancel_requested=bool(data["cancel_requested"]),
-        attempts=int(data["attempts"]),
-        submitted_at=float(data["submitted_at"]),
-        started_at=None if data.get("started_at") is None else float(data["started_at"]),
-        finished_at=None
-        if data.get("finished_at") is None
-        else float(data["finished_at"]),
-        result=None if data.get("result") is None else _canonical_text(data["result"]),
-        error=None if data.get("error") is None else str(data["error"]),
-    )
-
-
-register_codec(JobRecord, "service_job", _encode_job_record, _decode_job_record)
 
 
 class JobQueue:
@@ -309,21 +254,6 @@ class JobQueue:
             "SELECT * FROM jobs WHERE id = ?", (job_id,)
         ).fetchone()
         return None if row is None else self._from_row(row)
-
-    def list_jobs(
-        self, state: Optional[str] = None, limit: int = 100
-    ) -> List[JobRecord]:
-        """Most recent jobs first, optionally filtered by state."""
-        if state is None:
-            rows = self._conn().execute(
-                "SELECT * FROM jobs ORDER BY rowid DESC LIMIT ?", (limit,)
-            ).fetchall()
-        else:
-            rows = self._conn().execute(
-                "SELECT * FROM jobs WHERE state = ? ORDER BY rowid DESC LIMIT ?",
-                (state, limit),
-            ).fetchall()
-        return [self._from_row(row) for row in rows]
 
     # -- scheduler-side transitions ------------------------------------------
     def claim(self, limit: int) -> List[JobRecord]:

@@ -6,7 +6,8 @@ through module paths of its own.  A package change that breaks one of
 them fails every ``exact`` and ``portfolio`` benchmark run at start-up
 while the rest of this suite stays green, so this test imports both the
 way the harness does, in a fresh interpreter with ``perfbench/`` and
-``src/`` first on the path, and runs the engine probe.
+``src/`` first on the path, and runs the engine probe.  It also runs
+``layers.kill_probe`` once, which still calls ``PoolSession.flush()``.
 """
 
 import subprocess
@@ -32,6 +33,18 @@ for instance in (
         problem = Problem(objective=objective, instance=instance, alpha=alpha)
         probe = layers.engine_probe(problem)
         assert probe["states"] > 0, (problem, probe)
+
+from repro.runtime import shutdown_worker_pool, worker_pool_stats
+
+# One cluster of 120 overlapping windows: about half a second of DP, so
+# the probe's kill lands mid-solve.
+busy = Problem(
+    objective="gaps",
+    instance=OneIntervalInstance.from_pairs([(7 * i, 7 * i + 30) for i in range(120)]),
+)
+assert layers.kill_probe(busy) >= 0.0
+assert worker_pool_stats()["killed"] == 1
+shutdown_worker_pool()
 print("probed", sut_child.__name__)
 """
 

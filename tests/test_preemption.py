@@ -60,10 +60,20 @@ def _worker_pid(_item):
     return os.getpid()
 
 
+def _nap(seconds):
+    time.sleep(seconds)
+    return seconds
+
+
+def _chain_problem(num_jobs):
+    pairs = [(3 * i, 3 * i + 5) for i in range(num_jobs)]
+    return Problem(objective="gaps", instance=OneIntervalInstance.from_pairs(pairs))
+
+
 class TestWorkerPool:
     def test_basic_round_trip(self):
         pool = get_worker_pool()
-        with pool.session(_square, workers=2, chunksize=1) as session:
+        with pool.session(_square, workers=2) as session:
             for tag, item in enumerate([2, 3, 4]):
                 session.submit(tag, item)
             got = {}
@@ -74,11 +84,11 @@ class TestWorkerPool:
 
     def test_workers_are_warm_across_sessions(self):
         pool = get_worker_pool()
-        with pool.session(_worker_pid, workers=1, chunksize=1) as session:
+        with pool.session(_worker_pid, workers=1) as session:
             session.submit(0, None)
             _tag, first_pid = session.pop()
         spawned_before = worker_pool_stats()["spawned"]
-        with pool.session(_worker_pid, workers=1, chunksize=1) as session:
+        with pool.session(_worker_pid, workers=1) as session:
             session.submit(0, None)
             _tag, second_pid = session.pop()
         assert second_pid == first_pid  # the very same warm process
@@ -86,7 +96,7 @@ class TestWorkerPool:
 
     def test_kill_terminates_and_spares_siblings(self):
         pool = get_worker_pool()
-        with pool.session(_slow_task, workers=2, chunksize=1) as session:
+        with pool.session(_slow_task, workers=2) as session:
             session.submit(0, "victim")
             session.submit(1, "survivor")
             assert session.pop(timeout=0.05) is None  # both still running
@@ -100,9 +110,62 @@ class TestWorkerPool:
             assert session.in_flight == 0
         assert worker_pool_stats()["killed"] >= 1
 
+    def test_kill_drops_a_pending_tag(self):
+        pool = get_worker_pool()
+        with pool.session(_nap, workers=1) as session:
+            killed_before = worker_pool_stats()["killed"]
+            session.submit(0, 0.3)  # the one worker is busy with this
+            session.submit(1, 0.0)
+            session.submit(2, 0.0)
+            assert session.in_flight == 3
+            assert session.kill(1) is True
+            assert session.in_flight == 2
+            assert session.kill(1) is False
+            assert [session.pop()[0] for _ in range(2)] == [0, 2]
+            assert session.in_flight == 0
+            assert worker_pool_stats()["killed"] == killed_before
+
+    def test_kill_after_the_result_landed_is_a_completion(self):
+        pool = get_worker_pool()
+        with pool.session(_nap, workers=1) as session:
+            killed_before = worker_pool_stats()["killed"]
+            session.submit(0, 0.0)
+            session.submit(1, 0.2)  # waits for the one worker
+            (worker,) = session._running
+            assert worker.conn.poll(10.0)  # task 0's result is in the pipe
+            assert session.kill(0) is False
+            # The freed worker took task 1, which the kill must not touch.
+            assert session.in_flight == 2
+            assert session.pop(timeout=0) == (0, 0.0)
+            assert session.pop() == (1, 0.2)
+            assert worker_pool_stats()["killed"] == killed_before
+
+    def test_warm_worker_follows_disk_cache_changes(self, tmp_path):
+        def solve_on_the_pool(num_jobs):
+            (result,) = solve_batch(
+                [_chain_problem(num_jobs)], backend="process", workers=1
+            )
+            assert result.status == "optimal"
+
+        def entries(name):
+            return len(list(DiskSolveCache(str(tmp_path / name))._walk_entries()))
+
+        solve_on_the_pool(3)  # the worker forks with the disk tier off
+        spawned = worker_pool_stats()["spawned"]
+        configure_disk_cache(str(tmp_path / "a"))
+        solve_on_the_pool(4)
+        assert (entries("a"), entries("b")) == (1, 0)
+        configure_disk_cache(str(tmp_path / "b"))
+        solve_on_the_pool(5)
+        assert (entries("a"), entries("b")) == (1, 1)
+        configure_disk_cache(None)
+        solve_on_the_pool(6)
+        assert (entries("a"), entries("b")) == (1, 1)
+        assert worker_pool_stats()["spawned"] == spawned  # one warm worker
+
     def test_killed_task_leaves_its_incumbent(self):
         pool = get_worker_pool()
-        with pool.session(_slow_task, workers=1, chunksize=1) as session:
+        with pool.session(_slow_task, workers=1) as session:
             session.submit(7, "inc")
             incumbent = None
             deadline = time.time() + 10.0
@@ -114,7 +177,7 @@ class TestWorkerPool:
 
     def test_shutdown_leaves_no_processes(self):
         pool = get_worker_pool()
-        with pool.session(_square, workers=2, chunksize=1) as session:
+        with pool.session(_square, workers=2) as session:
             session.submit(0, 1)
             session.pop()
         shutdown_worker_pool()

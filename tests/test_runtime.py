@@ -233,15 +233,135 @@ class TestRunTasks:
         assert len(consumed) <= 4 + 3
         stream.close()
 
-    def test_chunksize_roundtrip(self):
-        items = list(range(23))
-        out = list(
-            run_tasks(_square, items, backend="process", workers=2, chunksize=5)
-        )
-        assert [o.value for _, o in out] == [x * x for x in items]
-
     def test_empty_input(self):
         assert list(run_tasks(_square, [], backend="process")) == []
+
+
+def _exit_pool_worker():
+    """End the pool worker running this task at once, as a crash would."""
+    from repro.runtime import pool
+
+    if not pool._IN_WORKER:
+        raise RuntimeError("only a pool worker may be exited")
+    os._exit(3)
+
+
+def _exit_worker_on_two(x):
+    if x == 2:
+        _exit_pool_worker()
+    return x * x
+
+
+def _jobs_problem(num_jobs):
+    from repro.api import OneIntervalInstance
+
+    pairs = [(4 * i, 4 * i + 2) for i in range(num_jobs)]
+    return Problem(objective="gaps", instance=OneIntervalInstance.from_pairs(pairs))
+
+
+@pytest.fixture
+def exit_on_three_jobs():
+    """A registered solver that ends its pool worker on 3-job instances."""
+    from repro.api import OneIntervalInstance
+    from repro.api.registry import _REGISTRY, register_solver
+
+    @register_solver(
+        "exit-on-three-test",
+        objective="gaps",
+        kind="baseline",
+        instance_types=(OneIntervalInstance,),
+    )
+    def _exit_on_three(problem):
+        if len(problem.instance.jobs) == 3:
+            _exit_pool_worker()
+        return solve(problem, solver="gap-dp")
+
+    yield "exit-on-three-test"
+    _REGISTRY.pop("exit-on-three-test", None)
+
+
+class TestLostWorker:
+    """A task whose pool worker dies fails alone; the rest of the batch runs."""
+
+    def test_run_tasks_fails_only_the_lost_task(self):
+        out = list(
+            run_tasks(_exit_worker_on_two, range(5), backend="process", workers=2)
+        )
+        assert [index for index, _ in out] == list(range(5))
+        lost = out[2][1]
+        assert not lost.ok
+        assert lost.error_type == "WorkerLostError"
+        assert [o.value for index, o in out if index != 2] == [0, 1, 9, 16]
+
+    @pytest.mark.parametrize("ordered", [True, False])
+    def test_solve_stream_answers_the_others(self, exit_on_three_jobs, ordered):
+        problems = [_jobs_problem(n) for n in (2, 4, 3, 5, 6)]
+        pairs = list(
+            solve_stream(
+                problems,
+                solver=exit_on_three_jobs,
+                backend="process",
+                workers=2,
+                ordered=ordered,
+                with_index=True,
+            )
+        )
+        if ordered:
+            assert [index for index, _ in pairs] == list(range(5))
+        results = dict(pairs)
+        assert sorted(results) == list(range(5))
+        assert results[2].status == "error"
+        assert results[2].extra["error_type"] == "WorkerLostError"
+        assert [results[i].status for i in (0, 1, 3, 4)] == ["optimal"] * 4
+
+    def test_raise_mode_raises_solver_error(self, exit_on_three_jobs):
+        problems = [_jobs_problem(n) for n in (2, 3, 4)]
+        with pytest.raises(SolverError, match="WorkerLostError"):
+            list(
+                solve_stream(
+                    problems,
+                    solver=exit_on_three_jobs,
+                    backend="process",
+                    workers=2,
+                    on_error="raise",
+                )
+            )
+
+    def test_parked_duplicate_of_a_lost_representative_is_solved(self, tmp_path):
+        from repro.api import OneIntervalInstance
+        from repro.api.registry import _REGISTRY, register_solver
+
+        # Workers count attempts in a file: the pool runs them elsewhere.
+        log = tmp_path / "attempts"
+
+        @register_solver(
+            "exit-once-test",
+            objective="gaps",
+            kind="baseline",
+            instance_types=(OneIntervalInstance,),
+        )
+        def _exit_once(problem):
+            first = not log.exists()
+            with open(log, "a") as handle:
+                handle.write("x")
+            if first:
+                _exit_pool_worker()
+            return solve(problem, solver="gap-dp")
+
+        try:
+            problems = [_jobs_problem(4)] * 3
+            results = list(
+                solve_stream(
+                    problems, solver="exit-once-test", backend="process", workers=2
+                )
+            )
+            # The copies park behind the representative, whose worker died:
+            # the first copy is re-dispatched and the second replays it.
+            assert [r.status for r in results] == ["error", "optimal", "optimal"]
+            assert results[0].extra["error_type"] == "WorkerLostError"
+            assert log.read_text() == "xx"
+        finally:
+            _REGISTRY.pop("exit-once-test", None)
 
 
 # ---------------------------------------------------------------------------
@@ -869,7 +989,7 @@ class TestCrossBackendEquivalence:
         for backend in ("serial", "process"):
             clear_solve_cache()
             results = list(
-                solve_stream(problems, backend=backend, workers=3, chunksize=2)
+                solve_stream(problems, backend=backend, workers=3)
             )
             assert [r.status for r in results] == [
                 "optimal" if p.objective in ("gaps", "power") else "approximate"

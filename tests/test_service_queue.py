@@ -7,7 +7,7 @@ import time
 import pytest
 
 from repro.api import OneIntervalInstance, Problem, from_json, to_json
-from repro.service import JOB_STATES, TERMINAL_STATES, JobQueue, JobRecord
+from repro.service import JOB_STATES, TERMINAL_STATES, JobQueue
 from repro.service.queue import MAX_ATTEMPTS
 
 
@@ -38,14 +38,7 @@ class TestSubmitAndLookup:
     def test_problem_round_trips_through_record(self, store):
         text = _problem_json()
         record = store.submit(text)
-        assert to_json(record.problem_obj()) == text
-
-    def test_list_jobs_newest_first_and_state_filter(self, store):
-        first = store.submit(_problem_json())
-        second = store.submit(_problem_json())
-        assert [r.id for r in store.list_jobs()] == [second.id, first.id]
-        store.request_cancel(first.id)
-        assert [r.id for r in store.list_jobs(state="queued")] == [second.id]
+        assert to_json(from_json(record.problem)) == text
 
 
 class TestClaim:
@@ -415,16 +408,6 @@ class TestHeldWaits:
 
 
 class TestJobRecordCodec:
-    def test_round_trips_through_facade_json(self, store):
-        record = store.submit(_problem_json(), client_id="alice", priority=2)
-        store.claim(1)
-        # Canonical compact text, as the daemon's to_json write-back produces:
-        # the codec re-canonicalizes embedded payloads on decode.
-        store.complete(record.id, result_json='{"ok":1}')
-        final = store.get(record.id)
-        assert isinstance(from_json(to_json(final)), JobRecord)
-        assert from_json(to_json(final)) == final
-
     def test_terminal_states_constant(self):
         assert TERMINAL_STATES == {"done", "error", "cancelled"}
         assert TERMINAL_STATES < set(JOB_STATES)
