@@ -9,20 +9,21 @@ with the engine, and the case's ``engine_per_host`` is the median of the
 per-repeat engine/host ratios.  The host kernel moves with the machine
 (clock, cache, co-tenants) but never with the engine, so the ratio is a
 machine-independent measure that the regression gate
-(:func:`~repro.perf.report.compare_reports`) keys on.
+(:func:`benchdp.report.compare_reports`) keys on.
 
 Optima are not re-derived here: the exact engine is the only
 implementation timed, and the gate compares each case's ``value`` with
-the committed report instead.  The decomposed column is still checked
-against the monolithic solve in the same run.  It times the façade's
-decomposed solve from a cold cache in this process: components run
-inline, so its speedup on the periodic cases comes from the solve cache
-collapsing isomorphic clusters, not from extra cores.
+the history instead.  The decomposed column is still checked against
+the monolithic solve in the same run.  It times the façade's decomposed
+solve from a cold cache in this process: components run inline, so its
+speedup on the periodic cases comes from the solve cache collapsing
+isomorphic clusters, not from extra cores.
 
 ``run_bench(quick=True)`` is the CI smoke matrix (small instances, a couple
-of seconds); the default full matrix adds the medium (n >= 40, p >= 3) and
-large (n = 60/80, p = 3/4) instances that make up the headline artifact
-``BENCH_dp.json``.
+of seconds); the full matrix adds the medium (n >= 40, p >= 3) and large
+(n = 60/80, p = 3/4) instances that make up the headline artifact
+``BENCH_dp.json``.  Cases run one after another in this process: cases
+timed side by side would contend for cores and distort each other.
 
 Budget-raced solves are not timed here: their wall time is pinned by the
 budget, not by the engine.  The repository's ``perfbench`` ``portfolio``
@@ -36,14 +37,23 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..core.jobs import MultiprocessorInstance
-from ..core.interval_dp import ENGINE_NAME, ENGINE_VERSION, solve_exact
-from ..generators import (
+from repro.api import (
+    Problem,
+    clear_solve_cache,
+    configure_solve_cache,
+    solve,
+    solve_cache_stats,
+)
+from repro.core.interval_dp import ENGINE_NAME, ENGINE_VERSION, solve_exact
+from repro.core.jobs import MultiprocessorInstance
+from repro.generators import (
     clustered_release_instance,
     random_multiprocessor_instance,
     splittable_instance,
     tight_window_instance,
 )
+from repro.runtime import configure_disk_cache, disk_cache_dir
+
 from .report import BENCH_SCHEMA, environment_fingerprint, values_agree
 
 __all__ = [
@@ -55,9 +65,9 @@ __all__ = [
     "run_bench",
 ]
 
-#: Default timing discipline; CLI flags override.
-DEFAULT_REPEATS = 3
-DEFAULT_WARMUP = 1
+#: Master seed of the instance generators: case ``i`` solves the instance
+#: of seed ``SEED + i``, so every report times the same instances.
+SEED = 0
 
 
 @dataclass(frozen=True)
@@ -319,9 +329,6 @@ def _engine_solve(case: BenchCase, instance):
 
 def _decomposed_solve(case: BenchCase, instance):
     """Solve through the façade, which decomposes; (feasible, value, extra)."""
-    from ..api.problem import Problem
-    from ..api.registry import solve
-
     if case.objective == "gaps":
         problem = Problem(objective="gaps", instance=instance)
         solver = "gap-dp"
@@ -350,9 +357,6 @@ def _time_decomposed(
     solve-cache and disk-cache configurations are snapshotted and
     restored so a bench sweep leaves the process exactly as it found it.
     """
-    from ..api.solvers import clear_solve_cache, configure_solve_cache, solve_cache_stats
-    from ..runtime.diskcache import configure_disk_cache, disk_cache_dir
-
     saved_maxsize = solve_cache_stats()["maxsize"]
     saved_disk = disk_cache_dir()
 
@@ -390,13 +394,8 @@ def _assert_agreement(case: BenchCase, label: str, feasible, value, other) -> No
         )
 
 
-def _run_case(payload: Tuple) -> Dict:
-    """Measure one benchmark case end to end; returns its report record.
-
-    Module-level (with a picklable payload) so :func:`run_bench` can fan
-    cases out through any :mod:`repro.runtime` backend.
-    """
-    case, case_seed, repeats, warmup = payload
+def _run_case(case: BenchCase, case_seed: int, repeats: int, warmup: int) -> Dict:
+    """Measure one benchmark case end to end; returns its report record."""
     instance = case.make_instance(case_seed)
     feasible, value, stats = _engine_solve(case, instance)
     engine_timing, host_timing, engine_per_host = time_against_host(
@@ -430,84 +429,36 @@ def _run_case(payload: Tuple) -> Dict:
 
 
 def run_bench(
-    quick: bool = False,
-    repeats: Optional[int] = None,
-    warmup: Optional[int] = None,
-    seed: int = 0,
-    cases: Optional[List[BenchCase]] = None,
+    quick: bool,
+    repeats: int,
+    warmup: int,
     progress: Optional[Callable[[Dict], None]] = None,
-    backend: Optional[str] = None,
-    workers: Optional[int] = None,
-    name_filter: Optional[str] = None,
 ) -> Dict:
     """Run the benchmark matrix and return a schema-conformant report dict.
 
-    Parameters
-    ----------
-    quick:
-        Use the reduced CI smoke matrix.
-    repeats / warmup:
-        Timing discipline (defaults: 3 timed runs after 1 warmup).
-    seed:
-        Master seed for the instance generators.
-    cases:
-        Explicit case list overriding :func:`default_cases`.
-    progress:
-        Optional callback invoked with each finished case record (in
-        matrix order on every backend).
-    name_filter:
-        Regular expression matched (``re.search``) against case names;
-        non-matching cases are dropped.  Raises ``ValueError`` when
-        nothing matches — a silently empty benchmark would look like
-        success.
-    backend / workers:
-        Execution backend for the case sweep.  Unlike the other harnesses
-        this deliberately ignores ``configure_backend``/``REPRO_BACKEND``
-        and stays strictly serial unless a backend is passed explicitly:
-        co-scheduled cases contend for cores and distort each other's
-        timings, so parallel runs are for quick value-agreement sweeps,
-        never for committed reports.
+    ``quick`` selects the reduced CI smoke matrix; each case takes
+    ``warmup`` untimed runs, then ``repeats`` timed ones.  ``progress``,
+    when given, is called with each finished case record, in matrix
+    order.
 
     The decomposed solve is asserted to agree with the monolithic engine
     on feasibility and value before its timing is recorded; a case that
     fails mid-sweep aborts the whole run (a benchmark with holes would
     silently pass the regression gate).
     """
-    from ..runtime.stream import run_tasks
-
-    repeats = DEFAULT_REPEATS if repeats is None else repeats
-    warmup = DEFAULT_WARMUP if warmup is None else warmup
     if repeats < 1 or warmup < 0:
         raise ValueError("repeats must be >= 1 and warmup >= 0")
-    case_list = default_cases(quick) if cases is None else list(cases)
-    # Instance seeds follow the unfiltered matrix order, so a filtered run
-    # solves the same instances (and optima) as the committed report.
-    payloads = [
-        (case, seed + index, repeats, warmup)
-        for index, case in enumerate(case_list)
-    ]
-    if name_filter is not None:
-        import re
-
-        pattern = re.compile(name_filter)
-        payloads = [p for p in payloads if pattern.search(p[0].name)]
-        if not payloads:
-            raise ValueError(f"--filter {name_filter!r} matches no bench case")
-
     records: List[Dict] = []
-    for _index, outcome in run_tasks(
-        _run_case, payloads, backend=backend or "serial", workers=workers
-    ):
-        record = outcome.unwrap()
+    for index, case in enumerate(default_cases(quick)):
+        record = _run_case(case, SEED + index, repeats, warmup)
         records.append(record)
         if progress is not None:
             progress(record)
-
     return {
         "schema": BENCH_SCHEMA,
         "engine": {"name": ENGINE_NAME, "version": ENGINE_VERSION},
         "quick": quick,
-        "seed": seed,
+        "seed": SEED,
         "repeats": repeats,
         "warmup": warmup,
         "environment": environment_fingerprint(),

@@ -1,11 +1,12 @@
-"""Stable JSON report schema for the interval-DP benchmark (``BENCH_dp.json``).
+"""The benchmark report (``BENCH_dp.json``), its history and the gate.
 
 The report is a machine-readable artifact: CI uploads it on every push and
-fails the build when its shape drifts, so downstream tooling (trend plots,
-regression gates) can rely on the keys below.  ``validate_report`` is
-deliberately strict in both directions — missing *and* unexpected keys are
-schema drift.  :func:`compare_reports` is the regression gate CI runs
-against the committed report.
+the gate validates it before writing it, so downstream tooling (trend
+plots, regression gates) can rely on the keys below.  ``validate_report``
+is deliberately strict in both directions — missing *and* unexpected keys
+are schema drift.  Every full-matrix run appends one line to the history
+(``BENCH_history.jsonl``), and :func:`compare_reports` is the regression
+gate CI runs against :func:`rolling_median_reference` of that history.
 
 Top-level keys::
 
@@ -74,35 +75,45 @@ from __future__ import annotations
 
 import json
 import platform
-from typing import Any, Dict, List
+import statistics
+from datetime import datetime, timezone
+from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = [
     "BENCH_SCHEMA",
+    "HISTORY_SCHEMA",
     "BenchSchemaError",
     "environment_fingerprint",
     "validate_report",
-    "validate_report_file",
     "write_report",
-    "load_report",
+    "append_history",
+    "read_history",
+    "rolling_median_reference",
     "compare_reports",
-    "DEFAULT_REGRESSION_THRESHOLD",
-    "DEFAULT_REGRESSION_MIN_MEDIAN",
+    "REGRESSION_THRESHOLD",
+    "MIN_ENGINE_PER_HOST",
 ]
 
+#: The report's and a history line's schema ids.  They are data, named
+#: after the package the gate used to live in: ``BENCH_dp.json`` and every
+#: history line carry them, and the gate reads only matching entries.
 BENCH_SCHEMA = "repro.perf/bench-dp/v9"
+HISTORY_SCHEMA = "repro.perf/bench-history/v1"
 
 #: A case regresses when its fresh ``engine_per_host`` ratio exceeds the
-#: committed ratio by more than this factor.
-DEFAULT_REGRESSION_THRESHOLD = 1.25
+#: reference ratio by more than this factor.
+REGRESSION_THRESHOLD = 1.25
 
-#: Largest difference between a fresh and a committed optimum that still
+#: Largest difference between a fresh and a reference optimum that still
 #: counts as the same value (the power objective is a float).
 VALUE_TOLERANCE = 1e-6
 
-#: Cases whose committed engine median is below this many seconds are
-#: excluded from the regression gate: micro-cases are dominated by timer
-#: and allocator noise, and a ratio gate on them would be flaky.
-DEFAULT_REGRESSION_MIN_MEDIAN = 0.005
+#: Cases whose reference ``engine_per_host`` is below this are excluded
+#: from the timing gate: an engine run under a tenth of the host kernel's
+#: time is dominated by timer and allocator noise.  The floor is relative
+#: to the host kernel, as the gated figure is, so how busy the host was
+#: when the reference was recorded does not decide which cases are timed.
+MIN_ENGINE_PER_HOST = 0.1
 
 _TOP_KEYS = {
     "schema",
@@ -255,17 +266,147 @@ def write_report(data: Dict, path: str) -> None:
         handle.write("\n")
 
 
-def load_report(path: str) -> Dict:
-    """Read a benchmark report from ``path`` (without validating it)."""
+# ---------------------------------------------------------------------------
+# the append-only history
+# ---------------------------------------------------------------------------
+def append_history(
+    report: Dict, path: str, *, timestamp: Optional[str] = None
+) -> Dict:
+    """Validate ``report`` and append one history line to ``path``.
+
+    Each line is one self-contained JSON object, never rewritten::
+
+        {"schema": HISTORY_SCHEMA, "timestamp": "2026-08-07T12:34:56+00:00",
+         "engine_version": "...", "quick": false,
+         "cases": <number of cases>, "report": <the full validated report>}
+
+    Returns the entry that was written.  ``timestamp`` (ISO-8601) is
+    injectable for tests; it defaults to the current UTC time.
+    """
+    validate_report(report)
+    if timestamp is None:
+        timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    entry = {
+        "schema": HISTORY_SCHEMA,
+        "timestamp": timestamp,
+        "engine_version": report["engine"]["version"],
+        "quick": report["quick"],
+        "cases": len(report["cases"]),
+        "report": report,
+    }
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(json.dumps(entry, sort_keys=True))
+        handle.write("\n")
+    return entry
+
+
+def read_history(path: str) -> List[Dict]:
+    """Parse every entry of a history file, oldest first.
+
+    Blank lines are tolerated (hand-edits happen); anything else that is
+    not a valid history entry raises :class:`BenchSchemaError` with its
+    line number.
+    """
+    entries: List[Dict] = []
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        for number, line in enumerate(handle, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                entry = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise BenchSchemaError(
+                    f"{path}:{number}: not valid JSON: {exc}"
+                ) from exc
+            if not isinstance(entry, dict) or entry.get("schema") != HISTORY_SCHEMA:
+                raise BenchSchemaError(
+                    f"{path}:{number}: not a {HISTORY_SCHEMA!r} entry"
+                )
+            if not isinstance(entry.get("report"), dict):
+                raise BenchSchemaError(f"{path}:{number}: missing embedded report")
+            entries.append(entry)
+    return entries
 
 
-def validate_report_file(path: str) -> Dict:
-    """Load and validate a report file, returning the parsed data."""
-    data = load_report(path)
-    validate_report(data)
-    return data
+def _median_timing(blocks: List[Dict]) -> Dict:
+    # The synthesized block is a legal timing block (validate_report checks
+    # it like any other); ``runs`` carries the single synthesized median,
+    # since per-run samples from different benchmark runs are not
+    # meaningfully poolable.
+    median = statistics.median(b["median"] for b in blocks)
+    return {
+        "best": statistics.median(b["best"] for b in blocks),
+        "median": median,
+        "mean": statistics.median(b["mean"] for b in blocks),
+        "runs": [median],
+    }
+
+
+def rolling_median_reference(path: str, window: int) -> Tuple[Dict, int]:
+    """Synthesize the gate's reference from the last ``window`` entries.
+
+    Gating against the single latest history entry makes the gate as noisy
+    as that one run: one anomalously *fast* blessed run tightens the bar
+    for every later PR.  This builds a steadier reference: among the last
+    ``window`` history entries whose embedded report matches the current
+    ``BENCH_SCHEMA`` (older-schema entries are skipped, never coerced), each
+    case present in the newest such report gets timing blocks whose
+    best/median/mean are the **medians** of the corresponding fields across
+    the entries that measured that case, an ``engine_per_host`` that is
+    the median of those entries' ratios (the figure the gate compares),
+    and a ``speedup_vs_mono`` recomputed from the synthesized blocks.
+    Cases (or optional columns) that only the newest report carries keep
+    the newest report's numbers.
+
+    Returns ``(report, entries_used)``; the report passes
+    :func:`validate_report`.
+    """
+    if window < 1:
+        raise ValueError(f"median window must be >= 1, got {window}")
+    entries = read_history(path)
+    reports = [
+        entry["report"]
+        for entry in entries
+        if entry["report"].get("schema") == BENCH_SCHEMA
+    ]
+    if not reports:
+        raise BenchSchemaError(
+            f"{path}: no history entries with schema {BENCH_SCHEMA!r}"
+        )
+    tail = reports[-window:]
+    for report in tail:
+        validate_report(report)
+    latest = tail[-1]
+    if len(tail) == 1:
+        return latest, 1
+    synthesized: List[Dict] = []
+    for case in latest["cases"]:
+        siblings = [
+            c for report in tail for c in report["cases"] if c["name"] == case["name"]
+        ]
+        new_case = dict(case)
+        for key in ("engine", "host", "decomposed"):
+            if case[key] is None:
+                continue  # the newest run dropped this column; keep it null
+            blocks = [c[key] for c in siblings if c[key] is not None]
+            new_case[key] = _median_timing(blocks)
+        new_case["engine_per_host"] = statistics.median(
+            c["engine_per_host"] for c in siblings
+        )
+        if new_case["decomposed"] is not None:
+            new_case["speedup_vs_mono"] = max(
+                new_case["engine"]["median"], 1e-12
+            ) / max(new_case["decomposed"]["median"], 1e-12)
+        synthesized.append(new_case)
+    reference = dict(latest, cases=synthesized)
+    validate_report(reference)
+    return reference, len(tail)
+
+
+# ---------------------------------------------------------------------------
+# the regression gate
+# ---------------------------------------------------------------------------
 
 
 def values_agree(a, b) -> bool:
@@ -275,30 +416,26 @@ def values_agree(a, b) -> bool:
     return abs(float(a) - float(b)) <= VALUE_TOLERANCE
 
 
-def compare_reports(
-    fresh: Dict,
-    committed: Dict,
-    threshold: float = DEFAULT_REGRESSION_THRESHOLD,
-    min_median: float = DEFAULT_REGRESSION_MIN_MEDIAN,
-) -> Dict[str, List]:
-    """Gate a fresh report against a committed one.
+def compare_reports(fresh: Dict, reference: Dict) -> Dict[str, List]:
+    """Gate a fresh report against a reference one.
 
     Cases are matched by name.  A shared case **regresses** when
 
-    * its ``value`` differs from the committed one by more than
+    * its ``value`` differs from the reference one by more than
       :data:`VALUE_TOLERANCE`, or one side is infeasible (``null``) and the
       other is not (metric ``"value"``; checked on every shared exact
       case, below the noise floor too — the optima are deterministic), or
-    * its fresh ``engine_per_host`` exceeds the committed one by more than
-      ``threshold`` (metric ``"engine_per_host"``).  Each ratio divides
-      the engine's time by a frozen host kernel timed just before it in
-      the same run, so a machine uniformly slower or faster than the one
-      that produced the committed report leaves it unchanged, while an
-      engine slowdown moves it by its full factor.
+    * its fresh ``engine_per_host`` exceeds the reference one by more than
+      :data:`REGRESSION_THRESHOLD` (metric ``"engine_per_host"``).  Each
+      ratio divides the engine's time by a frozen host kernel timed just
+      before it in the same run, so a machine uniformly slower or faster
+      than the one that produced the reference leaves it unchanged, while
+      an engine slowdown moves it by its full factor.
 
-    Cases whose committed engine median is under ``min_median`` seconds
-    are ``skipped`` by the timing gate (too noisy to gate), and names
-    present in only one report are ``unmatched``.
+    Cases whose reference ``engine_per_host`` is under
+    :data:`MIN_ENGINE_PER_HOST` are ``skipped`` by the timing gate (too
+    noisy to gate), and names present in only one report are
+    ``unmatched``.
 
     When the two reports were produced by different Python versions, a
     note is added to ``warnings`` — reported, never gated: the kernel and
@@ -310,20 +447,18 @@ def compare_reports(
     "committed_value", "ratio"}`` (``ratio`` is null for ``"value"``
     entries), and each warning is a human-readable string.
     """
-    if threshold <= 0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
-    committed_by_name = {case["name"]: case for case in committed["cases"]}
+    reference_by_name = {case["name"]: case for case in reference["cases"]}
     regressions: List[Dict] = []
     compared: List[str] = []
     skipped: List[str] = []
     unmatched: List[str] = []
     warnings: List[str] = []
     mine = (fresh.get("environment") or {}).get("python")
-    theirs = (committed.get("environment") or {}).get("python")
+    theirs = (reference.get("environment") or {}).get("python")
     if mine != theirs:
         warnings.append(
             f"Python version differs between reports "
-            f"(fresh: {mine or 'absent'}, committed: {theirs or 'absent'}); "
+            f"(fresh: {mine or 'absent'}, reference: {theirs or 'absent'}); "
             "the engine and the host kernel need not speed up by the same "
             "factor across interpreters, so engine/host ratios shift"
         )
@@ -331,28 +466,28 @@ def compare_reports(
     for case in fresh["cases"]:
         name = case["name"]
         fresh_names.add(name)
-        reference = committed_by_name.get(name)
-        if reference is None:
+        base = reference_by_name.get(name)
+        if base is None:
             unmatched.append(name)
             continue
-        if not values_agree(case["value"], reference["value"]):
+        if not values_agree(case["value"], base["value"]):
             regressions.append(
                 {
                     "name": name,
                     "metric": "value",
                     "fresh_value": case["value"],
-                    "committed_value": reference["value"],
+                    "committed_value": base["value"],
                     "ratio": None,
                 }
             )
-        if reference["engine"]["median"] < min_median:
+        if base["engine_per_host"] < MIN_ENGINE_PER_HOST:
             skipped.append(name)
             continue
         compared.append(name)
         fresh_value = case["engine_per_host"]
-        committed_value = reference["engine_per_host"]
+        committed_value = base["engine_per_host"]
         ratio = fresh_value / max(committed_value, 1e-12)
-        if ratio > threshold:
+        if ratio > REGRESSION_THRESHOLD:
             regressions.append(
                 {
                     "name": name,
@@ -362,7 +497,7 @@ def compare_reports(
                     "ratio": ratio,
                 }
             )
-    unmatched.extend(sorted(set(committed_by_name) - fresh_names))
+    unmatched.extend(sorted(set(reference_by_name) - fresh_names))
     return {
         "regressions": regressions,
         "compared": compared,

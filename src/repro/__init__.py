@@ -9,7 +9,7 @@ Hajiaghayi, Sayedi-Roshkhar and Zadimoghaddam (SPAA 2007):
 * the O(sqrt(n))-approximation for throughput under a gap budget (Theorem 11),
 * executable versions of every hardness gadget (Theorems 4-10),
 * the substrates they rely on (bipartite matching, set cover, set packing),
-* instance generators, a power simulator, baselines, and a benchmark harness.
+* instance generators, a power simulator, baselines, and an experiment harness.
 
 Every algorithm is called through one façade, :mod:`repro.api`
 (``Problem`` / ``solve`` / ``solve_batch`` / JSON round-trip), or
@@ -47,7 +47,7 @@ from .core import (
     spans_of_busy_times,
 )
 
-__version__ = "10.0.0"
+__version__ = "11.0.0"
 
 __all__ = [
     "__version__",

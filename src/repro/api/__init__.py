@@ -73,7 +73,7 @@ from .decomposition import (
     reset_decomposition_stats,
     try_decomposed_solve,
 )
-from .serialization import from_dict, from_json, register_codec, to_dict, to_json
+from .serialization import from_dict, from_json, to_dict, to_json
 
 # The portfolio races through this package's own solve façade, so importing
 # it eagerly here would be circular; resolve its names on first access.
@@ -129,7 +129,6 @@ __all__ = [
     "from_dict",
     "to_json",
     "from_json",
-    "register_codec",
     # data model re-exports
     "Job",
     "MultiIntervalJob",

@@ -30,7 +30,7 @@ from ..core.schedule import MultiprocessorSchedule, Schedule
 from .problem import Problem
 from .result import SolveResult
 
-__all__ = ["to_dict", "from_dict", "to_json", "from_json", "register_codec"]
+__all__ = ["to_dict", "from_dict", "to_json", "from_json"]
 
 
 # ---------------------------------------------------------------------------
@@ -221,35 +221,6 @@ _DECODERS: Dict[str, Callable[[Dict[str, Any]], Any]] = {
     "multiprocessor_schedule": _decode_multiprocessor_schedule,
     "solve_result": _decode_result,
 }
-
-
-def register_codec(
-    cls: type,
-    tag: str,
-    encode: Callable[[Any], Dict[str, Any]],
-    decode: Callable[[Dict[str, Any]], Any],
-) -> None:
-    """Extend the wire format with round-trip support for an external type.
-
-    ``encode(obj)`` returns the JSON-native field dict (the ``type`` tag is
-    injected automatically); ``decode(data)`` receives the full tagged dict
-    and rebuilds the object.  Registered codecs participate in
-    :func:`to_dict` / :func:`from_dict` / :func:`to_json` / :func:`from_json`
-    exactly like the built-in façade types — the scheduling service uses
-    this to put its job envelopes on the same wire format as problems and
-    results.  Tags and types are first-come-first-served; re-registering
-    either is an error.
-    """
-    if not isinstance(tag, str) or not tag:
-        raise ValueError(f"codec tag must be a non-empty string, got {tag!r}")
-    if not isinstance(cls, type):
-        raise TypeError(f"codec type must be a class, got {cls!r}")
-    if cls in _ENCODERS:
-        raise ValueError(f"type {cls.__name__} already has a registered codec")
-    if tag in _DECODERS:
-        raise ValueError(f"serialized type tag {tag!r} is already registered")
-    _ENCODERS[cls] = lambda obj: {"type": tag, **encode(obj)}
-    _DECODERS[tag] = decode
 
 
 def from_dict(data: Dict[str, Any]) -> Any:

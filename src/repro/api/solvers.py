@@ -322,13 +322,14 @@ def _solve_exact_dp(problem: Problem) -> SolveResult:
     form, cached = _lookup_canonical(objective_key, problem.instance)
     if cached is not None:
         return _replay_hit(problem, form, cached, extra_base)
-    # Single-flight on the shared disk tier: when several processes (racing
-    # portfolio members, parallel stream workers) miss on the same canonical
-    # key at once, exactly one runs the DP; the rest wait for its entry and
-    # replay it — never counting as a fresh solve.  The tier is read only
-    # once the lock is held, so a leader that wrote its entry and unlocked
-    # just before is a hit too.  Lockless when no disk tier is configured
-    # (processes then share no cache to collide in).
+    # Single-flight on the shared disk tier: when several processes
+    # (concurrent races or processes sharing a --cache-dir, pool workers
+    # whose problems decompose into the same component) miss on the same
+    # canonical key at once, exactly one runs the DP; the rest wait for its
+    # entry and replay it — never counting as a fresh solve.  The tier is
+    # read only once the lock is held, so a leader that wrote its entry and
+    # unlocked just before is a hit too.  Lockless when no disk tier is
+    # configured (processes then share no cache to collide in).
     disk = get_disk_cache()
     locked = False
     cache_key = None if form is None else (objective_key, form.key)

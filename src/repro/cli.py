@@ -24,18 +24,6 @@ Sub-commands
     (``--corpus`` to save, ``--replay`` to re-run saved failures) and
     ``--profile`` to print the interval-DP engine's aggregated pruning and
     memoization statistics.
-``bench``
-    Time the interval-DP engine over the generator families, each repeat
-    paired with a frozen host-speed kernel, and write a schema-validated
-    JSON report (``BENCH_dp.json``); ``--quick`` is the CI smoke matrix,
-    ``--check`` validates an existing report's schema without re-running
-    anything, ``--compare PATH`` gates the fresh run against a committed
-    report — or, when PATH is a ``HISTORY.jsonl`` file, against its
-    latest entry — (exit 1 when a shared case's optimum changes, or its
-    engine/host ratio regresses >1.25x above the noise floor),
-    ``--median-window K`` steadies the history gate with per-case rolling
-    medians over the last K entries, and ``--append HISTORY.jsonl``
-    records the run as one timestamped history line for trend tracking.
 ``cache``
     Inspect (``cache stats``) or empty (``cache clear``) the on-disk tier
     of the canonical solve cache.
@@ -222,60 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="differentially fuzz the budget-raced portfolio against the "
         "exact DPs on small seeded instances (honors --seed/--n only)",
-    )
-
-    bench = sub.add_parser(
-        "bench",
-        help="benchmark the interval-DP engine against a frozen host-speed kernel",
-    )
-    bench.add_argument(
-        "--quick", action="store_true", help="reduced CI smoke matrix"
-    )
-    bench.add_argument(
-        "--out",
-        help="report path (default BENCH_dp.json; BENCH_smoke.json with --quick, "
-        "so a quick run never overwrites the committed full-matrix report)",
-    )
-    bench.add_argument("--repeats", type=int, help="timed runs per case (default 3)")
-    bench.add_argument("--warmup", type=int, help="untimed warmup runs (default 1)")
-    bench.add_argument("--seed", type=int, default=0, help="instance generator seed")
-    bench.add_argument(
-        "--check",
-        metavar="PATH",
-        help="validate an existing report's schema and exit (runs nothing)",
-    )
-    bench.add_argument(
-        "--compare",
-        metavar="PATH",
-        help="after running, gate the fresh report against a committed report "
-        "and exit 1 when any shared case's optimum changes or its engine/host "
-        "time ratio regresses beyond the threshold",
-    )
-    bench.add_argument(
-        "--threshold",
-        type=float,
-        help="regression factor for --compare (default 1.25)",
-    )
-    bench.add_argument(
-        "--append",
-        metavar="HISTORY",
-        help="append the run to this JSONL history file (one timestamped "
-        "line per run; --compare accepts the same file and gates against "
-        "its latest entry)",
-    )
-    bench.add_argument(
-        "--median-window",
-        type=int,
-        metavar="K",
-        help="with --compare HISTORY: gate against per-case rolling medians "
-        "of the last K same-schema history entries instead of the single "
-        "latest entry (steadies the gate against one-off fast runs)",
-    )
-    bench.add_argument(
-        "--filter",
-        metavar="REGEX",
-        help="run only cases whose name matches this regular expression "
-        "(error when nothing matches)",
     )
 
     serve = sub.add_parser(
@@ -761,180 +695,6 @@ def _dispatch(argv: Optional[Sequence[str]] = None) -> int:
         if args.corpus:
             print(f"corpus written to {args.corpus}")
         return 0 if report.ok else 1
-
-    if args.command == "bench":
-        from .perf import (
-            DEFAULT_REGRESSION_THRESHOLD,
-            BenchSchemaError,
-            append_history,
-            compare_reports,
-            load_comparison_report,
-            rolling_median_reference,
-            run_bench,
-            validate_report_file,
-            write_report,
-        )
-
-        if args.check is not None:
-            conflicting = [
-                flag
-                for flag, value in [
-                    ("--repeats", args.repeats),
-                    ("--warmup", args.warmup),
-                    ("--out", args.out),
-                    ("--compare", args.compare),
-                    ("--threshold", args.threshold),
-                    ("--append", args.append),
-                    ("--median-window", args.median_window),
-                    ("--filter", args.filter),
-                ]
-                if value is not None
-            ]
-            if args.quick or args.seed != 0 or conflicting:
-                parser.error(
-                    "--check only validates an existing report; drop the other flags"
-                )
-            try:
-                data = validate_report_file(args.check)
-            except OSError as exc:
-                parser.error(f"cannot read report {args.check!r}: {exc}")
-            except (BenchSchemaError, ValueError) as exc:
-                print(f"schema drift in {args.check}: {exc}")
-                return 1
-            print(
-                f"{args.check}: schema ok "
-                f"({len(data['cases'])} cases, quick={data['quick']})"
-            )
-            return 0
-
-        if args.threshold is not None and args.compare is None:
-            parser.error("--threshold is only meaningful with --compare")
-        if args.threshold is not None and args.threshold <= 0:
-            parser.error("--threshold must be positive")
-        if args.median_window is not None and args.compare is None:
-            parser.error("--median-window is only meaningful with --compare")
-        if args.median_window is not None and args.median_window < 1:
-            parser.error("--median-window must be >= 1")
-
-        def _print_case(record) -> None:
-            engine_ms = record["engine"]["median"] * 1000.0
-            host_ms = record["host"]["median"] * 1000.0
-            line = (
-                f"{record['name']:<28} engine {engine_ms:>9.2f} ms   "
-                f"host {host_ms:>6.2f} ms   "
-                f"engine/host {record['engine_per_host']:>8.3f}"
-            )
-            if record["decomposed"] is not None:
-                dec_ms = record["decomposed"]["median"] * 1000.0
-                line += (
-                    f"   decomp {dec_ms:>9.2f} ms "
-                    f"({record['speedup_vs_mono']:.2f}x vs mono)"
-                )
-            print(line)
-
-        if args.repeats is not None and args.repeats < 1:
-            parser.error("--repeats must be >= 1")
-        if args.warmup is not None and args.warmup < 0:
-            parser.error("--warmup must be >= 0")
-        committed = None
-        compare_label = args.compare
-        if args.compare is not None:
-            # Load the committed reference before the (slow) run so a bad
-            # path or schema fails fast.  The reference may be a plain
-            # report or a JSONL history file (gated against its latest
-            # entry).
-            try:
-                committed, compare_source = load_comparison_report(args.compare)
-            except OSError as exc:
-                parser.error(f"cannot read report {args.compare!r}: {exc}")
-            except (BenchSchemaError, ValueError, KeyError) as exc:
-                parser.error(f"--compare report {args.compare!r}: {exc}")
-            if committed["seed"] != args.seed:
-                parser.error(
-                    f"--compare reference {args.compare!r} was run with --seed "
-                    f"{committed['seed']}; its optima belong to those instances"
-                )
-            if args.median_window is not None and compare_source != "history":
-                parser.error(
-                    "--median-window needs --compare to name a history file, "
-                    f"not a plain report ({args.compare!r})"
-                )
-            if compare_source == "history":
-                if args.median_window is not None:
-                    try:
-                        committed, entries_used = rolling_median_reference(
-                            args.compare, args.median_window
-                        )
-                    except (BenchSchemaError, ValueError) as exc:
-                        parser.error(f"--median-window on {args.compare!r}: {exc}")
-                    compare_label = (
-                        f"{args.compare} (rolling median of last "
-                        f"{entries_used} entries)"
-                    )
-                else:
-                    compare_label = f"{args.compare} (latest history entry)"
-        out = args.out
-        if out is None:
-            out = "BENCH_smoke.json" if args.quick else "BENCH_dp.json"
-        try:
-            report = run_bench(
-                quick=args.quick,
-                repeats=args.repeats,
-                warmup=args.warmup,
-                seed=args.seed,
-                progress=_print_case,
-                # Deliberately only the explicit flag: a REPRO_BACKEND default
-                # must not silently parallelize (and distort) timed runs.
-                backend=args.backend,
-                name_filter=args.filter,
-            )
-        except ValueError as exc:
-            # An empty --filter match is a usage error, not a traceback.
-            parser.error(str(exc))
-        write_report(report, out)
-        print(f"report written to {out}")
-        if args.append is not None:
-            try:
-                entry = append_history(report, args.append)
-            except OSError as exc:
-                print(f"cannot append to {args.append!r}: {exc}", file=sys.stderr)
-                return 1
-            print(f"history appended to {args.append} ({entry['timestamp']})")
-        if committed is not None:
-            threshold = (
-                DEFAULT_REGRESSION_THRESHOLD
-                if args.threshold is None
-                else args.threshold
-            )
-            outcome = compare_reports(report, committed, threshold=threshold)
-            for warning in outcome["warnings"]:
-                print(f"  note: {warning}")
-            print(
-                f"regression gate vs {compare_label}: "
-                f"{len(outcome['compared'])} cases compared, "
-                f"{len(outcome['skipped'])} skipped (sub-noise-floor), "
-                f"{len(outcome['unmatched'])} unmatched"
-            )
-            if outcome["regressions"]:
-                for entry in outcome["regressions"]:
-                    if entry["metric"] == "value":
-                        detail = (
-                            f"optimum {entry['fresh_value']} differs from "
-                            f"committed {entry['committed_value']}"
-                        )
-                    else:
-                        detail = (
-                            f"engine/host {entry['fresh_value']:.3f} vs committed "
-                            f"{entry['committed_value']:.3f} "
-                            f"({entry['ratio']:.2f}x > {threshold:.2f}x)"
-                        )
-                    print(f"  REGRESSION {entry['name']}: {detail}")
-                return 1
-            print(
-                f"no case regressed: optima unchanged, engine/host within "
-                f"{threshold:.2f}x"
-            )
-        return 0
 
     if args.command == "experiment":
         from .analysis.experiments import (

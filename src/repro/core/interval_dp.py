@@ -59,8 +59,8 @@ reconstruction keep it exact and in O(1) native stack depth.
 engine, Baptiste's single-processor algorithm being its ``p = 1`` case;
 :func:`schedule_from_times` alone decides which schedule type a solve
 returns.  The façade's exact adapter, its cache, the decomposed solve and
-:mod:`repro.perf` all call them; :mod:`repro.verify` certifies engine
-results against brute force.
+the repository's engine timing gate (``benchdp/``) all call them;
+:mod:`repro.verify` certifies engine results against brute force.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ tiers a solve consults before doing DP work.
   canonical dedupe (isomorphic duplicates take the representative's
   answer remapped onto their own instances), and per-task error capture
   (a task whose worker died included); and :func:`run_tasks`, the
-  generic fan-out primitive the fuzz/bench/experiment harnesses use.
+  generic fan-out primitive the fuzz and experiment harnesses use.
   Both size their own in-flight window: one task at a time inline,
   ``2 × workers`` (at least 4) on the pool.
 * :mod:`repro.runtime.diskcache` — the content-addressed on-disk tier of

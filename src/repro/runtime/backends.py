@@ -2,8 +2,8 @@
 
 Every batch path of the package — :func:`repro.runtime.solve_stream`, the
 :func:`repro.api.solve_batch` compatibility wrapper, the fuzz driver, the
-bench runner, the experiment harness and the service daemon — runs its
-tasks on one of two backends, named by a string from :data:`BACKENDS`:
+experiment harness and the service daemon — runs its tasks on one of two
+backends, named by a string from :data:`BACKENDS`:
 
 ``serial``
     Runs each task inline in the calling process, in submission order,

@@ -25,9 +25,10 @@ Layout and invariants:
   assignment, engine metadata)`` exactly as the in-memory tier does, so a
   disk hit replays the original solve's engine metadata byte-identically
   in the result envelope, in any process, on any later day.
-* **Single-flight locking.**  Portfolio racing launches several processes
-  that may canonicalize to the *same* solve key (the exact DP member and
-  a decomposed component, or two racing duplicates).  ``try_lock`` /
+* **Single-flight locking.**  Processes that share a cache directory may
+  canonicalize to the *same* solve key at once: concurrent races or
+  processes given the same ``--cache-dir``, and pool workers whose
+  different problems decompose into the same component.  ``try_lock`` /
   ``unlock`` implement a per-digest advisory lock (``O_CREAT | O_EXCL``
   lock file carrying the owner pid); the loser of the lock race waits via
   ``wait_for_entry`` for the winner's entry instead of burning the same

@@ -39,7 +39,7 @@ to ``SIGKILL``) delivers EOF and the worker exits instead of orphaning.
 Messages in: ``("task", tag, fn, item, cache_dir)`` or ``("stop",)``.
 Messages out: ``("inc", tag, payload)`` for each published incumbent,
 then one ``("done", tag, outcome)``, or ``("crash", tag, error_type,
-error)`` when the task raised anyway.
+error)`` when the task raised anyway or its outcome does not pickle.
 """
 
 from __future__ import annotations
@@ -128,8 +128,8 @@ def _worker_main(conn, parent_conn) -> None:
     """The persistent worker loop: recv one task, run it, send its outcome.
 
     Task callables follow the session contract (they never raise); a
-    raise anyway is reported as a ``("crash", ...)`` message and the
-    worker keeps serving.
+    raise anyway, or an outcome that does not pickle, is reported as a
+    ``("crash", ...)`` message and the worker keeps serving.
     """
     global _IN_WORKER
     _IN_WORKER = True
@@ -156,6 +156,16 @@ def _worker_main(conn, parent_conn) -> None:
             conn.send(reply)
         except (OSError, ValueError):
             break  # parent pipe gone mid-send; nothing left to serve
+        except Exception as exc:  # noqa: BLE001 — report, keep serving
+            # send() pickles before it writes, so a result that does not
+            # pickle left the pipe clean: report it as the task's crash.
+            reply = (
+                "crash", tag, type(exc).__name__, f"result does not pickle: {exc}"
+            )
+            try:
+                conn.send(reply)
+            except (OSError, ValueError):
+                break
     try:
         conn.close()
     except OSError:

@@ -7,8 +7,7 @@ Two entry points, built on the same windowed admit/drain/pop pattern
   an iterable on either backend (:mod:`repro.runtime.backends`),
   yielding :class:`TaskOutcome`\\ s as tasks finish.  Per-task exceptions
   are captured into the outcome instead of poisoning the run; the fuzz
-  driver, the bench runner and the experiment harness all fan out
-  through this.
+  driver and the experiment harness fan out through this.
 * :func:`solve_stream` — the façade-aware pipeline: solve a stream of
   :class:`~repro.api.problem.Problem`\\ s, yielding
   :class:`~repro.api.result.SolveResult`\\ s as they complete.

@@ -1,5 +1,6 @@
 """Unit tests for the command-line interface."""
 
+import importlib
 import io
 import json
 
@@ -30,6 +31,15 @@ class TestParser:
         assert args.command == "solve"
         assert args.input == "-"
         assert args.objective == "gaps"
+
+    def test_bench_verb_is_gone(self, capsys):
+        # The engine's timing gate lives outside the library, in benchdp/.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.perf")
 
 
 class TestCommands:
@@ -304,6 +314,14 @@ class TestFuzzCommand:
         with pytest.raises(SystemExit) as excinfo:
             main(["fuzz", "--replay", str(tmp_path / "missing.json")])
         assert excinfo.value.code == 2
+
+    def test_fuzz_profile_prints_engine_stats(self, capsys):
+        code = main(["fuzz", "--seed", "2", "--n", "12", "--profile"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "engine profile:" in out
+        assert "states_computed" in out
+        assert "memo_hits" in out
 
 
 class TestBudgetedSolve:

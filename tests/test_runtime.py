@@ -252,6 +252,10 @@ def _exit_worker_on_two(x):
     return x * x
 
 
+def _lock_on_one(x):
+    return threading.Lock() if x == 1 else x * x
+
+
 def _jobs_problem(num_jobs):
     from repro.api import OneIntervalInstance
 
@@ -292,6 +296,21 @@ class TestLostWorker:
         assert not lost.ok
         assert lost.error_type == "WorkerLostError"
         assert [o.value for index, o in out if index != 2] == [0, 1, 9, 16]
+
+    def test_result_that_does_not_pickle_fails_only_its_task(self):
+        # The worker reports the pickling error as its task's failure and
+        # keeps serving: the other tasks run on the same worker.
+        from repro.runtime import worker_pool_stats
+
+        killed = worker_pool_stats()["killed"]
+        out = list(run_tasks(_lock_on_one, range(3), backend="process", workers=1))
+        assert [index for index, _ in out] == [0, 1, 2]
+        failed = out[1][1]
+        assert not failed.ok
+        assert "TypeError" in failed.error
+        assert "pickle" in failed.error
+        assert [out[0][1].value, out[2][1].value] == [0, 4]
+        assert worker_pool_stats()["killed"] == killed
 
     @pytest.mark.parametrize("ordered", [True, False])
     def test_solve_stream_answers_the_others(self, exit_on_three_jobs, ordered):
