@@ -37,13 +37,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.api import (
-    Problem,
-    clear_solve_cache,
-    configure_solve_cache,
-    solve,
-    solve_cache_stats,
-)
+from repro.api import Problem, clear_solve_cache, solve
 from repro.core.interval_dp import ENGINE_NAME, ENGINE_VERSION, solve_exact
 from repro.core.jobs import MultiprocessorInstance
 from repro.generators import (
@@ -354,10 +348,9 @@ def _time_decomposed(
     product feature being measured — on periodic instances the isomorphic
     clusters collapse onto one solve per frontier budget, which is how
     the decomposed column beats the monolith without extra cores.  The
-    solve-cache and disk-cache configurations are snapshotted and
-    restored so a bench sweep leaves the process exactly as it found it.
+    disk-cache configuration is snapshotted and restored, and the memory
+    tier cleared, so a bench sweep leaves the process as it found it.
     """
-    saved_maxsize = solve_cache_stats()["maxsize"]
     saved_disk = disk_cache_dir()
 
     def cold_solve():
@@ -365,7 +358,6 @@ def _time_decomposed(
         return _decomposed_solve(case, instance)
 
     try:
-        configure_solve_cache(max(saved_maxsize, 256))
         if saved_disk is not None:
             configure_disk_cache(None)
         feasible, value, extra = cold_solve()
@@ -377,7 +369,6 @@ def _time_decomposed(
             )
         timing = time_callable(cold_solve, repeats, warmup)
     finally:
-        configure_solve_cache(saved_maxsize)
         clear_solve_cache()
         if saved_disk is not None:
             configure_disk_cache(saved_disk)

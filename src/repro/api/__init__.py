@@ -55,7 +55,6 @@ from .registry import (
 from . import solvers as _builtin_solvers  # noqa: F401  (registers the built-ins)
 from .solvers import (
     clear_solve_cache,
-    configure_solve_cache,
     solve_cache_bypass,
     solve_cache_stats,
 )
@@ -116,7 +115,6 @@ __all__ = [
     "matching_feasibility",
     "lower_bound_for",
     # canonical solve cache
-    "configure_solve_cache",
     "clear_solve_cache",
     "solve_cache_bypass",
     "solve_cache_stats",

@@ -12,18 +12,16 @@ stream into a list.  Everything the stream provides applies here:
   workload.
 * **Backends.**  ``workers`` keeps its historical meaning (``None``/``0``/
   ``1`` serial, ``N > 1`` the warm process pool).  Pass
-  ``backend="serial"`` or ``backend="process"``, call
-  :func:`repro.runtime.configure_backend`, or set ``REPRO_BACKEND`` to
-  choose one whatever ``workers`` says.
+  ``backend="serial"`` or ``backend="process"``, or set
+  ``REPRO_BACKEND``, to choose one whatever ``workers`` says.
 * **Dedupe.**  Canonically identical tasks — exact duplicates *and*
   time-shift/job-permutation isomorphs — are solved once per stream
-  window; duplicate positions receive independent copies (disable with
-  ``dedupe=False``).
-* **Error capture.**  A crashing task yields a ``status="error"`` result
+  window; duplicate positions receive independent copies.
+* **Error capture.**  A failed task yields a ``status="error"`` result
   at its position (exception type, message, traceback in ``extra``)
   instead of poisoning the whole batch, and so does a task whose pool
-  worker died under it; pass ``on_error="raise"`` for the old fail-fast
-  behavior.
+  worker died under it; chain ``raise_for_status()`` on a result to
+  raise its failure.
 """
 
 from __future__ import annotations
@@ -41,9 +39,7 @@ def solve_batch(
     problems: Iterable[Problem],
     solver: str = "auto",
     workers: Optional[int] = None,
-    dedupe: bool = True,
     backend: Optional[str] = None,
-    on_error: str = "result",
 ) -> List[SolveResult]:
     """Solve many problems, optionally in parallel, with deterministic ordering.
 
@@ -58,33 +54,18 @@ def solve_batch(
         Pool size.  With no backend selected anywhere, ``None``, ``0`` or
         ``1`` solve serially in this process and ``N > 1`` use a process
         pool of ``N`` workers — the historical behavior.
-    dedupe:
-        Collapse canonically identical tasks to one solve per stream
-        window; each duplicate position receives an independent result
-        (a deep copy, or a cache replay remapped onto its own instance),
-        so in-place post-processing of one position never leaks into
-        another.
     backend:
         Execution backend name, ``"serial"`` or ``"process"``; ``None``
-        defers to :func:`repro.runtime.configure_backend` /
-        ``REPRO_BACKEND`` / the workers rule above.
-    on_error:
-        ``"result"`` (default) turns a crashed task into a
-        ``status="error"`` result at its position; ``"raise"`` re-raises
-        the first failure.
+        defers to ``REPRO_BACKEND`` / the workers rule above.
 
     Returns
     -------
-    One :class:`~repro.api.result.SolveResult` per problem, in input order.
+    One :class:`~repro.api.result.SolveResult` per problem, in input
+    order.  Each duplicate position receives an independent result (a
+    deep copy, or the representative's answer remapped onto its own
+    instance), so in-place post-processing of one position never leaks
+    into another.
     """
     return list(
-        solve_stream(
-            problems,
-            solver=solver,
-            backend=backend,
-            workers=workers,
-            ordered=True,
-            dedupe=dedupe,
-            on_error=on_error,
-        )
+        solve_stream(problems, solver=solver, backend=backend, workers=workers)
     )

@@ -167,7 +167,6 @@ def select_solver(problem: Problem, solver: str = "auto") -> SolverSpec:
 def solve(
     problem: Problem,
     solver: str = "auto",
-    on_infeasible: str = "result",
     budget: Optional[float] = None,
 ) -> SolveResult:
     """Solve one problem through the façade.
@@ -179,10 +178,6 @@ def solve(
     solver:
         ``"auto"`` (default) picks the most capable registered solver;
         a registry name forces a specific solver (e.g. a baseline).
-    on_infeasible:
-        ``"result"`` (default) returns the uniform infeasible envelope
-        (``status="infeasible"``, ``value=None``, ``schedule=None``);
-        ``"raise"`` raises :class:`InfeasibleInstanceError` instead.
     budget:
         Wall-clock seconds.  When given, dispatch routes to the
         :mod:`repro.portfolio` racer instead of a single solver: scalable
@@ -202,12 +197,11 @@ def solve(
     Infeasibility is normalized *here*, not per solver: adapters may either
     return an infeasible envelope or raise
     :class:`~repro.core.exceptions.InfeasibleInstanceError`, and façade
-    callers always observe the same uniform behavior either way.
+    callers always get the uniform infeasible envelope
+    (``status="infeasible"``, ``value=None``, ``schedule=None``) either
+    way.  Chain :meth:`~repro.api.result.SolveResult.raise_for_status` to
+    raise instead.
     """
-    if on_infeasible not in ("result", "raise"):
-        raise ValueError(
-            f"on_infeasible must be 'result' or 'raise', got {on_infeasible!r}"
-        )
     if budget is not None:
         if solver != "auto":
             raise ValueError(
@@ -216,10 +210,7 @@ def solve(
             )
         from ..portfolio import run_portfolio  # local import: avoids a cycle
 
-        result = run_portfolio(problem, budget)
-        if on_infeasible == "raise":
-            result.raise_for_status()
-        return result
+        return run_portfolio(problem, budget)
     spec = select_solver(problem, solver=solver)
     start = time.perf_counter()
     try:
@@ -238,6 +229,4 @@ def solve(
     # from the result status, so callers never have to special-case solvers.
     if result.feasible and "exact" not in result.extra:
         result.extra["exact"] = result.status == "optimal"
-    if on_infeasible == "raise":
-        result.raise_for_status()
     return result

@@ -102,9 +102,8 @@ class SolveResult:
 
         This is the uniform exception path of the façade: callers that prefer
         exceptions over status inspection chain
-        ``solve(problem).raise_for_status()`` (or pass
-        ``on_infeasible="raise"`` to :func:`repro.api.solve`) and get the same
-        error type regardless of which solver ran.  Captured batch failures
+        ``solve(problem).raise_for_status()`` and get the same error type
+        regardless of which solver ran.  Captured batch failures
         (``status="error"``) re-raise as :class:`SolverError` carrying the
         original exception type and message.
         """

@@ -69,7 +69,6 @@ from .result import SolveResult
 
 __all__: List[str] = [
     "clear_solve_cache",
-    "configure_solve_cache",
     "heuristic_deadline",
     "solve_cache_bypass",
     "solve_cache_stats",
@@ -99,11 +98,6 @@ _SOLVE_CACHE = CanonicalSolveCache(maxsize=DEFAULT_SOLVE_CACHE_SIZE)
 #: cache; lock-protected like the cache.
 _FRESH_SOLVES = 0
 _FRESH_LOCK = threading.Lock()
-
-
-def configure_solve_cache(maxsize: int) -> None:
-    """Resize the in-memory canonical solve cache; ``maxsize <= 0`` disables it."""
-    _SOLVE_CACHE.configure(maxsize)
 
 
 def clear_solve_cache() -> None:
@@ -150,10 +144,12 @@ _BYPASS_DEPTH = 0
 def solve_cache_bypass():
     """Temporarily run the exact adapters without the canonical cache.
 
-    Inside the context, lookups are skipped, nothing is stored, and the
-    hit/miss counters are untouched.  The verification harness uses this
-    so metamorphic relations (shift/permutation invariance) keep testing
-    the DP itself rather than the cache's schedule remapping.
+    Inside the context, lookups are skipped (no canonical form is even
+    computed), nothing is stored in either tier, and the hit/miss
+    counters are untouched; this is the one way to solve without the
+    cache.  The verification harness uses it so metamorphic relations
+    (shift/permutation invariance) keep testing the DP itself rather than
+    the cache's schedule remapping.
     """
     global _BYPASS_DEPTH
     _BYPASS_DEPTH += 1
@@ -241,10 +237,8 @@ def replay_isomorph(
 def _lookup_canonical(
     objective_key: Tuple, instance
 ) -> Tuple[Optional[CanonicalForm], Optional[Tuple]]:
-    # With both tiers off, skip canonicalization entirely — disabled means
-    # no per-solve overhead, not just no hits.
-    disk = get_disk_cache()
-    if _BYPASS_DEPTH or (_SOLVE_CACHE.maxsize <= 0 and disk is None):
+    # Bypassed, skip canonicalization entirely: no per-solve overhead.
+    if _BYPASS_DEPTH:
         return None, None
     form = canonical_form(instance)
     return form, _SOLVE_CACHE.get((objective_key, form.key))

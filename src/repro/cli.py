@@ -45,10 +45,11 @@ Sub-commands
 
 Two top-level flags configure the :mod:`repro.runtime` execution layer
 for whichever sub-command follows: ``--backend serial|process``
-selects the execution backend for batch work (equivalently
-``REPRO_BACKEND``; ``--budget`` races always run on the warm worker
-pool), and ``--cache-dir PATH`` enables the persistent solve-cache tier
-(equivalently ``REPRO_CACHE_DIR``).
+selects the execution backend of the batch work the sub-command starts
+(``fuzz``, ``experiment all`` and ``serve``; without it,
+``REPRO_BACKEND`` decides; ``--budget`` races always run on the warm
+worker pool), and ``--cache-dir PATH`` enables the persistent
+solve-cache tier (equivalently ``REPRO_CACHE_DIR``).
 
 All solving goes through :mod:`repro.api`; this module never imports a
 solver implementation directly.
@@ -492,10 +493,8 @@ def _dispatch(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    from .runtime import configure_backend, configure_disk_cache, get_disk_cache
+    from .runtime import configure_disk_cache, get_disk_cache
 
-    if args.backend is not None:
-        configure_backend(args.backend)
     if args.cache_dir is not None:
         try:
             configure_disk_cache(args.cache_dir)
@@ -682,6 +681,7 @@ def _dispatch(argv: Optional[Sequence[str]] = None) -> int:
                 objectives=objectives,
                 metamorphic=not args.no_metamorphic,
                 corpus_path=args.corpus,
+                backend=args.backend,
             )
         print(report.summary())
         if args.profile:
@@ -705,7 +705,7 @@ def _dispatch(argv: Optional[Sequence[str]] = None) -> int:
         from .analysis.reporting import format_table, render_tables
 
         if args.which.lower() == "all":
-            tables = run_all_experiments(scale=args.scale)
+            tables = run_all_experiments(scale=args.scale, backend=args.backend)
             print(render_tables(tables))
             return 0
         if args.which.upper() not in ALL_EXPERIMENTS:

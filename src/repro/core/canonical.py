@@ -186,9 +186,7 @@ class CanonicalSolveCache:
     """A bounded LRU cache keyed by canonical solve keys.
 
     Values are opaque to the cache (the solver adapters store
-    ``(feasible, value, canonical assignment)`` triples).  ``maxsize <= 0``
-    disables the cache entirely — gets always miss and puts are dropped —
-    so callers can turn caching off without branching.
+    ``(feasible, value, canonical assignment)`` triples).
 
     Every operation (including the hit/miss accounting) holds one lock, so
     threads of one process share a single cache with exact counters (the
@@ -202,7 +200,6 @@ class CanonicalSolveCache:
         self._entries: "OrderedDict" = OrderedDict()
         self.hits = 0
         self.misses = 0
-        self.disabled_gets = 0
         self._lock = threading.RLock()
 
     def __len__(self) -> int:
@@ -210,16 +207,8 @@ class CanonicalSolveCache:
             return len(self._entries)
 
     def get(self, key):
-        """Return the cached value for ``key``, or ``None`` on a miss.
-
-        Lookups while the cache is disabled count as ``disabled_gets``,
-        not misses — a disabled cache has no hit rate, and folding these
-        into ``misses`` would report a fake 0% to every stats surface.
-        """
+        """Return the cached value for ``key``, or ``None`` on a miss."""
         with self._lock:
-            if self.maxsize <= 0:
-                self.disabled_gets += 1
-                return None
             entry = self._entries.get(key)
             if entry is None:
                 self.misses += 1
@@ -231,38 +220,24 @@ class CanonicalSolveCache:
     def put(self, key, value) -> None:
         """Insert ``key -> value``, evicting least-recently-used overflow."""
         with self._lock:
-            if self.maxsize <= 0:
-                return
             self._entries[key] = value
             self._entries.move_to_end(key)
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
 
-    def configure(self, maxsize: int) -> None:
-        """Resize (and, when shrinking, trim) the cache; ``<= 0`` disables it."""
-        with self._lock:
-            self.maxsize = int(maxsize)
-            if self.maxsize <= 0:
-                self._entries.clear()
-                return
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-
     def clear(self) -> None:
-        """Drop every entry and reset the hit/miss/disabled counters."""
+        """Drop every entry and reset the hit/miss counters."""
         with self._lock:
             self._entries.clear()
             self.hits = 0
             self.misses = 0
-            self.disabled_gets = 0
 
     def stats(self) -> Dict[str, int]:
-        """JSON-native snapshot: size, capacity, hits, misses, disabled gets."""
+        """JSON-native snapshot: size, capacity, hits, misses."""
         with self._lock:
             return {
                 "size": len(self._entries),
                 "maxsize": self.maxsize,
                 "hits": self.hits,
                 "misses": self.misses,
-                "disabled_gets": self.disabled_gets,
             }

@@ -150,18 +150,16 @@ def feasible_schedule_multiproc(
     return MultiprocessorSchedule(instance=instance, assignment=assignment)
 
 
-def edf_schedule(
-    instance: OneIntervalInstance, work_conserving: bool = True
-) -> Schedule:
+def edf_schedule(instance: OneIntervalInstance) -> Schedule:
     """Earliest-deadline-first schedule for a one-interval instance.
 
     At each time step, among released unscheduled jobs, run the one with the
-    earliest deadline.  With ``work_conserving=True`` (the classical online
-    policy) the machine never idles while a job is pending; this is the
-    baseline whose gap count the paper's introduction contrasts with the
-    offline optimum.  Raises :class:`InfeasibleInstanceError` when a deadline
-    is missed, which for one-interval unit jobs happens exactly when the
-    instance is infeasible.
+    earliest deadline.  The machine never idles while a job is pending (the
+    classical work-conserving online policy); this is the baseline whose
+    gap count the paper's introduction contrasts with the offline optimum.
+    Raises :class:`InfeasibleInstanceError` when a deadline is missed, which
+    for one-interval unit jobs happens exactly when the instance is
+    infeasible.
     """
     n = instance.num_jobs
     if n == 0:
@@ -180,9 +178,6 @@ def edf_schedule(
             heapq.heappush(released, (instance.jobs[idx].deadline, idx))
             pointer += 1
         if not released:
-            if not work_conserving:
-                t += 1
-                continue
             # Jump to the next release to keep the loop linear in events.
             if pointer < n:
                 t = instance.jobs[order[pointer]].release

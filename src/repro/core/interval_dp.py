@@ -81,6 +81,8 @@ __all__ = [
     "BOTTOM_UP_ENGINE_VERSION",
     "EngineStats",
     "EngineOutcome",
+    "PEAK_COUNTER_PREFIX",
+    "fold_engine_stats",
     "GapObjective",
     "PowerObjective",
     "IntervalDPEngine",
@@ -148,6 +150,34 @@ class EngineStats:
             "plans_built": self.plans_built,
             "peak_stack_depth": self.peak_stack_depth,
         }
+
+
+#: Engine counters named with this prefix are high-water marks: they
+#: aggregate across runs by maximum, every other counter by sum.
+PEAK_COUNTER_PREFIX = "peak_"
+
+
+def fold_engine_stats(totals: Dict[str, int], extra: Dict) -> bool:
+    """Fold the engine counters of one result's ``extra`` into ``totals``.
+
+    ``extra["engine"]["stats"]`` is read when present; integer counters
+    named with :data:`PEAK_COUNTER_PREFIX` keep the maximum and the rest
+    sum.  Returns whether ``extra`` carried an engine stats block.  The
+    service's ``/v1/stats`` engine block and ``repro-sched fuzz
+    --profile`` both aggregate through this one rule.
+    """
+    engine = extra.get("engine")
+    stats = engine.get("stats") if isinstance(engine, dict) else None
+    if not isinstance(stats, dict):
+        return False
+    for name, value in stats.items():
+        if not isinstance(value, int):
+            continue
+        if name.startswith(PEAK_COUNTER_PREFIX):
+            totals[name] = max(totals.get(name, 0), value)
+        else:
+            totals[name] = totals.get(name, 0) + value
+    return True
 
 
 @dataclass

@@ -56,7 +56,7 @@ class LocalSearchResult:
 
 def edf_list_schedule(instance: OneIntervalInstance) -> Schedule:
     """Work-conserving EDF; raises ``InfeasibleInstanceError`` iff infeasible."""
-    return edf_schedule(instance, work_conserving=True)
+    return edf_schedule(instance)
 
 
 def _fit_block(

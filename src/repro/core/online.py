@@ -58,7 +58,7 @@ def online_gap_schedule(instance: OneIntervalInstance) -> Schedule:
     while jobs are pending (a burst of tight-deadline jobs could arrive next
     time step), so its schedule is exactly the work-conserving EDF schedule.
     """
-    return edf_schedule(instance, work_conserving=True)
+    return edf_schedule(instance)
 
 
 def online_lower_bound_instance(n: int) -> OneIntervalInstance:

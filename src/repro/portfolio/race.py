@@ -7,7 +7,8 @@ The first finisher that *pins* the race (a proven-optimal or
 proven-infeasible answer, or a feasible value meeting the certified lower
 bound) hard-kills the losers immediately (kill reason ``"beaten"``);
 budget expiry hard-kills everything still running (``"deadline"``), and
-a worker lost without an answer is recorded as ``"error"``.  Members
+a member that crashed, or whose worker was lost, without an answer is
+recorded as ``"error"``.  Members
 stream improving feasible schedules over the any-time incumbent channel
 (:func:`repro.runtime.pool.publish_incumbent`) while they run, so a
 member killed mid-solve still contributes its best published schedule to
@@ -16,7 +17,7 @@ incumbent exists, the cheapest still-running member is spared the kill
 and awaited — a tiny budget degrades to "one heuristic, slightly late",
 never to "no answer".
 
-The race never consults the batch backend (``configure_backend`` /
+The race never consults the batch backend (``--backend`` /
 ``REPRO_BACKEND``): that setting picks where batch work runs, and must not
 change what a budgeted solve returns.
 
@@ -47,7 +48,7 @@ from ..bounds import hall_deficiency, lower_bound_for
 from ..core.exceptions import ReproError, SolverError
 from ..core.jobs import OneIntervalInstance
 from ..core.schedule import Schedule
-from ..runtime.pool import WorkerLostError, get_worker_pool
+from ..runtime.pool import TaskCrashError, WorkerLostError, get_worker_pool
 from ..verify.certificates import values_close
 
 __all__ = ["default_members", "run_portfolio"]
@@ -241,7 +242,7 @@ def _race(
                 break
             try:
                 item = session.pop(timeout=timeout)
-            except WorkerLostError as exc:
+            except (TaskCrashError, WorkerLostError) as exc:
                 note_lost(exc.tag)
                 continue
             except LookupError:
@@ -257,7 +258,7 @@ def _race(
             break
         try:
             item = session.pop(timeout=min(0.1, deadline - now))
-        except WorkerLostError as exc:
+        except (TaskCrashError, WorkerLostError) as exc:
             note_lost(exc.tag)
             continue
         if item is None:

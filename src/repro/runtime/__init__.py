@@ -7,7 +7,7 @@ tiers a solve consults before doing DP work.
 
 * :mod:`repro.runtime.backends` — the two batch backends, ``serial``
   (inline) and ``process`` (the warm pool), and the call site /
-  ``configure_backend()`` / ``REPRO_BACKEND`` / workers selection chain.
+  ``REPRO_BACKEND`` / workers selection chain.
 * :mod:`repro.runtime.pool` — the persistent :class:`WorkerPool` behind
   the ``process`` backend: warm worker processes reused across sessions,
   one task per message (each carrying the caller's one setting, the
@@ -28,25 +28,22 @@ tiers a solve consults before doing DP work.
 
 Quickstart::
 
-    from repro.runtime import configure_backend, configure_disk_cache, solve_stream
+    from repro.runtime import configure_disk_cache, solve_stream
 
-    configure_backend("process")           # or REPRO_BACKEND=process
     configure_disk_cache(".repro-cache")   # optional persistent tier
-    for result in solve_stream(problem_iter, workers=8):
+    for result in solve_stream(problem_iter, backend="process", workers=8):
         consume(result)                    # arrives in input order
 """
 
 from .backends import (
     BACKEND_ENV_VAR,
     BACKENDS,
-    configure_backend,
-    configured_backend,
-    default_backend_name,
     open_session,
     resolve_backend,
 )
 from .pool import (
     PoolSession,
+    TaskCrashError,
     WorkerLostError,
     WorkerPool,
     get_worker_pool,
@@ -67,9 +64,6 @@ __all__ = [
     # backends
     "BACKEND_ENV_VAR",
     "BACKENDS",
-    "configure_backend",
-    "configured_backend",
-    "default_backend_name",
     "open_session",
     "resolve_backend",
     # disk cache tier
@@ -80,6 +74,7 @@ __all__ = [
     "get_disk_cache",
     # the persistent worker pool
     "PoolSession",
+    "TaskCrashError",
     "WorkerLostError",
     "WorkerPool",
     "get_worker_pool",

@@ -27,12 +27,11 @@ the GIL a thread pool runs them no faster than one thread does.
 
 Selection is layered, most explicit wins:
 
-1. a ``backend=`` name at the call site;
-2. a process-wide default installed with :func:`configure_backend` (the
-   CLI's top-level ``--backend`` flag does this);
-3. the ``REPRO_BACKEND`` environment variable (CI runs the whole test
+1. a ``backend=`` name at the call site (the CLI's top-level
+   ``--backend`` flag passes it to the batch work it starts);
+2. the ``REPRO_BACKEND`` environment variable (CI runs the whole test
    suite once per backend through it);
-4. the legacy rule: serial unless the caller asked for ``workers > 1``,
+3. the legacy rule: serial unless the caller asked for ``workers > 1``,
    which selects the process backend — exactly the pre-runtime
    ``solve_batch`` behavior.
 
@@ -44,7 +43,7 @@ would keep running after it.
 
 A budgeted solve (:mod:`repro.portfolio`) is a race, not batch work, and
 never goes through this selection: it always runs on the warm worker
-pool, which alone can hard-kill a losing member, so the configured
+pool, which alone can hard-kill a losing member, so the selected
 backend cannot change what a budgeted solve returns.
 """
 
@@ -59,9 +58,6 @@ from . import pool as _pool
 __all__ = [
     "BACKENDS",
     "BACKEND_ENV_VAR",
-    "configure_backend",
-    "configured_backend",
-    "default_backend_name",
     "open_session",
     "resolve_backend",
 ]
@@ -69,11 +65,8 @@ __all__ = [
 #: The backend names, in the order the CLI lists them.
 BACKENDS = ("serial", "process")
 
-#: Environment variable consulted when no backend is configured explicitly.
+#: Environment variable consulted when the call site names no backend.
 BACKEND_ENV_VAR = "REPRO_BACKEND"
-
-#: Process-wide default backend name installed by :func:`configure_backend`.
-_CONFIGURED: Optional[str] = None
 
 
 class _SerialSession:
@@ -118,50 +111,25 @@ def _checked(name: object, source: str = "backend") -> str:
     return name
 
 
-def configure_backend(name: Optional[str]) -> None:
-    """Install ``name`` as the process-wide default backend.
-
-    ``None`` clears the configuration, falling back to the
-    ``REPRO_BACKEND`` environment variable and then to the legacy
-    workers-based rule.
-    """
-    global _CONFIGURED
-    _CONFIGURED = None if name is None else _checked(name)
-
-
-def configured_backend() -> Optional[str]:
-    """The backend name installed with :func:`configure_backend`, if any."""
-    return _CONFIGURED
-
-
-def default_backend_name() -> Optional[str]:
-    """The effective default backend name, or ``None`` for the legacy rule."""
-    if _CONFIGURED is not None:
-        return _CONFIGURED
-    env = os.environ.get(BACKEND_ENV_VAR)
-    if env:
-        return _checked(env, f"{BACKEND_ENV_VAR} value")
-    return None
-
-
 def resolve_backend(
     backend: Optional[str] = None, workers: Optional[int] = None
 ) -> Tuple[str, int]:
     """Resolve a call-site ``backend`` name into ``(name, worker count)``.
 
-    ``backend=None`` defers to the configured default, the
-    ``REPRO_BACKEND`` environment variable, and finally the legacy
-    workers rule (serial for ``workers in (None, 0, 1)``, else process).
-    The process backend uses ``workers`` processes (all cores when
-    ``None``); serial is always one.  Inside a pool worker the answer is
-    always ``("serial", 1)``.
+    ``backend=None`` defers to the ``REPRO_BACKEND`` environment
+    variable, and then to the legacy workers rule (serial for
+    ``workers in (None, 0, 1)``, else process).  The process backend
+    uses ``workers`` processes (all cores when ``None``); serial is
+    always one.  Inside a pool worker the answer is always
+    ``("serial", 1)``.
     """
+    env = os.environ.get(BACKEND_ENV_VAR)
     if backend is not None:
         name = _checked(backend)
+    elif env:
+        name = _checked(env, f"{BACKEND_ENV_VAR} value")
     else:
-        name = default_backend_name()
-        if name is None:
-            name = "process" if workers is not None and workers > 1 else "serial"
+        name = "process" if workers is not None and workers > 1 else "serial"
     if name == "serial" or _pool._IN_WORKER:
         return "serial", 1
     if workers is None:

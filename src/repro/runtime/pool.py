@@ -39,7 +39,10 @@ to ``SIGKILL``) delivers EOF and the worker exits instead of orphaning.
 Messages in: ``("task", tag, fn, item, cache_dir)`` or ``("stop",)``.
 Messages out: ``("inc", tag, payload)`` for each published incumbent,
 then one ``("done", tag, outcome)``, or ``("crash", tag, error_type,
-error)`` when the task raised anyway or its outcome does not pickle.
+error, traceback)`` when the task raised anyway or its outcome does not
+pickle.  :meth:`PoolSession.pop` raises a crash as
+:class:`TaskCrashError` and a worker that died as
+:class:`WorkerLostError`, each naming its one task.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ import itertools
 import os
 import threading
 import time
+import traceback as _traceback
 from collections import deque
 from multiprocessing import connection as _mp_connection
 from multiprocessing import get_context
@@ -59,6 +63,7 @@ from .diskcache import configure_disk_cache, disk_cache_dir
 __all__ = [
     "DEFAULT_IDLE_TIMEOUT",
     "PoolSession",
+    "TaskCrashError",
     "WorkerLostError",
     "WorkerPool",
     "get_worker_pool",
@@ -149,7 +154,9 @@ def _worker_main(conn, parent_conn) -> None:
         try:
             reply = ("done", tag, fn(item))
         except BaseException as exc:  # noqa: BLE001 — report, keep serving
-            reply = ("crash", tag, type(exc).__name__, str(exc))
+            reply = (
+                "crash", tag, type(exc).__name__, str(exc), _traceback.format_exc()
+            )
         finally:
             _PUBLISHER[-1] = None
         try:
@@ -160,7 +167,11 @@ def _worker_main(conn, parent_conn) -> None:
             # send() pickles before it writes, so a result that does not
             # pickle left the pipe clean: report it as the task's crash.
             reply = (
-                "crash", tag, type(exc).__name__, f"result does not pickle: {exc}"
+                "crash",
+                tag,
+                type(exc).__name__,
+                f"result does not pickle: {exc}",
+                _traceback.format_exc(),
             )
             try:
                 conn.send(reply)
@@ -350,6 +361,23 @@ class WorkerLostError(RuntimeError):
         self.tag = tag
 
 
+class TaskCrashError(RuntimeError):
+    """A task raised past its callable, or its outcome does not pickle.
+
+    Raised from :meth:`PoolSession.pop` for the one task ``tag``; its
+    worker survived and serves the next task.  ``error_type``, ``error``
+    and ``traceback`` describe the task's own failure, as the worker saw
+    it.
+    """
+
+    def __init__(self, tag: int, error_type: str, error: str, traceback: str) -> None:
+        super().__init__(f"task {tag} failed with {error_type}: {error}")
+        self.tag = tag
+        self.error_type = error_type
+        self.error = error
+        self.traceback = traceback
+
+
 class PoolSession:
     """One task stream over exclusively-acquired pool workers.
 
@@ -415,8 +443,9 @@ class PoolSession:
         """Return one completed ``(tag, outcome)``; ``None`` on timeout.
 
         Blocks forever when ``timeout`` is ``None`` (the plain session
-        contract).  Killed tags never surface here; a lost worker raises
-        :class:`WorkerLostError` for its one tag.
+        contract).  Killed tags never surface here; a crashed task raises
+        :class:`TaskCrashError` and a lost worker :class:`WorkerLostError`,
+        each for its one tag.
         """
         deadline = None if timeout is None else time.perf_counter() + timeout
         while not self._ready:
@@ -450,8 +479,7 @@ class PoolSession:
         self._idle.append(worker)
         self._dispatch()  # the next task starts before the caller sees this one
         if message[0] == "crash":
-            _kind, _tag, error_type, error = message
-            raise WorkerLostError(tag, f"task raised {error_type}: {error}")
+            raise TaskCrashError(tag, *message[2:])
         self._ready.append((tag, message[2]))
 
     # -- preemption extras --------------------------------------------------
@@ -479,8 +507,8 @@ class PoolSession:
                 self._drain_worker(worker)
                 if self._running.get(worker) != tag:
                     return False  # finished before the kill landed
-        except WorkerLostError:
-            return True  # died on its own first; nothing left to stop
+        except (TaskCrashError, WorkerLostError):
+            return True  # failed on its own first; nothing left to stop
         self._replace_worker(worker)
         self._dispatch()
         return True

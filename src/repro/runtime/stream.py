@@ -5,7 +5,7 @@ Two entry points, built on the same windowed admit/drain/pop pattern
 
 * :func:`run_tasks` — the generic primitive: map a picklable function over
   an iterable on either backend (:mod:`repro.runtime.backends`),
-  yielding :class:`TaskOutcome`\\ s as tasks finish.  Per-task exceptions
+  yielding :class:`TaskOutcome`\\ s in input order.  Per-task exceptions
   are captured into the outcome instead of poisoning the run; the fuzz
   driver and the experiment harness fan out through this.
 * :func:`solve_stream` — the façade-aware pipeline: solve a stream of
@@ -21,7 +21,7 @@ Two entry points, built on the same windowed admit/drain/pop pattern
   worker finished first — the historical ``solve_batch`` guarantee, and
   what makes a parallel run serialize byte-identically to a serial one.
   ``ordered=False`` yields strictly in completion order for
-  latency-sensitive consumers.
+  latency-sensitive consumers (the service daemon).
 * **In-flight dedupe of canonically-identical tasks.**  Before dispatch,
   each problem is keyed by its canonical digest (exact duplicates and
   time-shift/job-permutation isomorphs share a key); its canonical form
@@ -34,13 +34,13 @@ Two entry points, built on the same windowed admit/drain/pop pattern
   lookup.  A duplicate whose representative's answer cannot move (a
   heuristic result, or a decomposed schedule off the candidate grid) is
   dispatched like any other task.
-* **Per-task error capture.**  A crashing worker task becomes one
+* **Per-task error capture.**  A failed task becomes one
   ``status="error"`` :class:`~repro.api.result.SolveResult` (exception
   type, message, and traceback in ``extra``) at that task's position;
-  every other task in the batch is unaffected.  A task whose pool worker
-  died under it (``os._exit``, a signal) is such a failure too, with
-  ``error_type="WorkerLostError"``.  ``on_error="raise"`` restores
-  fail-fast behavior.
+  every other task in the batch is unaffected.  A task whose result does
+  not pickle fails with its own error type (the message names the
+  pickling error); a task whose pool worker died under it (``os._exit``,
+  a signal) fails with ``error_type="WorkerLostError"``.
 
 Both entry points size their in-flight window themselves
 (:func:`_window`): one task at a time inline, so each result is yielded
@@ -68,7 +68,7 @@ from typing import (
 )
 
 from .backends import open_session, resolve_backend
-from .pool import WorkerLostError
+from .pool import TaskCrashError, WorkerLostError
 
 __all__ = ["TaskOutcome", "run_tasks", "solve_stream"]
 
@@ -126,9 +126,11 @@ def _window(backend: str, workers: int) -> int:
 
 
 def _pop(session) -> Tuple[int, Tuple]:
-    """The next ``(tag, raw outcome)``; a lost worker fails its one task."""
+    """The next ``(tag, raw outcome)``; a crash or lost worker fails one task."""
     try:
         return session.pop()
+    except TaskCrashError as exc:
+        return exc.tag, ("error", exc.error_type, exc.error, exc.traceback)
     except WorkerLostError as exc:
         return exc.tag, (
             "error", "WorkerLostError", str(exc), _traceback.format_exc()
@@ -144,15 +146,14 @@ def run_tasks(
     *,
     backend: Optional[str] = None,
     workers: Optional[int] = None,
-    ordered: bool = True,
 ) -> Iterator[Tuple[int, TaskOutcome]]:
     """Map ``fn`` over ``items`` through a backend, streaming the outcomes.
 
-    Yields ``(index, outcome)`` pairs — in input order when ``ordered``,
-    else in completion order.  ``fn`` and the items must be picklable for
-    the process backend.  At most :func:`_window` tasks are in flight or
-    buffered at any moment and ``items`` is consumed lazily, so the
-    pipeline runs in bounded memory over arbitrarily long inputs.
+    Yields ``(index, outcome)`` pairs in input order.  ``fn`` and the
+    items must be picklable for the process backend.  At most
+    :func:`_window` tasks are in flight or buffered at any moment and
+    ``items`` is consumed lazily, so the pipeline runs in bounded memory
+    over arbitrarily long inputs.
     """
     name, count = resolve_backend(backend, workers)
     limit = _window(name, count)
@@ -169,20 +170,15 @@ def run_tasks(
                     exhausted = True
                     break
                 session.submit(index, item)
-            if ordered:
-                while next_emit in pending:
-                    yield next_emit, pending.pop(next_emit)
-                    next_emit += 1
+            while next_emit in pending:
+                yield next_emit, pending.pop(next_emit)
+                next_emit += 1
             if session.in_flight == 0:
                 if exhausted:
                     break
                 continue
             tag, raw = _pop(session)
-            outcome = _to_outcome(raw)
-            if ordered:
-                pending[tag] = outcome
-            else:
-                yield tag, outcome
+            pending[tag] = _to_outcome(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +253,6 @@ def solve_stream(
     backend: Optional[str] = None,
     workers: Optional[int] = None,
     ordered: bool = True,
-    dedupe: bool = True,
-    on_error: str = "result",
     with_index: bool = False,
 ) -> Iterator[Any]:
     """Solve a stream of problems, yielding results as they complete.
@@ -278,25 +272,17 @@ def solve_stream(
     ordered:
         ``True`` yields results in input order (the ``solve_batch``
         determinism guarantee); ``False`` yields in completion order.
-    dedupe:
-        Park canonically identical in-flight tasks behind one
-        representative solve; exact duplicates get independent deep
-        copies, isomorphic ones get its answer remapped onto their own
-        instances.  Completed representatives are remembered in a bounded
-        LRU (:data:`DEDUPE_WINDOW` entries), so duplicates also collapse
-        across the stream, not just while in flight.
-    on_error:
-        ``"result"`` (default) converts a crashed task into a
-        ``status="error"`` result at its position; ``"raise"`` re-raises
-        the first failure as :class:`~repro.core.exceptions.SolverError`.
     with_index:
         Yield ``(input index, result)`` pairs instead of bare results —
         essential for correlating an unordered stream.
+
+    Canonically identical tasks always collapse onto one representative
+    solve (see the module docstring); completed representatives are
+    remembered in a bounded LRU (:data:`DEDUPE_WINDOW` entries), so
+    duplicates collapse across the stream, not just while in flight.  A
+    failed task always becomes a ``status="error"`` result at its
+    position.
     """
-    if on_error not in ("result", "raise"):
-        raise ValueError(
-            f"on_error must be 'result' or 'raise', got {on_error!r}"
-        )
     name, count = resolve_backend(backend, workers)
     limit = _window(name, count)
 
@@ -304,8 +290,7 @@ def solve_stream(
     ready: deque = deque()  # unordered-mode emission queue
     next_emit = 0
     reps: Dict[Tuple, int] = {}  # dedupe key -> in-flight representative
-    key_of: Dict[int, Tuple] = {}  # in-flight index -> (dedupe key, form)
-    problem_of: Dict[int, Any] = {}  # in-flight index -> problem
+    running: Dict[int, Tuple] = {}  # in-flight index -> (problem, dedupe key, form)
     parked: Dict[int, List[Tuple[int, Any, Any]]] = {}  # rep index -> duplicates
     parked_count = 0
     # dedupe key -> (problem, result, canonical form) of a representative
@@ -320,32 +305,14 @@ def solve_stream(
     def occupancy(session) -> int:
         return session.in_flight + len(pending) + len(ready) + parked_count
 
-    def resolve_outcome(index: int, raw: Tuple) -> Any:
-        outcome = _to_outcome(raw)
-        if outcome.ok:
-            return outcome.value
-        if on_error == "raise":
-            from ..core.exceptions import SolverError
-
-            raise SolverError(
-                f"batch task {index} failed with {outcome.error_type}: "
-                f"{outcome.error}\n{outcome.traceback}"
-            )
-        return _error_result(problem_of[index], outcome)
-
     with open_session(name, count, _Guarded(_solve_task)) as session:
 
-        def dispatch(index: int, problem, key: Optional[Tuple], form) -> None:
-            problem_of[index] = problem
-            if key is not None:
-                key_of[index] = (key, form)
+        def dispatch(index: int, problem, key: Tuple, form) -> None:
+            running[index] = (problem, key, form)
             session.submit(index, (problem, solver))
 
         def admit(index: int, problem) -> None:
             nonlocal parked_count
-            if not dedupe:
-                dispatch(index, problem, None, None)
-                return
             key, form = _dedupe_key(problem, solver)
             hit = finished.get(key)
             if hit is not None:
@@ -366,12 +333,10 @@ def solve_stream(
 
         def complete(index: int, raw: Tuple) -> None:
             nonlocal parked_count
-            result = resolve_outcome(index, raw)
-            problem = problem_of.pop(index)
+            problem, key, form = running.pop(index)
+            outcome = _to_outcome(raw)
+            result = outcome.value if outcome.ok else _error_result(problem, outcome)
             deliver(index, result)
-            if index not in key_of:
-                return
-            key, form = key_of.pop(index)
             if reps.get(key) != index:
                 return  # a re-dispatched former duplicate, not a representative
             del reps[key]

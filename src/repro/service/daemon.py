@@ -63,9 +63,9 @@ class SchedulerDaemon:
         one after another.
     poll_interval:
         Seconds to sleep between polls of an empty queue.
-    metrics:
-        Optional :class:`TaskMetrics` that observes every result the
-        daemon writes back.
+
+    The daemon owns :attr:`metrics`, a :class:`TaskMetrics` that observes
+    every result it writes back (``GET /v1/stats`` reads it).
     """
 
     def __init__(
@@ -76,7 +76,6 @@ class SchedulerDaemon:
         workers: Optional[int] = None,
         window: int = 4,
         poll_interval: float = 0.05,
-        metrics: Optional[TaskMetrics] = None,
     ) -> None:
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
@@ -86,7 +85,7 @@ class SchedulerDaemon:
         self.store = store
         self.window = int(window)
         self.poll_interval = float(poll_interval)
-        self.metrics = metrics
+        self.metrics = TaskMetrics()
         self.state = "idle"  # idle -> running -> draining -> stopped
         #: ``"Type: message"`` of the exception that ended the thread, if any.
         self.error: Optional[str] = None
@@ -183,11 +182,9 @@ class SchedulerDaemon:
                 workers=self.workers,
                 ordered=False,
                 with_index=True,
-                on_error="result",
             ):
                 record, problem = pairs[index]
-                if self.metrics is not None:
-                    self.metrics.observe(problem, result)
+                self.metrics.observe(problem, result)
                 self._write_back(record, result)
 
     def _write_back(self, record: JobRecord, result: Any) -> None:

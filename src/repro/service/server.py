@@ -84,7 +84,7 @@ from ..api.serialization import from_dict, to_json
 from .admission import AdmissionController
 from .daemon import SchedulerDaemon
 from .queue import JobQueue
-from .stats import TaskMetrics, operational_stats
+from .stats import operational_stats
 
 __all__ = [
     "IDLE_TIMEOUT_S",
@@ -357,7 +357,7 @@ class _Handler(BaseHTTPRequestHandler):
                 "problem (wrap bare instances in a problem object)"
             )
         client_id = str(body.get("client_id") or "anonymous")
-        solver = str(body.get("solver") or svc.default_solver)
+        solver = str(body.get("solver") or "auto")
         try:
             priority = int(body.get("priority") or 0)
         except (TypeError, ValueError) as exc:
@@ -444,11 +444,8 @@ class ServiceServer:
         rate: float = 50.0,
         burst: int = 100,
         max_queued: int = 1024,
-        default_solver: str = "auto",
-        recover: bool = True,
     ) -> None:
         self.store = JobQueue(db_path)
-        self.metrics = TaskMetrics()
         self.admission = AdmissionController(
             rate=rate, burst=burst, max_queued=max_queued
         )
@@ -459,13 +456,11 @@ class ServiceServer:
                 workers=workers,
                 window=window,
                 poll_interval=poll_interval,
-                metrics=self.metrics,
             )
         except BaseException:
             self.store.close()  # a bad setting must not leak the store
             raise
-        self.default_solver = default_solver
-        self.recovered = self.store.recover() if recover else 0
+        self.recovered = self.store.recover()
         self.draining = False
         self.started_at: Optional[float] = None
         self._requested_host = host
@@ -579,7 +574,7 @@ class ServiceServer:
     # -- the stats surface ----------------------------------------------------
     def stats_payload(self) -> Dict[str, Any]:
         """``GET /v1/stats``: the shared operational payload + service block."""
-        payload = operational_stats(self.metrics)
+        payload = operational_stats(self.daemon.metrics)
         counts = self.store.counts()
         payload["service"] = {
             "state": "draining" if self.draining else self.daemon.state,

@@ -23,18 +23,18 @@ from __future__ import annotations
 import threading
 from typing import Any, Dict, Optional
 
-__all__ = ["TaskMetrics", "operational_stats"]
+from ..core.interval_dp import fold_engine_stats
 
-#: Engine counters aggregated by maximum instead of sum (high-water marks).
-_PEAK_COUNTERS = frozenset({"peak_stack_depth"})
+__all__ = ["TaskMetrics", "operational_stats"]
 
 
 class TaskMetrics:
     """Thread-safe aggregation of delivered task results.
 
     The scheduler daemon calls ``observe(problem, result)`` once per
-    result it writes back.  Counters mirror the fuzz driver's
-    engine-profile semantics: additive counters sum across tasks,
+    result it writes back.  Engine counters fold through
+    :func:`~repro.core.interval_dp.fold_engine_stats`, as the fuzz
+    driver's engine profile does: additive counters sum across tasks,
     high-water marks (``peak_stack_depth``) take the maximum.
     """
 
@@ -48,24 +48,11 @@ class TaskMetrics:
         """Fold one delivered result into the counters."""
         status = str(getattr(result, "status", "unknown"))
         extra = getattr(result, "extra", None)
-        engine_stats = None
-        if isinstance(extra, dict):
-            meta = extra.get("engine")
-            if isinstance(meta, dict):
-                stats = meta.get("stats")
-                if isinstance(stats, dict):
-                    engine_stats = stats
         with self._lock:
             self._completed += 1
             self._statuses[status] = self._statuses.get(status, 0) + 1
-            if engine_stats:
-                for name, value in engine_stats.items():
-                    if not isinstance(value, int):
-                        continue
-                    if name in _PEAK_COUNTERS:
-                        self._engine[name] = max(self._engine.get(name, 0), value)
-                    else:
-                        self._engine[name] = self._engine.get(name, 0) + value
+            if isinstance(extra, dict):
+                fold_engine_stats(self._engine, extra)
 
     def reset(self) -> None:
         """Zero every counter."""

@@ -24,10 +24,11 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..api.problem import OBJECTIVES, Problem
 from ..api.serialization import from_dict, to_dict
+from ..core.interval_dp import PEAK_COUNTER_PREFIX, fold_engine_stats
 from ..core.jobs import MultiIntervalInstance
 from ..generators import (
     bursty_server_instance,
@@ -130,7 +131,7 @@ class FuzzReport:
         lines = [f"engine profile: {self.engine_runs} engine-backed solver runs"]
         for name in sorted(self.engine_stats):
             value = self.engine_stats[name]
-            if name.startswith("peak_"):
+            if name.startswith(PEAK_COUNTER_PREFIX):
                 lines.append(f"  {name:<20} max   {value:>10}")
             else:
                 lines.append(
@@ -373,7 +374,6 @@ def fuzz(
     objectives: Sequence[str] = OBJECTIVES,
     metamorphic: bool = True,
     corpus_path: Optional[str] = None,
-    progress: Optional[Callable[[int, DifferentialReport], None]] = None,
     backend: Optional[str] = None,
     workers: Optional[int] = None,
 ) -> FuzzReport:
@@ -393,8 +393,6 @@ def fuzz(
         When given, the failure corpus is flushed to this JSON file after
         every failing case (so an interrupted run keeps what it found) and
         rewritten at the end (so a green run clears stale failures).
-    progress:
-        Optional callback ``(index, report)`` invoked after every case.
     backend / workers:
         Execution backend for case evaluation (see
         :func:`repro.runtime.resolve_backend`); generation stays
@@ -460,9 +458,7 @@ def fuzz(
 
     # Phase 2 — evaluation through the runtime, folded back in case order.
     payload_iter = iter(payloads)
-    outcomes = run_tasks(
-        _evaluate_case, payloads, backend=backend, workers=workers, ordered=True
-    )
+    outcomes = run_tasks(_evaluate_case, payloads, backend=backend, workers=workers)
     for _position, outcome in outcomes:
         payload = next(payload_iter)
         failures_before = len(report.failures)
@@ -484,8 +480,6 @@ def fuzz(
             )
         if len(report.failures) > failures_before:
             flush()
-        if progress is not None and outcome.ok:
-            progress(payload.index, outcome.value.diff)
     # Generation failures were recorded (and flushed) ahead of evaluation
     # failures; restore the sequential driver's index order for the final
     # report and corpus.
@@ -500,24 +494,10 @@ def fuzz(
 def _accumulate_engine_stats(report: FuzzReport, diff: DifferentialReport) -> None:
     """Fold interval-DP engine counters from a differential run into the report."""
     for run in diff.runs:
-        if run.result is None:
-            continue
-        engine = run.result.extra.get("engine")
-        if not isinstance(engine, dict):
-            continue
-        stats = engine.get("stats")
-        if not isinstance(stats, dict):
-            continue
-        report.engine_runs += 1
-        for name, value in stats.items():
-            # Peak-type counters are per-run maxima; summing them would be
-            # meaningless, so they aggregate by max instead.
-            if name.startswith("peak_"):
-                report.engine_stats[name] = max(
-                    report.engine_stats.get(name, 0), int(value)
-                )
-            else:
-                report.engine_stats[name] = report.engine_stats.get(name, 0) + int(value)
+        if run.result is not None and fold_engine_stats(
+            report.engine_stats, run.result.extra
+        ):
+            report.engine_runs += 1
 
 
 def metamorphic_issues(problem: Problem, diff: DifferentialReport, meta_seed: int) -> List[str]:

@@ -34,6 +34,9 @@ __all__ = ["PortfolioFuzzFailure", "PortfolioFuzzReport", "portfolio_fuzz"]
 #: finishes inside the budget, so the optimum is available for comparison.
 MAX_FUZZ_JOBS = 14
 
+#: Seconds each fuzz case's race may run.
+FUZZ_BUDGET = 2.0
+
 _ALPHAS = (0.5, 1.0, 2.0, 3.5)
 
 
@@ -92,13 +95,13 @@ def _random_problem(
     return objective, alpha, pairs, problem
 
 
-def _check_case(problem: Problem, budget: float) -> Tuple[List[str], str]:
+def _check_case(problem: Problem) -> Tuple[List[str], str]:
     """Run one portfolio-vs-exact comparison; returns (issues, port status)."""
     from ..portfolio import run_portfolio
 
     exact_name = "gap-dp" if problem.objective == "gaps" else "power-dp"
     exact = solve(problem, solver=exact_name)
-    port = run_portfolio(problem, budget)
+    port = run_portfolio(problem, FUZZ_BUDGET)
     issues: List[str] = []
 
     if (exact.status == "infeasible") != (port.status == "infeasible"):
@@ -150,20 +153,19 @@ def _check_case(problem: Problem, budget: float) -> Tuple[List[str], str]:
     return issues, port.status
 
 
-def portfolio_fuzz(
-    seed: int = 0, n: int = 100, budget: float = 2.0
-) -> PortfolioFuzzReport:
-    """Fuzz ``n`` seeded small instances through the portfolio racer."""
+def portfolio_fuzz(seed: int = 0, n: int = 100) -> PortfolioFuzzReport:
+    """Fuzz ``n`` seeded small instances through the portfolio racer.
+
+    Each case races under :data:`FUZZ_BUDGET` seconds.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if budget <= 0:
-        raise ValueError(f"budget must be positive, got {budget}")
     rng = random.Random(seed)
     report = PortfolioFuzzReport(seed=seed)
     for index in range(n):
         objective, alpha, pairs, problem = _random_problem(rng)
         report.cases += 1
-        issues, status = _check_case(problem, budget)
+        issues, status = _check_case(problem)
         if status == "infeasible":
             report.infeasible_cases += 1
         else:

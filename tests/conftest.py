@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import random
+import time
 from typing import List, Tuple
 
 import pytest
@@ -12,6 +14,23 @@ from repro.api.registry import registry_generation
 from repro.core.dp_profile import IntervalDecomposition
 from repro.core.interval_dp import GapObjective, IntervalDPEngine, PowerObjective
 from repro.runtime import shutdown_worker_pool
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_pool_worker_outlives_the_suite():
+    """After the last test, stop the warm pool and require no child left.
+
+    Every worker the suite forked must be gone within 10 s of
+    ``shutdown_worker_pool()``; one still running fails the session's
+    teardown (under ``REPRO_BACKEND=process`` too).
+    """
+    yield
+    shutdown_worker_pool()
+    deadline = time.monotonic() + 10.0
+    while multiprocessing.active_children() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    leaked = multiprocessing.active_children()
+    assert not leaked, f"processes outlived the test suite: {leaked}"
 
 
 @pytest.fixture(autouse=True)

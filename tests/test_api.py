@@ -220,20 +220,16 @@ class TestInfeasibleUniformity:
             assert result.solver == spec.name
 
     def test_on_infeasible_raise(self):
+        # raise_for_status() is the one way to raise on infeasibility.
         problem = Problem(objective="gaps", instance=self.CLASH)
         with pytest.raises(InfeasibleInstanceError):
-            solve(problem, on_infeasible="raise")
+            solve(problem).raise_for_status()
 
     def test_on_infeasible_raise_is_uniform_across_solvers(self):
         problem = Problem(objective="gaps", instance=self.CLASH)
         for spec in capable_solvers(problem):
             with pytest.raises(InfeasibleInstanceError):
-                solve(problem, solver=spec.name, on_infeasible="raise")
-
-    def test_on_infeasible_rejects_unknown_mode(self):
-        problem = Problem(objective="gaps", instance=self.CLASH)
-        with pytest.raises(ValueError):
-            solve(problem, on_infeasible="whatever")
+                solve(problem, solver=spec.name).raise_for_status()
 
     def test_raise_for_status_on_feasible_returns_self(self):
         instance = OneIntervalInstance.from_pairs([(0, 2)])
@@ -313,3 +309,39 @@ class TestCoreMatchesFacade:
         assert not core.feasible
         assert facade.status == "infeasible"
         assert facade.value is None and facade.schedule is None
+
+
+class TestOneWayIn:
+    """Each behaviour has one way in: options only tests set stay deleted."""
+
+    def test_removed_options_stay_removed(self):
+        import inspect
+
+        import repro.api
+        import repro.runtime
+        from repro.api import solve_batch
+        from repro.core.canonical import CanonicalSolveCache
+        from repro.core.feasibility import edf_schedule
+        from repro.runtime import run_tasks, solve_stream
+        from repro.service import SchedulerDaemon, ServiceServer
+        from repro.verify import fuzz, portfolio_fuzz
+
+        removed = {
+            solve: {"on_infeasible"},
+            solve_batch: {"dedupe", "on_error"},
+            solve_stream: {"dedupe", "on_error"},
+            run_tasks: {"ordered"},
+            ServiceServer: {"recover", "default_solver"},
+            SchedulerDaemon: {"metrics"},
+            fuzz: {"progress"},
+            portfolio_fuzz: {"budget"},
+            edf_schedule: {"work_conserving"},
+        }
+        for func, names in removed.items():
+            params = set(inspect.signature(func).parameters)
+            assert not names & params, (func.__name__, names & params)
+        for name in ("configure_backend", "configured_backend", "default_backend_name"):
+            assert not hasattr(repro.runtime, name), name
+        assert not hasattr(repro.api, "configure_solve_cache")
+        assert not hasattr(CanonicalSolveCache, "configure")
+        assert "disabled_gets" not in repro.api.solve_cache_stats()

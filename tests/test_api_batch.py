@@ -112,17 +112,6 @@ class TestErrorPaths:
                 assert result.status == "error"
                 assert result.extra["error_type"] == "SolverError"
 
-    def test_on_error_raise_restores_fail_fast(self):
-        from repro.core.exceptions import SolverError
-
-        problems = generated_workload(4)
-        with pytest.raises(SolverError):
-            solve_batch(problems, solver="no-such-solver", on_error="raise")
-        with pytest.raises(SolverError):
-            solve_batch(
-                problems, solver="no-such-solver", workers=2, on_error="raise"
-            )
-
     def test_error_results_raise_for_status(self):
         from repro.core.exceptions import SolverError
 

@@ -20,7 +20,6 @@ from repro.api import (
     OneIntervalInstance,
     Problem,
     clear_solve_cache,
-    configure_solve_cache,
     decomposition_stats,
     reset_decomposition_stats,
     solve,
@@ -32,12 +31,7 @@ from repro.api import decomposition
 from repro.api.decomposition import DEFAULT_MIN_JOBS
 from repro.core.jobs import Job
 from repro.generators import splittable_instance
-from repro.runtime import (
-    configure_backend,
-    configured_backend,
-    shutdown_worker_pool,
-    worker_pool_stats,
-)
+from repro.runtime import shutdown_worker_pool, worker_pool_stats
 
 
 @pytest.fixture(autouse=True)
@@ -48,15 +42,11 @@ def decomposition_sandbox(monkeypatch):
     Lowering the job-count rule reaches only this process; every solve
     here is a single ``solve()``, whose components never leave it.
     """
-    saved_backend = configured_backend()
-    configure_solve_cache(256)
     clear_solve_cache()
     monkeypatch.setattr(decomposition, "DEFAULT_MIN_JOBS", 2)
-    configure_backend("serial")
+    monkeypatch.setenv("REPRO_BACKEND", "serial")
     reset_decomposition_stats()
     yield
-    configure_backend(saved_backend)
-    configure_solve_cache(256)
     clear_solve_cache()
 
 
@@ -168,16 +158,16 @@ class TestDifferentialEquivalence:
 
 
 class TestByteIdentity:
-    def test_identical_across_backends(self):
+    def test_identical_across_backends(self, monkeypatch):
         problem = gap_problem(num_jobs=12, num_processors=2, seed=3)
         serialized = {}
         for backend in ("serial", "process"):
             clear_solve_cache()
-            configure_backend(backend)
+            monkeypatch.setenv("REPRO_BACKEND", backend)
             serialized[backend] = to_json(solve(problem, solver="gap-dp"))
         assert serialized["serial"] == serialized["process"]
 
-    def test_power_identical_across_backends(self):
+    def test_power_identical_across_backends(self, monkeypatch):
         instance = splittable_instance(
             num_jobs=10, num_clusters=2, cluster_horizon=6, seed=7
         )
@@ -185,7 +175,7 @@ class TestByteIdentity:
         serialized = {}
         for backend in ("serial", "process"):
             clear_solve_cache()
-            configure_backend(backend)
+            monkeypatch.setenv("REPRO_BACKEND", backend)
             serialized[backend] = to_json(solve(problem, solver="power-dp"))
         assert serialized["serial"] == serialized["process"]
 
@@ -197,12 +187,12 @@ class TestByteIdentity:
         problem = gap_problem(num_jobs=DEFAULT_MIN_JOBS, num_processors=2, seed=5)
         shutdown_worker_pool()
         spawned = worker_pool_stats()["spawned"]
-        configure_backend("process")
+        monkeypatch.setenv("REPRO_BACKEND", "process")
         on_process = solve(problem, solver="gap-dp")
         assert worker_pool_stats()["spawned"] == spawned
         assert "decomposition" in on_process.extra["engine"]
         clear_solve_cache()
-        configure_backend("serial")
+        monkeypatch.setenv("REPRO_BACKEND", "serial")
         assert to_json(solve(problem, solver="gap-dp")) == to_json(on_process)
 
     def test_cache_hit_replays_fresh_result_verbatim(self):

@@ -310,7 +310,7 @@ class TestMultiprocBounds:
             ):
                 cert = lower_bound_for(problem)
                 assert certify_bound(problem, cert).ok
-                result = solve(problem, on_infeasible="result")
+                result = solve(problem)
                 if result.status == "optimal":
                     assert cert.value <= result.value + 1e-9
 
@@ -367,9 +367,7 @@ class TestMultiIntervalBounds:
             problem = Problem(objective="gaps", instance=inst)
             cert = lower_bound_for(problem)
             assert certify_bound(problem, cert).ok
-            result = solve(
-                problem, solver="brute-force-gaps", on_infeasible="result"
-            )
+            result = solve(problem, solver="brute-force-gaps")
             if result.status == "optimal":
                 assert cert.value <= result.value
 

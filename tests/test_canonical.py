@@ -15,7 +15,6 @@ from repro.api import (
     OneIntervalInstance,
     Problem,
     clear_solve_cache,
-    configure_solve_cache,
     solve,
     solve_batch,
     solve_cache_bypass,
@@ -35,11 +34,9 @@ from tests.conftest import random_window_pairs
 
 @pytest.fixture(autouse=True)
 def fresh_cache():
-    """Every test starts and ends with an empty, default-sized cache."""
-    configure_solve_cache(256)
+    """Every test starts and ends with an empty cache."""
     clear_solve_cache()
     yield
-    configure_solve_cache(256)
     clear_solve_cache()
 
 
@@ -238,14 +235,6 @@ class TestSolveCacheBehavior:
         assert "tag" not in results[0].extra
         assert "tag" not in results[2].extra
 
-    def test_dedupe_can_be_disabled(self):
-        instance = MultiprocessorInstance.from_pairs(PAIRS, num_processors=2)
-        problems = [Problem(objective="gaps", instance=instance)] * 3
-        results = solve_batch(problems, dedupe=False, backend="serial")
-        assert results[0] == results[1] == results[2]
-        stats = solve_cache_stats()
-        assert stats["misses"] == 1 and stats["hits"] == 2
-
     def test_bypass_context_skips_lookup_and_store(self):
         instance = MultiprocessorInstance.from_pairs(PAIRS, num_processors=2)
         with solve_cache_bypass():
@@ -271,29 +260,14 @@ class TestSolveCacheBehavior:
         assert solve_cache_stats()["hits"] == 0
 
     def test_disabled_cache_never_hits(self):
-        configure_solve_cache(0)
+        # solve_cache_bypass() is the one way to solve without the cache.
         instance = MultiprocessorInstance.from_pairs(PAIRS, num_processors=2)
-        solve(Problem(objective="gaps", instance=instance))
-        solve(Problem(objective="gaps", instance=instance))
+        with solve_cache_bypass():
+            solve(Problem(objective="gaps", instance=instance))
+            solve(Problem(objective="gaps", instance=instance))
         stats = solve_cache_stats()
         assert stats["hits"] == 0 and stats["size"] == 0
-
-    def test_disabled_lookups_count_as_disabled_gets_not_misses(self):
-        # Regression: a disabled cache has no hit rate, so its gets must
-        # not inflate ``misses`` (which would read as a fake 0% hit rate
-        # on every stats surface).
-        cache = CanonicalSolveCache(maxsize=0)
-        assert cache.get("key") is None
-        assert cache.get("key") is None
-        stats = cache.stats()
-        assert stats["disabled_gets"] == 2
-        assert stats["misses"] == 0 and stats["hits"] == 0
-        cache.configure(4)
-        assert cache.get("key") is None  # enabled again: a real miss
-        stats = cache.stats()
-        assert stats["misses"] == 1 and stats["disabled_gets"] == 2
-        cache.clear()
-        assert cache.stats()["disabled_gets"] == 0
+        assert stats["fresh_solves"] == 2
 
 
 class TestCacheBounding:
@@ -314,21 +288,10 @@ class TestCacheBounding:
         assert cache.get("b") is None
         assert cache.get("a") == 1 and cache.get("c") == 3
 
-    def test_configure_shrinks_in_place(self):
-        clear_solve_cache()
-        for delta in range(6):
-            instance = MultiprocessorInstance.from_pairs(
-                [(delta, delta + 2), (delta + 40, delta + 41 + delta)],
-                num_processors=1,
-            )
-            solve(Problem(objective="gaps", instance=instance))
-        assert solve_cache_stats()["size"] > 2
-        configure_solve_cache(2)
-        assert solve_cache_stats()["size"] <= 2
+    def test_solve_path_respects_bound(self, monkeypatch):
+        from repro.api import solvers
 
-    def test_solve_path_respects_bound(self):
-        configure_solve_cache(2)
-        clear_solve_cache()
+        monkeypatch.setattr(solvers, "_SOLVE_CACHE", CanonicalSolveCache(maxsize=2))
         for delta in range(5):
             instance = MultiprocessorInstance.from_pairs(
                 [(0, 2 + delta), (delta + 10, delta + 14)], num_processors=1

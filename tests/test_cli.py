@@ -394,7 +394,7 @@ class TestPortfolioFuzz:
     def test_portfolio_fuzz_module_invariants(self):
         from repro.verify import portfolio_fuzz
 
-        report = portfolio_fuzz(seed=3, n=20, budget=2.0)
+        report = portfolio_fuzz(seed=3, n=20)
         assert report.ok, report.summary()
         assert report.cases == 20
         assert report.feasible_cases + report.infeasible_cases == 20
@@ -408,19 +408,28 @@ class TestRuntimeFlags:
 
     @pytest.fixture(autouse=True)
     def reset_runtime(self):
-        from repro.runtime import configure_backend, configure_disk_cache
+        from repro.runtime import configure_disk_cache
 
         yield
-        configure_backend(None)
         configure_disk_cache(None)
 
-    def test_backend_flag_configures_the_default(self, monkeypatch):
-        from repro.runtime import configured_backend
+    def test_backend_flag_reaches_batch_work_without_a_default(
+        self, monkeypatch, capsys
+    ):
+        # --backend is passed to the batch work the sub-command starts;
+        # it leaves no process-wide default behind.
+        from repro.runtime import (
+            resolve_backend,
+            shutdown_worker_pool,
+            worker_pool_stats,
+        )
 
-        feed_stdin(monkeypatch, one_cpu((0, 0), (2, 2)))
-        code = main(["--backend", "process", "solve", "-i", "-", "--objective", "gaps"])
-        assert code == 0
-        assert configured_backend() == "process"
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        shutdown_worker_pool()
+        code = main(["--backend", "process", "fuzz", "--seed", "0", "--n", "6"])
+        assert code == 0, capsys.readouterr().out
+        assert worker_pool_stats()["spawned"] > 0
+        assert resolve_backend(None) == ("serial", 1)
 
     def test_unknown_backend_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:

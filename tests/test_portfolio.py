@@ -280,11 +280,7 @@ class TestFacadeBudget:
 
         bad = OneIntervalInstance.from_pairs([(0, 0), (0, 0)])
         with pytest.raises(InfeasibleInstanceError):
-            solve(
-                Problem(objective="gaps", instance=bad),
-                budget=1.0,
-                on_infeasible="raise",
-            )
+            solve(Problem(objective="gaps", instance=bad), budget=1.0).raise_for_status()
 
 
 class TestLargeNAcceptance:

@@ -18,9 +18,7 @@ from repro.api.registry import _REGISTRY
 from repro.api.solvers import clear_solve_cache, solve_cache_stats
 from repro.core.jobs import OneIntervalInstance
 from repro.runtime import (
-    configure_backend,
     configure_disk_cache,
-    configured_backend,
     get_worker_pool,
     shutdown_worker_pool,
     solve_stream,
@@ -362,19 +360,15 @@ class TestPreemptiveRacing:
         # race always runs on the warm pool, where the exact DP races from
         # t=0 and certifies the optimum the heuristics cannot reach.
         problem = Problem(objective="gaps", instance=_differential_instance())
-        previous = configured_backend()
-        configure_backend("serial")
-        try:
-            configured = run_portfolio(problem, budget=10.0)
-        finally:
-            configure_backend(previous)
-        clear_solve_cache()
-        shutdown_worker_pool()
-        monkeypatch.setenv("REPRO_BACKEND", "process")
-        from_env = run_portfolio(problem, budget=10.0)
+        answers = []
+        for backend in ("serial", "process"):
+            clear_solve_cache()
+            shutdown_worker_pool()
+            monkeypatch.setenv("REPRO_BACKEND", backend)
+            answers.append(run_portfolio(problem, budget=10.0))
 
         exact = solve(problem, solver="gap-dp")
-        for result in (configured, from_env):
+        for result in answers:
             assert result.status == "optimal"
             assert result.value == exact.value
             assert result.extra["optimality_gap"]["ratio"] == pytest.approx(1.0)

@@ -17,8 +17,9 @@ import threading
 import pytest
 
 from repro.api import Problem, SolveResult, from_json, solve, solve_batch, to_json
-from repro.api.solvers import replay_isomorph, solve_cache_stats
-from repro.api import clear_solve_cache, configure_solve_cache
+from repro.api import clear_solve_cache, solvers
+from repro.api.solvers import replay_isomorph, solve_cache_bypass, solve_cache_stats
+from repro.core.canonical import CanonicalSolveCache
 from repro.core.exceptions import SolverError
 from repro.generators import (
     random_multi_interval_instance,
@@ -28,9 +29,7 @@ from repro.generators import (
 from repro.runtime import (
     BACKENDS,
     DiskSolveCache,
-    configure_backend,
     configure_disk_cache,
-    default_backend_name,
     disk_cache_dir,
     get_disk_cache,
     resolve_backend,
@@ -42,17 +41,13 @@ from repro.runtime.diskcache import cache_key_digest
 
 @pytest.fixture(autouse=True)
 def clean_runtime_state(monkeypatch):
-    """Isolate every test from configured backends, env vars and caches."""
+    """Isolate every test from backend env vars and caches."""
     monkeypatch.delenv("REPRO_BACKEND", raising=False)
     monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-    configure_backend(None)
     configure_disk_cache(None)
-    configure_solve_cache(256)
     clear_solve_cache()
     yield
-    configure_backend(None)
     configure_disk_cache(None)
-    configure_solve_cache(256)
     clear_solve_cache()
 
 
@@ -122,39 +117,26 @@ class TestBackendSelection:
         assert resolve_backend(None, workers=1) == ("serial", 1)
         assert resolve_backend(None, workers=4) == ("process", 4)
 
-    def test_configured_default_beats_workers_rule(self):
-        configure_backend("serial")
-        assert default_backend_name() == "serial"
-        assert resolve_backend(None, workers=4) == ("serial", 1)
-
     def test_env_var_beats_workers_rule(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "serial")
-        assert default_backend_name() == "serial"
         assert resolve_backend(None, workers=4) == ("serial", 1)
 
-    def test_configure_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "process")
-        configure_backend("serial")
-        assert default_backend_name() == "serial"
-
     def test_unknown_names_rejected(self, monkeypatch):
-        with pytest.raises(ValueError):
-            configure_backend("quantum")
         with pytest.raises(ValueError):
             resolve_backend("quantum")
         monkeypatch.setenv("REPRO_BACKEND", "quantum")
         with pytest.raises(ValueError):
-            default_backend_name()
+            resolve_backend(None)
 
-    def test_explicit_argument_beats_configured_default(self):
-        configure_backend("process")
+    def test_explicit_argument_beats_configured_default(self, monkeypatch):
+        # The environment is the only default there is; a call-site name
+        # outranks it.
+        monkeypatch.setenv("REPRO_BACKEND", "process")
         assert resolve_backend("serial") == ("serial", 1)
 
     def test_thread_is_rejected_everywhere(self, monkeypatch):
         from repro.cli import main
 
-        with pytest.raises(ValueError):
-            configure_backend("thread")
         with pytest.raises(ValueError):
             resolve_backend("thread")
         monkeypatch.setenv("REPRO_BACKEND", "thread")
@@ -196,13 +178,6 @@ class TestRunTasks:
         assert [index for index, _ in out] == items
         assert [o.value for _, o in out] == [x * x for x in items]
         assert all(o.ok for _, o in out)
-
-    def test_unordered_covers_all_indices(self):
-        out = list(
-            run_tasks(_square, range(10), backend="process", workers=2, ordered=False)
-        )
-        assert sorted(index for index, _ in out) == list(range(10))
-        assert all(o.value == i * i for i, o in out)
 
     @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_per_task_error_capture(self, backend):
@@ -298,8 +273,9 @@ class TestLostWorker:
         assert [o.value for index, o in out if index != 2] == [0, 1, 9, 16]
 
     def test_result_that_does_not_pickle_fails_only_its_task(self):
-        # The worker reports the pickling error as its task's failure and
-        # keeps serving: the other tasks run on the same worker.
+        # The worker reports the pickling error as its task's own failure,
+        # not as a lost worker, and keeps serving: the other tasks run on
+        # the same worker.
         from repro.runtime import worker_pool_stats
 
         killed = worker_pool_stats()["killed"]
@@ -307,10 +283,87 @@ class TestLostWorker:
         assert [index for index, _ in out] == [0, 1, 2]
         failed = out[1][1]
         assert not failed.ok
-        assert "TypeError" in failed.error
-        assert "pickle" in failed.error
+        assert failed.error_type == "TypeError"
+        assert failed.error.startswith("result does not pickle: ")
+        assert "died" not in failed.error
+        assert "_worker_main" in failed.traceback  # the worker's own traceback
         assert [out[0][1].value, out[2][1].value] == [0, 4]
         assert worker_pool_stats()["killed"] == killed
+
+    def test_stream_reports_an_unpicklable_result_as_its_own_error(self):
+        from repro.api import OneIntervalInstance
+        from repro.api.registry import _REGISTRY, register_solver
+        from repro.runtime import worker_pool_stats
+
+        @register_solver(
+            "unpicklable-test",
+            objective="gaps",
+            kind="baseline",
+            instance_types=(OneIntervalInstance,),
+        )
+        def _unpicklable(problem):
+            result = solve(problem, solver="gap-dp")
+            if len(problem.instance.jobs) == 3:
+                result.extra["lock"] = threading.Lock()
+            return result
+
+        try:
+            killed = worker_pool_stats()["killed"]
+            problems = [_jobs_problem(n) for n in (2, 3, 4)]
+            results = list(
+                solve_stream(
+                    problems, solver="unpicklable-test", backend="process", workers=1
+                )
+            )
+            assert [r.status for r in results] == ["optimal", "error", "optimal"]
+            assert results[1].extra["error_type"] == "TypeError"
+            assert "does not pickle" in results[1].extra["error"]
+            assert worker_pool_stats()["killed"] == killed
+        finally:
+            _REGISTRY.pop("unpicklable-test", None)
+
+    def test_race_member_whose_result_does_not_pickle_is_killed_as_error(
+        self, monkeypatch
+    ):
+        import time
+
+        from repro.api import OneIntervalInstance
+        from repro.api.registry import _REGISTRY, register_solver
+        from repro.portfolio import race
+
+        @register_solver(
+            "unpicklable-member-test",
+            objective="gaps",
+            kind="baseline",
+            instance_types=(OneIntervalInstance,),
+        )
+        def _unpicklable(problem):
+            result = solve(problem, solver="gap-dp")
+            result.extra["lock"] = threading.Lock()
+            return result
+
+        @register_solver(
+            "slow-member-test",
+            objective="gaps",
+            kind="baseline",
+            instance_types=(OneIntervalInstance,),
+        )
+        def _slow(problem):
+            time.sleep(0.5)  # lands well after the other member's crash
+            return solve(problem, solver="gap-dp")
+
+        roster = ["unpicklable-member-test", "slow-member-test"]
+        monkeypatch.setattr(race, "default_members", lambda problem: list(roster))
+        try:
+            result = race.run_portfolio(_jobs_problem(4), 10.0)
+        finally:
+            _REGISTRY.pop("unpicklable-member-test", None)
+            _REGISTRY.pop("slow-member-test", None)
+        members = {m["name"]: m for m in result.extra["portfolio"]["members"]}
+        crashed = members["unpicklable-member-test"]
+        assert (crashed["state"], crashed["kill_reason"]) == ("killed", "error")
+        assert result.extra["portfolio"]["winner"] == "slow-member-test"
+        assert result.status == "optimal"
 
     @pytest.mark.parametrize("ordered", [True, False])
     def test_solve_stream_answers_the_others(self, exit_on_three_jobs, ordered):
@@ -332,19 +385,6 @@ class TestLostWorker:
         assert results[2].status == "error"
         assert results[2].extra["error_type"] == "WorkerLostError"
         assert [results[i].status for i in (0, 1, 3, 4)] == ["optimal"] * 4
-
-    def test_raise_mode_raises_solver_error(self, exit_on_three_jobs):
-        problems = [_jobs_problem(n) for n in (2, 3, 4)]
-        with pytest.raises(SolverError, match="WorkerLostError"):
-            list(
-                solve_stream(
-                    problems,
-                    solver=exit_on_three_jobs,
-                    backend="process",
-                    workers=2,
-                    on_error="raise",
-                )
-            )
 
     def test_parked_duplicate_of_a_lost_representative_is_solved(self, tmp_path):
         from repro.api import OneIntervalInstance
@@ -444,7 +484,6 @@ class TestSolveStream:
                 solver="logging-test",
                 backend="serial",
                 ordered=ordered,
-                dedupe=False,
             ):
                 events.append("yield")
         finally:
@@ -477,19 +516,10 @@ class TestSolveStream:
             # Replays carry the representative's engine metadata verbatim.
             assert result.extra["engine"] == results[0].extra["engine"]
 
-    def test_dedupe_false_solves_each(self):
-        clear_solve_cache()
-        problems = [shifted_problem(0)] * 4
-        list(solve_stream(problems, backend="serial", dedupe=False))
-        stats = solve_cache_stats()
-        # No stream dedupe: first solve is fresh, the rest hit the cache.
-        assert stats["fresh_solves"] == 1 and stats["hits"] == 3
-
     def test_dedupe_with_cache_disabled_still_collapses_exact(self):
-        configure_solve_cache(0)
-        clear_solve_cache()
         problems = [shifted_problem(0)] * 5
-        results = list(solve_stream(problems, backend="serial"))
+        with solve_cache_bypass():
+            results = list(solve_stream(problems, backend="serial"))
         assert results[0] == results[4]
         # Stream dedupe still collapsed the five exact duplicates onto one
         # DP run even though the cache tiers were off.
@@ -497,10 +527,9 @@ class TestSolveStream:
         assert solve_cache_stats()["hits"] == 0
 
     def test_dedupe_with_cache_disabled_collapses_isomorphs(self):
-        configure_solve_cache(0)
-        clear_solve_cache()
         problems = [shifted_problem(shift) for shift in (0, 3, 11, 7)]
-        results = list(solve_stream(problems, backend="serial"))
+        with solve_cache_bypass():
+            results = list(solve_stream(problems, backend="serial"))
         # The stream moves the representative's answer onto each isomorph
         # itself, so no cache tier is needed for them to share one DP run.
         assert solve_cache_stats()["fresh_solves"] == 1
@@ -586,10 +615,6 @@ class TestSolveStream:
             form.column_times
         )
         assert replay_isomorph(moved, moved_form, result, form) is None
-
-    def test_on_error_validation(self):
-        with pytest.raises(ValueError):
-            list(solve_stream([], on_error="explode"))
 
     def test_error_result_round_trips_json(self):
         result = solve_batch([shifted_problem(0)], solver="no-such-solver")[0]
@@ -741,8 +766,6 @@ class TestTwoTierCache:
         first = [to_json(solve(p)) for p in problems]
         assert solve_cache_stats()["disk"]["writes"] == 2
         # Drop the memory tier (simulating a new process) and re-solve.
-        configure_solve_cache(0)
-        configure_solve_cache(256)
         clear_solve_cache()
         second = [to_json(solve(p)) for p in problems]
         stats = solve_cache_stats()
@@ -755,8 +778,6 @@ class TestTwoTierCache:
         clear_solve_cache()
         problem = shifted_problem(0)
         solve(problem)
-        configure_solve_cache(0)
-        configure_solve_cache(256)
         clear_solve_cache()
         solve(problem)  # memory miss -> disk hit -> promotion
         solve(problem)  # memory hit, no further disk traffic
@@ -764,15 +785,17 @@ class TestTwoTierCache:
         assert stats["hits"] == 1 and stats["disk"]["hits"] == 1
 
     def test_disk_only_mode_works(self, tmp_path):
+        # With the memory tier emptied before each solve, the disk tier
+        # alone carries the answer from one solve to the next.
         configure_disk_cache(str(tmp_path))
-        configure_solve_cache(0)  # memory tier off, disk tier on
         clear_solve_cache()
         problem = shifted_problem(0)
         first = to_json(solve(problem))
+        solvers._SOLVE_CACHE.clear()
         second = to_json(solve(problem))
         assert first == second
         stats = solve_cache_stats()
-        assert stats["fresh_solves"] == 1
+        assert stats["fresh_solves"] == 1 and stats["hits"] == 0
         assert stats["disk"]["hits"] == 1 and stats["disk"]["writes"] == 1
 
 
@@ -819,8 +842,6 @@ class TestDiskCacheCorruption:
             handle.write(payload)
         # New process simulation: drop the memory tier so the disk entry
         # is the only warm copy left.
-        configure_solve_cache(0)
-        configure_solve_cache(256)
         clear_solve_cache()
         cache.reset_counters()
         second = to_json(solve(problem))
@@ -830,8 +851,6 @@ class TestDiskCacheCorruption:
         assert counters["misses"] == 1
         assert counters["writes"] == 1  # the fresh result overwrote the entry
         # The overwrite healed the entry: the next cold read is a hit.
-        configure_solve_cache(0)
-        configure_solve_cache(256)
         clear_solve_cache()
         assert to_json(solve(problem)) == first
         assert cache.counters()["hits"] == 1
@@ -849,8 +868,6 @@ class TestDiskCacheCorruption:
         data["assignment"] = [["not-a-slot", {}]]
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(data, handle)
-        configure_solve_cache(0)
-        configure_solve_cache(256)
         clear_solve_cache()
         cache.reset_counters()
         assert to_json(solve(problem)) == first
@@ -877,8 +894,6 @@ class TestDiskCacheCorruption:
         for path in list(cache._walk_entries()):
             with open(path, "w", encoding="utf-8") as handle:
                 handle.write('{"format": 1, "engine_')
-        configure_solve_cache(0)
-        configure_solve_cache(256)
         clear_solve_cache()
         results = list(solve_stream(problems))
         assert [to_json(r) for r in results] == first
@@ -938,7 +953,7 @@ class TestConcurrentAccounting:
         assert 1 <= stats["misses"] <= threads_count
         assert stats["fresh_solves"] == stats["misses"]
 
-    def test_thread_backend_no_dedupe_counts_exact(self):
+    def test_thread_backend_no_dedupe_counts_exact(self, monkeypatch):
         # Threads of one process share its cache (the service reads the
         # counters on its handler threads while its scheduler thread
         # solves), calling solve() with no dedupe in front of it.  A cache
@@ -950,7 +965,7 @@ class TestConcurrentAccounting:
             for shift in (0, 2, 5)
         ]
         expected = [to_json(solve(p)) for p in problems]
-        configure_solve_cache(3)
+        monkeypatch.setattr(solvers, "_SOLVE_CACHE", CanonicalSolveCache(maxsize=3))
         clear_solve_cache()
         threads_count, rounds = 4, 20
         answers = [None] * threads_count
@@ -991,7 +1006,7 @@ class TestConcurrentAccounting:
         # Fresh pool workers have cold memory tiers; the payload-carried
         # cache directory points them at the warm disk tier, and their
         # replayed engine metadata must serialize byte-identically here.
-        results = solve_batch(problems, workers=2, backend="process", dedupe=False)
+        results = solve_batch(problems, workers=2, backend="process")
         assert [to_json(r) for r in results] == baseline
         for result in results:
             assert result.extra["engine"]["stats"]  # metadata rode along
@@ -1024,8 +1039,6 @@ class TestCrossBackendEquivalence:
         clear_solve_cache()
         cold = [to_json(r) for r in solve_stream(problems, backend="serial")]
         assert cold == serialized["serial"]
-        configure_solve_cache(0)
-        configure_solve_cache(256)
         clear_solve_cache()
         warm = [to_json(r) for r in solve_stream(problems, backend="serial")]
         stats = solve_cache_stats()

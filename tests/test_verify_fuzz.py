@@ -192,8 +192,3 @@ class TestGeneratorFamilies:
             if not is_feasible(instance):
                 infeasible += 1
         assert infeasible > 20  # slack=-1 guarantees a violated Hall window
-
-    def test_progress_callback_fires(self):
-        calls = []
-        fuzz(seed=0, n=5, metamorphic=False, progress=lambda i, rep: calls.append(i))
-        assert calls == [0, 1, 2, 3, 4]
