@@ -241,7 +241,16 @@ def _lookup_canonical(
     if _BYPASS_DEPTH:
         return None, None
     form = canonical_form(instance)
-    return form, _SOLVE_CACHE.get((objective_key, form.key))
+    key = (objective_key, form.key)
+    cached = _SOLVE_CACHE.get(key)
+    if cached is None:
+        disk = get_disk_cache()
+        cached = None if disk is None else disk.get(key)
+        if cached is not None:
+            # Promote into the memory tier so the next isomorphic solve in
+            # this process never touches the filesystem.
+            _SOLVE_CACHE.put(key, cached)
+    return form, cached
 
 
 def _store_canonical(
@@ -305,7 +314,8 @@ def _exact_extra_base(problem: Problem) -> Dict:
 def _solve_exact_dp(problem: Problem) -> SolveResult:
     """The ``gap-dp`` and ``power-dp`` adapter: decomposed or monolithic, cached.
 
-    The cache stores a *copy* of the engine metadata (via
+    Every call takes one path: memory tier, disk tier, solve, store in
+    both tiers.  The cache stores a *copy* of the engine metadata (via
     :func:`_replay_engine_meta`): the same dict is returned in the
     result's ``extra``, and a caller mutating it must not poison later
     hits.
@@ -316,45 +326,18 @@ def _solve_exact_dp(problem: Problem) -> SolveResult:
     form, cached = _lookup_canonical(objective_key, problem.instance)
     if cached is not None:
         return _replay_hit(problem, form, cached, extra_base)
-    # Single-flight on the shared disk tier: when several processes
-    # (concurrent races or processes sharing a --cache-dir, pool workers
-    # whose problems decompose into the same component) miss on the same
-    # canonical key at once, exactly one runs the DP; the rest wait for its
-    # entry and replay it — never counting as a fresh solve.  The tier is
-    # read only once the lock is held, so a leader that wrote its entry and
-    # unlocked just before is a hit too.  Lockless when no disk tier is
-    # configured (processes then share no cache to collide in).
-    disk = get_disk_cache()
-    locked = False
-    cache_key = None if form is None else (objective_key, form.key)
-    if disk is not None and cache_key is not None:
-        locked = disk.try_lock(cache_key)
-        entry = disk.get(cache_key) if locked else disk.wait_for_entry(cache_key)
-        if entry is not None:
-            if locked:
-                disk.unlock(cache_key)
-            # Promote into the memory tier so the next isomorphic solve in
-            # this process never touches the filesystem.
-            _SOLVE_CACHE.put(cache_key, entry)
-            return _replay_hit(problem, form, entry, extra_base)
-        # An aborted (killed leader) or timed-out flight falls through: we
-        # solve ourselves, locklessly — correctness over exclusivity.
-    try:
-        with _FRESH_LOCK:
-            _FRESH_SOLVES += 1
-        solution = try_decomposed_solve(problem)
-        if solution is None:
-            solution = solve_exact(problem.instance, problem.objective, problem.alpha)
-        if not solution.feasible:
-            _store_canonical(objective_key, form, False, None, None)
-            return _infeasible(problem)
-        _store_canonical(
-            objective_key, form, True, solution.value, solution.times,
-            _replay_engine_meta(solution.engine),
-        )
-    finally:
-        if locked:
-            disk.unlock(cache_key)
+    with _FRESH_LOCK:
+        _FRESH_SOLVES += 1
+    solution = try_decomposed_solve(problem)
+    if solution is None:
+        solution = solve_exact(problem.instance, problem.objective, problem.alpha)
+    if not solution.feasible:
+        _store_canonical(objective_key, form, False, None, None)
+        return _infeasible(problem)
+    _store_canonical(
+        objective_key, form, True, solution.value, solution.times,
+        _replay_engine_meta(solution.engine),
+    )
     return SolveResult(
         status="optimal",
         objective=problem.objective,

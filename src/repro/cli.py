@@ -237,12 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="max jobs claimed/in flight per scheduling round (default 4)",
     )
     serve.add_argument(
-        "--poll-interval",
-        type=float,
-        default=0.05,
-        help="idle-queue poll interval in seconds (default 0.05)",
-    )
-    serve.add_argument(
         "--rate",
         type=float,
         default=50.0,
@@ -531,7 +525,6 @@ def _dispatch(argv: Optional[Sequence[str]] = None) -> int:
                 backend=args.backend,
                 workers=args.workers,
                 window=args.window,
-                poll_interval=args.poll_interval,
                 rate=args.rate,
                 burst=args.burst,
                 max_queued=args.max_queued,

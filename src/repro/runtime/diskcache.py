@@ -25,16 +25,8 @@ Layout and invariants:
   assignment, engine metadata)`` exactly as the in-memory tier does, so a
   disk hit replays the original solve's engine metadata byte-identically
   in the result envelope, in any process, on any later day.
-* **Single-flight locking.**  Processes that share a cache directory may
-  canonicalize to the *same* solve key at once: concurrent races or
-  processes given the same ``--cache-dir``, and pool workers whose
-  different problems decompose into the same component.  ``try_lock`` /
-  ``unlock`` implement a per-digest advisory lock (``O_CREAT | O_EXCL``
-  lock file carrying the owner pid); the loser of the lock race waits via
-  ``wait_for_entry`` for the winner's entry instead of burning the same
-  DP twice.  Locks are advisory and crash-safe: a lock whose owner pid is
-  dead is broken on sight, waiting is bounded, and a timed-out waiter
-  simply solves — duplicated work, never a wrong or missing result.
+* **Concurrent misses.**  Processes that miss the same key at once each
+  solve it and each write its entry; either entry answers that key.
 
 The process-wide handle is installed with :func:`configure_disk_cache`
 (the CLI's ``--cache-dir`` flag, or the ``REPRO_CACHE_DIR`` environment
@@ -50,7 +42,6 @@ import json
 import os
 import tempfile
 import threading
-import time
 from typing import Dict, Optional, Tuple
 
 from ..core.exceptions import CacheConfigurationError
@@ -124,111 +115,6 @@ class DiskSolveCache:
             self.root, self.version_tag, digest[:2], f"{digest}.json"
         )
 
-    def _lock_path(self, digest: str) -> str:
-        return os.path.join(
-            self.root, self.version_tag, digest[:2], f"{digest}.lock"
-        )
-
-    # -- single-flight locking ----------------------------------------------
-    def try_lock(self, key: Tuple) -> bool:
-        """Try to become the single flight solving ``key``.
-
-        Returns ``True`` when this process now holds the per-digest lock
-        (and must :meth:`unlock` when its entry is written or the solve
-        aborts).  A lock file whose recorded owner pid no longer exists —
-        the owner crashed or was hard-killed mid-solve — is broken and
-        re-acquired, so preempted portfolio members can never wedge the
-        key they were solving.
-        """
-        digest = cache_key_digest(key)
-        path = self._lock_path(digest)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        for _attempt in (0, 1):
-            try:
-                fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                if not self._lock_is_stale(path):
-                    return False
-                try:  # break the dead owner's lock, then retry once
-                    os.unlink(path)
-                except OSError:
-                    return False
-                continue
-            except OSError:
-                return False  # unwritable tier: act lockless
-            try:
-                os.write(fd, str(os.getpid()).encode("ascii"))
-            finally:
-                os.close(fd)
-            return True
-        return False
-
-    @staticmethod
-    def _lock_is_stale(path: str) -> bool:
-        """True when the lock's recorded owner process is provably gone."""
-        try:
-            with open(path, "r", encoding="ascii") as handle:
-                pid = int(handle.read().strip())
-        except (OSError, ValueError):
-            pid = 0
-        if pid <= 0:
-            # Empty (its creator has not written its pid yet), torn or
-            # already removed: only treat as stale once it is old enough
-            # that no live writer can still be mid-write.
-            try:
-                return time.time() - os.path.getmtime(path) > 10.0
-            except OSError:
-                return False
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return True
-        except OSError:
-            return False  # EPERM: alive but not ours
-        return False
-
-    def unlock(self, key: Tuple) -> None:
-        """Release this process's single-flight lock on ``key`` (idempotent)."""
-        try:
-            os.unlink(self._lock_path(cache_key_digest(key)))
-        except OSError:
-            pass
-
-    def wait_for_entry(
-        self,
-        key: Tuple,
-        timeout: float = 120.0,
-        poll_interval: float = 0.005,
-    ) -> Optional[Tuple]:
-        """Wait for another process's in-flight solve of ``key`` to land.
-
-        Polls until the entry exists (returning it loaded), the lock
-        disappears or goes stale without an entry (the flight aborted —
-        returns ``None`` so the caller solves), or ``timeout`` expires
-        (``None`` likewise).  The poll interval backs off 5ms → 100ms.
-        """
-        digest = cache_key_digest(key)
-        deadline = time.monotonic() + timeout
-        interval = poll_interval
-        while True:
-            if os.path.isfile(self._entry_path(digest)):
-                entry = self.get(key)
-                if entry is not None:
-                    return entry
-            lock_path = self._lock_path(digest)
-            if not os.path.exists(lock_path) or self._lock_is_stale(lock_path):
-                # The flight is over (or died): one last entry check wins
-                # the race where the writer replaced the entry and then
-                # unlocked between our two probes above.
-                entry = self.get(key)
-                if entry is not None:
-                    return entry
-                return None
-            if time.monotonic() >= deadline:
-                return None
-            time.sleep(interval)
-            interval = min(0.1, interval * 2)
-
     # -- the two operations the solver adapters use -------------------------
     def get(self, key: Tuple) -> Optional[Tuple]:
         """Return the stored entry for ``key``, or ``None`` on a miss.
@@ -297,6 +183,10 @@ class DiskSolveCache:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 json.dump(payload, handle, sort_keys=True, separators=(",", ":"))
             os.replace(tmp_path, path)
+        except FileNotFoundError:
+            # A concurrent clear() swept the temp file: the entry is
+            # cleared, as if it had been written first.
+            return
         except BaseException:
             try:
                 os.unlink(tmp_path)
@@ -352,23 +242,22 @@ class DiskSolveCache:
     def clear(self) -> int:
         """Remove every entry (all versions); returns the number removed.
 
-        Leftover single-flight lock files are swept too (they are not
-        entries and do not count toward the return value).
+        The same walk sweeps the ``.tmp-`` files of writers killed before
+        their rename and the ``.lock`` files of older versions; they are
+        not entries and do not count toward the return value.
         """
         removed = 0
-        for path in list(self._walk_entries()):
-            try:
-                os.unlink(path)
-                removed += 1
-            except OSError:
-                continue
         for dirpath, _dirnames, filenames in os.walk(self.root):
             for filename in filenames:
-                if filename.endswith(".lock"):
-                    try:
-                        os.unlink(os.path.join(dirpath, filename))
-                    except OSError:
-                        continue
+                leftover = filename.startswith(".tmp-") or filename.endswith(".lock")
+                if not leftover and not filename.endswith(".json"):
+                    continue
+                try:
+                    os.unlink(os.path.join(dirpath, filename))
+                except OSError:
+                    continue
+                if not leftover:
+                    removed += 1
         return removed
 
 

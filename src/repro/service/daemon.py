@@ -25,7 +25,7 @@ lets the in-flight window finish and write back before the thread exits —
 nothing is left ``running`` after a clean stop.
 
 When a claim finds the queue empty, the thread sleeps on a
-:class:`threading.Event` for at most ``poll_interval``; the HTTP layer
+:class:`threading.Event` for at most :data:`IDLE_POLL_S`; the HTTP layer
 calls :meth:`SchedulerDaemon.kick` after each accepted submission to set
 it, so idle-service latency is not bounded by the poll.  The event is
 cleared *before* each claim, so a submit that commits after the claim's
@@ -45,6 +45,10 @@ from .stats import TaskMetrics
 
 __all__ = ["SchedulerDaemon"]
 
+#: Seconds an idle scheduler sleeps before it claims again; an accepted
+#: submit wakes it sooner with :meth:`SchedulerDaemon.kick`.
+IDLE_POLL_S = 0.05
+
 
 class SchedulerDaemon:
     """Drains a :class:`JobQueue` through the runtime's solve pipeline.
@@ -61,8 +65,6 @@ class SchedulerDaemon:
         Maximum jobs claimed per scheduling round — the concurrency
         window on the process backend; the serial backend solves them
         one after another.
-    poll_interval:
-        Seconds to sleep between polls of an empty queue.
 
     The daemon owns :attr:`metrics`, a :class:`TaskMetrics` that observes
     every result it writes back (``GET /v1/stats`` reads it).
@@ -75,16 +77,12 @@ class SchedulerDaemon:
         backend: Optional[str] = None,
         workers: Optional[int] = None,
         window: int = 4,
-        poll_interval: float = 0.05,
     ) -> None:
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
-        if poll_interval <= 0:
-            raise ValueError(f"poll_interval must be positive, got {poll_interval}")
         self.backend, self.workers = resolve_backend(backend, workers)
         self.store = store
         self.window = int(window)
-        self.poll_interval = float(poll_interval)
         self.metrics = TaskMetrics()
         self.state = "idle"  # idle -> running -> draining -> stopped
         #: ``"Type: message"`` of the exception that ended the thread, if any.
@@ -134,7 +132,7 @@ class SchedulerDaemon:
                     break
                 batch = self.store.claim(self.window)
                 if not batch:
-                    self._wake.wait(self.poll_interval)
+                    self._wake.wait(IDLE_POLL_S)
                     continue
                 self.rounds += 1
                 # A stop request waits for this: the in-flight window

@@ -440,7 +440,6 @@ class ServiceServer:
         backend: Optional[str] = None,
         workers: Optional[int] = None,
         window: int = 4,
-        poll_interval: float = 0.05,
         rate: float = 50.0,
         burst: int = 100,
         max_queued: int = 1024,
@@ -455,7 +454,6 @@ class ServiceServer:
                 backend=backend,
                 workers=workers,
                 window=window,
-                poll_interval=poll_interval,
             )
         except BaseException:
             self.store.close()  # a bad setting must not leak the store

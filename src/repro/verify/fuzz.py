@@ -330,16 +330,7 @@ def _fold_case(
 ) -> None:
     """Fold one evaluated case into the aggregate report (driver side)."""
     diff = outcome.diff
-    report.num_solver_runs += len(diff.runs)
-    for run in diff.runs:
-        report.solver_counts[run.name] = report.solver_counts.get(run.name, 0) + 1
-    _accumulate_engine_stats(report, diff)
-    if (
-        diff.runs
-        and diff.runs[0].result is not None
-        and not diff.runs[0].result.feasible
-    ):
-        report.num_infeasible += 1
+    _fold_runs(report, diff)
     if not diff.ok:
         report.failures.append(
             FuzzFailure(
@@ -491,13 +482,22 @@ def fuzz(
     return report
 
 
-def _accumulate_engine_stats(report: FuzzReport, diff: DifferentialReport) -> None:
-    """Fold interval-DP engine counters from a differential run into the report."""
+def _fold_runs(report: FuzzReport, diff: DifferentialReport) -> None:
+    """Fold a differential run's solver counts, engine counters and
+    infeasibility into the report (the fuzz driver and replay share it)."""
+    report.num_solver_runs += len(diff.runs)
     for run in diff.runs:
+        report.solver_counts[run.name] = report.solver_counts.get(run.name, 0) + 1
         if run.result is not None and fold_engine_stats(
             report.engine_stats, run.result.extra
         ):
             report.engine_runs += 1
+    if (
+        diff.runs
+        and diff.runs[0].result is not None
+        and not diff.runs[0].result.feasible
+    ):
+        report.num_infeasible += 1
 
 
 def metamorphic_issues(problem: Problem, diff: DifferentialReport, meta_seed: int) -> List[str]:
@@ -554,12 +554,7 @@ def replay(corpus_path: str, metamorphic: bool = True) -> FuzzReport:
         try:
             problem = from_dict(entry.problem)
             diff = run_differential(problem)
-            report.num_solver_runs += len(diff.runs)
-            for run in diff.runs:
-                report.solver_counts[run.name] = (
-                    report.solver_counts.get(run.name, 0) + 1
-                )
-            _accumulate_engine_stats(report, diff)
+            _fold_runs(report, diff)
             issues = list(diff.issues)
             kind = "differential" if issues else entry.kind
             # Crash entries may have crashed in either phase, so replay the

@@ -731,6 +731,23 @@ class TestDiskSolveCache:
         assert cache.clear() == 2
         assert cache.stats()["entries"] == 0
 
+    def test_put_racing_clear_stores_nothing(self, tmp_path, monkeypatch):
+        # clear() also sweeps temp files, so it can remove a live writer's
+        # before its rename: that put is cleared, and does not raise.
+        cache = DiskSolveCache(str(tmp_path))
+        key = (("gaps",), (1,))
+        real_replace = os.replace
+
+        def clear_first(src, dst):
+            cache.clear()
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", clear_first)
+        cache.put(key, (True, 0, (), None))
+        monkeypatch.undo()
+        assert cache.get(key) is None
+        assert cache.counters()["writes"] == 0
+
     def test_configure_handle_semantics(self, tmp_path):
         first = configure_disk_cache(str(tmp_path))
         again = configure_disk_cache(str(tmp_path))

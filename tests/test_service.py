@@ -40,6 +40,7 @@ from repro.api import (
 )
 from repro.api.registry import _REGISTRY, register_solver
 from repro.service import ServiceClient, ServiceError, ServiceServer
+from repro.service import daemon as daemon_module
 from repro.service import server as server_module
 from repro.service.client import RESULT_HOLD_S, _TurnLock
 from repro.service.daemon import SchedulerDaemon
@@ -140,7 +141,6 @@ def make_server(tmp_path):
         counter[0] += 1
         kwargs.setdefault("backend", "serial")
         kwargs.setdefault("window", 4)
-        kwargs.setdefault("poll_interval", 0.02)
         server = ServiceServer(
             str(tmp_path / f"jobs{counter[0]}.db"), port=0, **kwargs
         ).start()
@@ -289,9 +289,7 @@ class TestSerialWindow:
         slow = store.submit(to_json(slow_problem), solver="test-gated").id
         store.close()
         SLEEP_GATE.clear()
-        server = ServiceServer(
-            db_path, port=0, backend="serial", window=2, poll_interval=0.02
-        ).start()
+        server = ServiceServer(db_path, port=0, backend="serial", window=2).start()
         try:
             with ServiceClient(server.url) as client:
                 assert client.result(fast, timeout=10.0).status == "optimal"
@@ -691,14 +689,15 @@ class TestSchedulerThread:
         assert _threads_named("repro-service-scheduler") == []
         assert _threads_named("repro-service-batch") == []
 
-    def test_no_kick_is_lost(self, make_server):
+    def test_no_kick_is_lost(self, make_server, monkeypatch):
         # With a 30 s poll only kicks wake the scheduler: a lost one leaves
         # its job queued until the client gives up.  Clients submit in
         # rounds, each at a random moment, so a round's last submit has no
         # later kick to cover for its own.  A slow claim widens the gap
         # between the claim's read and the next wait, where a submit could
         # commit unseen.
-        server = make_server(poll_interval=30.0)
+        monkeypatch.setattr(daemon_module, "IDLE_POLL_S", 30.0)
+        server = make_server()
         claim = server.store.claim
 
         def slow_claim(limit):
@@ -1270,7 +1269,7 @@ class TestKeepAlive:
         try:
             before = _open_sqlite_connections()
             server = ServiceServer(
-                str(tmp_path / "jobs.db"), port=0, backend="serial", poll_interval=0.02
+                str(tmp_path / "jobs.db"), port=0, backend="serial"
             ).start()
             with ServiceClient(server.url, client_id="stop") as client:
                 for seed in range(5):
@@ -1423,8 +1422,6 @@ def _start_serve_subprocess(db_path, *extra_args):
             "0",
             "--window",
             "2",
-            "--poll-interval",
-            "0.02",
             *extra_args,
         ],
         stdout=subprocess.PIPE,

@@ -104,6 +104,19 @@ class TestCorpus:
         assert report.ok
         assert report.num_problems == 1
 
+    def test_replay_counts_infeasible_problems(self, tmp_path):
+        # Replay folds its runs with the fuzz driver's helper, so an
+        # infeasible problem is counted as the driver counts it.
+        instance = OneIntervalInstance.from_pairs([(0, 1), (0, 1), (0, 1)])
+        failure = self._failure()
+        failure.problem = to_dict(Problem(objective="gaps", instance=instance))
+        path = str(tmp_path / "corpus.json")
+        save_corpus([failure], path)
+        report = replay(path)
+        assert report.ok
+        assert report.num_infeasible == 1
+        assert "1 certified infeasible" in report.summary()
+
     def test_replay_detects_live_bug(self, tmp_path):
         name = "test-replay-liar"
 
