@@ -50,7 +50,7 @@ def main() -> None:
         db_path = str(Path(tmp) / "jobs.db")
         # Serial: the warm pool forks, and a fork from this multi-threaded
         # server can leave a worker deadlocked on a lock another thread held.
-        server = start_service(db_path, port=0, backend="serial", window=4)
+        server = start_service(db_path, port=0, backend="serial")
         print(f"service up at {server.url} (db: jobs.db, backend: serial)")
 
         with ServiceClient(server.url, client_id="example") as client:

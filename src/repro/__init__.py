@@ -47,7 +47,7 @@ from .core import (
     spans_of_busy_times,
 )
 
-__version__ = "13.0.0"
+__version__ = "14.0.0"
 
 __all__ = [
     "__version__",

@@ -451,8 +451,8 @@ def run_all_experiments(
     """Run every experiment in id order.
 
     Experiments are independent (each fixes its own seeds), so they fan
-    out through :func:`repro.runtime.run_tasks`; the tables come back in
-    id order on every backend, and every column except the measured
+    out through :func:`repro.runtime.run_tasks`; the tables are put back
+    in id order on every backend, and every column except the measured
     wall-time ones (timing is noise, not part of an answer) is
     backend-invariant.  A failing experiment aborts the run with its
     captured traceback.
@@ -461,9 +461,6 @@ def run_all_experiments(
 
     ordered_ids = sorted(ALL_EXPERIMENTS, key=lambda k: int(k[1:]))
     payloads = [(key, scale) for key in ordered_ids]
-    return [
-        outcome.unwrap()
-        for _index, outcome in run_tasks(
-            _experiment_task, payloads, backend=backend, workers=workers
-        )
-    ]
+    outcomes = run_tasks(_experiment_task, payloads, backend=backend, workers=workers)
+    tables = {index: outcome.unwrap() for index, outcome in outcomes}
+    return [tables[index] for index in range(len(payloads))]

@@ -231,12 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, help="worker count for the execution backend"
     )
     serve.add_argument(
-        "--window",
-        type=int,
-        default=4,
-        help="max jobs claimed/in flight per scheduling round (default 4)",
-    )
-    serve.add_argument(
         "--rate",
         type=float,
         default=50.0,
@@ -524,7 +518,6 @@ def _dispatch(argv: Optional[Sequence[str]] = None) -> int:
                 port=args.port,
                 backend=args.backend,
                 workers=args.workers,
-                window=args.window,
                 rate=args.rate,
                 burst=args.burst,
                 max_queued=args.max_queued,

@@ -2,8 +2,8 @@
 
 Where :mod:`repro.api` defines *what* a solve is (problems, solvers,
 results), this package owns *how* many of them run: which pool executes
-the tasks, how task streams are windowed and reordered, and which cache
-tiers a solve consults before doing DP work.
+the tasks, how task streams are windowed, and which cache tiers a solve
+consults before doing DP work.
 
 * :mod:`repro.runtime.backends` — the two batch backends, ``serial``
   (inline) and ``process`` (the warm pool), and the call site /
@@ -14,13 +14,14 @@ tiers a solve consults before doing DP work.
   disk-cache directory), hard task kills (terminate-and-respawn), and
   the any-time incumbent channel (``publish_incumbent()``).
 * :mod:`repro.runtime.stream` — :func:`solve_stream`, the
-  bounded-memory pipeline with deterministic-order mode, in-flight
-  canonical dedupe (isomorphic duplicates take the representative's
-  answer remapped onto their own instances), and per-task error capture
-  (a task whose worker died included); and :func:`run_tasks`, the
-  generic fan-out primitive the fuzz and experiment harnesses use.
-  Both size their own in-flight window: one task at a time inline,
-  ``2 × workers`` (at least 4) on the pool.
+  bounded-memory pipeline in input order, with in-flight canonical
+  dedupe (isomorphic duplicates take the representative's answer
+  remapped onto their own instances) and per-task error capture (a task
+  whose worker died included); and :func:`run_tasks`, the generic
+  fan-out primitive that yields outcomes as tasks finish (the fuzz and
+  experiment harnesses and the service daemon use it).  Both size their
+  own in-flight window: one task at a time inline, ``2 × workers`` (at
+  least 4) on the pool.
 * :mod:`repro.runtime.diskcache` — the content-addressed on-disk tier of
   the canonical solve cache (atomic writes, engine-version invalidation),
   enabled with ``configure_disk_cache()`` / ``--cache-dir`` /

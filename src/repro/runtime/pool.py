@@ -255,6 +255,7 @@ class WorkerPool:
         self._context = get_context("fork" if "fork" in _START_METHODS else None)
         self._lock = threading.Lock()
         self._idle: List[_Worker] = []
+        self._shut_down = False
         self._acquired = 0
         self._spawned = 0
         self._killed = 0
@@ -299,17 +300,18 @@ class WorkerPool:
         return workers
 
     def release(self, workers: List[_Worker]) -> None:
-        """Return workers to the warm set and reap the long-idle ones."""
+        """Keep workers warm (stop them once shut down); reap long-idle ones."""
         now = time.perf_counter()
         with self._lock:
             self._acquired -= len(workers)
+            stale = []
             for worker in workers:
-                if worker.alive():
+                if worker.alive() and not self._shut_down:
                     worker.idle_since = now
                     self._idle.append(worker)
                 else:
-                    self._reaped += 1
-            stale = [
+                    stale.append(worker)
+            stale += [
                 w for w in self._idle if now - w.idle_since > DEFAULT_IDLE_TIMEOUT
             ]
             self._idle = [
@@ -329,6 +331,7 @@ class WorkerPool:
     def shutdown(self) -> None:
         """Stop every idle worker (acquired ones stop when released)."""
         with self._lock:
+            self._shut_down = True
             idle, self._idle = self._idle, []
         for worker in idle:
             worker.stop()
@@ -561,9 +564,10 @@ def get_worker_pool() -> WorkerPool:
 def shutdown_worker_pool() -> None:
     """Stop every warm worker of the process-wide pool (if one exists).
 
-    Sessions still holding workers keep them until they close; callers
-    that need a provably clean process tree (tests, the service daemon's
-    final drain) call this after their last session exits.
+    Sessions still holding workers keep them until they close, which
+    stops them; callers that need a provably clean process tree (tests,
+    the service daemon's final drain) call this after their last session
+    exits.
     """
     global _POOL
     with _POOL_LOCK:

@@ -5,23 +5,22 @@ Two entry points, built on the same windowed admit/drain/pop pattern
 
 * :func:`run_tasks` — the generic primitive: map a picklable function over
   an iterable on either backend (:mod:`repro.runtime.backends`),
-  yielding :class:`TaskOutcome`\\ s in input order.  Per-task exceptions
-  are captured into the outcome instead of poisoning the run; the fuzz
-  driver and the experiment harness fan out through this.
+  yielding ``(index, outcome)`` pairs as the tasks finish.  Per-task
+  exceptions are captured into the :class:`TaskOutcome` instead of
+  poisoning the run; the fuzz driver, the experiment harness and the
+  service daemon fan out through this.
 * :func:`solve_stream` — the façade-aware pipeline: solve a stream of
   :class:`~repro.api.problem.Problem`\\ s, yielding
-  :class:`~repro.api.result.SolveResult`\\ s as they complete.
+  :class:`~repro.api.result.SolveResult`\\ s in input order.
   :func:`repro.api.solve_batch` is a thin compatibility wrapper that
-  collects an ordered stream into a list.
+  collects the stream into a list.
 
 ``solve_stream`` adds three solve-specific behaviors on top of the loop:
 
-* **Deterministic-order mode** (``ordered=True``, the default) re-sequences
-  completions so results come back in input order regardless of which
-  worker finished first — the historical ``solve_batch`` guarantee, and
-  what makes a parallel run serialize byte-identically to a serial one.
-  ``ordered=False`` yields strictly in completion order for
-  latency-sensitive consumers (the service daemon).
+* **Input order.**  Completions are re-sequenced so results come back in
+  input order regardless of which worker finished first — the
+  ``solve_batch`` guarantee, and what makes a parallel run serialize
+  byte-identically to a serial one.
 * **In-flight dedupe of canonically-identical tasks.**  Before dispatch,
   each problem is keyed by its canonical digest (exact duplicates and
   time-shift/job-permutation isomorphs share a key); its canonical form
@@ -44,17 +43,19 @@ Two entry points, built on the same windowed admit/drain/pop pattern
 
 Both entry points size their in-flight window themselves
 (:func:`_window`): one task at a time inline, so each result is yielded
-before the next task runs, and ``max(4, 2 × workers)`` tasks plus their
-buffered results on the pool.  Memory is bounded by that window and a
-fixed-size LRU of completed representatives kept for dedupe; the input
-iterable is consumed lazily, never materialized.
+before the next task runs, and ``max(4, 2 × workers)`` on the pool (for
+:func:`solve_stream`, tasks in flight and the results it holds for input
+order together).  :func:`run_tasks` pulls its next input as soon as a
+task finishes.  Memory is bounded by that window and a fixed-size LRU of
+completed representatives kept for dedupe; the input iterable is
+consumed lazily, never materialized.
 """
 
 from __future__ import annotations
 
 import copy
 import traceback as _traceback
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -149,36 +150,32 @@ def run_tasks(
 ) -> Iterator[Tuple[int, TaskOutcome]]:
     """Map ``fn`` over ``items`` through a backend, streaming the outcomes.
 
-    Yields ``(index, outcome)`` pairs in input order.  ``fn`` and the
-    items must be picklable for the process backend.  At most
-    :func:`_window` tasks are in flight or buffered at any moment and
-    ``items`` is consumed lazily, so the pipeline runs in bounded memory
+    Yields ``(index, outcome)`` pairs as the tasks finish: in input order
+    inline, in completion order on the pool, where a fast task is yielded
+    before an earlier slow one.  A caller that wants input order puts the
+    outcomes back by index.  ``fn`` and the items must be picklable for
+    the process backend.  At most :func:`_window` tasks are in flight at
+    any moment, and ``items`` is consumed lazily — the next item is pulled
+    as soon as a task finishes — so the pipeline runs in bounded memory
     over arbitrarily long inputs.
     """
     name, count = resolve_backend(backend, workers)
     limit = _window(name, count)
     with open_session(name, count, _Guarded(fn)) as session:
         iterator = iter(enumerate(items))
-        pending: Dict[int, TaskOutcome] = {}
-        next_emit = 0
         exhausted = False
         while True:
-            while not exhausted and session.in_flight + len(pending) < limit:
+            while not exhausted and session.in_flight < limit:
                 try:
                     index, item = next(iterator)
                 except StopIteration:
                     exhausted = True
                     break
                 session.submit(index, item)
-            while next_emit in pending:
-                yield next_emit, pending.pop(next_emit)
-                next_emit += 1
             if session.in_flight == 0:
-                if exhausted:
-                    break
-                continue
+                break  # the loop above stopped short of the limit: input done
             tag, raw = _pop(session)
-            pending[tag] = _to_outcome(raw)
+            yield tag, _to_outcome(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +249,8 @@ def solve_stream(
     *,
     backend: Optional[str] = None,
     workers: Optional[int] = None,
-    ordered: bool = True,
-    with_index: bool = False,
 ) -> Iterator[Any]:
-    """Solve a stream of problems, yielding results as they complete.
+    """Solve a stream of problems, yielding results in input order.
 
     Parameters
     ----------
@@ -269,12 +264,6 @@ def solve_stream(
         Execution backend name, ``"serial"`` or ``"process"`` (see
         :func:`~repro.runtime.backends.resolve_backend`); ``workers``
         sizes the process backend and its in-flight window.
-    ordered:
-        ``True`` yields results in input order (the ``solve_batch``
-        determinism guarantee); ``False`` yields in completion order.
-    with_index:
-        Yield ``(input index, result)`` pairs instead of bare results —
-        essential for correlating an unordered stream.
 
     Canonically identical tasks always collapse onto one representative
     solve (see the module docstring); completed representatives are
@@ -286,8 +275,7 @@ def solve_stream(
     name, count = resolve_backend(backend, workers)
     limit = _window(name, count)
 
-    pending: Dict[int, Any] = {}  # ordered-mode reorder buffer
-    ready: deque = deque()  # unordered-mode emission queue
+    pending: Dict[int, Any] = {}  # finished results waiting for input order
     next_emit = 0
     reps: Dict[Tuple, int] = {}  # dedupe key -> in-flight representative
     running: Dict[int, Tuple] = {}  # in-flight index -> (problem, dedupe key, form)
@@ -296,14 +284,8 @@ def solve_stream(
     # dedupe key -> (problem, result, canonical form) of a representative
     finished: "OrderedDict[Tuple, Tuple[Any, Any, Any]]" = OrderedDict()
 
-    def deliver(index: int, result: Any) -> None:
-        if ordered:
-            pending[index] = result
-        else:
-            ready.append((index, result))
-
     def occupancy(session) -> int:
-        return session.in_flight + len(pending) + len(ready) + parked_count
+        return session.in_flight + len(pending) + parked_count
 
     with open_session(name, count, _Guarded(_solve_task)) as session:
 
@@ -321,7 +303,7 @@ def solve_stream(
                 if result is None:
                     dispatch(index, problem, key, form)
                 else:
-                    deliver(index, result)
+                    pending[index] = result
                 return
             rep = reps.get(key)
             if rep is not None:
@@ -336,7 +318,7 @@ def solve_stream(
             problem, key, form = running.pop(index)
             outcome = _to_outcome(raw)
             result = outcome.value if outcome.ok else _error_result(problem, outcome)
-            deliver(index, result)
+            pending[index] = result
             if reps.get(key) != index:
                 return  # a re-dispatched former duplicate, not a representative
             del reps[key]
@@ -365,7 +347,7 @@ def solve_stream(
                 if replayed is None:
                     dispatch(dup_index, dup_problem, key, dup_form)
                 else:
-                    deliver(dup_index, replayed)
+                    pending[dup_index] = replayed
 
         iterator = iter(enumerate(problems))
         exhausted = False
@@ -377,15 +359,9 @@ def solve_stream(
                     exhausted = True
                     break
                 admit(index, problem)
-            if ordered:
-                while next_emit in pending:
-                    result = pending.pop(next_emit)
-                    yield (next_emit, result) if with_index else result
-                    next_emit += 1
-            else:
-                while ready:
-                    index, result = ready.popleft()
-                    yield (index, result) if with_index else result
+            while next_emit in pending:
+                yield pending.pop(next_emit)
+                next_emit += 1
             if session.in_flight == 0:
                 # Nothing in flight: every admitted task has been delivered
                 # and the emit pass above drained it, so either the input is

@@ -1,45 +1,48 @@
 """The scheduler thread: drain the persistent queue through the runtime.
 
-One plain thread with one job: repeatedly *claim* a window of queued jobs
-from the :class:`~repro.service.queue.JobQueue` (atomically marking them
-``running``), push the window through :func:`repro.runtime.solve_stream`
-on the execution backend resolved at construction, and write each
-:class:`~repro.api.result.SolveResult` envelope back the moment it
-completes (the store's commit wakes any result request held on that
-job).  Results stream back in completion order: on the process backend a
-fast job is answered before its slower batchmates finish, and on the
-serial backend each job is written back before the next one in the
-window starts.
+One plain thread with one job: claim a queued job from the
+:class:`~repro.service.queue.JobQueue` (atomically marking it
+``running``) each time :func:`repro.runtime.run_tasks` has a free task
+slot, solve it as one task on the execution backend resolved at
+construction, and write its :class:`~repro.api.result.SolveResult`
+envelope back the moment the task finishes (the store's commit wakes any
+result request held on that job).  On the serial backend that is one job
+at a time, so only the job being solved is ``running``; on the process
+backend, up to ``max(4, 2 × workers)`` jobs, refilled as each finishes.
 
-Everything the runtime layer already does for batch solving carries over
-for free: the backend (serial, or the warm process pool), in-flight
-canonical dedupe (fifty isomorphic submissions burn one DP), the two-tier
-solve cache, and per-task error capture (a crashing solve becomes one
-``status="error"`` envelope stored on that job, not a dead daemon).
+Everything the runtime layer already does for batch work carries over
+for free: the backend (serial, or the warm process pool), the two-tier
+solve cache (a repeat of a solved job is a cache hit), and per-task
+error capture (a crashing solve becomes one ``status="error"`` envelope
+stored on that job, not a dead daemon).
 
 Crash safety comes from the store, not the thread: claimed jobs are
 ``running`` rows in SQLite, so a killed process leaves a trail that
 :meth:`~repro.service.queue.JobQueue.recover` re-enqueues on the next
-start.  Graceful drain is the inverse: :meth:`SchedulerDaemon.request_stop`
-lets the in-flight window finish and write back before the thread exits —
-nothing is left ``running`` after a clean stop.
+start; since a job is claimed only when it can start, a job that kills
+the server spends only its own attempts.  Graceful drain is the inverse:
+:meth:`SchedulerDaemon.request_stop` ends the claims and lets the jobs
+in flight write back before the thread exits — nothing is left
+``running`` after a clean stop.
 
-When a claim finds the queue empty, the thread sleeps on a
-:class:`threading.Event` for at most :data:`IDLE_POLL_S`; the HTTP layer
-calls :meth:`SchedulerDaemon.kick` after each accepted submission to set
-it, so idle-service latency is not bounded by the poll.  The event is
-cleared *before* each claim, so a submit that commits after the claim's
-read still finds it set: no kick is lost, and each wake costs one claim.
+A round is one busy period: it ends when a claim finds the queue empty.
+The thread then sleeps on a :class:`threading.Event` for at most
+:data:`IDLE_POLL_S`; the HTTP layer calls :meth:`SchedulerDaemon.kick`
+after each accepted submission to set it, so idle-service latency is not
+bounded by the poll.  The event is cleared *before* each claim, so a
+submit that commits after the claim's read still finds it set: no kick
+is lost, and each wake costs one claim.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Tuple
+from itertools import chain
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 from ..api.serialization import from_json, to_json
-from ..runtime import resolve_backend, solve_stream
+from ..runtime import TaskOutcome, resolve_backend, run_tasks
+from ..runtime.stream import _error_result, _solve_task
 from .queue import JobQueue, JobRecord
 from .stats import TaskMetrics
 
@@ -51,7 +54,7 @@ IDLE_POLL_S = 0.05
 
 
 class SchedulerDaemon:
-    """Drains a :class:`JobQueue` through the runtime's solve pipeline.
+    """Drains a :class:`JobQueue` through the runtime's task pipeline.
 
     Parameters
     ----------
@@ -60,11 +63,7 @@ class SchedulerDaemon:
     backend / workers:
         Execution backend selection, resolved once here (an unknown name
         raises ``ValueError`` before the thread starts) and used for every
-        claimed window.
-    window:
-        Maximum jobs claimed per scheduling round — the concurrency
-        window on the process backend; the serial backend solves them
-        one after another.
+        job; the backend's task window bounds the jobs in flight.
 
     The daemon owns :attr:`metrics`, a :class:`TaskMetrics` that observes
     every result it writes back (``GET /v1/stats`` reads it).
@@ -76,13 +75,9 @@ class SchedulerDaemon:
         *,
         backend: Optional[str] = None,
         workers: Optional[int] = None,
-        window: int = 4,
     ) -> None:
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
         self.backend, self.workers = resolve_backend(backend, workers)
         self.store = store
-        self.window = int(window)
         self.metrics = TaskMetrics()
         self.state = "idle"  # idle -> running -> draining -> stopped
         #: ``"Type: message"`` of the exception that ended the thread, if any.
@@ -103,7 +98,7 @@ class SchedulerDaemon:
         return self._started.wait(timeout)
 
     def request_stop(self) -> None:
-        """Begin a graceful drain: finish the in-flight window, then stop."""
+        """Begin a graceful drain: claim nothing more, finish in-flight jobs."""
         if self.state == "running":
             self.state = "draining"
         self._stop_requested.set()
@@ -124,20 +119,27 @@ class SchedulerDaemon:
         self._started.set()
         try:
             while True:
-                # Clear before the stop check and the claim: a stop request
-                # or a submit that lands after either finds the event set,
-                # and the wait below returns at once.
-                self._wake.clear()
+                claimed: Dict[int, Tuple[JobRecord, Any]] = {}
+                tasks = self._claim_tasks(claimed)
+                # Claim the first job here, so an empty poll opens no session.
+                first = next(tasks, None)
+                if first is not None:
+                    self.rounds += 1
+                    # A stop request ends the claims; the jobs in flight
+                    # still write back before the thread exits.
+                    for index, outcome in run_tasks(
+                        _solve_task,
+                        chain([first], tasks),
+                        backend=self.backend,
+                        workers=self.workers,
+                    ):
+                        self._write_back(*claimed.pop(index), outcome)
                 if self._stop_requested.is_set():
                     break
-                batch = self.store.claim(self.window)
-                if not batch:
-                    self._wake.wait(IDLE_POLL_S)
-                    continue
-                self.rounds += 1
-                # A stop request waits for this: the in-flight window
-                # always writes back before the thread exits.
-                self._execute_batch(batch)
+                # The last claim found the queue empty after clearing the
+                # event, so a submit since then has set it and this wait
+                # returns at once.
+                self._wake.wait(IDLE_POLL_S)
         except Exception as exc:
             self.error = f"{type(exc).__name__}: {exc}"
             raise
@@ -145,21 +147,34 @@ class SchedulerDaemon:
             # SQLite connections are per thread: close this one now, or it
             # stays open until the GC runs.
             self.store.close()
-            # The daemon owns the process tree it spawned: solve batches run
-            # through the shared warm pool, so a stopping daemon must reap
-            # those workers or every drain leaks them.
+            # The daemon owns the process tree it spawned: jobs run through
+            # the shared warm pool, so a stopping daemon must reap those
+            # workers or every drain leaks them.
             from ..runtime.pool import shutdown_worker_pool
 
             shutdown_worker_pool()
             self.state = "stopped"
 
-    # -- one claimed window ---------------------------------------------------
-    def _execute_batch(self, batch: List[JobRecord]) -> None:
-        """Solve one claimed window and write every envelope back."""
-        # Jobs may name different solvers; solve_stream takes one solver per
-        # call, so group while preserving claim order within each group.
-        groups: "OrderedDict[str, List[Tuple[JobRecord, Any]]]" = OrderedDict()
-        for record in batch:
+    def _claim_tasks(
+        self, claimed: Dict[int, Tuple[JobRecord, Any]]
+    ) -> Iterator[Tuple[Any, str]]:
+        """Claim one job per pull and yield its ``(problem, solver)`` task.
+
+        Task ``i`` is recorded as ``claimed[i]``.  Ends at a stop request
+        or when a claim finds the queue empty; a job whose payload does
+        not decode is written back as an error job here.
+        """
+        index = 0
+        while True:
+            # Clear before the stop check and the claim: a stop request or
+            # a submit that lands after either finds the event set.
+            self._wake.clear()
+            if self._stop_requested.is_set():
+                return
+            records = self.store.claim(1)
+            if not records:
+                return
+            record = records[0]
             try:
                 problem = from_json(record.problem)
             except Exception as exc:  # noqa: BLE001 — bad payloads become error jobs
@@ -170,22 +185,15 @@ class SchedulerDaemon:
                     failed=True,
                 )
                 continue
-            groups.setdefault(record.solver, []).append((record, problem))
-        for solver, pairs in groups.items():
-            problems = [problem for _record, problem in pairs]
-            for index, result in solve_stream(
-                problems,
-                solver=solver,
-                backend=self.backend,
-                workers=self.workers,
-                ordered=False,
-                with_index=True,
-            ):
-                record, problem = pairs[index]
-                self.metrics.observe(problem, result)
-                self._write_back(record, result)
+            claimed[index] = (record, problem)
+            index += 1
+            yield problem, record.solver
 
-    def _write_back(self, record: JobRecord, result: Any) -> None:
+    def _write_back(
+        self, record: JobRecord, problem: Any, outcome: TaskOutcome
+    ) -> None:
+        result = outcome.value if outcome.ok else _error_result(problem, outcome)
+        self.metrics.observe(problem, result)
         failed = result.status == "error"
         error = None
         if failed:
@@ -204,7 +212,6 @@ class SchedulerDaemon:
         """Loop-level counters for the stats surface."""
         return {
             "state": self.state,
-            "window": self.window,
             "rounds": self.rounds,
             "completed": self.completed,
         }

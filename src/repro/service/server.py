@@ -31,7 +31,7 @@ API surface (all JSON)::
 daemon together, runs the HTTP pool and the scheduler thread in the
 background, and implements graceful drain — on ``stop()`` (or
 SIGTERM under ``repro-sched serve``) it refuses new submissions with 503,
-lets the in-flight window finish and write back, then tears the listener
+lets the jobs in flight finish and write back, then tears the listener
 down.  A SIGKILLed server instead leaves ``running`` rows behind, which
 the next start re-enqueues via :meth:`JobQueue.recover` — the
 kill/restart test in the suite exercises exactly that path.  ``start()``
@@ -439,7 +439,6 @@ class ServiceServer:
         port: int = 0,
         backend: Optional[str] = None,
         workers: Optional[int] = None,
-        window: int = 4,
         rate: float = 50.0,
         burst: int = 100,
         max_queued: int = 1024,
@@ -450,10 +449,7 @@ class ServiceServer:
         )
         try:
             self.daemon = SchedulerDaemon(
-                self.store,
-                backend=backend,
-                workers=workers,
-                window=window,
+                self.store, backend=backend, workers=workers
             )
         except BaseException:
             self.store.close()  # a bad setting must not leak the store
@@ -550,8 +546,7 @@ class ServiceServer:
             if announce is not None:
                 announce(
                     f"repro-sched service listening on {self.url} "
-                    f"(db={self.store.path}, window={self.daemon.window}, "
-                    f"recovered={self.recovered})"
+                    f"(db={self.store.path}, recovered={self.recovered})"
                 )
             while not stop_event.is_set():
                 stop_event.wait(0.2)

@@ -15,8 +15,9 @@ Generation is sequential (it owns the RNG), but the differential and
 metamorphic evaluation of each case is independent and fans out through
 :func:`repro.runtime.run_tasks` — pass ``backend="process"`` (or set
 ``REPRO_BACKEND`` / the CLI's top-level ``--backend``) to fuzz on every
-core; the report folds completions back in case order, so the outcome is
-backend-invariant.
+core.  Cases are folded into the report as they finish and the failures
+are sorted by case index at the end, so the report is backend-invariant.
+Replay evaluates and folds its corpus entries through the same loop.
 """
 
 from __future__ import annotations
@@ -323,6 +324,21 @@ def _evaluate_case(payload: _FuzzCasePayload) -> _FuzzCaseOutcome:
     return _FuzzCaseOutcome(diff=diff, meta_issues=meta_issues, meta_checked=meta_checked)
 
 
+def _case_failure(
+    payload: _FuzzCasePayload, kind: str, issues: List[str]
+) -> FuzzFailure:
+    """A failure of one generated or replayed case, ready for the corpus."""
+    return FuzzFailure(
+        index=payload.index,
+        kind=kind,
+        objective=payload.objective,
+        generator=payload.generator,
+        issues=issues,
+        problem=to_dict(payload.problem),
+        meta_seed=payload.meta_seed,
+    )
+
+
 def _fold_case(
     report: FuzzReport,
     payload: _FuzzCasePayload,
@@ -333,29 +349,13 @@ def _fold_case(
     _fold_runs(report, diff)
     if not diff.ok:
         report.failures.append(
-            FuzzFailure(
-                index=payload.index,
-                kind="differential",
-                objective=payload.objective,
-                generator=payload.generator,
-                issues=list(diff.issues),
-                problem=to_dict(payload.problem),
-                meta_seed=payload.meta_seed,
-            )
+            _case_failure(payload, "differential", list(diff.issues))
         )
     if outcome.meta_checked:
         report.num_metamorphic_checks += 1
         if outcome.meta_issues:
             report.failures.append(
-                FuzzFailure(
-                    index=payload.index,
-                    kind="metamorphic",
-                    objective=payload.objective,
-                    generator=payload.generator,
-                    issues=outcome.meta_issues,
-                    problem=to_dict(payload.problem),
-                    meta_seed=payload.meta_seed,
-                )
+                _case_failure(payload, "metamorphic", outcome.meta_issues)
             )
 
 
@@ -387,11 +387,9 @@ def fuzz(
     backend / workers:
         Execution backend for case evaluation (see
         :func:`repro.runtime.resolve_backend`); generation stays
-        sequential and the report is folded in case order, so every
+        sequential and the failures are sorted by case index, so every
         backend produces the same report.
     """
-    from ..runtime.stream import run_tasks
-
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     for objective in objectives:
@@ -401,12 +399,6 @@ def fuzz(
             )
     rng = random.Random(seed)
     report = FuzzReport(seed=seed, n=n, objectives=tuple(objectives))
-
-    def flush() -> None:
-        if corpus_path is not None:
-            # Flush after every failing case so a killed run (CI timeout,
-            # OOM) still leaves the failures found so far on disk.
-            save_corpus(report.failures, corpus_path)
 
     # Phase 1 — sequential generation (the RNG stream must not depend on
     # evaluation order or backend).  A generator crash is itself a finding:
@@ -434,7 +426,7 @@ def fuzz(
                     meta_seed=meta_seed,
                 )
             )
-            flush()
+            _flush(report, corpus_path)
             continue
         payloads.append(
             _FuzzCasePayload(
@@ -447,44 +439,51 @@ def fuzz(
             )
         )
 
-    # Phase 2 — evaluation through the runtime, folded back in case order.
-    payload_iter = iter(payloads)
+    # Phase 2 — evaluation through the runtime.
+    _evaluate_cases(report, payloads, backend, workers, corpus_path)
+    return report
+
+
+def _flush(report: FuzzReport, corpus_path: Optional[str]) -> None:
+    """Save the failures so far: a killed run (CI timeout, OOM) keeps them."""
+    if corpus_path is not None:
+        save_corpus(report.failures, corpus_path)
+
+
+def _evaluate_cases(
+    report: FuzzReport,
+    payloads: List[_FuzzCasePayload],
+    backend: Optional[str] = None,
+    workers: Optional[int] = None,
+    corpus_path: Optional[str] = None,
+) -> None:
+    """Evaluate cases through the runtime, folding each as it finishes.
+
+    The failures end sorted by case index, and the corpus is rewritten at
+    the end, so a green run clears a stale corpus of a failing one.
+    """
+    from ..runtime.stream import run_tasks
+
     outcomes = run_tasks(_evaluate_case, payloads, backend=backend, workers=workers)
-    for _position, outcome in outcomes:
-        payload = next(payload_iter)
+    for position, outcome in outcomes:
+        payload = payloads[position]
         failures_before = len(report.failures)
         if outcome.ok:
             _fold_case(report, payload, outcome.value)
         else:
             # Never lose the crashing instance: record it in the corpus and
             # keep fuzzing the rest of the run.
-            report.failures.append(
-                FuzzFailure(
-                    index=payload.index,
-                    kind="crash",
-                    objective=payload.objective,
-                    generator=payload.generator,
-                    issues=[f"unhandled {outcome.error_type}: {outcome.error}"],
-                    problem=to_dict(payload.problem),
-                    meta_seed=payload.meta_seed,
-                )
-            )
+            issue = f"unhandled {outcome.error_type}: {outcome.error}"
+            report.failures.append(_case_failure(payload, "crash", [issue]))
         if len(report.failures) > failures_before:
-            flush()
-    # Generation failures were recorded (and flushed) ahead of evaluation
-    # failures; restore the sequential driver's index order for the final
-    # report and corpus.
+            _flush(report, corpus_path)
     report.failures.sort(key=lambda failure: failure.index)
-    if corpus_path is not None:
-        # Always (re)write, so a green run clears a stale corpus from a
-        # previous failing run of the same command.
-        save_corpus(report.failures, corpus_path)
-    return report
+    _flush(report, corpus_path)
 
 
 def _fold_runs(report: FuzzReport, diff: DifferentialReport) -> None:
     """Fold a differential run's solver counts, engine counters and
-    infeasibility into the report (the fuzz driver and replay share it)."""
+    infeasibility into the report."""
     report.num_solver_runs += len(diff.runs)
     for run in diff.runs:
         report.solver_counts[run.name] = report.solver_counts.get(run.name, 0) + 1
@@ -541,7 +540,9 @@ def replay(corpus_path: str, metamorphic: bool = True) -> FuzzReport:
     The corpus stores the fully serialized problem *and* the metamorphic
     RNG seed of the original run, so replay re-draws the same transforms:
     a fixed bug turns the corresponding cases green regardless of generator
-    drift, and a live one keeps reproducing.
+    drift, and a live one keeps reproducing.  Entries are evaluated and
+    reported exactly as the fuzz driver evaluates its cases, on the
+    backend :func:`repro.runtime.resolve_backend` picks.
     """
     failures = load_corpus(corpus_path)
     report = FuzzReport(
@@ -549,36 +550,27 @@ def replay(corpus_path: str, metamorphic: bool = True) -> FuzzReport:
         n=len(failures),
         objectives=tuple(sorted({f.objective for f in failures})),
     )
+    payloads: List[_FuzzCasePayload] = []
     for entry in failures:
         report.num_problems += 1
         try:
             problem = from_dict(entry.problem)
-            diff = run_differential(problem)
-            _fold_runs(report, diff)
-            issues = list(diff.issues)
-            kind = "differential" if issues else entry.kind
-            # Crash entries may have crashed in either phase, so replay the
-            # metamorphic checks for them too.
-            if metamorphic and entry.kind in ("metamorphic", "crash"):
-                meta_seed = entry.meta_seed if entry.meta_seed is not None else entry.index
-                meta_issues = metamorphic_issues(problem, diff, meta_seed)
-                report.num_metamorphic_checks += 1
-                if meta_issues and not issues:
-                    kind = "metamorphic"
-                issues.extend(meta_issues)
         except Exception as exc:  # noqa: BLE001 — crashes must keep reproducing
-            issues = [f"unhandled {type(exc).__name__}: {exc}"]
-            kind = "crash"
-        if issues:
-            report.failures.append(
-                FuzzFailure(
-                    index=entry.index,
-                    kind=kind,
-                    objective=entry.objective,
-                    generator=entry.generator,
-                    issues=issues,
-                    problem=entry.problem,
-                    meta_seed=entry.meta_seed,
-                )
+            entry.kind = "crash"
+            entry.issues = [f"unhandled {type(exc).__name__}: {exc}"]
+            report.failures.append(entry)
+            continue
+        payloads.append(
+            _FuzzCasePayload(
+                index=entry.index,
+                objective=entry.objective,
+                generator=entry.generator,
+                problem=problem,
+                meta_seed=entry.index if entry.meta_seed is None else entry.meta_seed,
+                # Crash entries may have crashed in either phase, so replay
+                # the metamorphic checks for them too.
+                metamorphic=metamorphic and entry.kind in ("metamorphic", "crash"),
             )
+        )
+    _evaluate_cases(report, payloads)
     return report

@@ -329,10 +329,10 @@ class TestOneWayIn:
         removed = {
             solve: {"on_infeasible"},
             solve_batch: {"dedupe", "on_error"},
-            solve_stream: {"dedupe", "on_error"},
+            solve_stream: {"dedupe", "on_error", "ordered", "with_index"},
             run_tasks: {"ordered"},
-            ServiceServer: {"recover", "default_solver"},
-            SchedulerDaemon: {"metrics"},
+            ServiceServer: {"recover", "default_solver", "window"},
+            SchedulerDaemon: {"metrics", "window"},
             fuzz: {"progress"},
             portfolio_fuzz: {"budget"},
             edf_schedule: {"work_conserving"},

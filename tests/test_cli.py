@@ -41,6 +41,13 @@ class TestParser:
         with pytest.raises(ImportError):
             importlib.import_module("repro.perf")
 
+    def test_serve_window_flag_is_gone(self, capsys):
+        # The daemon claims a job whenever a task slot frees.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", "--window", "4"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --window 4" in capsys.readouterr().err
+
 
 class TestCommands:
     """Each job of the paper through ``solve``, reading the instance from stdin."""

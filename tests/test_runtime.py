@@ -170,14 +170,54 @@ def _fail_on_odd(x):
     return x
 
 
+def _wait_for_gate_on_zero(item):
+    """Item 0 waits (at most 5 s) for its gate file; the others return."""
+    import time
+
+    index, gate = item
+    deadline = time.monotonic() + 5.0
+    while index == 0 and not os.path.exists(gate) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return index
+
+
 class TestRunTasks:
     @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_ordered_results_all_backends(self, backend):
         items = list(range(12))
         out = list(run_tasks(_square, items, backend=backend, workers=3))
-        assert [index for index, _ in out] == items
-        assert [o.value for _, o in out] == [x * x for x in items]
+        assert sorted(index for index, _ in out) == items
+        if backend == "serial":
+            assert [index for index, _ in out] == items
+        assert {index: o.value for index, o in out} == {x: x * x for x in items}
         assert all(o.ok for _, o in out)
+
+    def test_pool_yields_a_finished_task_before_an_earlier_slow_one(self, tmp_path):
+        # Item 0 blocks on a gate the test opens only after three other
+        # outcomes: each is yielded as it finishes, and each freed slot
+        # pulls the next input before the slow task is done.
+        gate = tmp_path / "gate"
+        pulled = []
+
+        def items():
+            for index in range(6):
+                pulled.append(index)
+                yield index, str(gate)
+
+        order = []
+        pulled_before_zero = None
+        for index, outcome in run_tasks(
+            _wait_for_gate_on_zero, items(), backend="process", workers=2
+        ):
+            assert outcome.ok and outcome.value == index
+            order.append(index)
+            if index == 0:
+                pulled_before_zero = list(pulled)
+            if len(order) == 3:
+                gate.touch()
+        assert sorted(order) == list(range(6))
+        assert order[0] != 0, order
+        assert 4 in pulled_before_zero, (order, pulled_before_zero)
 
     @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_per_task_error_capture(self, backend):
@@ -263,14 +303,14 @@ class TestLostWorker:
     """A task whose pool worker dies fails alone; the rest of the batch runs."""
 
     def test_run_tasks_fails_only_the_lost_task(self):
-        out = list(
+        out = dict(
             run_tasks(_exit_worker_on_two, range(5), backend="process", workers=2)
         )
-        assert [index for index, _ in out] == list(range(5))
-        lost = out[2][1]
+        assert sorted(out) == list(range(5))
+        lost = out[2]
         assert not lost.ok
         assert lost.error_type == "WorkerLostError"
-        assert [o.value for index, o in out if index != 2] == [0, 1, 9, 16]
+        assert [out[index].value for index in (0, 1, 3, 4)] == [0, 1, 9, 16]
 
     def test_result_that_does_not_pickle_fails_only_its_task(self):
         # The worker reports the pickling error as its task's own failure,
@@ -365,23 +405,16 @@ class TestLostWorker:
         assert result.extra["portfolio"]["winner"] == "slow-member-test"
         assert result.status == "optimal"
 
-    @pytest.mark.parametrize("ordered", [True, False])
-    def test_solve_stream_answers_the_others(self, exit_on_three_jobs, ordered):
+    @pytest.mark.parametrize("lazy", [True, False])
+    def test_solve_stream_answers_the_others(self, exit_on_three_jobs, lazy):
         problems = [_jobs_problem(n) for n in (2, 4, 3, 5, 6)]
-        pairs = list(
+        source = iter(problems) if lazy else problems
+        results = list(
             solve_stream(
-                problems,
-                solver=exit_on_three_jobs,
-                backend="process",
-                workers=2,
-                ordered=ordered,
-                with_index=True,
+                source, solver=exit_on_three_jobs, backend="process", workers=2
             )
         )
-        if ordered:
-            assert [index for index, _ in pairs] == list(range(5))
-        results = dict(pairs)
-        assert sorted(results) == list(range(5))
+        assert len(results) == 5
         assert results[2].status == "error"
         assert results[2].extra["error_type"] == "WorkerLostError"
         assert [results[i].status for i in (0, 1, 3, 4)] == ["optimal"] * 4
@@ -423,6 +456,32 @@ class TestLostWorker:
             _REGISTRY.pop("exit-once-test", None)
 
 
+class TestWorkerPoolShutdown:
+    def test_workers_released_after_shutdown_are_stopped(self):
+        # A session still open when the pool is shut down releases its
+        # workers later, into the dropped pool: they must stop, not idle.
+        import multiprocessing
+        import time
+
+        from repro.runtime import get_worker_pool, shutdown_worker_pool
+
+        session = get_worker_pool().session(abs, 1)
+        try:
+            session.submit(0, -3)
+            assert session.pop() == (0, 3)
+            shutdown_worker_pool()
+            session.close()
+            deadline = time.monotonic() + 5.0
+            while multiprocessing.active_children() and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert multiprocessing.active_children() == []
+        finally:
+            session.close()
+            for child in multiprocessing.active_children():
+                child.terminate()
+                child.join(5.0)
+
+
 # ---------------------------------------------------------------------------
 # solve_stream: the pipeline
 # ---------------------------------------------------------------------------
@@ -432,17 +491,10 @@ class TestSolveStream:
         results = list(solve_stream(problems, backend="serial"))
         assert results == [solve(p) for p in problems]
 
-    def test_unordered_with_index_reassembles(self):
+    def test_process_stream_matches_individual_solves(self):
         problems = mixed_workload(12)
-        pairs = list(
-            solve_stream(
-                problems, backend="process", workers=2, ordered=False, with_index=True
-            )
-        )
-        assert sorted(index for index, _ in pairs) == list(range(12))
-        by_index = dict(pairs)
-        expected = [solve(p) for p in problems]
-        assert [by_index[i] for i in range(12)] == expected
+        results = list(solve_stream(problems, backend="process", workers=2))
+        assert results == [solve(p) for p in problems]
 
     def test_stream_is_lazy(self):
         consumed = []
@@ -458,10 +510,8 @@ class TestSolveStream:
         assert len(consumed) <= 4 + 3
         stream.close()
 
-    @pytest.mark.parametrize("ordered", [True, False])
-    def test_serial_stream_yields_each_result_before_the_next_solve(
-        self, ordered
-    ):
+    @pytest.mark.parametrize("lazy", [True, False])
+    def test_serial_stream_yields_each_result_before_the_next_solve(self, lazy):
         from repro.api.registry import _REGISTRY, register_solver
         from repro.api import OneIntervalInstance
 
@@ -479,11 +529,9 @@ class TestSolveStream:
 
         try:
             problems = [shifted_problem(0, seed=seed) for seed in range(4)]
+            source = iter(problems) if lazy else problems
             for _result in solve_stream(
-                problems,
-                solver="logging-test",
-                backend="serial",
-                ordered=ordered,
+                source, solver="logging-test", backend="serial"
             ):
                 events.append("yield")
         finally:

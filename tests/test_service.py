@@ -44,7 +44,7 @@ from repro.service import daemon as daemon_module
 from repro.service import server as server_module
 from repro.service.client import RESULT_HOLD_S, _TurnLock
 from repro.service.daemon import SchedulerDaemon
-from repro.service.queue import JobQueue
+from repro.service.queue import MAX_ATTEMPTS, JobQueue
 from repro.service.server import MAX_BODY_BYTES, _Handler
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -140,7 +140,6 @@ def make_server(tmp_path):
     def factory(**kwargs) -> ServiceServer:
         counter[0] += 1
         kwargs.setdefault("backend", "serial")
-        kwargs.setdefault("window", 4)
         server = ServiceServer(
             str(tmp_path / f"jobs{counter[0]}.db"), port=0, **kwargs
         ).start()
@@ -224,7 +223,7 @@ class TestSubmitPollResult:
     def test_fifty_job_mixed_workload(self, make_server, connect):
         # The acceptance scenario: 50 mixed gap/power jobs through the
         # service, every envelope byte-identical to solve().
-        server = make_server(window=8)
+        server = make_server()
         client = connect(server, "bulk")
         problems = [
             gap_problem(i) if i % 2 == 0 else power_problem(i) for i in range(50)
@@ -257,10 +256,10 @@ class TestSubmitPollResult:
         assert "SolverError" in client.status(job_id)["error"]
 
     def test_priority_orders_execution(self, make_server, connect):
-        # window=1 + a gated job holding the lane: everything submitted
-        # behind it is still queued when the lane frees, so the high
-        # priority job must run before the earlier-submitted low one.
-        server = make_server(window=1)
+        # A gated job holds the serial lane: everything submitted behind
+        # it is still queued when the lane frees, so the high priority job
+        # must run before the earlier-submitted low one.
+        server = make_server()
         client = connect(server, "prio")
         blocker = client.submit(sleepy_problem(0), solver="test-sleepy")
         _wait_for_state(client, blocker, "running")
@@ -275,9 +274,9 @@ class TestSubmitPollResult:
 
 class TestSerialWindow:
     def test_fast_job_is_answered_while_a_slow_batchmate_is_held(self, tmp_path):
-        # Both jobs are queued before the server starts, so its first
-        # claim takes them together.  Serially the stream solves one job
-        # at a time and yields it before the next starts: the fast job is
+        # Both jobs are queued before the server starts, so one round
+        # takes them both.  Serially the daemon claims one job at a time
+        # and writes it back before it claims the next: the fast job is
         # written back while the slow one still blocks on the gate.
         db_path = str(tmp_path / "jobs.db")
         store = JobQueue(db_path)
@@ -289,11 +288,11 @@ class TestSerialWindow:
         slow = store.submit(to_json(slow_problem), solver="test-gated").id
         store.close()
         SLEEP_GATE.clear()
-        server = ServiceServer(db_path, port=0, backend="serial", window=2).start()
+        server = ServiceServer(db_path, port=0, backend="serial").start()
         try:
             with ServiceClient(server.url) as client:
                 assert client.result(fast, timeout=10.0).status == "optimal"
-                assert client.status(slow)["state"] == "running"
+                _wait_for_state(client, slow, "running")
                 assert server.daemon.rounds == 1
                 SLEEP_GATE.set()
                 assert client.result(slow, timeout=30.0).status == "optimal"
@@ -321,12 +320,12 @@ class TestTaskMetrics:
         assert payload["engine"]["states_computed"] > 0
 
     def test_exact_duplicates_count_once_each(self, make_server, connect):
-        server = make_server(window=4)
+        server = make_server()
         client = connect(server, "dupes")
         blocker = client.submit(sleepy_problem(0), solver="test-sleepy")
         _wait_for_state(client, blocker, "running")
-        # Queued behind the blocker, the copies share one claimed window:
-        # the stream solves one and hands the others copies of its result.
+        # Queued behind the blocker, the copies run one after another: the
+        # first is solved and the others are memory-tier hits.
         copies = [client.submit(gap_problem(4)) for _ in range(3)]
         SLEEP_GATE.set()
         for job_id in [blocker] + copies:
@@ -353,7 +352,7 @@ class TestTaskMetrics:
 
 class TestCancel:
     def test_cancel_queued_is_immediate(self, make_server, connect):
-        server = make_server(window=1)
+        server = make_server()
         client = connect(server, "cancel")
         blocker = client.submit(sleepy_problem(0), solver="test-sleepy")
         _wait_for_state(client, blocker, "running")
@@ -369,7 +368,7 @@ class TestCancel:
     def test_cancel_running_lands_cancelled_and_discards_result(
         self, make_server, connect
     ):
-        server = make_server(window=1)
+        server = make_server()
         client = connect(server, "cancel")
         job_id = client.submit(sleepy_problem(2), solver="test-sleepy")
         _wait_for_state(client, job_id, "running")
@@ -400,7 +399,7 @@ class TestCancel:
 
 class TestAdmission:
     def test_quota_429_with_structured_payload(self, make_server, connect):
-        server = make_server(window=1, max_queued=2, rate=0.0)
+        server = make_server(max_queued=2, rate=0.0)
         client = connect(server, "greedy")
         held = [
             client.submit(sleepy_problem(i), solver="test-sleepy") for i in range(2)
@@ -444,10 +443,10 @@ class TestHttpSurface:
         "ignore::pytest.PytestUnhandledThreadExceptionWarning"
     )
     def test_healthz_reports_a_dead_loop(self, make_server, connect, monkeypatch):
-        def crash(self, batch):
+        def crash(self, record, problem, outcome):
             raise RuntimeError("scheduler crashed")
 
-        monkeypatch.setattr(SchedulerDaemon, "_execute_batch", crash)
+        monkeypatch.setattr(SchedulerDaemon, "_write_back", crash)
         server = make_server()
         client = connect(server)
         client.submit(gap_problem(0))
@@ -516,7 +515,8 @@ class TestHttpSurface:
         # ...plus the service block.
         service = payload["service"]
         assert service["jobs"]["done"] >= 1
-        assert service["scheduler"]["window"] == 4
+        assert service["scheduler"]["rounds"] >= 1
+        assert "window" not in service["scheduler"]
         assert service["admission"]["admitted"] >= 1
 
     def test_unknown_endpoints_and_bad_bodies(self, make_server):
@@ -650,7 +650,7 @@ class TestHttpSurface:
         assert opened <= 12, opened
 
     def test_result_not_ready_is_202(self, make_server, connect):
-        server = make_server(window=1)
+        server = make_server()
         client = connect(server, "poll")
         job_id = client.submit(sleepy_problem(3), solver="test-sleepy")
         with pytest.raises(ServiceError) as excinfo:
@@ -796,7 +796,7 @@ class TestResultWait:
     def test_held_request_is_answered_by_the_write_back(
         self, make_server, connect
     ):
-        server = make_server(window=1)
+        server = make_server()
         client = connect(server, "held")
         job_id = client.submit(sleepy_problem(0), solver="test-sleepy")
         sent = _record_requests(client)
@@ -819,7 +819,7 @@ class TestResultWait:
     def test_cancelling_a_queued_job_answers_its_held_request(
         self, make_server, connect
     ):
-        server = make_server(window=1)
+        server = make_server()
         client = connect(server, "held")
         blocker = client.submit(sleepy_problem(0), solver="test-sleepy")
         _wait_for_state(client, blocker, "running")
@@ -839,7 +839,7 @@ class TestResultWait:
     def test_stop_answers_held_requests_and_does_not_wait_for_them(
         self, make_server, connect
     ):
-        server = make_server(window=1)
+        server = make_server()
         client = connect(server, "drain")
         blocker = client.submit(sleepy_problem(0), solver="test-sleepy")
         _wait_for_state(client, blocker, "running")
@@ -875,7 +875,7 @@ class TestResultWait:
     ):
         # The reply to a departed client fails with a broken pipe or a
         # reset, which socketserver would print as a traceback.
-        server = make_server(window=1)
+        server = make_server()
         client = connect(server, "leaver")
         job_id = client.submit(sleepy_problem(0), solver="test-sleepy")
         address = (server.host, server.port)
@@ -911,7 +911,7 @@ class TestResultWait:
 
     def test_huge_wait_is_capped(self, make_server, connect, monkeypatch):
         monkeypatch.setattr(server_module, "MAX_RESULT_WAIT_S", 0.2)
-        server = make_server(window=1)
+        server = make_server()
         client = connect(server, "capped")
         job_id = client.submit(sleepy_problem(0), solver="test-sleepy")
         start = time.monotonic()
@@ -940,7 +940,7 @@ class TestResultWait:
     def test_a_hold_never_outlasts_the_callers_deadline(
         self, make_server, connect
     ):
-        server = make_server(window=1)
+        server = make_server()
         client = connect(server, "deadline")
         job_id = client.submit(sleepy_problem(0), solver="test-sleepy")
         sent = _record_requests(client)
@@ -964,7 +964,7 @@ class TestResultWait:
         thread.join(timeout=5.0)
 
     def test_wait_false_sends_one_plain_get(self, make_server, connect):
-        server = make_server(window=1)
+        server = make_server()
         client = connect(server, "once")
         job_id = client.submit(sleepy_problem(0), solver="test-sleepy")
         sent = _record_requests(client)
@@ -975,7 +975,7 @@ class TestResultWait:
         SLEEP_GATE.set()
 
     def test_registry_is_empty_once_many_waits_return(self, make_server, connect):
-        server = make_server(window=1)
+        server = make_server()
         blocker = connect(server, "blocker").submit(
             sleepy_problem(0), solver="test-sleepy"
         )
@@ -1004,7 +1004,7 @@ class TestResultWait:
         # Thread requests take turns on the client's one connection, so a
         # held result request delays another thread's submit by at most one
         # hold (RESULT_HOLD_S), not until the awaited job is done.
-        server = make_server(window=1)
+        server = make_server()
         client = connect(server, "shared")
         slow = client.submit(sleepy_problem(0), solver="test-sleepy")
         fetch = _Fetch(client, slow)
@@ -1369,7 +1369,7 @@ class TestServiceCLIVerbs:
     def test_quota_denial_is_structured_on_stderr(self, make_server, tmp_path, capsys):
         from repro.cli import main
 
-        server = make_server(window=1, max_queued=1, rate=0.0)
+        server = make_server(max_queued=1, rate=0.0)
         sleepy = tmp_path / "sleepy.json"
         sleepy.write_text(to_json(sleepy_problem(7)))
         assert (
@@ -1400,7 +1400,7 @@ class TestServiceCLIVerbs:
         assert set(local["tasks"]) == set(remote["tasks"])
 
 
-def _start_serve_subprocess(db_path, *extra_args):
+def _subprocess_env():
     env = dict(os.environ)
     # Prepend src rather than replace: the daemon must see the same
     # python-path environment as the test process, or remote and direct
@@ -1409,6 +1409,11 @@ def _start_serve_subprocess(db_path, *extra_args):
         [os.path.join(REPO_ROOT, "src")]
         + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
     )
+    return env
+
+
+def _start_serve_subprocess(db_path, *extra_args):
+    env = _subprocess_env()
     env.pop("REPRO_BACKEND", None)
     process = subprocess.Popen(
         [
@@ -1420,8 +1425,6 @@ def _start_serve_subprocess(db_path, *extra_args):
             db_path,
             "--port",
             "0",
-            "--window",
-            "2",
             *extra_args,
         ],
         stdout=subprocess.PIPE,
@@ -1491,6 +1494,62 @@ class TestProcessLifecycle:
             assert counts["done"] + counts["queued"] == len(job_ids)
         finally:
             store.close()
+
+    def test_a_job_that_kills_the_server_spends_no_other_jobs_attempts(
+        self, tmp_path
+    ):
+        # The killing job is queued ahead of an innocent one.  Each start
+        # claims only the job it runs, so the three crashes charge the
+        # killing job alone; the fourth start retires it as poison and
+        # solves the innocent job on its first attempt.
+        db_path = str(tmp_path / "jobs.db")
+        store = JobQueue(db_path)
+        try:
+            poison = store.submit(
+                to_json(sleepy_problem(0)), solver="test-exit-server"
+            ).id
+            innocent = store.submit(to_json(gap_problem(1))).id
+        finally:
+            store.close()
+        script = textwrap.dedent(
+            """
+            import os, sys
+            from repro.api import OneIntervalInstance
+            from repro.api.registry import register_solver
+            from repro.service import ServiceServer
+
+            @register_solver("test-exit-server", objective="gaps", kind="exact",
+                             instance_types=(OneIntervalInstance,))
+            def _exit_server(problem):
+                os._exit(7)
+
+            server = ServiceServer(sys.argv[1], port=0, backend="serial").start()
+            try:
+                server.store.wait(sys.argv[2], 30.0)
+            finally:
+                server.stop()
+            """
+        )
+        codes = []
+        for _start in range(MAX_ATTEMPTS + 1):
+            finished = subprocess.run(
+                [sys.executable, "-c", script, db_path, innocent],
+                capture_output=True,
+                text=True,
+                env=_subprocess_env(),
+                cwd=REPO_ROOT,
+                timeout=60,
+            )
+            codes.append(finished.returncode)
+        assert codes == [7] * MAX_ATTEMPTS + [0], (codes, finished.stderr)
+        store = JobQueue(db_path)
+        try:
+            killer, other = store.get(poison), store.get(innocent)
+        finally:
+            store.close()
+        assert (killer.state, killer.attempts) == ("error", MAX_ATTEMPTS)
+        assert killer.error.startswith("poison:"), killer.error
+        assert (other.state, other.attempts) == ("done", 1), other
 
 
 def test_package_quickstart_runs(tmp_path, monkeypatch):
